@@ -77,7 +77,7 @@ fn main() {
                         colls: Vec::new(),
                     })
                     .fold(StageCost::default(), StageCost::max);
-                print!("{:>10}", fmt_secs(model.stage_seconds(crit)));
+                print!("{:>10}", fmt_secs(model.stage(&crit)));
             }
             println!();
         }

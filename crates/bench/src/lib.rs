@@ -114,8 +114,7 @@ pub fn stage_bytes(m: &StageMeasure) -> u64 {
 /// traces: per stage, the limiting rank and its compute/comm/wait split.
 /// Render with [`obs::dissect::render_dissection`].
 pub fn dissect_runs(runs: &[PastisRun], model: &CostModel) -> Vec<obs::dissect::DissectionRow> {
-    let traces: Vec<obs::RankTrace> = runs.iter().map(|r| r.trace.clone()).collect();
-    obs::dissect::dissect(&traces, &Timings::STAGE_SPANS, model.alpha, model.beta)
+    obs::dissect::dissect(&extract_runs(runs), model.alpha, model.beta)
 }
 
 // ---------------------------------------------------------------------------

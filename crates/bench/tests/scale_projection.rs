@@ -4,7 +4,8 @@
 
 use pastis::{AlignMode, PastisParams, PastisRun, Timings};
 use pastis_bench::{
-    extract_runs, metaclust_dataset, project_runs, run_on, MeasuredOverlap, ScaleReport,
+    dissect_runs, extract_runs, metaclust_dataset, project_runs, run_on, MeasuredOverlap,
+    ScaleReport,
 };
 use pcomm::{CostModel, MachineProfile};
 
@@ -29,9 +30,7 @@ fn dissect_multirank_traces() {
     // one of them, and alignment carries deterministic work.
     for p in [4usize, 16] {
         let runs = record(p, 1);
-        let traces: Vec<obs::RankTrace> = runs.iter().map(|r| r.trace.clone()).collect();
-        let model = CostModel::default();
-        let rows = obs::dissect::dissect(&traces, &Timings::STAGE_SPANS, model.alpha, model.beta);
+        let rows = dissect_runs(&runs, &CostModel::default());
         assert_eq!(rows.len(), Timings::STAGE_SPANS.len(), "p={p}");
         for r in &rows {
             assert_eq!(r.per_rank_secs.len(), p, "p={p} stage={}", r.label);
@@ -70,13 +69,12 @@ fn dissection_sees_worker_tracks() {
         !worker_events.is_empty(),
         "no worker-track spans recorded at threads=2"
     );
-    let traces: Vec<obs::RankTrace> = runs.iter().map(|r| r.trace.clone()).collect();
-    let rows = obs::dissect::dissect(&traces, &Timings::STAGE_SPANS, 0.0, 0.0);
+    let rows = obs::dissect::dissect(&extract_runs(&runs), 0.0, 0.0);
     let align = rows.iter().find(|r| r.label == "align").unwrap();
     assert!(align.counters.work_ns > 0);
     // The span forest must retain the worker spans (at any depth — they
     // sit on their own tracks).
-    let forest = obs::span_forest(&traces[0].events);
+    let forest = obs::span_forest(&runs[0].trace.events);
     fn find_worker(nodes: &[obs::SpanNode]) -> bool {
         nodes.iter().any(|n| {
             (n.event.name == "align.worker" && n.event.track >= 1) || find_worker(&n.children)

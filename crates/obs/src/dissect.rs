@@ -2,102 +2,25 @@
 //! compute/comm/wait split, rendered as a plain-text table in the layout of
 //! the paper's Fig. 15/16.
 //!
-//! The inputs are recorded span traces, not hand-threaded timer fields: a
-//! "stage" is identified by its span name, a rank's stage time is the sum
+//! The inputs are recorded span traces, not hand-threaded timer fields,
+//! reduced once by `crate::project::extract_stages`: a "stage" is
+//! identified by its span name, a rank's stage time is the exclusive sum
 //! of all its spans with that name, and the limiting rank is the one with
 //! the largest wall-clock total. `obs` carries no α-β model of its own —
 //! callers pass latency/bandwidth coefficients (e.g. from
 //! `pcomm::CostModel`) when they want a modeled comm column.
 
 use crate::metrics::MetricsSnapshot;
-use crate::span::{span_forest, CounterSet, RankTrace, SpanNode};
-
-/// One rank's aggregate over all spans of one name.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StageAgg {
-    /// Number of spans summed.
-    pub spans: usize,
-    /// Total wall-clock seconds.
-    pub secs: f64,
-    /// Total counter deltas.
-    pub counters: CounterSet,
-}
-
-/// Sum every span named `name` in `trace`, considering only events with
-/// `seq >= from_seq` (pass 0 for the whole trace; pass the root span's seq
-/// to restrict to the latest pipeline run in a longer recording).
-pub fn stage_agg(trace: &RankTrace, name: &str, from_seq: u32) -> StageAgg {
-    let mut agg = StageAgg::default();
-    for e in trace
-        .events
-        .iter()
-        .filter(|e| e.name == name && e.seq >= from_seq)
-    {
-        agg.spans += 1;
-        agg.secs += e.dur_ns as f64 * 1e-9;
-        agg.counters = agg.counters.merge(e.counters);
-    }
-    agg
-}
-
-/// [`stage_agg`] with exclusive attribution for overlapping stages: the
-/// subtrees of topmost nested spans named in `exclude` are subtracted from
-/// each matched span (the streamed pipeline runs its alignment chunks
-/// inside the SUMMA stage; counting them in both rows would make the
-/// dissection sum past the run total). Pass the full stage-span list as
-/// `exclude` — a span never nests within itself, so self-exclusion is
-/// inert.
-pub fn stage_agg_exclusive(
-    trace: &RankTrace,
-    name: &str,
-    exclude: &[&str],
-    from_seq: u32,
-) -> StageAgg {
-    let events: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.seq >= from_seq)
-        .cloned()
-        .collect();
-    let forest = span_forest(&events);
-    let mut agg = StageAgg::default();
-    fn subtract(node: &SpanNode, exclude: &[&str], dur_ns: &mut u64, counters: &mut CounterSet) {
-        if exclude.contains(&node.event.name) {
-            *dur_ns = dur_ns.saturating_sub(node.event.dur_ns);
-            *counters = counters.saturating_sub(node.event.counters);
-            return;
-        }
-        for child in &node.children {
-            subtract(child, exclude, dur_ns, counters);
-        }
-    }
-    fn walk(nodes: &[SpanNode], name: &str, exclude: &[&str], agg: &mut StageAgg) {
-        for node in nodes {
-            if node.event.name == name {
-                let mut dur_ns = node.event.dur_ns;
-                let mut counters = node.event.counters;
-                for child in &node.children {
-                    subtract(child, exclude, &mut dur_ns, &mut counters);
-                }
-                agg.spans += 1;
-                agg.secs += dur_ns as f64 * 1e-9;
-                agg.counters = agg.counters.merge(counters);
-            } else {
-                walk(&node.children, name, exclude, agg);
-            }
-        }
-    }
-    walk(&forest, name, exclude, &mut agg);
-    agg
-}
+use crate::project::StageExtract;
+use crate::span::CounterSet;
 
 /// One row of the dissection table.
 #[derive(Debug, Clone)]
 pub struct DissectionRow {
     /// Display label (paper component name, e.g. `(AS)AT`).
-    pub label: &'static str,
+    pub label: String,
     /// Span name the row was built from.
-    pub span: &'static str,
+    pub span: String,
     /// Rank with the largest wall-clock total for this stage.
     pub crit_rank: usize,
     /// The limiting rank's wall-clock seconds.
@@ -115,46 +38,35 @@ pub struct DissectionRow {
     pub per_rank_secs: Vec<f64>,
 }
 
-/// Build dissection rows for `stages` (`(span_name, label)` pairs in
-/// display order) from one trace per rank. `alpha`/`beta` are seconds per
-/// message / per byte for the modeled comm column (pass 0.0 to disable).
-/// Attribution is exclusive across the listed stages: a stage span nested
-/// inside another (the streamed pipeline's alignment chunks inside SUMMA)
-/// counts only toward its own row, so rows still sum to the run total.
-pub fn dissect(
-    traces: &[RankTrace],
-    stages: &[(&'static str, &'static str)],
-    alpha: f64,
-    beta: f64,
-) -> Vec<DissectionRow> {
-    let stage_names: Vec<&str> = stages.iter().map(|&(s, _)| s).collect();
-    stages
+/// Project per-stage extracts ([`crate::project::extract_stages`], which
+/// attributes nested stage spans exclusively, so rows still sum to the run
+/// total) to dissection rows: per stage, the limiting rank — the slice with
+/// the largest wall-clock total, the last such on ties — and its split.
+/// `alpha`/`beta` are seconds per message / per byte for the modeled comm
+/// column (pass 0.0 to disable).
+pub fn dissect(extracts: &[StageExtract], alpha: f64, beta: f64) -> Vec<DissectionRow> {
+    extracts
         .iter()
-        .map(|&(span, label)| {
-            let aggs: Vec<StageAgg> = traces
+        .map(|ex| {
+            let crit = ex
+                .per_rank
                 .iter()
-                .map(|t| stage_agg_exclusive(t, span, &stage_names, 0))
-                .collect();
-            let crit = aggs
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| a.secs.total_cmp(&b.secs))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            let a = aggs.get(crit).copied().unwrap_or_default();
-            let c = a.counters;
+                .max_by(|a, b| a.secs.total_cmp(&b.secs))
+                .copied()
+                .unwrap_or_default();
+            let c = crit.counters;
             let msgs = c.msgs_sent.max(c.msgs_recv) as f64;
             let bytes = c.bytes_sent.max(c.bytes_recv) as f64;
             DissectionRow {
-                label,
-                span,
-                crit_rank: traces.get(crit).map(|t| t.rank).unwrap_or(0),
-                secs: a.secs,
+                label: ex.label.clone(),
+                span: ex.span.clone(),
+                crit_rank: crit.rank,
+                secs: crit.secs,
                 compute_secs: c.work_ns as f64 * 1e-9,
                 comm_secs: alpha * msgs + beta * bytes,
                 wait_secs: c.wait_ns as f64 * 1e-9,
                 counters: c,
-                per_rank_secs: aggs.iter().map(|a| a.secs).collect(),
+                per_rank_secs: ex.per_rank.iter().map(|r| r.secs).collect(),
             }
         })
         .collect()
@@ -308,7 +220,8 @@ pub fn render_watermarks(watermarks: &[(String, u64)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::SpanEvent;
+    use crate::project::extract_stages;
+    use crate::span::{RankTrace, SpanEvent};
 
     fn ev(name: &'static str, seq: u32, dur_ns: u64, c: CounterSet) -> SpanEvent {
         SpanEvent {
@@ -333,41 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_repeated_spans_and_respects_from_seq() {
-        let t = trace(
-            0,
-            vec![
-                ev(
-                    "s.x",
-                    0,
-                    1_000_000_000,
-                    CounterSet {
-                        work_ns: 10,
-                        ..Default::default()
-                    },
-                ),
-                ev(
-                    "s.x",
-                    5,
-                    500_000_000,
-                    CounterSet {
-                        work_ns: 4,
-                        ..Default::default()
-                    },
-                ),
-                ev("s.y", 6, 1, CounterSet::default()),
-            ],
-        );
-        let all = stage_agg(&t, "s.x", 0);
-        assert_eq!(all.spans, 2);
-        assert!((all.secs - 1.5).abs() < 1e-12);
-        assert_eq!(all.counters.work_ns, 14);
-        let late = stage_agg(&t, "s.x", 5);
-        assert_eq!(late.spans, 1);
-        assert_eq!(late.counters.work_ns, 4);
-    }
-
-    #[test]
     fn critical_rank_and_split() {
         let t0 = trace(0, vec![ev("p.a", 0, 2_000_000_000, CounterSet::default())]);
         let t1 = trace(
@@ -385,7 +263,7 @@ mod tests {
                 },
             )],
         );
-        let rows = dissect(&[t0, t1], &[("p.a", "a")], 1e-6, 1e-9);
+        let rows = dissect(&extract_stages(&[t0, t1], &[("p.a", "a")], &[]), 1e-6, 1e-9);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.crit_rank, 7);
@@ -404,9 +282,9 @@ mod tests {
         // Overlap accounting derives some rows' seconds by f64 subtraction,
         // which can leave an empty stage at IEEE −0.0; the rendered share
         // column must read `0.0%`, never `-0.0%`.
-        let mk = |label, secs| DissectionRow {
-            label,
-            span: "s",
+        let mk = |label: &str, secs| DissectionRow {
+            label: label.into(),
+            span: "s".into(),
             crit_rank: 0,
             secs,
             compute_secs: 0.0,
@@ -445,7 +323,8 @@ mod tests {
                 deep("align", 1, 1, 2_000_000_000, 30),
             ],
         );
-        let rows = dissect(&[t], &[("summa", "S"), ("align", "A")], 0.0, 0.0);
+        let stages = [("summa", "S"), ("align", "A")];
+        let rows = dissect(&extract_stages(&[t], &stages, &[]), 0.0, 0.0);
         assert!((rows[0].secs - 3.0).abs() < 1e-12, "align not excluded");
         assert!((rows[0].compute_secs - 20e-9).abs() < 1e-18);
         assert!((rows[1].secs - 2.0).abs() < 1e-12);

@@ -181,14 +181,18 @@ pub fn skew_from_extracts(extracts: &[StageExtract]) -> Vec<StageSkew> {
         .iter()
         .filter(|ex| ex.ranks > 0)
         .map(|ex| {
-            let work: Vec<u64> = ex.per_rank.iter().map(|r| r.work_ns).collect();
+            let work: Vec<u64> = ex.per_rank.iter().map(|r| r.counters.work_ns).collect();
             let work_f: Vec<f64> = work.iter().map(|&w| w as f64).collect();
             let secs: Vec<f64> = ex.per_rank.iter().map(|r| r.secs).collect();
-            let bytes: Vec<f64> = ex.per_rank.iter().map(|r| r.bytes_sent as f64).collect();
+            let bytes: Vec<f64> = ex
+                .per_rank
+                .iter()
+                .map(|r| r.counters.bytes_sent as f64)
+                .collect();
             let critical = ex
                 .per_rank
                 .iter()
-                .max_by_key(|r| r.work_ns)
+                .max_by_key(|r| r.counters.work_ns)
                 .map(|r| r.rank)
                 .unwrap_or(0);
             StageSkew {
@@ -360,6 +364,7 @@ pub fn render_skew_table(skews: &[StageSkew]) -> String {
 mod tests {
     use super::*;
     use crate::project::RankSlice;
+    use crate::span::CounterSet;
 
     fn extract(label: &str, slices: Vec<RankSlice>) -> StageExtract {
         StageExtract {
@@ -367,8 +372,8 @@ mod tests {
             label: label.to_string(),
             ranks: slices.len(),
             secs_max: slices.iter().map(|s| s.secs).fold(0.0, f64::max),
-            work_ns_total: slices.iter().map(|s| s.work_ns).sum(),
-            work_ns_max: slices.iter().map(|s| s.work_ns).max().unwrap_or(0),
+            work_ns_total: slices.iter().map(|s| s.counters.work_ns).sum(),
+            work_ns_max: slices.iter().map(|s| s.counters.work_ns).max().unwrap_or(0),
             counters_total: Default::default(),
             kinds: Vec::new(),
             per_rank: slices,
@@ -379,8 +384,11 @@ mod tests {
         RankSlice {
             rank,
             secs: work_ns as f64 * 1e-9,
-            work_ns,
-            bytes_sent: work_ns / 2,
+            counters: CounterSet {
+                work_ns,
+                bytes_sent: work_ns / 2,
+                ..Default::default()
+            },
         }
     }
 

@@ -38,20 +38,20 @@ pub struct KindAgg {
     pub counters_total: CounterSet,
 }
 
-/// One rank's exclusive slice of a stage — the unit of the imbalance
-/// observatory (`crate::imbalance`): per-rank distributions of time, work,
-/// and wire bytes feed λ / Gini / log₂-histogram skew dissection and the
+/// One rank's exclusive slice of a stage — the unit of the critical-path
+/// dissection (`crate::dissect`) and the imbalance observatory
+/// (`crate::imbalance`): per-rank distributions of time, work
+/// (`counters.work_ns`), and wire bytes (`counters.bytes_sent`) feed the
+/// limiting-rank rows, λ / Gini / log₂-histogram skew dissection and the
 /// imbalance-adjusted critical paths in `pcomm::cost::project`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankSlice {
     /// World rank the slice belongs to (from the trace, not fold order).
     pub rank: usize,
     /// Stage-exclusive wall-clock seconds on this rank.
     pub secs: f64,
-    /// Stage-exclusive deterministic work nanoseconds on this rank.
-    pub work_ns: u64,
-    /// Stage-exclusive bytes sent by this rank (wire-volume skew).
-    pub bytes_sent: u64,
+    /// Stage-exclusive counter deltas on this rank.
+    pub counters: CounterSet,
 }
 
 /// One pipeline stage reduced to projector inputs.
@@ -74,7 +74,8 @@ pub struct StageExtract {
     /// Per-kind aggregates, in the order of the `kinds` argument
     /// (kinds with no spans in the stage are omitted).
     pub kinds: Vec<(String, KindAgg)>,
-    /// One slice per rank that recorded the stage, in trace order.
+    /// One slice per input trace, in trace order (all-zero for a rank
+    /// that did not record the stage).
     pub per_rank: Vec<RankSlice>,
 }
 
@@ -82,10 +83,6 @@ pub struct StageExtract {
 #[derive(Default)]
 struct StageAcc {
     ranks: usize,
-    secs_max: f64,
-    work_total: u64,
-    work_max: u64,
-    counters: CounterSet,
     kinds: BTreeMap<String, KindAgg>,
     per_rank: Vec<RankSlice>,
     /// calls per kind for the rank currently being folded.
@@ -108,35 +105,18 @@ pub fn extract_stages(
         let forest = span_forest(&trace.events);
         for (si, &(span, _)) in stages.iter().enumerate() {
             let acc = &mut accs[si];
-            let mut rank_secs = 0.0f64;
-            let mut rank_counters = CounterSet::default();
+            let mut slice = RankSlice {
+                rank: trace.rank,
+                ..Default::default()
+            };
             let mut found = false;
             acc.rank_calls.clear();
             for root in &forest {
-                visit(
-                    root,
-                    span,
-                    &stage_names,
-                    kinds,
-                    acc,
-                    &mut rank_secs,
-                    &mut rank_counters,
-                    &mut found,
-                );
+                visit(root, span, &stage_names, kinds, acc, &mut slice, &mut found);
             }
+            acc.per_rank.push(slice);
             if found {
-                let rank_work = rank_counters.work_ns;
                 acc.ranks += 1;
-                acc.secs_max = acc.secs_max.max(rank_secs);
-                acc.work_total += rank_work;
-                acc.work_max = acc.work_max.max(rank_work);
-                acc.counters = acc.counters.merge(rank_counters);
-                acc.per_rank.push(RankSlice {
-                    rank: trace.rank,
-                    secs: rank_secs,
-                    work_ns: rank_work,
-                    bytes_sent: rank_counters.bytes_sent,
-                });
                 for (kind, calls) in std::mem::take(&mut acc.rank_calls) {
                     let agg = acc.kinds.entry(kind).or_default();
                     agg.calls_max = agg.calls_max.max(calls);
@@ -151,10 +131,20 @@ pub fn extract_stages(
             span: span.to_string(),
             label: label.to_string(),
             ranks: acc.ranks,
-            secs_max: acc.secs_max,
-            work_ns_total: acc.work_total,
-            work_ns_max: acc.work_max,
-            counters_total: acc.counters,
+            // Ranks without the stage hold all-zero slices, so the
+            // aggregates are plain folds of the per-rank slices.
+            secs_max: acc.per_rank.iter().map(|r| r.secs).fold(0.0, f64::max),
+            work_ns_total: acc.per_rank.iter().map(|r| r.counters.work_ns).sum(),
+            work_ns_max: acc
+                .per_rank
+                .iter()
+                .map(|r| r.counters.work_ns)
+                .max()
+                .unwrap_or(0),
+            counters_total: acc
+                .per_rank
+                .iter()
+                .fold(CounterSet::default(), |c, r| c.merge(r.counters)),
             kinds: kinds
                 .iter()
                 .filter_map(|&k| acc.kinds.get(k).map(|&a| (k.to_string(), a)))
@@ -186,19 +176,17 @@ pub fn extract_mem_watermarks(traces: &[RankTrace]) -> Vec<(String, u64)> {
     out.into_iter().collect()
 }
 
-/// Find stage spans anywhere below `node` and fold them into `acc`,
-/// attributing exclusively: topmost *other*-stage spans nested inside a
-/// match are subtracted from it (they are folded when their own stage is
-/// visited).
-#[allow(clippy::too_many_arguments)]
+/// Find stage spans anywhere below `node` and fold them into `acc` and the
+/// rank's `slice`, attributing exclusively: topmost *other*-stage spans
+/// nested inside a match are subtracted from it (they are folded when
+/// their own stage is visited).
 fn visit(
     node: &SpanNode,
     span: &str,
     stage_names: &[&str],
     kinds: &[&str],
     acc: &mut StageAcc,
-    rank_secs: &mut f64,
-    rank_counters: &mut CounterSet,
+    slice: &mut RankSlice,
     found: &mut bool,
 ) {
     if node.event.name == span {
@@ -208,24 +196,15 @@ fn visit(
         for child in &node.children {
             exclude_nested_stages(child, stage_names, &mut dur_ns, &mut counters);
         }
-        *rank_secs += dur_ns as f64 * 1e-9;
-        *rank_counters = rank_counters.merge(counters);
+        slice.secs += dur_ns as f64 * 1e-9;
+        slice.counters = slice.counters.merge(counters);
         for child in &node.children {
             collect_kinds(child, stage_names, kinds, acc);
         }
         return; // stage spans do not nest within themselves
     }
     for child in &node.children {
-        visit(
-            child,
-            span,
-            stage_names,
-            kinds,
-            acc,
-            rank_secs,
-            rank_counters,
-            found,
-        );
+        visit(child, span, stage_names, kinds, acc, slice, found);
     }
 }
 
@@ -359,12 +338,12 @@ mod tests {
         // Per-rank slices carry the skew inputs in trace order.
         assert_eq!(s.per_rank.len(), 2);
         assert_eq!(s.per_rank[0].rank, 0);
-        assert_eq!(s.per_rank[0].work_ns, 100);
-        assert_eq!(s.per_rank[0].bytes_sent, 30);
+        assert_eq!(s.per_rank[0].counters.work_ns, 100);
+        assert_eq!(s.per_rank[0].counters.bytes_sent, 30);
         assert!((s.per_rank[0].secs - 5.0).abs() < 1e-12);
         assert_eq!(s.per_rank[1].rank, 1);
-        assert_eq!(s.per_rank[1].work_ns, 300);
-        assert_eq!(s.per_rank[1].bytes_sent, 5);
+        assert_eq!(s.per_rank[1].counters.work_ns, 300);
+        assert_eq!(s.per_rank[1].counters.bytes_sent, 5);
     }
 
     #[test]
@@ -449,6 +428,7 @@ mod tests {
         let t = trace(0, vec![ev("other", 0, 0, 10, CounterSet::default())]);
         let ex = extract_stages(&[t], &[("stage", "S")], &[]);
         assert_eq!(ex[0].ranks, 0);
+        assert_eq!(ex[0].per_rank, [RankSlice::default()]);
         assert_eq!(ex[0].work_ns_total, 0);
         assert!(ex[0].kinds.is_empty());
     }

@@ -157,7 +157,7 @@ pub fn budget_from_projection(projected_peak_bytes: u64, headroom: f64) -> u64 {
 mod tests {
     use super::*;
 
-    fn flat(ranges: &[(u64, u64)], n: u64) {
+    fn assert_tiles(ranges: &[(u64, u64)], n: u64) {
         assert_eq!(ranges[0].0, 0);
         assert_eq!(ranges.last().unwrap().1, n);
         for w in ranges.windows(2) {
@@ -174,7 +174,7 @@ mod tests {
         let q = 2;
         let budget = 4 * OOC_BYTES_PER_FLOP;
         let (ranges, est) = partition(&w, q, budget);
-        flat(&ranges, w.len() as u64);
+        assert_tiles(&ranges, w.len() as u64);
         for (&(a, b), &e) in ranges.iter().zip(&est) {
             let exact: u64 = w[a as usize..b as usize]
                 .iter()
@@ -193,7 +193,7 @@ mod tests {
     fn zero_budget_degenerates_to_single_columns() {
         let w = [3u64, 3, 3, 3];
         let (ranges, _) = partition(&w, 1, 0);
-        flat(&ranges, 4);
+        assert_tiles(&ranges, 4);
         assert_eq!(ranges.len(), 4);
     }
 

@@ -30,7 +30,8 @@
 //! driver: B's columns are computed in budget-sized batches (DESIGN.md
 //! §15) with a bit-identical edge set. `--ckpt-dir DIR` checkpoints each
 //! completed batch there; rerunning the same command resumes after the
-//! last complete batch.
+//! last complete batch. Both need exact seeding and are rejected together
+//! with `--subs N > 0` (the substitute path materialises all of B).
 
 use std::io::Write as _;
 use std::process::exit;
@@ -122,6 +123,16 @@ fn parse_cli() -> Cli {
     let q = (ranks as f64).sqrt().round() as usize;
     if q * q != ranks {
         eprintln!("--ranks must be a perfect square (got {ranks})");
+        exit(2);
+    }
+    if !(1..=13).contains(&params.k) {
+        eprintln!("--k must be in 1..=13 (got {})", params.k);
+        exit(2);
+    }
+    if params.substitutes > 0 && (params.mem_budget_bytes.is_some() || params.ckpt_dir.is_some()) {
+        eprintln!(
+            "--mem-budget/--ckpt-dir need exact seeding; they cannot be combined with --subs"
+        );
         exit(2);
     }
     Cli {
@@ -259,6 +270,10 @@ fn main() {
         .into_iter()
         .map(|r| r.name)
         .collect();
+    if names.is_empty() {
+        eprintln!("pastis: no sequences in {}", cli.input);
+        exit(1);
+    }
 
     let params = cli.params.clone();
     let cluster = cli.cluster;
@@ -327,14 +342,16 @@ fn main() {
             eprintln!("cannot write {path}: {e}");
             exit(1);
         }
+        // One exclusive-attribution reduction of the traces feeds both the
+        // critical-path dissection and the imbalance observatory.
         let model = pcomm::CostModel::default();
-        let rows = obs::dissect::dissect(&traces, &Timings::STAGE_SPANS, model.alpha, model.beta);
-        eprintln!("{}", obs::dissect::render_dissection(&rows));
-        // Imbalance observatory: fig11-style per-stage rank skew (λ, Gini,
-        // critical-rank attribution) plus per-rank metric distributions
-        // (DP cells, nnz, task counts).
         let extracts =
             obs::project::extract_stages(&traces, &Timings::STAGE_SPANS, &pcomm::kind_names());
+        let rows = obs::dissect::dissect(&extracts, model.alpha, model.beta);
+        eprintln!("{}", obs::dissect::render_dissection(&rows));
+        // Fig11-style per-stage rank skew (λ, Gini, critical-rank
+        // attribution) plus per-rank metric distributions (DP cells, nnz,
+        // task counts).
         let skews = obs::imbalance::skew_from_extracts(&extracts);
         if !skews.is_empty() {
             eprintln!("{}", obs::imbalance::render_skew_table(&skews));

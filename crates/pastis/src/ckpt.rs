@@ -15,15 +15,20 @@
 //! uninterrupted one; each shard also carries the rank's counter deltas
 //! for the batch, so resumed runs reproduce the pipeline's statistics.
 //!
-//! All checkpoint filesystem writes live in this module — the
-//! `ckpt-confinement` xlint rule keeps the `fs::rename` commit primitive
-//! here, so nothing can bypass the manifest/checksum protocol.
+//! The whole protocol lives behind [`BatchLog`]: the pipeline's batch loop
+//! only asks it to `restore` or `commit` a batch. All checkpoint filesystem
+//! writes live in this module — the `ckpt-confinement` xlint rule keeps the
+//! `fs::rename` commit primitive here, so nothing can bypass the
+//! manifest/checksum protocol.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use obs::JsonValue;
+use pcomm::Comm;
+
+use crate::params::PastisParams;
 
 /// Manifest schema version; bump on any layout change. A manifest with a
 /// different version is ignored (the run restarts from scratch) rather
@@ -92,6 +97,18 @@ pub struct CounterDelta {
     pub nnz_b: u64,
 }
 
+impl CounterDelta {
+    /// Fold another batch's deltas into this running total.
+    pub(crate) fn add(&mut self, d: &CounterDelta) {
+        self.candidates += d.candidates;
+        self.alignments += d.alignments;
+        self.bitpack_culled += d.bitpack_culled;
+        self.striped_culled += d.striped_culled;
+        self.passed += d.passed;
+        self.nnz_b += d.nnz_b;
+    }
+}
+
 /// A decoded shard: the rank's edges for one batch plus its counter
 /// deltas.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +133,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Fingerprint of a run: FASTA digest, parameter signature, world size,
 /// and the batch plan's column boundaries. Any mismatch means the
 /// manifest describes a different computation and is ignored.
-pub fn fingerprint(fasta_digest: u64, params_sig: &str, p: usize, ranges: &[(u64, u64)]) -> u64 {
+fn fingerprint(fasta_digest: u64, params_sig: &str, p: usize, ranges: &[(u64, u64)]) -> u64 {
     let mut s = format!("pastis-ckpt:{fasta_digest:016x}:{p}:{params_sig}");
     for &(a, b) in ranges {
         s.push_str(&format!(":{a}-{b}"));
@@ -125,7 +142,7 @@ pub fn fingerprint(fasta_digest: u64, params_sig: &str, p: usize, ranges: &[(u64
 }
 
 /// Path of the manifest inside `dir`.
-pub fn manifest_path(dir: &Path) -> PathBuf {
+fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.json")
 }
 
@@ -146,7 +163,7 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
 
 /// Serialize and durably write one rank's shard for `batch`. Returns the
 /// record (length + checksum) destined for the manifest.
-pub fn write_shard(
+fn write_shard(
     dir: &Path,
     batch: usize,
     rank: usize,
@@ -239,7 +256,7 @@ fn parse_counters(line: &str) -> Option<CounterDelta> {
 }
 
 /// Durably write the manifest (tmp-then-rename).
-pub fn write_manifest(dir: &Path, m: &Manifest) -> io::Result<()> {
+fn write_manifest(dir: &Path, m: &Manifest) -> io::Result<()> {
     let mut root = BTreeMap::new();
     root.insert("schema".into(), JsonValue::Str("pastis-ckpt".into()));
     root.insert("version".into(), JsonValue::Num(m.version as f64));
@@ -316,6 +333,129 @@ pub fn load_manifest(dir: &Path) -> Option<Manifest> {
         n_batches,
         completed,
     })
+}
+
+/// The checkpoint protocol of one batched run, as the batch loop sees it:
+/// [`BatchLog::restore`] a batch a previous run completed, or compute it
+/// and [`BatchLog::commit`] the result. Both are collective over the world
+/// communicator the log was opened on.
+pub struct BatchLog<'a> {
+    dir: &'a Path,
+    world: &'a Comm,
+    fingerprint: u64,
+    n_batches: usize,
+    /// Completed batches by index: the manifest's at open, plus (on rank
+    /// 0, the only manifest writer) every commit since.
+    completed: BTreeMap<usize, BatchRecord>,
+    /// Kill-test hooks (`PASTIS_KILL_AFTER_BATCH`, `PASTIS_HANG_AFTER_BATCH`),
+    /// read once at open; see [`BatchLog::fault_point`].
+    kill_after: Option<usize>,
+    hang_after: Option<usize>,
+}
+
+impl<'a> BatchLog<'a> {
+    /// Open the checkpoint directory for the run identified by the input,
+    /// the parameters, the world size and the batch plan. A manifest left
+    /// by the same run seeds the resume state; a manifest of any other
+    /// run is ignored. Every rank reads the same file with no writer
+    /// active, so all ranks derive the same state and the restore
+    /// decisions stay uniform — the final word is still the collective
+    /// shard-verification vote in [`BatchLog::restore`].
+    pub fn open(
+        dir: &'a Path,
+        world: &'a Comm,
+        fasta: &[u8],
+        params: &PastisParams,
+        ranges: &[(u64, u64)],
+    ) -> BatchLog<'a> {
+        if world.rank() == 0 {
+            // Created up front (and again at world launch by the binary)
+            // so per-rank shard writes never race on mkdir.
+            let _ = std::fs::create_dir_all(dir);
+        }
+        let p = world.size();
+        let fingerprint = fingerprint(fnv1a(fasta), &format!("{params:?}"), p, ranges);
+        let completed = load_manifest(dir)
+            .filter(|m| m.fingerprint == fingerprint && m.p == p && m.n_batches == ranges.len())
+            .map(|m| m.completed.into_iter().map(|b| (b.index, b)).collect())
+            .unwrap_or_default();
+        let env_batch = |name: &str| std::env::var(name).ok().and_then(|v| v.parse().ok());
+        BatchLog {
+            dir,
+            world,
+            fingerprint,
+            n_batches: ranges.len(),
+            completed,
+            kill_after: env_batch("PASTIS_KILL_AFTER_BATCH"),
+            hang_after: env_batch("PASTIS_HANG_AFTER_BATCH"),
+        }
+    }
+
+    /// This rank's shard of batch `k`, when the manifest lists the batch
+    /// and *every* rank's shard verifies; any corrupt shard votes the
+    /// whole grid back to recomputing the batch, keeping the SUMMA
+    /// collectives uniform.
+    pub fn restore(&self, k: usize) -> Option<Shard> {
+        let rec = self.completed.get(&k)?;
+        let mine = rec
+            .shard(self.world.rank())
+            .and_then(|sr| read_shard(self.dir, k, sr).ok());
+        let all_ok = self.world.allreduce(mine.is_some() as u64, |a, b| a.min(b)) == 1;
+        mine.filter(|_| all_ok)
+    }
+
+    /// Durably record batch `k`: write this rank's shard, then let rank 0
+    /// commit the manifest once every shard is on disk.
+    pub fn commit(&mut self, k: usize, edges: &[(u64, u64, f64)], delta: &CounterDelta) {
+        let rank = self.world.rank();
+        let rec =
+            write_shard(self.dir, k, rank, edges, delta).expect("checkpoint shard write failed");
+        // Rank 0 learns every shard's record, then commits the manifest;
+        // the allgather doubles as the barrier that guarantees all shards
+        // are durable first.
+        let recs = self
+            .world
+            .allgather((rec.rank as u64, rec.len, rec.checksum));
+        if rank == 0 {
+            let shards = recs
+                .into_iter()
+                .map(|(r, len, checksum)| ShardRecord {
+                    rank: r as usize,
+                    len,
+                    checksum,
+                })
+                .collect();
+            self.completed.insert(k, BatchRecord { index: k, shards });
+            let m = Manifest {
+                version: CKPT_SCHEMA_VERSION,
+                fingerprint: self.fingerprint,
+                p: self.world.size(),
+                n_batches: self.n_batches,
+                completed: self.completed.values().cloned().collect(),
+            };
+            write_manifest(self.dir, &m).expect("checkpoint manifest write failed");
+        }
+        self.fault_point(k);
+    }
+
+    /// Kill-test hooks for verify.sh and the resume proptest: die (or
+    /// hang, awaiting an external SIGKILL) only after batch `k`'s manifest
+    /// commit is visible on every rank.
+    fn fault_point(&self, k: usize) {
+        if self.kill_after == Some(k) {
+            self.world.barrier();
+            if self.world.rank() == 0 {
+                eprintln!("PASTIS_KILL_AFTER_BATCH={k}: aborting after batch {k}");
+            }
+            std::process::abort();
+        }
+        if self.hang_after == Some(k) {
+            self.world.barrier();
+            loop {
+                std::thread::sleep(std::time::Duration::from_secs(1));
+            }
+        }
+    }
 }
 
 #[cfg(test)]

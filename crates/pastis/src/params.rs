@@ -60,18 +60,19 @@ pub struct PastisParams {
     pub threads: usize,
     /// Stream candidate pairs out of the overlap SpGEMM into alignment
     /// while later SUMMA stages are still running (nonblocking panel
-    /// broadcasts + per-stage candidate extraction). The edge set is
-    /// bit-identical to the staged path; only exact seeding streams — the
-    /// substitute path's symmetrization is a global barrier and stays
-    /// staged.
+    /// broadcasts + per-stage candidate extraction). `false` materialises
+    /// `B` first — the reference the equivalence suites check the stream
+    /// against, bit for bit. Only exact seeding streams: the substitute
+    /// path's symmetrization is a global barrier, so it always
+    /// materialises.
     pub streaming: bool,
-    /// Score-only prefilter: pairs whose striped Smith–Waterman score is
-    /// below this skip the traceback pass entirely (MMseqs2-style
+    /// Score-only prefilter of Smith–Waterman mode: pairs whose striped
+    /// score is below this skip the traceback pass entirely (MMseqs2-style
     /// prefilter-then-align staging). The default of 1 is exact — a score
     /// ≤ 0 can produce an edge under neither ANI (empty alignment fails
-    /// the identity filter) nor NS (which requires score > 0). Applied in
-    /// SW mode always; in XDrop mode only when > 1 (opt-in — the score
-    /// pass is O(mn), which x-drop exists to avoid).
+    /// the identity filter) nor NS (which requires score > 0). X-drop mode
+    /// does not read it: the score pass is O(mn), which x-drop exists to
+    /// avoid.
     pub min_score: i32,
     /// Per-rank memory budget in bytes for the overlap product. When set,
     /// the streaming pipeline partitions B's columns into batches sized so
@@ -79,16 +80,16 @@ pub struct PastisParams {
     /// budget (out-of-core driver, DESIGN.md §15): the SUMMA stream runs
     /// once per batch against a column-restricted `Aᵀ`, and the per-batch
     /// edges concatenate into an edge set bit-identical to the monolithic
-    /// run. `None` = single pass. Only the exact streaming layout batches;
-    /// the substitute and staged layouts ignore the budget. A good value
-    /// on a recorded machine is the `pcomm::project_mem` peak at the
-    /// current grid scaled by the desired headroom (see
-    /// [`crate::batch::budget_from_projection`]).
+    /// run. `None` = single pass. Only the streamed exact overlap can
+    /// batch: `run_pipeline` refuses a budget together with substitute
+    /// k-mers or `streaming: false`. A good value on a recorded machine is
+    /// the `pcomm::project_mem` peak at the current grid scaled by the
+    /// desired headroom (see [`crate::batch::budget_from_projection`]).
     pub mem_budget_bytes: Option<u64>,
-    /// Checkpoint directory for streaming runs: each completed batch
-    /// writes per-rank PSG shards plus a versioned manifest here
-    /// (checksummed, committed tmp-then-rename — see `pastis::ckpt`), and
-    /// a rerun pointed at the same directory resumes after the last
+    /// Checkpoint directory (same restriction as the budget): each
+    /// completed batch writes per-rank PSG shards plus a versioned manifest
+    /// here (checksummed, committed tmp-then-rename — see `pastis::ckpt`),
+    /// and a rerun pointed at the same directory resumes after the last
     /// complete batch instead of restarting. `None` disables
     /// checkpointing.
     pub ckpt_dir: Option<std::path::PathBuf>,

@@ -9,8 +9,8 @@
 use std::rc::Rc;
 
 use align::{
-    align_batch, bitpack_gate, prefiltered_align_outcome, striped_score, xdrop_align, AlignStats,
-    GateVerdict, PrefilterOutcome, SimilarityMeasure,
+    align_batch, prefiltered_align_outcome, xdrop_align, AlignStats, PrefilterOutcome,
+    SimilarityMeasure,
 };
 use pcomm::{Comm, CommStats, Grid};
 use seqstore::DistSeqStore;
@@ -112,23 +112,6 @@ impl Timings {
             + self.spgemm_b.secs
             + self.symmetricize.secs
             + self.wait.secs
-    }
-
-    /// Alignment share of total time (Table I).
-    pub fn align_fraction(&self) -> f64 {
-        if self.total <= 0.0 {
-            0.0
-        } else {
-            self.align.secs / self.total
-        }
-    }
-
-    /// `(label, seconds)` rows in the paper's component order.
-    pub fn component_rows(&self) -> Vec<(&'static str, f64)> {
-        self.components()
-            .iter()
-            .map(|(l, m)| (*l, m.secs))
-            .collect()
     }
 
     /// The sparse components with full measurements, in the paper's order
@@ -306,8 +289,7 @@ pub struct Counters {
     pub alignments_local: u64,
     /// Pairs the bitpacked gate tier culled on this rank — the score
     /// *upper bound* already missed `min_score`, so no exact DP ran
-    /// (always 0 in x-drop mode unless `min_score > 1` opts the prefilter
-    /// in).
+    /// (Smith–Waterman mode only; x-drop has no prefilter).
     pub prefilter_bitpack_culled_local: u64,
     /// Pairs the exact score tier culled on this rank after the gate
     /// passed them (striped score-only pass, or the full DP on the scalar
@@ -342,42 +324,91 @@ pub struct PastisRun {
     pub trace: obs::RankTrace,
 }
 
-/// Run one pipeline stage under its span, bracketed by an allocator peak
-/// window when tracking is on: the window's per-subsystem peaks land in
-/// `mem.stage.<span>.<subsystem>` gauges (merged by max across ranks), the
-/// rows of the `--trace` per-stage memory table. Windows are process-global
-/// (see [`obs::alloc::begin_window`]) — with several ranks in flight the
-/// peaks are a cross-rank aggregate, i.e. the per-node footprint.
-fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let track = obs::alloc::tracking();
-    if track {
-        obs::alloc::begin_window();
+/// Run `f` inside an allocator peak window when tracking is on: the
+/// window's per-subsystem peaks land in `<family>.<subsystem|total>` gauges
+/// (merged by max across ranks) for every gauge family named. Windows are
+/// process-global (see [`obs::alloc::begin_window`]) — with several ranks
+/// in flight the peaks are a cross-rank aggregate, i.e. the per-node
+/// footprint.
+fn windowed<R>(families: &[&str], f: impl FnOnce() -> R) -> R {
+    if !obs::alloc::tracking() {
+        return f();
     }
-    let r = {
-        let _span = obs::span_start(name, None);
-        f()
-    };
-    if track {
-        let peaks = obs::alloc::window_peaks();
+    obs::alloc::begin_window();
+    let r = f();
+    let peaks = obs::alloc::window_peaks();
+    for family in families {
         for (i, sub) in obs::SUBSYSTEMS.iter().enumerate() {
             if peaks.per[i] > 0 {
-                obs::gauge_max_owned(&format!("mem.stage.{name}.{sub}"), peaks.per[i]);
+                obs::gauge_max_owned(&format!("{family}.{sub}"), peaks.per[i]);
             }
         }
-        obs::gauge_max_owned(&format!("mem.stage.{name}.total"), peaks.total);
+        obs::gauge_max_owned(&format!("{family}.total"), peaks.total);
     }
     r
+}
+
+/// Run one pipeline stage under its span; its allocator window feeds the
+/// `mem.stage.<span>.*` gauges, the rows of the `--trace` per-stage memory
+/// table.
+fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    windowed(&[&format!("mem.stage.{name}")], || {
+        let _span = obs::span_start(name, None);
+        f()
+    })
+}
+
+/// A similarity-graph edge `(gid_low, gid_high, weight)`.
+type Edge = (u64, u64, f64);
+
+/// A candidate pair awaiting alignment: global row, global column, seeds.
+type Task = (u64, u64, SeedPair);
+
+/// What everything downstream of the choice of `B`'s source shares, built
+/// once per run.
+struct PipeCtx<'a> {
+    a_mat: &'a DistMat<u32>,
+    a_t: &'a DistMat<u32>,
+    store: &'a DistSeqStore,
+    params: &'a PastisParams,
+    grid: &'a Grid,
+    /// Global row / column range of this rank's block of `B`.
+    row_range: (u64, u64),
+    col_range: (u64, u64),
 }
 
 /// Run the full PASTIS pipeline on this rank. Collective over `comm`, whose
 /// size must be a perfect square. The resulting edge set is independent of
 /// the rank count (paper §V: "connections found in the PSG are oblivious to
 /// the number of processes").
+///
+/// # Panics
+///
+/// On parameter combinations the pipeline cannot honour: `k` outside
+/// `1..=13`, reduced-alphabet seeding with substitute k-mers, and a memory
+/// budget or checkpoint directory with anything but the streamed exact
+/// overlap (substitute k-mers and `streaming: false` materialise `B`).
 pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisRun {
-    assert!(params.k >= 1 && params.k <= 13);
+    assert!(
+        (1..=13).contains(&params.k),
+        "k must be in 1..=13 (got {})",
+        params.k
+    );
     assert!(
         !(params.reduced_alphabet && params.substitutes > 0),
         "reduced-alphabet seeding and substitute k-mers are mutually exclusive"
+    );
+    // `B` either streams out of the exact overlap SpGEMM or materialises
+    // (substitute k-mers must symmetrize, a global barrier; `streaming:
+    // false` is the equivalence suites' reference). Only the stream can be
+    // cut into column batches and checkpointed.
+    let streamed = params.substitutes == 0 && params.streaming;
+    assert!(
+        streamed || (params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none()),
+        "mem_budget_bytes / ckpt_dir need the streamed exact overlap \
+         (substitutes = {}, streaming = {})",
+        params.substitutes,
+        params.streaming
     );
     // Record into the caller's recorder when one is installed (so a caller
     // can splice the pipeline into a larger trace, e.g. pipeline + MCL);
@@ -397,14 +428,8 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         // 2. Kick off the background sequence exchange for my B-block's row
         //    and column ranges (paper Fig. 10: overlapped with all matrix
         //    work).
-        let row_range = (
-            grid.myrow() as u64 * n / q,
-            (grid.myrow() as u64 + 1) * n / q,
-        );
-        let col_range = (
-            grid.mycol() as u64 * n / q,
-            (grid.mycol() as u64 + 1) * n / q,
-        );
+        let block = |i: usize| (i as u64 * n / q, (i as u64 + 1) * n / q);
+        let (row_range, col_range) = (block(grid.myrow()), block(grid.mycol()));
         let exchange = store.start_exchange(&grid, row_range, col_range);
 
         // 3. Form A (|seqs| × 24^k, positions as values), optionally
@@ -424,115 +449,70 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
 
         // 4. Aᵀ.
         let a_t = stage("pastis.tr_a", || a_mat.transpose());
+        counters.nnz_a = a_mat.nnz();
 
-        // 5–7. Overlap matrix B, exchange fence, alignment. Three layouts:
-        //
-        //  * substitute path — staged: `(AS)Aᵀ` must be symmetrized (a
-        //    global barrier), so streaming cannot help; B materializes,
-        //    then wait, then align.
-        //  * exact + streaming (default) — the exchange fence moves ahead
-        //    of the overlap SpGEMM (per-stage alignment needs sequences),
-        //    and `A·Aᵀ` runs as a SUMMA stream whose finalized entries are
-        //    filtered and aligned inside each stage, overlapped with the
-        //    next stage's in-flight panel broadcasts. Bit-identical edges.
-        //  * exact, staged — the pre-streaming layout, kept as the
-        //    equivalence oracle.
-        let edges = if params.substitutes > 0 {
-            let s_mat = stage("pastis.form_s", || {
-                let table = ExpenseTable::new(params.align.matrix);
-                let local_kmers = distinct_kmers(store.owned(), params.k);
-                build_s_dist(
-                    Rc::clone(&grid),
-                    &local_kmers,
-                    params.k,
-                    &table,
-                    params.substitutes,
-                )
-            });
-            counters.nnz_s = s_mat.nnz();
+        // 5. The materialised source forms all of `B` before the exchange
+        //    fence; the streamed source needs the sequences first, so its
+        //    overlap SpGEMM runs after the fence (step 7).
+        let b_mat = (!streamed).then(|| materialize_b(&a_mat, &a_t, &store, params, &mut counters));
 
-            let as_mat = stage("pastis.a_s", || {
-                a_mat.spgemm(&s_mat, &AsSemiring, params.spgemm)
-            });
+        // 6. Exchange fence.
+        stage("pastis.wait", || store.finish_exchange(exchange));
 
-            let b0 = stage("pastis.spgemm_b", || {
-                as_mat.spgemm(&a_t, &SubSemiring, params.spgemm)
-            });
-
-            // Substitute matching is directional (row side substituted,
-            // column side exact), so B must be symmetrized (paper Fig. 15
-            // "sym.").
-            let b_mat = stage("pastis.symmetricize", || {
-                let swapped = b0.transpose().map(|_, _, v| v.swapped());
-                b0.elementwise_add(&swapped, |acc, v| acc.merge_symmetric(v))
-            });
-            counters.nnz_a = a_mat.nnz();
-            counters.nnz_b = b_mat.nnz();
-            obs::gauge!("pastis.nnz_b", counters.nnz_b);
-            stage("pastis.wait", || store.finish_exchange(exchange));
-            stage("pastis.align", || {
-                align_owned_pairs(
-                    &b_mat,
-                    &store,
-                    params,
-                    &grid,
-                    row_range,
-                    col_range,
-                    &mut counters,
-                )
-            })
-        } else if params.streaming {
-            counters.nnz_a = a_mat.nnz();
-            stage("pastis.wait", || store.finish_exchange(exchange));
-            let edges = stage("pastis.spgemm_b", || {
-                run_streaming_batches(
-                    &a_mat,
-                    &a_t,
-                    &store,
-                    params,
-                    &grid,
-                    row_range,
-                    col_range,
-                    fasta,
-                    &mut counters,
-                )
-            });
-            obs::gauge!("pastis.nnz_b", counters.nnz_b);
-            // The alignment work ran inside `pastis.spgemm_b` (as
-            // `align.overlap` chunk spans, which the dissection attributes
-            // to the `align` row) — that is the point; the empty wrapper
-            // keeps the span set uniform with the staged shapes.
-            stage("pastis.align", || ());
-            edges
-        } else {
-            let b_mat = stage("pastis.spgemm_b", || {
-                a_mat.spgemm(&a_t, &ExactSemiring, params.spgemm)
-            });
-            counters.nnz_a = a_mat.nnz();
-            counters.nnz_b = b_mat.nnz();
-            obs::gauge!("pastis.nnz_b", counters.nnz_b);
-            stage("pastis.wait", || store.finish_exchange(exchange));
-            stage("pastis.align", || {
-                align_owned_pairs(
-                    &b_mat,
-                    &store,
-                    params,
-                    &grid,
-                    row_range,
-                    col_range,
-                    &mut counters,
-                )
-            })
+        // 7. One consumer for the finalised entries of `B`, whichever
+        //    source they come from. Edges are bit-identical either way.
+        let cx = PipeCtx {
+            a_mat: &a_mat,
+            a_t: &a_t,
+            store: &store,
+            params,
+            grid: &grid,
+            row_range,
+            col_range,
+        };
+        let (edges, local) = match &b_mat {
+            Some(b) => stage("pastis.align", || {
+                let mut consumer = Consumer::new(&cx);
+                for (gi, gj, pair) in b.iter_local() {
+                    consumer.admit(gi, gj, pair);
+                }
+                consumer.align_chunk();
+                consumer.finish()
+            }),
+            None => {
+                let out = stage("pastis.spgemm_b", || run_batches(&cx, fasta));
+                // The alignment work ran inside `pastis.spgemm_b` (as
+                // `align.overlap` chunk spans, which the dissection
+                // attributes to the `align` row) — that is the point; the
+                // empty wrapper keeps the span set uniform across sources.
+                stage("pastis.align", || ());
+                out
+            }
         };
 
-        counters.alignments_global = comm.allreduce(counters.alignments_local, |a, b| a + b);
-        counters.prefilter_bitpack_culled_global =
-            comm.allreduce(counters.prefilter_bitpack_culled_local, |a, b| a + b);
-        counters.prefilter_striped_culled_global =
-            comm.allreduce(counters.prefilter_striped_culled_local, |a, b| a + b);
-        counters.prefilter_passed_global =
-            comm.allreduce(counters.prefilter_passed_local, |a, b| a + b);
-        counters.edges_global = comm.allreduce(edges.len() as u64, |a, b| a + b);
+        counters.candidates_local = local.candidates;
+        counters.alignments_local = local.alignments;
+        counters.prefilter_bitpack_culled_local = local.bitpack_culled;
+        counters.prefilter_striped_culled_local = local.striped_culled;
+        counters.prefilter_passed_local = local.passed;
+        let sums = comm.allreduce(
+            vec![
+                local.nnz_b,
+                local.alignments,
+                local.bitpack_culled,
+                local.striped_culled,
+                local.passed,
+                edges.len() as u64,
+            ],
+            |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect(),
+        );
+        counters.nnz_b = sums[0];
+        counters.alignments_global = sums[1];
+        counters.prefilter_bitpack_culled_global = sums[2];
+        counters.prefilter_striped_culled_global = sums[3];
+        counters.prefilter_passed_global = sums[4];
+        counters.edges_global = sums[5];
+        obs::gauge!("pastis.nnz_b", counters.nnz_b);
         (edges, counters)
     };
 
@@ -547,6 +527,49 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         counters,
         trace,
     }
+}
+
+/// The materialised source of `B`: `sym((AS)·Aᵀ)` under substitute k-mers,
+/// else the one-shot exact `A·Aᵀ` the streamed source is checked against.
+fn materialize_b(
+    a_mat: &DistMat<u32>,
+    a_t: &DistMat<u32>,
+    store: &DistSeqStore,
+    params: &PastisParams,
+    counters: &mut Counters,
+) -> DistMat<SeedPair> {
+    if params.substitutes == 0 {
+        return stage("pastis.spgemm_b", || {
+            a_mat.spgemm(a_t, &ExactSemiring, params.spgemm)
+        });
+    }
+    let s_mat = stage("pastis.form_s", || {
+        let table = ExpenseTable::new(params.align.matrix);
+        let local_kmers = distinct_kmers(store.owned(), params.k);
+        build_s_dist(
+            Rc::clone(a_mat.grid()),
+            &local_kmers,
+            params.k,
+            &table,
+            params.substitutes,
+        )
+    });
+    counters.nnz_s = s_mat.nnz();
+
+    let as_mat = stage("pastis.a_s", || {
+        a_mat.spgemm(&s_mat, &AsSemiring, params.spgemm)
+    });
+
+    let b0 = stage("pastis.spgemm_b", || {
+        as_mat.spgemm(a_t, &SubSemiring, params.spgemm)
+    });
+
+    // Substitute matching is directional (row side substituted, column
+    // side exact), so B must be symmetrized (paper Fig. 15 "sym.").
+    stage("pastis.symmetricize", || {
+        let swapped = b0.transpose().map(|_, _, v| v.swapped());
+        b0.elementwise_add(&swapped, |acc, v| acc.merge_symmetric(v))
+    })
 }
 
 /// Drop columns of `A` (k-mers) whose global occurrence count exceeds
@@ -590,403 +613,223 @@ fn batch_threads(params: &PastisParams, grid: &Grid) -> usize {
     }
 }
 
-/// Outcome of one candidate pair's alignment attempt. The culled variants
-/// are distinct from `Skipped` because a culled pair under `min_score > 1`
-/// may still have a positive score — statistics must not conflate
-/// "prefilter said no" with "nothing aligned" — and distinct from each
-/// other so the dissection can report how much work each cascade tier
-/// absorbed.
-enum PairVerdict {
-    /// Alignment ran to completion.
-    Stats(AlignStats),
-    /// The bitpacked gate culled the pair on its score upper bound; no
-    /// exact DP ran.
-    CulledBitpack,
-    /// The exact score tier culled the pair before traceback.
-    CulledScore,
-    /// No alignment attempted (mode `None`) or no usable seed.
-    Skipped,
-}
-
-/// Align one candidate pair under the configured mode.
+/// Align one candidate pair under the configured mode. `None` means no
+/// alignment was attempted (mode `None`) or the pair had no usable seed —
+/// distinct from the culled outcomes, because a culled pair may still have
+/// a positive score: statistics must not conflate "prefilter said no" with
+/// "nothing aligned".
 fn align_pair(
     gi: u64,
     gj: u64,
     pair: &SeedPair,
     store: &DistSeqStore,
     params: &PastisParams,
-) -> PairVerdict {
+) -> Option<PrefilterOutcome> {
+    if params.mode == AlignMode::None {
+        return None;
+    }
     let ap = &params.align;
-    match params.mode {
-        AlignMode::None => PairVerdict::Skipped,
-        AlignMode::SmithWaterman => {
-            let r = &store.row_seq(gi).expect("row sequence prefetched").data;
-            let c = &store.col_seq(gj).expect("col sequence prefetched").data;
-            match prefiltered_align_outcome(r, c, ap, params.min_score) {
-                PrefilterOutcome::Passed(st) => PairVerdict::Stats(st),
-                PrefilterOutcome::CulledBitpack => PairVerdict::CulledBitpack,
-                PrefilterOutcome::CulledScore => PairVerdict::CulledScore,
-            }
+    let r = &store.row_seq(gi).expect("row sequence prefetched").data;
+    let c = &store.col_seq(gj).expect("col sequence prefetched").data;
+    if params.mode == AlignMode::SmithWaterman {
+        return Some(prefiltered_align_outcome(r, c, ap, params.min_score));
+    }
+    // X-drop: extend from each stored seed, keeping the best score (paper
+    // §IV-E). Seeds on the same diagonal extend through the same band to
+    // the same optimum, so only the first seed per diagonal is extended.
+    let k = params.k;
+    let mut best: Option<AlignStats> = None;
+    let mut done_diags = [i64::MAX; 2];
+    let mut ndiags = 0;
+    for &(rp, cp) in pair.seeds() {
+        if rp as usize + k > r.len() || cp as usize + k > c.len() {
+            continue;
         }
-        AlignMode::XDrop => {
-            let r = &store.row_seq(gi).expect("row sequence prefetched").data;
-            let c = &store.col_seq(gj).expect("col sequence prefetched").data;
-            // Score-only pre-cull is opt-in for x-drop (`min_score > 1`):
-            // the full-matrix score pass costs O(m·n), which x-drop exists
-            // to avoid, but a high threshold can still pay for itself by
-            // skipping whole seed loops. The bitpacked gate runs first —
-            // its cull implies the exact score misses the threshold, so
-            // the verdict matches what the score pass would have returned.
-            if params.min_score > 1 {
-                if let GateVerdict::Culled = bitpack_gate(r, c, ap, params.min_score) {
-                    obs::counter!("prefilter.bitpack_culled", 1);
-                    return PairVerdict::CulledBitpack;
-                }
-                let (score, _) = striped_score(r, c, ap);
-                if score < params.min_score {
-                    obs::counter!("prefilter.striped_culled", 1);
-                    return PairVerdict::CulledScore;
-                }
-                obs::counter!("prefilter.passed", 1);
-            }
-            // Extend from each stored seed, keeping the best score
-            // (paper §IV-E). Seeds on the same diagonal extend through
-            // the same band to the same optimum, so only the first
-            // seed per diagonal is extended.
-            let k = params.k;
-            let mut best: Option<AlignStats> = None;
-            let mut done_diags = [i64::MAX; 2];
-            let mut ndiags = 0;
-            for &(rp, cp) in pair.seeds() {
-                if rp as usize + k > r.len() || cp as usize + k > c.len() {
-                    continue;
-                }
-                let diag = rp as i64 - cp as i64;
-                if done_diags[..ndiags].contains(&diag) {
-                    continue;
-                }
-                done_diags[ndiags] = diag;
-                ndiags += 1;
-                let st = xdrop_align(r, c, rp, cp, k, ap);
-                // `>=` keeps the last maximum on ties, matching the
-                // former max_by_key semantics.
-                let better = match &best {
-                    None => true,
-                    Some(b) => st.score >= b.score,
-                };
-                if better {
-                    best = Some(st);
-                }
-            }
-            obs::hist!("align.seeds_extended", ndiags);
-            match best {
-                Some(st) => PairVerdict::Stats(st),
-                None => PairVerdict::Skipped,
-            }
+        let diag = rp as i64 - cp as i64;
+        if done_diags[..ndiags].contains(&diag) {
+            continue;
+        }
+        done_diags[ndiags] = diag;
+        ndiags += 1;
+        let st = xdrop_align(r, c, rp, cp, k, ap);
+        // `>=` keeps the last maximum on ties, matching the former
+        // max_by_key semantics.
+        if best.as_ref().is_none_or(|b| st.score >= b.score) {
+            best = Some(st);
         }
     }
+    obs::hist!("align.seeds_extended", ndiags);
+    best.map(PrefilterOutcome::Passed)
 }
 
-/// Align a batch of owned, CK-surviving candidate pairs and fold the
-/// surviving edges. Shared by the staged path (one batch for the whole
-/// `B`) and the streamed path (one batch per SUMMA stage).
-fn align_tasks(
-    tasks: Vec<(u64, u64, SeedPair)>,
-    store: &DistSeqStore,
-    params: &PastisParams,
+/// The one consumer of `B`'s finalised entries: [`Consumer::admit`] filters
+/// an entry down to an alignment task this rank owns,
+/// [`Consumer::align_chunk`] aligns the tasks admitted so far and keeps the
+/// surviving edges. The materialised source admits all of `B` and aligns
+/// one chunk; the streamed source aligns a chunk per SUMMA stage.
+struct Consumer<'a> {
+    cx: &'a PipeCtx<'a>,
     threads: usize,
-    counters: &mut Counters,
-) -> Vec<(u64, u64, f64)> {
-    // The chunk span is the dissection's alignment stage (see
-    // [`Timings::STAGE_SPANS`]): emitted here so both the staged path (one
-    // chunk for all of `B`) and the streamed path (one chunk per SUMMA
-    // stage) attribute alignment time the same way.
-    let _chunk = obs::span!("align.overlap", tasks = tasks.len());
-    let aligned = match params.mode {
-        AlignMode::None => 0,
-        _ => tasks.len() as u64,
-    };
-    counters.alignments_local += aligned;
-    // Live telemetry: announce the chunk's alignments before the batch
-    // runs so the monitor shows an in-flight progress bar, retire them
-    // after. Mirrors `alignments_local` exactly, so the final snapshot's
-    // per-rank `done` totals reconcile against the trace counters.
-    obs::live::add_items(0, aligned);
-    let verdicts = align_batch(&tasks, threads, |&(gi, gj, ref pair)| {
-        align_pair(gi, gj, pair, store, params)
-    });
-    obs::live::add_items(aligned, 0);
+    tasks: Vec<Task>,
+    edges: Vec<Edge>,
+    /// This rank's statistics so far (`nnz_b` = entries admitted).
+    tally: ckpt::CounterDelta,
+}
 
-    let mut edges = Vec::new();
-    for ((gi, gj, pair), verdict) in tasks.into_iter().zip(verdicts) {
-        let (lo, hi) = if gi < gj { (gi, gj) } else { (gj, gi) };
-        match params.mode {
-            AlignMode::None => {
+impl<'a> Consumer<'a> {
+    fn new(cx: &'a PipeCtx<'a>) -> Self {
+        Consumer {
+            cx,
+            threads: batch_threads(cx.params, cx.grid),
+            tasks: Vec::new(),
+            edges: Vec::new(),
+            tally: ckpt::CounterDelta::default(),
+        }
+    }
+
+    /// Take one final entry `(gi, gj)` of this rank's block of `B`.
+    fn admit(&mut self, gi: u64, gj: u64, pair: &SeedPair) {
+        let cx = self.cx;
+        self.tally.nnz_b += 1;
+        if gi == gj {
+            return; // self-overlap
+        }
+        let (li, lj) = (gi - cx.row_range.0, gj - cx.col_range.0);
+        if !owns_pair(li, lj, cx.grid.myrow(), cx.grid.mycol()) {
+            return;
+        }
+        self.tally.candidates += 1;
+        if pair.count <= cx.params.common_kmer_threshold {
+            return; // CK threshold: too few shared k-mers to bother
+        }
+        self.tasks.push((gi, gj, *pair));
+    }
+
+    /// Align the admitted tasks as one batch and fold the surviving edges.
+    fn align_chunk(&mut self) {
+        let tasks = std::mem::take(&mut self.tasks);
+        let (store, params) = (self.cx.store, self.cx.params);
+        // The chunk span is the dissection's alignment stage (see
+        // [`Timings::STAGE_SPANS`]): emitted here so both sources
+        // attribute alignment time the same way.
+        let _chunk = obs::span!("align.overlap", tasks = tasks.len());
+        let aligned = match params.mode {
+            AlignMode::None => 0,
+            _ => tasks.len() as u64,
+        };
+        self.tally.alignments += aligned;
+        // Live telemetry: announce the chunk's alignments before the batch
+        // runs so the monitor shows an in-flight progress bar, retire them
+        // after. Mirrors `alignments_local` exactly, so the final
+        // snapshot's per-rank `done` totals reconcile against the trace
+        // counters.
+        obs::live::add_items(0, aligned);
+        let verdicts = align_batch(&tasks, self.threads, |&(gi, gj, ref pair)| {
+            align_pair(gi, gj, pair, store, params)
+        });
+        obs::live::add_items(aligned, 0);
+
+        for ((gi, gj, pair), verdict) in tasks.into_iter().zip(verdicts) {
+            let weight = match verdict {
                 // Scaling runs: candidate pairs weighted by shared k-mers.
-                edges.push((lo, hi, pair.count as f64));
-            }
-            _ => match verdict {
-                PairVerdict::Skipped => {}
-                PairVerdict::CulledBitpack => counters.prefilter_bitpack_culled_local += 1,
-                PairVerdict::CulledScore => counters.prefilter_striped_culled_local += 1,
-                PairVerdict::Stats(st) => {
-                    counters.prefilter_passed_local += 1;
+                _ if params.mode == AlignMode::None => Some(pair.count as f64),
+                None => None,
+                Some(PrefilterOutcome::CulledBitpack) => {
+                    self.tally.bitpack_culled += 1;
+                    None
+                }
+                Some(PrefilterOutcome::CulledScore) => {
+                    self.tally.striped_culled += 1;
+                    None
+                }
+                Some(PrefilterOutcome::Passed(st)) => {
+                    self.tally.passed += 1;
                     match params.measure {
-                        SimilarityMeasure::Ani => {
-                            if st.passes_filter(params.min_ani, params.min_coverage) {
-                                edges.push((lo, hi, st.ani()));
-                            }
-                        }
+                        SimilarityMeasure::Ani => st
+                            .passes_filter(params.min_ani, params.min_coverage)
+                            .then(|| st.ani()),
+                        // The paper applies no cut-off under NS (§VI-B).
                         SimilarityMeasure::NormalizedScore => {
-                            // The paper applies no cut-off under NS (§VI-B).
-                            if st.score > 0 {
-                                edges.push((lo, hi, st.normalized_score()));
-                            }
+                            (st.score > 0).then(|| st.normalized_score())
                         }
                     }
                 }
-            },
+            };
+            if let Some(w) = weight {
+                self.edges.push((gi.min(gj), gi.max(gj), w));
+            }
         }
     }
-    edges
-}
 
-fn align_owned_pairs(
-    b_mat: &DistMat<SeedPair>,
-    store: &DistSeqStore,
-    params: &PastisParams,
-    grid: &Grid,
-    row_range: (u64, u64),
-    col_range: (u64, u64),
-    counters: &mut Counters,
-) -> Vec<(u64, u64, f64)> {
-    let (myrow, mycol) = (grid.myrow(), grid.mycol());
-    let mut tasks: Vec<(u64, u64, SeedPair)> = Vec::new();
-    for (gi, gj, pair) in b_mat.iter_local() {
-        if gi == gj {
-            continue; // self-overlap
-        }
-        let (li, lj) = (gi - row_range.0, gj - col_range.0);
-        if !owns_pair(li, lj, myrow, mycol) {
-            continue;
-        }
-        counters.candidates_local += 1;
-        if pair.count <= params.common_kmer_threshold {
-            continue; // CK threshold: too few shared k-mers to bother
-        }
-        tasks.push((gi, gj, *pair));
-    }
-    align_tasks(tasks, store, params, batch_threads(params, grid), counters)
-}
-
-/// Read an out-of-core test hook: `Some(k)` when the environment variable
-/// names batch `k`.
-fn env_batch(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
-}
-
-/// Counter deltas accumulated by one batch on this rank (checkpointed in
-/// the shard header so resumed runs reproduce the statistics).
-fn counter_delta(now: &Counters, before: &Counters, nnz_b: u64) -> ckpt::CounterDelta {
-    ckpt::CounterDelta {
-        candidates: now.candidates_local - before.candidates_local,
-        alignments: now.alignments_local - before.alignments_local,
-        bitpack_culled: now.prefilter_bitpack_culled_local - before.prefilter_bitpack_culled_local,
-        striped_culled: now.prefilter_striped_culled_local - before.prefilter_striped_culled_local,
-        passed: now.prefilter_passed_local - before.prefilter_passed_local,
-        nnz_b,
+    fn finish(self) -> (Vec<Edge>, ckpt::CounterDelta) {
+        debug_assert!(self.tasks.is_empty(), "admitted tasks never aligned");
+        (self.edges, self.tally)
     }
 }
 
-/// The streaming layout's driver: monolithic when neither a memory budget
-/// nor a checkpoint directory is configured (byte-for-byte the former
-/// behavior), otherwise the out-of-core batch loop of DESIGN.md §15 —
-/// size column batches against the budget, run the SUMMA stream once per
-/// batch on a column-restricted `Aᵀ`, concatenate the per-batch edges
-/// (bit-identical to the monolithic set: batches tile `B`'s columns and
-/// per-entry fold order is unchanged), and checkpoint each completed
-/// batch so a killed run resumes instead of restarting.
-#[allow(clippy::too_many_arguments)]
-fn run_streaming_batches(
-    a_mat: &DistMat<u32>,
-    a_t: &DistMat<u32>,
-    store: &DistSeqStore,
-    params: &PastisParams,
-    grid: &Grid,
-    row_range: (u64, u64),
-    col_range: (u64, u64),
-    fasta: &[u8],
-    counters: &mut Counters,
-) -> Vec<(u64, u64, f64)> {
-    let world = grid.world();
+/// The streamed source's driver: monolithic when neither a memory budget
+/// nor a checkpoint directory is configured, otherwise the out-of-core
+/// batch loop of DESIGN.md §15 — size column batches against the budget,
+/// run the SUMMA stream once per batch on a column-restricted `Aᵀ`,
+/// concatenate the per-batch edges (bit-identical to the monolithic set:
+/// batches tile `B`'s columns and per-entry fold order is unchanged), and
+/// checkpoint each completed batch so a killed run resumes instead of
+/// restarting.
+fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
+    let params = cx.params;
     if params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none() {
-        let (edges, nnz_b_local) = stream_overlap_align(
-            a_mat, a_t, store, params, grid, row_range, col_range, counters,
-        );
-        counters.nnz_b = world.allreduce(nnz_b_local, |a, b| a + b);
-        return edges;
+        return stream_overlap_align(cx, cx.a_t);
     }
-
-    let n = a_mat.nrows();
     let plan = match params.mem_budget_bytes {
-        Some(budget) => batch::plan(grid, a_t, budget),
+        Some(budget) => batch::plan(cx.grid, cx.a_t, budget),
         // Checkpointing without a budget: a single full-width batch still
         // gets a durable shard + manifest.
         None => BatchPlan {
             budget_bytes: u64::MAX,
-            ranges: vec![(0, n)],
+            ranges: vec![(0, cx.a_mat.nrows())],
             est_bytes: vec![0],
         },
     };
-    let rank = world.rank();
-    let p = world.size();
-    let ck = params.ckpt_dir.as_deref();
+    let mut log = params
+        .ckpt_dir
+        .as_deref()
+        .map(|dir| ckpt::BatchLog::open(dir, cx.grid.world(), fasta, params, &plan.ranges));
 
-    // Resume state: the manifest's completed batches, keyed by index.
-    // Every rank reads the same file with no writer active, so all ranks
-    // derive the same map and the restore decisions below stay uniform —
-    // the final word is still the collective shard-verification vote.
-    let mut completed: std::collections::BTreeMap<usize, ckpt::BatchRecord> = Default::default();
-    let mut fp = 0u64;
-    if let Some(dir) = ck {
-        if rank == 0 {
-            // Created up front (and again at world launch by the binary)
-            // so per-rank shard writes never race on mkdir.
-            let _ = std::fs::create_dir_all(dir);
-        }
-        fp = ckpt::fingerprint(ckpt::fnv1a(fasta), &format!("{params:?}"), p, &plan.ranges);
-        if let Some(m) = ckpt::load_manifest(dir) {
-            if m.fingerprint == fp && m.p == p && m.n_batches == plan.ranges.len() {
-                for b in m.completed {
-                    completed.insert(b.index, b);
-                }
-            }
-        }
-    }
-
-    let track = obs::alloc::tracking();
-    let mut edges: Vec<(u64, u64, f64)> = Vec::new();
-    let mut nnz_b_local = 0u64;
+    let mut edges = Vec::new();
+    let mut total = ckpt::CounterDelta::default();
     for (k, &range) in plan.ranges.iter().enumerate() {
         let _batch = obs::span!("pastis.batch", batch = k);
-        // Restore when the manifest lists the batch and *every* rank's
-        // shard verifies; any corrupt shard votes the whole grid back to
-        // recomputing the batch, keeping the SUMMA collectives uniform.
-        let mut restored: Option<ckpt::Shard> = None;
-        if let (Some(dir), Some(rec)) = (ck, completed.get(&k)) {
-            let mine = rec
-                .shard(rank)
-                .and_then(|sr| ckpt::read_shard(dir, k, sr).ok());
-            let all_ok = world.allreduce(mine.is_some() as u64, |a, b| a.min(b)) == 1;
-            if all_ok {
-                restored = mine;
-            }
-        }
-        match restored {
+        let (batch_edges, delta) = match log.as_ref().and_then(|log| log.restore(k)) {
             Some(shard) => {
-                let d = &shard.delta;
-                counters.candidates_local += d.candidates;
-                counters.alignments_local += d.alignments;
-                counters.prefilter_bitpack_culled_local += d.bitpack_culled;
-                counters.prefilter_striped_culled_local += d.striped_culled;
-                counters.prefilter_passed_local += d.passed;
-                nnz_b_local += d.nnz_b;
                 // Announce the restored alignments as instantly done so
                 // the monitor's per-rank totals still reconcile against
                 // the trace counters.
-                obs::live::add_items(d.alignments, d.alignments);
-                edges.extend(shard.edges);
+                obs::live::add_items(shard.delta.alignments, shard.delta.alignments);
+                (shard.edges, shard.delta)
             }
             None => {
-                if track {
-                    obs::alloc::begin_window();
-                }
-                let before = *counters;
-                let a_t_k = a_t.restrict_cols(range);
-                let (batch_edges, batch_nnz) = stream_overlap_align(
-                    a_mat, &a_t_k, store, params, grid, row_range, col_range, counters,
+                // Per-batch peaks for the `--trace` batch-memory table.
+                // Windows are process-global and reset on `begin_window`,
+                // so the enclosing stage window now only covers this
+                // batch — re-emitting the peaks under the stage gauges
+                // (max-merged) keeps the per-stage row equal to the max
+                // over batch windows, which is exactly the stage peak
+                // (each window's baseline includes everything still live
+                // from earlier batches).
+                let out = windowed(
+                    &[&format!("mem.batch.{k}"), "mem.stage.pastis.spgemm_b"],
+                    || stream_overlap_align(cx, &cx.a_t.restrict_cols(range)),
                 );
-                nnz_b_local += batch_nnz;
-                if track {
-                    // Per-batch peaks for the `--trace` batch-memory
-                    // table. Windows are process-global and reset on
-                    // `begin_window`, so the enclosing stage window now
-                    // only covers this batch — re-emitting the peaks
-                    // under the stage gauges (max-merged) keeps the
-                    // per-stage row equal to the max over batch windows,
-                    // which is exactly the stage peak (each window's
-                    // baseline includes everything still live from
-                    // earlier batches).
-                    let peaks = obs::alloc::window_peaks();
-                    for (i, sub) in obs::SUBSYSTEMS.iter().enumerate() {
-                        if peaks.per[i] > 0 {
-                            obs::gauge_max_owned(&format!("mem.batch.{k}.{sub}"), peaks.per[i]);
-                            obs::gauge_max_owned(
-                                &format!("mem.stage.pastis.spgemm_b.{sub}"),
-                                peaks.per[i],
-                            );
-                        }
-                    }
-                    obs::gauge_max_owned(&format!("mem.batch.{k}.total"), peaks.total);
-                    obs::gauge_max_owned("mem.stage.pastis.spgemm_b.total", peaks.total);
+                if let Some(log) = &mut log {
+                    log.commit(k, &out.0, &out.1);
                 }
-                if let Some(dir) = ck {
-                    let delta = counter_delta(counters, &before, batch_nnz);
-                    let rec = ckpt::write_shard(dir, k, rank, &batch_edges, &delta)
-                        .expect("checkpoint shard write failed");
-                    // Rank 0 learns every shard's record, then commits the
-                    // manifest; the allgather doubles as the barrier that
-                    // guarantees all shards are durable first.
-                    let recs = world.allgather((rec.rank as u64, rec.len, rec.checksum));
-                    if rank == 0 {
-                        completed.insert(
-                            k,
-                            ckpt::BatchRecord {
-                                index: k,
-                                shards: recs
-                                    .into_iter()
-                                    .map(|(r, len, checksum)| ckpt::ShardRecord {
-                                        rank: r as usize,
-                                        len,
-                                        checksum,
-                                    })
-                                    .collect(),
-                            },
-                        );
-                        let m = ckpt::Manifest {
-                            version: ckpt::CKPT_SCHEMA_VERSION,
-                            fingerprint: fp,
-                            p,
-                            n_batches: plan.ranges.len(),
-                            completed: completed.values().cloned().collect(),
-                        };
-                        ckpt::write_manifest(dir, &m).expect("checkpoint manifest write failed");
-                    }
-                }
-                edges.extend(batch_edges);
+                out
             }
-        }
-        // Kill-test hooks for verify.sh and the resume proptest: die (or
-        // hang, awaiting an external SIGKILL) only after batch k's
-        // manifest commit is visible on every rank.
-        if ck.is_some() {
-            if env_batch("PASTIS_KILL_AFTER_BATCH") == Some(k) {
-                world.barrier();
-                if rank == 0 {
-                    eprintln!("PASTIS_KILL_AFTER_BATCH={k}: aborting after batch {k}");
-                }
-                std::process::abort();
-            }
-            if env_batch("PASTIS_HANG_AFTER_BATCH") == Some(k) {
-                world.barrier();
-                loop {
-                    std::thread::sleep(std::time::Duration::from_secs(1));
-                }
-            }
-        }
+        };
+        edges.extend(batch_edges);
+        total.add(&delta);
     }
-    counters.nnz_b = world.allreduce(nnz_b_local, |a, b| a + b);
-    edges
+    (edges, total)
 }
 
 /// Streamed overlap SpGEMM + per-stage alignment: `A·Aᵀ` runs as a
@@ -999,31 +842,19 @@ fn run_streaming_batches(
 /// are both nonzero, so it is final once `t ≥ min(last_row[i],
 /// last_col[j])` where `last_*` records the last stage with matching
 /// occupancy. Per entry, contributions fold in stage order — the same
-/// order the staged path's stable sort produces — so the extracted
-/// [`SeedPair`]s, and with them the edge set, are bit-identical to the
-/// staged path.
+/// order the materialised product's stable sort produces — so the
+/// extracted [`SeedPair`]s, and with them the edge set, are bit-identical
+/// to the materialised source.
 ///
 /// `a_t` may be a column-restricted view ([`DistMat::restrict_cols`]): the
 /// finality bounds then derive from the restricted occupancy, and only the
 /// batch's columns ever enter the pending map. Returns the edges plus this
-/// rank's drained-nonzero count (the caller sums it across batches before
-/// the global reduction).
-#[allow(clippy::too_many_arguments)]
-fn stream_overlap_align(
-    a_mat: &DistMat<u32>,
-    a_t: &DistMat<u32>,
-    store: &DistSeqStore,
-    params: &PastisParams,
-    grid: &Grid,
-    row_range: (u64, u64),
-    col_range: (u64, u64),
-    counters: &mut Counters,
-) -> (Vec<(u64, u64, f64)>, u64) {
+/// rank's statistics for the pass.
+fn stream_overlap_align(cx: &PipeCtx, a_t: &DistMat<u32>) -> (Vec<Edge>, ckpt::CounterDelta) {
     use std::collections::btree_map::Entry;
     use std::collections::BTreeMap;
 
-    let (myrow, mycol) = (grid.myrow(), grid.mycol());
-    let threads = batch_threads(params, grid);
+    let (row_range, col_range) = (cx.row_range, cx.col_range);
 
     // Stage-finality index (see doc above): each rank knows its own
     // block's occupancy; an allgather along the grid row/column assembles
@@ -1032,7 +863,7 @@ fn stream_overlap_align(
     let (last_row, last_col) = {
         let _span = obs::span!("summa.finality");
         let mut row_occ = vec![0u8; (row_range.1 - row_range.0) as usize];
-        for (r, _, _) in a_mat.local().iter() {
+        for (r, _, _) in cx.a_mat.local().iter() {
             row_occ[r as usize] = 1;
         }
         let mut col_occ = vec![0u8; (col_range.1 - col_range.0) as usize];
@@ -1051,16 +882,15 @@ fn stream_overlap_align(
             last
         };
         (
-            fold(grid.row_comm().allgather(row_occ)),
-            fold(grid.col_comm().allgather(col_occ)),
+            fold(cx.grid.row_comm().allgather(row_occ)),
+            fold(cx.grid.col_comm().allgather(col_occ)),
         )
     };
 
     let sr = ExactSemiring;
     let mut pending: BTreeMap<(u32, u64), SeedPair> = BTreeMap::new();
-    let mut edges: Vec<(u64, u64, f64)> = Vec::new();
-    let mut nnz_b_local = 0u64;
-    let stream = a_mat.spgemm_stream(a_t, &sr, params.spgemm);
+    let mut consumer = Consumer::new(cx);
+    let stream = cx.a_mat.spgemm_stream(a_t, &sr, cx.params.spgemm);
     stream.for_each_stage(|t, triples| {
         for (r, c, v) in triples {
             match pending.entry((r, c)) {
@@ -1076,25 +906,17 @@ fn stream_overlap_align(
         // Drain the entries that can no longer change. (row, col) order
         // groups this chunk's tasks by query row, maximizing the striped
         // profile-cache hit rate.
-        let mut tasks: Vec<(u64, u64, SeedPair)> = Vec::new();
         pending.retain(|&(r, c), pair| {
             if t < last_row[r as usize].min(last_col[c as usize]) {
                 return true;
             }
-            nnz_b_local += 1;
-            let (gi, gj) = (row_range.0 + r as u64, col_range.0 + c);
-            if gi != gj && owns_pair(r as u64, c, myrow, mycol) {
-                counters.candidates_local += 1;
-                if pair.count > params.common_kmer_threshold {
-                    tasks.push((gi, gj, *pair));
-                }
-            }
+            consumer.admit(row_range.0 + r as u64, col_range.0 + c, pair);
             false
         });
-        edges.extend(align_tasks(tasks, store, params, threads, counters));
+        consumer.align_chunk();
     });
     debug_assert!(pending.is_empty(), "stage-finality left undrained entries");
-    (edges, nnz_b_local)
+    consumer.finish()
 }
 
 #[cfg(test)]
@@ -1110,50 +932,26 @@ mod tests {
             let ranges: Vec<(u64, u64)> = (0..q)
                 .map(|i| (i as u64 * n / q as u64, (i as u64 + 1) * n / q as u64))
                 .collect();
-            for i in 0..n {
-                for j in 0..n {
-                    if i == j {
-                        continue;
-                    }
-                    let mut owners = 0;
-                    for r in 0..q {
-                        for c in 0..q {
-                            let (r0, r1) = ranges[r];
-                            let (c0, c1) = ranges[c];
-                            // Entry (i,j) of symmetric B exists in block
-                            // (r,c) iff i ∈ rows, j ∈ cols.
-                            if i >= r0
-                                && i < r1
-                                && j >= c0
-                                && j < c1
-                                && owns_pair(i - r0, j - c0, r, c)
-                            {
-                                owners += 1;
-                            }
+            // Owners of entry (i, j) of symmetric B: it exists in block
+            // (r, c) iff i ∈ rows(r), j ∈ cols(c).
+            let owners = |i: u64, j: u64| {
+                let mut owners = 0;
+                for (r, &(r0, r1)) in ranges.iter().enumerate() {
+                    for (c, &(c0, c1)) in ranges.iter().enumerate() {
+                        let inside = (r0..r1).contains(&i) && (c0..c1).contains(&j);
+                        if inside && owns_pair(i - r0, j - c0, r, c) {
+                            owners += 1;
                         }
                     }
+                }
+                owners
+            };
+            for i in 0..n {
+                for j in (0..n).filter(|&j| j != i) {
                     // B symmetric: (i,j) and (j,i) both exist; exactly one
                     // of the two entries may be owned.
-                    let mut owners_t = 0;
-                    for r in 0..q {
-                        for c in 0..q {
-                            let (r0, r1) = ranges[r];
-                            let (c0, c1) = ranges[c];
-                            if j >= r0
-                                && j < r1
-                                && i >= c0
-                                && i < c1
-                                && owns_pair(j - r0, i - c0, r, c)
-                            {
-                                owners_t += 1;
-                            }
-                        }
-                    }
-                    assert_eq!(
-                        owners + owners_t,
-                        1,
-                        "pair ({i},{j}) q={q}: {owners}+{owners_t}"
-                    );
+                    let (o, o_t) = (owners(i, j), owners(j, i));
+                    assert_eq!(o + o_t, 1, "pair ({i},{j}) q={q}: {o}+{o_t}");
                 }
             }
         }

@@ -119,14 +119,12 @@ fn timings_match_trace_stage_sums() {
         // The stage spans cover the run: under exclusive attribution
         // (nested stage spans counted once) their wall-clock sum cannot
         // exceed the root span's duration.
-        let names: Vec<&str> = pastis::Timings::STAGE_SPANS
-            .iter()
-            .map(|&(s, _)| s)
-            .collect();
-        let sum: f64 = names
-            .iter()
-            .map(|s| obs::dissect::stage_agg_exclusive(&r.trace, s, &names, 0).secs)
-            .sum();
+        let extracts = obs::project::extract_stages(
+            std::slice::from_ref(&r.trace),
+            &pastis::Timings::STAGE_SPANS,
+            &[],
+        );
+        let sum: f64 = extracts.iter().map(|e| e.secs_max).sum();
         assert!(sum <= r.timings.total + 1e-9, "{sum} > {}", r.timings.total);
     }
 }

@@ -34,7 +34,7 @@ mod shared;
 
 pub use ledger::{history_push, ledger_diff, CollKind, CollRecord, History, HISTORY_CAP};
 pub use perturb::{Perturb, SplitMix64};
-pub use shared::{CheckShared, LeakRecord, RankState, WaitInfo, PRIMARY_PREFIX, SECONDARY_PREFIX};
+pub use shared::{CheckShared, RankState, WaitInfo, PRIMARY_PREFIX, SECONDARY_PREFIX};
 
 /// Parse a boolean-ish environment variable: `0`, `false`, `off`, and the
 /// empty string are false; anything else set is true; unset is `None`.

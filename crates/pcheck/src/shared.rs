@@ -9,7 +9,7 @@
 //! sends and stash-hit receives touch only this rank's own slots.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -49,19 +49,6 @@ pub struct WaitInfo {
     pub op: Option<(&'static str, u64, u64)>,
 }
 
-/// One unreceived message found at finalize, aggregated per
-/// `(src, dst, comm, tag, type)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LeakRecord {
-    pub src: usize,
-    pub dst: usize,
-    pub comm: u64,
-    pub tag: u64,
-    pub type_name: &'static str,
-    pub bytes: u64,
-    pub count: u64,
-}
-
 /// Per-rank stash mirror: `(comm, src, tag, type)` → `(count, bytes)`.
 type StashMirror = HashMap<(u64, usize, u64, &'static str), (u64, u64)>;
 
@@ -96,7 +83,9 @@ pub struct CheckShared {
     /// Mirror of each rank's out-of-order stash:
     /// `(comm, src, tag, type)` → `(count, bytes)`.
     stash: Vec<Mutex<StashMirror>>,
-    leaks: Mutex<Vec<LeakRecord>>,
+    /// Ranks whose mailbox drain is complete (see
+    /// [`CheckShared::audit_done`]).
+    audited: AtomicUsize,
     aborted: AtomicBool,
     abort_reason: Mutex<Option<String>>,
     verdict: Mutex<Option<Result<(), String>>>,
@@ -118,7 +107,7 @@ impl CheckShared {
             states: (0..p).map(|_| Mutex::new(RankState::Running)).collect(),
             progress: (0..p).map(|_| AtomicU64::new(0)).collect(),
             stash: (0..p).map(|_| Mutex::new(HashMap::new())).collect(),
-            leaks: Mutex::new(Vec::new()),
+            audited: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
             verdict: Mutex::new(None),
@@ -255,9 +244,27 @@ impl CheckShared {
         self.bump(rank);
     }
 
+    /// First finalize phase: `rank` returned from its closure and will
+    /// never send again.
     pub fn finalize_rank(&self, rank: usize) {
         *lock(&self.states[rank]) = RankState::Finalized;
         self.bump(rank);
+    }
+
+    /// True once no rank can send any more (all finalized or dead): every
+    /// message ever sent now sits in a mailbox or a stash, so a leak audit
+    /// started after this point cannot miss one.
+    pub fn all_finalized(&self) -> bool {
+        self.states
+            .iter()
+            .all(|s| matches!(*lock(s), RankState::Finalized | RankState::Dead))
+    }
+
+    /// Second finalize phase: a finalized rank has drained its mailbox
+    /// into its stash, so its stash mirror now lists every message it
+    /// never received — the leaks the verdict reports.
+    pub fn audit_done(&self) {
+        self.audited.fetch_add(1, Ordering::SeqCst);
     }
 
     fn snapshot(&self) -> Vec<(RankState, u64)> {
@@ -472,33 +479,28 @@ impl CheckShared {
         }
     }
 
-    /// Report one unreceived message found while finalizing `dst`'s stash.
-    pub fn report_leak(&self, rec: LeakRecord) {
-        let mut leaks = lock(&self.leaks);
-        if let Some(e) = leaks.iter_mut().find(|l| {
-            (l.src, l.dst, l.comm, l.tag, l.type_name)
-                == (rec.src, rec.dst, rec.comm, rec.tag, rec.type_name)
-        }) {
-            e.count += rec.count;
-            e.bytes += rec.bytes;
-        } else {
-            leaks.push(rec);
-        }
-    }
-
     /// Compute (once) and return the finalize verdict, or `None` while some
-    /// rank is still running or blocked. Every finalized rank polls this;
-    /// whichever arrives after the last rank finishes performs the audit.
+    /// rank is still running, blocked, or auditing its mailbox (dead ranks
+    /// never audit). Every audited rank polls this; whichever arrives
+    /// after the last audit completes computes the verdict.
     pub fn try_verdict(&self) -> Option<Result<(), String>> {
         let mut v = lock(&self.verdict);
         if let Some(r) = &*v {
             return Some(r.clone());
         }
+        // Both conditions read one snapshot: `Finalized` and `Dead` are
+        // terminal, so once every rank shows one of them the count of
+        // ranks that owe an audit is final.
         let snap = self.snapshot();
-        if !snap
+        let dead = snap
             .iter()
-            .all(|(s, _)| matches!(s, RankState::Finalized | RankState::Dead))
-        {
+            .filter(|(s, _)| matches!(s, RankState::Dead))
+            .count();
+        let finalized = snap
+            .iter()
+            .filter(|(s, _)| matches!(s, RankState::Finalized))
+            .count();
+        if finalized + dead < self.p || self.audited.load(Ordering::SeqCst) < finalized {
             return None;
         }
         let r = self.compute_verdict(&snap);
@@ -538,28 +540,23 @@ impl CheckShared {
             }
         }
         // Stash-leak audit: every sent message must have been received.
-        let leaks = lock(&self.leaks);
-        if !leaks.is_empty() {
-            let mut lines: Vec<String> = leaks
-                .iter()
-                .map(|l| {
-                    format!(
-                        "    rank {} -> rank {}  {} tag {} type {}: {} msg(s), {} bytes",
-                        l.src,
-                        l.dst,
-                        self.comm_str(l.comm),
-                        self.tag_str(l.tag),
-                        l.type_name,
-                        l.count,
-                        l.bytes
-                    )
-                })
-                .collect();
+        let mut lines = Vec::new();
+        let mut total = 0;
+        for (dst, mirror) in self.stash.iter().enumerate() {
+            for (&(comm, src, tag, ty), &(count, bytes)) in lock(mirror).iter() {
+                total += count;
+                lines.push(format!(
+                    "    rank {src} -> rank {dst}  {} tag {} type {ty}: {count} msg(s), {bytes} bytes",
+                    self.comm_str(comm),
+                    self.tag_str(tag),
+                ));
+            }
+        }
+        if total > 0 {
             lines.sort();
             return Err(format!(
-                "{PRIMARY_PREFIX}{} unreceived message(s) left in rank stashes at finalize \
+                "{PRIMARY_PREFIX}{total} unreceived message(s) left in rank stashes at finalize \
                  (every send must be matched by a receive):\n{}",
-                leaks.iter().map(|l| l.count).sum::<u64>(),
                 lines.join("\n")
             ));
         }
@@ -675,25 +672,11 @@ mod tests {
     #[test]
     fn verdict_reports_leaks() {
         let s = CheckShared::new(1, 1 << 30, 100);
-        s.report_leak(LeakRecord {
-            src: 0,
-            dst: 0,
-            comm: 0,
-            tag: 3,
-            type_name: "u64",
-            bytes: 8,
-            count: 1,
-        });
-        s.report_leak(LeakRecord {
-            src: 0,
-            dst: 0,
-            comm: 0,
-            tag: 3,
-            type_name: "u64",
-            bytes: 8,
-            count: 1,
-        });
+        s.stash_push(0, 0, 0, 3, "u64", 8);
+        s.stash_push(0, 0, 0, 3, "u64", 8);
         s.finalize_rank(0);
+        assert!(s.try_verdict().is_none(), "rank 0 has not audited yet");
+        s.audit_done();
         let v = s.try_verdict().unwrap().unwrap_err();
         assert!(v.contains("2 unreceived"), "{v}");
         assert!(v.contains("tag 3"), "{v}");
@@ -710,8 +693,12 @@ mod tests {
         s.record_collective(0, 0, 1, &[0, 1], rec(CollKind::Allreduce))
             .unwrap();
         s.finalize_rank(0);
+        assert!(!s.all_finalized());
         assert!(s.try_verdict().is_none(), "rank 1 still running");
         s.finalize_rank(1);
+        assert!(s.all_finalized());
+        s.audit_done();
+        s.audit_done();
         let v = s.try_verdict().unwrap().unwrap_err();
         assert!(v.contains("count mismatch"), "{v}");
         assert!(v.contains("rank 0 recorded 2"), "{v}");
@@ -728,6 +715,8 @@ mod tests {
         s.stash_pop(0, 0, 1, 4, "u64", 8);
         s.finalize_rank(0);
         s.finalize_rank(1);
+        s.audit_done();
+        s.audit_done();
         assert_eq!(s.try_verdict(), Some(Ok(())));
     }
 
@@ -743,16 +732,10 @@ mod tests {
         s.block_on(1, w);
         let report = s.deadlock_scan().expect("deadlock must be detected");
         assert!(report.contains("comm 0x5a5a (row1)"), "{report}");
-        s.report_leak(LeakRecord {
-            src: 0,
-            dst: 1,
-            comm: 0,
-            tag: 3,
-            type_name: "u64",
-            bytes: 8,
-            count: 1,
-        });
+        s.stash_push(1, 0, 0, 3, "u64", 8);
         s.finalize_rank(1);
+        s.audit_done();
+        s.audit_done();
         let v = s.try_verdict().unwrap().unwrap_err();
         assert!(v.contains("comm 0x0 (world)"), "{v}");
     }

@@ -133,6 +133,23 @@ fn finalize_audits_unreceived_messages() {
 }
 
 #[test]
+fn finalize_audit_waits_for_slow_senders() {
+    // The receiver is long done when the sender sends: an audit that
+    // drained rank 1's mailbox as soon as rank 1 itself finished would
+    // find it empty and pass the world. (The sleep only widens the window
+    // the old audit raced in; the verdict is the same without it.)
+    let msg = run_expect_panic(checked(400), 2, |comm| {
+        if comm.rank() == 0 {
+            std::thread::sleep(Duration::from_millis(100));
+            comm.send(1, 9, 7u64);
+        }
+    });
+    assert!(msg.starts_with("pcheck: "), "{msg}");
+    assert!(msg.contains("1 unreceived message(s)"), "{msg}");
+    assert!(msg.contains("rank 0 -> rank 1"), "{msg}");
+}
+
+#[test]
 fn type_mismatch_names_source_tag_and_types() {
     let msg = run_expect_panic(checked(400), 2, |comm| {
         if comm.rank() == 0 {

@@ -15,7 +15,7 @@ use crate::payload::Payload;
 use crate::stats::{self, CommStats};
 use crate::world::{Packet, WorldShared};
 use crate::MAX_USER_TAG;
-use pcheck::{CollKind, LeakRecord};
+use pcheck::CollKind;
 
 /// Per-thread rank context: mailbox, out-of-order stash and counters.
 /// (communicator id, source world rank, tag) → queued (payload, bytes, type).
@@ -77,35 +77,24 @@ impl RankCtx {
         }
     }
 
-    /// Finalize this rank under checked mode: audit undelivered messages,
-    /// then wait for the world verdict (collective counts and leaks across
-    /// all ranks). Panics with the verdict report on failure.
+    /// Finalize this rank under checked mode, in two phases so the leak
+    /// audit cannot miss a message a slower rank sends after this one is
+    /// done: announce that this rank will send no more and wait until that
+    /// holds for every rank, *then* audit undelivered messages and wait
+    /// for the world verdict (collective counts and leaks across all
+    /// ranks). Panics with the verdict report on failure.
     pub(crate) fn finalize(&self) {
         let Some(check) = &self.check else { return };
-        self.drain_mailbox();
-        {
-            let stash = self.stash.borrow();
-            let mut agg: HashMap<(u64, usize, u64, &'static str), (u64, u64)> = HashMap::new();
-            for (&(comm, src, tag), q) in stash.iter() {
-                for &(_, bytes, ty) in q.iter() {
-                    let e = agg.entry((comm, src, tag, ty)).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += bytes as u64;
-                }
-            }
-            for ((comm, src, tag, ty), (count, bytes)) in agg {
-                check.shared.report_leak(LeakRecord {
-                    src,
-                    dst: self.world_rank,
-                    comm,
-                    tag,
-                    type_name: ty,
-                    bytes,
-                    count,
-                });
-            }
-        }
         check.shared.finalize_rank(self.world_rank);
+        while !check.shared.all_finalized() {
+            // Another rank may abort (deadlock, conformance) while we wait.
+            check.check_abort();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Everything still in the mailbox joins the stash and its shared
+        // mirror, which is what the verdict audits.
+        self.drain_mailbox();
+        check.shared.audit_done();
         loop {
             if let Some(v) = check.shared.try_verdict() {
                 if let Err(msg) = v {

@@ -13,13 +13,13 @@
 //!    parameters (α seconds/message, β seconds/byte) and the per-op cost
 //!    of every [`CostClass`], produced by the `calibrate` bench bin and
 //!    installable process-wide.
-//! 2. [`CostModel`] — prices a [`StageCost`]. The legacy flat charge
-//!    `compute/scale + α·msgs + β·bytes` survives as [`CostModel::flat`];
-//!    [`CostModel::stage`] is **shape-aware**: each collective pays its
-//!    algorithm's cost (a tree broadcast pays `⌈log₂ m⌉·α + 2·b·β`, an
-//!    all-to-all pays per-destination α, a linear exscan pays a chain),
-//!    following the Sparse-SUMMA communication analyses of Buluç &
-//!    Gilbert.
+//! 2. [`CostModel`] — prices a [`StageCost`]. [`CostModel::stage`] is
+//!    **shape-aware**: each collective pays its algorithm's cost (a tree
+//!    broadcast pays `⌈log₂ m⌉·α + 2·b·β`, an all-to-all pays
+//!    per-destination α, a linear exscan pays a chain), following the
+//!    Sparse-SUMMA communication analyses of Buluç & Gilbert; the flat
+//!    postal charge `α·msgs + β·bytes` prices only the residual
+//!    point-to-point traffic.
 //! 3. [`project`] — replays per-stage extracts of a recorded trace
 //!    (see `obs::project`) at a hypothetical node count: total work is
 //!    divided evenly over the target ranks and every collective is
@@ -531,16 +531,6 @@ impl CostModel {
         }
     }
 
-    /// The legacy flat postal charge: `compute/scale + α·msgs + β·bytes`
-    /// on the raw counters, ignoring collective shape. Kept for
-    /// comparison against [`CostModel::stage`] and for stages measured
-    /// without a collective breakdown.
-    pub fn flat(&self, stage: &StageCost) -> f64 {
-        let msgs = stage.comm.msgs_sent.max(stage.comm.msgs_recv) as f64;
-        let bytes = stage.comm.bytes_sent.max(stage.comm.bytes_recv) as f64;
-        stage.compute_secs / self.compute_scale + self.alpha * msgs + self.beta * bytes
-    }
-
     /// Seconds one rank spends in `coll.calls` collectives of the given
     /// shape: per-collective algorithm cost × calls. Tree collectives pay
     /// `⌈log₂ m⌉·α + 2·b·β`, the personalized all-to-all pays one α per
@@ -572,26 +562,19 @@ impl CostModel {
     }
 
     /// Shape-aware modeled seconds for a stage: compute, plus each
-    /// collective priced by its algorithm, plus the flat postal charge on
-    /// the residual point-to-point counters.
+    /// collective priced by its algorithm, plus the flat postal charge
+    /// (`α·msgs + β·bytes`) on the residual point-to-point counters.
     pub fn stage(&self, stage: &StageCost) -> f64 {
-        self.flat(stage)
+        let msgs = stage.comm.msgs_sent.max(stage.comm.msgs_recv) as f64;
+        let bytes = stage.comm.bytes_sent.max(stage.comm.bytes_recv) as f64;
+        stage.compute_secs / self.compute_scale
+            + self.alpha * msgs
+            + self.beta * bytes
             + stage
                 .colls
                 .iter()
                 .map(|c| self.coll_seconds(c))
                 .sum::<f64>()
-    }
-
-    /// Modeled wall-clock seconds for a stage (by-value convenience used
-    /// by the fig bins; equivalent to [`CostModel::stage`]).
-    pub fn stage_seconds(&self, stage: StageCost) -> f64 {
-        self.stage(&stage)
-    }
-
-    /// Modeled seconds for a sequence of stages executed back to back.
-    pub fn total_seconds(&self, stages: &[StageCost]) -> f64 {
-        stages.iter().map(|s| self.stage(s)).sum()
     }
 }
 
@@ -1378,7 +1361,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flat_matches_legacy_formula() {
+    fn stage_without_collectives_is_the_postal_formula() {
         let m = CostModel {
             alpha: 1e-6,
             beta: 1e-9,
@@ -1395,10 +1378,8 @@ mod tests {
             },
             colls: Vec::new(),
         };
-        let t = m.flat(&s);
+        let t = m.stage(&s);
         assert!((t - (2.0 + 10.0 * 1e-6 + 1e-3)).abs() < 1e-12);
-        // With no collectives the shaped model degenerates to flat.
-        assert_eq!(m.stage(&s), t);
     }
 
     #[test]

@@ -18,7 +18,6 @@ mod accum;
 mod csc;
 mod dcsc;
 mod dist;
-mod dist3d;
 mod local_spgemm;
 mod semiring;
 mod triple;
@@ -27,7 +26,6 @@ pub use accum::HashAccumulator;
 pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use dist::{DistMat, SummaStream};
-pub use dist3d::{spgemm_3d, Grid3D};
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};
 pub use semiring::{ArithmeticSemiring, MaxPlusSemiring, OrAndSemiring, Semiring};
 pub use triple::{sort_dedup_triples, Triple};

@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
-cargo test -q
+# --no-fail-fast: one failing crate must not mask the crates after it.
+cargo test -q --no-fail-fast
 # Trace-export schema gate: the Perfetto JSON must stay parseable and keep
 # its per-rank track structure.
 cargo test -q -p obs --test perfetto_schema
