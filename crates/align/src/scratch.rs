@@ -19,10 +19,11 @@ use crate::striped::{L16, L16W, L32, L32W};
 /// Buffers for one in-flight banded x-drop extension.
 #[derive(Default)]
 pub(crate) struct XdropScratch {
-    /// Current row's live-window scores.
+    /// Previous row's H and F, indexed by absolute column (at least
+    /// `n + 1` long; only the live window holds meaningful values).
     pub(crate) row_h: Vec<i32>,
     pub(crate) row_f: Vec<i32>,
-    /// Retired row buffers recycled into the next row.
+    /// The row being written; swapped with `row_*` when it completes.
     pub(crate) spare_h: Vec<i32>,
     pub(crate) spare_f: Vec<i32>,
     /// All rows' traceback bytes, concatenated.

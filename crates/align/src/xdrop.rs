@@ -32,31 +32,121 @@ struct Extension {
     align_len: u32,
 }
 
-/// One row of the banded DP: scores for `[lo, lo+len)`. The backing
-/// buffers are borrowed from the scratch arena and returned when the
-/// extension finishes.
-struct Row {
-    lo: usize,
-    h: Vec<i32>,
-    f: Vec<i32>,
+/// Affine gap costs carried as one value: `open` is the full price of a
+/// gap's first column (`gap_open + gap_extend`), `ext` of each further one.
+#[derive(Clone, Copy)]
+struct Gap {
+    open: i32,
+    ext: i32,
 }
 
-impl Row {
-    #[inline]
-    fn h_at(&self, j: usize) -> i32 {
-        if j >= self.lo && j < self.lo + self.h.len() {
-            self.h[j - self.lo]
+impl Gap {
+    /// One step of the E or F recurrence: open a gap from `h` or extend
+    /// the running gap `g`; `bit` is returned when extending wins strictly.
+    #[inline(always)]
+    fn step(self, h: i32, g: i32, bit: u8) -> (i32, u8) {
+        let opened = h.saturating_sub(self.open);
+        let extended = g.saturating_sub(self.ext);
+        if extended > opened {
+            (extended, bit)
         } else {
-            NEG_INF
+            (opened, 0)
         }
     }
+}
 
-    #[inline]
-    fn f_at(&self, j: usize) -> i32 {
-        if j >= self.lo && j < self.lo + self.f.len() {
-            self.f[j - self.lo]
-        } else {
-            NEG_INF
+/// `(H, E)` of a left neighbour or `(H, F)` of an upper neighbour that
+/// lies outside the live window.
+const CLOSED: (i32, i32) = (NEG_INF, NEG_INF);
+
+/// One computed DP cell: H with its traceback byte, and the E and F it
+/// hands to its right and lower neighbours.
+struct Cell {
+    h: i32,
+    e: i32,
+    f: i32,
+    dir: u8,
+}
+
+/// Compute a cell from its left neighbour's `(H, E)`, its upper
+/// neighbour's `(H, F)` and its already-scored diagonal. Ties resolve
+/// diag > E > F (each later source must win strictly).
+#[inline(always)]
+fn cell(gap: Gap, left: (i32, i32), up: (i32, i32), diag: i32) -> Cell {
+    let (e, e_bit) = gap.step(left.0, left.1, E_EXTEND);
+    let (f, f_bit) = gap.step(up.0, up.1, F_EXTEND);
+    let mut h = NEG_INF;
+    let mut src = 0u8;
+    if diag > h {
+        h = diag;
+        src = H_DIAG;
+    }
+    if e > h {
+        h = e;
+        src = H_FROM_E;
+    }
+    if f > h {
+        h = f;
+        src = H_FROM_F;
+    }
+    Cell {
+        h,
+        e,
+        f,
+        dir: e_bit | f_bit | src,
+    }
+}
+
+/// The diagonal move out of predecessor `d`; a dead predecessor stays dead.
+#[inline(always)]
+fn diag_from(d: i32, score: i8) -> i32 {
+    if d <= NEG_INF / 2 {
+        NEG_INF
+    } else {
+        d + score as i32
+    }
+}
+
+/// Best score seen so far, where, and the liveness floor it implies: a
+/// cell is live when `h >= best − xdrop` and it is reachable at all.
+struct Front {
+    best: i32,
+    pos: (usize, usize),
+    xdrop: i32,
+    floor: i32,
+}
+
+impl Front {
+    fn new(xdrop: i32) -> Self {
+        let mut front = Front {
+            best: 0,
+            pos: (0, 0),
+            xdrop,
+            floor: 0,
+        };
+        front.set(0, (0, 0));
+        front
+    }
+
+    #[inline(always)]
+    fn set(&mut self, best: i32, pos: (usize, usize)) {
+        self.best = best;
+        self.pos = pos;
+        self.floor = (best - self.xdrop).max(NEG_INF / 2 + 1);
+    }
+
+    #[inline(always)]
+    fn is_live(&self, h: i32) -> bool {
+        h >= self.floor
+    }
+
+    /// A live cell scored `h` at `pos`: the front moves on strict
+    /// improvement, mid-row, so later cells of the same row already see
+    /// the raised floor.
+    #[inline(always)]
+    fn saw_live(&mut self, h: i32, pos: (usize, usize)) {
+        if h > self.best {
+            self.set(h, pos);
         }
     }
 }
@@ -64,177 +154,181 @@ impl Row {
 /// Extend an alignment from `(0, 0)` over prefixes of `a` and `b`,
 /// abandoning cells scoring below `best − xdrop`. All DP rows and
 /// traceback bytes live in the scratch arena.
+///
+/// Row buffers are indexed by absolute column and sized `n + 1` once per
+/// extension; a row's live window is `[lo, hi)`. Row `i` starts *at* the
+/// previous window's `lo` (nothing left of it can be reached: E needs a
+/// live left neighbour, diag and F a live cell above) and is computed in
+/// three phases:
+///
+/// 1. *pre-open scan* — until the first live cell, dead cells store
+///    nothing and every cell sees a closed left neighbour;
+/// 2. *open interior* — columns `lo + 1 .. prev_hi`, where the cell above
+///    and the diagonal both lie inside the previous window, so no bounds
+///    are tested and the row cannot end; a dead cell is stored as
+///    `h = f = NEG_INF`, direction 0, while E keeps running through it;
+/// 3. *tail* — from column `prev_hi` on only E (and once, the diagonal)
+///    feeds a cell; here alone a dead cell whose E is also below the
+///    floor ends the row. The ending cell is counted but not stored.
+///
+/// Liveness follows `best` within the row, so cells are computed strictly
+/// left to right.
 fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch) -> Extension {
-    let open = params.gap_open + params.gap_extend;
-    let ext = params.gap_extend;
-    let x = params.xdrop;
+    let gap = Gap {
+        open: params.gap_open + params.gap_extend,
+        ext: params.gap_extend,
+    };
     let (m, n) = (a.len(), b.len());
-
-    let mut best = 0i32;
-    let mut best_pos = (0usize, 0usize);
+    let mut front = Front::new(params.xdrop);
     let mut cells: u64 = 0; // work accounting: DP cells actually computed
 
     // Per-row traceback bytes are concatenated into dir_flat;
     // dir_rows[i] = (lo, start, len) locates row i's live window.
-    xd.dir_flat.clear();
-    xd.dir_rows.clear();
-
-    // Take the four row buffers out of the arena; every exit path below
-    // returns them, so the arena keeps its capacity across calls.
-    let mut row_h = std::mem::take(&mut xd.row_h);
-    let mut row_f = std::mem::take(&mut xd.row_f);
-    let mut spare_h = std::mem::take(&mut xd.spare_h);
-    let mut spare_f = std::mem::take(&mut xd.spare_f);
-
-    // Row 0: leading gap in `a`.
-    row_h.clear();
-    row_f.clear();
-    row_h.push(0);
-    row_f.push(NEG_INF);
-    xd.dir_flat.push(0u8);
-    for j in 1..=n {
-        let h = -open - (j as i32 - 1) * ext;
-        if h < best - x {
-            break;
-        }
-        row_h.push(h);
-        row_f.push(NEG_INF);
-        xd.dir_flat
-            .push(H_FROM_E | if j > 1 { E_EXTEND } else { 0 });
-        if h > best {
-            best = h;
-            best_pos = (0, j);
+    let XdropScratch {
+        row_h,
+        row_f,
+        spare_h,
+        spare_f,
+        dir_flat,
+        dir_rows,
+    } = xd;
+    dir_flat.clear();
+    dir_rows.clear();
+    // The arena only grows, so a warm one is not touched here.
+    for buf in [&mut *row_h, &mut *row_f, &mut *spare_h, &mut *spare_f] {
+        if buf.len() < n + 1 {
+            buf.resize(n + 1, NEG_INF);
         }
     }
-    xd.dir_rows.push((0, 0, xd.dir_flat.len()));
-    let mut row = Row {
-        lo: 0,
-        h: row_h,
-        f: row_f,
-    };
+
+    // Row 0: leading gap in `a`.
+    dir_flat.resize(n + 1, 0);
+    row_h[0] = 0;
+    row_f[0] = NEG_INF;
+    let (mut lo, mut hi) = (0usize, 1usize);
+    for j in 1..=n {
+        let h = -gap.open - (j as i32 - 1) * gap.ext;
+        if h < front.best - front.xdrop {
+            break;
+        }
+        row_h[j] = h;
+        row_f[j] = NEG_INF;
+        dir_flat[j] = H_FROM_E | if j > 1 { E_EXTEND } else { 0 };
+        front.saw_live(h, (0, j));
+        hi = j + 1;
+    }
+    dir_flat.truncate(hi);
+    dir_rows.push((0, 0, hi));
 
     for i in 1..=m {
-        let prev = row;
-        // The row can start one left of the previous window (F/diag reach)
-        // and extend right indefinitely through E runs.
-        let start = prev.lo;
-        let mut lo = usize::MAX;
-        let mut h_new = spare_h;
-        h_new.clear();
-        h_new.reserve(prev.h.len() + 2);
-        let mut f_new = spare_f;
-        f_new.clear();
-        f_new.reserve(prev.h.len() + 2);
-        let dir_start = xd.dir_flat.len();
-        let mut e = NEG_INF;
-        let prev_hi = prev.lo + prev.h.len(); // exclusive
-        let mut j = start;
-        while j <= n {
+        let (plo, phi) = (lo, hi);
+        let (ph, pf) = (&row_h[plo..phi], &row_f[plo..phi]);
+        let (ch, cf) = (&mut spare_h[..=n], &mut spare_f[..=n]);
+        let scores = &params.matrix.scores[a[i - 1] as usize];
+        let dir_start = dir_flat.len();
+        dir_flat.resize(dir_start + n + 1 - plo, 0);
+
+        // Phase 1: pre-open scan over [plo, min(phi, n)].
+        let mut j = plo;
+        let first = loop {
+            if j > phi.min(n) {
+                break None;
+            }
             cells += 1;
-            // E from the left neighbour of this row.
-            let (h_left, e_left) = if j == 0 || lo == usize::MAX || j - 1 < lo {
-                (NEG_INF, NEG_INF)
+            let up = if j < phi {
+                (ph[j - plo], pf[j - plo])
             } else {
-                (h_new[j - 1 - lo], e)
+                CLOSED
             };
-            let mut dir = 0u8;
-            let e_open = h_left.saturating_sub(open);
-            let e_ext = e_left.saturating_sub(ext);
-            e = if e_ext > e_open {
-                dir |= E_EXTEND;
-                e_ext
-            } else {
-                e_open
-            };
-            // F from the previous row, same column.
-            let f_open = prev.h_at(j).saturating_sub(open);
-            let f_ext = prev.f_at(j).saturating_sub(ext);
-            let f = if f_ext > f_open {
-                dir |= F_EXTEND;
-                f_ext
-            } else {
-                f_open
-            };
-            // Diagonal.
-            let diag = if j >= 1 {
-                let d = prev.h_at(j - 1);
-                if d <= NEG_INF / 2 {
-                    NEG_INF
-                } else {
-                    d + params.matrix.score(a[i - 1], b[j - 1])
-                }
+            let diag = if j > plo {
+                diag_from(ph[j - 1 - plo], scores[b[j - 1] as usize])
             } else {
                 NEG_INF
             };
-            let mut h = NEG_INF;
-            let mut src = 0u8;
-            if diag > h {
-                h = diag;
-                src = H_DIAG;
-            }
-            if e > h {
-                h = e;
-                src = H_FROM_E;
-            }
-            if f > h {
-                h = f;
-                src = H_FROM_F;
-            }
-            let live = h >= best - x && h > NEG_INF / 2;
-            if live {
-                if lo == usize::MAX {
-                    lo = j;
-                }
-                h_new.push(h);
-                f_new.push(f);
-                xd.dir_flat.push(dir | src);
-                if h > best {
-                    best = h;
-                    best_pos = (i, j);
-                }
-            } else if lo != usize::MAX {
-                // Window already open: a dead cell ends it once we are past
-                // the reach of the previous row (no F/diag can revive us and
-                // E is dead too).
-                if j >= prev_hi && e < best - x {
-                    break;
-                }
-                h_new.push(NEG_INF);
-                f_new.push(NEG_INF);
-                xd.dir_flat.push(0);
-            } else if j >= prev_hi {
-                // Never opened and nothing can open it any more.
-                break;
+            let c = cell(gap, CLOSED, up, diag);
+            if front.is_live(c.h) {
+                break Some(c);
             }
             j += 1;
-        }
-        if lo == usize::MAX {
-            // Row fully dead — extension terminated. No traceback bytes
-            // were pushed for this row.
-            spare_h = h_new;
-            spare_f = f_new;
-            row = prev;
-            break;
-        }
-        // Trim trailing dead cells.
-        while h_new.last() == Some(&NEG_INF) {
-            h_new.pop();
-            f_new.pop();
-            xd.dir_flat.pop();
-        }
-        // Retire the previous row's buffers for reuse.
-        spare_h = prev.h;
-        spare_f = prev.f;
-        row = Row {
-            lo,
-            h: h_new,
-            f: f_new,
         };
-        xd.dir_rows
-            .push((lo, dir_start, xd.dir_flat.len() - dir_start));
-        if row.h.is_empty() {
+        let Some(first) = first else {
+            // Row fully dead — extension terminated, and the row leaves no
+            // traceback bytes.
+            dir_flat.truncate(dir_start);
             break;
+        };
+        lo = j;
+        let dirs = &mut dir_flat[dir_start..]; // indexed by column − lo
+        ch[lo] = first.h;
+        cf[lo] = first.f;
+        dirs[0] = first.dir;
+        front.saw_live(first.h, (i, lo));
+        let (mut h_left, mut e) = (first.h, first.e);
+
+        // Phase 2: open interior, columns lo + 1 .. phi, over equal-length
+        // slices of the previous row.
+        if lo + 1 < phi {
+            let w = phi - (lo + 1);
+            let (up_h, up_f) = (&ph[lo + 1 - plo..][..w], &pf[lo + 1 - plo..][..w]);
+            let (dg, bs) = (&ph[lo - plo..][..w], &b[lo..][..w]);
+            let (out_h, out_f) = (&mut ch[lo + 1..][..w], &mut cf[lo + 1..][..w]);
+            let out_d = &mut dirs[1..][..w];
+            for k in 0..w {
+                let diag = diag_from(dg[k], scores[bs[k] as usize]);
+                let c = cell(gap, (h_left, e), (up_h[k], up_f[k]), diag);
+                e = c.e;
+                let live = front.is_live(c.h);
+                h_left = if live { c.h } else { NEG_INF };
+                out_h[k] = h_left;
+                out_f[k] = if live { c.f } else { NEG_INF };
+                out_d[k] = if live { c.dir } else { 0 };
+                if live {
+                    front.saw_live(c.h, (i, lo + 1 + k));
+                }
+            }
+            cells += w as u64;
         }
+
+        // Phase 3: tail from column phi (or just past a window that
+        // opened there).
+        let tail = phi.max(lo + 1);
+        hi = tail;
+        for j in tail..=n {
+            cells += 1;
+            let diag = if j == phi {
+                diag_from(ph[phi - 1 - plo], scores[b[j - 1] as usize])
+            } else {
+                NEG_INF
+            };
+            let c = cell(gap, (h_left, e), CLOSED, diag);
+            e = c.e;
+            if front.is_live(c.h) {
+                ch[j] = c.h;
+                cf[j] = c.f;
+                dirs[j - lo] = c.dir;
+                h_left = c.h;
+                front.saw_live(c.h, (i, j));
+            } else {
+                // Nothing above can revive the row any more; once E is
+                // below the floor too, nothing to the right can be live.
+                if e < front.best - front.xdrop {
+                    break;
+                }
+                ch[j] = NEG_INF;
+                cf[j] = NEG_INF;
+                dirs[j - lo] = 0;
+                h_left = NEG_INF;
+            }
+            hi = j + 1;
+        }
+        // Trim trailing dead cells (the cell at `lo` is live).
+        while ch[hi - 1] == NEG_INF {
+            hi -= 1;
+        }
+        dir_flat.truncate(dir_start + hi - lo);
+        dir_rows.push((lo, dir_start, hi - lo));
+        std::mem::swap(row_h, spare_h);
+        std::mem::swap(row_f, spare_f);
     }
 
     // The x-drop band is what makes XD cheap: charge only computed cells
@@ -242,7 +336,8 @@ fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch
     pcomm::work::record_class(cells + n as u64 + 1, pcomm::work::CostClass::XdropCell);
     obs::hist!("align.xdrop_cells", cells);
 
-    // Traceback from best_pos.
+    // Traceback from the best cell.
+    let (best, best_pos) = (front.best, front.pos);
     let (mut i, mut j) = best_pos;
     let mut matches = 0u32;
     let mut align_len = 0u32;
@@ -253,9 +348,9 @@ fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch
     }
     let mut state = State::H;
     while i > 0 || j > 0 {
-        let (lo, dir_start, len) = xd.dir_rows[i];
+        let (lo, dir_start, len) = dir_rows[i];
         debug_assert!(j >= lo && j - lo < len, "traceback left the live band");
-        let dir = xd.dir_flat[dir_start + (j - lo)];
+        let dir = dir_flat[dir_start + (j - lo)];
         match state {
             State::H => match dir & H_SRC_MASK {
                 H_DIAG => {
@@ -287,11 +382,6 @@ fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch
         }
     }
 
-    // Return the row buffers to the arena.
-    xd.row_h = row.h;
-    xd.row_f = row.f;
-    xd.spare_h = spare_h;
-    xd.spare_f = spare_f;
     Extension {
         score: best,
         a_end: best_pos.0,
@@ -375,6 +465,370 @@ mod tests {
 
     fn params() -> AlignParams {
         AlignParams::default()
+    }
+
+    /// One row of the banded DP: scores for `[lo, lo+len)`. The backing
+    /// buffers are borrowed from the scratch arena and returned when the
+    /// extension finishes.
+    struct Row {
+        lo: usize,
+        h: Vec<i32>,
+        f: Vec<i32>,
+    }
+
+    impl Row {
+        #[inline]
+        fn h_at(&self, j: usize) -> i32 {
+            if j >= self.lo && j < self.lo + self.h.len() {
+                self.h[j - self.lo]
+            } else {
+                NEG_INF
+            }
+        }
+
+        #[inline]
+        fn f_at(&self, j: usize) -> i32 {
+            if j >= self.lo && j < self.lo + self.f.len() {
+                self.f[j - self.lo]
+            } else {
+                NEG_INF
+            }
+        }
+    }
+
+    /// The kernel as it stood before the three-phase rewrite, kept verbatim
+    /// as the oracle [`three_phase_kernel_equals_reference`] compares against.
+    fn extend_gapped_ref(
+        a: &[u8],
+        b: &[u8],
+        params: &AlignParams,
+        xd: &mut XdropScratch,
+    ) -> Extension {
+        let open = params.gap_open + params.gap_extend;
+        let ext = params.gap_extend;
+        let x = params.xdrop;
+        let (m, n) = (a.len(), b.len());
+
+        let mut best = 0i32;
+        let mut best_pos = (0usize, 0usize);
+        let mut cells: u64 = 0; // work accounting: DP cells actually computed
+
+        // Per-row traceback bytes are concatenated into dir_flat;
+        // dir_rows[i] = (lo, start, len) locates row i's live window.
+        xd.dir_flat.clear();
+        xd.dir_rows.clear();
+
+        // Take the four row buffers out of the arena; every exit path below
+        // returns them, so the arena keeps its capacity across calls.
+        let mut row_h = std::mem::take(&mut xd.row_h);
+        let mut row_f = std::mem::take(&mut xd.row_f);
+        let mut spare_h = std::mem::take(&mut xd.spare_h);
+        let mut spare_f = std::mem::take(&mut xd.spare_f);
+
+        // Row 0: leading gap in `a`.
+        row_h.clear();
+        row_f.clear();
+        row_h.push(0);
+        row_f.push(NEG_INF);
+        xd.dir_flat.push(0u8);
+        for j in 1..=n {
+            let h = -open - (j as i32 - 1) * ext;
+            if h < best - x {
+                break;
+            }
+            row_h.push(h);
+            row_f.push(NEG_INF);
+            xd.dir_flat
+                .push(H_FROM_E | if j > 1 { E_EXTEND } else { 0 });
+            if h > best {
+                best = h;
+                best_pos = (0, j);
+            }
+        }
+        xd.dir_rows.push((0, 0, xd.dir_flat.len()));
+        let mut row = Row {
+            lo: 0,
+            h: row_h,
+            f: row_f,
+        };
+
+        for i in 1..=m {
+            let prev = row;
+            // The row starts *at* the previous window's `lo` (diag and F reach
+            // no further left) and extends right indefinitely through E runs.
+            let start = prev.lo;
+            let mut lo = usize::MAX;
+            let mut h_new = spare_h;
+            h_new.clear();
+            h_new.reserve(prev.h.len() + 2);
+            let mut f_new = spare_f;
+            f_new.clear();
+            f_new.reserve(prev.h.len() + 2);
+            let dir_start = xd.dir_flat.len();
+            let mut e = NEG_INF;
+            let prev_hi = prev.lo + prev.h.len(); // exclusive
+            let mut j = start;
+            while j <= n {
+                cells += 1;
+                // E from the left neighbour of this row.
+                let (h_left, e_left) = if j == 0 || lo == usize::MAX || j - 1 < lo {
+                    (NEG_INF, NEG_INF)
+                } else {
+                    (h_new[j - 1 - lo], e)
+                };
+                let mut dir = 0u8;
+                let e_open = h_left.saturating_sub(open);
+                let e_ext = e_left.saturating_sub(ext);
+                e = if e_ext > e_open {
+                    dir |= E_EXTEND;
+                    e_ext
+                } else {
+                    e_open
+                };
+                // F from the previous row, same column.
+                let f_open = prev.h_at(j).saturating_sub(open);
+                let f_ext = prev.f_at(j).saturating_sub(ext);
+                let f = if f_ext > f_open {
+                    dir |= F_EXTEND;
+                    f_ext
+                } else {
+                    f_open
+                };
+                // Diagonal.
+                let diag = if j >= 1 {
+                    let d = prev.h_at(j - 1);
+                    if d <= NEG_INF / 2 {
+                        NEG_INF
+                    } else {
+                        d + params.matrix.score(a[i - 1], b[j - 1])
+                    }
+                } else {
+                    NEG_INF
+                };
+                let mut h = NEG_INF;
+                let mut src = 0u8;
+                if diag > h {
+                    h = diag;
+                    src = H_DIAG;
+                }
+                if e > h {
+                    h = e;
+                    src = H_FROM_E;
+                }
+                if f > h {
+                    h = f;
+                    src = H_FROM_F;
+                }
+                let live = h >= best - x && h > NEG_INF / 2;
+                if live {
+                    if lo == usize::MAX {
+                        lo = j;
+                    }
+                    h_new.push(h);
+                    f_new.push(f);
+                    xd.dir_flat.push(dir | src);
+                    if h > best {
+                        best = h;
+                        best_pos = (i, j);
+                    }
+                } else if lo != usize::MAX {
+                    // Window already open: a dead cell ends it once we are past
+                    // the reach of the previous row (no F/diag can revive us and
+                    // E is dead too).
+                    if j >= prev_hi && e < best - x {
+                        break;
+                    }
+                    h_new.push(NEG_INF);
+                    f_new.push(NEG_INF);
+                    xd.dir_flat.push(0);
+                } else if j >= prev_hi {
+                    // Never opened and nothing can open it any more.
+                    break;
+                }
+                j += 1;
+            }
+            if lo == usize::MAX {
+                // Row fully dead — extension terminated. No traceback bytes
+                // were pushed for this row.
+                spare_h = h_new;
+                spare_f = f_new;
+                row = prev;
+                break;
+            }
+            // Trim trailing dead cells.
+            while h_new.last() == Some(&NEG_INF) {
+                h_new.pop();
+                f_new.pop();
+                xd.dir_flat.pop();
+            }
+            // Retire the previous row's buffers for reuse.
+            spare_h = prev.h;
+            spare_f = prev.f;
+            row = Row {
+                lo,
+                h: h_new,
+                f: f_new,
+            };
+            xd.dir_rows
+                .push((lo, dir_start, xd.dir_flat.len() - dir_start));
+            if row.h.is_empty() {
+                break;
+            }
+        }
+
+        // The x-drop band is what makes XD cheap: charge only computed cells
+        // (the banded bookkeeping costs a little over plain SW).
+        pcomm::work::record_class(cells + n as u64 + 1, pcomm::work::CostClass::XdropCell);
+        obs::hist!("align.xdrop_cells", cells);
+
+        // Traceback from best_pos.
+        let (mut i, mut j) = best_pos;
+        let mut matches = 0u32;
+        let mut align_len = 0u32;
+        enum State {
+            H,
+            E,
+            F,
+        }
+        let mut state = State::H;
+        while i > 0 || j > 0 {
+            let (lo, dir_start, len) = xd.dir_rows[i];
+            debug_assert!(j >= lo && j - lo < len, "traceback left the live band");
+            let dir = xd.dir_flat[dir_start + (j - lo)];
+            match state {
+                State::H => match dir & H_SRC_MASK {
+                    H_DIAG => {
+                        align_len += 1;
+                        if a[i - 1] == b[j - 1] {
+                            matches += 1;
+                        }
+                        i -= 1;
+                        j -= 1;
+                    }
+                    H_FROM_E => state = State::E,
+                    H_FROM_F => state = State::F,
+                    _ => unreachable!("dead cell on the optimal path"),
+                },
+                State::E => {
+                    align_len += 1;
+                    if dir & E_EXTEND == 0 {
+                        state = State::H;
+                    }
+                    j -= 1;
+                }
+                State::F => {
+                    align_len += 1;
+                    if dir & F_EXTEND == 0 {
+                        state = State::H;
+                    }
+                    i -= 1;
+                }
+            }
+        }
+
+        // Return the row buffers to the arena.
+        xd.row_h = row.h;
+        xd.row_f = row.f;
+        xd.spare_h = spare_h;
+        xd.spare_f = spare_f;
+        Extension {
+            score: best,
+            a_end: best_pos.0,
+            b_end: best_pos.1,
+            matches,
+            align_len,
+        }
+    }
+
+    /// A mutated copy of `a`: per-residue substitution, deletion and
+    /// insertion at `rate` each.
+    fn mutate(rng: &mut rand::rngs::StdRng, a: &[u8], sigma: u8, rate: f64) -> Vec<u8> {
+        use rand::prelude::*;
+        let mut out = Vec::with_capacity(a.len() + 8);
+        for &x in a {
+            let roll: f64 = rng.random();
+            if roll < rate {
+                continue; // deletion
+            }
+            if roll < 2.0 * rate {
+                out.push(rng.random_range(0..sigma)); // insertion
+            }
+            out.push(if roll < 3.0 * rate {
+                rng.random_range(0..sigma)
+            } else {
+                x
+            });
+        }
+        out
+    }
+
+    /// `f`'s result and what it charged this thread's work ledger.
+    fn charged<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = pcomm::work::counter_milli_ns();
+        let out = f();
+        (out, pcomm::work::counter_milli_ns() - before)
+    }
+
+    #[test]
+    fn three_phase_kernel_equals_reference() {
+        use pcomm::work::CostClass;
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x7d70);
+        // One arena per kernel for the whole run: the rewrite never clears
+        // its row buffers, so stale contents from earlier shapes must not
+        // leak into later extensions.
+        let (mut xd_new, mut xd_ref) = (XdropScratch::default(), XdropScratch::default());
+        let mut extensions = 0usize;
+        let mut opened_past_prev_hi = 0usize;
+        for xdrop in [0, 1, 5, 12, 20, 49, 100] {
+            for (gap_open, gap_extend) in [(11, 1), (2, 2), (0, 1)] {
+                let p = AlignParams {
+                    gap_open,
+                    gap_extend,
+                    xdrop,
+                    ..AlignParams::default()
+                };
+                for case in 0..960 {
+                    let sigma = if case % 2 == 0 { 24u8 } else { 4 };
+                    let len = match case % 16 {
+                        0 => 0,
+                        1 => 1,
+                        _ => rng.random_range(2..90),
+                    };
+                    let a: Vec<u8> = (0..len).map(|_| rng.random_range(0..sigma)).collect();
+                    let b: Vec<u8> = match case % 4 {
+                        // Unrelated, independent length (incl. 0 and 1).
+                        0 => {
+                            let n = [0, 1, 40, 89][rng.random_range(0..4)];
+                            (0..n).map(|_| rng.random_range(0..sigma)).collect()
+                        }
+                        1 => mutate(&mut rng, &a, sigma, 0.03),
+                        2 => mutate(&mut rng, &a, sigma, 0.10),
+                        _ => a.clone(),
+                    };
+                    let (got, got_work) = charged(|| extend_gapped(&a, &b, &p, &mut xd_new));
+                    let (want, want_work) = charged(|| extend_gapped_ref(&a, &b, &p, &mut xd_ref));
+                    let ctx =
+                        || format!("xdrop {xdrop} gaps ({gap_open},{gap_extend}) case {case}");
+                    assert_eq!(got, want, "{}", ctx());
+                    // cells + n + 1 operations of one class each side.
+                    assert_eq!(got_work, want_work, "computed cells, {}", ctx());
+                    assert_eq!(want_work % CostClass::XdropCell.milli_ns(), 0);
+                    assert_eq!(xd_new.dir_rows, xd_ref.dir_rows, "{}", ctx());
+                    assert_eq!(xd_new.dir_flat, xd_ref.dir_flat, "{}", ctx());
+                    extensions += 1;
+                    opened_past_prev_hi += xd_ref
+                        .dir_rows
+                        .windows(2)
+                        .filter(|w| w[1].0 == w[0].0 + w[0].2)
+                        .count();
+                }
+            }
+        }
+        assert!(extensions >= 20_000);
+        // The rarest path — a window that opens exactly at the previous
+        // row's end — must have been exercised.
+        assert!(opened_past_prev_hi > 0);
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //! - `striped`: [`align::striped_align`] (full traceback, bit-identical)
 //! - `striped_score`: [`align::striped_score`] (score + end cell only —
 //!   what score-threshold prefilters would use)
+//! - `xdrop`: [`align::xdrop_align`] from one seed per pair (the first
+//!   shared 6-mer, else mid-sequence), in *computed* cells per second —
+//!   the cell count is the `align.xdrop_cells` histogram sum, not `m·n`.
+//!   `xdrop_vs_scalar` divides that by the scalar engine's cells/s on the
+//!   same pairs: what one banded cell costs relative to one full-DP cell.
 //!
 //! A `cascade` section measures the prefilter-cascade tiers on workloads
 //! built to exercise them:
@@ -30,7 +35,7 @@ use std::fmt::Write as _;
 
 use align::{
     bitpack_bound, bitpack_gate, simd_level, smith_waterman, striped_align, striped_score,
-    striped_score_at_level, AlignParams, GateVerdict, SimdLevel,
+    striped_score_at_level, xdrop_align, AlignParams, GateVerdict, SimdLevel,
 };
 use datagen::random_protein;
 use rand::prelude::*;
@@ -90,6 +95,19 @@ fn families(scale: f64) -> Vec<Family> {
     out
 }
 
+/// Seed length of the x-drop rows.
+const SEED_K: usize = 6;
+
+/// Where the x-drop rows anchor a pair: the first 6-mer the two share at
+/// the same offset (the families mutate by substitution only), else the
+/// middle of the shorter sequence.
+fn seed_pos(a: &[u8], b: &[u8]) -> u32 {
+    let span = a.len().min(b.len()) - SEED_K;
+    (0..=span)
+        .find(|&i| a[i..i + SEED_K] == b[i..i + SEED_K])
+        .unwrap_or(span / 2) as u32
+}
+
 /// Best-of-`reps` wall-clock seconds for `f` over the whole batch.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
@@ -108,6 +126,9 @@ struct Row {
     scalar_cups: f64,
     striped_cups: f64,
     striped_score_cups: f64,
+    /// Cells the x-drop band actually computed over the family.
+    xdrop_cells: u64,
+    xdrop_cups: f64,
 }
 
 fn main() {
@@ -122,8 +143,16 @@ fn main() {
     let mut rows = Vec::new();
     println!("== alignment engine throughput (cells/sec) ==");
     println!(
-        "{:<18}{:>7}{:>14}{:>14}{:>14}{:>16}{:>9}",
-        "family", "pairs", "cells", "scalar", "striped", "striped_score", "speedup"
+        "{:<18}{:>7}{:>14}{:>14}{:>14}{:>16}{:>9}{:>14}{:>11}",
+        "family",
+        "pairs",
+        "cells",
+        "scalar",
+        "striped",
+        "striped_score",
+        "speedup",
+        "xdrop",
+        "vs_scalar"
     );
     for fam in families(scale) {
         let cells: u64 = fam
@@ -160,6 +189,20 @@ fn main() {
                 .map(|(a, b)| striped_score(a, b, &p).0 as i64)
                 .sum::<i64>()
         });
+        // X-drop from one seed per pair. One untimed pass under a recorder
+        // reads the computed-cell count the kernel itself reports.
+        let seeds: Vec<u32> = fam.pairs.iter().map(|(a, b)| seed_pos(a, b)).collect();
+        let run_xdrop = || {
+            fam.pairs
+                .iter()
+                .zip(&seeds)
+                .map(|((a, b), &pos)| xdrop_align(a, b, pos, pos, SEED_K, &p).score as i64)
+                .sum::<i64>()
+        };
+        let rec = obs::Recorder::install(0);
+        std::hint::black_box(run_xdrop());
+        let xdrop_cells = rec.finish().metrics.hists["align.xdrop_cells"].sum;
+        let t_xdrop = time_best(reps, run_xdrop);
         let row = Row {
             name: fam.name,
             pairs: fam.pairs.len(),
@@ -167,16 +210,20 @@ fn main() {
             scalar_cups: cells as f64 / t_scalar,
             striped_cups: cells as f64 / t_striped,
             striped_score_cups: cells as f64 / t_score,
+            xdrop_cells,
+            xdrop_cups: xdrop_cells as f64 / t_xdrop,
         };
         println!(
-            "{:<18}{:>7}{:>14}{:>14.3e}{:>14.3e}{:>16.3e}{:>8.2}x",
+            "{:<18}{:>7}{:>14}{:>14.3e}{:>14.3e}{:>16.3e}{:>8.2}x{:>14.3e}{:>10.2}x",
             row.name,
             row.pairs,
             row.cells,
             row.scalar_cups,
             row.striped_cups,
             row.striped_score_cups,
-            row.striped_cups / row.scalar_cups
+            row.striped_cups / row.scalar_cups,
+            row.xdrop_cups,
+            row.xdrop_cups / row.scalar_cups
         );
         rows.push(row);
     }
@@ -192,10 +239,17 @@ fn main() {
         agg(|r| r.striped_cups),
         agg(|r| r.striped_score_cups),
     );
+    // X-drop aggregates over its own (computed) cell counts.
+    let xdrop = rows.iter().map(|r| r.xdrop_cells as f64).sum::<f64>()
+        / rows
+            .iter()
+            .map(|r| r.xdrop_cells as f64 / r.xdrop_cups)
+            .sum::<f64>();
     println!(
-        "\naggregate: scalar {scalar:.3e}  striped {striped:.3e} ({:.2}x)  striped_score {score:.3e} ({:.2}x)",
+        "\naggregate: scalar {scalar:.3e}  striped {striped:.3e} ({:.2}x)  striped_score {score:.3e} ({:.2}x)  xdrop {xdrop:.3e} ({:.2}x)",
         striped / scalar,
-        score / scalar
+        score / scalar,
+        xdrop / scalar
     );
 
     // ---- prefilter cascade tiers ----
@@ -333,7 +387,7 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"pairs\": {}, \"cells\": {}, \"scalar\": {:.1}, \"striped\": {:.1}, \"striped_score\": {:.1}, \"speedup_striped\": {:.3}, \"speedup_striped_score\": {:.3}}}{}",
+            "    {{\"name\": \"{}\", \"pairs\": {}, \"cells\": {}, \"scalar\": {:.1}, \"striped\": {:.1}, \"striped_score\": {:.1}, \"speedup_striped\": {:.3}, \"speedup_striped_score\": {:.3}, \"xdrop_cells\": {}, \"xdrop\": {:.1}, \"xdrop_vs_scalar\": {:.3}}}{}",
             r.name,
             r.pairs,
             r.cells,
@@ -342,14 +396,18 @@ fn main() {
             r.striped_score_cups,
             r.striped_cups / r.scalar_cups,
             r.striped_score_cups / r.scalar_cups,
+            r.xdrop_cells,
+            r.xdrop_cups,
+            r.xdrop_cups / r.scalar_cups,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
     let _ = write!(
         json,
-        "  ],\n  \"aggregate\": {{\"scalar\": {scalar:.1}, \"striped\": {striped:.1}, \"striped_score\": {score:.1}, \"speedup_striped\": {:.3}, \"speedup_striped_score\": {:.3}}},\n",
+        "  ],\n  \"aggregate\": {{\"scalar\": {scalar:.1}, \"striped\": {striped:.1}, \"striped_score\": {score:.1}, \"speedup_striped\": {:.3}, \"speedup_striped_score\": {:.3}, \"xdrop\": {xdrop:.1}, \"xdrop_vs_scalar\": {:.3}}},\n",
         striped / scalar,
-        score / scalar
+        score / scalar,
+        xdrop / scalar
     );
     let _ = writeln!(
         json,

@@ -170,6 +170,16 @@ pub const CHECKS: &[Check] = &[
         direction: Direction::AtLeast,
         tolerance: 1.25,
     },
+    // X-drop's cost per computed cell against scalar Smith–Waterman's per
+    // full-DP cell on the same pairs — a ratio of two scalar kernels, so
+    // host-independent. 0.4 before the three-phase kernel (DESIGN.md §7),
+    // 0.75–0.85 after; the floor sits between.
+    Check {
+        file: "BENCH_align.json",
+        path: &["aggregate", "xdrop_vs_scalar"],
+        direction: Direction::AtLeast,
+        tolerance: 0.55,
+    },
     // The span-shrunk traceback throughput regresses like any other
     // engine metric.
     Check {
@@ -348,7 +358,13 @@ pub fn validate(file: &str, doc: &JsonValue) -> Result<(), String> {
     match file {
         "BENCH_align.json" => {
             expect_bench("align_engines")?;
-            for key in ["scalar", "striped", "striped_score"] {
+            for key in [
+                "scalar",
+                "striped",
+                "striped_score",
+                "xdrop",
+                "xdrop_vs_scalar",
+            ] {
                 expect_num(&["aggregate", key])?;
                 if lookup(doc, &["aggregate", key]).unwrap_or(0.0) <= 0.0 {
                     return Err(format!("{file}: aggregate.{key} must be positive"));
@@ -396,12 +412,14 @@ mod tests {
 
     fn align_doc(scalar: f64) -> JsonValue {
         JsonValue::parse(&format!(
-            "{{\"bench\":\"align_engines\",\"aggregate\":{{\"scalar\":{scalar},\"striped\":{},\"striped_score\":{}}},\
+            "{{\"bench\":\"align_engines\",\"aggregate\":{{\"scalar\":{scalar},\"striped\":{},\"striped_score\":{},\
+             \"xdrop\":{},\"xdrop_vs_scalar\":0.8}},\
              \"cascade\":{{\"bitpack_gate\":{{\"vs_striped_score\":4.5}},\
              \"striped_avx2\":{{\"slp\":{},\"vs_slp\":1.55}},\
              \"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
             scalar * 4.0,
             scalar * 5.0,
+            scalar * 0.8,
             scalar * 3.0,
             scalar * 6.0
         ))
@@ -417,7 +435,7 @@ mod tests {
             &[("BENCH_align.json", align_doc(0.95e9))],
         );
         assert!(ok, "{out:?}");
-        assert_eq!(out.len(), 6);
+        assert_eq!(out.len(), 7);
         // 25% slowdown: the injected synthetic regression must fail every
         // relative check (the fixed cascade ratios still clear their
         // floors — floors compare against the spec, not the baseline).

@@ -28,4 +28,4 @@ pub use dcsc::Dcsc;
 pub use dist::{DistMat, SummaStream};
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};
 pub use semiring::{ArithmeticSemiring, MaxPlusSemiring, OrAndSemiring, Semiring};
-pub use triple::{sort_dedup_triples, Triple};
+pub use triple::Triple;

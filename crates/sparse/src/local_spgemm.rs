@@ -38,16 +38,22 @@ pub fn local_spgemm<SR: Semiring>(
     let mut out: Vec<(u32, u64, SR::C)> = Vec::new();
     let mut hash_acc: HashAccumulator<SR::C> = HashAccumulator::with_capacity(64);
     let mut pairs: Vec<(u32, SR::C)> = Vec::new();
+    // Every nonzero of `b` probes `a`'s column directory once; the bucket
+    // index answers in O(1) where a binary search of `jc` pays a cache
+    // miss per level.
+    let directory = ColDirectory::new(a.cols());
+    let mut lists: Vec<ColList<'_, SR>> = Vec::new();
 
     for bj in 0..b.nzc() {
         let jcol = b.cols()[bj];
         let (brows, bvals) = b.col_by_index(bj);
         // Gather the contributing A columns (those whose id matches a
         // nonzero row of B's column) and the column's flop estimate.
-        let mut lists: Vec<ColList<'_, SR>> = Vec::with_capacity(brows.len());
+        lists.clear();
         let mut flops = 0usize;
         for (&t, bv) in brows.iter().zip(bvals.iter()) {
-            if let Some((arows, avals)) = a.col(t as u64) {
+            if let Some(ai) = directory.find(t as u64) {
+                let (arows, avals) = a.col_by_index(ai);
                 flops += arows.len();
                 lists.push((arows, avals, bv));
             }
@@ -90,6 +96,67 @@ pub fn local_spgemm<SR: Semiring>(
     // accumulator high-water mark.
     obs::alloc::probe("mem.watermark.sparse.accum", &hash_acc);
     out
+}
+
+/// Bucket index over a DCSC block's sorted non-empty column ids — the AUX
+/// array of Buluç & Gilbert 2008: `starts[b]..starts[b + 1]` bounds the
+/// positions in `cols` whose `id >> shift == b`. The shift is the smallest
+/// that leaves at most one bucket per four columns (so between four and
+/// eight columns a bucket on evenly spread ids), which makes the
+/// directory at most `nzc` bytes beside a `jc` of `8·nzc`. It is built by
+/// one counting pass and a prefix sum, lives for one multiply and is
+/// never serialized. The build is O(nzc) per call; every caller has
+/// already spent O(nnz) materialising the operand it indexes.
+struct ColDirectory<'a> {
+    cols: &'a [u64],
+    shift: u32,
+    starts: Vec<u32>,
+}
+
+impl<'a> ColDirectory<'a> {
+    fn new(cols: &'a [u64]) -> Self {
+        let Some(&top) = cols.last() else {
+            return ColDirectory {
+                cols,
+                shift: 0,
+                starts: vec![0],
+            };
+        };
+        let nzc = u32::try_from(cols.len()).expect("fewer than 2^32 non-empty columns per block");
+        // Smallest shift that leaves at most `nzc / 4` buckets.
+        let max_buckets = u64::from(nzc / 4).max(1);
+        let mut shift = 0;
+        while shift < u64::BITS - 1 && (top >> shift) >= max_buckets {
+            shift += 1;
+        }
+        let mut starts = vec![0u32; (top >> shift) as usize + 2];
+        for &c in cols {
+            starts[(c >> shift) as usize + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        ColDirectory {
+            cols,
+            shift,
+            starts,
+        }
+    }
+
+    /// Position of column id `c` in `cols`; equals
+    /// `cols.binary_search(&c).ok()`.
+    #[inline]
+    fn find(&self, c: u64) -> Option<usize> {
+        let b = c >> self.shift;
+        if b >= self.starts.len() as u64 - 1 {
+            return None;
+        }
+        let (s, e) = (
+            self.starts[b as usize] as usize,
+            self.starts[b as usize + 1] as usize,
+        );
+        self.cols[s..e].binary_search(&c).ok().map(|i| s + i)
+    }
 }
 
 /// One contributing A column: its rows, values, and the B scalar.
@@ -220,6 +287,109 @@ mod tests {
                 let got = local_spgemm(&a, &b, &ArithmeticSemiring, s);
                 assert_eq!(got, want, "trial {trial} strategy {s:?}");
             }
+        }
+    }
+
+    /// Every probe in and around `cols` must answer as the binary search
+    /// of the whole directory it replaces.
+    fn assert_directory_matches(cols: &[u64], ncols: u64) {
+        let dir = ColDirectory::new(cols);
+        let mut probes = vec![0, 1, ncols - 1, ncols, ncols + 1, u64::MAX];
+        for &c in cols {
+            probes.extend([c.saturating_sub(1), c, c + 1]);
+        }
+        for c in probes {
+            assert_eq!(
+                dir.find(c),
+                cols.binary_search(&c).ok(),
+                "probe {c} in {} columns of {ncols}",
+                cols.len()
+            );
+        }
+    }
+
+    #[test]
+    fn directory_lookup_equals_binary_search() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(2008);
+        let kmer_space = 24u64.pow(13);
+        for ncols in [1, 2, 5, 64, 1000, 24u64.pow(6), kmer_space] {
+            assert_directory_matches(&[], ncols);
+            assert_directory_matches(&[0], ncols);
+            assert_directory_matches(&[ncols - 1], ncols);
+            if ncols > 1 {
+                assert_directory_matches(&[0, ncols - 1], ncols);
+            }
+            for _ in 0..40 {
+                // Evenly spread, clustered at one end, or one dense run.
+                let nzc = rng.random_range(1..400usize);
+                let span = match rng.random_range(0..3) {
+                    0 => ncols,
+                    1 => ncols.min(1 + nzc as u64 * 3),
+                    _ => ncols.min(1 + rng.random_range(0..1 << 20)),
+                };
+                let base = rng.random_range(0..=ncols - span);
+                let mut cols: Vec<u64> =
+                    (0..nzc).map(|_| base + rng.random_range(0..span)).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                assert_directory_matches(&cols, ncols);
+            }
+        }
+        // Every column present: buckets are dense runs.
+        assert_directory_matches(&(0..1000).collect::<Vec<u64>>(), 1000);
+    }
+
+    #[test]
+    fn hypersparse_operand_agrees_and_keeps_flop_count() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(44);
+        // A: 40 rows over a 60 000-column inner space with 12 000 singleton
+        // columns (a k-mer seen once) and a few hundred shared ones.
+        let (m, k, n) = (40usize, 60_000usize, 30usize);
+        let mut at: Vec<(u32, u64, f64)> = (0..12_000u64)
+            .map(|i| (rng.random_range(0..m) as u32, 5 * i, 1.0))
+            .collect();
+        for _ in 0..300 {
+            let c = 5 * rng.random_range(0..12_000u64) + 1;
+            for _ in 0..rng.random_range(2..6) {
+                at.push((rng.random_range(0..m) as u32, c, 2.0));
+            }
+        }
+        let a = dcsc(m, k as u64, at);
+        let singletons = (0..a.nzc())
+            .filter(|&i| a.col_by_index(i).0.len() == 1)
+            .count();
+        assert!(singletons >= 10_000, "{singletons} singleton columns");
+        // B probes hits and misses alike.
+        let bt: Vec<(u32, u64, f64)> = (0..20_000)
+            .map(|_| {
+                (
+                    rng.random_range(0..k) as u32,
+                    rng.random_range(0..n) as u64,
+                    rng.random_range(1..4) as f64,
+                )
+            })
+            .collect();
+        let b = dcsc(k, n as u64, bt);
+        let want = dense_mul(&a, &b);
+        // One flop per A entry a B nonzero meets, counted through the
+        // binary-search lookup the directory replaced.
+        let want_flops: u64 = b
+            .iter()
+            .filter_map(|(t, _, _)| a.col(t as u64))
+            .map(|(arows, _)| arows.len() as u64)
+            .sum();
+        for s in [
+            SpGemmStrategy::Hash,
+            SpGemmStrategy::Heap,
+            SpGemmStrategy::Hybrid,
+        ] {
+            let rec = obs::Recorder::install(0);
+            let got = local_spgemm(&a, &b, &ArithmeticSemiring, s);
+            let flops = rec.finish().metrics.hists["spgemm.col_flops"].sum;
+            assert_eq!(got, want, "strategy {s:?}");
+            assert_eq!(flops, want_flops, "strategy {s:?}");
         }
     }
 

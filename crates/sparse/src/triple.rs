@@ -1,49 +1,4 @@
-//! COO triples and utilities shared by the matrix builders.
+//! COO triples shared by the matrix builders.
 
 /// A coordinate-format nonzero with global indices.
 pub type Triple<V> = (u64, u64, V);
-
-/// Sort triples by `(col, row)` and combine duplicates with `add`.
-///
-/// This is the canonicalization step every matrix construction funnels
-/// through; the combine order for duplicates is their order in the sorted
-/// input, which is deterministic for deterministic inputs.
-pub fn sort_dedup_triples<V>(
-    mut triples: Vec<Triple<V>>,
-    add: impl Fn(&mut V, V),
-) -> Vec<Triple<V>> {
-    triples.sort_by_key(|&(r, c, _)| (c, r));
-    let mut out: Vec<Triple<V>> = Vec::with_capacity(triples.len());
-    for (r, c, v) in triples {
-        match out.last_mut() {
-            Some(&mut (lr, lc, ref mut lv)) if lr == r && lc == c => add(lv, v),
-            _ => out.push((r, c, v)),
-        }
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sorts_col_major() {
-        let t = vec![(1, 2, 1.0), (0, 1, 2.0), (5, 0, 3.0)];
-        let s = sort_dedup_triples(t, |a, b| *a += b);
-        assert_eq!(s, vec![(5, 0, 3.0), (0, 1, 2.0), (1, 2, 1.0)]);
-    }
-
-    #[test]
-    fn combines_duplicates_in_order() {
-        let t = vec![(0, 0, vec![1]), (0, 0, vec![2]), (0, 0, vec![3])];
-        let s = sort_dedup_triples(t, |a, mut b| a.append(&mut b));
-        assert_eq!(s, vec![(0, 0, vec![1, 2, 3])]);
-    }
-
-    #[test]
-    fn empty_input() {
-        let s = sort_dedup_triples(Vec::<Triple<u32>>::new(), |a, b| *a += b);
-        assert!(s.is_empty());
-    }
-}

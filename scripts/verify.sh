@@ -66,6 +66,17 @@ cargo run --release -q -p pastis --bin pastis -- \
     --mem-budget 96k --ckpt-dir "$ooc_tmp/ckpt"
 cmp "$ooc_tmp/mono.tsv" "$ooc_tmp/ooc.tsv" || { echo "verify: resumed out-of-core output diverged"; exit 1; }
 rm -rf "$ooc_tmp"
+# Frozen-benchmark lane: `benchmark/` is a package of its own that the
+# workspace build never compiles, and it is what judges every PR. Build
+# it against this tree, run its unit tests (BENCHMARK.json == its tables,
+# rusage accounting, PSG checker), then run the whole suite once — all six
+# workloads, timed and traced — which exits non-zero on any failed check
+# (PSG references, replay == binary == in-process pipeline, replay counts
+# == pipeline counters). `crates/pastis/tests/harness_contract.rs` is the
+# debug-build mirror of the same contract inside `cargo test`.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --seed 7 --seconds 1
 cargo clippy --all-targets -- -D warnings
 # Workspace lint gates: SAFETY comments on unsafe, thread-spawn confinement,
 # Instant::now confinement, cost-literal confinement, allocator confinement.
