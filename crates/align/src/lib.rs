@@ -119,44 +119,16 @@ pub enum PrefilterOutcome {
 }
 
 /// Score-gated local alignment: run the traceback only when the optimal
-/// score reaches `min_score`, returning `None` for culled pairs (the
-/// MMseqs2-style prefilter-then-align staging). Culls cascade through two
-/// tiers: the Myers-bitpacked gate ([`bitpack_gate`]) rejects pairs whose
-/// score *upper bound* provably misses `min_score` without running any
-/// exact DP, and survivors fall through to the exact tier (on the striped
-/// engine the cull decision then costs only the O(m)-memory score pass;
-/// the scalar engine has no score-only mode, so it culls after the full
-/// DP). For surviving pairs the stats are bit-identical to
+/// score reaches `min_score` (the MMseqs2-style prefilter-then-align
+/// staging), reporting *which* cascade tier decided the pair (the pipeline
+/// surfaces these as the `prefilter.*` counter family). Culls cascade
+/// through two tiers: the Myers-bitpacked gate ([`bitpack_gate`]) rejects
+/// pairs whose score *upper bound* provably misses `min_score` without
+/// running any exact DP, and survivors fall through to the exact tier (on
+/// the striped engine the cull decision then costs only the O(m)-memory
+/// score pass; the scalar engine has no score-only mode, so it culls after
+/// the full DP). For surviving pairs the stats are bit-identical to
 /// [`local_align`].
-pub fn prefiltered_align(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    min_score: i32,
-) -> Option<AlignStats> {
-    match prefiltered_align_outcome(r, c, params, min_score) {
-        PrefilterOutcome::Passed(stats) => Some(stats),
-        _ => None,
-    }
-}
-
-/// [`prefiltered_align`] with an explicit scratch arena.
-pub fn prefiltered_align_with(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    min_score: i32,
-    scratch: &mut AlignScratch,
-) -> Option<AlignStats> {
-    match prefiltered_align_outcome_with(r, c, params, min_score, scratch) {
-        PrefilterOutcome::Passed(stats) => Some(stats),
-        _ => None,
-    }
-}
-
-/// [`prefiltered_align`], reporting *which* cascade tier decided the pair
-/// (for tier-outcome accounting; the pipeline surfaces these as the
-/// `prefilter.*` counter family).
 pub fn prefiltered_align_outcome(
     r: &[u8],
     c: &[u8],

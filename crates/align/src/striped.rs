@@ -1061,7 +1061,7 @@ mod tests {
 
     #[test]
     fn prefiltered_matches_full_and_culls() {
-        use crate::{local_align, prefiltered_align, AlignEngine};
+        use crate::{local_align, prefiltered_align_outcome, AlignEngine, PrefilterOutcome};
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(21);
         for engine in [AlignEngine::Striped, AlignEngine::Scalar] {
@@ -1075,14 +1075,17 @@ mod tests {
                 let a: Vec<u8> = (0..m).map(|_| rng.random_range(0..24u8)).collect();
                 let b: Vec<u8> = (0..n).map(|_| rng.random_range(0..24u8)).collect();
                 let full = local_align(&a, &b, &p);
-                match prefiltered_align(&a, &b, &p, 1) {
-                    Some(st) => {
+                match prefiltered_align_outcome(&a, &b, &p, 1) {
+                    PrefilterOutcome::Passed(st) => {
                         assert!(full.score >= 1);
                         assert_eq!(st, full);
                     }
-                    None => assert!(full.score < 1),
+                    _ => assert!(full.score < 1),
                 }
-                assert!(prefiltered_align(&a, &b, &p, full.score + 1).is_none());
+                assert!(!matches!(
+                    prefiltered_align_outcome(&a, &b, &p, full.score + 1),
+                    PrefilterOutcome::Passed(_)
+                ));
             }
         }
     }

@@ -416,6 +416,20 @@ pub fn xdrop_align_with(
     params: &AlignParams,
     scratch: &mut AlignScratch,
 ) -> AlignStats {
+    // The extension prunes row by row, so it is not its own transpose.
+    // Which rank sees a pair as (r, c) depends on the grid; putting the
+    // operands in one canonical order — shorter first, ties by residues —
+    // makes the result a function of the unordered pair.
+    if (r.len(), r) > (c.len(), c) {
+        let st = xdrop_align_with(c, r, c_pos, r_pos, k, params, scratch);
+        return AlignStats {
+            r_span: st.c_span,
+            c_span: st.r_span,
+            r_len: st.c_len,
+            c_len: st.r_len,
+            ..st
+        };
+    }
     let (r_pos, c_pos) = (r_pos as usize, c_pos as usize);
     assert!(
         r_pos + k <= r.len() && c_pos + k <= c.len(),
@@ -940,6 +954,91 @@ mod tests {
         // A generous x-drop crosses the mismatch and recovers the last W.
         let st49 = xdrop_align(&a, &b, 0, 0, 4, &AlignParams::default());
         assert_eq!(st49.matches, 5);
+    }
+
+    /// `(r_pos, c_pos)` of every 6-mer the two sequences share.
+    fn shared_6mers(a: &[u8], b: &[u8]) -> Vec<(u32, u32)> {
+        let mut out = Vec::new();
+        for (i, wa) in a.windows(6).enumerate() {
+            for (j, wb) in b.windows(6).enumerate() {
+                if wa == wb {
+                    out.push((i as u32, j as u32));
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_transposes(r: &[u8], c: &[u8], rp: u32, cp: u32) {
+        let rc = xdrop_align(r, c, rp, cp, 6, &params());
+        let cr = xdrop_align(c, r, cp, rp, 6, &params());
+        let flipped = AlignStats {
+            r_span: cr.c_span,
+            c_span: cr.r_span,
+            r_len: cr.c_len,
+            c_len: cr.r_len,
+            ..cr
+        };
+        assert_eq!(
+            rc,
+            flipped,
+            "seed ({rp}, {cp}), lengths {} x {}",
+            r.len(),
+            c.len()
+        );
+    }
+
+    /// Which rank aligns a pair — and so which sequence it sees as the row
+    /// — depends on the grid, so swapping the operands must only swap the
+    /// two sides of the result. The first pair is `mc1623`/`mc2381` of
+    /// `datagen::metaclust_like(3500, seed 1400845388, len (100,300),
+    /// related 0.3, mutation 0.12)`: ANI 0.4343 one way round and 0.4247
+    /// the other before the kernel put its operands in canonical order.
+    #[test]
+    fn operand_order_only_swaps_the_sides() {
+        use rand::prelude::*;
+        let mc1623 = encode_seq(
+            b"TDRESLVHVIFSLQVEKTDPDNCQSLRYLSMQNKDGSLVVTMQTRQIPLTINLWGDNRIIIKSTQKSCNEFKSKTNLCMD\
+              RCAKQCNMEVTIGGYIVTKYAYGPHSDKSKMMSDRGHFTESHFLEELGSGFERVRPRSSCDDPAEQMQVHLLGSAKWVSI\
+              YQSKFTRKEELFPADDYPKNKASQFLQADPWNFSIDIKMHLSSSACLFQGSEYNTEYSPAKLWAQGARILIVSQDVPGTK\
+              SPNLLYVLVIDNGDALGAIFVVYEVTRLRSPPMITETCSYIPGYDWDADVEGSL",
+        );
+        let mc2381 = encode_seq(
+            b"TDCHELLHVEFSLHVEDAPNQYCQSLPWTTRNGREQQWVVFHQGSNGIITINLSGDPRIIVKSRIRSPIVFKQRAMLCMD\
+              RTAKQCNMRVPQGIYILLRYAYAGTSHDMKVLRENGDDVDNFSLEYLSNGFFEQNGEIRTCKDSAEDDAVGVWINLGSCR\
+              RDQSIWSRKQRLSPADDYPPMNESQFIQKDPPYLSIAKRPHHAHWAALFQASEYKTDYKYAKLINQGGPQAVQCQDVPGT\
+              ESPNISLFLIITYLKEPGAFSLVCRITRVRSPEYVQETWSYIPQFDFSADLHSSA",
+        );
+        let seeds = shared_6mers(&mc1623, &mc2381);
+        assert!(!seeds.is_empty());
+        for (rp, cp) in seeds {
+            assert_transposes(&mc1623, &mc2381, rp, cp);
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x0a1e);
+        for case in 0..600 {
+            let m = rng.random_range(30..200);
+            let a: Vec<u8> = (0..m).map(|_| rng.random_range(0..20u8)).collect();
+            let b: Vec<u8> = if case % 3 == 0 {
+                let n = rng.random_range(30..200);
+                (0..n).map(|_| rng.random_range(0..20u8)).collect()
+            } else {
+                mutate(&mut rng, &a, 20, 0.04)
+            };
+            // Homologs from their shared 6-mers, as the pipeline seeds
+            // them; unrelated pairs from an arbitrary position.
+            let mut seeds = shared_6mers(&a, &b);
+            seeds.truncate(4);
+            if seeds.is_empty() {
+                seeds.push((
+                    rng.random_range(0..a.len() - 5) as u32,
+                    rng.random_range(0..b.len() - 5) as u32,
+                ));
+            }
+            for (rp, cp) in seeds {
+                assert_transposes(&a, &b, rp, cp);
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use obs::JsonValue;
 
-use crate::ScaleReport;
+use crate::SCALE_SCHEMA_VERSION;
 
 /// How a metric is allowed to move relative to its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -202,12 +202,12 @@ pub struct Outcome {
     pub detail: String,
 }
 
+fn walk<'a>(doc: &'a JsonValue, path: &[&str]) -> Option<&'a JsonValue> {
+    path.iter().try_fold(doc, |cur, k| cur.get(k))
+}
+
 fn lookup(doc: &JsonValue, path: &[&str]) -> Option<f64> {
-    let mut cur = doc;
-    for k in path {
-        cur = cur.get(k)?;
-    }
-    cur.as_f64()
+    walk(doc, path)?.as_f64()
 }
 
 /// Apply one check to a baseline/current document pair. `None` when the
@@ -316,11 +316,10 @@ pub fn schema_age(file: &str, doc: &JsonValue) -> Option<String> {
     match file {
         "BENCH_scale.json" => {
             let v = doc.get("version").and_then(JsonValue::as_u64).unwrap_or(0);
-            (v < crate::SCALE_SCHEMA_VERSION).then(|| {
+            (v < SCALE_SCHEMA_VERSION).then(|| {
                 format!(
-                    "schema v{v} predates v{} (no out-of-core section) — regenerate with the \
-                     `scale` bin",
-                    crate::SCALE_SCHEMA_VERSION
+                    "schema v{v} predates v{SCALE_SCHEMA_VERSION} (no out-of-core section) — \
+                     regenerate with the `scale` bin"
                 )
             })
         }
@@ -398,9 +397,27 @@ pub fn validate(file: &str, doc: &JsonValue) -> Result<(), String> {
             }
             Ok(())
         }
+        // Nothing reads this document back into structs — the gate reads
+        // key paths — so it is validated like the other two: the tag, the
+        // version, every gated scalar, and the row sets the scalars were
+        // lifted from.
         "BENCH_scale.json" => {
             expect_bench("scale_projection")?;
-            ScaleReport::from_json(doc).map(|_| ())
+            if doc.get("version").and_then(JsonValue::as_u64) != Some(SCALE_SCHEMA_VERSION) {
+                return Err(format!("{file}: `version` must be {SCALE_SCHEMA_VERSION}"));
+            }
+            for check in CHECKS.iter().filter(|c| c.file == file) {
+                expect_num(check.path)?;
+            }
+            for path in [&["projections"][..], &["mem"], &["skew"], &["ooc", "rows"]] {
+                if !matches!(walk(doc, path), Some(JsonValue::Arr(rows)) if !rows.is_empty()) {
+                    return Err(format!(
+                        "{file}: `{}` must be a non-empty array",
+                        path.join(".")
+                    ));
+                }
+            }
+            Ok(())
         }
         _ => Err(format!("{file}: not a known bench document")),
     }
@@ -569,5 +586,27 @@ mod tests {
             .unwrap()
             .contains("v2"));
         assert!(validate("BENCH_other.json", &align_doc(1.0)).is_err());
+    }
+
+    #[test]
+    fn scale_document_is_validated_by_key_path() {
+        let scale_doc = |version: u64, summary: &str, ooc_rows: &str| {
+            JsonValue::parse(&format!(
+                "{{\"bench\":\"scale_projection\",\"version\":{version},\
+                 \"summary\":{{{summary}\"max_stage_lambda\":3.5,\"align_share\":0.3}},\
+                 \"overlap\":{{\"hidden_secs\":0.001,\"bcast_secs\":0.001}},\
+                 \"ooc\":{{\"batch_overhead_ratio\":1.04,\"mem_peak_bytes\":111000,\
+                 \"rows\":[{ooc_rows}]}},\
+                 \"projections\":[{{}}],\"mem\":[{{}}],\"skew\":[{{}}]}}"
+            ))
+            .unwrap()
+        };
+        let total = "\"total_secs\":0.0069,";
+        let good = scale_doc(SCALE_SCHEMA_VERSION, total, "{}");
+        validate("BENCH_scale.json", &good).expect("every gated path and row set present");
+        let err = |doc: &JsonValue| validate("BENCH_scale.json", doc).unwrap_err();
+        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION - 1, total, "{}")).contains("version"));
+        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION, "", "{}")).contains("summary.total_secs"));
+        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION, total, "")).contains("ooc.rows"));
     }
 }

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use datagen::{metaclust_like, MetaclustConfig};
 use obs::JsonValue;
-use pastis::{run_pipeline, AlignMode, PastisParams, PastisRun, StageMeasure, Timings};
+use pastis::{run_pipeline, AlignMode, PastisParams, PastisRun, Timings};
 use pcomm::{CostModel, MachineProfile, Projection, WhatIfOverlap, World};
 use seqstore::write_fasta;
 
@@ -103,11 +103,6 @@ pub fn component_modeled(timings: &Timings, model: &CostModel) -> Vec<(&'static 
         .iter()
         .map(|(l, m)| (*l, m.modeled_secs(model)))
         .collect()
-}
-
-/// Sum of all ranks' bytes sent during the whole run (volume proxy).
-pub fn stage_bytes(m: &StageMeasure) -> u64 {
-    m.comm.bytes_sent.max(m.comm.bytes_recv)
 }
 
 /// Critical-path dissection rows straight from the ranks' recorded span
@@ -371,22 +366,6 @@ impl MeasuredOverlap {
             JsonValue::Num(self.whatif_hidden_secs),
         );
         JsonValue::Obj(o)
-    }
-
-    pub fn from_json(v: &JsonValue) -> Result<MeasuredOverlap, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("bench_scale overlap: missing `{k}`"))
-        };
-        Ok(MeasuredOverlap {
-            p: num("p")? as usize,
-            bcast_secs: num("bcast_secs")?,
-            mul_secs: num("mul_secs")?,
-            align_secs: num("align_secs")?,
-            hidden_secs: num("hidden_secs")?,
-            whatif_hidden_secs: num("whatif_hidden_secs")?,
-        })
     }
 }
 
@@ -681,120 +660,6 @@ impl ScaleReport {
         );
         o.insert("summary".into(), JsonValue::Obj(summary));
         JsonValue::Obj(o)
-    }
-
-    /// Parse and validate a BENCH_scale document (doubles as its schema
-    /// check).
-    pub fn from_json(v: &JsonValue) -> Result<ScaleReport, String> {
-        if v.get("schema").and_then(JsonValue::as_str) != Some("bench_scale") {
-            return Err("bench_scale: `schema` must be \"bench_scale\"".into());
-        }
-        let version = v
-            .get("version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("bench_scale: missing `version`")?;
-        if version != SCALE_SCHEMA_VERSION {
-            return Err(format!(
-                "bench_scale: version {version} unsupported (want {SCALE_SCHEMA_VERSION})"
-            ));
-        }
-        let projections = match v.get("projections") {
-            Some(JsonValue::Arr(a)) if !a.is_empty() => a
-                .iter()
-                .map(Projection::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("bench_scale: missing non-empty `projections`".into()),
-        };
-        let whatif = match v.get("whatif") {
-            Some(JsonValue::Arr(a)) => a
-                .iter()
-                .map(|w| {
-                    let num = |k: &str| {
-                        w.get(k)
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| format!("bench_scale whatif: missing `{k}`"))
-                    };
-                    Ok(WhatIfOverlap {
-                        p: num("p")? as usize,
-                        baseline_secs: num("baseline_secs")?,
-                        hidden_secs: num("hidden_secs")?,
-                        overlapped_secs: num("overlapped_secs")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("bench_scale: missing `whatif` array".into()),
-        };
-        let overlap =
-            MeasuredOverlap::from_json(v.get("overlap").ok_or("bench_scale: missing `overlap`")?)?;
-        let watermarks = match v.get("watermarks") {
-            Some(JsonValue::Obj(m)) => m
-                .iter()
-                .map(|(k, x)| {
-                    x.as_u64()
-                        .map(|b| (k.clone(), b))
-                        .ok_or_else(|| format!("bench_scale: watermarks.{k} not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("bench_scale: missing `watermarks` object".into()),
-        };
-        let mem = match v.get("mem") {
-            Some(JsonValue::Arr(a)) if !a.is_empty() => a
-                .iter()
-                .map(pcomm::MemProjection::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("bench_scale: missing non-empty `mem` array".into()),
-        };
-        let skew = match v.get("skew") {
-            Some(JsonValue::Arr(a)) if !a.is_empty() => a
-                .iter()
-                .map(obs::imbalance::StageSkew::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("bench_scale: missing non-empty `skew` array".into()),
-        };
-        let ooc = match v.get("ooc").and_then(|o| o.get("rows")) {
-            Some(JsonValue::Arr(a)) if !a.is_empty() => a
-                .iter()
-                .map(pcomm::OocProjection::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("bench_scale: missing non-empty `ooc.rows` array".into()),
-        };
-        for key in ["batch_overhead_ratio", "mem_peak_bytes", "budget_bytes"] {
-            v.get("ooc")
-                .and_then(|s| s.get(key))
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("bench_scale: missing ooc.{key}"))?;
-        }
-        for key in [
-            "p_max",
-            "total_secs",
-            "align_share",
-            "overlap_hidden_secs",
-            "mem_peak_bytes",
-            "max_stage_lambda",
-        ] {
-            v.get("summary")
-                .and_then(|s| s.get(key))
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("bench_scale: missing summary.{key}"))?;
-        }
-        Ok(ScaleReport {
-            p_recorded: v
-                .get("p_recorded")
-                .and_then(JsonValue::as_u64)
-                .ok_or("bench_scale: missing `p_recorded`")? as usize,
-            profile_host: v
-                .get("profile_host")
-                .and_then(JsonValue::as_str)
-                .ok_or("bench_scale: missing `profile_host`")?
-                .to_string(),
-            projections,
-            whatif,
-            overlap,
-            watermarks,
-            mem,
-            skew,
-            ooc,
-        })
     }
 }
 

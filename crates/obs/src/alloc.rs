@@ -1,20 +1,20 @@
-//! Allocation accounting: a tagging global allocator plus explicit
-//! `HeapSize` watermark probes.
+//! Allocation accounting: one process-wide ledger behind the global
+//! allocator, plus explicit `HeapSize` watermark probes.
 //!
 //! The pipeline is memory-bound long before it is compute-bound (the
 //! extreme-scale PASTIS successor exists because SpGEMM accumulators and
 //! the PSG outgrow node RAM), so bytes get the same treatment as seconds:
 //!
-//! - **Tagging allocator** ([`TrackingAlloc`], installed as the workspace
-//!   `#[global_allocator]`): every allocation is attributed to the
-//!   *subsystem* of the innermost active span on the allocating thread
-//!   (the span machinery maintains a per-thread current tag; see
-//!   [`subsystem_id`]). Per-subsystem live bytes, peaks, and allocation
-//!   counts live in global atomics sampled by [`stats`] and dumped into
-//!   black-box files. Tracking is **default-on in debug, opt-in in
-//!   release** via the `ALLOC_TRACK` env switch ([`init_from_env`]); while
-//!   off, every path is a single relaxed load + branch over the system
-//!   allocator.
+//! - **The ledger** ([`TrackingAlloc`], installed as the workspace
+//!   `#[global_allocator]`): exact process-wide live bytes, their
+//!   high-water mark and one allocation counter, in global atomics.
+//!   Tracking is **default-on in debug, opt-in in release** via the
+//!   `ALLOC_TRACK` env switch ([`init_from_env`]); while off, every path
+//!   is a single relaxed load + branch over the system allocator.
+//! - **Peak windows** ([`peak_during`]): the high-water mark of the live
+//!   total while a closure runs. Windows nest and run concurrently — ranks
+//!   are threads of one process, so a window reads the *process* footprint
+//!   during its extent, the per-node quantity a memory budget bounds.
 //! - **Watermark probes** ([`HeapSize`], [`probe`]): big structures
 //!   (sequence stores, SpGEMM accumulators, PSG triples, alignment
 //!   scratch) report their heap footprint explicitly into max-merged
@@ -22,46 +22,17 @@
 //!   watermarks for the scaling projector even with the allocator hook
 //!   off.
 //!
-//! The allocator **never changes layouts or adds headers** — it forwards
-//! every call to [`System`] unchanged and only bumps counters — so
-//! toggling tracking at any point of the process lifetime is sound:
-//! memory allocated while tracking was off is freed correctly while it is
-//! on, and vice versa (such frees merely smear the per-subsystem live
-//! counts, which is why peaks, not exact lives, are the reported
-//! quantity).
+//! There is no attribution below the process total: the allocator
+//! **never changes layouts or adds headers** — it forwards every call to
+//! [`System`] unchanged and only bumps counters — so a free cannot be
+//! charged to whoever allocated the block, and any split by subsystem or
+//! by rank would print columns that exceed their own total. The same
+//! property makes toggling tracking at any point of the process lifetime
+//! sound: memory allocated while tracking was off is freed correctly while
+//! it is on, and vice versa.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering::Relaxed};
-
-/// Subsystem tags allocations are attributed to, in tag order. The last
-/// entry (`other`) absorbs untagged threads and unknown span prefixes.
-pub const SUBSYSTEMS: [&str; 8] = [
-    "pastis", "pcomm", "sparse", "align", "seqstore", "mcl", "bench", "other",
-];
-
-/// Number of subsystem tags.
-pub const N_SUBSYSTEMS: usize = SUBSYSTEMS.len();
-
-const OTHER: u8 = (N_SUBSYSTEMS - 1) as u8;
-
-/// Map a span name to its subsystem tag by the prefix before the first
-/// `.` — `summa.stage` and `spgemm` count as `sparse`, `fasta` as
-/// `seqstore`, `obsperf` as `bench`; anything unknown lands in `other`.
-pub fn subsystem_id(span_name: &str) -> u8 {
-    let prefix = &span_name[..span_name.find('.').unwrap_or(span_name.len())];
-    let idx = match prefix {
-        "pastis" => 0,
-        "pcomm" => 1,
-        "sparse" | "summa" | "spgemm" => 2,
-        "align" => 3,
-        "seqstore" | "fasta" => 4,
-        "mcl" => 5,
-        "bench" | "obsperf" | "alnperf" => 6,
-        _ => N_SUBSYSTEMS - 1,
-    };
-    idx as u8
-}
 
 // --- tracking switch -------------------------------------------------------
 
@@ -100,174 +71,110 @@ pub fn tracking() -> bool {
     STATE.load(Relaxed) == ON
 }
 
-// --- per-thread tag --------------------------------------------------------
+// --- the ledger ------------------------------------------------------------
 
-thread_local! {
-    /// The subsystem of the innermost active span on this thread; spans
-    /// save and restore it RAII-style. A plain `Cell` — the allocator
-    /// reads it on every tracked allocation and must never risk a
-    /// re-entrant `RefCell` borrow.
-    static CUR_TAG: Cell<u8> = const { Cell::new(OTHER) };
-}
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-/// Set the thread's subsystem tag, returning the previous one (span
-/// entry). Crate-internal: the span guards are the only writers.
-pub(crate) fn swap_tag(tag: u8) -> u8 {
-    CUR_TAG.try_with(|c| c.replace(tag)).unwrap_or(OTHER)
-}
+/// Peak windows open at once, process-wide (one bit of [`OPEN`] each):
+/// 32 ranks two deep — a stage window around a batch window.
+const WINDOW_SLOTS: usize = 64;
 
-/// Restore a previously swapped-out tag (span exit).
-pub(crate) fn set_tag(tag: u8) {
-    let _ = CUR_TAG.try_with(|c| c.set(tag));
-}
-
-fn cur_tag() -> usize {
-    let t = CUR_TAG.try_with(|c| c.get()).unwrap_or(OTHER) as usize;
-    t.min(N_SUBSYSTEMS - 1)
-}
-
-// --- global accounting -----------------------------------------------------
-
-struct SubsysCounters {
-    live: AtomicI64,
-    peak: AtomicI64,
-    win_peak: AtomicI64,
-    allocs: AtomicU64,
-    alloc_bytes: AtomicU64,
-}
-
-static PER: [SubsysCounters; N_SUBSYSTEMS] = [const {
-    SubsysCounters {
-        live: AtomicI64::new(0),
-        peak: AtomicI64::new(0),
-        win_peak: AtomicI64::new(0),
-        allocs: AtomicU64::new(0),
-        alloc_bytes: AtomicU64::new(0),
-    }
-}; N_SUBSYSTEMS];
-
-static LIVE_TOTAL: AtomicI64 = AtomicI64::new(0);
-static PEAK_TOTAL: AtomicI64 = AtomicI64::new(0);
-static WIN_PEAK_TOTAL: AtomicI64 = AtomicI64::new(0);
+/// Bit `i` set: slot `i` is claimed and tracked allocations raise
+/// `WINDOW_PEAK[i]`.
+static OPEN: AtomicU64 = AtomicU64::new(0);
+static WINDOW_PEAK: [AtomicI64; WINDOW_SLOTS] = [const { AtomicI64::new(0) }; WINDOW_SLOTS];
 
 fn note_alloc(size: usize) {
     let size = size as i64;
-    let s = &PER[cur_tag()];
-    let live = s.live.fetch_add(size, Relaxed) + size;
-    s.peak.fetch_max(live, Relaxed);
-    s.win_peak.fetch_max(live, Relaxed);
-    s.allocs.fetch_add(1, Relaxed);
-    s.alloc_bytes.fetch_add(size as u64, Relaxed);
-    let total = LIVE_TOTAL.fetch_add(size, Relaxed) + size;
-    PEAK_TOTAL.fetch_max(total, Relaxed);
-    WIN_PEAK_TOTAL.fetch_max(total, Relaxed);
+    ALLOCS.fetch_add(1, Relaxed);
+    let live = LIVE.fetch_add(size, Relaxed) + size;
+    PEAK.fetch_max(live, Relaxed);
+    let mut open = OPEN.load(Relaxed);
+    while open != 0 {
+        WINDOW_PEAK[open.trailing_zeros() as usize].fetch_max(live, Relaxed);
+        open &= open - 1;
+    }
 }
 
 fn note_dealloc(size: usize) {
-    let size = size as i64;
-    // Frees are attributed to the *current* tag, which may differ from the
-    // allocating one (a structure built under `pastis` freed under
-    // `sparse`). Per-subsystem lives therefore smear across tags — peaks
-    // are the reported quantity — while the process-wide total is exact.
-    PER[cur_tag()].live.fetch_sub(size, Relaxed);
-    LIVE_TOTAL.fetch_sub(size, Relaxed);
+    LIVE.fetch_sub(size as i64, Relaxed);
 }
 
-/// One subsystem's allocation counters at a sampling instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SubsystemUsage {
-    /// Live bytes currently attributed to the subsystem (clamped at zero:
-    /// cross-subsystem frees can drive the raw counter negative).
-    pub live_bytes: i64,
-    /// High-water mark of the subsystem's live bytes.
-    pub peak_bytes: i64,
-    /// Allocation calls attributed to the subsystem.
-    pub allocs: u64,
-    /// Total bytes ever allocated under the subsystem's tag.
-    pub alloc_bytes: u64,
+/// Exact process-wide live bytes (zero if tracking never was on; clamped
+/// at zero, since blocks allocated before tracking was switched on are
+/// freed against the ledger).
+pub fn live_bytes() -> u64 {
+    LIVE.load(Relaxed).max(0) as u64
 }
 
-/// A full sample of the allocator's accounting state.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AllocStats {
-    /// Whether tracking was on when the sample was taken (all counters
-    /// read zero if it never was).
-    pub tracking: bool,
-    /// Per-subsystem counters, indexed like [`SUBSYSTEMS`].
-    pub per: [SubsystemUsage; N_SUBSYSTEMS],
-    /// Exact process-wide live bytes.
-    pub live_total: i64,
-    /// Exact process-wide high-water mark.
-    pub peak_total: i64,
+/// High-water mark of [`live_bytes`] over the process lifetime.
+pub fn peak_bytes() -> u64 {
+    PEAK.load(Relaxed).max(0) as u64
 }
 
-/// Sample the allocator's accounting state (racy across threads by
-/// nature; each counter is individually consistent).
-pub fn stats() -> AllocStats {
-    let mut out = AllocStats {
-        tracking: tracking(),
-        live_total: LIVE_TOTAL.load(Relaxed),
-        peak_total: PEAK_TOTAL.load(Relaxed),
-        ..Default::default()
-    };
-    for (i, s) in PER.iter().enumerate() {
-        out.per[i] = SubsystemUsage {
-            live_bytes: s.live.load(Relaxed).max(0),
-            peak_bytes: s.peak.load(Relaxed).max(0),
-            allocs: s.allocs.load(Relaxed),
-            alloc_bytes: s.alloc_bytes.load(Relaxed),
-        };
-    }
-    out
-}
-
-/// Total allocation calls across all subsystems (the steady-state
-/// zero-allocation tests' observable).
+/// Tracked allocation calls so far (the steady-state zero-allocation
+/// tests' observable).
 pub fn total_allocs() -> u64 {
-    PER.iter().map(|s| s.allocs.load(Relaxed)).sum()
+    ALLOCS.load(Relaxed)
 }
 
-/// Per-subsystem peak live bytes observed since the last
-/// [`begin_window`], plus the process-wide window peak.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WindowPeaks {
-    /// Peak live bytes per subsystem within the window, indexed like
-    /// [`SUBSYSTEMS`].
-    pub per: [i64; N_SUBSYSTEMS],
-    /// Process-wide peak live bytes within the window.
-    pub total: i64,
-}
+/// A claimed window slot; dropping it gives the slot back, also when the
+/// windowed closure unwinds.
+struct WindowSlot(usize);
 
-/// Open a peak-sampling window: window peaks restart from the current
-/// live values. The pipeline brackets each stage with a window so the
-/// trace report can show per-stage peak live bytes by subsystem. Windows
-/// are process-global — with several ranks allocating concurrently the
-/// attribution is a cross-rank aggregate, which is exactly the per-node
-/// quantity an out-of-core batch sizer budgets for.
-pub fn begin_window() {
-    for s in &PER {
-        s.win_peak.store(s.live.load(Relaxed), Relaxed);
+impl WindowSlot {
+    fn claim() -> Option<WindowSlot> {
+        if !tracking() {
+            return None;
+        }
+        let mut open = OPEN.load(Relaxed);
+        loop {
+            let i = (!open).trailing_zeros() as usize;
+            if i == WINDOW_SLOTS {
+                return None;
+            }
+            match OPEN.compare_exchange_weak(open, open | 1 << i, Relaxed, Relaxed) {
+                Ok(_) => {
+                    // The slot still holds its previous owner's peak; the
+                    // window starts at this store.
+                    WINDOW_PEAK[i].store(LIVE.load(Relaxed), Relaxed);
+                    return Some(WindowSlot(i));
+                }
+                Err(now) => open = now,
+            }
+        }
     }
-    WIN_PEAK_TOTAL.store(LIVE_TOTAL.load(Relaxed), Relaxed);
 }
 
-/// Read the current window's peaks (see [`begin_window`]).
-pub fn window_peaks() -> WindowPeaks {
-    let mut out = WindowPeaks {
-        total: WIN_PEAK_TOTAL.load(Relaxed).max(0),
-        ..Default::default()
-    };
-    for (i, s) in PER.iter().enumerate() {
-        out.per[i] = s.win_peak.load(Relaxed).max(0);
+impl Drop for WindowSlot {
+    fn drop(&mut self) {
+        OPEN.fetch_and(!(1 << self.0), Relaxed);
     }
-    out
+}
+
+/// Run `f` and report the peak of the process-wide live bytes while it
+/// ran. Windows nest (an outer window sees everything an inner one saw)
+/// and windows on other threads neither reset nor shorten this one. The
+/// peak is `None` — never a wrong number — when tracking is off or all
+/// [`WINDOW_SLOTS`] slots are taken.
+///
+/// Every atomic here is `Relaxed`: the slots carry statistics and publish
+/// no other data. The price is at the window's edges only — an allocation
+/// on *another* thread racing the open or the close may or may not count.
+pub fn peak_during<R>(f: impl FnOnce() -> R) -> (R, Option<i64>) {
+    let slot = WindowSlot::claim();
+    let r = f();
+    let peak = slot.map(|s| WINDOW_PEAK[s.0].load(Relaxed).max(0));
+    (r, peak)
 }
 
 // --- the allocator ---------------------------------------------------------
 
-/// The tagging global allocator: a layout-preserving pass-through to
-/// [`System`] that, while tracking is on, attributes every allocation to
-/// the current thread's subsystem tag. Installed once, in this module,
+/// The counting global allocator: a layout-preserving pass-through to
+/// [`System`] that, while tracking is on, books every allocation and free
+/// in the process-wide ledger. Installed once, in this module,
 /// as the workspace's `#[global_allocator]` (the `alloc-confinement`
 /// xlint rule keeps it that way).
 pub struct TrackingAlloc;
@@ -375,68 +282,54 @@ pub fn probe<T: HeapSize + ?Sized>(name: &'static str, value: &T) {
 mod tests {
     use super::*;
 
-    /// The tracking switch, the ledgers and the window are process-global
-    /// and `cargo test` runs tests on parallel threads: the tests that
-    /// read exact ledger movements hold this lock so one's frees cannot
-    /// land inside the other's measurement.
-    static GLOBAL_LEDGER: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn ledger_lock() -> std::sync::MutexGuard<'static, ()> {
-        GLOBAL_LEDGER
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    #[test]
-    fn subsystem_prefixes_map() {
-        assert_eq!(SUBSYSTEMS[subsystem_id("pastis.fasta") as usize], "pastis");
-        assert_eq!(SUBSYSTEMS[subsystem_id("summa.stage") as usize], "sparse");
-        assert_eq!(SUBSYSTEMS[subsystem_id("align.overlap") as usize], "align");
-        assert_eq!(SUBSYSTEMS[subsystem_id("pcomm.bcast") as usize], "pcomm");
-        assert_eq!(SUBSYSTEMS[subsystem_id("mystery") as usize], "other");
-        assert_eq!(SUBSYSTEMS[subsystem_id("fasta") as usize], "seqstore");
-    }
-
-    #[test]
-    fn tracked_allocations_hit_the_tagged_subsystem() {
-        let _serial = ledger_lock();
-        set_tracking(true);
-        let tag = subsystem_id("align.test");
-        let before = stats().per[tag as usize];
-        let prev = swap_tag(tag);
-        // A Vec big enough to dodge any size-class noise.
-        let v: Vec<u64> = Vec::with_capacity(1 << 12);
-        let mid = stats().per[tag as usize];
-        drop(v);
-        set_tag(prev);
-        assert!(
-            mid.alloc_bytes >= before.alloc_bytes + (1 << 15),
-            "allocation not attributed: before={before:?} mid={mid:?}"
-        );
-        assert!(mid.allocs > before.allocs);
-        assert!(stats().peak_total > 0);
-    }
+    // `cargo test` runs these beside the rest of the crate's tests, which
+    // allocate and free against the same ledger: every assertion is a
+    // lower bound around a probe far larger than that noise, and nothing
+    // here turns tracking off (`tests/peak_windows.rs` does, in a process
+    // of its own).
 
     #[test]
     fn window_peaks_restart_at_begin() {
-        let _serial = ledger_lock();
         set_tracking(true);
-        let prev = swap_tag(subsystem_id("sparse.win"));
-        let v: Vec<u8> = Vec::with_capacity(1 << 16);
-        begin_window();
-        let base = window_peaks().total;
-        // Sibling tests outside this module still allocate and free small
-        // buffers against the same process-wide total; the growth probe is
-        // sized so their noise cannot mask it.
-        let w: Vec<u8> = Vec::with_capacity(1 << 22);
-        let grown = window_peaks().total;
+        // Live before the window opens: part of its baseline, and a peak
+        // reached before the window must not leak into it.
+        let before: Vec<u8> = Vec::with_capacity(1 << 24);
+        drop(before);
+        let held: Vec<u8> = Vec::with_capacity(1 << 16);
+        let base = live_bytes() as i64;
+        let ((), grown) = peak_during(|| drop(Vec::<u8>::with_capacity(1 << 22)));
+        let grown = grown.expect("tracking is on and a slot is free");
         assert!(
-            grown >= base + (1 << 21),
+            grown >= base + (1 << 22) - (1 << 20),
             "window did not capture growth: base={base} grown={grown}"
         );
-        drop(w);
-        drop(v);
-        set_tag(prev);
+        assert!(
+            grown < base + (1 << 24) - (1 << 20),
+            "window remembers a peak from before it opened: base={base} grown={grown}"
+        );
+        assert!(peak_bytes() as i64 >= grown);
+        drop(held);
+    }
+
+    #[test]
+    fn outer_window_sees_what_an_inner_window_saw() {
+        set_tracking(true);
+        let (inner, outer) = peak_during(|| {
+            let ((), first) = peak_during(|| drop(Vec::<u8>::with_capacity(1 << 23)));
+            // A second, smaller inner window must not erase the first
+            // from the outer one.
+            let ((), second) = peak_during(|| drop(Vec::<u8>::with_capacity(1 << 16)));
+            (first.expect("inner"), second.expect("inner"))
+        });
+        let outer = outer.expect("outer");
+        assert!(
+            outer >= inner.0 - (1 << 20),
+            "outer={outer} inner={inner:?}"
+        );
+        assert!(
+            inner.1 < inner.0 - (1 << 22),
+            "each window starts afresh: {inner:?}"
+        );
     }
 
     #[test]

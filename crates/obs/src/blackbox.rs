@@ -6,8 +6,9 @@
 //! tens of nanoseconds per event, measured in `obsperf`). When a run
 //! aborts — deadlock watchdog, rank panic, finalize leak audit — the
 //! runtime calls [`dump_once`] and every registered ring is written to
-//! `blackbox-rank{r}.json`: the last N events, the allocator's current
-//! live-bytes-by-subsystem, and the rank's last completed pipeline stage.
+//! `blackbox-rank{r}.json`: the last N events, the allocation ledger's
+//! process-wide live and peak bytes, and the rank's last completed
+//! pipeline stage.
 //! "Rank 3 hung" becomes a readable straggler/progress report.
 //!
 //! Rings are installed per thread ([`install`], RAII like the span
@@ -300,7 +301,7 @@ pub fn last_completed_stage(events: &[BbEvent]) -> Option<&'static str> {
 fn rank_doc(rank: usize, events: &[BbEvent], dropped: u64, reason: &str) -> JsonValue {
     let mut doc = BTreeMap::new();
     doc.insert("schema".into(), JsonValue::Str("blackbox".into()));
-    doc.insert("version".into(), JsonValue::Num(1.1));
+    doc.insert("version".into(), JsonValue::Num(2.0));
     doc.insert("rank".into(), JsonValue::Num(rank as f64));
     doc.insert("reason".into(), JsonValue::Str(reason.into()));
     let wrapped = events.first().map(|e| e.seq).unwrap_or(0);
@@ -314,23 +315,17 @@ fn rank_doc(rank: usize, events: &[BbEvent], dropped: u64, reason: &str) -> Json
             None => JsonValue::Null,
         },
     );
-    let alloc = crate::alloc::stats();
-    doc.insert("alloc_tracking".into(), JsonValue::Bool(alloc.tracking));
-    let mut live = BTreeMap::new();
-    for (i, name) in crate::alloc::SUBSYSTEMS.iter().enumerate() {
-        live.insert(
-            (*name).into(),
-            JsonValue::Num(alloc.per[i].live_bytes as f64),
-        );
-    }
-    doc.insert("live_bytes_by_subsystem".into(), JsonValue::Obj(live));
+    doc.insert(
+        "alloc_tracking".into(),
+        JsonValue::Bool(crate::alloc::tracking()),
+    );
     doc.insert(
         "live_bytes_total".into(),
-        JsonValue::Num(alloc.live_total as f64),
+        JsonValue::Num(crate::alloc::live_bytes() as f64),
     );
     doc.insert(
         "peak_bytes_total".into(),
-        JsonValue::Num(alloc.peak_total as f64),
+        JsonValue::Num(crate::alloc::peak_bytes() as f64),
     );
     let evs = events
         .iter()
@@ -488,7 +483,9 @@ mod tests {
             doc.get("last_completed_stage").and_then(|v| v.as_str()),
             Some("pastis.fasta")
         );
-        assert!(doc.get("live_bytes_by_subsystem").is_some());
+        assert_eq!(doc.get("version").and_then(|v| v.as_f64()), Some(2.0));
+        assert!(doc.get("live_bytes_total").is_some());
+        assert!(doc.get("live_bytes_by_subsystem").is_none());
         assert_eq!(
             doc.get("reason").and_then(|v| v.as_str()),
             Some("test abort")

@@ -113,8 +113,8 @@ pub fn render_dissection(rows: &[DissectionRow]) -> String {
     out
 }
 
-/// Prefix of the per-stage memory gauges the pipeline's allocator windows
-/// record (`mem.stage.<stage-span>.<subsystem|total>`).
+/// Prefix of the per-stage memory gauges the pipeline's peak windows
+/// record (`mem.stage.<stage-span>`, one per window).
 pub const MEM_STAGE_PREFIX: &str = "mem.stage.";
 
 /// Humanize a byte count in binary units, one decimal (`1.5 MiB`). The
@@ -142,64 +142,26 @@ pub fn human_bytes(b: u64) -> String {
 }
 
 /// Render the per-stage peak-live-bytes table from merged metrics: one row
-/// per stage that recorded a `mem.stage.<stage>.<subsystem>` gauge (rows
-/// follow `stage_order`; stages not listed are appended alphabetically),
-/// one column per subsystem that ever peaked above zero, plus `total`.
-/// Returns `None` when no stage recorded a memory window — i.e. the run
-/// had allocation tracking off.
+/// per stage that recorded a `mem.stage.<stage>` gauge — the peak of the
+/// process-wide live bytes while the stage ran (rows follow `stage_order`;
+/// stages not listed are appended alphabetically). Returns `None` when no
+/// stage recorded a window — i.e. the run had allocation tracking off.
 pub fn render_stage_memory(metrics: &MetricsSnapshot, stage_order: &[&str]) -> Option<String> {
-    use std::collections::BTreeMap;
     use std::fmt::Write as _;
-    // stage -> column -> bytes, where column is a subsystem name or "total".
-    let mut rows: BTreeMap<&str, BTreeMap<&str, u64>> = BTreeMap::new();
-    for (name, &v) in &metrics.gauges {
-        let Some(rest) = name.strip_prefix(MEM_STAGE_PREFIX) else {
-            continue;
-        };
-        let Some((stage, col)) = rest.rsplit_once('.') else {
-            continue;
-        };
-        if col != "total" && !crate::alloc::SUBSYSTEMS.contains(&col) {
-            continue;
-        }
-        let e = rows.entry(stage).or_default().entry(col).or_insert(0);
-        *e = (*e).max(v.max(0) as u64);
-    }
+    let rows: std::collections::BTreeMap<&str, u64> = metrics
+        .gauges
+        .iter()
+        .filter_map(|(name, &v)| Some((name.strip_prefix(MEM_STAGE_PREFIX)?, v.max(0) as u64)))
+        .collect();
     if rows.is_empty() {
         return None;
     }
-    let mut order: Vec<&str> = stage_order
-        .iter()
-        .copied()
-        .filter(|s| rows.contains_key(s))
-        .collect();
-    for s in rows.keys() {
-        if !order.contains(s) {
-            order.push(s);
-        }
-    }
-    let cols: Vec<&str> = crate::alloc::SUBSYSTEMS
-        .iter()
-        .copied()
-        .filter(|sub| rows.values().any(|r| r.get(sub).is_some_and(|&v| v > 0)))
-        .collect();
+    let listed = stage_order.iter().filter(|s| rows.contains_key(*s));
+    let unlisted = rows.keys().filter(|s| !stage_order.contains(s));
     let mut out = String::new();
-    let _ = write!(out, "{:<22}", "stage");
-    for c in cols.iter().chain(std::iter::once(&"total")) {
-        let _ = write!(out, "{c:>11}");
-    }
-    out.push('\n');
-    for stage in order {
-        let r = &rows[stage];
-        let _ = write!(out, "{stage:<22}");
-        for c in cols.iter().chain(std::iter::once(&"total")) {
-            let cell = r
-                .get(c)
-                .map(|&v| human_bytes(v))
-                .unwrap_or_else(|| "-".into());
-            let _ = write!(out, "{cell:>11}");
-        }
-        out.push('\n');
+    let _ = writeln!(out, "{:<22}{:>12}", "stage", "peak");
+    for stage in listed.chain(unlisted) {
+        let _ = writeln!(out, "{stage:<22}{:>12}", human_bytes(rows[stage]));
     }
     Some(out)
 }
@@ -336,23 +298,21 @@ mod tests {
     #[test]
     fn stage_memory_table_renders_in_pipeline_order() {
         let mut m = MetricsSnapshot::default();
-        m.gauges.insert("mem.stage.pastis.wait.sparse".into(), 2048);
-        m.gauges.insert("mem.stage.pastis.wait.total".into(), 4096);
-        m.gauges
-            .insert("mem.stage.pastis.fasta.seqstore".into(), 1 << 20);
-        m.gauges
-            .insert("mem.stage.pastis.fasta.total".into(), 1 << 20);
+        m.gauges.insert("mem.stage.pastis.wait".into(), 4096);
+        m.gauges.insert("mem.stage.pastis.fasta".into(), 1 << 20);
+        m.gauges.insert("mem.stage.pastis.align".into(), 2048);
         m.gauges.insert("unrelated.gauge".into(), 99);
         let order = ["pastis.fasta", "pastis.wait"];
         let t = render_stage_memory(&m, &order).expect("gauges present");
-        let fasta = t.find("pastis.fasta").unwrap();
-        let wait = t.find("pastis.wait").unwrap();
-        assert!(fasta < wait, "rows must follow pipeline order:\n{t}");
-        assert!(t.contains("1.0 MiB"), "{t}");
-        assert!(t.contains("seqstore") && t.contains("total"), "{t}");
+        let row = |stage: &str| t.find(stage).unwrap_or_else(|| panic!("{stage} in\n{t}"));
+        assert!(
+            row("pastis.fasta") < row("pastis.wait") && row("pastis.wait") < row("pastis.align"),
+            "rows follow pipeline order, unlisted stages last:\n{t}"
+        );
+        assert!(t.contains("1.0 MiB") && t.contains("4.0 KiB"), "{t}");
         assert!(!t.contains("unrelated"), "{t}");
-        // Subsystems that never peaked are not shown as columns.
-        assert!(!t.contains("mcl"), "{t}");
+        // One figure per row: a stage cannot show a part above its whole.
+        assert!(t.lines().all(|l| l.split_whitespace().count() <= 3), "{t}");
     }
 
     #[test]

@@ -84,46 +84,6 @@ impl StageSkew {
         );
         JsonValue::Obj(o)
     }
-
-    pub fn from_json(v: &JsonValue) -> Result<StageSkew, String> {
-        let s = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("stage_skew: missing `{k}`"))
-        };
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("stage_skew: missing `{k}`"))
-        };
-        let work_hist = match v.get("work_hist") {
-            Some(JsonValue::Arr(a)) => a
-                .iter()
-                .map(|pair| match pair {
-                    JsonValue::Arr(bn) if bn.len() == 2 => match (bn[0].as_u64(), bn[1].as_u64()) {
-                        (Some(b), Some(n)) => Ok((b as usize, n)),
-                        _ => Err("stage_skew: non-numeric work_hist pair".to_string()),
-                    },
-                    _ => Err("stage_skew: work_hist entry not a [bucket, ranks] pair".to_string()),
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("stage_skew: missing `work_hist` array".into()),
-        };
-        Ok(StageSkew {
-            span: s("span")?,
-            label: s("label")?,
-            ranks: num("ranks")? as usize,
-            lambda_work: num("lambda_work")?,
-            lambda_secs: num("lambda_secs")?,
-            lambda_bytes: num("lambda_bytes")?,
-            critical_rank: num("critical_rank")? as usize,
-            gini: num("gini")?,
-            work_ns_mean: num("work_ns_mean")?,
-            work_ns_max: num("work_ns_max")? as u64,
-            work_hist,
-        })
-    }
 }
 
 /// max/mean of a sample, 1.0 when the sample is empty or sums to zero
@@ -428,18 +388,6 @@ mod tests {
         let table = render_skew_table(&skews);
         assert!(table.contains("hot"));
         assert!(table.contains("r1"));
-    }
-
-    #[test]
-    fn stage_skew_json_round_trip() {
-        let skews = skew_from_extracts(&[extract(
-            "hot",
-            vec![slice(0, 10), slice(1, 300), slice(2, 20)],
-        )]);
-        let doc = skews[0].to_json();
-        let back = StageSkew::from_json(&doc).expect("round trip parses");
-        assert_eq!(back, skews[0]);
-        assert!(StageSkew::from_json(&JsonValue::Obj(Default::default())).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod perfetto;
 pub mod project;
 mod span;
 
-pub use alloc::{AllocStats, HeapSize, SubsystemUsage, TrackingAlloc, SUBSYSTEMS};
+pub use alloc::{HeapSize, TrackingAlloc};
 pub use blackbox::{BbEvent, BbKind, BlackboxGuard};
 pub use json::JsonValue;
 pub use metrics::{Histogram, MetricsSnapshot, HIST_BUCKETS};

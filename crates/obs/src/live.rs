@@ -23,15 +23,13 @@
 //! 3. **Deterministic observables**: `epoch` counts span opens and
 //!    `done`/`total` count pipeline items — logical program-order facts
 //!    that are bit-identical across perturbation seeds, so monitor
-//!    snapshots can be structure-checked in tests. Wall-clock fields
-//!    (`hb_ns`) and allocator samples (`live_bytes`) are explicitly
-//!    nondeterministic and excluded from those checks.
+//!    snapshots can be structure-checked in tests. The wall-clock field
+//!    (`hb_ns`) is explicitly nondeterministic and excluded from those
+//!    checks.
 //!
-//! `live_bytes` is sampled from the process-global allocator ledger
-//! ([`crate::alloc::stats`]): ranks are threads in one process, so the
-//! value is "process live bytes as of this rank's last heartbeat", not a
-//! per-rank partition. The per-subsystem breakdown rides along in the
-//! monitor snapshot instead.
+//! Cells carry no memory figure: ranks are threads of one process and the
+//! allocation ledger ([`crate::alloc`]) is process-wide, so the monitor
+//! samples it once per snapshot instead of once per rank.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -80,8 +78,6 @@ pub struct ProgressCell {
     /// Pipeline items announced (cumulative; `done <= total` once a chunk
     /// retires).
     total: AtomicU64,
-    /// Process-global live bytes as of this rank's last heartbeat.
-    live_bytes: AtomicU64,
     /// Last heartbeat stamp, ns on the shared [`plane_clock`].
     hb_ns: AtomicU64,
     /// Whether the owning rank thread is still between install and drop.
@@ -95,7 +91,6 @@ impl ProgressCell {
             epoch: AtomicU64::new(0),
             done: AtomicU64::new(0),
             total: AtomicU64::new(0),
-            live_bytes: AtomicU64::new(0),
             hb_ns: AtomicU64::new(0),
             active: AtomicBool::new(true),
         }
@@ -103,8 +98,6 @@ impl ProgressCell {
 
     fn beat(&self) {
         self.hb_ns.store(plane_clock().elapsed_ns(), Relaxed);
-        let live = crate::alloc::stats().live_total.max(0) as u64;
-        self.live_bytes.store(live, Relaxed);
     }
 }
 
@@ -117,7 +110,6 @@ pub struct RankSample {
     pub epoch: u64,
     pub done: u64,
     pub total: u64,
-    pub live_bytes: u64,
     /// Heartbeat age is `sample_ns - hb_ns` on the same clock.
     pub hb_ns: u64,
     pub active: bool,
@@ -300,7 +292,6 @@ pub fn sample(p: usize) -> Vec<RankSample> {
                 epoch: c.epoch.load(Relaxed),
                 done: c.done.load(Relaxed),
                 total: c.total.load(Relaxed),
-                live_bytes: c.live_bytes.load(Relaxed),
                 hb_ns: c.hb_ns.load(Relaxed),
                 active: c.active.load(Relaxed),
             })

@@ -281,7 +281,6 @@ pub struct SpanGuard {
     arg: Option<(&'static str, i64)>,
     seq: u32,
     depth: u16,
-    prev_tag: u8,
     start_ns: u64,
     at_enter: CounterSet,
 }
@@ -297,7 +296,6 @@ pub fn span_start(name: &'static str, arg: Option<(&'static str, i64)>) -> SpanG
                 arg: None,
                 seq: 0,
                 depth: 0,
-                prev_tag: 0,
                 start_ns: 0,
                 at_enter: CounterSet::default(),
             },
@@ -306,10 +304,8 @@ pub fn span_start(name: &'static str, arg: Option<(&'static str, i64)>) -> SpanG
                 s.next_seq += 1;
                 let depth = s.depth;
                 s.depth += 1;
-                // Retag the thread's allocations to this span's subsystem
-                // and note the entry in the flight recorder; the guard
-                // restores/closes both on drop, keeping them balanced.
-                let prev_tag = crate::alloc::swap_tag(crate::alloc::subsystem_id(name));
+                // Note the entry in the flight recorder; the guard closes
+                // it on drop, keeping the two balanced.
                 crate::blackbox::record(crate::blackbox::BbKind::SpanOpen, name, depth as u64, 0);
                 // Live telemetry plane: publish the stage and bump the
                 // rank's progress epoch (a relaxed-load no-op when the
@@ -322,7 +318,6 @@ pub fn span_start(name: &'static str, arg: Option<(&'static str, i64)>) -> SpanG
                     arg,
                     seq,
                     depth,
-                    prev_tag,
                     start_ns,
                     at_enter: read_counters(),
                 }
@@ -336,7 +331,6 @@ impl Drop for SpanGuard {
         if !self.active {
             return;
         }
-        crate::alloc::set_tag(self.prev_tag);
         crate::blackbox::record(
             crate::blackbox::BbKind::SpanClose,
             self.name,

@@ -390,31 +390,23 @@ fn main() {
                 100.0 * ok as f64 / total,
             );
         }
-        // Memory observatory: per-stage peak live bytes (allocator
-        // windows) and per-structure watermarks (HeapSize probes).
+        // Memory observatory: the peak of the process-wide live bytes
+        // while each stage ran (peak windows) and per-structure
+        // watermarks (HeapSize probes).
         match obs::dissect::render_stage_memory(&metrics, &MEM_STAGE_ORDER) {
-            Some(table) => {
-                eprintln!("pastis: per-stage peak live bytes by subsystem:\n{table}")
-            }
+            Some(table) => eprintln!("pastis: per-stage peak live bytes:\n{table}"),
             None => eprintln!(
                 "pastis: allocation tracking off — run with ALLOC_TRACK=1 \
                  for the per-stage memory table"
             ),
         }
-        // Out-of-core runs: per-batch peak live bytes, one allocator
-        // window per column batch (DESIGN.md §15) — the number the batch
-        // sizer's budget bounds.
+        // Out-of-core runs: per-batch peak live bytes, one window per
+        // column batch nested in the stage's (DESIGN.md §15) — the number
+        // the batch sizer's budget bounds.
         let mut batch_rows: Vec<(usize, i64)> = metrics
             .gauges
             .iter()
-            .filter_map(|(name, &v)| {
-                let rest = name.strip_prefix("mem.batch.")?;
-                let (k, field) = rest.split_once('.')?;
-                if field != "total" {
-                    return None;
-                }
-                Some((k.parse::<usize>().ok()?, v))
-            })
+            .filter_map(|(name, &v)| Some((name.strip_prefix("mem.batch.")?.parse().ok()?, v)))
             .collect();
         if !batch_rows.is_empty() {
             batch_rows.sort_unstable();

@@ -7,8 +7,9 @@
 //!
 //! Reads the `status.json` document the run's heartbeat thread keeps next
 //! to its output and renders the latest per-rank snapshot (the same table
-//! `--monitor` prints from inside the run: stage, progress bar, live
-//! bytes, heartbeat age, straggler flags). `--watch` refreshes until the
+//! `--monitor` prints from inside the run: stage, progress bar, heartbeat
+//! age, straggler flags, the process's live bytes in the header).
+//! `--watch` refreshes until the
 //! document carries a final snapshot, tolerating partially-written
 //! documents (the heartbeat writer is not atomic — a torn read that fails
 //! to parse or validate just retries next tick); one-shot invocations

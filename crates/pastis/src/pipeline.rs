@@ -324,35 +324,23 @@ pub struct PastisRun {
     pub trace: obs::RankTrace,
 }
 
-/// Run `f` inside an allocator peak window when tracking is on: the
-/// window's per-subsystem peaks land in `<family>.<subsystem|total>` gauges
-/// (merged by max across ranks) for every gauge family named. Windows are
-/// process-global (see [`obs::alloc::begin_window`]) — with several ranks
-/// in flight the peaks are a cross-rank aggregate, i.e. the per-node
-/// footprint.
-fn windowed<R>(families: &[&str], f: impl FnOnce() -> R) -> R {
-    if !obs::alloc::tracking() {
-        return f();
-    }
-    obs::alloc::begin_window();
-    let r = f();
-    let peaks = obs::alloc::window_peaks();
-    for family in families {
-        for (i, sub) in obs::SUBSYSTEMS.iter().enumerate() {
-            if peaks.per[i] > 0 {
-                obs::gauge_max_owned(&format!("{family}.{sub}"), peaks.per[i]);
-            }
-        }
-        obs::gauge_max_owned(&format!("{family}.total"), peaks.total);
+/// Run `f` inside an allocation peak window ([`obs::alloc::peak_during`])
+/// and record the window's peak in the max-merged gauge `gauge`; no gauge
+/// when tracking is off. Ranks are threads of one process, so with several
+/// in flight the peak is the per-node footprint while `f` ran on this one.
+fn windowed<R>(gauge: &str, f: impl FnOnce() -> R) -> R {
+    let (r, peak) = obs::alloc::peak_during(f);
+    if let Some(peak) = peak {
+        obs::gauge_max_owned(gauge, peak);
     }
     r
 }
 
-/// Run one pipeline stage under its span; its allocator window feeds the
-/// `mem.stage.<span>.*` gauges, the rows of the `--trace` per-stage memory
+/// Run one pipeline stage under its span; its peak window feeds the
+/// `mem.stage.<span>` gauge, a row of the `--trace` per-stage memory
 /// table.
 fn stage<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    windowed(&[&format!("mem.stage.{name}")], || {
+    windowed(&format!("{}{name}", obs::dissect::MEM_STAGE_PREFIX), || {
         let _span = obs::span_start(name, None);
         f()
     })
@@ -808,18 +796,12 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
                 (shard.edges, shard.delta)
             }
             None => {
-                // Per-batch peaks for the `--trace` batch-memory table.
-                // Windows are process-global and reset on `begin_window`,
-                // so the enclosing stage window now only covers this
-                // batch — re-emitting the peaks under the stage gauges
-                // (max-merged) keeps the per-stage row equal to the max
-                // over batch windows, which is exactly the stage peak
-                // (each window's baseline includes everything still live
-                // from earlier batches).
-                let out = windowed(
-                    &[&format!("mem.batch.{k}"), "mem.stage.pastis.spgemm_b"],
-                    || stream_overlap_align(cx, &cx.a_t.restrict_cols(range)),
-                );
+                // Per-batch peak for the `--trace` batch-memory table; it
+                // nests inside the stage's window, which also sees
+                // `batch::plan` and everything between batches.
+                let out = windowed(&format!("mem.batch.{k}"), || {
+                    stream_overlap_align(cx, &cx.a_t.restrict_cols(range))
+                });
                 if let Some(log) = &mut log {
                     log.commit(k, &out.0, &out.1);
                 }

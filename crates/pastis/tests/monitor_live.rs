@@ -5,8 +5,9 @@
 //! so the final snapshot must be bit-identical across perturbation seeds
 //! at every world size, under full pcheck conformance checking (the
 //! heartbeat channel itself must stay invisible to the ledger and the
-//! finalize leak audit). Wall-clock fields (`t_ms`, `live_bytes`,
-//! `hb_age_ms`) are explicitly nondeterministic and excluded.
+//! finalize leak audit). Wall-clock fields (`t_ms`, `hb_age_ms`) and the
+//! snapshot's `live_bytes_total` are explicitly nondeterministic and
+//! excluded.
 
 use std::sync::OnceLock;
 

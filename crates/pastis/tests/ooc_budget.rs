@@ -10,10 +10,12 @@
 //! probes measure each), while the resident floor (sequence store, the
 //! A/Aᵀ/S matrices, retained edges) is live no matter how narrow the
 //! batch. The sizer is budgeted to halve the reducible footprint and the
-//! tagging allocator must then observe every batch window's peak at or
+//! allocation ledger must then observe every batch window's peak at or
 //! below `monolithic peak − reducible/2` — window baselines include all
 //! live bytes, so this is the real per-rank footprint, not a per-batch
-//! delta.
+//! delta. The *stage* window around the batches is held to a weaker rule:
+//! it also sees the batch planner's transient, which the budget does not
+//! govern, so it must only stay below the monolithic peak.
 
 use datagen::{metaclust_like, MetaclustConfig};
 use pastis::{batch, run_pipeline, PastisParams};
@@ -66,7 +68,7 @@ fn batched_peaks_stay_under_projected_budget() {
     // reducible structures' watermark probes.
     let mono = merged_gauges(&fasta, None);
     let mono_peak = *mono
-        .get("mem.stage.pastis.spgemm_b.total")
+        .get("mem.stage.pastis.spgemm_b")
         .expect("monolithic run records the streaming stage window") as u64;
     assert!(mono_peak > 0, "tracking must be armed");
     let reducible: u64 = REDUCIBLE
@@ -87,7 +89,7 @@ fn batched_peaks_stay_under_projected_budget() {
     let batched = merged_gauges(&fasta, Some(sizer_budget));
     let batch_peaks: Vec<(&str, i64)> = batched
         .iter()
-        .filter(|(k, _)| k.starts_with("mem.batch.") && k.ends_with(".total"))
+        .filter(|(k, _)| k.starts_with("mem.batch."))
         .map(|(k, &v)| (k.as_str(), v))
         .collect();
     assert!(
@@ -101,17 +103,18 @@ fn batched_peaks_stay_under_projected_budget() {
              (monolithic peak {mono_peak}, reducible {reducible})"
         );
     }
-    // The batched stage row is the max over batch windows, and batching
-    // must actually have reduced the measured footprint.
+    // The stage window encloses every batch window — it saw whatever they
+    // saw — and batching must actually have reduced the measured footprint.
     let batched_stage = *batched
-        .get("mem.stage.pastis.spgemm_b.total")
-        .expect("batched run re-emits the stage window") as u64;
+        .get("mem.stage.pastis.spgemm_b")
+        .expect("batched run records the streaming stage window");
+    let max_batch = batch_peaks.iter().map(|&(_, peak)| peak).max().unwrap();
     assert!(
-        batched_stage <= bound,
-        "batched stage peak {batched_stage} exceeds bound {bound}"
+        batched_stage >= max_batch,
+        "stage window {batched_stage} missed a batch window's peak {max_batch}"
     );
     assert!(
-        batched_stage < mono_peak,
+        (batched_stage as u64) < mono_peak,
         "batching did not reduce the measured peak ({batched_stage} vs {mono_peak})"
     );
 }

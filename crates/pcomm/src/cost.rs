@@ -332,23 +332,6 @@ impl CollShape {
         }
     }
 
-    /// Inverse of [`CollShape::key`].
-    pub fn from_key(k: &str) -> Option<CollShape> {
-        [
-            CollShape::Bcast,
-            CollShape::Reduce,
-            CollShape::Allreduce,
-            CollShape::Gather,
-            CollShape::Allgather,
-            CollShape::Alltoallv,
-            CollShape::Barrier,
-            CollShape::Exscan,
-            CollShape::PointToPoint,
-        ]
-        .into_iter()
-        .find(|s| s.key() == k)
-    }
-
     /// Payload bytes per member per call, recovered from the wire volume
     /// one collective put on the network (the inverse of each algorithm's
     /// transmission count; `Σ_ranks bytes_sent` of the collective's spans
@@ -446,24 +429,6 @@ impl StageCost {
         );
         JsonValue::Obj(o)
     }
-
-    pub fn from_json(v: &JsonValue) -> Result<StageCost, String> {
-        Ok(StageCost {
-            compute_secs: v
-                .get("compute_secs")
-                .and_then(JsonValue::as_f64)
-                .ok_or("stage cost: missing compute_secs")?,
-            comm: comm_stats_from_json(v.get("comm").ok_or("stage cost: missing comm")?)?,
-            colls: match v.get("colls") {
-                Some(JsonValue::Arr(a)) => a
-                    .iter()
-                    .map(CollAgg::from_json)
-                    .collect::<Result<Vec<_>, _>>()?,
-                None => Vec::new(),
-                _ => return Err("stage cost: colls must be an array".into()),
-            },
-        })
-    }
 }
 
 impl CollAgg {
@@ -475,25 +440,6 @@ impl CollAgg {
         o.insert("payload_bytes".into(), JsonValue::Num(self.payload_bytes));
         JsonValue::Obj(o)
     }
-
-    pub fn from_json(v: &JsonValue) -> Result<CollAgg, String> {
-        let shape = v
-            .get("shape")
-            .and_then(JsonValue::as_str)
-            .and_then(CollShape::from_key)
-            .ok_or("coll agg: bad shape")?;
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("coll agg: missing `{k}`"))
-        };
-        Ok(CollAgg {
-            shape,
-            comm_size: num("comm_size")? as usize,
-            calls: num("calls")?,
-            payload_bytes: num("payload_bytes")?,
-        })
-    }
 }
 
 fn comm_stats_to_json(c: &CommStats) -> JsonValue {
@@ -504,21 +450,6 @@ fn comm_stats_to_json(c: &CommStats) -> JsonValue {
     o.insert("msgs_recv".into(), JsonValue::Num(c.msgs_recv as f64));
     o.insert("wait_nanos".into(), JsonValue::Num(c.wait_nanos as f64));
     JsonValue::Obj(o)
-}
-
-fn comm_stats_from_json(v: &JsonValue) -> Result<CommStats, String> {
-    let num = |k: &str| {
-        v.get(k)
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("comm stats: missing `{k}`"))
-    };
-    Ok(CommStats {
-        bytes_sent: num("bytes_sent")?,
-        bytes_recv: num("bytes_recv")?,
-        msgs_sent: num("msgs_sent")?,
-        msgs_recv: num("msgs_recv")?,
-        wait_nanos: num("wait_nanos")?,
-    })
 }
 
 impl CostModel {
@@ -913,50 +844,6 @@ impl Projection {
         o.insert("total_secs".into(), JsonValue::Num(self.total_secs()));
         JsonValue::Obj(o)
     }
-
-    pub fn from_json(v: &JsonValue) -> Result<Projection, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("projection: missing `{k}`"))
-        };
-        let stages = match v.get("stages") {
-            Some(JsonValue::Arr(a)) => a
-                .iter()
-                .map(|s| {
-                    Ok(ProjectedStage {
-                        label: s
-                            .get("label")
-                            .and_then(JsonValue::as_str)
-                            .ok_or("projection stage: missing label")?
-                            .to_string(),
-                        compute_secs: s
-                            .get("compute_secs")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or("projection stage: missing compute_secs")?,
-                        comm_secs: s
-                            .get("comm_secs")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or("projection stage: missing comm_secs")?,
-                        lambda: s
-                            .get("lambda")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or("projection stage: missing lambda")?,
-                        cost: StageCost::from_json(
-                            s.get("cost").ok_or("projection stage: missing cost")?,
-                        )?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            _ => return Err("projection: missing `stages` array".into()),
-        };
-        Ok(Projection {
-            p: num("p")? as usize,
-            p_recorded: num("p_recorded")? as usize,
-            imbalance: num("imbalance")?,
-            stages,
-        })
-    }
 }
 
 /// A quantified overlap hypothesis (see [`Projection::whatif_overlap`]).
@@ -1150,31 +1037,6 @@ impl MemProjection {
         );
         JsonValue::Obj(o)
     }
-
-    pub fn from_json(v: &JsonValue) -> Result<MemProjection, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("mem projection: missing `{k}`"))
-        };
-        let by_structure = match v.get("by_structure") {
-            Some(JsonValue::Obj(m)) => m
-                .iter()
-                .map(|(k, x)| {
-                    x.as_u64()
-                        .map(|b| (k.clone(), b))
-                        .ok_or_else(|| format!("mem projection: by_structure.{k} not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("mem projection: missing `by_structure` object".into()),
-        };
-        Ok(MemProjection {
-            p: num("p")? as usize,
-            p_recorded: num("p_recorded")? as usize,
-            peak_bytes: num("peak_bytes")? as u64,
-            by_structure,
-        })
-    }
 }
 
 /// Watermarked structures whose per-rank footprint scales with the width
@@ -1259,30 +1121,6 @@ impl OocProjection {
             JsonValue::Num(self.batch_overhead_ratio()),
         );
         JsonValue::Obj(o)
-    }
-
-    pub fn from_json(v: &JsonValue) -> Result<OocProjection, String> {
-        let num = |k: &str| {
-            v.get(k)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("ooc projection: missing `{k}`"))
-        };
-        let out = OocProjection {
-            p: num("p")? as usize,
-            budget_bytes: num("budget_bytes")? as u64,
-            n_batches: num("n_batches")? as usize,
-            mem_peak_bytes: num("mem_peak_bytes")? as u64,
-            mono_peak_bytes: num("mono_peak_bytes")? as u64,
-            base_secs: num("base_secs")?,
-            ooc_secs: num("ooc_secs")?,
-        };
-        if out.mem_peak_bytes > out.budget_bytes {
-            return Err(format!(
-                "ooc projection: p={} peak {} exceeds budget {}",
-                out.p, out.mem_peak_bytes, out.budget_bytes
-            ));
-        }
-        Ok(out)
     }
 }
 
@@ -1526,10 +1364,6 @@ mod tests {
         assert_eq!(by["align.scratch"], 300_000);
         assert_eq!(by["unmodeled.thing"], 700);
         assert_eq!(m.peak_bytes, 500_000 + 1_000_000 + 300_000 + 700);
-        // JSON round-trip.
-        let back =
-            MemProjection::from_json(&JsonValue::parse(&m.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, m);
     }
 
     #[test]
@@ -1561,16 +1395,6 @@ mod tests {
         assert_eq!(o.ooc_secs, 14.0);
         assert!((o.batch_overhead_ratio() - 1.4).abs() < 1e-12);
         assert_eq!(o.mono_peak_bytes, 1_000_000);
-        // JSON round-trip; a peak claimed above its own budget is rejected
-        // (that is the validate() hook the gated document leans on).
-        let back =
-            OocProjection::from_json(&JsonValue::parse(&o.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, o);
-        let mut bad = o.to_json();
-        if let JsonValue::Obj(m) = &mut bad {
-            m.insert("budget_bytes".into(), JsonValue::Num(1.0));
-        }
-        assert!(OocProjection::from_json(&bad).is_err());
         // Budget below the resident floor: finite but punitive plan.
         let o = project_ooc(&mem, 300_000, 10.0, 2.0);
         assert_eq!(o.n_batches, 600_000);
@@ -1590,46 +1414,6 @@ mod tests {
             CostClass::SubkmerChild.milli_ns(),
             CostClass::SubkmerChild.default_milli_ns()
         );
-    }
-
-    #[test]
-    fn stage_cost_and_projection_round_trip_json() {
-        let cost = StageCost {
-            compute_secs: 0.25,
-            comm: CommStats {
-                bytes_sent: 10,
-                bytes_recv: 20,
-                msgs_sent: 3,
-                msgs_recv: 4,
-                wait_nanos: 5,
-            },
-            colls: vec![CollAgg {
-                shape: CollShape::Bcast,
-                comm_size: 32,
-                calls: 64.0,
-                payload_bytes: 123.5,
-            }],
-        };
-        let back =
-            StageCost::from_json(&JsonValue::parse(&cost.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, cost);
-        let proj = Projection {
-            p: 1024,
-            p_recorded: 16,
-            imbalance: 1.25,
-            stages: vec![ProjectedStage {
-                label: "(AS)AT".into(),
-                compute_secs: 1.5,
-                comm_secs: 0.5,
-                lambda: 1.75,
-                cost,
-            }],
-        };
-        let back =
-            Projection::from_json(&JsonValue::parse(&proj.to_json().to_string()).unwrap()).unwrap();
-        assert_eq!(back, proj);
-        assert!((back.total_secs() - 2.0).abs() < 1e-12);
-        assert!((back.share("(AS)AT") - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use obs::live::RankSample;
 use obs::JsonValue;
 
 /// Schema version of the `status.json` document.
-pub const STATUS_SCHEMA_VERSION: u64 = 1;
+pub const STATUS_SCHEMA_VERSION: u64 = 2;
 
 /// Snapshots retained in the document (a bounded flight window, like the
 /// black-box ring); older snapshots are dropped and counted.
@@ -131,7 +131,6 @@ fn snapshot_doc(seq: u64, t_ms: u64, samples: &[RankSample], flags: &[bool]) -> 
             o.insert("epoch".into(), JsonValue::Num(s.epoch as f64));
             o.insert("done".into(), JsonValue::Num(s.done as f64));
             o.insert("total".into(), JsonValue::Num(s.total as f64));
-            o.insert("live_bytes".into(), JsonValue::Num(s.live_bytes as f64));
             let hb_age_ms = now.saturating_sub(s.hb_ns) as f64 / 1e6;
             o.insert("hb_age_ms".into(), JsonValue::Num(hb_age_ms));
             o.insert("active".into(), JsonValue::Bool(s.active));
@@ -139,25 +138,15 @@ fn snapshot_doc(seq: u64, t_ms: u64, samples: &[RankSample], flags: &[bool]) -> 
             JsonValue::Obj(o)
         })
         .collect();
-    let alloc = obs::alloc::stats();
-    let mut by_subsystem = BTreeMap::new();
-    for (i, name) in obs::SUBSYSTEMS.iter().enumerate() {
-        by_subsystem.insert(
-            (*name).into(),
-            JsonValue::Num(alloc.per[i].live_bytes as f64),
-        );
-    }
     let mut o = BTreeMap::new();
     o.insert("seq".into(), JsonValue::Num(seq as f64));
     o.insert("t_ms".into(), JsonValue::Num(t_ms as f64));
     o.insert("ranks".into(), JsonValue::Arr(ranks));
+    // Ranks are threads of one process and the allocation ledger is
+    // process-wide: one figure per snapshot, not one per rank.
     o.insert(
         "live_bytes_total".into(),
-        JsonValue::Num(alloc.live_total.max(0) as f64),
-    );
-    o.insert(
-        "live_bytes_by_subsystem".into(),
-        JsonValue::Obj(by_subsystem),
+        JsonValue::Num(obs::alloc::live_bytes() as f64),
     );
     JsonValue::Obj(o)
 }
@@ -197,12 +186,17 @@ fn status_doc(
 pub fn render_snapshot(snap: &JsonValue, p: usize) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let t_ms = snap.get("t_ms").and_then(|v| v.as_f64()).unwrap_or(0.0);
-    let _ = writeln!(out, "== pastis monitor (p={p}, t={:.1}s) ==", t_ms / 1e3);
+    let top = |k: &str| snap.get(k).and_then(|v| v.as_f64()).unwrap_or(0.0);
     let _ = writeln!(
         out,
-        "{:<5} {:<22} {:>9} {:>14} {:<12} {:>10} {:>8}",
-        "rank", "stage", "epoch", "items", "progress", "live", "hb age"
+        "== pastis monitor (p={p}, t={:.1}s, process live {}) ==",
+        top("t_ms") / 1e3,
+        obs::dissect::human_bytes(top("live_bytes_total") as u64)
+    );
+    let _ = writeln!(
+        out,
+        "{:<5} {:<22} {:>9} {:>14} {:<12} {:>8}",
+        "rank", "stage", "epoch", "items", "progress", "hb age"
     );
     let empty = Vec::new();
     let rows = match snap.get("ranks") {
@@ -221,13 +215,12 @@ pub fn render_snapshot(snap: &JsonValue, p: usize) -> String {
         let active = matches!(row.get("active"), Some(JsonValue::Bool(true)));
         let _ = writeln!(
             out,
-            "{:<5} {:<22} {:>9} {:>14} {:<12} {:>10} {:>7.0}ms{}",
+            "{:<5} {:<22} {:>9} {:>14} {:<12} {:>7.0}ms{}",
             format!("r{}", num("rank") as u64),
             stage,
             num("epoch") as u64,
             format!("{}/{}", done as u64, total as u64),
             progress_bar(done, total, 10),
-            obs::dissect::human_bytes(num("live_bytes") as u64),
             num("hb_age_ms"),
             match (straggler, active) {
                 (true, _) => "  STRAGGLER",
@@ -353,8 +346,9 @@ pub(crate) fn dump_latest_snapshot(dir: &Path) -> Option<PathBuf> {
     Some(path)
 }
 
-/// Validate a `status.json` document: schema/version header, rank rows
-/// with every field, and per-rank epochs monotone across snapshots. A
+/// Validate a `status.json` document: schema/version header, the
+/// process-wide live bytes and rank rows with every field on each
+/// snapshot, and per-rank epochs monotone across snapshots. A
 /// `complete` document must also carry a `final` snapshot whose ranks all
 /// finished (`done == total`, inactive). Returns a description of the
 /// first violation.
@@ -382,12 +376,19 @@ pub fn validate_status(doc: &JsonValue, complete: bool) -> Result<(), String> {
         if rows.len() > p {
             return Err(format!("snapshot {i}: {} rows for p={p}", rows.len()));
         }
+        if snap
+            .get("live_bytes_total")
+            .and_then(|v| v.as_f64())
+            .is_none()
+        {
+            return Err(format!("snapshot {i}: missing live_bytes_total"));
+        }
         for row in rows {
             let rank = row
                 .get("rank")
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("snapshot {i}: row missing rank"))?;
-            for key in ["epoch", "done", "total", "live_bytes", "hb_age_ms"] {
+            for key in ["epoch", "done", "total", "hb_age_ms"] {
                 if row.get(key).and_then(|v| v.as_f64()).is_none() {
                     return Err(format!("snapshot {i}: rank {rank} missing {key}"));
                 }
@@ -457,7 +458,6 @@ mod tests {
             epoch,
             done: 3,
             total: 4,
-            live_bytes: 1 << 20,
             hb_ns: 0,
             active,
         }
@@ -513,6 +513,11 @@ mod tests {
         assert!(validate_status(&bad, false)
             .unwrap_err()
             .contains("snapshots"));
+        // The version-1 document (per-rank `live_bytes`, a per-subsystem
+        // split) is not this schema.
+        let old = JsonValue::parse(&text.replace("\"version\":2", "\"version\":1")).unwrap();
+        assert_ne!(old, parsed);
+        assert!(validate_status(&old, true).unwrap_err().contains("version"));
     }
 
     #[test]
@@ -535,7 +540,7 @@ mod tests {
         assert!(table.contains("pastis.spgemm_b"), "{table}");
         assert!(table.contains("3/4"), "{table}");
         assert!(table.contains("STRAGGLER"), "{table}");
-        assert!(table.contains("1.0 MiB"), "{table}");
+        assert!(table.contains("process live"), "{table}");
         assert_eq!(progress_bar(0.0, 0.0, 4), "[----]");
         assert_eq!(progress_bar(2.0, 4.0, 4), "[##..]");
     }

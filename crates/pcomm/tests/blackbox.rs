@@ -69,7 +69,7 @@ fn watchdog_abort_dumps_name_last_completed_stage() {
     for d in [&d0, &d1] {
         let reason = d.get("reason").and_then(|v| v.as_str()).unwrap_or("");
         assert!(reason.contains("deadlock"), "{reason}");
-        assert!(d.get("live_bytes_by_subsystem").is_some());
+        assert!(d.get("live_bytes_total").is_some());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -342,31 +342,6 @@ impl<V: Payload + Clone> DistMat<V> {
         }
     }
 
-    /// Symmetrize: `C(i,j) = combine(self(i,j), self(j,i))` where entries
-    /// missing on one side pass through unchanged. This is the
-    /// "symmetricize" step PASTIS needs after `(AS)Aᵀ` (paper Fig. 15).
-    /// Collective; requires a square matrix.
-    pub fn add_transpose(&self, combine: impl Fn(&mut V, V)) -> DistMat<V> {
-        assert_eq!(
-            self.nrows, self.ncols,
-            "add_transpose requires a square matrix"
-        );
-        let t = self.transpose();
-        let mut triples: Vec<(u32, u64, V)> = self
-            .local
-            .iter()
-            .map(|(r, c, v)| (r, c, v.clone()))
-            .collect();
-        triples.extend(t.local.iter().map(|(r, c, v)| (r, c, v.clone())));
-        let local = Dcsc::from_triples(self.local.nrows(), self.local.ncols(), triples, combine);
-        DistMat {
-            grid: Rc::clone(&self.grid),
-            nrows: self.nrows,
-            ncols: self.ncols,
-            local,
-        }
-    }
-
     /// Element-wise union with another identically-distributed matrix:
     /// entries present in both are folded with `combine(mine, theirs)`.
     /// Local (no communication).

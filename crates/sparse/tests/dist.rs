@@ -216,7 +216,7 @@ fn add_transpose_symmetrizes() {
                 my_share(&tri, comm.rank(), p),
                 |x, y| *x += y,
             );
-            let s = m.add_transpose(|a, b| *a += b);
+            let s = m.elementwise_add(&m.transpose(), |a, b| *a += b);
             s.gather_triples(0)
         })
         .remove(0)

@@ -95,7 +95,7 @@ fn empty_distributed_matrix_operations() {
         assert_eq!(t.nnz(), 0);
         let sq = a.spgemm(&a, &sparse::ArithmeticSemiring, SpGemmStrategy::Hybrid);
         assert_eq!(sq.nnz(), 0);
-        let sym = a.add_transpose(|x, y| *x += y);
+        let sym = a.elementwise_add(&t, |x, y| *x += y);
         assert_eq!(sym.nnz(), 0);
     });
 }

@@ -29,9 +29,9 @@
 //! - **alloc-confinement** — `#[global_allocator]` and raw `std::alloc`
 //!   machinery are confined to `crates/obs/src/alloc.rs`. The memory
 //!   observatory's accounting is only sound if every allocation flows
-//!   through its one tagging allocator; a second allocator (or direct
-//!   `std::alloc` calls) would leak bytes past the per-subsystem ledgers
-//!   and the window peaks.
+//!   through its one counting allocator; a second allocator (or direct
+//!   `std::alloc` calls) would leak bytes past the ledger and the window
+//!   peaks.
 //! - **monitor-spawn** — the heartbeat/snapshot thread entry point
 //!   `spawn_monitor` is confined to `crates/pcomm/`. The monitor thread
 //!   must live inside the world's scope (stopped before panic triage,
@@ -357,9 +357,9 @@ fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                     i,
                     "alloc-confinement",
                     format!(
-                        "allocator machinery outside {} — the tagging \
+                        "allocator machinery outside {} — the counting \
                          allocator must see every allocation or the memory \
-                         observatory's ledgers lie",
+                         observatory's ledger lies",
                         ALLOC_ALLOWED.join(", ")
                     ),
                 ));
@@ -574,7 +574,7 @@ mod tests {
         let f = scan_source("crates/align/src/scratch.rs", raw);
         // Flags both the missing SAFETY comment and the stray allocator call.
         assert!(f.iter().any(|x| x.rule == "alloc-confinement"));
-        // The tagging allocator module owns this machinery.
+        // The counting allocator's module owns this machinery.
         assert!(scan_source("crates/obs/src/alloc.rs", attr).is_empty());
         // Test trees are exempt.
         assert!(scan_source("crates/sparse/tests/t.rs", attr).is_empty());

@@ -28,8 +28,9 @@ for lane in scalar slp avx2; do
     ALIGN_FORCE="$lane" cargo test -q --release -p align --test proptest_align
 done
 # Memory-observatory lane: release builds default allocation tracking OFF,
-# so force it on and rerun the obs suite — the allocator ledgers, window
-# peaks, and per-stage tables must hold under the release optimizer too.
+# so force it on and rerun the obs suite — the allocation ledger, the
+# nested peak windows, and the per-stage table must hold under the release
+# optimizer too.
 ALLOC_TRACK=1 cargo test -q --release -p obs
 # Monitor lane: heartbeat-snapshot structure must stay deterministic under
 # the conformance checker in release too (debug runs it via `cargo test -q`),
@@ -77,6 +78,31 @@ rm -rf "$ooc_tmp"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --seed 7 --seconds 1
+# Cross-p lane: "connections found in the PSG are oblivious to the number
+# of processes" (paper §V) on the benchmark's 3.5k input and flags, at the
+# reference seed and at two seeds where the x-drop kernel's operand order
+# used to leak the grid into an edge weight (DESIGN.md §7) — seeds 7 and 11
+# never showed it. One rank, a 2x2 grid, and the grid out of core must
+# write the same bytes.
+xp_tmp="$(mktemp -d)"
+xp_psg() { # <out.tsv> <--ranks value and any further flags>
+    local out="$1"
+    shift
+    cargo run --release -q -p pastis --bin pastis -- \
+        --input "$xp_tmp/in.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 0 \
+        --mode xd --ck 0 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
+}
+for seed in 7 26 1400845388; do
+    cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
+    xp_psg "$xp_tmp/p1.tsv" 1
+    for cfg in "4" "4 --mem-budget 16m"; do
+        # shellcheck disable=SC2086  # $cfg is a flag list
+        xp_psg "$xp_tmp/px.tsv" $cfg
+        cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
+            || { echo "verify: seed $seed: PSG at --ranks $cfg differs from --ranks 1"; exit 1; }
+    done
+done
+rm -rf "$xp_tmp"
 cargo clippy --all-targets -- -D warnings
 # Workspace lint gates: SAFETY comments on unsafe, thread-spawn confinement,
 # Instant::now confinement, cost-literal confinement, allocator confinement.

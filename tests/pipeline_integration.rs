@@ -43,6 +43,40 @@ fn edges_independent_of_process_count() {
     }
 }
 
+/// Four records of `metaclust_like(3500, seed 1400845388)` as the
+/// benchmark generates it (`mc10`, `mc1623`, `mc2381`, `mc20`). On a 2x2
+/// grid the homologous middle pair lands in a block whose owner sees it
+/// with row and column swapped relative to p=1; the x-drop extension
+/// prunes row by row, so until the kernel fixed its operand order the edge
+/// weighed 0.4343 at p=1 and 0.4247 at p=4.
+const OPERAND_ORDER_FASTA: &[u8] = b">mc10
+RSLLHFSFAYKKAYNGTENLPLADHNKEVMLMPDESTVKISNFSQTGFRVNLDPTMIAILPEEVKNDVAADLRDARTSTI
+ILIKRALVEASGDYEITIIGTPEEANLGRSDLPLDILAYIIETFNHQSTEFNILPLKNPQSEVTPVRNSFLTANS
+>mc1623
+TDRESLVHVIFSLQVEKTDPDNCQSLRYLSMQNKDGSLVVTMQTRQIPLTINLWGDNRIIIKSTQKSCNEFKSKTNLCMD
+RCAKQCNMEVTIGGYIVTKYAYGPHSDKSKMMSDRGHFTESHFLEELGSGFERVRPRSSCDDPAEQMQVHLLGSAKWVSI
+YQSKFTRKEELFPADDYPKNKASQFLQADPWNFSIDIKMHLSSSACLFQGSEYNTEYSPAKLWAQGARILIVSQDVPGTK
+SPNLLYVLVIDNGDALGAIFVVYEVTRLRSPPMITETCSYIPGYDWDADVEGSL
+>mc2381
+TDCHELLHVEFSLHVEDAPNQYCQSLPWTTRNGREQQWVVFHQGSNGIITINLSGDPRIIVKSRIRSPIVFKQRAMLCMD
+RTAKQCNMRVPQGIYILLRYAYAGTSHDMKVLRENGDDVDNFSLEYLSNGFFEQNGEIRTCKDSAEDDAVGVWINLGSCR
+RDQSIWSRKQRLSPADDYPPMNESQFIQKDPPYLSIAKRPHHAHWAALFQASEYKTDYKYAKLINQGGPQAVQCQDVPGT
+ESPNISLFLIITYLKEPGAFSLVCRITRVRSPEYVQETWSYIPQFDFSADLHSSA
+>mc20
+AQIAPPVLNVGGSMAIKYHDIKRTTKQQALHNLYFNVAIFLPAQGTREPNSPESVLILTPGYGGLEAHETWEGSLLRMWL
+TIKTGQSWIQNGYLSMKRWKINFLKKESHIKDDRVRGQDEWLYGATVEEAIKSLPQWWLGQKWLRLRLIGREWLQKFTIR
+PNLTFEYRMVAATHLLLDDRFRFNST
+";
+
+#[test]
+fn edges_independent_of_operand_order() {
+    // The benchmark's settings: k = 6, x-drop, ANI >= 0.3, coverage >= 0.7.
+    let params = PastisParams::default();
+    let reference = collect_edges(OPERAND_ORDER_FASTA, 1, &params);
+    assert_eq!(reference.len(), 1, "the homologous pair is the one edge");
+    assert_eq!(collect_edges(OPERAND_ORDER_FASTA, 4, &params), reference);
+}
+
 #[test]
 fn edges_independent_of_process_count_with_substitutes() {
     let fasta = small_dataset(20, 2);
