@@ -6,14 +6,13 @@
 //! - `schema`: validate `machine_profile.json` (if present) and every
 //!   recognized document under the baseline dir. Catches hand-edits that
 //!   would silently disarm the gate.
-//! - `gate`: regenerate the deterministic scaling report under the
-//!   committed profile and diff it against `results/baseline/
-//!   BENCH_scale.json`; additionally diff any current `BENCH_align.json`
-//!   / `BENCH_obs.json` present in the working directory (those are
-//!   wall-clock benches, so they are only compared when freshly
-//!   produced). Skips with a note when no baseline is committed, and
-//!   likewise when a committed baseline predates the current document
-//!   schema (rerun the bench bins to re-arm those checks).
+//! - `gate`: diff the current `BENCH_align.json` / `BENCH_obs.json` in
+//!   the working directory against the committed baselines. Both are
+//!   wall-clock benches, so a document is compared only when a current
+//!   copy is present; nothing is regenerated here. Skips with a note when
+//!   no baseline is committed, and likewise when a committed baseline
+//!   predates the current document schema (rerun the bench bins to re-arm
+//!   those checks).
 //!
 //! `BASELINE=<dir>` overrides the baseline directory (default
 //! `results/baseline`).
@@ -22,7 +21,6 @@ use std::path::{Path, PathBuf};
 
 use obs::JsonValue;
 use pastis_bench::gate;
-use pastis_bench::{load_profile_or_default, ScaleReport};
 use pcomm::MachineProfile;
 
 fn baseline_dir() -> PathBuf {
@@ -34,7 +32,7 @@ fn read_doc(path: &Path) -> Result<JsonValue, String> {
     JsonValue::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-const BENCH_FILES: [&str; 3] = ["BENCH_align.json", "BENCH_obs.json", "BENCH_scale.json"];
+const BENCH_FILES: [&str; 2] = ["BENCH_align.json", "BENCH_obs.json"];
 
 fn run_schema() -> Result<(), String> {
     let mut checked = 0;
@@ -72,7 +70,7 @@ fn run_gate() -> Result<bool, String> {
     if !dir.exists() {
         println!(
             "bench_gate: no baseline at {} — skipping (commit one with the \
-             `calibrate`/`scale`/`alnperf`/`obsperf` bins)",
+             `calibrate`/`alnperf`/`obsperf` bins)",
             dir.display()
         );
         return Ok(true);
@@ -91,22 +89,14 @@ fn run_gate() -> Result<bool, String> {
             continue;
         }
         gate::validate(file, &doc)?;
-        if file == "BENCH_scale.json" {
-            // Deterministic: regenerate under the committed profile.
-            let profile = load_profile_or_default()?;
-            let report = ScaleReport::build(&profile);
-            currents.push((file, report.to_json()));
-        } else {
-            // Wall-clock benches: only gated when a fresh run is present.
-            let cur = Path::new(file);
-            if !cur.exists() {
-                println!("bench_gate: no fresh ./{file} — skipping (run the bench bin to gate it)");
-                continue;
-            }
-            let cur_doc = read_doc(cur)?;
-            gate::validate(file, &cur_doc)?;
-            currents.push((file, cur_doc));
+        let cur = Path::new(file);
+        if !cur.exists() {
+            println!("bench_gate: no fresh ./{file} — skipping (run the bench bin to gate it)");
+            continue;
         }
+        let cur_doc = read_doc(cur)?;
+        gate::validate(file, &cur_doc)?;
+        currents.push((file, cur_doc));
         baselines.push((file, doc));
     }
     let (outcomes, all_ok) = gate::run(&baselines, &currents);

@@ -1,6 +1,7 @@
 //! calibrate — measure this host's postal parameters (α, β) and per-op
-//! compute constants, writing a versioned `machine_profile.json` the
-//! projector (`scale` bin) and the runtime cost table load.
+//! compute constants, writing a versioned `machine_profile.json`
+//! (validated by `bench_gate schema`; `MachineProfile::install` loads it
+//! into the runtime cost table).
 //!
 //! Method:
 //!

@@ -26,7 +26,8 @@ use std::fmt::Write as _;
 
 use align::{align_batch, local_align, AlignParams};
 use datagen::random_protein;
-use pastis_bench::{metaclust_dataset, run_on, scale_params};
+use pastis::{AlignMode, PastisParams};
+use pastis_bench::{metaclust_dataset, run_on};
 use rand::prelude::*;
 
 /// Pair of `len`-residue sequences at `rate` point-mutation distance
@@ -164,7 +165,12 @@ fn main() {
     // recorder macro above. Target: < 3% (ratio ≤ 1.03).
     let bb_reps = 15;
     let bb_fasta = metaclust_dataset(0.12 * scale, 7);
-    let bb_params = scale_params();
+    let bb_params = PastisParams {
+        k: 5,
+        mode: AlignMode::XDrop,
+        threads: 1,
+        ..Default::default()
+    };
     let bb_run = || {
         run_on(&bb_fasta, 4, &bb_params)
             .iter()

@@ -4,14 +4,12 @@
 //! Each [`Check`] names one scalar inside one bench document and the
 //! direction in which it may drift. Throughput-style numbers
 //! (cells/second) compare as ratios with a relative tolerance; bounded
-//! quantities (the recorder overhead percentage, the projected alignment
-//! share) compare as absolute deltas. The `bench_gate` bin wires this
-//! into `scripts/verify.sh`; the gate *skips with a note* when no
-//! baseline is committed, so fresh checkouts stay green.
+//! quantities (the recorder overhead percentage) compare as absolute
+//! deltas. The `bench_gate` bin wires this into `scripts/verify.sh`; the
+//! gate *skips with a note* when no baseline is committed, so fresh
+//! checkouts stay green.
 
 use obs::JsonValue;
-
-use crate::SCALE_SCHEMA_VERSION;
 
 /// How a metric is allowed to move relative to its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,8 +43,7 @@ pub struct Check {
 
 /// Every gated metric. Alignment-engine throughputs tolerate 20% noise
 /// (wall-clock benches on a shared host); the recorder overhead may move
-/// ±2 percentage points; the projected totals are deterministic, so their
-/// 20%/0.15 tolerances only absorb intentional model retuning.
+/// ±2 percentage points.
 pub const CHECKS: &[Check] = &[
     Check {
         file: "BENCH_align.json",
@@ -90,65 +87,6 @@ pub const CHECKS: &[Check] = &[
         path: &["monitor", "overhead_ratio"],
         direction: Direction::LowerBetter,
         tolerance: 0.02,
-    },
-    Check {
-        file: "BENCH_scale.json",
-        path: &["summary", "total_secs"],
-        direction: Direction::LowerBetter,
-        tolerance: 0.20,
-    },
-    // Measured per-stage work imbalance of the reference recording.
-    // Deterministic (work ledgers, not wall clock), so drift means the
-    // partitioning or the workload itself changed; the band absorbs
-    // intentional retuning of either.
-    Check {
-        file: "BENCH_scale.json",
-        path: &["summary", "max_stage_lambda"],
-        direction: Direction::AbsDelta,
-        tolerance: 0.25,
-    },
-    Check {
-        file: "BENCH_scale.json",
-        path: &["summary", "align_share"],
-        direction: Direction::AbsDelta,
-        tolerance: 0.15,
-    },
-    // The overlap the streamed pipeline achieves on the recorded grid must
-    // not erode: hidden seconds shrinking means panel broadcasts stopped
-    // fitting under the overlapped compute (e.g. someone serialized the
-    // stream again). Deterministic, so the band only absorbs intentional
-    // retuning.
-    Check {
-        file: "BENCH_scale.json",
-        path: &["overlap", "hidden_secs"],
-        direction: Direction::HigherBetter,
-        tolerance: 0.20,
-    },
-    // Broadcast cost itself is a cost: creeping up means the prefetch is
-    // moving more bytes than the recorded workload warrants.
-    Check {
-        file: "BENCH_scale.json",
-        path: &["overlap", "bcast_secs"],
-        direction: Direction::LowerBetter,
-        tolerance: 0.25,
-    },
-    // Out-of-core price of fitting in half the reducible memory at the
-    // largest projected grid: batched/monolithic makespan. Deterministic
-    // (model over recorded ledgers); creeping up means the A-rebroadcast
-    // term grew or the batch-scaled structures stopped shrinking.
-    Check {
-        file: "BENCH_scale.json",
-        path: &["ooc", "batch_overhead_ratio"],
-        direction: Direction::LowerBetter,
-        tolerance: 0.20,
-    },
-    // The batched per-rank peak under the same budget policy: growing
-    // means either the resident floor or a batch's share got fatter.
-    Check {
-        file: "BENCH_scale.json",
-        path: &["ooc", "mem_peak_bytes"],
-        direction: Direction::LowerBetter,
-        tolerance: 0.25,
     },
     // Prefilter-cascade floors. The bitpacked gate typically culls at
     // 4–5× the striped score pass's cells/s on this class of workload;
@@ -202,12 +140,8 @@ pub struct Outcome {
     pub detail: String,
 }
 
-fn walk<'a>(doc: &'a JsonValue, path: &[&str]) -> Option<&'a JsonValue> {
-    path.iter().try_fold(doc, |cur, k| cur.get(k))
-}
-
 fn lookup(doc: &JsonValue, path: &[&str]) -> Option<f64> {
-    walk(doc, path)?.as_f64()
+    path.iter().try_fold(doc, |cur, k| cur.get(k))?.as_f64()
 }
 
 /// Apply one check to a baseline/current document pair. `None` when the
@@ -314,15 +248,6 @@ pub fn run(
 /// schema.
 pub fn schema_age(file: &str, doc: &JsonValue) -> Option<String> {
     match file {
-        "BENCH_scale.json" => {
-            let v = doc.get("version").and_then(JsonValue::as_u64).unwrap_or(0);
-            (v < SCALE_SCHEMA_VERSION).then(|| {
-                format!(
-                    "schema v{v} predates v{SCALE_SCHEMA_VERSION} (no out-of-core section) — \
-                     regenerate with the `scale` bin"
-                )
-            })
-        }
         "BENCH_obs.json" => {
             if doc.get("blackbox").is_none() {
                 Some(
@@ -394,28 +319,6 @@ pub fn validate(file: &str, doc: &JsonValue) -> Result<(), String> {
             expect_num(&["monitor", "overhead_ratio"])?;
             if lookup(doc, &["monitor", "overhead_ratio"]).unwrap_or(0.0) <= 0.0 {
                 return Err(format!("{file}: monitor.overhead_ratio must be positive"));
-            }
-            Ok(())
-        }
-        // Nothing reads this document back into structs — the gate reads
-        // key paths — so it is validated like the other two: the tag, the
-        // version, every gated scalar, and the row sets the scalars were
-        // lifted from.
-        "BENCH_scale.json" => {
-            expect_bench("scale_projection")?;
-            if doc.get("version").and_then(JsonValue::as_u64) != Some(SCALE_SCHEMA_VERSION) {
-                return Err(format!("{file}: `version` must be {SCALE_SCHEMA_VERSION}"));
-            }
-            for check in CHECKS.iter().filter(|c| c.file == file) {
-                expect_num(check.path)?;
-            }
-            for path in [&["projections"][..], &["mem"], &["skew"], &["ooc", "rows"]] {
-                if !matches!(walk(doc, path), Some(JsonValue::Arr(rows)) if !rows.is_empty()) {
-                    return Err(format!(
-                        "{file}: `{}` must be a non-empty array",
-                        path.join(".")
-                    ));
-                }
             }
             Ok(())
         }
@@ -506,13 +409,14 @@ mod tests {
     #[test]
     fn lower_better_and_abs_delta_directions() {
         let check = Check {
-            file: "BENCH_scale.json",
-            path: &["summary", "total_secs"],
+            file: "BENCH_obs.json",
+            path: &["blackbox", "overhead_ratio"],
             direction: Direction::LowerBetter,
             tolerance: 0.20,
         };
-        let doc =
-            |v: f64| JsonValue::parse(&format!("{{\"summary\":{{\"total_secs\":{v}}}}}")).unwrap();
+        let doc = |v: f64| {
+            JsonValue::parse(&format!("{{\"blackbox\":{{\"overhead_ratio\":{v}}}}}")).unwrap()
+        };
         assert!(apply(&check, &doc(10.0), &doc(11.9)).unwrap().ok);
         assert!(!apply(&check, &doc(10.0), &doc(12.5)).unwrap().ok);
         // Getting faster is never a failure.
@@ -581,32 +485,6 @@ mod tests {
             .unwrap()
             .contains("monitor"));
         assert!(schema_age("BENCH_obs.json", &JsonValue::parse(obs_doc).unwrap()).is_none());
-        let old_scale = JsonValue::parse("{\"schema\":\"bench_scale\",\"version\":2}").unwrap();
-        assert!(schema_age("BENCH_scale.json", &old_scale)
-            .unwrap()
-            .contains("v2"));
         assert!(validate("BENCH_other.json", &align_doc(1.0)).is_err());
-    }
-
-    #[test]
-    fn scale_document_is_validated_by_key_path() {
-        let scale_doc = |version: u64, summary: &str, ooc_rows: &str| {
-            JsonValue::parse(&format!(
-                "{{\"bench\":\"scale_projection\",\"version\":{version},\
-                 \"summary\":{{{summary}\"max_stage_lambda\":3.5,\"align_share\":0.3}},\
-                 \"overlap\":{{\"hidden_secs\":0.001,\"bcast_secs\":0.001}},\
-                 \"ooc\":{{\"batch_overhead_ratio\":1.04,\"mem_peak_bytes\":111000,\
-                 \"rows\":[{ooc_rows}]}},\
-                 \"projections\":[{{}}],\"mem\":[{{}}],\"skew\":[{{}}]}}"
-            ))
-            .unwrap()
-        };
-        let total = "\"total_secs\":0.0069,";
-        let good = scale_doc(SCALE_SCHEMA_VERSION, total, "{}");
-        validate("BENCH_scale.json", &good).expect("every gated path and row set present");
-        let err = |doc: &JsonValue| validate("BENCH_scale.json", doc).unwrap_err();
-        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION - 1, total, "{}")).contains("version"));
-        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION, "", "{}")).contains("summary.total_secs"));
-        assert!(err(&scale_doc(SCALE_SCHEMA_VERSION, total, "")).contains("ooc.rows"));
     }
 }

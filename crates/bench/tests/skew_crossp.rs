@@ -1,9 +1,7 @@
-//! Cross-p skew transfer: the per-stage imbalance dissection is measured
-//! at one grid size and *assumed* by the projector to persist at the
-//! target grid (λ comes from the data-driven partitioning, not from p).
-//! Only the *ranking* of stages by skew is expected to transfer — the λ
-//! magnitudes legitimately move with the grid — so this test pins the
-//! ranking agreement between recordings of the same workload at p=4 and
+//! Cross-p skew transfer: which stages are the most imbalanced is a
+//! property of the data-driven partitioning, not of p. The λ magnitudes
+//! legitimately move with the grid, so this test pins only the *ranking*
+//! of stages by skew between recordings of the same workload at p=4 and
 //! p=16, plus the basic sanity of every skew row.
 
 use pastis::{AlignMode, PastisParams, PastisRun};

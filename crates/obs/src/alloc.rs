@@ -19,8 +19,8 @@
 //!   (sequence stores, SpGEMM accumulators, PSG triples, alignment
 //!   scratch) report their heap footprint explicitly into max-merged
 //!   gauges (`mem.watermark.*`), so release runs get deterministic
-//!   watermarks for the scaling projector even with the allocator hook
-//!   off.
+//!   watermarks (the `pastis --trace` structure table) even with the
+//!   allocator hook off.
 //!
 //! There is no attribution below the process total: the allocator
 //! **never changes layouts or adds headers** — it forwards every call to
@@ -236,8 +236,8 @@ static GLOBAL: TrackingAlloc = TrackingAlloc;
 
 /// Heap footprint of a structure, in bytes, **excluding** the structure's
 /// own inline size. Implementations are estimates good to the capacity of
-/// the backing buffers — the consumers (watermark gauges, growth-law
-/// projection) want magnitudes, not audits.
+/// the backing buffers — the consumer (the watermark gauges) wants
+/// magnitudes, not audits.
 pub trait HeapSize {
     /// Estimated heap bytes owned by `self`.
     fn heap_bytes(&self) -> usize;

@@ -15,11 +15,8 @@
 //!
 //! The work-based λ (`lambda_work`) is computed from the deterministic
 //! work-nanosecond ledgers, so it is bit-identical across perturbation
-//! seeds and host speeds — `pcomm::cost::project` uses it to replace the
-//! balanced-compute assumption, and the bench gate can diff it against a
-//! committed baseline. Time- and byte-based λ are display diagnostics.
+//! seeds and host speeds. Time- and byte-based λ are display diagnostics.
 
-use crate::json::JsonValue;
 use crate::metrics::Histogram;
 use crate::project::StageExtract;
 use crate::span::RankTrace;
@@ -52,42 +49,8 @@ pub struct StageSkew {
     pub work_hist: Vec<(usize, u64)>,
 }
 
-impl StageSkew {
-    pub fn to_json(&self) -> JsonValue {
-        let mut o = std::collections::BTreeMap::new();
-        o.insert("span".into(), JsonValue::Str(self.span.clone()));
-        o.insert("label".into(), JsonValue::Str(self.label.clone()));
-        o.insert("ranks".into(), JsonValue::Num(self.ranks as f64));
-        o.insert("lambda_work".into(), JsonValue::Num(self.lambda_work));
-        o.insert("lambda_secs".into(), JsonValue::Num(self.lambda_secs));
-        o.insert("lambda_bytes".into(), JsonValue::Num(self.lambda_bytes));
-        o.insert(
-            "critical_rank".into(),
-            JsonValue::Num(self.critical_rank as f64),
-        );
-        o.insert("gini".into(), JsonValue::Num(self.gini));
-        o.insert("work_ns_mean".into(), JsonValue::Num(self.work_ns_mean));
-        o.insert(
-            "work_ns_max".into(),
-            JsonValue::Num(self.work_ns_max as f64),
-        );
-        o.insert(
-            "work_hist".into(),
-            JsonValue::Arr(
-                self.work_hist
-                    .iter()
-                    .map(|&(b, n)| {
-                        JsonValue::Arr(vec![JsonValue::Num(b as f64), JsonValue::Num(n as f64)])
-                    })
-                    .collect(),
-            ),
-        );
-        JsonValue::Obj(o)
-    }
-}
-
 /// max/mean of a sample, 1.0 when the sample is empty or sums to zero
-/// (a balanced default keeps the projector's math neutral).
+/// (a balanced default).
 pub fn lambda(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 1.0;

@@ -1,10 +1,10 @@
-//! Per-stage trace extraction for the scaling projector.
+//! Per-stage trace extraction.
 //!
-//! The cost model (in `pcomm::cost`) replays a recorded run at
-//! hypothetical node counts; this module reduces raw [`RankTrace`]s to the
-//! per-stage aggregates it consumes: total/max work, total counter
-//! traffic, and a per-collective-kind breakdown (calls and counters of
-//! every `pcomm.*` span family inside the stage).
+//! This module reduces raw [`RankTrace`]s to the per-stage aggregates the
+//! dissection, the skew tables and the cost model (in `pcomm::cost`, via
+//! `Timings::from_trace`) consume: total/max work, total counter traffic,
+//! and a per-collective-kind breakdown (calls and counters of every
+//! `pcomm.*` span family inside the stage).
 //!
 //! A stage span's counter delta covers everything that happened inside it
 //! — including nested collective spans — so stage totals come straight
@@ -42,8 +42,7 @@ pub struct KindAgg {
 /// dissection (`crate::dissect`) and the imbalance observatory
 /// (`crate::imbalance`): per-rank distributions of time, work
 /// (`counters.work_ns`), and wire bytes (`counters.bytes_sent`) feed the
-/// limiting-rank rows, λ / Gini / log₂-histogram skew dissection and the
-/// imbalance-adjusted critical paths in `pcomm::cost::project`.
+/// limiting-rank rows and the λ / Gini / log₂-histogram skew dissection.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankSlice {
     /// World rank the slice belongs to (from the trace, not fold order).
@@ -54,7 +53,7 @@ pub struct RankSlice {
     pub counters: CounterSet,
 }
 
-/// One pipeline stage reduced to projector inputs.
+/// One pipeline stage reduced to its per-stage aggregates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageExtract {
     /// Stage span name (e.g. `pastis.summa`).
@@ -159,9 +158,9 @@ pub fn extract_stages(
 pub const MEM_WATERMARK_PREFIX: &str = "mem.watermark.";
 
 /// Reduce per-rank traces to per-structure memory watermarks: every gauge
-/// named `mem.watermark.<structure>` maxed across ranks (the projector
-/// wants the *critical* rank's footprint, and gauges already merge by
-/// max). Keys are returned without the prefix, sorted.
+/// named `mem.watermark.<structure>` maxed across ranks (the *critical*
+/// rank's footprint; gauges already merge by max). Keys are returned
+/// without the prefix, sorted.
 pub fn extract_mem_watermarks(traces: &[RankTrace]) -> Vec<(String, u64)> {
     let mut out: BTreeMap<String, u64> = BTreeMap::new();
     for trace in traces {

@@ -144,15 +144,6 @@ pub fn partition(weights: &[u64], q: usize, budget_bytes: u64) -> (Vec<(u64, u64
     (ranges, est)
 }
 
-/// Derive a budget from a recorded memory projection: the
-/// `pcomm::project_mem` per-rank peak at the target grid, scaled by
-/// `headroom` (e.g. `0.5` batches the product into half the projected
-/// monolithic footprint). This is the default policy the scaling
-/// observatory's `ooc` section uses at the paper's node counts.
-pub fn budget_from_projection(projected_peak_bytes: u64, headroom: f64) -> u64 {
-    ((projected_peak_bytes as f64) * headroom).ceil().max(1.0) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,11 +201,5 @@ mod tests {
         let (ranges, est) = partition(&[], 3, 0);
         assert_eq!(ranges, vec![(0, 0)]);
         assert_eq!(est, vec![0]);
-    }
-
-    #[test]
-    fn budget_from_projection_scales_and_floors() {
-        assert_eq!(budget_from_projection(1000, 0.5), 500);
-        assert_eq!(budget_from_projection(0, 0.5), 1);
     }
 }

@@ -37,14 +37,12 @@
 pub mod batch;
 pub mod ckpt;
 mod matrices;
-mod output;
 mod params;
 mod pipeline;
 mod seedpair;
 mod semirings;
 
 pub use matrices::{build_a_triples, build_s_dist, distinct_kmers};
-pub use output::{read_psg_shards, shard_path, write_psg_shard};
 pub use params::{AlignMode, PastisParams};
 pub use pipeline::{run_pipeline, Counters, PastisRun, StageMeasure, Timings};
 pub use seedpair::{SeedPair, SubPos};

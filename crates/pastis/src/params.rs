@@ -82,9 +82,7 @@ pub struct PastisParams {
     /// edges concatenate into an edge set bit-identical to the monolithic
     /// run. `None` = single pass. Only the streamed exact overlap can
     /// batch: `run_pipeline` refuses a budget together with substitute
-    /// k-mers or `streaming: false`. A good value on a recorded machine is
-    /// the `pcomm::project_mem` peak at the current grid scaled by the
-    /// desired headroom (see [`crate::batch::budget_from_projection`]).
+    /// k-mers or `streaming: false`.
     pub mem_budget_bytes: Option<u64>,
     /// Checkpoint directory (same restriction as the budget): each
     /// completed batch writes per-rank PSG shards plus a versioned manifest

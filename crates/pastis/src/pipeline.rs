@@ -190,7 +190,7 @@ impl Timings {
             .map(|e| (e.seq, e.dur_ns as f64 * 1e-9))
             .unwrap_or((0, 0.0));
         // Reduce the latest run's spans with the same extractor the
-        // scaling projector uses, so stages carry the shaped collective
+        // dissection uses, so stages carry the shaped collective
         // breakdown `CostModel::stage` prices.
         let run = obs::RankTrace {
             rank: trace.rank,
@@ -239,11 +239,7 @@ fn stage_measure(e: &obs::project::StageExtract, p: usize) -> StageMeasure {
     };
     let mut colls = Vec::new();
     for (name, agg) in &e.kinds {
-        let Some(rule) = pcomm::KIND_RULES
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, r)| r)
-        else {
+        let Some(&(_, shape, scope)) = pcomm::KIND_RULES.iter().find(|(n, _, _)| n == name) else {
             continue;
         };
         if agg.calls_total == 0 {
@@ -257,8 +253,8 @@ fn stage_measure(e: &obs::project::StageExtract, p: usize) -> StageMeasure {
         let calls = agg.calls_total as f64;
         let wire = kc.bytes_sent.max(kc.bytes_recv) as f64;
         colls.push(pcomm::CollAgg {
-            shape: rule.shape,
-            comm_size: rule.scope.size(p),
+            shape,
+            comm_size: scope.size(p),
             calls,
             payload_bytes: wire / calls,
         });

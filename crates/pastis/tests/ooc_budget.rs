@@ -4,8 +4,7 @@
 //! cargo test --release` — but self-arms tracking so a plain debug
 //! invocation still exercises it.
 //!
-//! The budget policy mirrors the scaling observatory's `ooc` section:
-//! batching can only shrink the *reducible* structures (the pending
+//! Batching can only shrink the *reducible* structures (the pending
 //! seed-pair map, the SpGEMM triples and accumulator — the watermark
 //! probes measure each), while the resident floor (sequence store, the
 //! A/Aᵀ/S matrices, retained edges) is live no matter how narrow the
@@ -18,12 +17,11 @@
 //! govern, so it must only stay below the monolithic peak.
 
 use datagen::{metaclust_like, MetaclustConfig};
-use pastis::{batch, run_pipeline, PastisParams};
+use pastis::{run_pipeline, PastisParams};
 use pcomm::WorldBuilder;
 use seqstore::write_fasta;
 
-/// Watermarked structures the batched driver shrinks (the in-process
-/// mirror of `pcomm::OOC_BATCH_SCALED`).
+/// Watermarked structures whose footprint scales with the batch width.
 const REDUCIBLE: [&str; 3] = [
     "mem.watermark.pastis.pending",
     "mem.watermark.sparse.accum",
@@ -84,7 +82,7 @@ fn batched_peaks_stay_under_projected_budget() {
     // Budget the sizer to halve the reducible footprint; the measured
     // bound the batched run must then respect is everything else plus
     // that halved share.
-    let sizer_budget = batch::budget_from_projection(reducible, 0.5);
+    let sizer_budget = reducible.div_ceil(2);
     let bound = mono_peak - reducible / 2;
     let batched = merged_gauges(&fasta, Some(sizer_budget));
     let batch_peaks: Vec<(&str, i64)> = batched

@@ -9,7 +9,7 @@
 //! p, so it is deliberately not part of the cross-p fixture.
 
 use datagen::{metaclust_like, MetaclustConfig};
-use pastis::{run_pipeline, PastisParams};
+use pastis::{run_pipeline, AlignMode, PastisParams};
 use pcomm::World;
 use seqstore::write_fasta;
 
@@ -72,6 +72,70 @@ fn substitute_path_adds_its_stages_deterministically() {
     for (rank, sig) in signatures(&fasta, 4, &params).iter().enumerate() {
         assert_eq!(*sig, reference, "rank={rank}");
     }
+}
+
+#[test]
+fn streamed_summa_posts_the_next_panels_before_computing() {
+    // The overlap the streamed SUMMA exists for: stage t+1's two panel
+    // broadcasts (A along the grid row, Aᵀ along the grid column) are
+    // posted — their `summa.prefetch` span closed — before stage t's local
+    // multiply and its alignment chunk start. Siblings of one span on one
+    // thread, so entry order is close-before-open; the recorder's clock
+    // must agree.
+    let fasta = dataset();
+    let params = PastisParams {
+        k: 4,
+        mode: AlignMode::XDrop,
+        threads: 1,
+        ..Default::default()
+    };
+    let (p, q) = (4usize, 2i64);
+    let runs = World::run(p, |comm| run_pipeline(&comm, fasta.as_slice(), &params));
+    fn stages<'a>(nodes: &'a [obs::SpanNode], out: &mut Vec<&'a obs::SpanNode>) {
+        for n in nodes {
+            if n.event.name == "summa.stage" {
+                out.push(n);
+            }
+            stages(&n.children, out);
+        }
+    }
+    let mut checked = 0;
+    for r in &runs {
+        let forest = obs::span_forest(&r.trace.events);
+        let mut found = Vec::new();
+        stages(&forest, &mut found);
+        for stage in found {
+            let t = stage.event.arg.map_or(-1, |(_, v)| v);
+            if t >= q - 1 {
+                continue; // the last stage has nothing left to post
+            }
+            let child = |name: &str| {
+                stage
+                    .children
+                    .iter()
+                    .find(|c| c.event.name == name)
+                    .unwrap_or_else(|| panic!("rank {} stage {t}: no {name}", r.trace.rank))
+            };
+            let prefetch = child("summa.prefetch");
+            let posts = prefetch
+                .children
+                .iter()
+                .filter(|c| c.event.name == "pcomm.ibcast.post")
+                .count();
+            assert_eq!(posts, 2, "rank {} stage {t}", r.trace.rank);
+            let closed = prefetch.event.start_ns + prefetch.event.dur_ns;
+            for later in ["summa.local_mul", "align.overlap"] {
+                let e = &child(later).event;
+                assert!(
+                    prefetch.event.seq < e.seq && closed <= e.start_ns,
+                    "rank {} stage {t}: summa.prefetch still open when {later} began",
+                    r.trace.rank
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, p, "one overlapped stage per rank on a 2x2 grid");
 }
 
 #[test]

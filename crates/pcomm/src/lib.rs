@@ -38,10 +38,8 @@ mod world;
 pub use collectives::BcastHandle;
 pub use comm::{Comm, RecvFuture};
 pub use cost::{
-    grid_side, kind_names, ooc_split, project, project_mem, project_ooc, CollAgg, CollShape,
-    CostModel, Growth, KindRule, MachineProfile, MemProjection, OocProjection, ProjectedStage,
-    Projection, Scope, StageCost, WhatIfOverlap, KIND_RULES, MEM_GROWTH_DEFAULTS, OOC_BATCH_SCALED,
-    PROFILE_SCHEMA_VERSION,
+    grid_side, kind_names, CollAgg, CollShape, CostModel, MachineProfile, Scope, StageCost,
+    KIND_RULES, PROFILE_SCHEMA_VERSION,
 };
 pub use grid::Grid;
 pub use payload::Payload;

@@ -245,7 +245,7 @@ impl DistSeqStore {
 
 impl HeapSize for DistSeqStore {
     fn heap_bytes(&self) -> usize {
-        // The store is the growth-law structure `seqstore.store`: owned
+        // The store is the watermarked structure `seqstore.store`: owned
         // sequences (~n/p of the input) plus the fetched row/column block
         // views (~2n/√p), which dominate at scale.
         let fetched = |m: &BTreeMap<u64, SeqRecord>| {

@@ -97,7 +97,7 @@ impl<C> HashAccumulator<C> {
         }
     }
 
-    /// Heap footprint of the table (the growth-law structure
+    /// Heap footprint of the table (the watermarked structure
     /// `sparse.accum`; capacity only grows, so the final size is the
     /// invocation's high-water mark).
     pub fn heap_bytes(&self) -> usize {

@@ -27,5 +27,5 @@ pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use dist::{DistMat, SummaStream};
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};
-pub use semiring::{ArithmeticSemiring, MaxPlusSemiring, OrAndSemiring, Semiring};
+pub use semiring::{ArithmeticSemiring, Semiring};
 pub use triple::Triple;

@@ -45,46 +45,6 @@ impl Semiring for ArithmeticSemiring {
     }
 }
 
-/// Boolean `(∨, ∧)` semiring — graph reachability / pattern products.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OrAndSemiring;
-
-impl Semiring for OrAndSemiring {
-    type A = bool;
-    type B = bool;
-    type C = bool;
-
-    #[inline]
-    fn multiply(&self, a: &bool, b: &bool) -> Option<bool> {
-        (*a && *b).then_some(true)
-    }
-
-    #[inline]
-    fn add(&self, acc: &mut bool, contrib: bool) {
-        *acc |= contrib;
-    }
-}
-
-/// `(max, +)` semiring over `i64` — longest-path style products.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaxPlusSemiring;
-
-impl Semiring for MaxPlusSemiring {
-    type A = i64;
-    type B = i64;
-    type C = i64;
-
-    #[inline]
-    fn multiply(&self, a: &i64, b: &i64) -> Option<i64> {
-        Some(a + b)
-    }
-
-    #[inline]
-    fn add(&self, acc: &mut i64, contrib: i64) {
-        *acc = (*acc).max(contrib);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,20 +55,5 @@ mod tests {
         let mut acc = s.multiply(&2.0, &3.0).unwrap();
         s.add(&mut acc, s.multiply(&4.0, &0.5).unwrap());
         assert_eq!(acc, 8.0);
-    }
-
-    #[test]
-    fn orand_filters_false() {
-        let s = OrAndSemiring;
-        assert_eq!(s.multiply(&true, &false), None);
-        assert_eq!(s.multiply(&true, &true), Some(true));
-    }
-
-    #[test]
-    fn maxplus() {
-        let s = MaxPlusSemiring;
-        let mut acc = s.multiply(&1, &2).unwrap();
-        s.add(&mut acc, s.multiply(&5, &-1).unwrap());
-        assert_eq!(acc, 4);
     }
 }

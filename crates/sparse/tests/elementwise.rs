@@ -1,10 +1,9 @@
-//! Element-wise union, exotic semirings through SUMMA, and small-matrix
-//! edge cases.
+//! Element-wise union and small-matrix edge cases.
 
 use std::rc::Rc;
 
 use pcomm::{Grid, World};
-use sparse::{DistMat, MaxPlusSemiring, OrAndSemiring, SpGemmStrategy};
+use sparse::{DistMat, SpGemmStrategy};
 
 #[test]
 fn elementwise_add_unions_and_folds() {
@@ -30,44 +29,6 @@ fn elementwise_add_unions_and_folds() {
     let mut g = got;
     g.sort_by(|x, y| x.partial_cmp(y).unwrap());
     assert_eq!(g, vec![(0, 0, 1.0), (1, 1, 12.0), (2, 2, 3.0)]);
-}
-
-#[test]
-fn boolean_semiring_reachability() {
-    // Adjacency of a path 0→1→2; A·A over (∨,∧) gives the 2-hop relation.
-    let edges = vec![(0u64, 1u64, true), (1, 2, true)];
-    let got = World::run(4, |comm| {
-        let grid = Rc::new(Grid::new(&comm));
-        let mine = if comm.rank() == 0 {
-            edges.clone()
-        } else {
-            vec![]
-        };
-        let a = DistMat::from_triples(Rc::clone(&grid), 3, 3, mine, |x, y| *x |= y);
-        let two_hop = a.spgemm(&a, &OrAndSemiring, SpGemmStrategy::Hybrid);
-        two_hop.gather_triples(0)
-    })
-    .remove(0)
-    .unwrap();
-    assert_eq!(got, vec![(0, 2, true)]);
-}
-
-#[test]
-fn maxplus_semiring_longest_two_hop() {
-    // Weighted path: 0→1 (5), 1→2 (7), 0→1 alt not possible in one matrix;
-    // (max,+) square gives the best 2-hop weight 12.
-    let edges = vec![(0u64, 1u64, 5i64), (1, 2, 7)];
-    let got = World::run(1, |comm| {
-        let grid = Rc::new(Grid::new(&comm));
-        let a = DistMat::from_triples(Rc::clone(&grid), 3, 3, edges.clone(), |x, y| {
-            *x = (*x).max(y)
-        });
-        let sq = a.spgemm(&a, &MaxPlusSemiring, SpGemmStrategy::Heap);
-        sq.gather_triples(0)
-    })
-    .remove(0)
-    .unwrap();
-    assert_eq!(got, vec![(0, 2, 12)]);
 }
 
 #[test]

@@ -109,10 +109,10 @@ cargo clippy --all-targets -- -D warnings
 # See crates/xlint.
 cargo run -q -p xlint -- .
 # Bench document schemas (machine profile + committed baselines) and the
-# regression gate: BENCH_scale is regenerated deterministically from the
-# committed profile and diffed against results/baseline/; the wall-clock
-# benches are gated only when fresh BENCH_align/BENCH_obs runs are present.
-# Skips with a note when no baseline is committed. See crates/bench/src/gate.rs.
+# regression gate: BENCH_align/BENCH_obs are wall-clock benches, gated
+# against results/baseline/ only when a current copy is present; nothing is
+# regenerated. Skips with a note when no baseline is committed. See
+# crates/bench/src/gate.rs.
 cargo run --release -q -p pastis-bench --bin bench_gate -- schema
 cargo run --release -q -p pastis-bench --bin bench_gate -- gate
 

@@ -337,30 +337,6 @@ fn empty_and_tiny_inputs() {
 }
 
 #[test]
-fn parallel_psg_shards_cover_edges_once() {
-    let fasta = small_dataset(25, 11);
-    let params = PastisParams {
-        k: 4,
-        ..Default::default()
-    };
-    let dir = std::env::temp_dir().join("pastis_psg_shards_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let stem = dir.join("psg");
-    let p = 4;
-    World::run(p, |comm| {
-        let run = run_pipeline(&comm, &fasta, &params);
-        pastis::write_psg_shard(&comm, &stem, &run.edges).expect("shard write");
-    });
-    let merged = pastis::read_psg_shards(&stem, p).expect("shard read");
-    let want: Vec<(u64, u64, f64)> = collect_edges(&fasta, 1, &params)
-        .into_iter()
-        .map(|(a, b, w)| (a, b, (w * 1e6).round() / 1e6)) // writer precision
-        .collect();
-    assert_eq!(merged, want);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn kmer_frequency_filter_drops_repeat_driven_pairs() {
     // Give every sequence the same low-complexity repeat; without the
     // filter the repeat makes everything a candidate pair.
