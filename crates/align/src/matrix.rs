@@ -25,11 +25,6 @@ impl ScoringMatrix {
         self.scores[a as usize][a as usize] as i32
     }
 
-    /// Exact-match score of a whole k-mer: `Σ diag(base)` (paper §IV-B).
-    pub fn kmer_self_score(&self, kmer: &[u8]) -> i32 {
-        kmer.iter().map(|&b| self.diag(b)).sum()
-    }
-
     /// Substitution "expense" of replacing `from` by `to`:
     /// `diag(from) − score(from, to)` — the score loss an exact match incurs
     /// (paper §IV-B, matrix `E = SORT(DIAG(C) − C)`).
@@ -95,7 +90,8 @@ mod tests {
             aa_index(b'C').unwrap(),
         );
         // §IV-B: AAC exact match scores 4+4+9 = 17.
-        assert_eq!(BLOSUM62.kmer_self_score(&encode_seq(b"AAC")), 17);
+        let self_score: i32 = encode_seq(b"AAC").iter().map(|&b| BLOSUM62.diag(b)).sum();
+        assert_eq!(self_score, 17);
         // A→S is the cheapest substitution of A: SAC scores 1+4+9 = 14.
         assert_eq!(BLOSUM62.score(a, s), 1);
         // C→M lowers the 9 to −1.

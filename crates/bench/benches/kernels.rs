@@ -1,8 +1,7 @@
 //! Criterion microbenchmarks of the computational kernels: the alignment
 //! modes (SW vs x-drop — the Table I cost gap), local SpGEMM accumulation
 //! strategies (the CombBLAS hybrid ablation), substitute k-mer generation
-//! (Algorithm 1), the min-max heap, and the suffix array of the LAST-like
-//! baseline.
+//! (Algorithm 1), and the suffix array of the LAST-like baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -16,7 +15,7 @@ use datagen::random_protein;
 use rand::prelude::*;
 use seqstore::kmers_of;
 use sparse::{local_spgemm, ArithmeticSemiring, Dcsc, SpGemmStrategy};
-use subkmer::{find_sub_kmers, ExpenseTable, MinMaxHeap};
+use subkmer::{find_sub_kmers, ExpenseTable};
 
 fn homologous_pair(len: usize, rate: f64, seed: u64) -> (Vec<u8>, Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -134,28 +133,6 @@ fn bench_subkmer(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_minmax_heap(c: &mut Criterion) {
-    let mut g = c.benchmark_group("minmax_heap");
-    g.sample_size(30);
-    let mut rng = StdRng::seed_from_u64(6);
-    let data: Vec<i64> = (0..10_000).map(|_| rng.random_range(-1000..1000)).collect();
-    g.bench_function("push_pop_mixed_10k", |bench| {
-        bench.iter(|| {
-            let mut h = MinMaxHeap::new();
-            for (i, &x) in data.iter().enumerate() {
-                h.push(x);
-                if i % 3 == 0 {
-                    black_box(h.pop_min());
-                } else if i % 7 == 0 {
-                    black_box(h.pop_max());
-                }
-            }
-            black_box(h.len())
-        });
-    });
-    g.finish();
-}
-
 fn bench_suffix_array(c: &mut Criterion) {
     let mut g = c.benchmark_group("suffix_array");
     g.sample_size(10);
@@ -188,7 +165,6 @@ criterion_group!(
     bench_alignment,
     bench_spgemm,
     bench_subkmer,
-    bench_minmax_heap,
     bench_suffix_array,
     bench_kmer_iteration
 );

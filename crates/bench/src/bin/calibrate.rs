@@ -29,7 +29,7 @@ use pcomm::work::{self, CostClass};
 use pcomm::{CollAgg, CollShape, CostModel, MachineProfile, World};
 use rand::prelude::*;
 use seqstore::{encode_seq, parse_fasta, write_fasta, FastaRecord};
-use sparse::Csc;
+use sparse::{local_spgemm, ArithmeticSemiring, Dcsc, SpGemmStrategy};
 
 /// Best-of-`reps` wall-clock seconds for `f`.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -199,16 +199,16 @@ fn main() {
             .collect::<Vec<_>>(),
     );
     let spgemm_dim = n(300);
-    let triples: Vec<(usize, usize, f64)> = (0..spgemm_dim * 12)
+    let triples: Vec<(u32, u64, f64)> = (0..spgemm_dim * 12)
         .map(|_| {
             (
-                rng.random_range(0..spgemm_dim),
-                rng.random_range(0..spgemm_dim),
+                rng.random_range(0..spgemm_dim) as u32,
+                rng.random_range(0..spgemm_dim) as u64,
                 1.0,
             )
         })
         .collect();
-    let mat: Csc<f64> = Csc::from_triples(spgemm_dim, spgemm_dim, triples, |a, v| *a += v);
+    let mat = Dcsc::from_triples(spgemm_dim, spgemm_dim as u64, triples, |a, v| *a += v);
     let seed = encode_seq(b"MKVLA");
 
     let reps = 3;
@@ -256,7 +256,8 @@ fn main() {
         (
             CostClass::SpgemmFlop,
             Box::new(|| {
-                std::hint::black_box(mat.matmul(&mat).nnz());
+                let square = local_spgemm(&mat, &mat, &ArithmeticSemiring, SpGemmStrategy::Hybrid);
+                std::hint::black_box(square.len());
             }),
         ),
     ];

@@ -26,12 +26,21 @@ use crate::markov::MclParams;
 /// e.g. straight from PASTIS-style per-rank PSG output). Returns the
 /// dense cluster labels of all `n` vertices, identical on every rank and
 /// identical for every grid size.
+///
+/// # Panics
+///
+/// When `params.max_per_column` is nonzero: the top-k selection it asks
+/// for is not implemented here (see the module docs).
 pub fn markov_cluster_dist(
     grid: Rc<Grid>,
     n: u64,
     edges_local: Vec<(u64, u64, f64)>,
     params: &MclParams,
 ) -> Vec<usize> {
+    assert_eq!(
+        params.max_per_column, 0,
+        "MclParams::max_per_column must be 0 for markov_cluster_dist, which prunes by threshold only"
+    );
     if n == 0 {
         return Vec::new();
     }

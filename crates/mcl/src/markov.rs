@@ -6,8 +6,12 @@
 //! renormalization — strong flow is rewarded), pruning tiny entries for
 //! sparsity, until the matrix converges; clusters are the connected
 //! components of the limit matrix.
+//!
+//! The iterates are [`Dcsc`] blocks expanded by the same local SpGEMM the
+//! pipeline runs. It folds each entry's products in ascending inner index
+//! starting from the first, so the limit matrix is reproducible bit for bit.
 
-use sparse::Csc;
+use sparse::{local_spgemm, ArithmeticSemiring, Dcsc, SpGemmStrategy};
 
 use crate::cc::connected_components;
 
@@ -20,6 +24,7 @@ pub struct MclParams {
     /// "cutoff"; keeps the iterates sparse).
     pub prune_threshold: f64,
     /// Keep at most this many entries per column after pruning (0 = all).
+    /// Shared-memory MCL only: [`crate::markov_cluster_dist`] requires 0.
     pub max_per_column: usize,
     /// Iteration cap.
     pub max_iter: usize,
@@ -47,36 +52,36 @@ pub fn markov_cluster(n: usize, edges: &[(usize, usize, f64)], params: &MclParam
         return Vec::new();
     }
     // Build the symmetric adjacency with unit self-loops.
-    let mut triples: Vec<(usize, usize, f64)> = Vec::with_capacity(edges.len() * 2 + n);
+    let mut triples: Vec<(u32, u64, f64)> = Vec::with_capacity(edges.len() * 2 + n);
     for &(i, j, w) in edges {
         assert!(w >= 0.0, "negative edge weight");
         if i == j {
             continue;
         }
-        triples.push((i, j, w));
-        triples.push((j, i, w));
+        assert!(
+            i < n && j < n,
+            "edge ({i},{j}) out of bounds for {n} vertices"
+        );
+        triples.push((i as u32, j as u64, w));
+        triples.push((j as u32, i as u64, w));
     }
-    for v in 0..n {
-        triples.push((v, v, 1.0));
-    }
-    let mut m = Csc::from_triples(n, n, triples, |a, b| *a += b);
-    normalize_columns(&mut m);
+    triples.extend((0..n).map(|v| (v as u32, v as u64, 1.0)));
+    let mut m = normalize_columns(Dcsc::from_triples(n, n as u64, triples, |a, b| *a += b));
 
     for iter in 0..params.max_iter {
         let _span = obs::span!("mcl.iter", iter = iter);
         // Expansion.
         let mut next = {
             let _s = obs::span!("mcl.expand");
-            m.matmul(&m)
+            let square = local_spgemm(&m, &m, &ArithmeticSemiring, SpGemmStrategy::Hybrid);
+            Dcsc::from_triples(n, n as u64, square, |_, _| {
+                unreachable!("local_spgemm emits each entry once")
+            })
         };
         // Inflation.
         {
             let _s = obs::span!("mcl.inflate");
-            for c in 0..n {
-                for v in next.col_vals_mut(c) {
-                    *v = v.powf(params.inflation);
-                }
-            }
+            next = next.map(|_, _, v| v.powf(params.inflation));
         }
         // Prune tiny entries (keep top `max_per_column` when configured).
         {
@@ -86,10 +91,10 @@ pub fn markov_cluster(n: usize, edges: &[(usize, usize, f64)], params: &MclParam
                 prune_topk(&mut next, params.max_per_column);
             }
         }
-        {
+        next = {
             let _s = obs::span!("mcl.normalize");
-            normalize_columns(&mut next);
-        }
+            normalize_columns(next)
+        };
         let chaos = {
             let _s = obs::span!("mcl.chaos");
             chaos(&next)
@@ -101,55 +106,59 @@ pub fn markov_cluster(n: usize, edges: &[(usize, usize, f64)], params: &MclParam
     }
 
     // Clusters = connected components over the limit matrix support.
-    let mut edges_out = Vec::new();
-    for (r, c, &v) in m.iter() {
-        if v > 0.0 && r != c {
-            edges_out.push((r, c));
-        }
-    }
+    let edges_out = m
+        .iter()
+        .filter(|&(r, c, &v)| v > 0.0 && r as u64 != c)
+        .map(|(r, c, _)| (r as usize, c as usize));
     connected_components(n, edges_out)
 }
 
-fn normalize_columns(m: &mut Csc<f64>) {
-    for c in 0..m.ncols() {
-        let sum: f64 = m.col(c).1.iter().sum();
-        if sum > 0.0 {
-            for v in m.col_vals_mut(c) {
-                *v /= sum;
-            }
-        }
+/// `stat` of every non-empty column's values, indexed by column id (0 for
+/// the empty columns).
+fn per_column(m: &Dcsc<f64>, stat: impl Fn(&[f64]) -> f64) -> Vec<f64> {
+    let mut out = vec![0.0; m.ncols() as usize];
+    for (i, &c) in m.cols().iter().enumerate() {
+        out[c as usize] = stat(m.col_by_index(i).1);
     }
+    out
+}
+
+fn normalize_columns(m: Dcsc<f64>) -> Dcsc<f64> {
+    let sums = per_column(&m, |vals| vals.iter().sum());
+    m.map(|_, c, v| {
+        let sum = sums[c as usize];
+        if sum > 0.0 {
+            v / sum
+        } else {
+            v
+        }
+    })
 }
 
 /// Keep the `k` largest entries of each column.
-fn prune_topk(m: &mut Csc<f64>, k: usize) {
-    let mut thresholds = vec![0.0f64; m.ncols()];
-    #[allow(clippy::needless_range_loop)] // c is a column id used for access too
-    for c in 0..m.ncols() {
-        let vals = m.col(c).1;
-        if vals.len() > k {
-            let mut sorted: Vec<f64> = vals.to_vec();
-            sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-            thresholds[c] = sorted[k - 1];
+fn prune_topk(m: &mut Dcsc<f64>, k: usize) {
+    let thresholds = per_column(m, |vals| {
+        if vals.len() <= k {
+            return 0.0;
         }
-    }
-    m.retain(|_, c, &v| v >= thresholds[c]);
+        let mut sorted: Vec<f64> = vals.to_vec();
+        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        sorted[k - 1]
+    });
+    m.retain(|_, c, &v| v >= thresholds[c as usize]);
 }
 
 /// Chaos: max over columns of (max entry − sum of squared entries). Zero
 /// exactly when every column is an indicator vector (doubly idempotent).
-fn chaos(m: &Csc<f64>) -> f64 {
-    let mut worst: f64 = 0.0;
-    for c in 0..m.ncols() {
-        let vals = m.col(c).1;
-        if vals.is_empty() {
-            continue;
-        }
-        let mx = vals.iter().cloned().fold(f64::MIN, f64::max);
-        let ss: f64 = vals.iter().map(|v| v * v).sum();
-        worst = worst.max(mx - ss);
-    }
-    worst
+fn chaos(m: &Dcsc<f64>) -> f64 {
+    (0..m.nzc())
+        .map(|i| {
+            let vals = m.col_by_index(i).1;
+            let mx = vals.iter().cloned().fold(f64::MIN, f64::max);
+            let ss: f64 = vals.iter().map(|v| v * v).sum();
+            mx - ss
+        })
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]

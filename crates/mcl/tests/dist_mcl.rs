@@ -165,3 +165,19 @@ fn larger_random_graph_consistent_across_grids() {
     .remove(0);
     assert!(same_partition(&got, &reference));
 }
+
+/// Top-k pruning is shared-memory only; the distributed driver refuses a
+/// nonzero `max_per_column` by name instead of ignoring it.
+#[test]
+fn nonzero_max_per_column_is_refused() {
+    let (n, edges) = two_cliques();
+    let err = std::panic::catch_unwind(|| {
+        World::run(1, |comm| {
+            let grid = Rc::new(Grid::new(&comm));
+            markov_cluster_dist(grid, n as u64, edges.clone(), &MclParams::default())
+        })
+    })
+    .expect_err("markov_cluster_dist must refuse max_per_column > 0");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("max_per_column"), "{msg}");
+}

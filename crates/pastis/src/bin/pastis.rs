@@ -121,12 +121,16 @@ fn parse_cli() -> Cli {
     }
     let input = input.unwrap_or_else(|| usage());
     let q = (ranks as f64).sqrt().round() as usize;
-    if q * q != ranks {
-        eprintln!("--ranks must be a perfect square (got {ranks})");
+    if ranks == 0 || q * q != ranks {
+        eprintln!("--ranks must be a positive perfect square (got {ranks})");
         exit(2);
     }
     if !(1..=13).contains(&params.k) {
         eprintln!("--k must be in 1..=13 (got {})", params.k);
+        exit(2);
+    }
+    if params.reduced_alphabet && params.substitutes > 0 {
+        eprintln!("--reduced and --subs N > 0 are mutually exclusive seeding modes");
         exit(2);
     }
     if params.substitutes > 0 && (params.mem_budget_bytes.is_some() || params.ckpt_dir.is_some()) {
@@ -288,7 +292,10 @@ fn main() {
                 Rc::new(Grid::new(&comm)),
                 run.counters.n_seqs,
                 run.edges.clone(),
-                &mcl::MclParams::default(),
+                &mcl::MclParams {
+                    max_per_column: 0,
+                    ..Default::default()
+                },
             )
         });
         (run, labels, rec.finish())

@@ -37,6 +37,8 @@ fn bad_parameters_are_usage_errors() {
     std::fs::write(&fasta, ">a\nMKVLAAGIVGLLLAQ\n>b\nMKVLAAGIVGLLKAQ\n").unwrap();
     expect_rejection(&fasta, &["--k", "14"], 2, "--k");
     expect_rejection(&fasta, &["--k", "0"], 2, "--k");
+    expect_rejection(&fasta, &["--ranks", "0"], 2, "--ranks");
+    expect_rejection(&fasta, &["--reduced", "--subs", "5"], 2, "--reduced");
     // Out-of-core flags need exact seeding: rejected with --subs, never
     // silently ignored.
     expect_rejection(

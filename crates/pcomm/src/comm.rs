@@ -142,11 +142,6 @@ pub struct Comm {
     my: usize,
     /// Identifier separating traffic of different communicators.
     id: u64,
-    /// Human scope name ("world", "row1", "col0", "split", "sub"), carried
-    /// for diagnostics and registered with the checker so watchdog and
-    /// leak-audit reports can name the communicator instead of showing a
-    /// bare hash id.
-    scope: Rc<str>,
     /// Sequence number for collective operations (shared among clones so the
     /// reserved tags stay in sync across all copies held by this rank).
     pub(crate) coll_seq: Rc<Cell<u64>>,
@@ -161,7 +156,6 @@ impl Clone for Comm {
             group: Arc::clone(&self.group),
             my: self.my,
             id: self.id,
-            scope: Rc::clone(&self.scope),
             coll_seq: Rc::clone(&self.coll_seq),
             split_seq: Rc::clone(&self.split_seq),
         }
@@ -189,7 +183,6 @@ impl Comm {
             group: Arc::new((0..size).collect()),
             my: me,
             id: 0,
-            scope: Rc::from("world"),
             coll_seq: Rc::new(Cell::new(0)),
             split_seq: Rc::new(Cell::new(0)),
         }
@@ -199,12 +192,6 @@ impl Comm {
     #[inline]
     pub fn rank(&self) -> usize {
         self.my
-    }
-
-    /// Human scope name of this communicator ("world", "row1", "split", …).
-    #[inline]
-    pub fn scope_name(&self) -> &str {
-        &self.scope
     }
 
     /// Number of ranks in this communicator.
@@ -526,7 +513,6 @@ impl Comm {
                 group: Arc::new(group),
                 my,
                 id,
-                scope: Rc::from(name),
                 coll_seq: Rc::new(Cell::new(0)),
                 split_seq: Rc::new(Cell::new(0)),
             }

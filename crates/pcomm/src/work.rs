@@ -46,7 +46,7 @@ pub enum CostClass {
     XdropCell,
     /// One step of the ungapped diagonal extension.
     UngappedStep,
-    /// One multiply-add of a local SpGEMM (CSC or DCSC path).
+    /// One multiply-add of the local SpGEMM.
     SpgemmFlop,
     /// One triple through the sort-based DCSC build.
     TripleSort,

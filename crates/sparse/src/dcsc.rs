@@ -136,23 +136,6 @@ impl<V> Dcsc<V> {
         })
     }
 
-    /// Consume into local triples.
-    pub fn into_triples(self) -> Vec<(u32, u64, V)> {
-        let mut out = Vec::with_capacity(self.ir.len());
-        let mut col_iter = self.jc.iter().zip(self.cp.windows(2));
-        let mut cur = col_iter.next();
-        for (idx, (r, v)) in self.ir.into_iter().zip(self.num).enumerate() {
-            while let Some((&c, w)) = cur {
-                if idx < w[1] {
-                    out.push((r, c, v));
-                    break;
-                }
-                cur = col_iter.next();
-            }
-        }
-        out
-    }
-
     /// Keep only entries where `keep(row, col, &value)` is true.
     pub fn retain(&mut self, keep: impl Fn(u32, u64, &V) -> bool) {
         let mut jc = Vec::new();
@@ -208,23 +191,6 @@ impl<V> Dcsc<V> {
             num,
         }
     }
-
-    /// Transpose this block locally, producing a `ncols × nrows` block.
-    pub fn transpose(self) -> Dcsc<V> {
-        let (nrows, ncols) = (self.nrows, self.ncols);
-        assert!(
-            ncols < u32::MAX as u64,
-            "transpose would need u32 row ids ≥ 2³²"
-        );
-        let triples: Vec<(u32, u64, V)> = self
-            .into_triples()
-            .into_iter()
-            .map(|(r, c, v)| (c as u32, r as u64, v))
-            .collect();
-        Dcsc::from_triples(ncols as usize, nrows as u64, triples, |_, _| {
-            unreachable!("transpose cannot create duplicates")
-        })
-    }
 }
 
 impl<V: Payload + Clone> Payload for Dcsc<V> {
@@ -278,14 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn into_triples_roundtrip() {
-        let m = sample();
-        let t = m.clone().into_triples();
-        let m2 = Dcsc::from_triples(4, 6, t, |a, b| *a += b);
-        assert_eq!(m, m2);
-    }
-
-    #[test]
     fn retain_filters_and_compacts() {
         let mut m = sample();
         m.retain(|_, _, &v| v > 1.5);
@@ -311,17 +269,6 @@ mod tests {
         let m = sample().map(|r, c, v| (r as u64 + c) as f64 * v);
         let got: Vec<f64> = m.iter().map(|(_, _, &v)| v).collect();
         assert_eq!(got, vec![1.0, 6.0, 21.0]);
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = sample();
-        let t = m.clone().transpose();
-        assert_eq!(t.nrows(), 6);
-        assert_eq!(t.ncols(), 4);
-        assert_eq!(t.col(2).unwrap().0, &[1]);
-        let back = t.transpose();
-        assert_eq!(back, m);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! - [`Dcsc`]: doubly compressed sparse column storage for hypersparse local
 //!   blocks (paper §IV-D) — no per-column pointer array, so a 1M × 244M
 //!   k-mer matrix block costs memory proportional to its nonzeros only.
-//! - [`Csc`]: plain compressed sparse column storage for shared-memory use
-//!   (e.g. Markov clustering on the similarity graph).
+//!   It is the only storage format: the shared-memory Markov clustering
+//!   squares its (square, dense-columned) iterates in it too.
 //! - [`Semiring`]: user-defined add/multiply pairs; PASTIS overloads these
 //!   to carry seed positions through `A·Aᵀ` and `(A·S)·Aᵀ` (paper Fig. 4).
 //! - Local SpGEMM with hash-based, heap-based and hybrid accumulation — the
@@ -15,7 +15,6 @@
 //!   Sparse-SUMMA SpGEMM, distributed transpose and symmetrization.
 
 mod accum;
-mod csc;
 mod dcsc;
 mod dist;
 mod local_spgemm;
@@ -23,7 +22,6 @@ mod semiring;
 mod triple;
 
 pub use accum::HashAccumulator;
-pub use csc::Csc;
 pub use dcsc::Dcsc;
 pub use dist::{DistMat, SummaStream};
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};

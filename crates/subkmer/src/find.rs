@@ -7,13 +7,12 @@
 //! while leaving distances — which are order-independent sums — unchanged.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 use align::ScoringMatrix;
 use seqstore::kmer_id;
 
 use crate::expense::ExpenseTable;
-use crate::minmax_heap::MinMaxHeap;
 
 /// A substitute k-mer: its packed id and its distance (total substitution
 /// expense) from the seed k-mer.
@@ -27,11 +26,12 @@ pub struct SubKmer {
 }
 
 /// Frontier candidate: ordered by (dist, id) so ties are deterministic.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// `bases[..k]` spells the k-mer; the tail past `k` stays zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Cand {
     dist: u32,
     id: u64,
-    bases: Vec<u8>,
+    bases: [u8; 13],
     /// First position allowed for further substitutions (canonical order).
     next_pos: u8,
 }
@@ -55,6 +55,10 @@ pub fn kmer_distance(from: &[u8], to: &[u8], matrix: &ScoringMatrix) -> u32 {
 /// Find the `m` nearest substitute k-mers of `seed` (base indices), sorted
 /// by ascending `(dist, id)`. The seed itself is not included. Fewer than
 /// `m` are returned only when the whole substitution space is smaller.
+///
+/// The frontier — the paper's min-max heap — is an ordered set of at most
+/// `m` candidates: the nearest is confirmed from its low end, the farthest
+/// evicted from its high end when a closer child arrives.
 pub fn find_sub_kmers(seed: &[u8], table: &ExpenseTable, m: usize) -> Vec<SubKmer> {
     let k = seed.len();
     assert!((1..=13).contains(&k));
@@ -62,34 +66,35 @@ pub fn find_sub_kmers(seed: &[u8], table: &ExpenseTable, m: usize) -> Vec<SubKme
         return Vec::new();
     }
     let mut nbrs: Vec<SubKmer> = Vec::with_capacity(m);
-    let mut frontier: MinMaxHeap<Cand> = MinMaxHeap::new();
+    let mut frontier: BTreeSet<Cand> = BTreeSet::new();
+    let mut bases = [0u8; 13];
+    bases[..k].copy_from_slice(seed);
     let root = Cand {
         dist: 0,
         id: kmer_id(seed),
-        bases: seed.to_vec(),
+        bases,
         next_pos: 0,
     };
-    explore(&root, &mut frontier, table, m);
+    explore(&root, k, &mut frontier, table, m);
     while nbrs.len() < m {
-        let Some(confirmed) = frontier.pop_min() else {
+        let Some(confirmed) = frontier.pop_first() else {
             break; // substitution space exhausted
         };
         nbrs.push(SubKmer {
             id: confirmed.id,
             dist: confirmed.dist,
         });
-        explore(&confirmed, &mut frontier, table, m);
+        explore(&confirmed, k, &mut frontier, table, m);
     }
     nbrs
 }
 
-/// Paper Algorithm 2 (+3 inlined): push the nearest unseen children of `p`
-/// onto the frontier. A local min-heap iterates `p`'s possible single
+/// Paper Algorithm 2 (+3 inlined): insert the nearest unseen children of
+/// `p` into the frontier. A local min-heap iterates `p`'s possible single
 /// substitutions in increasing total distance; insertion stops once the
 /// cheapest remaining child cannot beat the frontier's maximum (with the
 /// frontier full), because no later child can either.
-fn explore(p: &Cand, frontier: &mut MinMaxHeap<Cand>, table: &ExpenseTable, m: usize) {
-    let k = p.bases.len();
+fn explore(p: &Cand, k: usize, frontier: &mut BTreeSet<Cand>, table: &ExpenseTable, m: usize) {
     // (total distance, position, substitution index) per free position.
     let mut mh: BinaryHeap<Reverse<(u32, u8, u8)>> = BinaryHeap::new();
     for pos in p.next_pos as usize..k {
@@ -101,7 +106,7 @@ fn explore(p: &Cand, frontier: &mut MinMaxHeap<Cand>, table: &ExpenseTable, m: u
             return;
         };
         if frontier.len() >= m {
-            let max = frontier.peek_max().expect("frontier non-empty");
+            let max = frontier.last().expect("frontier non-empty");
             if msb >= max.dist {
                 return; // no remaining child can improve the m-nearest set
             }
@@ -112,19 +117,20 @@ fn explore(p: &Cand, frontier: &mut MinMaxHeap<Cand>, table: &ExpenseTable, m: u
         let b = p.bases[pos as usize];
         let (exp, newbase) = table.row(b)[sid as usize];
         debug_assert_eq!(p.dist + exp as u32, msb);
-        let mut bases = p.bases.clone();
+        let mut bases = p.bases;
         bases[pos as usize] = newbase;
         let child = Cand {
             dist: msb,
-            id: kmer_id(&bases),
+            id: kmer_id(&bases[..k]),
             bases,
             next_pos: pos + 1,
         };
         if frontier.len() >= m {
-            frontier.pop_max();
+            frontier.pop_last();
         }
-        frontier.push(child);
-        // Work accounting: clone + heap ops per materialized child.
+        let fresh = frontier.insert(child);
+        debug_assert!(fresh, "the tree property reaches each k-mer once");
+        // Work accounting: copy + set ops per materialized child.
         pcomm::work::record_class(1, pcomm::work::CostClass::SubkmerChild);
         // Queue the next-cheapest substitution at this position.
         if (sid as usize + 1) < table.row(b).len() {

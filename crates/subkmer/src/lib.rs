@@ -5,8 +5,9 @@
 //! *expense* (score lost versus an exact match). The m nearest are found
 //! with a best-first exploration in the spirit of Dijkstra's algorithm over
 //! the implicit substitution tree: a sorted per-base expense table provides
-//! children in increasing cost, and a min-max heap of size `m` maintains the
-//! current candidate frontier.
+//! children in increasing cost, and an ordered set (`std`'s `BTreeSet`) of
+//! at most `m` candidates stands in for the paper's min-max heap as the
+//! frontier, confirming from its low end and evicting from its high end.
 //!
 //! The crate also builds the sparse substitution matrix `S` (k-mer →
 //! substitute k-mer, at most `m`+1 nonzeros per row including the identity)
@@ -14,10 +15,8 @@
 
 mod expense;
 mod find;
-mod minmax_heap;
 mod smatrix;
 
 pub use expense::ExpenseTable;
 pub use find::{find_sub_kmers, kmer_distance, SubKmer};
-pub use minmax_heap::MinMaxHeap;
 pub use smatrix::{build_s_triples, SubEntry};

@@ -1,10 +1,9 @@
 //! Property-based tests: the best-first substitute k-mer search agrees
-//! with brute force on the full k-mer space, and the min-max heap behaves
-//! like a sorted multiset.
+//! with brute force on the full k-mer space.
 
 use align::BLOSUM62;
 use proptest::prelude::*;
-use subkmer::{find_sub_kmers, kmer_distance, ExpenseTable, MinMaxHeap};
+use subkmer::{find_sub_kmers, kmer_distance, ExpenseTable};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -35,34 +34,6 @@ proptest! {
             let bases = seqstore::kmer_unpack(s.id, seed.len());
             prop_assert_eq!(s.dist, kmer_distance(&seed, &bases, &BLOSUM62));
             prop_assert_ne!(s.id, seqstore::kmer_id(&seed));
-        }
-    }
-
-    #[test]
-    fn minmax_heap_is_a_multiset(ops in proptest::collection::vec((0u8..3, -50i32..50), 0..400)) {
-        let mut heap = MinMaxHeap::new();
-        let mut reference: Vec<i32> = Vec::new();
-        for (op, v) in ops {
-            match op {
-                0 => {
-                    heap.push(v);
-                    reference.push(v);
-                    reference.sort_unstable();
-                }
-                1 => {
-                    let got = heap.pop_min();
-                    let want = if reference.is_empty() { None } else { Some(reference.remove(0)) };
-                    prop_assert_eq!(got, want);
-                }
-                _ => {
-                    let got = heap.pop_max();
-                    let want = reference.pop();
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(heap.len(), reference.len());
-            prop_assert_eq!(heap.peek_min().copied(), reference.first().copied());
-            prop_assert_eq!(heap.peek_max().copied(), reference.last().copied());
         }
     }
 }
