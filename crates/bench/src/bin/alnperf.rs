@@ -28,9 +28,12 @@
 //!   traceback rectangle
 //!
 //! Writes `BENCH_align.json` to the working directory (override with
-//! `OUT=<path>`); `SCALE=<f64>` multiplies pair counts.
+//! `OUT=<path>`); `SCALE=<f64>` multiplies pair counts. A document
+//! already at that path is the reference: the run is checked against it
+//! row by row ([`CHECKS`]), prints the verdict table, and on any failure
+//! exits 1 and leaves the file untouched.
 
-use obs::Stopwatch;
+use obs::{JsonValue, Stopwatch};
 use std::fmt::Write as _;
 
 use align::{
@@ -119,6 +122,99 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// How one checked value may move.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// Throughput: may fall at most this fraction below the reference
+    /// document's value.
+    Ratio(f64),
+    /// Spec: must be at least this value. Reads only the new run, and
+    /// skips when the run does not emit the key — the AVX2 row exists
+    /// only where AVX2 is detected.
+    Floor(f64),
+}
+
+/// The checked scalars, by key path. Engine throughputs tolerate 20%
+/// wall-clock noise on a shared host; each floor sits below its ratio's
+/// observed band, so only a real regression trips it.
+const CHECKS: &[(&[&str], Kind)] = &[
+    (&["aggregate", "scalar"], Kind::Ratio(0.20)),
+    (&["aggregate", "striped"], Kind::Ratio(0.20)),
+    (&["aggregate", "striped_score"], Kind::Ratio(0.20)),
+    (
+        &["cascade", "traceback_span", "cells_per_sec"],
+        Kind::Ratio(0.20),
+    ),
+    // Bitpacked cull throughput against the striped score pass: 4–5×.
+    (
+        &["cascade", "bitpack_gate", "vs_striped_score"],
+        Kind::Floor(2.5),
+    ),
+    // X-drop per computed cell against scalar SW per full-DP cell: two
+    // scalar kernels, so host-independent. 0.4 before the three-phase
+    // kernel (DESIGN.md §7), 0.75–0.85 after.
+    (&["aggregate", "xdrop_vs_scalar"], Kind::Floor(0.55)),
+    // AVX2 lanes against SLP lanes: 1.4–1.6×.
+    (&["cascade", "striped_avx2", "vs_slp"], Kind::Floor(1.25)),
+];
+
+/// One row of the verdict table.
+#[derive(Debug)]
+struct Outcome {
+    name: String,
+    /// The reference value (a floor's own value for floor rows).
+    reference: f64,
+    current: f64,
+    ok: bool,
+    detail: String,
+}
+
+fn lookup(doc: &JsonValue, path: &[&str]) -> Option<f64> {
+    path.iter().try_fold(doc, |cur, k| cur.get(k))?.as_f64()
+}
+
+/// Apply every check of [`CHECKS`] to a new run against the reference
+/// document. Returns the verdict rows and whether all passed.
+fn compare(reference: &JsonValue, current: &JsonValue) -> (Vec<Outcome>, bool) {
+    let outcomes: Vec<Outcome> = CHECKS
+        .iter()
+        .map(|&(path, kind)| {
+            let (r, c) = (lookup(reference, path), lookup(current, path));
+            let (reference, current, ok, detail) = match (kind, r, c) {
+                (Kind::Floor(f), _, Some(c)) => {
+                    (f, c, c >= f, format!("value {c:.3} (floor {f:.3})"))
+                }
+                (Kind::Floor(f), _, None) => {
+                    (f, f64::NAN, true, "absent on this host; skipped".into())
+                }
+                (Kind::Ratio(tol), Some(r), Some(c)) => {
+                    let (ratio, min) = (c / r, 1.0 - tol);
+                    (
+                        r,
+                        c,
+                        ratio >= min,
+                        format!("ratio {ratio:.3} (min {min:.3})"),
+                    )
+                }
+                (Kind::Ratio(_), r, c) => {
+                    let (r, c) = (r.unwrap_or(f64::NAN), c.unwrap_or(f64::NAN));
+                    (r, c, false, "metric missing from document".into())
+                }
+            };
+            let name = path.join(".");
+            Outcome {
+                name,
+                reference,
+                current,
+                ok,
+                detail,
+            }
+        })
+        .collect();
+    let all_ok = outcomes.iter().all(|o| o.ok);
+    (outcomes, all_ok)
+}
+
 struct Row {
     name: &'static str,
     pairs: usize,
@@ -137,6 +233,14 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0);
     let out_path = std::env::var("OUT").unwrap_or_else(|_| "BENCH_align.json".into());
+    // The reference is read before timing anything, so a malformed one
+    // fails fast.
+    let reference = std::fs::read_to_string(&out_path).ok().map(|text| {
+        JsonValue::parse(&text).unwrap_or_else(|e| {
+            eprintln!("alnperf: {out_path}: {e}");
+            std::process::exit(1);
+        })
+    });
     let p = AlignParams::default();
     let reps = 3;
 
@@ -430,6 +534,128 @@ fn main() {
         span_pairs.len(),
         t_span_scalar / t_span
     );
+    match reference {
+        Some(reference) => {
+            let current = JsonValue::parse(&json).expect("alnperf writes valid JSON");
+            let (outcomes, all_ok) = compare(&reference, &current);
+            let fmt = |v: f64| {
+                if v.abs() >= 1e4 {
+                    format!("{v:.3e}")
+                } else {
+                    format!("{v:.4}")
+                }
+            };
+            println!("\n== checked against {out_path} ==");
+            println!(
+                "{:<42}{:>12}{:>12}  verdict",
+                "metric", "reference", "current"
+            );
+            for o in &outcomes {
+                let verdict = if o.ok { "PASS" } else { "FAIL" };
+                let (r, c) = (fmt(o.reference), fmt(o.current));
+                println!("{:<42}{r:>12}{c:>12}  {verdict} {}", o.name, o.detail);
+            }
+            if !all_ok {
+                eprintln!("alnperf: regression against {out_path}; left it untouched");
+                std::process::exit(1);
+            }
+        }
+        None => println!("\nno document at {out_path}: nothing compared"),
+    }
     std::fs::write(&out_path, json).expect("write BENCH_align.json");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A document with every checked key. Throughputs scale with `scalar`;
+    /// `vs_slp: None` is a run on a host without AVX2.
+    fn doc(scalar: f64, vs_slp: Option<f64>) -> JsonValue {
+        let vs_slp = vs_slp.map_or(String::new(), |v| format!(",\"vs_slp\":{v}"));
+        JsonValue::parse(&format!(
+            "{{\"aggregate\":{{\"scalar\":{scalar},\"striped\":{},\"striped_score\":{},\
+             \"xdrop_vs_scalar\":0.8}},\"cascade\":{{\"bitpack_gate\":{{\"vs_striped_score\":4.5}},\
+             \"striped_avx2\":{{\"slp\":1{vs_slp}}},\"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
+            scalar * 4.0,
+            scalar * 5.0,
+            scalar * 6.0
+        ))
+        .unwrap()
+    }
+
+    /// Verdict rows paired with whether their check is a floor.
+    fn with_kind(out: &[Outcome]) -> impl Iterator<Item = (&Outcome, bool)> {
+        let floor = |&(_, kind): &(&[&str], Kind)| matches!(kind, Kind::Floor(_));
+        out.iter().zip(CHECKS.iter().map(floor))
+    }
+
+    #[test]
+    fn small_drift_passes_large_regression_fails() {
+        let reference = doc(1.0e9, Some(1.55));
+        // 5% slowdown on every engine: within the 20% band.
+        let (out, ok) = compare(&reference, &doc(0.95e9, Some(1.55)));
+        assert!(ok, "{out:?}");
+        assert_eq!(out.len(), CHECKS.len());
+        // 25% slowdown fails every ratio row; the floors compare against
+        // the spec, not the reference, so they still hold.
+        let (out, ok) = compare(&reference, &doc(0.75e9, Some(1.55)));
+        assert!(!ok);
+        for (o, floor) in with_kind(&out) {
+            assert_eq!(o.ok, floor, "{o:?}");
+        }
+    }
+
+    #[test]
+    fn floors_fail_below_their_value_and_skip_when_absent() {
+        // The reference's own value is irrelevant to a floor.
+        let reference = doc(1.0e9, Some(99.0));
+        let vs_slp = |current: JsonValue| {
+            let (out, ok) = compare(&reference, &current);
+            let row = out
+                .into_iter()
+                .find(|o| o.name.ends_with("vs_slp"))
+                .unwrap();
+            assert_eq!(ok, row.ok);
+            (row.ok, row.detail)
+        };
+        assert!(vs_slp(doc(1.0e9, Some(1.3))).0);
+        assert!(!vs_slp(doc(1.0e9, Some(1.1))).0);
+        let (ok, detail) = vs_slp(doc(1.0e9, None));
+        assert!(ok && detail.contains("skipped"), "{detail}");
+    }
+
+    #[test]
+    fn a_key_missing_from_the_committed_document_fails() {
+        let gutted = JsonValue::parse("{\"bench\":\"align_engines\"}").unwrap();
+        let (out, ok) = compare(&gutted, &doc(1.0e9, Some(1.55)));
+        assert!(!ok);
+        // Every ratio row fails on the missing reference; floors read only
+        // the new run.
+        for (o, floor) in with_kind(&out) {
+            assert!(
+                floor == o.ok && (floor || o.detail.contains("missing")),
+                "{o:?}"
+            );
+        }
+    }
+
+    /// The committed document is the reference every full-scale run is
+    /// checked against: it must carry every checked key and clear every
+    /// floor.
+    #[test]
+    fn committed_document_has_every_checked_key_and_clears_every_floor() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_align.json");
+        let doc = JsonValue::parse(&std::fs::read_to_string(path).expect("read")).unwrap();
+        for (key, _) in CHECKS {
+            assert!(
+                lookup(&doc, key).is_some(),
+                "{path} lacks {}",
+                key.join(".")
+            );
+        }
+        let (out, ok) = compare(&doc, &doc);
+        assert!(ok, "{out:?}");
+    }
 }

@@ -1,7 +1,7 @@
 //! calibrate — measure this host's postal parameters (α, β) and per-op
 //! compute constants, writing a versioned `machine_profile.json`
-//! (validated by `bench_gate schema`; `MachineProfile::install` loads it
-//! into the runtime cost table).
+//! (`MachineProfile::load` validates it; `MachineProfile::install` loads
+//! it into the runtime cost table).
 //!
 //! Method:
 //!

@@ -18,8 +18,6 @@ use pastis::{run_pipeline, PastisParams, PastisRun, Timings};
 use pcomm::{CostModel, World};
 use seqstore::write_fasta;
 
-pub mod gate;
-
 /// Scaled stand-ins for the paper's Metaclust50 subsets. The paper's
 /// `metaclust50-<X>M` becomes `<X>k` sequences here (1000× reduction),
 /// with lengths 100–300 rather than 100–1000 to fit single-host memory.

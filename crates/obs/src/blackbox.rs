@@ -3,7 +3,8 @@
 //! A fixed-size ring buffer per rank thread, recording span open/close
 //! events, counter deltas, and the runtime's send/recv/collective records
 //! at always-on cost (one uncontended mutex lock plus a clock read —
-//! tens of nanoseconds per event, measured in `obsperf`). When a run
+//! tens of nanoseconds per event; there is no off switch, so every
+//! benchmark number includes it). When a run
 //! aborts — deadlock watchdog, rank panic, finalize leak audit — the
 //! runtime calls [`dump_once`] and every registered ring is written to
 //! `blackbox-rank{r}.json`: the last N events, the allocation ledger's
@@ -204,27 +205,10 @@ impl Drop for BlackboxGuard {
     }
 }
 
-/// Global recording switch. Rings stay installed (dumps still work) but
-/// [`record`] becomes a no-op while off. Exists for `obsperf`'s paired
-/// overhead measurement — the runtime installs rings unconditionally, so
-/// the bench needs a way to time the same run with and without the
-/// per-event cost — and doubles as an escape hatch for latency-critical
-/// runs.
-static RECORDING: AtomicBool = AtomicBool::new(true);
-
-/// Turn event recording on or off process-wide (default on). Installed
-/// rings keep whatever they already hold.
-pub fn set_recording(on: bool) {
-    RECORDING.store(on, Relaxed);
-}
-
 /// Record one event into this thread's innermost ring, if any. The no-ring
-/// fast path is one atomic load plus one thread-local check.
+/// fast path is one thread-local check.
 #[inline]
 pub fn record(kind: BbKind, name: &'static str, a: u64, b: u64) {
-    if !RECORDING.load(Relaxed) {
-        return;
-    }
     let _ = HANDLE.try_with(|h| {
         if let Some(ring) = h.borrow().last() {
             ring.lock().unwrap().push(kind, name, a, b);

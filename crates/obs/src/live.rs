@@ -42,7 +42,7 @@ use crate::Stopwatch;
 const IDLE: u64 = u64::MAX;
 
 /// Master switch for the telemetry plane. Off (the default) every hook is a
-/// single relaxed load — the obsperf paired off/on gate (<2%) rides on this.
+/// single relaxed load (DESIGN.md §14 has the end-to-end on/off cost).
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Enable or disable the plane. `pcomm::monitor::configure` flips this on;

@@ -129,6 +129,20 @@ fn parse_cli() -> Cli {
         eprintln!("--k must be in 1..=13 (got {})", params.k);
         exit(2);
     }
+    // Thresholds no edge can clear would exit 0 with an empty PSG.
+    for (flag, v) in [
+        ("--min-ani", params.min_ani),
+        ("--min-cov", params.min_coverage),
+    ] {
+        if !(0.0..=1.0).contains(&v) {
+            eprintln!("{flag} must be in [0, 1] (got {v})");
+            exit(2);
+        }
+    }
+    if params.max_kmer_frequency == Some(0) {
+        eprintln!("--max-kmer-freq must be positive (0 would drop every k-mer)");
+        exit(2);
+    }
     if params.reduced_alphabet && params.substitutes > 0 {
         eprintln!("--reduced and --subs N > 0 are mutually exclusive seeding modes");
         exit(2);

@@ -39,6 +39,11 @@ fn bad_parameters_are_usage_errors() {
     expect_rejection(&fasta, &["--k", "0"], 2, "--k");
     expect_rejection(&fasta, &["--ranks", "0"], 2, "--ranks");
     expect_rejection(&fasta, &["--reduced", "--subs", "5"], 2, "--reduced");
+    // Filter thresholds that no edge can clear: refused, not an empty PSG.
+    expect_rejection(&fasta, &["--min-ani", "nan"], 2, "--min-ani");
+    expect_rejection(&fasta, &["--min-ani", "1.5"], 2, "--min-ani");
+    expect_rejection(&fasta, &["--min-cov", "7"], 2, "--min-cov");
+    expect_rejection(&fasta, &["--max-kmer-freq", "0"], 2, "--max-kmer-freq");
     // Out-of-core flags need exact seeding: rejected with --subs, never
     // silently ignored.
     expect_rejection(

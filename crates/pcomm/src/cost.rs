@@ -122,9 +122,9 @@ impl MachineProfile {
         JsonValue::Obj(o)
     }
 
-    /// Parse and validate a profile document. This is also the schema
-    /// check the bench gate runs: unknown cost keys, a missing field, a
-    /// wrong version, or a non-positive parameter are errors.
+    /// Parse and validate a profile document: unknown cost keys, a
+    /// missing field, a wrong version, or a non-positive parameter are
+    /// errors.
     pub fn from_json(v: &JsonValue) -> Result<MachineProfile, String> {
         let num = |k: &str| {
             v.get(k)

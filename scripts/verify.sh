@@ -108,13 +108,10 @@ cargo clippy --all-targets -- -D warnings
 # Instant::now confinement, cost-literal confinement, allocator confinement.
 # See crates/xlint.
 cargo run -q -p xlint -- .
-# Bench document schemas (machine profile + committed baselines) and the
-# regression gate: BENCH_align/BENCH_obs are wall-clock benches, gated
-# against results/baseline/ only when a current copy is present; nothing is
-# regenerated. Skips with a note when no baseline is committed. See
-# crates/bench/src/gate.rs.
-cargo run --release -q -p pastis-bench --bin bench_gate -- schema
-cargo run --release -q -p pastis-bench --bin bench_gate -- gate
+# Bench documents need no lane of their own: `cargo test` above validates
+# machine_profile.json and checks the committed BENCH_align.json's keys
+# and floors, and the `alnperf` bin checks each new run against that
+# document before it overwrites it.
 
 if [[ "${MIRI:-0}" == "1" ]]; then
     if rustup component list 2>/dev/null | grep -q '^miri.*(installed)'; then
