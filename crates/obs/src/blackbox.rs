@@ -12,12 +12,17 @@
 //! pipeline stage.
 //! "Rank 3 hung" becomes a readable straggler/progress report.
 //!
-//! Rings are installed per thread ([`install`], RAII like the span
-//! recorder) and double-registered in a process-global registry so a
+//! The same ring is the live monitor's view of its rank: beside the
+//! events it keeps the innermost open span, a count of span opens (the
+//! progress epoch), cumulative done/total items ([`add_items`]), the time
+//! of the last event, and whether the rank is still running. A
+//! [`RankRing`] handle samples them from another thread ([`RankSample`]).
+//!
+//! Rings are installed per thread ([`RankRing::install`], RAII like the
+//! span recorder) and double-registered in a process-global registry so a
 //! *different* thread — the one that detected the abort — can dump all of
 //! them. Recording locks only the thread's own ring; the lock is
-//! uncontended except during a dump, which is the last thing a process
-//! does.
+//! uncontended except during a dump or a monitor sample.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -69,12 +74,12 @@ impl BbKind {
 
 /// One recorded event. `seq` is a per-ring logical sequence number (total
 /// events ever recorded, so `seq` of the oldest retained event tells how
-/// many wrapped away); `t_ns` is wall-clock since ring installation.
+/// many wrapped away); `t_ns` is wall-clock since the ring was created.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BbEvent {
     /// Logical sequence number (monotonic per ring, survives wrapping).
     pub seq: u64,
-    /// Nanoseconds since the ring was installed.
+    /// Nanoseconds since the ring was created.
     pub t_ns: u64,
     /// Event kind.
     pub kind: BbKind,
@@ -84,6 +89,25 @@ pub struct BbEvent {
     pub a: u64,
     /// Kind-specific value (see [`BbKind`]).
     pub b: u64,
+}
+
+/// One sampled rank: a consistent copy of a ring's live state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankSample {
+    pub rank: usize,
+    /// Innermost open span name, `"-"` when idle.
+    pub stage: &'static str,
+    /// Span opens so far — logical program order, so deterministic.
+    pub epoch: u64,
+    /// Pipeline items retired (cumulative).
+    pub done: u64,
+    /// Pipeline items announced (cumulative; `done <= total` once a chunk
+    /// retires).
+    pub total: u64,
+    /// Nanoseconds since the ring's last event.
+    pub hb_age_ns: u64,
+    /// Whether the owning rank thread still has the ring installed.
+    pub active: bool,
 }
 
 struct Ring {
@@ -98,16 +122,38 @@ struct Ring {
     /// Events overwritten by the wrap — lost to the postmortem. Reported
     /// as `events_dropped` in the dump instead of vanishing silently.
     dropped: u64,
+    /// Names of the open spans, innermost last.
+    stages: Vec<&'static str>,
+    span_opens: u64,
+    done: u64,
+    total: u64,
+    last_ns: u64,
+    active: bool,
 }
 
 impl Ring {
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
     fn push(&mut self, kind: BbKind, name: &'static str, a: u64, b: u64) {
+        self.last_ns = self.now_ns();
+        match kind {
+            BbKind::SpanOpen => {
+                self.stages.push(name);
+                self.span_opens += 1;
+            }
+            BbKind::SpanClose => {
+                self.stages.pop();
+            }
+            _ => {}
+        }
         if self.cap == 0 {
             return;
         }
         let ev = BbEvent {
             seq: self.next_seq,
-            t_ns: self.epoch.elapsed().as_nanos() as u64,
+            t_ns: self.last_ns,
             kind,
             name,
             a,
@@ -130,6 +176,18 @@ impl Ring {
         out.extend_from_slice(&self.events[..self.head]);
         out
     }
+
+    fn sample(&self) -> RankSample {
+        RankSample {
+            rank: self.rank,
+            stage: self.stages.last().copied().unwrap_or("-"),
+            epoch: self.span_opens,
+            done: self.done,
+            total: self.total,
+            hb_age_ns: self.now_ns().saturating_sub(self.last_ns),
+            active: self.active,
+        }
+    }
 }
 
 type Shared = Arc<Mutex<Ring>>;
@@ -143,34 +201,71 @@ thread_local! {
     static HANDLE: RefCell<Vec<Shared>> = const { RefCell::new(Vec::new()) };
 }
 
+/// A shareable handle on one rank's ring. The world creates one per rank
+/// before spawning them: the rank thread installs it and the world's
+/// monitor keeps a clone to [`RankRing::sample`], also after the rank
+/// has finished.
+#[derive(Clone)]
+pub struct RankRing(Shared);
+
+impl RankRing {
+    /// A fresh ring for `rank` with [`DEFAULT_RING_CAPACITY`].
+    pub fn new(rank: usize) -> RankRing {
+        RankRing::with_capacity(rank, DEFAULT_RING_CAPACITY)
+    }
+
+    /// A fresh ring for `rank` retaining `cap` events.
+    fn with_capacity(rank: usize, cap: usize) -> RankRing {
+        RankRing(Arc::new(Mutex::new(Ring {
+            rank,
+            epoch: Instant::now(),
+            cap,
+            next_seq: 0,
+            events: Vec::with_capacity(cap.min(1024)),
+            head: 0,
+            dropped: 0,
+            stages: Vec::new(),
+            span_opens: 0,
+            done: 0,
+            total: 0,
+            last_ns: 0,
+            active: true,
+        })))
+    }
+
+    /// Install this ring on the current thread. Stacks over any existing
+    /// ring (the innermost receives events), so a test can interpose its
+    /// own ring under a runtime-installed one.
+    pub fn install(&self) -> BlackboxGuard {
+        REGISTRY.lock().unwrap().push(self.0.clone());
+        HANDLE.with(|h| h.borrow_mut().push(self.0.clone()));
+        BlackboxGuard {
+            ring: self.0.clone(),
+        }
+    }
+
+    /// The ring's live state as of now.
+    pub fn sample(&self) -> RankSample {
+        self.0.lock().unwrap().sample()
+    }
+}
+
 /// RAII handle for an installed ring; uninstalls (and unregisters) on
-/// drop. Call [`BlackboxGuard::finish`] to keep the recording.
+/// drop and marks the ring inactive. Call [`BlackboxGuard::finish`] to
+/// keep the recording.
 pub struct BlackboxGuard {
     ring: Shared,
 }
 
-/// Install a flight-recorder ring on this thread with
-/// [`DEFAULT_RING_CAPACITY`]. Stacks over any existing ring (the
-/// innermost receives events), so a test can interpose its own ring under
-/// a runtime-installed one.
+/// Install a fresh flight-recorder ring for `rank` on this thread with
+/// [`DEFAULT_RING_CAPACITY`].
 pub fn install(rank: usize) -> BlackboxGuard {
-    install_with_capacity(rank, DEFAULT_RING_CAPACITY)
+    RankRing::new(rank).install()
 }
 
 /// [`install`] with an explicit ring capacity.
 pub fn install_with_capacity(rank: usize, cap: usize) -> BlackboxGuard {
-    let ring = Arc::new(Mutex::new(Ring {
-        rank,
-        epoch: Instant::now(),
-        cap,
-        next_seq: 0,
-        events: Vec::with_capacity(cap.min(1024)),
-        head: 0,
-        dropped: 0,
-    }));
-    REGISTRY.lock().unwrap().push(ring.clone());
-    HANDLE.with(|h| h.borrow_mut().push(ring.clone()));
-    BlackboxGuard { ring }
+    RankRing::with_capacity(rank, cap).install()
 }
 
 impl BlackboxGuard {
@@ -202,17 +297,38 @@ impl Drop for BlackboxGuard {
         if let Some(pos) = reg.iter().rposition(|r| Arc::ptr_eq(r, &self.ring)) {
             reg.remove(pos);
         }
+        if let Ok(mut ring) = self.ring.lock() {
+            ring.last_ns = ring.now_ns();
+            ring.active = false;
+        }
     }
 }
 
-/// Record one event into this thread's innermost ring, if any. The no-ring
-/// fast path is one thread-local check.
+/// Run `f` on this thread's innermost ring, if any. The no-ring fast path
+/// is one thread-local check.
 #[inline]
-pub fn record(kind: BbKind, name: &'static str, a: u64, b: u64) {
+fn with_ring(f: impl FnOnce(&mut Ring)) {
     let _ = HANDLE.try_with(|h| {
         if let Some(ring) = h.borrow().last() {
-            ring.lock().unwrap().push(kind, name, a, b);
+            f(&mut ring.lock().unwrap());
         }
+    });
+}
+
+/// Record one event into this thread's innermost ring, if any.
+#[inline]
+pub fn record(kind: BbKind, name: &'static str, a: u64, b: u64) {
+    with_ring(|r| r.push(kind, name, a, b));
+}
+
+/// Pipeline progress for the monitor: announce `total` more items and
+/// retire `done` of them on this thread's innermost ring. Both counters
+/// are cumulative.
+pub fn add_items(done: u64, total: u64) {
+    with_ring(|r| {
+        r.done += done;
+        r.total += total;
+        r.last_ns = r.now_ns();
     });
 }
 
@@ -400,6 +516,60 @@ mod tests {
         let got = outer.finish();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].name, "outer_now");
+    }
+
+    #[test]
+    fn stage_follows_innermost_span_and_epoch_counts_opens() {
+        let ring = RankRing::new(0);
+        let _g = ring.install();
+        assert_eq!(ring.sample().stage, "-");
+        record(BbKind::SpanOpen, "live.outer", 0, 0);
+        record(BbKind::SpanOpen, "live.inner", 1, 0);
+        record(BbKind::Send, "u64", 8, 1);
+        record(BbKind::Coll, "barrier", 2, 0);
+        record(BbKind::Counter, "c", 1, 0);
+        let s = ring.sample();
+        assert_eq!((s.stage, s.epoch), ("live.inner", 2));
+        record(BbKind::SpanClose, "live.inner", 1, 0);
+        assert_eq!(ring.sample().stage, "live.outer");
+        record(BbKind::SpanClose, "live.outer", 0, 0);
+        let s = ring.sample();
+        assert_eq!((s.stage, s.epoch), ("-", 2), "closes do not count");
+        assert!(s.active);
+    }
+
+    #[test]
+    fn add_items_accumulates() {
+        let ring = RankRing::new(0);
+        let _g = ring.install();
+        add_items(0, 10);
+        add_items(3, 0);
+        add_items(4, 2);
+        let s = ring.sample();
+        assert_eq!((s.done, s.total), (7, 12));
+    }
+
+    #[test]
+    fn drop_deactivates_and_a_reinstalled_rank_starts_at_zero() {
+        let ring = RankRing::new(5);
+        let g = ring.install();
+        record(BbKind::SpanOpen, "run.one", 0, 0);
+        add_items(2, 3);
+        drop(g);
+        let s = ring.sample();
+        assert!(!s.active);
+        assert_eq!((s.stage, s.epoch, s.done, s.total), ("run.one", 1, 2, 3));
+
+        let again = RankRing::new(5);
+        let _g2 = again.install();
+        let fresh = again.sample();
+        assert!(fresh.active);
+        assert_eq!(
+            (fresh.stage, fresh.epoch, fresh.done, fresh.total),
+            ("-", 0, 0, 0)
+        );
+        add_items(1, 1);
+        assert_eq!(ring.sample().done, 2, "the old ring no longer records");
     }
 
     #[test]

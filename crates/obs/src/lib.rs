@@ -18,6 +18,11 @@
 //!   plain-text dissection table ([`dissect`]) reproducing the paper's
 //!   Fig. 15/16 layout with per-stage critical-rank compute/comm/wait
 //!   splits.
+//! - **Flight recorder** ([`blackbox`]): one always-on event ring per rank
+//!   thread. It is the only per-rank state: abort paths dump it as the
+//!   postmortem, and `pcomm::monitor` samples its live fields (current
+//!   stage, span-open epoch, done/total items, last-event age) for
+//!   `status.json`.
 //!
 //! Everything is **zero-cost when no recorder is installed**: the guards
 //! and metric macros check a thread-local and return without reading the
@@ -46,7 +51,6 @@ pub mod blackbox;
 pub mod dissect;
 pub mod imbalance;
 mod json;
-pub mod live;
 mod metrics;
 mod perfetto;
 pub mod project;

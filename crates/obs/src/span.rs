@@ -304,13 +304,10 @@ pub fn span_start(name: &'static str, arg: Option<(&'static str, i64)>) -> SpanG
                 s.next_seq += 1;
                 let depth = s.depth;
                 s.depth += 1;
-                // Note the entry in the flight recorder; the guard closes
-                // it on drop, keeping the two balanced.
+                // Note the entry in the flight recorder, which also feeds
+                // the monitor's stage and epoch; the guard closes it on
+                // drop, keeping the two balanced.
                 crate::blackbox::record(crate::blackbox::BbKind::SpanOpen, name, depth as u64, 0);
-                // Live telemetry plane: publish the stage and bump the
-                // rank's progress epoch (a relaxed-load no-op when the
-                // plane is disabled).
-                crate::live::span_open(name);
                 let start_ns = s.epoch.elapsed().as_nanos() as u64;
                 SpanGuard {
                     active: true,
@@ -337,7 +334,6 @@ impl Drop for SpanGuard {
             self.depth as u64,
             0,
         );
-        crate::live::span_close();
         let at_exit = read_counters();
         REC.with(|r| {
             let mut stack = r.borrow_mut();

@@ -39,7 +39,7 @@ use std::rc::Rc;
 
 use align::SimilarityMeasure;
 use pastis::{run_pipeline, AlignMode, PastisParams, Timings};
-use pcomm::{Grid, World};
+use pcomm::{Grid, WorldBuilder};
 
 struct Cli {
     input: String,
@@ -255,16 +255,16 @@ fn main() {
     // Live telemetry plane: heartbeat snapshots land next to the output,
     // like the black-box dumps.
     let status_path = dump_dir.join("status.json");
+    let mut world = WorldBuilder::new();
     if cli.monitor {
         let interval_ms = std::env::var("PASTIS_MONITOR_MS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(200);
-        pcomm::monitor::configure(pcomm::monitor::MonitorConfig {
+        world = world.monitor(pcomm::monitor::MonitorConfig {
             path: Some(status_path.clone()),
             interval_ms,
             render: !cli.quiet,
-            ..Default::default()
         });
     }
     // The pcomm runtime dumps on its own abort paths (watchdog,
@@ -295,7 +295,7 @@ fn main() {
 
     let params = cli.params.clone();
     let cluster = cli.cluster;
-    let results = World::run(cli.ranks, |comm| {
+    let results = world.run(cli.ranks, |comm| {
         // One recorder per rank for the whole run, so pipeline and MCL
         // spans share a single trace.
         let rec = obs::Recorder::install(comm.rank());
@@ -318,7 +318,6 @@ fn main() {
     let (labels, traces): (Vec<_>, Vec<_>) = rest.into_iter().unzip();
 
     if cli.monitor {
-        pcomm::monitor::deconfigure();
         // The status document must parse, satisfy the schema, and its
         // final snapshot must reconcile with the run totals — the monitor
         // lane of verify.sh rides on this self-check.

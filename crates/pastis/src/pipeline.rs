@@ -707,11 +707,11 @@ impl<'a> Consumer<'a> {
         // after. Mirrors `alignments_local` exactly, so the final
         // snapshot's per-rank `done` totals reconcile against the trace
         // counters.
-        obs::live::add_items(0, aligned);
+        obs::blackbox::add_items(0, aligned);
         let verdicts = align_batch(&tasks, self.threads, |&(gi, gj, ref pair)| {
             align_pair(gi, gj, pair, store, params)
         });
-        obs::live::add_items(aligned, 0);
+        obs::blackbox::add_items(aligned, 0);
 
         for ((gi, gj, pair), verdict) in tasks.into_iter().zip(verdicts) {
             let weight = match verdict {
@@ -788,7 +788,7 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
                 // Announce the restored alignments as instantly done so
                 // the monitor's per-rank totals still reconcile against
                 // the trace counters.
-                obs::live::add_items(shard.delta.alignments, shard.delta.alignments);
+                obs::blackbox::add_items(shard.delta.alignments, shard.delta.alignments);
                 (shard.edges, shard.delta)
             }
             None => {

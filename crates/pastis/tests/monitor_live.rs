@@ -85,19 +85,18 @@ fn final_snapshot_structure_is_schedule_independent() {
                 std::process::id()
             ));
             let _ = std::fs::remove_file(&path);
-            monitor::configure(MonitorConfig {
-                path: Some(path.clone()),
-                interval_ms: 5,
-                ..Default::default()
-            });
             // Checked world: the pcheck conformance ledger and the
             // finalize leak audit run with the heartbeat plane active.
             let runs = WorldBuilder::new()
                 .checked(true)
                 .perturb(seed)
                 .watchdog_ms(30_000)
+                .monitor(MonitorConfig {
+                    path: Some(path.clone()),
+                    interval_ms: 5,
+                    ..Default::default()
+                })
                 .run(p, |comm| run_pipeline(&comm, dataset(), &params));
-            monitor::deconfigure();
 
             let doc =
                 JsonValue::parse(&std::fs::read_to_string(&path).expect("status.json written"))

@@ -221,17 +221,14 @@ impl Comm {
         payload: Option<(std::any::TypeId, &'static str)>,
         detail: Vec<usize>,
     ) -> Option<CollEntry> {
+        // The ring entry doubles as the monitor's heartbeat, so a rank
+        // deep in a long exchange still reads as alive.
         obs::blackbox::record(
             obs::BbKind::Coll,
             kind.name(),
             self.group.len() as u64,
             self.id,
         );
-        // Heartbeat piggyback: every collective entry stamps the rank's
-        // live cell, so a rank stuck inside a long exchange still reads
-        // as alive on the monitor (shared memory only — invisible to the
-        // conformance ledger).
-        obs::live::touch();
         self.ctx.check.as_ref().map(|c| {
             c.enter(
                 self.id,

@@ -1,9 +1,9 @@
 //! `pcomm::monitor` — the heartbeat channel of the live telemetry plane.
 //!
-//! When configured (see [`configure`]), [`crate::WorldBuilder::run`] spawns
-//! one monitor thread per world next to the rank threads. The thread is a
-//! periodic, nonblocking gather running entirely outside the critical
-//! path: it samples every rank's [`obs::live`] progress cell (shared
+//! A world armed with [`crate::WorldBuilder::monitor`] spawns one monitor
+//! thread next to its rank threads. The thread is a periodic, nonblocking
+//! gather running entirely outside the critical path: it samples the
+//! world's own flight-recorder rings ([`obs::blackbox::RankRing`]; shared
 //! memory, no mailboxes, no collectives — invisible to the pcheck
 //! conformance ledger and the finalize leak audit), aggregates the rows
 //! into a snapshot, appends it to a `status.json` document next to the
@@ -11,10 +11,9 @@
 //! (`pastis --monitor`; the `pastis-top` bin renders the same table from
 //! the file).
 //!
-//! Rank-side heartbeats are piggybacked on existing traffic: every span
-//! open/close stamps the cell, and every collective entry calls
-//! [`obs::live::touch`] so a rank deep in a long exchange still reads as
-//! alive.
+//! Rank-side heartbeats are the ring's own events: every span open/close
+//! and every collective entry stamps it, so a rank deep in a long
+//! exchange still reads as alive.
 //!
 //! **Straggler flagging** is the seed of the ROADMAP's rank-death
 //! detection: a rank whose progress epoch lags the world median beyond a
@@ -32,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use obs::live::RankSample;
+use obs::blackbox::{RankRing, RankSample};
 use obs::JsonValue;
 
 /// Schema version of the `status.json` document.
@@ -42,8 +41,11 @@ pub const STATUS_SCHEMA_VERSION: u64 = 2;
 /// black-box ring); older snapshots are dropped and counted.
 const MAX_SNAPSHOTS: usize = 256;
 
+/// A rank is a straggler when `median_epoch - epoch` exceeds this.
+const STRAGGLER_LAG: u64 = 5_000;
+
 /// How the monitor thread runs. Built by the CLI (`pastis --monitor`) or
-/// tests and handed to [`configure`].
+/// tests and handed to [`crate::WorldBuilder::monitor`].
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Where to write the `status.json` document; `None` keeps snapshots
@@ -53,8 +55,6 @@ pub struct MonitorConfig {
     pub interval_ms: u64,
     /// Render the refreshing per-rank table to stderr on every snapshot.
     pub render: bool,
-    /// A rank is a straggler when `median_epoch - epoch` exceeds this.
-    pub straggler_lag: u64,
 }
 
 impl Default for MonitorConfig {
@@ -63,35 +63,12 @@ impl Default for MonitorConfig {
             path: None,
             interval_ms: 200,
             render: false,
-            straggler_lag: 5_000,
         }
     }
 }
 
-/// Pending configuration consumed by the next world launch.
-static CONFIG: Mutex<Option<MonitorConfig>> = Mutex::new(None);
-
 /// Latest aggregated snapshot, for the abort path.
 static LATEST: Mutex<Option<JsonValue>> = Mutex::new(None);
-
-/// Arm the monitor: every subsequent [`crate::World::run`] spawns a
-/// heartbeat thread with this config. Also enables the `obs::live` cell
-/// updates (they stay a relaxed-load no-op otherwise).
-pub fn configure(cfg: MonitorConfig) {
-    obs::live::set_enabled(true);
-    *CONFIG.lock().unwrap() = Some(cfg);
-}
-
-/// Disarm the monitor and the live plane.
-pub fn deconfigure() {
-    obs::live::set_enabled(false);
-    *CONFIG.lock().unwrap() = None;
-}
-
-/// The armed config, if any (cloned; the world launch reads it once).
-pub(crate) fn active_config() -> Option<MonitorConfig> {
-    CONFIG.lock().unwrap().clone()
-}
 
 /// Latest snapshot taken by any monitor thread, for `status-abort.json`.
 pub fn latest_snapshot() -> Option<JsonValue> {
@@ -120,18 +97,17 @@ pub fn straggler_flags(samples: &[RankSample], lag: u64) -> Vec<bool> {
 
 /// One aggregated gather of the plane as a JSON snapshot object.
 fn snapshot_doc(seq: u64, t_ms: u64, samples: &[RankSample], flags: &[bool]) -> JsonValue {
-    let now = obs::live::now_ns();
     let ranks: Vec<JsonValue> = samples
         .iter()
         .zip(flags)
         .map(|(s, &straggler)| {
             let mut o = BTreeMap::new();
             o.insert("rank".into(), JsonValue::Num(s.rank as f64));
-            o.insert("stage".into(), JsonValue::Str(s.stage.clone()));
+            o.insert("stage".into(), JsonValue::Str(s.stage.into()));
             o.insert("epoch".into(), JsonValue::Num(s.epoch as f64));
             o.insert("done".into(), JsonValue::Num(s.done as f64));
             o.insert("total".into(), JsonValue::Num(s.total as f64));
-            let hb_age_ms = now.saturating_sub(s.hb_ns) as f64 / 1e6;
+            let hb_age_ms = s.hb_age_ns as f64 / 1e6;
             o.insert("hb_age_ms".into(), JsonValue::Num(hb_age_ms));
             o.insert("active".into(), JsonValue::Bool(s.active));
             o.insert("straggler".into(), JsonValue::Bool(straggler));
@@ -262,17 +238,18 @@ impl MonitorStop {
     }
 }
 
-/// Spawn the heartbeat thread into the world's thread scope.
+/// Spawn the heartbeat thread into the world's thread scope; it samples
+/// `rings`, one per rank of that world.
 pub(crate) fn spawn_monitor<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
-    p: usize,
+    rings: Vec<RankRing>,
     cfg: MonitorConfig,
 ) -> MonitorStop {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
     let handle = thread::Builder::new()
         .name("pcomm-monitor".into())
-        .spawn_scoped(scope, move || monitor_loop(p, cfg, flag))
+        .spawn_scoped(scope, move || monitor_loop(&rings, cfg, flag))
         .expect("failed to spawn monitor thread");
     MonitorStop {
         stop,
@@ -280,7 +257,8 @@ pub(crate) fn spawn_monitor<'scope, 'env>(
     }
 }
 
-fn monitor_loop(p: usize, cfg: MonitorConfig, stop: Arc<AtomicBool>) {
+fn monitor_loop(rings: &[RankRing], cfg: MonitorConfig, stop: Arc<AtomicBool>) {
+    let p = rings.len();
     // The monitor gets its own flight-recorder ring (registered past the
     // rank ids) so postmortems show the gather cadence too.
     let _bb = obs::blackbox::install(p);
@@ -291,7 +269,7 @@ fn monitor_loop(p: usize, cfg: MonitorConfig, stop: Arc<AtomicBool>) {
     loop {
         // Park first, sample after: the ranks are busiest right at
         // launch, and a spawn-time snapshot would tax short runs for a
-        // row of still-empty cells. `MonitorStop::finish` unparks, so
+        // row of still-empty rings. `MonitorStop::finish` unparks, so
         // the shutdown handshake costs microseconds, not a sleep
         // quantum, and the final snapshot below is never skipped.
         // park_timeout may wake spuriously; re-park for the remainder.
@@ -302,8 +280,8 @@ fn monitor_loop(p: usize, cfg: MonitorConfig, stop: Arc<AtomicBool>) {
             left = left.saturating_sub(t0.elapsed());
         }
         let finishing = stop.load(Relaxed);
-        let samples = obs::live::sample(p);
-        let flags = straggler_flags(&samples, cfg.straggler_lag);
+        let samples: Vec<RankSample> = rings.iter().map(RankRing::sample).collect();
+        let flags = straggler_flags(&samples, STRAGGLER_LAG);
         let snap = snapshot_doc(seq, clock.elapsed_ns() / 1_000_000, &samples, &flags);
         obs::blackbox::record(
             obs::blackbox::BbKind::Mark,
@@ -454,11 +432,11 @@ mod tests {
     fn sample(rank: usize, epoch: u64, active: bool) -> RankSample {
         RankSample {
             rank,
-            stage: "pastis.spgemm_b".into(),
+            stage: "pastis.spgemm_b",
             epoch,
             done: 3,
             total: 4,
-            hb_ns: 0,
+            hb_age_ns: 0,
             active,
         }
     }
@@ -489,14 +467,14 @@ mod tests {
                 epoch: 9,
                 done: 4,
                 active: false,
-                stage: "-".into(),
+                stage: "-",
                 ..sample(0, 0, false)
             },
             RankSample {
                 epoch: 8,
                 done: 4,
                 active: false,
-                stage: "-".into(),
+                stage: "-",
                 ..sample(1, 0, false)
             },
         ];

@@ -9,7 +9,9 @@ use crossbeam::channel::{unbounded, Sender};
 
 use crate::check::RankCheck;
 use crate::comm::{Comm, RankCtx};
+use crate::monitor::MonitorConfig;
 use crate::MAX_USER_TAG;
+use obs::blackbox::RankRing;
 use pcheck::{CheckShared, PRIMARY_PREFIX, SECONDARY_PREFIX};
 
 /// A message in flight between two ranks.
@@ -41,7 +43,8 @@ const RANK_STACK: usize = 8 << 20;
 const DEFAULT_WATCHDOG_MS: u64 = 2000;
 
 /// Configures how a world runs before launching it: runtime verification
-/// (the `pcheck` layer), schedule perturbation, and the deadlock watchdog.
+/// (the `pcheck` layer), schedule perturbation, the deadlock watchdog, and
+/// the live monitor.
 ///
 /// Precedence for each knob: explicit builder call > environment variable >
 /// default. The environment variables are `PCHECK` (`0`/`1`), `PCHECK_PERTURB`
@@ -63,6 +66,7 @@ pub struct WorldBuilder {
     checked: Option<bool>,
     perturb: Option<u64>,
     watchdog_ms: Option<u64>,
+    monitor: Option<MonitorConfig>,
 }
 
 impl WorldBuilder {
@@ -91,6 +95,15 @@ impl WorldBuilder {
     /// progress before the deadlock watchdog scans (checked mode only).
     pub fn watchdog_ms(mut self, ms: u64) -> WorldBuilder {
         self.watchdog_ms = Some(ms);
+        self
+    }
+
+    /// Run a heartbeat thread beside this world's ranks that samples
+    /// their flight-recorder rings into `status.json` snapshots (see
+    /// [`crate::monitor`]). Other worlds, concurrent or later, are not
+    /// monitored unless armed themselves.
+    pub fn monitor(mut self, cfg: MonitorConfig) -> WorldBuilder {
+        self.monitor = Some(cfg);
         self
     }
 
@@ -124,21 +137,23 @@ impl WorldBuilder {
         // panic/abort handlers where a per-rank `create_dir_all` race can
         // lose a dump to a sibling's concurrent mkdir failure.
         obs::blackbox::ensure_dump_dir();
+        // Flight recorder: one bounded event ring per rank, for the
+        // postmortem dumps written on abort (deadlock, panic, leak audit)
+        // and for this world's monitor. Created here so the monitor
+        // samples exactly these ranks, also after they finish.
+        let rings: Vec<RankRing> = (0..p).map(RankRing::new).collect();
 
         std::thread::scope(|scope| {
-            // Heartbeat channel: when armed, one monitor thread per world
-            // samples the ranks' progress cells out-of-band (see
-            // `crate::monitor`). Spawned inside the scope and always
-            // stopped before the join results are triaged, so the scope
-            // can close even when a rank panicked.
-            let monitor = crate::monitor::active_config().map(|cfg| {
-                // Drop any cells a previous world left behind; sampling
-                // them would show stale (higher-epoch) progress.
-                obs::live::reset();
-                crate::monitor::spawn_monitor(scope, p, cfg)
-            });
+            // Heartbeat channel: when armed, one monitor thread samples the
+            // rings out-of-band (see `crate::monitor`). Spawned inside the
+            // scope and always stopped before the join results are
+            // triaged, so the scope can close even when a rank panicked.
+            let monitor = self
+                .monitor
+                .clone()
+                .map(|cfg| crate::monitor::spawn_monitor(scope, rings.clone(), cfg));
             let mut handles = Vec::with_capacity(p);
-            for (rank, rx) in receivers.into_iter().enumerate() {
+            for ((rank, rx), ring) in receivers.into_iter().enumerate().zip(&rings) {
                 let shared = Arc::clone(&shared);
                 let check_shared = check_shared.clone();
                 let handle = std::thread::Builder::new()
@@ -146,15 +161,9 @@ impl WorldBuilder {
                     .stack_size(RANK_STACK)
                     .spawn_scoped(scope, move || {
                         crate::install_obs_provider();
-                        // Flight recorder: every rank thread gets a bounded
-                        // event ring for the postmortem dumps written on
-                        // abort (deadlock, panic, leak audit). RAII-dropped
-                        // with the thread, so clean runs cost only the ring.
-                        let _blackbox = obs::blackbox::install(rank);
-                        // Live telemetry cell: stage/epoch/progress for
-                        // the monitor thread. Installing is cheap and the
-                        // hooks are no-ops unless the plane is enabled.
-                        let _live = obs::live::install(rank);
+                        // RAII-dropped with the thread, which marks the
+                        // ring inactive for the monitor's final snapshot.
+                        let _blackbox = ring.install();
                         let check = check_shared
                             .as_ref()
                             .map(|cs| RankCheck::new(Arc::clone(cs), rank, perturb));

@@ -3,21 +3,52 @@
 //! in-memory latest snapshot must feed the abort path, and a checked
 //! (pcheck) world must stay ledger-clean with the heartbeat thread active
 //! — the monitor gathers progress through shared memory only, so the
-//! conformance ledger and the finalize leak audit never see it.
+//! conformance ledger and the finalize leak audit never see it. The
+//! monitor is armed per world, so a world samples only its own ranks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::Barrier;
 
 use obs::JsonValue;
 use pcomm::monitor::{self, MonitorConfig};
 use pcomm::{Comm, WorldBuilder};
 
-/// `configure`/`deconfigure` arm a process-global plane; tests in this
-/// binary must not interleave them.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("pcomm-monitor-{}-{name}", std::process::id()))
+}
+
+fn monitored(path: &std::path::Path) -> WorldBuilder {
+    WorldBuilder::new().checked(true).monitor(MonitorConfig {
+        path: Some(path.to_path_buf()),
+        interval_ms: 5,
+        ..Default::default()
+    })
+}
+
+/// One rank's program: a span holding `items` progress items, each
+/// retired after an allreduce.
+fn retire_items(comm: &Comm, items: u64) -> u64 {
+    let _span = obs::span!("pastis.fasta");
+    obs::blackbox::add_items(0, items);
+    for chunk in 0..items {
+        let sum: u64 = comm.allreduce(comm.rank() as u64 + chunk, |a, b| a + b);
+        obs::blackbox::add_items(1, 0);
+        std::hint::black_box(sum);
+    }
+    comm.barrier();
+    items
+}
+
+/// The final snapshot's rank rows of a complete, valid `status.json`.
+fn final_rows(path: &std::path::Path) -> (JsonValue, Vec<JsonValue>) {
+    let doc = JsonValue::parse(&std::fs::read_to_string(path).expect("status.json written"))
+        .expect("status.json parses");
+    monitor::validate_status(&doc, true).expect("complete document validates");
+    let rows = match doc.get("final").and_then(|f| f.get("ranks")) {
+        Some(JsonValue::Arr(rows)) => rows.clone(),
+        _ => panic!("final snapshot has no ranks"),
+    };
+    (doc, rows)
 }
 
 /// A checked world with the monitor armed: the run completes (leak audit
@@ -25,37 +56,13 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// the final snapshot with its progress accounted.
 #[test]
 fn monitored_checked_world_writes_valid_status() {
-    let _s = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let path = tmp("status.json");
     let _ = std::fs::remove_file(&path);
-    monitor::configure(MonitorConfig {
-        path: Some(path.clone()),
-        interval_ms: 5,
-        ..Default::default()
-    });
     let p = 4;
-    let sums = WorldBuilder::new().checked(true).run(p, |comm: Comm| {
-        let _span = obs::span!("pastis.fasta");
-        obs::live::add_items(0, 8);
-        for chunk in 0..8u64 {
-            let sum: u64 = comm.allreduce(comm.rank() as u64 + chunk, |a, b| a + b);
-            obs::live::add_items(1, 0);
-            std::hint::black_box(sum);
-        }
-        comm.barrier();
-        8u64
-    });
-    monitor::deconfigure();
+    let sums = monitored(&path).run(p, |comm: Comm| retire_items(&comm, 8));
     assert_eq!(sums, vec![8; p]);
 
-    let doc = JsonValue::parse(&std::fs::read_to_string(&path).expect("status.json written"))
-        .expect("status.json parses");
-    monitor::validate_status(&doc, true).expect("complete document validates");
-    let finals = doc.get("final").expect("final snapshot");
-    let rows = match finals.get("ranks") {
-        Some(JsonValue::Arr(rows)) => rows.clone(),
-        _ => panic!("final snapshot has no ranks"),
-    };
+    let (_, rows) = final_rows(&path);
     assert_eq!(rows.len(), p);
     for (rank, row) in rows.iter().enumerate() {
         assert_eq!(
@@ -74,24 +81,81 @@ fn monitored_checked_world_writes_valid_status() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Two worlds run at once from two OS threads, only one of them
+/// monitored, and a barrier holds every rank of both until all have
+/// started. The monitored world's final snapshot holds exactly its own
+/// ranks and items, and the other world writes nothing. The other world
+/// launches second and finishes last, so an arming that leaked across
+/// worlds would reach it and its snapshot would be the one left on disk.
+#[test]
+fn monitor_samples_only_its_own_world() {
+    let dir = tmp("two-worlds");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("status.json");
+    let (p_mon, p_other) = (3, 2);
+    let (items_mon, items_other) = (5, 11);
+    let launched = Barrier::new(p_mon + 1);
+    let started = Barrier::new(p_mon + p_other);
+    let mon_returned = Barrier::new(p_other + 1);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let sums = monitored(&path).run(p_mon, |comm| {
+                launched.wait();
+                started.wait();
+                retire_items(&comm, items_mon)
+            });
+            mon_returned.wait();
+            assert_eq!(sums, vec![items_mon; p_mon]);
+        });
+        launched.wait();
+        let sums = WorldBuilder::new().checked(true).run(p_other, |comm| {
+            started.wait();
+            let n = retire_items(&comm, items_other);
+            mon_returned.wait();
+            n
+        });
+        assert_eq!(sums, vec![items_other; p_other]);
+    });
+
+    let (doc, rows) = final_rows(&path);
+    assert_eq!(doc.get("p").and_then(JsonValue::as_u64), Some(p_mon as u64));
+    assert_eq!(rows.len(), p_mon);
+    for (rank, row) in rows.iter().enumerate() {
+        let num = |k: &str| row.get(k).and_then(JsonValue::as_u64);
+        assert_eq!(num("rank"), Some(rank as u64));
+        assert_eq!(num("done"), Some(items_mon));
+        assert_eq!(num("total"), Some(items_mon));
+    }
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(
+        written,
+        vec!["status.json"],
+        "the unmonitored world wrote nothing"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A watchdog abort with the monitor armed must leave `status-abort.json`
 /// next to the black-box dumps: the postmortem carries the last known
 /// per-rank progress.
 #[test]
 fn abort_dumps_last_snapshot() {
-    let _s = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("abortdir");
     std::fs::create_dir_all(&dir).unwrap();
     obs::blackbox::set_dump_dir(&dir);
     obs::blackbox::reset_dump_once();
-    monitor::configure(MonitorConfig {
-        interval_ms: 5,
-        ..Default::default()
-    });
     let err = catch_unwind(AssertUnwindSafe(|| {
         WorldBuilder::new()
             .checked(true)
             .watchdog_ms(80)
+            .monitor(MonitorConfig {
+                interval_ms: 5,
+                ..Default::default()
+            })
             .run(2, |comm: Comm| {
                 let _span = obs::span!("pastis.fasta");
                 if comm.rank() == 1 {
@@ -102,7 +166,6 @@ fn abort_dumps_last_snapshot() {
                 comm.barrier();
             })
     }));
-    monitor::deconfigure();
     assert!(err.is_err(), "world must abort");
     let status = dir.join("status-abort.json");
     let doc = JsonValue::parse(&std::fs::read_to_string(&status).expect("status-abort written"))

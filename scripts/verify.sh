@@ -34,9 +34,12 @@ done
 ALLOC_TRACK=1 cargo test -q --release -p obs
 # Monitor lane: heartbeat-snapshot structure must stay deterministic under
 # the conformance checker in release too (debug runs it via `cargo test -q`),
-# and a real `pastis --monitor` run must pass its own status.json self-check
-# (schema, monotone epochs, done-sum == global alignment counter).
+# a monitor armed on one world must sample only that world's rings while
+# another runs beside it, and a real `pastis --monitor` run must pass its
+# own status.json self-check (schema, monotone epochs, done-sum == global
+# alignment counter).
 PCHECK=1 cargo test -q --release -p pastis --test monitor_live
+PCHECK=1 cargo test -q --release -p pcomm --test monitor
 monitor_tmp="$(mktemp -d)"
 cargo run --release -q -p pastis-bench --bin mkfasta -- "$monitor_tmp/monitor.fasta" 0.06 7
 PASTIS_MONITOR_MS=20 cargo run --release -q -p pastis --bin pastis -- \
