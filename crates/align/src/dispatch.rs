@@ -1,19 +1,13 @@
 //! Runtime SIMD dispatch for the striped kernels.
 //!
-//! The striped engine carries three lane configurations of the same
-//! kernel: AVX2-width lanes (`[i16; 16]` / `[i32; 8]`, compiled with
-//! `target_feature(avx2)`), the portable SLP lanes (`[i16; 8]` /
-//! `[i32; 4]`, plain autovectorized code — the default fallback), and a
-//! single-lane instantiation that exercises the kernel's control flow with
-//! no SIMD shape at all. All three produce bit-identical results (the DP
-//! values and the argmax scan are lane-layout independent); they differ
-//! only in throughput, so the choice is made once per process here.
-//!
-//! `ALIGN_FORCE=scalar|slp|avx2` overrides detection — verify.sh runs the
-//! align test suite under each value so the portable paths cannot rot on
-//! AVX2 hosts. Forcing `avx2` on a host without it falls back to `slp`
-//! with a one-time note (the tests then cover SLP twice rather than
-//! failing on machines that cannot run the wide kernels).
+//! The striped engine carries two lane configurations of the same kernel:
+//! AVX2-width lanes (`[i16; 16]` / `[i32; 8]`, compiled with
+//! `target_feature(avx2)`) and the portable SLP lanes (`[i16; 8]` /
+//! `[i32; 4]`, plain autovectorized code — the fallback). Both produce
+//! bit-identical results (the DP values and the argmax scan are
+//! lane-layout independent); they differ only in throughput, so the choice
+//! is made once per process here, by feature detection alone. Tests reach
+//! the lane the host would not pick through `striped_pass_at`.
 //!
 //! This module is the only place in the workspace allowed to call
 //! `is_x86_feature_detected!` (enforced by xlint): detection scattered
@@ -24,23 +18,10 @@ use std::sync::OnceLock;
 /// Which kernel instantiation the striped engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
-    /// Single-lane kernel: no SIMD shape, the portable worst case.
-    Scalar,
-    /// SLP-autovectorized 128-bit lanes (the pre-dispatch default).
+    /// SLP-autovectorized 128-bit lanes (the portable fallback).
     Slp,
     /// AVX2 256-bit lanes.
     Avx2,
-}
-
-impl SimdLevel {
-    /// Name as accepted by `ALIGN_FORCE` and reported in benches.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdLevel::Scalar => "scalar",
-            SimdLevel::Slp => "slp",
-            SimdLevel::Avx2 => "avx2",
-        }
-    }
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -53,35 +34,17 @@ pub(crate) fn avx2_available() -> bool {
     false
 }
 
-/// The SIMD level every striped kernel call in this process uses. Decided
-/// once: `ALIGN_FORCE` env override first, then feature detection.
+/// The SIMD level every striped kernel call in this process uses, decided
+/// once by feature detection.
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| match std::env::var("ALIGN_FORCE") {
-        Ok(v) if v == "scalar" => SimdLevel::Scalar,
-        Ok(v) if v == "slp" => SimdLevel::Slp,
-        Ok(v) if v == "avx2" => {
-            if avx2_available() {
-                SimdLevel::Avx2
-            } else {
-                eprintln!("align: ALIGN_FORCE=avx2 but host lacks AVX2; using slp");
-                SimdLevel::Slp
-            }
+    *LEVEL.get_or_init(|| {
+        if avx2_available() {
+            SimdLevel::Avx2
+        } else {
+            SimdLevel::Slp
         }
-        Ok(v) if !v.is_empty() => {
-            eprintln!("align: unknown ALIGN_FORCE={v:?} (want scalar|slp|avx2); autodetecting");
-            detect()
-        }
-        _ => detect(),
     })
-}
-
-fn detect() -> SimdLevel {
-    if avx2_available() {
-        SimdLevel::Avx2
-    } else {
-        SimdLevel::Slp
-    }
 }
 
 #[cfg(test)]
@@ -89,21 +52,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_is_stable_and_consistent_with_force() {
+    fn level_is_stable_and_matches_detection() {
         let lv = level();
         assert_eq!(lv, level(), "dispatch decision must be cached");
-        match std::env::var("ALIGN_FORCE").as_deref() {
-            Ok("scalar") => assert_eq!(lv, SimdLevel::Scalar),
-            Ok("slp") => assert_eq!(lv, SimdLevel::Slp),
-            Ok("avx2") => assert!(lv == SimdLevel::Avx2 || lv == SimdLevel::Slp),
-            _ => assert_ne!(lv, SimdLevel::Scalar, "detection never picks scalar"),
-        }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for lv in [SimdLevel::Scalar, SimdLevel::Slp, SimdLevel::Avx2] {
-            assert!(!lv.name().is_empty());
-        }
+        assert_eq!(lv == SimdLevel::Avx2, avx2_available());
     }
 }

@@ -2,13 +2,18 @@
 //! reproduction, paper §IV-E).
 //!
 //! Provides the two alignment modes PASTIS offers — full local
-//! Smith–Waterman with affine gaps ([`smith_waterman`] and its
-//! lane-parallel equivalent [`striped_align`], selected via
-//! [`AlignEngine`]) and gapped x-drop seed-and-extend ([`xdrop_align`]) —
-//! plus the ungapped diagonal extension used by the MMseqs2-like baseline,
-//! BLOSUM scoring matrices, alignment statistics (identity, coverage,
-//! normalized score), reusable DP scratch arenas ([`AlignScratch`]) and a
-//! work-stealing multi-threaded batch driver ([`align_batch`]).
+//! Smith–Waterman with affine gaps and gapped x-drop seed-and-extend
+//! ([`xdrop_align`]) — plus the ungapped diagonal extension used by the
+//! MMseqs2-like baseline, BLOSUM scoring matrices, alignment statistics
+//! (identity, coverage, normalized score), reusable DP scratch arenas
+//! ([`AlignScratch`]) and a work-stealing multi-threaded batch driver
+//! ([`align_batch`]).
+//!
+//! Smith–Waterman has one engine: [`prefiltered_align_outcome`] runs the
+//! bitpacked gate, then the lane-parallel striped score pass, then the
+//! striped traceback ([`striped_align`] is the last two without the gate).
+//! [`smith_waterman`] is the scalar full-matrix DP every striped result is
+//! tested against, bit for bit.
 
 mod batch;
 mod bitpack;
@@ -29,27 +34,11 @@ pub use dispatch::{level as simd_level, SimdLevel};
 pub use matrix::{ScoringMatrix, BLOSUM62};
 pub use scratch::{with_scratch, AlignScratch};
 pub use stats::{AlignStats, SimilarityMeasure};
-pub use striped::{
-    striped_align, striped_align_with, striped_score, striped_score_at_level, striped_score_with,
-    striped_traceback, striped_traceback_with,
-};
-pub use sw::{smith_waterman, smith_waterman_with};
+pub use striped::{striped_align, striped_score, striped_score_at_level};
+use striped::{striped_score_with, striped_traceback_with};
+pub use sw::smith_waterman;
 pub use ungapped::ungapped_xdrop;
 pub use xdrop::{xdrop_align, xdrop_align_with};
-
-/// Which Smith–Waterman implementation [`local_align`] dispatches to. Both
-/// engines return bit-identical [`AlignStats`]; they differ only in speed
-/// and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AlignEngine {
-    /// Reference scalar DP with full-matrix traceback (O(m·n) direction
-    /// bytes).
-    Scalar,
-    /// Lane-parallel striped kernel (Farrar) with an O(m)-memory score
-    /// pass and a banded traceback rerun. The default.
-    #[default]
-    Striped,
-}
 
 /// Alignment parameters shared by all kernels. Defaults follow the paper's
 /// evaluation: BLOSUM62, gap opening 11, gap extension 1, x-drop 49 (§VI).
@@ -64,8 +53,6 @@ pub struct AlignParams {
     pub xdrop: i32,
     /// Substitution matrix.
     pub matrix: &'static ScoringMatrix,
-    /// Smith–Waterman implementation used by [`local_align`].
-    pub engine: AlignEngine,
 }
 
 impl Default for AlignParams {
@@ -75,28 +62,7 @@ impl Default for AlignParams {
             gap_extend: 1,
             xdrop: 49,
             matrix: &BLOSUM62,
-            engine: AlignEngine::default(),
         }
-    }
-}
-
-/// Full local alignment with the engine selected in `params`, using the
-/// calling thread's scratch arena.
-pub fn local_align(r: &[u8], c: &[u8], params: &AlignParams) -> AlignStats {
-    obs::hist!("align.dp_cells", r.len() * c.len());
-    with_scratch(|s| local_align_with(r, c, params, s))
-}
-
-/// [`local_align`] with an explicit scratch arena.
-pub fn local_align_with(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    scratch: &mut AlignScratch,
-) -> AlignStats {
-    match params.engine {
-        AlignEngine::Scalar => smith_waterman_with(r, c, params, scratch),
-        AlignEngine::Striped => striped_align_with(r, c, params, scratch),
     }
 }
 
@@ -110,11 +76,10 @@ pub enum PrefilterOutcome {
     /// The bitpacked gate's score upper bound already misses `min_score`;
     /// no exact DP ran at all.
     CulledBitpack,
-    /// The exact score pass (striped score-only pass, or the full DP on
-    /// the scalar engine) came in below `min_score`.
+    /// The striped score-only pass came in below `min_score`.
     CulledScore,
     /// The pair reaches `min_score`; stats are bit-identical to
-    /// [`local_align`].
+    /// [`smith_waterman`].
     Passed(AlignStats),
 }
 
@@ -124,11 +89,9 @@ pub enum PrefilterOutcome {
 /// surfaces these as the `prefilter.*` counter family). Culls cascade
 /// through two tiers: the Myers-bitpacked gate ([`bitpack_gate`]) rejects
 /// pairs whose score *upper bound* provably misses `min_score` without
-/// running any exact DP, and survivors fall through to the exact tier (on
-/// the striped engine the cull decision then costs only the O(m)-memory
-/// score pass; the scalar engine has no score-only mode, so it culls after
-/// the full DP). For surviving pairs the stats are bit-identical to
-/// [`local_align`].
+/// running any exact DP, and survivors fall through to the O(m)-memory
+/// striped score pass. Only pairs that reach `min_score` pay for the
+/// traceback, and their stats are bit-identical to [`smith_waterman`].
 pub fn prefiltered_align_outcome(
     r: &[u8],
     c: &[u8],
@@ -151,27 +114,11 @@ pub fn prefiltered_align_outcome_with(
         obs::counter!("prefilter.bitpack_culled", 1);
         return PrefilterOutcome::CulledBitpack;
     }
-    let outcome = match params.engine {
-        AlignEngine::Scalar => {
-            let stats = smith_waterman_with(r, c, params, scratch);
-            if stats.score >= min_score {
-                PrefilterOutcome::Passed(stats)
-            } else {
-                PrefilterOutcome::CulledScore
-            }
-        }
-        AlignEngine::Striped => {
-            let (score, end) = striped_score_with(r, c, params, scratch);
-            if score < min_score {
-                PrefilterOutcome::CulledScore
-            } else {
-                PrefilterOutcome::Passed(striped_traceback_with(r, c, params, score, end, scratch))
-            }
-        }
-    };
-    match &outcome {
-        PrefilterOutcome::Passed(_) => obs::counter!("prefilter.passed", 1),
-        _ => obs::counter!("prefilter.striped_culled", 1),
+    let (score, end) = striped_score_with(r, c, params, scratch);
+    if score < min_score {
+        obs::counter!("prefilter.striped_culled", 1);
+        return PrefilterOutcome::CulledScore;
     }
-    outcome
+    obs::counter!("prefilter.passed", 1);
+    PrefilterOutcome::Passed(striped_traceback_with(r, c, params, score, end, scratch))
 }

@@ -74,9 +74,6 @@ pub struct AlignScratch {
     // AVX2 wide lanes.
     pub(crate) avx16: StripedBufs<i16, L16W>,
     pub(crate) avx32: StripedBufs<i32, L32W>,
-    // Forced single-lane ("scalar") instantiation.
-    pub(crate) sc16: StripedBufs<i16, 1>,
-    pub(crate) sc32: StripedBufs<i32, 1>,
     /// Bitpacked prefilter gate state (match vectors + DP words).
     pub(crate) bp: BitpackScratch,
     /// Cached scoring-matrix decomposition backing the gate bound, keyed
@@ -118,8 +115,6 @@ impl obs::HeapSize for AlignScratch {
             + self.slp32.heap_bytes()
             + self.avx16.heap_bytes()
             + self.avx32.heap_bytes()
-            + self.sc16.heap_bytes()
-            + self.sc32.heap_bytes()
             + i32s(&xd.row_h)
             + i32s(&xd.row_f)
             + i32s(&xd.spare_h)

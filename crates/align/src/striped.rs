@@ -3,17 +3,17 @@
 //!
 //! The query is laid out in `LANES` interleaved segments so the inner loop
 //! updates a whole lane vector of DP cells with straight-line arithmetic on
-//! lane arrays. The same kernel is instantiated at three lane widths and
+//! lane arrays. The same kernel is instantiated at two lane widths and
 //! chosen once per process by [`crate::dispatch`]: AVX2 lanes
-//! (`[i16; 16]` / `[i32; 8]`, compiled under `target_feature(avx2)`),
+//! (`[i16; 16]` / `[i32; 8]`, compiled under `target_feature(avx2)`) and
 //! portable SLP lanes (`[i16; 8]` / `[i32; 4]`, written so LLVM
-//! autovectorizes them on stable Rust — no intrinsics), and a single-lane
-//! fallback. DP values and the argmax scan are lane-layout independent, so
-//! every width returns bit-identical results. Vertical gaps that cross
-//! segment boundaries are repaired by Farrar's lazy-F loop, extended here
-//! with the E update that keeps the recurrence *exactly* the textbook
-//! affine-gap SW (the common SWPS3-style shortcut forbids
-//! insertion-after-deletion and would diverge from the scalar reference).
+//! autovectorizes them on stable Rust — no intrinsics). DP values and the
+//! argmax scan are lane-layout independent, so both widths return
+//! bit-identical results. Vertical gaps that cross segment boundaries are
+//! repaired by Farrar's lazy-F loop, extended here with the E update that
+//! keeps the recurrence *exactly* the textbook affine-gap SW (the common
+//! SWPS3-style shortcut forbids insertion-after-deletion and would diverge
+//! from the scalar reference).
 //!
 //! Scores run in saturating i16 lanes; negative saturation is harmless for
 //! local alignment (values below zero never decide a cell) and positive
@@ -267,7 +267,6 @@ macro_rules! striped_kernel {
                 }
 
                 let mut cmax = v_cmax[0];
-                #[allow(clippy::reversed_empty_ranges)] // L == 1 in the single-lane instantiation
                 for l in 1..L {
                     if v_cmax[l] > cmax {
                         cmax = v_cmax[l];
@@ -324,12 +323,6 @@ striped_kernel!(kernel_i16, i16, L16, NEG16, false);
 striped_kernel!(kernel_i32, i32, L32, NEG32, false);
 striped_kernel!(kernel_i16_rev, i16, L16, NEG16, true);
 striped_kernel!(kernel_i32_rev, i32, L32, NEG32, true);
-
-// Single-lane instantiations for the forced-scalar dispatch level.
-striped_kernel!(kernel_i16_s1, i16, 1, NEG16, false);
-striped_kernel!(kernel_i32_s1, i32, 1, NEG32, false);
-striped_kernel!(kernel_i16_s1_rev, i16, 1, NEG16, true);
-striped_kernel!(kernel_i32_s1_rev, i32, 1, NEG32, true);
 
 // AVX2-width instantiations. `inline(always)` folds each kernel body into
 // its `target_feature(avx2)` wrapper below, so LLVM vectorizes the lane
@@ -408,7 +401,8 @@ macro_rules! run_config {
 #[target_feature(enable = "avx2")]
 // SAFETY: `target_feature` makes this fn unsafe to call; the only callers
 // are the `SimdLevel::Avx2` dispatch arms, reached exclusively after
-// runtime AVX2 detection in `dispatch::level()`.
+// runtime AVX2 detection (`dispatch::level()`, or the explicit checks in
+// `striped_score_at_level` and the lane tests).
 unsafe fn avx2_i16(
     r: &[u8],
     c: &[u8],
@@ -446,9 +440,10 @@ fn striped_pass(
     striped_pass_at(dispatch::level(), r, c, params, scratch, reverse)
 }
 
-/// [`striped_pass`] pinned to an explicit SIMD level. Benchmarks use this
-/// to compare lanes inside one process (the dispatcher's level is cached
-/// for the process lifetime, so `ALIGN_FORCE` can't toggle mid-run).
+/// [`striped_pass`] pinned to an explicit SIMD level, which must be
+/// available on this host. Benchmarks and the lane tests use it to run
+/// both lanes inside one process (the dispatcher's level is cached for the
+/// process lifetime).
 fn striped_pass_at(
     lv: SimdLevel,
     r: &[u8],
@@ -464,10 +459,9 @@ fn striped_pass_at(
     pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwStripedCell);
     let (best, bi, bj) = match lv {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returns Avx2 only after runtime detection.
+        // SAFETY: callers pass Avx2 only after runtime detection.
         SimdLevel::Avx2 => unsafe { avx2_i16(r, c, params, &mut scratch.avx16, reverse) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => run_config!(
+        _ => run_config!(
             kernel_i16,
             kernel_i16_rev,
             r,
@@ -476,26 +470,6 @@ fn striped_pass_at(
             &mut scratch.slp16,
             reverse
         ),
-        SimdLevel::Slp => run_config!(
-            kernel_i16,
-            kernel_i16_rev,
-            r,
-            c,
-            params,
-            &mut scratch.slp16,
-            reverse
-        ),
-        SimdLevel::Scalar => {
-            run_config!(
-                kernel_i16_s1,
-                kernel_i16_s1_rev,
-                r,
-                c,
-                params,
-                &mut scratch.sc16,
-                reverse
-            )
-        }
     };
     if best < I16_SAFE {
         return (best, bi, bj);
@@ -504,10 +478,9 @@ fn striped_pass_at(
     pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwStripedCell);
     match lv {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returns Avx2 only after runtime detection.
+        // SAFETY: callers pass Avx2 only after runtime detection.
         SimdLevel::Avx2 => unsafe { avx2_i32(r, c, params, &mut scratch.avx32, reverse) },
-        #[cfg(not(target_arch = "x86_64"))]
-        SimdLevel::Avx2 => run_config!(
+        _ => run_config!(
             kernel_i32,
             kernel_i32_rev,
             r,
@@ -516,38 +489,7 @@ fn striped_pass_at(
             &mut scratch.slp32,
             reverse
         ),
-        SimdLevel::Slp => run_config!(
-            kernel_i32,
-            kernel_i32_rev,
-            r,
-            c,
-            params,
-            &mut scratch.slp32,
-            reverse
-        ),
-        SimdLevel::Scalar => {
-            run_config!(
-                kernel_i32_s1,
-                kernel_i32_s1_rev,
-                r,
-                c,
-                params,
-                &mut scratch.sc32,
-                reverse
-            )
-        }
     }
-}
-
-/// Striped best score and scalar-identical end cell (1-based inclusive),
-/// with automatic i16 → i32 overflow fallback.
-fn striped_end_with(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    scratch: &mut AlignScratch,
-) -> (i32, usize, usize) {
-    striped_pass(r, c, params, scratch, false)
 }
 
 /// Score-only striped local alignment: `(score, (r_end, c_end))` with
@@ -558,13 +500,13 @@ pub fn striped_score(r: &[u8], c: &[u8], params: &AlignParams) -> (i32, (u32, u3
 }
 
 /// [`striped_score`] with an explicit scratch arena.
-pub fn striped_score_with(
+pub(crate) fn striped_score_with(
     r: &[u8],
     c: &[u8],
     params: &AlignParams,
     scratch: &mut AlignScratch,
 ) -> (i32, (u32, u32)) {
-    let (best, bi, bj) = striped_end_with(r, c, params, scratch);
+    let (best, bi, bj) = striped_pass(r, c, params, scratch, false);
     (best, (bi as u32, bj as u32))
 }
 
@@ -595,13 +537,13 @@ pub fn striped_align(r: &[u8], c: &[u8], params: &AlignParams) -> AlignStats {
 }
 
 /// [`striped_align`] with an explicit scratch arena.
-pub fn striped_align_with(
+pub(crate) fn striped_align_with(
     r: &[u8],
     c: &[u8],
     params: &AlignParams,
     scratch: &mut AlignScratch,
 ) -> AlignStats {
-    let (best, bi, bj) = striped_end_with(r, c, params, scratch);
+    let (best, bi, bj) = striped_pass(r, c, params, scratch, false);
     striped_traceback_with(r, c, params, best, (bi as u32, bj as u32), scratch)
 }
 
@@ -649,20 +591,9 @@ fn span_start_with(
 /// Traceback pass alone: given the `(score, end)` that
 /// [`striped_score_with`] reported for the same `(r, c, params)`, produce
 /// the full [`AlignStats`] without repeating the score pass. This is the
-/// second half of [`striped_align_with`], exposed so a score-only prefilter
-/// can decide whether the traceback is worth running at all.
-pub fn striped_traceback(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    score: i32,
-    end: (u32, u32),
-) -> AlignStats {
-    with_scratch(|s| striped_traceback_with(r, c, params, score, end, s))
-}
-
-/// [`striped_traceback`] with an explicit scratch arena.
-pub fn striped_traceback_with(
+/// second half of [`striped_align_with`], split out so the prefilter
+/// cascade runs it only for pairs whose score clears the threshold.
+pub(crate) fn striped_traceback_with(
     r: &[u8],
     c: &[u8],
     params: &AlignParams,
@@ -942,45 +873,121 @@ mod tests {
         }
     }
 
+    /// End cells of the textbook affine-gap recurrence over the full H
+    /// matrix, as `[forward, reverse]`: the row-major-first cell attaining
+    /// the best (the scalar engine's argmax) and the componentwise-largest
+    /// one (largest row and largest column over every cell attaining it).
+    /// `(0, 0, 0)` for both when nothing scores positive.
+    fn reference_ends(r: &[u8], c: &[u8], p: &AlignParams) -> [(i32, usize, usize); 2] {
+        let (m, n) = (r.len(), c.len());
+        let (open, ext) = (p.gap_open + p.gap_extend, p.gap_extend);
+        let mut h = vec![vec![0i32; n + 1]; m + 1];
+        let mut f = vec![NEG_INF; n + 1];
+        for i in 1..=m {
+            let mut e = NEG_INF;
+            for j in 1..=n {
+                e = (e - ext).max(h[i][j - 1] - open);
+                f[j] = (f[j] - ext).max(h[i - 1][j] - open);
+                let diag = h[i - 1][j - 1] + p.matrix.score(r[i - 1], c[j - 1]);
+                h[i][j] = diag.max(e).max(f[j]).max(0);
+            }
+        }
+        let best = h.iter().flatten().copied().max().unwrap_or(0);
+        let cells: Vec<(usize, usize)> = (1..=m)
+            .flat_map(|i| (1..=n).map(move |j| (i, j)))
+            .filter(|&(i, j)| best > 0 && h[i][j] == best)
+            .collect();
+        let Some(&(fi, fj)) = cells.first() else {
+            return [(0, 0, 0); 2];
+        };
+        let ri = cells.iter().map(|&(i, _)| i).max().unwrap();
+        let rj = cells.iter().map(|&(_, j)| j).max().unwrap();
+        [(best, fi, fj), (best, ri, rj)]
+    }
+
     #[test]
     fn all_lane_widths_match_scalar() {
-        // Drive each kernel instantiation directly (dispatch is cached
-        // per process, so the dispatched path alone cannot cover all
-        // three in one test run; verify.sh additionally runs the whole
-        // suite under each ALIGN_FORCE value).
+        // Every instantiation the dispatcher can pick — SLP always, AVX2
+        // when the host has it — forward and reverse. The i16 kernels are
+        // driven through the dispatch arms of `striped_pass_at`; the i32
+        // kernels directly on the same pairs, and through the arms once
+        // the i16 lanes saturate (below).
         use rand::prelude::*;
+        let mut levels = vec![SimdLevel::Slp];
+        if dispatch::avx2_available() {
+            levels.push(SimdLevel::Avx2);
+        }
         let mut rng = StdRng::seed_from_u64(31);
-        let p = AlignParams::default();
-        let mut b16 = StripedBufs::<i16, L16>::default();
-        let mut b1 = StripedBufs::<i16, 1>::default();
-        #[cfg(target_arch = "x86_64")]
-        let mut bw = StripedBufs::<i16, L16W>::default();
-        for _ in 0..25 {
-            let m = rng.random_range(1..120);
-            let n = rng.random_range(1..120);
-            let a: Vec<u8> = (0..m).map(|_| rng.random_range(0..24u8)).collect();
-            let b: Vec<u8> = (0..n).map(|_| rng.random_range(0..24u8)).collect();
-            let st = smith_waterman(&a, &b, &p);
-            let want = (st.score, st.r_span.1 as usize, st.c_span.1 as usize);
-            let got_slp = run_config!(kernel_i16, kernel_i16_rev, &a, &b, &p, &mut b16, false);
-            let got_s1 = run_config!(kernel_i16_s1, kernel_i16_s1_rev, &a, &b, &p, &mut b1, false);
-            if st.score > 0 {
-                assert_eq!(got_slp, want);
-                assert_eq!(got_s1, want);
+        let mut seq = |lo: usize, hi: usize| -> Vec<u8> {
+            let len = rng.random_range(lo..hi);
+            (0..len).map(|_| rng.random_range(0..24u8)).collect()
+        };
+        let core = seq(12, 13);
+        let mut scratch = AlignScratch::new();
+        for round in 0..40 {
+            let p = AlignParams {
+                gap_open: [11, 5, 0][round % 3],
+                gap_extend: [1, 2, 1][round % 3],
+                ..Default::default()
+            };
+            let (a, b) = if round % 2 == 0 {
+                (seq(1, 120), seq(1, 120))
             } else {
-                assert_eq!(got_slp.0, 0);
-                assert_eq!(got_s1.0, 0);
-            }
-            #[cfg(target_arch = "x86_64")]
-            if crate::dispatch::level() == SimdLevel::Avx2 {
-                // SAFETY: AVX2 presence just checked via dispatch.
-                let got_w = unsafe { avx2_i16(&a, &b, &p, &mut bw, false) };
-                if st.score > 0 {
-                    assert_eq!(got_w, want);
-                } else {
-                    assert_eq!(got_w.0, 0);
+                // `a` carries the shared core twice, so the best score is
+                // attained in two rows and the forward and reverse end
+                // cells differ.
+                (
+                    [
+                        seq(0, 30),
+                        core.clone(),
+                        seq(0, 30),
+                        core.clone(),
+                        seq(0, 30),
+                    ]
+                    .concat(),
+                    [seq(0, 30), core.clone(), seq(0, 30)].concat(),
+                )
+            };
+            let want = reference_ends(&a, &b, &p);
+            for (reverse, want) in [false, true].into_iter().zip(want) {
+                for &lv in &levels {
+                    assert_eq!(
+                        striped_pass_at(lv, &a, &b, &p, &mut scratch, reverse),
+                        want,
+                        "{lv:?} i16 reverse={reverse} a={a:?} b={b:?}"
+                    );
+                }
+                let slp32 = run_config!(
+                    kernel_i32,
+                    kernel_i32_rev,
+                    &a,
+                    &b,
+                    &p,
+                    &mut scratch.slp32,
+                    reverse
+                );
+                assert_eq!(slp32, want, "Slp i32 reverse={reverse} a={a:?} b={b:?}");
+                #[cfg(target_arch = "x86_64")]
+                if dispatch::avx2_available() {
+                    // SAFETY: AVX2 presence just checked.
+                    let avx32 = unsafe { avx2_i32(&a, &b, &p, &mut scratch.avx32, reverse) };
+                    assert_eq!(avx32, want, "Avx2 i32 reverse={reverse} a={a:?} b={b:?}");
                 }
             }
+        }
+        // Past i16 saturation: n+1 tryptophans against n score 11·n, first
+        // reached at (n, n) and last at (n+1, n).
+        let n = 2980;
+        let w = encode_seq(b"W")[0];
+        let (a, b) = (vec![w; n + 1], vec![w; n]);
+        let p = AlignParams::default();
+        let best = 11 * n as i32;
+        assert!(best >= I16_SAFE);
+        for &lv in &levels {
+            let fwd = striped_pass_at(lv, &a, &b, &p, &mut scratch, false);
+            assert_eq!(fwd, (best, n, n), "{lv:?} i32 forward");
+            let rev = striped_pass_at(lv, &a, &b, &p, &mut scratch, true);
+            assert_eq!(rev, (best, n + 1, n), "{lv:?} i32 reverse");
         }
     }
 
@@ -1061,32 +1068,27 @@ mod tests {
 
     #[test]
     fn prefiltered_matches_full_and_culls() {
-        use crate::{local_align, prefiltered_align_outcome, AlignEngine, PrefilterOutcome};
+        use crate::{prefiltered_align_outcome, PrefilterOutcome};
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(21);
-        for engine in [AlignEngine::Striped, AlignEngine::Scalar] {
-            let p = AlignParams {
-                engine,
-                ..Default::default()
-            };
-            for _ in 0..20 {
-                let m = rng.random_range(1..60);
-                let n = rng.random_range(1..60);
-                let a: Vec<u8> = (0..m).map(|_| rng.random_range(0..24u8)).collect();
-                let b: Vec<u8> = (0..n).map(|_| rng.random_range(0..24u8)).collect();
-                let full = local_align(&a, &b, &p);
-                match prefiltered_align_outcome(&a, &b, &p, 1) {
-                    PrefilterOutcome::Passed(st) => {
-                        assert!(full.score >= 1);
-                        assert_eq!(st, full);
-                    }
-                    _ => assert!(full.score < 1),
+        let p = AlignParams::default();
+        for _ in 0..40 {
+            let m = rng.random_range(1..60);
+            let n = rng.random_range(1..60);
+            let a: Vec<u8> = (0..m).map(|_| rng.random_range(0..24u8)).collect();
+            let b: Vec<u8> = (0..n).map(|_| rng.random_range(0..24u8)).collect();
+            let full = smith_waterman(&a, &b, &p);
+            match prefiltered_align_outcome(&a, &b, &p, 1) {
+                PrefilterOutcome::Passed(st) => {
+                    assert!(full.score >= 1);
+                    assert_eq!(st, full);
                 }
-                assert!(!matches!(
-                    prefiltered_align_outcome(&a, &b, &p, full.score + 1),
-                    PrefilterOutcome::Passed(_)
-                ));
+                _ => assert!(full.score < 1),
             }
+            assert!(!matches!(
+                prefiltered_align_outcome(&a, &b, &p, full.score + 1),
+                PrefilterOutcome::Passed(_)
+            ));
         }
     }
 

@@ -26,9 +26,9 @@ pub fn smith_waterman(r: &[u8], c: &[u8], params: &AlignParams) -> AlignStats {
     with_scratch(|s| smith_waterman_with(r, c, params, s))
 }
 
-/// [`smith_waterman`] with an explicit scratch arena (no per-call heap
+/// [`smith_waterman`] on an explicit scratch arena (no per-call heap
 /// allocation once the arena is warm).
-pub fn smith_waterman_with(
+fn smith_waterman_with(
     r: &[u8],
     c: &[u8],
     params: &AlignParams,
@@ -228,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn local_alignment_trims_noise() {
+    fn trims_unrelated_flanks() {
         // Shared core WWWWHHHH surrounded by unrelated residues.
         let st = sw(b"CCCCWWWWHHHHGGGG", b"TTTTWWWWHHHHVVVV");
         assert!(st.matches >= 8);

@@ -4,8 +4,8 @@
 //! soundness (a culled pair is provably below the threshold).
 
 use align::{
-    bitpack_bound, local_align, prefiltered_align_outcome, smith_waterman, striped_align,
-    striped_score, ungapped_xdrop, xdrop_align, AlignEngine, AlignParams, PrefilterOutcome,
+    bitpack_bound, prefiltered_align_outcome, smith_waterman, striped_align, striped_score,
+    ungapped_xdrop, xdrop_align, AlignParams, PrefilterOutcome,
 };
 use proptest::prelude::*;
 
@@ -150,13 +150,11 @@ proptest! {
         a in proptest::collection::vec(0u8..24, 0..120),
         b in proptest::collection::vec(0u8..24, 0..120),
         min_score in 1i32..900,
-        scalar in 0u32..2,
     ) {
         // Whatever tier culls a pair, the exact score must really miss the
         // threshold; whatever passes must match the exact stats.
-        let engine = if scalar == 1 { AlignEngine::Scalar } else { AlignEngine::Striped };
-        let p = AlignParams { engine, ..Default::default() };
-        let full = local_align(&a, &b, &p);
+        let p = AlignParams::default();
+        let full = smith_waterman(&a, &b, &p);
         match prefiltered_align_outcome(&a, &b, &p, min_score) {
             PrefilterOutcome::Passed(st) => {
                 prop_assert!(full.score >= min_score);

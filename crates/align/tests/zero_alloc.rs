@@ -10,7 +10,7 @@
 
 #[test]
 fn steady_state_batch_does_not_allocate_per_task() {
-    use align::{align_batch, local_align, xdrop_align, AlignParams};
+    use align::{align_batch, smith_waterman, striped_align, xdrop_align, AlignParams};
 
     // Deterministic pseudo-random residues without pulling in an RNG.
     let mut state = 0x9e3779b97f4a7c15u64;
@@ -38,13 +38,8 @@ fn steady_state_batch_does_not_allocate_per_task() {
         // keeps the work on this thread's arena (and avoids counting
         // thread-spawn allocations).
         align_batch(tasks, 1, |(a, b)| {
-            let st = local_align(a, b, &p);
-            let sc = AlignParams {
-                engine: align::AlignEngine::Scalar,
-                ..p
-            };
-            let st2 = local_align(a, b, &sc);
-            assert_eq!(st, st2);
+            let st = striped_align(a, b, &p);
+            assert_eq!(st, smith_waterman(a, b, &p));
             let xd = xdrop_align(a, b, 0, 0, 4, &p);
             st.score + xd.score
         })

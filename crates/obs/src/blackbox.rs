@@ -25,7 +25,6 @@
 //! uncontended except during a dump or a monitor sample.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -337,21 +336,19 @@ pub fn add_items(done: u64, total: u64) {
 static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 static DUMPED: AtomicBool = AtomicBool::new(false);
 
-/// Set the directory black-box dumps are written to (overrides the
-/// `BLACKBOX_DIR` environment variable; default is
-/// `$TMPDIR/pastis-blackbox` so deliberate aborts in test suites never
-/// litter the working directory — the `pastis` binary redirects dumps
-/// next to its other outputs).
+/// Set the directory black-box dumps are written to. The default is
+/// `$TMPDIR/pastis-blackbox`, so deliberate aborts in test suites never
+/// litter the working directory; the `pastis` binary redirects dumps next
+/// to its other outputs.
 pub fn set_dump_dir(dir: impl Into<PathBuf>) {
     *DUMP_DIR.lock().unwrap() = Some(dir.into());
 }
 
 fn dump_dir() -> PathBuf {
-    if let Some(d) = DUMP_DIR.lock().unwrap().clone() {
-        return d;
-    }
-    std::env::var_os("BLACKBOX_DIR")
-        .map(PathBuf::from)
+    DUMP_DIR
+        .lock()
+        .unwrap()
+        .clone()
         .unwrap_or_else(|| std::env::temp_dir().join("pastis-blackbox"))
 }
 
@@ -394,49 +391,49 @@ pub fn last_completed_stage(events: &[BbEvent]) -> Option<&'static str> {
 }
 
 fn rank_doc(rank: usize, events: &[BbEvent], dropped: u64, reason: &str) -> JsonValue {
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".into(), JsonValue::Str("blackbox".into()));
-    doc.insert("version".into(), JsonValue::Num(2.0));
-    doc.insert("rank".into(), JsonValue::Num(rank as f64));
-    doc.insert("reason".into(), JsonValue::Str(reason.into()));
-    let wrapped = events.first().map(|e| e.seq).unwrap_or(0);
-    doc.insert("events_wrapped".into(), JsonValue::Num(wrapped as f64));
-    // The ring's own overwrite count: how many events the postmortem lost.
-    doc.insert("events_dropped".into(), JsonValue::Num(dropped as f64));
-    doc.insert(
-        "last_completed_stage".into(),
-        match last_completed_stage(events) {
-            Some(name) => JsonValue::Str(name.into()),
-            None => JsonValue::Null,
-        },
-    );
-    doc.insert(
-        "alloc_tracking".into(),
-        JsonValue::Bool(crate::alloc::tracking()),
-    );
-    doc.insert(
-        "live_bytes_total".into(),
-        JsonValue::Num(crate::alloc::live_bytes() as f64),
-    );
-    doc.insert(
-        "peak_bytes_total".into(),
-        JsonValue::Num(crate::alloc::peak_bytes() as f64),
-    );
+    let num = |n: u64| JsonValue::Num(n as f64);
     let evs = events
         .iter()
         .map(|e| {
-            let mut o = BTreeMap::new();
-            o.insert("seq".into(), JsonValue::Num(e.seq as f64));
-            o.insert("t_ns".into(), JsonValue::Num(e.t_ns as f64));
-            o.insert("kind".into(), JsonValue::Str(e.kind.name().into()));
-            o.insert("name".into(), JsonValue::Str(e.name.into()));
-            o.insert("a".into(), JsonValue::Num(e.a as f64));
-            o.insert("b".into(), JsonValue::Num(e.b as f64));
-            JsonValue::Obj(o)
+            JsonValue::obj([
+                ("seq", num(e.seq)),
+                ("t_ns", num(e.t_ns)),
+                ("kind", JsonValue::Str(e.kind.name().into())),
+                ("name", JsonValue::Str(e.name.into())),
+                ("a", num(e.a)),
+                ("b", num(e.b)),
+            ])
         })
         .collect();
-    doc.insert("events".into(), JsonValue::Arr(evs));
-    JsonValue::Obj(doc)
+    JsonValue::obj([
+        ("schema", JsonValue::Str("blackbox".into())),
+        ("version", JsonValue::Num(2.0)),
+        ("rank", num(rank as u64)),
+        ("reason", JsonValue::Str(reason.into())),
+        (
+            "events_wrapped",
+            num(events.first().map(|e| e.seq).unwrap_or(0)),
+        ),
+        // The ring's own overwrite count: how many events the postmortem lost.
+        ("events_dropped", num(dropped)),
+        (
+            "last_completed_stage",
+            match last_completed_stage(events) {
+                Some(name) => JsonValue::Str(name.into()),
+                None => JsonValue::Null,
+            },
+        ),
+        ("alloc_tracking", JsonValue::Bool(crate::alloc::tracking())),
+        (
+            "live_bytes_total",
+            JsonValue::Num(crate::alloc::live_bytes() as f64),
+        ),
+        (
+            "peak_bytes_total",
+            JsonValue::Num(crate::alloc::peak_bytes() as f64),
+        ),
+        ("events", JsonValue::Arr(evs)),
+    ])
 }
 
 /// Dump every registered ring unconditionally (prefer [`dump_once`] from

@@ -1,8 +1,10 @@
 //! A minimal JSON document model with a parser and writer.
 //!
-//! The container ships no serde, so the Perfetto exporter writes JSON by
-//! hand and the schema/round-trip tests parse it back with this module.
-//! Covers exactly the JSON subset the exporter emits: objects, arrays,
+//! The container ships no serde, so every document writer (Perfetto
+//! export, black-box dump, `status.json`, checkpoint manifest, machine
+//! profile) builds a [`JsonValue`] with [`JsonValue::obj`] and prints it,
+//! and the readers and round-trip tests parse it back with this module.
+//! Covers exactly the JSON subset the writers emit: objects, arrays,
 //! strings with `\uXXXX`/standard escapes, finite numbers, booleans, null.
 
 use std::collections::BTreeMap;
@@ -38,6 +40,19 @@ impl JsonValue {
             return Err(format!("trailing data at byte {}", p.i));
         }
         Ok(v)
+    }
+
+    /// An object from `(key, value)` fields — the one constructor every
+    /// document writer uses. Keys come out sorted (the map normalizes
+    /// order); a repeated key keeps its last value.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        // Inserting one by one, rather than `collect()`, keeps the map's
+        // bulk-build sort from being compiled once per call site.
+        let mut map = BTreeMap::new();
+        for (k, v) in fields {
+            map.insert(k.to_string(), v);
+        }
+        JsonValue::Obj(map)
     }
 
     /// Object field access; `None` for non-objects or missing keys.

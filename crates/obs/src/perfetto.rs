@@ -7,19 +7,10 @@
 //! (complete) events with microsecond `ts`/`dur`; process and thread names
 //! are attached with `"M"` metadata events.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::json::JsonValue;
 use crate::span::RankTrace;
-
-fn obj(fields: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
 
 fn num(n: f64) -> JsonValue {
     JsonValue::Num(n)
@@ -38,12 +29,15 @@ pub fn perfetto_json(traces: &[RankTrace]) -> String {
     let mut events: Vec<JsonValue> = Vec::new();
     for t in traces {
         let pid = t.rank as f64;
-        events.push(obj(vec![
+        events.push(JsonValue::obj([
             ("ph", s("M")),
             ("pid", num(pid)),
             ("tid", num(0.0)),
             ("name", s("process_name")),
-            ("args", obj(vec![("name", s(&format!("rank {}", t.rank)))])),
+            (
+                "args",
+                JsonValue::obj([("name", s(&format!("rank {}", t.rank)))]),
+            ),
         ]));
         let tracks: BTreeSet<u16> = t.events.iter().map(|e| e.track).chain([0]).collect();
         for &track in &tracks {
@@ -52,35 +46,33 @@ pub fn perfetto_json(traces: &[RankTrace]) -> String {
             } else {
                 format!("worker-{track}")
             };
-            events.push(obj(vec![
+            events.push(JsonValue::obj([
                 ("ph", s("M")),
                 ("pid", num(pid)),
                 ("tid", num(track as f64)),
                 ("name", s("thread_name")),
-                ("args", obj(vec![("name", s(&tname))])),
+                ("args", JsonValue::obj([("name", s(&tname))])),
             ]));
         }
         for e in &t.events {
-            let mut args: BTreeMap<String, JsonValue> = BTreeMap::new();
-            args.insert("seq".into(), num(e.seq as f64));
-            if let Some((k, v)) = e.arg {
-                args.insert(k.to_string(), num(v as f64));
-            }
             let c = e.counters;
-            for (k, v) in [
+            let counters = [
                 ("work_ns", c.work_ns),
                 ("bytes_sent", c.bytes_sent),
                 ("bytes_recv", c.bytes_recv),
                 ("msgs_sent", c.msgs_sent),
                 ("msgs_recv", c.msgs_recv),
                 ("wait_ns", c.wait_ns),
-            ] {
-                if v != 0 {
-                    args.insert(k.to_string(), num(v as f64));
-                }
-            }
+            ]
+            .into_iter()
+            .filter(|&(_, v)| v != 0)
+            .map(|(k, v)| (k, v as f64));
+            let args = std::iter::once(("seq", e.seq as f64))
+                .chain(e.arg.map(|(k, v)| (k, v as f64)))
+                .chain(counters)
+                .map(|(k, v)| (k, num(v)));
             let cat = e.name.split('.').next().unwrap_or("span");
-            events.push(obj(vec![
+            events.push(JsonValue::obj([
                 ("ph", s("X")),
                 ("pid", num(pid)),
                 ("tid", num(e.track as f64)),
@@ -88,22 +80,22 @@ pub fn perfetto_json(traces: &[RankTrace]) -> String {
                 ("cat", s(cat)),
                 ("ts", num(e.start_ns as f64 / 1000.0)),
                 ("dur", num(e.dur_ns as f64 / 1000.0)),
-                ("args", JsonValue::Obj(args)),
+                ("args", JsonValue::obj(args)),
             ]));
         }
         if t.dropped > 0 {
-            events.push(obj(vec![
+            events.push(JsonValue::obj([
                 ("ph", s("i")),
                 ("pid", num(pid)),
                 ("tid", num(0.0)),
                 ("name", s("obs.dropped_events")),
                 ("ts", num(0.0)),
                 ("s", s("p")),
-                ("args", obj(vec![("count", num(t.dropped as f64))])),
+                ("args", JsonValue::obj([("count", num(t.dropped as f64))])),
             ]));
         }
     }
-    let doc = obj(vec![
+    let doc = JsonValue::obj([
         ("traceEvents", JsonValue::Arr(events)),
         ("displayTimeUnit", s("ns")),
     ]);

@@ -21,10 +21,11 @@
 //!
 //! `--monitor` arms the live telemetry plane: a heartbeat thread appends
 //! per-rank progress snapshots to `status.json` next to the output
-//! (`PASTIS_MONITOR_MS` sets the period, default 200), renders a
-//! refreshing per-rank table to stderr unless `--quiet`, and the document
-//! is schema-validated and reconciled against the run totals on exit
-//! (watch it live from another terminal with `pastis-top`).
+//! (`PASTIS_MONITOR_MS` sets the period in milliseconds, a positive
+//! integer; default 200), renders a refreshing per-rank table to stderr
+//! unless `--quiet`, and the document is schema-validated and reconciled
+//! against the run totals on exit (watch it live from another terminal
+//! with `pastis-top`).
 //!
 //! `--mem-budget SIZE` (bytes, `k`/`m`/`g` suffixes) arms the out-of-core
 //! driver: B's columns are computed in budget-sized batches (DESIGN.md
@@ -49,7 +50,8 @@ struct Cli {
     quiet: bool,
     trace: Option<String>,
     cluster: bool,
-    monitor: bool,
+    /// Snapshot period of `--monitor` in milliseconds; `None` without it.
+    monitor_ms: Option<u64>,
 }
 
 fn usage() -> ! {
@@ -72,6 +74,8 @@ fn parse_cli() -> Cli {
     let mut trace = None;
     let mut cluster = false;
     let mut monitor = false;
+    // A threshold the user set, as opposed to the defaults.
+    let mut cutoff = None;
     let mut params = PastisParams::default();
     while let Some(flag) = args.next() {
         let mut val = || args.next().unwrap_or_else(|| usage());
@@ -97,8 +101,14 @@ fn parse_cli() -> Cli {
                     _ => usage(),
                 }
             }
-            "--min-ani" => params.min_ani = val().parse().unwrap_or_else(|_| usage()),
-            "--min-cov" => params.min_coverage = val().parse().unwrap_or_else(|_| usage()),
+            "--min-ani" => {
+                params.min_ani = val().parse().unwrap_or_else(|_| usage());
+                cutoff = Some("--min-ani");
+            }
+            "--min-cov" => {
+                params.min_coverage = val().parse().unwrap_or_else(|_| usage());
+                cutoff = Some("--min-cov");
+            }
             "--max-kmer-freq" => {
                 params.max_kmer_frequency = Some(val().parse().unwrap_or_else(|_| usage()))
             }
@@ -139,6 +149,12 @@ fn parse_cli() -> Cli {
             exit(2);
         }
     }
+    // The normalized-score measure keeps every aligned pair; it has no
+    // identity or coverage cut-off to apply.
+    if let (SimilarityMeasure::NormalizedScore, Some(flag)) = (params.measure, cutoff) {
+        eprintln!("{flag} has no effect with --measure ns (it applies no cut-off)");
+        exit(2);
+    }
     if params.max_kmer_frequency == Some(0) {
         eprintln!("--max-kmer-freq must be positive (0 would drop every k-mer)");
         exit(2);
@@ -153,6 +169,20 @@ fn parse_cli() -> Cli {
         );
         exit(2);
     }
+    let monitor_ms = monitor.then(|| match std::env::var("PASTIS_MONITOR_MS") {
+        Err(std::env::VarError::NotPresent) => 200,
+        Ok(v) => match v.parse() {
+            Ok(ms) if ms > 0 => ms,
+            _ => {
+                eprintln!("PASTIS_MONITOR_MS must be a positive integer (got {v:?})");
+                exit(2);
+            }
+        },
+        Err(e) => {
+            eprintln!("PASTIS_MONITOR_MS: {e}");
+            exit(2);
+        }
+    });
     Cli {
         input,
         output,
@@ -161,7 +191,7 @@ fn parse_cli() -> Cli {
         quiet,
         trace,
         cluster,
-        monitor,
+        monitor_ms,
     }
 }
 
@@ -256,11 +286,7 @@ fn main() {
     // like the black-box dumps.
     let status_path = dump_dir.join("status.json");
     let mut world = WorldBuilder::new();
-    if cli.monitor {
-        let interval_ms = std::env::var("PASTIS_MONITOR_MS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(200);
+    if let Some(interval_ms) = cli.monitor_ms {
         world = world.monitor(pcomm::monitor::MonitorConfig {
             path: Some(status_path.clone()),
             interval_ms,
@@ -317,7 +343,7 @@ fn main() {
     let (runs, rest): (Vec<_>, Vec<_>) = results.into_iter().map(|(r, l, t)| (r, (l, t))).unzip();
     let (labels, traces): (Vec<_>, Vec<_>) = rest.into_iter().unzip();
 
-    if cli.monitor {
+    if cli.monitor_ms.is_some() {
         // The status document must parse, satisfy the schema, and its
         // final snapshot must reconcile with the run totals — the monitor
         // lane of verify.sh rides on this self-check.

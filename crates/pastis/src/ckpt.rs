@@ -257,43 +257,39 @@ fn parse_counters(line: &str) -> Option<CounterDelta> {
 
 /// Durably write the manifest (tmp-then-rename).
 fn write_manifest(dir: &Path, m: &Manifest) -> io::Result<()> {
-    let mut root = BTreeMap::new();
-    root.insert("schema".into(), JsonValue::Str("pastis-ckpt".into()));
-    root.insert("version".into(), JsonValue::Num(m.version as f64));
-    root.insert(
-        "fingerprint".into(),
-        JsonValue::Str(format!("{:016x}", m.fingerprint)),
-    );
-    root.insert("p".into(), JsonValue::Num(m.p as f64));
-    root.insert("n_batches".into(), JsonValue::Num(m.n_batches as f64));
+    let shard = |s: &ShardRecord| {
+        JsonValue::obj([
+            ("rank", JsonValue::Num(s.rank as f64)),
+            ("len", JsonValue::Num(s.len as f64)),
+            // Hex string: JSON numbers are f64 and would round 64-bit
+            // checksums.
+            ("checksum", JsonValue::Str(format!("{:016x}", s.checksum))),
+        ])
+    };
     let batches = m
         .completed
         .iter()
         .map(|b| {
-            let mut o = BTreeMap::new();
-            o.insert("index".into(), JsonValue::Num(b.index as f64));
-            let shards = b
-                .shards
-                .iter()
-                .map(|s| {
-                    let mut so = BTreeMap::new();
-                    so.insert("rank".into(), JsonValue::Num(s.rank as f64));
-                    so.insert("len".into(), JsonValue::Num(s.len as f64));
-                    // Hex string: JSON numbers are f64 and would round
-                    // 64-bit checksums.
-                    so.insert(
-                        "checksum".into(),
-                        JsonValue::Str(format!("{:016x}", s.checksum)),
-                    );
-                    JsonValue::Obj(so)
-                })
-                .collect();
-            o.insert("shards".into(), JsonValue::Arr(shards));
-            JsonValue::Obj(o)
+            JsonValue::obj([
+                ("index", JsonValue::Num(b.index as f64)),
+                (
+                    "shards",
+                    JsonValue::Arr(b.shards.iter().map(shard).collect()),
+                ),
+            ])
         })
         .collect();
-    root.insert("batches".into(), JsonValue::Arr(batches));
-    let doc = JsonValue::Obj(root);
+    let doc = JsonValue::obj([
+        ("schema", JsonValue::Str("pastis-ckpt".into())),
+        ("version", JsonValue::Num(m.version as f64)),
+        (
+            "fingerprint",
+            JsonValue::Str(format!("{:016x}", m.fingerprint)),
+        ),
+        ("p", JsonValue::Num(m.p as f64)),
+        ("n_batches", JsonValue::Num(m.n_batches as f64)),
+        ("batches", JsonValue::Arr(batches)),
+    ]);
     write_atomic(&manifest_path(dir), format!("{doc}\n").as_bytes())
 }
 
@@ -347,10 +343,6 @@ pub struct BatchLog<'a> {
     /// Completed batches by index: the manifest's at open, plus (on rank
     /// 0, the only manifest writer) every commit since.
     completed: BTreeMap<usize, BatchRecord>,
-    /// Kill-test hooks (`PASTIS_KILL_AFTER_BATCH`, `PASTIS_HANG_AFTER_BATCH`),
-    /// read once at open; see [`BatchLog::fault_point`].
-    kill_after: Option<usize>,
-    hang_after: Option<usize>,
 }
 
 impl<'a> BatchLog<'a> {
@@ -379,15 +371,12 @@ impl<'a> BatchLog<'a> {
             .filter(|m| m.fingerprint == fingerprint && m.p == p && m.n_batches == ranges.len())
             .map(|m| m.completed.into_iter().map(|b| (b.index, b)).collect())
             .unwrap_or_default();
-        let env_batch = |name: &str| std::env::var(name).ok().and_then(|v| v.parse().ok());
         BatchLog {
             dir,
             world,
             fingerprint,
             n_batches: ranges.len(),
             completed,
-            kill_after: env_batch("PASTIS_KILL_AFTER_BATCH"),
-            hang_after: env_batch("PASTIS_HANG_AFTER_BATCH"),
         }
     }
 
@@ -434,26 +423,6 @@ impl<'a> BatchLog<'a> {
                 completed: self.completed.values().cloned().collect(),
             };
             write_manifest(self.dir, &m).expect("checkpoint manifest write failed");
-        }
-        self.fault_point(k);
-    }
-
-    /// Kill-test hooks for verify.sh and the resume proptest: die (or
-    /// hang, awaiting an external SIGKILL) only after batch `k`'s manifest
-    /// commit is visible on every rank.
-    fn fault_point(&self, k: usize) {
-        if self.kill_after == Some(k) {
-            self.world.barrier();
-            if self.world.rank() == 0 {
-                eprintln!("PASTIS_KILL_AFTER_BATCH={k}: aborting after batch {k}");
-            }
-            std::process::abort();
-        }
-        if self.hang_after == Some(k) {
-            self.world.barrier();
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(1));
-            }
         }
     }
 }

@@ -287,9 +287,8 @@ pub struct Counters {
     /// *upper bound* already missed `min_score`, so no exact DP ran
     /// (Smith–Waterman mode only; x-drop has no prefilter).
     pub prefilter_bitpack_culled_local: u64,
-    /// Pairs the exact score tier culled on this rank after the gate
-    /// passed them (striped score-only pass, or the full DP on the scalar
-    /// engine).
+    /// Pairs the striped score-only pass culled on this rank after the
+    /// gate passed them.
     pub prefilter_striped_culled_local: u64,
     /// Pairs that survived the whole prefilter cascade on this rank.
     pub prefilter_passed_local: u64,

@@ -16,10 +16,22 @@ fn scratch(name: &str) -> PathBuf {
 /// Run `pastis --input <fasta> <args>` and assert the exit code and that
 /// stderr is a single diagnostic line mentioning `needle`.
 fn expect_rejection(fasta: &Path, args: &[&str], code: i32, needle: &str) {
+    expect_rejection_with_env(fasta, args, &[], code, needle);
+}
+
+/// [`expect_rejection`] with extra environment variables set.
+fn expect_rejection_with_env(
+    fasta: &Path,
+    args: &[&str],
+    envs: &[(&str, &str)],
+    code: i32,
+    needle: &str,
+) {
     let out = Command::new(env!("CARGO_BIN_EXE_pastis"))
         .arg("--input")
         .arg(fasta)
         .args(args)
+        .envs(envs.iter().copied())
         .output()
         .expect("spawn pastis");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -44,6 +56,30 @@ fn bad_parameters_are_usage_errors() {
     expect_rejection(&fasta, &["--min-ani", "1.5"], 2, "--min-ani");
     expect_rejection(&fasta, &["--min-cov", "7"], 2, "--min-cov");
     expect_rejection(&fasta, &["--max-kmer-freq", "0"], 2, "--max-kmer-freq");
+    // NS applies no cut-off, so an explicit threshold would be dropped.
+    expect_rejection(
+        &fasta,
+        &["--measure", "ns", "--min-ani", "0.5"],
+        2,
+        "--min-ani",
+    );
+    expect_rejection(
+        &fasta,
+        &["--min-cov", "0.5", "--measure", "ns"],
+        2,
+        "--min-cov",
+    );
+    // A monitor period that is not a positive integer is refused, not
+    // replaced by the default.
+    for bad in ["0", "fast", ""] {
+        expect_rejection_with_env(
+            &fasta,
+            &["--monitor"],
+            &[("PASTIS_MONITOR_MS", bad)],
+            2,
+            "PASTIS_MONITOR_MS",
+        );
+    }
     // Out-of-core flags need exact seeding: rejected with --subs, never
     // silently ignored.
     expect_rejection(

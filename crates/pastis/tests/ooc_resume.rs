@@ -3,26 +3,32 @@
 //! tmp-then-rename), so a run killed mid-flight resumes after the last
 //! complete batch and still produces the monolithic output byte for byte.
 //!
-//! Exercised against the real `pastis` binary: the `PASTIS_HANG_AFTER_BATCH`
-//! hook parks every rank after batch k's manifest commit, the test SIGKILLs
-//! the parked process (the hard-failure mode `kill -9` / OOM-killer
-//! deliver), and the resumed invocation must converge to the reference.
-//! The corruption case flips one byte in a durable shard and checks both
-//! that the checksum rejects it and that the resumed run recomputes the
-//! batch rather than trusting the manifest.
+//! Exercised against the real `pastis` binary. The states a kill can leave
+//! behind are built from one completed checkpoint directory instead of
+//! being waited for: the manifest cut back to batches `0..=k` and the later
+//! shards deleted — plus, for some `k`, what a kill *inside* batch `k+1`'s
+//! commit leaves (its uncommitted shards, a half-written shard `.tmp`, an
+//! unrenamed `manifest.tmp`). The resumed run must restore exactly the
+//! committed batches (their shard files are read, never rewritten, so they
+//! keep their inode), recompute the rest, and write the reference bytes.
+//! One real SIGKILL, delivered at whatever point the run has reached,
+//! checks the same end state. The corruption case flips one byte of a
+//! committed shard: the checksum must reject it and the resumed run must
+//! recompute that batch rather than trust the manifest.
 
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::collections::BTreeMap;
+use std::os::unix::fs::MetadataExt as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use datagen::{metaclust_like, MetaclustConfig};
+use obs::JsonValue;
 use pastis::ckpt;
-use proptest::prelude::*;
 use seqstore::write_fasta;
 
-const RANKS: &str = "4";
+const RANKS: usize = 4;
 const BUDGET: &str = "96k";
 
 fn bin() -> &'static str {
@@ -67,8 +73,15 @@ fn cmd(out: &Path) -> Command {
         .arg(fasta_path())
         .arg("--output")
         .arg(out)
-        .args(["--ranks", RANKS, "--k", "5", "--quiet"])
+        .args(["--ranks", &RANKS.to_string(), "--k", "5", "--quiet"])
         .env("PCHECK", "0");
+    c
+}
+
+/// The budgeted, checkpointed invocation every resume test runs.
+fn ckpt_cmd(dir: &Path, out: &Path) -> Command {
+    let mut c = cmd(out);
+    c.args(["--mem-budget", BUDGET]).arg("--ckpt-dir").arg(dir);
     c
 }
 
@@ -85,34 +98,12 @@ fn reference() -> &'static Vec<u8> {
     })
 }
 
-/// Poll until the manifest lists batch `k` as complete (its commit
-/// strictly precedes the hang hook, so this always terminates while the
-/// hung process is still alive).
-fn wait_for_batch(dir: &Path, k: usize) -> ckpt::Manifest {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        if let Some(m) = ckpt::load_manifest(dir) {
-            if m.completed.iter().any(|b| b.index == k) {
-                return m;
-            }
-        }
-        assert!(
-            Instant::now() < deadline,
-            "batch {k} never reached the manifest in {}",
-            dir.display()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
+/// Run the checkpointed command on `ckpt_dir` and require the reference.
 fn resume_and_compare(ckpt_dir: &Path, out: &Path) {
-    let st = cmd(out)
-        .args(["--mem-budget", BUDGET])
-        .arg("--ckpt-dir")
-        .arg(ckpt_dir)
+    let st = ckpt_cmd(ckpt_dir, out)
         .status()
-        .expect("run resumed pastis");
-    assert!(st.success(), "resumed run failed: {st}");
+        .expect("run checkpointed pastis");
+    assert!(st.success(), "checkpointed run failed: {st}");
     assert_eq!(
         std::fs::read(out).expect("read resumed output"),
         *reference(),
@@ -120,84 +111,210 @@ fn resume_and_compare(ckpt_dir: &Path, out: &Path) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-    #[test]
-    fn sigkill_after_any_batch_resumes_bit_identically(k in 0usize..4) {
-        let dir = scratch().join(format!("kill-{k}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = scratch().join(format!("kill-{k}.tsv"));
-        // Proptest may revisit the same k; drop the previous case's output.
-        let _ = std::fs::remove_file(&out);
-        // Launch a budgeted run that parks itself after batch k commits,
-        // then deliver the SIGKILL a crash would.
-        let mut child = cmd(&out)
-            .args(["--mem-budget", BUDGET])
-            .arg("--ckpt-dir")
-            .arg(&dir)
-            .env("PASTIS_HANG_AFTER_BATCH", k.to_string())
-            .spawn()
-            .expect("spawn hanging pastis");
-        let manifest = wait_for_batch(&dir, k);
-        prop_assert!(
-            manifest.n_batches > k + 1,
-            "recipe must leave work after batch {k} (plan has {})",
-            manifest.n_batches
-        );
-        child.kill().expect("SIGKILL hung pastis");
-        let _ = child.wait();
-        // The killed run never wrote its output.
-        prop_assert!(!out.exists(), "killed run must not have produced output");
-        resume_and_compare(&dir, &out);
+/// Files of a checkpoint directory, by name.
+type Files = BTreeMap<String, Vec<u8>>;
+
+/// Run the checkpointed command to completion in `scratch()/name` and
+/// return that directory with its files: the source every post-kill state
+/// is cut from. The run fingerprint covers the parameters, checkpoint path
+/// included, so each state is rebuilt at this same path.
+fn completed(name: &str) -> (PathBuf, Files) {
+    let dir = scratch().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    resume_and_compare(&dir, &scratch().join(format!("{name}.tsv")));
+    let files = std::fs::read_dir(&dir)
+        .expect("list ckpt dir")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read ckpt file"))
+        })
+        .collect();
+    (dir, files)
+}
+
+/// Replace `dir`'s contents with `files`.
+fn rebuild(dir: &Path, files: &Files) {
+    std::fs::remove_dir_all(dir).expect("clear ckpt dir");
+    std::fs::create_dir_all(dir).expect("create ckpt dir");
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).expect("write ckpt file");
     }
+}
+
+/// `manifest` with its `batches` cut to indices below `keep`.
+fn manifest_cut(manifest: &[u8], keep: usize) -> String {
+    let text = std::str::from_utf8(manifest).expect("manifest is text");
+    let mut doc = JsonValue::parse(text).expect("manifest parses");
+    let JsonValue::Obj(fields) = &mut doc else {
+        panic!("manifest is not an object");
+    };
+    let kept = fields["batches"]
+        .as_arr()
+        .expect("batches array")
+        .iter()
+        .filter(|b| b.get("index").and_then(JsonValue::as_u64).unwrap() < keep as u64)
+        .cloned()
+        .collect();
+    fields.insert("batches".into(), JsonValue::Arr(kept));
+    format!("{doc}\n")
+}
+
+/// Inode of every file in `dir`, by file name.
+fn inodes(dir: &Path) -> BTreeMap<String, u64> {
+    std::fs::read_dir(dir)
+        .expect("list dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().into_string().unwrap();
+            (name, e.metadata().expect("stat").ino())
+        })
+        .collect()
+}
+
+fn shard_name(batch: usize, rank: usize) -> String {
+    ckpt::shard_path(Path::new(""), batch, rank)
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// The state a SIGKILL leaves after batch `k`'s manifest commit, for every
+/// `k` but the last: batches `0..=k` committed, nothing of the later ones
+/// — and, for `k % 3 == 1`, a kill during batch `k+1`'s shard writes (all
+/// but the last rank's shards on disk, that one a half-written `.tmp`);
+/// for `k % 3 == 2`, a kill between batch `k+1`'s manifest write and its
+/// rename (every shard on disk, the new manifest still `manifest.tmp`).
+/// The resumed run must restore `0..=k` from their files and recompute the
+/// rest.
+#[test]
+fn sigkill_after_any_batch_resumes_bit_identically() {
+    let (dir, files) = completed("kill");
+    let n = ckpt::load_manifest(&dir)
+        .expect("complete run left a manifest")
+        .n_batches;
+    assert!(n >= 4, "recipe must cut at least 4 batches (plan has {n})");
+    let manifest = &files["manifest.json"];
+    for k in 0..n - 1 {
+        rebuild(&dir, &files);
+        std::fs::write(dir.join("manifest.json"), manifest_cut(manifest, k + 1)).unwrap();
+        let torn = k + 1;
+        for b in torn..n {
+            for r in 0..RANKS {
+                let keep = b == torn && (k % 3 == 2 || (k % 3 == 1 && r + 1 < RANKS));
+                if !keep {
+                    std::fs::remove_file(ckpt::shard_path(&dir, b, r)).unwrap();
+                }
+            }
+        }
+        match k % 3 {
+            1 => {
+                let shard = &files[&shard_name(torn, RANKS - 1)];
+                let tmp = ckpt::shard_path(&dir, torn, RANKS - 1).with_extension("tmp");
+                std::fs::write(tmp, &shard[..shard.len() / 2]).unwrap();
+            }
+            2 => {
+                std::fs::write(dir.join("manifest.tmp"), manifest_cut(manifest, torn + 1)).unwrap()
+            }
+            _ => {}
+        }
+        let before = inodes(&dir);
+
+        resume_and_compare(&dir, &scratch().join("kill.tsv"));
+
+        let after = inodes(&dir);
+        for b in 0..n {
+            for r in 0..RANKS {
+                let name = shard_name(b, r);
+                let now = after.get(&name);
+                assert!(now.is_some(), "k={k}: {name} missing after the resume");
+                match (b <= k, before.get(&name)) {
+                    (true, was) => assert_eq!(now, was, "k={k}: committed {name} was rewritten"),
+                    (false, Some(was)) => {
+                        assert_ne!(now, Some(was), "k={k}: uncommitted {name} was trusted")
+                    }
+                    (false, None) => {}
+                }
+            }
+        }
+        let m = ckpt::load_manifest(&dir).expect("resumed run left a manifest");
+        assert_eq!(m.completed.len(), n, "k={k}: manifest misses batches");
+        let stale: Vec<_> = after.keys().filter(|f| f.ends_with(".tmp")).collect();
+        assert!(stale.is_empty(), "k={k}: stale temporaries {stale:?}");
+    }
+}
+
+/// A real SIGKILL at whatever point the run has reached when its first
+/// manifest appears (or after it finished). Only the end state is checked,
+/// so the assertion holds in every interleaving.
+#[test]
+fn real_sigkill_resumes_bit_identically() {
+    let dir = scratch().join("real-kill");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = scratch().join("real-kill.tsv");
+    let mut child = ckpt_cmd(&dir, &out).spawn().expect("spawn pastis");
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while child.try_wait().expect("poll pastis").is_none()
+        && !dir.join("manifest.json").exists()
+        && Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    resume_and_compare(&dir, &out);
 }
 
 #[test]
 fn corrupted_shard_is_rejected_and_recomputed() {
-    let dir = scratch().join("corrupt");
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = scratch().join("corrupt.tsv");
-    // The abort flavor of the hook: the process dies by its own hand right
-    // after batch 1 commits (covers the `std::process::abort` path).
-    let st = cmd(&out)
-        .args(["--mem-budget", BUDGET])
-        .arg("--ckpt-dir")
-        .arg(&dir)
-        .env("PASTIS_KILL_AFTER_BATCH", "1")
-        .status()
-        .expect("run aborting pastis");
-    assert!(!st.success(), "PASTIS_KILL_AFTER_BATCH run must die");
-    let manifest = ckpt::load_manifest(&dir).expect("manifest survives the abort");
-    let rec = manifest
-        .completed
+    let (dir, _) = completed("corrupt");
+    let manifest = ckpt::load_manifest(&dir).expect("complete run left a manifest");
+    // Batch 0's largest shard, so the tampered byte sits in an edge line.
+    let rank = (0..RANKS)
+        .max_by_key(|&r| {
+            std::fs::metadata(ckpt::shard_path(&dir, 0, r))
+                .unwrap()
+                .len()
+        })
+        .unwrap();
+    let shard = ckpt::shard_path(&dir, 0, rank);
+    let original = std::fs::read(&shard).expect("read shard");
+    assert!(
+        original.split(|&b| b == b'\n').count() > 3,
+        "batch 0 has no edges"
+    );
+    // Flip the low bit of the shard's last decimal or hex digit ('0'↔'1',
+    // …, '8'↔'9'): same length, still parseable, so only the checksum can
+    // tell.
+    let mut bytes = original.clone();
+    let at = bytes
         .iter()
-        .find(|b| b.index == 0)
-        .expect("batch 0 committed")
-        .clone();
-
-    // Flip one byte mid-file in rank 2's batch-0 shard.
-    let shard = ckpt::shard_path(&dir, 0, 2);
-    let mut f = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .open(&shard)
-        .expect("open shard");
-    let len = f.metadata().expect("stat shard").len();
-    assert!(len > 0, "shard is empty");
-    let mut byte = [0u8];
-    f.seek(SeekFrom::Start(len / 2)).unwrap();
-    f.read_exact(&mut byte).unwrap();
-    f.seek(SeekFrom::Start(len / 2)).unwrap();
-    f.write_all(&[byte[0] ^ 0x01]).unwrap();
-    drop(f);
+        .rposition(u8::is_ascii_digit)
+        .expect("shard has a digit");
+    bytes[at] ^= 0x01;
+    std::fs::write(&shard, &bytes).unwrap();
+    let before = inodes(&dir);
 
     // The checksum rejects the tampered shard outright…
-    let sr = rec.shard(2).expect("rank 2 shard record");
-    assert!(
-        ckpt::read_shard(&dir, 0, sr).is_err(),
-        "tampered shard must fail its checksum"
-    );
-    // …and the resumed run recomputes the batch instead of trusting the
-    // manifest, converging to the reference anyway.
-    resume_and_compare(&dir, &out);
+    let rec = manifest.completed.iter().find(|b| b.index == 0).unwrap();
+    let err = ckpt::read_shard(&dir, 0, rec.shard(rank).expect("shard record"))
+        .expect_err("tampered shard must fail its checksum");
+    assert!(err.contains("checksum"), "unexpected error: {err}");
+
+    // …and the resumed run recomputes batch 0 on every rank instead of
+    // trusting the manifest, restores the others, and converges to the
+    // reference anyway.
+    resume_and_compare(&dir, &scratch().join("corrupt.tsv"));
+    assert_eq!(std::fs::read(&shard).unwrap(), original);
+    let after = inodes(&dir);
+    for b in 0..manifest.n_batches {
+        for r in 0..RANKS {
+            let name = shard_name(b, r);
+            let (was, now) = (before.get(&name), after.get(&name));
+            if b == 0 {
+                assert_ne!(was, now, "{name} was restored, not recomputed");
+            } else {
+                assert_eq!(was, now, "{name} was recomputed, not restored");
+            }
+        }
+    }
 }

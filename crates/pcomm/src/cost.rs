@@ -94,32 +94,25 @@ impl MachineProfile {
     }
 
     pub fn to_json(&self) -> JsonValue {
-        let mut o = BTreeMap::new();
-        o.insert("schema".into(), JsonValue::Str("machine_profile".into()));
-        o.insert("version".into(), JsonValue::Num(self.version as f64));
-        o.insert("host".into(), JsonValue::Str(self.host.clone()));
-        o.insert("alpha_secs".into(), JsonValue::Num(self.alpha));
-        o.insert("beta_secs_per_byte".into(), JsonValue::Num(self.beta));
-        o.insert("compute_scale".into(), JsonValue::Num(self.compute_scale));
-        o.insert(
-            "cost_ns".into(),
-            JsonValue::Obj(
-                self.cost_ns
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
-                    .collect(),
-            ),
-        );
-        o.insert(
-            "calibrated".into(),
-            JsonValue::Arr(
-                self.calibrated
-                    .iter()
-                    .map(|k| JsonValue::Str(k.clone()))
-                    .collect(),
-            ),
-        );
-        JsonValue::Obj(o)
+        let cost_ns = self
+            .cost_ns
+            .iter()
+            .map(|(k, &v)| (k.as_str(), JsonValue::Num(v)));
+        let calibrated = self
+            .calibrated
+            .iter()
+            .map(|k| JsonValue::Str(k.clone()))
+            .collect();
+        JsonValue::obj([
+            ("schema", JsonValue::Str("machine_profile".into())),
+            ("version", JsonValue::Num(self.version as f64)),
+            ("host", JsonValue::Str(self.host.clone())),
+            ("alpha_secs", JsonValue::Num(self.alpha)),
+            ("beta_secs_per_byte", JsonValue::Num(self.beta)),
+            ("compute_scale", JsonValue::Num(self.compute_scale)),
+            ("cost_ns", JsonValue::obj(cost_ns)),
+            ("calibrated", JsonValue::Arr(calibrated)),
+        ])
     }
 
     /// Parse and validate a profile document: unknown cost keys, a

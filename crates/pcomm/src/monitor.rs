@@ -97,34 +97,34 @@ pub fn straggler_flags(samples: &[RankSample], lag: u64) -> Vec<bool> {
 
 /// One aggregated gather of the plane as a JSON snapshot object.
 fn snapshot_doc(seq: u64, t_ms: u64, samples: &[RankSample], flags: &[bool]) -> JsonValue {
+    let num = |n: u64| JsonValue::Num(n as f64);
     let ranks: Vec<JsonValue> = samples
         .iter()
         .zip(flags)
         .map(|(s, &straggler)| {
-            let mut o = BTreeMap::new();
-            o.insert("rank".into(), JsonValue::Num(s.rank as f64));
-            o.insert("stage".into(), JsonValue::Str(s.stage.into()));
-            o.insert("epoch".into(), JsonValue::Num(s.epoch as f64));
-            o.insert("done".into(), JsonValue::Num(s.done as f64));
-            o.insert("total".into(), JsonValue::Num(s.total as f64));
-            let hb_age_ms = s.hb_age_ns as f64 / 1e6;
-            o.insert("hb_age_ms".into(), JsonValue::Num(hb_age_ms));
-            o.insert("active".into(), JsonValue::Bool(s.active));
-            o.insert("straggler".into(), JsonValue::Bool(straggler));
-            JsonValue::Obj(o)
+            JsonValue::obj([
+                ("rank", num(s.rank as u64)),
+                ("stage", JsonValue::Str(s.stage.into())),
+                ("epoch", num(s.epoch)),
+                ("done", num(s.done)),
+                ("total", num(s.total)),
+                ("hb_age_ms", JsonValue::Num(s.hb_age_ns as f64 / 1e6)),
+                ("active", JsonValue::Bool(s.active)),
+                ("straggler", JsonValue::Bool(straggler)),
+            ])
         })
         .collect();
-    let mut o = BTreeMap::new();
-    o.insert("seq".into(), JsonValue::Num(seq as f64));
-    o.insert("t_ms".into(), JsonValue::Num(t_ms as f64));
-    o.insert("ranks".into(), JsonValue::Arr(ranks));
-    // Ranks are threads of one process and the allocation ledger is
-    // process-wide: one figure per snapshot, not one per rank.
-    o.insert(
-        "live_bytes_total".into(),
-        JsonValue::Num(obs::alloc::live_bytes() as f64),
-    );
-    JsonValue::Obj(o)
+    JsonValue::obj([
+        ("seq", num(seq)),
+        ("t_ms", num(t_ms)),
+        ("ranks", JsonValue::Arr(ranks)),
+        // Ranks are threads of one process and the allocation ledger is
+        // process-wide: one figure per snapshot, not one per rank.
+        (
+            "live_bytes_total",
+            JsonValue::Num(obs::alloc::live_bytes() as f64),
+        ),
+    ])
 }
 
 /// Assemble the full `status.json` document.
@@ -135,27 +135,22 @@ fn status_doc(
     snapshots_dropped: u64,
     finished: bool,
 ) -> JsonValue {
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".into(), JsonValue::Str("pastis_status".into()));
-    doc.insert(
-        "version".into(),
-        JsonValue::Num(STATUS_SCHEMA_VERSION as f64),
-    );
-    doc.insert("p".into(), JsonValue::Num(p as f64));
-    doc.insert("interval_ms".into(), JsonValue::Num(cfg.interval_ms as f64));
-    doc.insert(
-        "snapshots_dropped".into(),
-        JsonValue::Num(snapshots_dropped as f64),
-    );
-    doc.insert("snapshots".into(), JsonValue::Arr(snapshots.to_vec()));
-    doc.insert(
-        "final".into(),
-        match (finished, snapshots.last()) {
-            (true, Some(last)) => last.clone(),
-            _ => JsonValue::Null,
-        },
-    );
-    JsonValue::Obj(doc)
+    let final_snapshot = match (finished, snapshots.last()) {
+        (true, Some(last)) => last.clone(),
+        _ => JsonValue::Null,
+    };
+    JsonValue::obj([
+        ("schema", JsonValue::Str("pastis_status".into())),
+        ("version", JsonValue::Num(STATUS_SCHEMA_VERSION as f64)),
+        ("p", JsonValue::Num(p as f64)),
+        ("interval_ms", JsonValue::Num(cfg.interval_ms as f64)),
+        (
+            "snapshots_dropped",
+            JsonValue::Num(snapshots_dropped as f64),
+        ),
+        ("snapshots", JsonValue::Arr(snapshots.to_vec())),
+        ("final", final_snapshot),
+    ])
 }
 
 /// Render one snapshot as the refreshing per-rank table.
@@ -313,14 +308,12 @@ fn monitor_loop(rings: &[RankRing], cfg: MonitorConfig, stop: Arc<AtomicBool>) {
 pub(crate) fn dump_latest_snapshot(dir: &Path) -> Option<PathBuf> {
     let snap = latest_snapshot()?;
     let path = dir.join("status-abort.json");
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".into(), JsonValue::Str("pastis_status".into()));
-    doc.insert(
-        "version".into(),
-        JsonValue::Num(STATUS_SCHEMA_VERSION as f64),
-    );
-    doc.insert("last_snapshot".into(), snap);
-    std::fs::write(&path, format!("{}\n", JsonValue::Obj(doc))).ok()?;
+    let doc = JsonValue::obj([
+        ("schema", JsonValue::Str("pastis_status".into())),
+        ("version", JsonValue::Num(STATUS_SCHEMA_VERSION as f64)),
+        ("last_snapshot", snap),
+    ]);
+    std::fs::write(&path, format!("{doc}\n")).ok()?;
     Some(path)
 }
 

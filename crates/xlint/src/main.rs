@@ -1,6 +1,6 @@
 //! `xlint` — repository-specific lint gates that `clippy` cannot express.
 //!
-//! Eight rules, chosen because each guards an invariant another layer of
+//! Nine rules, chosen because each guards an invariant another layer of
 //! this workspace depends on:
 //!
 //! - **safety-comment** — every `unsafe` token must have a `// SAFETY:`
@@ -23,9 +23,9 @@
 //!   inline literal elsewhere would silently escape calibration.
 //! - **feature-detect** — `is_x86_feature_detected!` is confined to
 //!   `crates/align/src/dispatch.rs`. Runtime CPU dispatch must go through
-//!   one cached, `ALIGN_FORCE`-overridable decision point; a stray probe
-//!   elsewhere would fork the dispatch policy and escape the forced-lane
-//!   test matrix.
+//!   one cached decision point; a stray probe elsewhere would fork the
+//!   dispatch policy and escape the lane tests, which pin each lane
+//!   against that module's detection.
 //! - **alloc-confinement** — `#[global_allocator]` and raw `std::alloc`
 //!   machinery are confined to `crates/obs/src/alloc.rs`. The memory
 //!   observatory's accounting is only sound if every allocation flows
@@ -43,6 +43,13 @@
 //!   holds if every persistent-state write goes through the one audited
 //!   commit path; a stray rename elsewhere would create files a resumed
 //!   run trusts without a checksum.
+//! - **env-confinement** — environment reads (`env::var`, `env::var_os`,
+//!   `env::vars`) are confined to binary entry points (`src/bin/`),
+//!   `crates/obs/src/alloc.rs` (`ALLOC_TRACK`) and
+//!   `crates/pcheck/src/lib.rs` (`PCHECK*`). Library behaviour is set
+//!   by parameters a caller passes; an environment switch read deep inside
+//!   a library is a second, invisible configuration channel — the way
+//!   test-only hooks end up on the production path.
 //!
 //! `tests/` and `benches/` directories are exempt from the confinement
 //! rules (not from safety-comment). A finding can be waived in place with a
@@ -57,7 +64,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const RULES: [&str; 8] = [
+const RULES: [&str; 9] = [
     "safety-comment",
     "thread-spawn",
     "instant-now",
@@ -66,6 +73,7 @@ const RULES: [&str; 8] = [
     "alloc-confinement",
     "monitor-spawn",
     "ckpt-confinement",
+    "env-confinement",
 ];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.
@@ -96,6 +104,9 @@ const MONITOR_ALLOWED: [&str; 1] = ["crates/pcomm/"];
 
 const CKPT_TOKEN: &str = "fs::rename";
 const CKPT_ALLOWED: [&str; 1] = ["crates/pastis/src/ckpt.rs"];
+
+const ENV_TOKENS: [&str; 3] = ["env::var", "env::var_os", "env::vars"];
+const ENV_ALLOWED: [&str; 2] = ["crates/obs/src/alloc.rs", "crates/pcheck/src/lib.rs"];
 
 #[derive(Debug, PartialEq, Eq)]
 struct Finding {
@@ -342,8 +353,8 @@ fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                     "feature-detect",
                     format!(
                         "is_x86_feature_detected! outside {} — dispatch \
-                         through align::simd_level so ALIGN_FORCE and the \
-                         forced-lane tests stay authoritative",
+                         through align::simd_level so one detection decides \
+                         every lane",
                         FEATURE_ALLOWED.join(", ")
                     ),
                 ));
@@ -393,6 +404,24 @@ fn scan_source(rel: &str, src: &str) -> Vec<Finding> {
                          must go through the checkpoint module's audited \
                          tmp-then-rename path",
                         CKPT_ALLOWED.join(", ")
+                    ),
+                ));
+            }
+
+            // Binary entry points may read the environment.
+            if !rel.contains("/src/bin/")
+                && !ENV_ALLOWED.iter().any(|p| rel.starts_with(p))
+                && ENV_TOKENS.iter().any(|t| has_token(cl, t))
+                && !waived(&raw, i, "env-confinement")
+            {
+                findings.push(finding(
+                    i,
+                    "env-confinement",
+                    format!(
+                        "environment read outside src/bin/ and {} — pass the \
+                         setting in as a parameter instead of reading it in \
+                         library code",
+                        ENV_ALLOWED.join(", ")
                     ),
                 ));
             }
@@ -627,5 +656,31 @@ mod tests {
         // In-place waiver.
         let waived = "fn f() { std::fs::rename(&a, &b); } // xlint: allow(ckpt-confinement)\n";
         assert!(scan_source("crates/pcomm/src/monitor.rs", waived).is_empty());
+    }
+
+    #[test]
+    fn env_confinement() {
+        let src = "fn f() -> bool { std::env::var(\"HOOK\").is_ok() }\n";
+        let f = scan_source("crates/pastis/src/ckpt.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, "env-confinement");
+        let os = "fn f() { let d = std::env::var_os(\"DIR\"); }\n";
+        assert_eq!(scan_source("crates/obs/src/blackbox.rs", os).len(), 1);
+        // Binary entry points, the allocator switch and the checker's
+        // switches may read the environment.
+        assert!(scan_source("crates/pastis/src/bin/pastis.rs", src).is_empty());
+        assert!(scan_source("crates/bench/src/bin/alnperf.rs", src).is_empty());
+        assert!(scan_source("crates/obs/src/alloc.rs", src).is_empty());
+        assert!(scan_source("crates/pcheck/src/lib.rs", src).is_empty());
+        // Test trees are exempt.
+        assert!(scan_source("crates/pastis/tests/ooc_resume.rs", src).is_empty());
+        // Doc comments, and env items that are not reads, never trip it.
+        let doc = "/// set ALIGN_LANE via std::env::var\nfn f() {}\n";
+        assert!(scan_source("crates/align/src/dispatch.rs", doc).is_empty());
+        let tmp = "fn f() { let d = std::env::temp_dir(); }\n";
+        assert!(scan_source("crates/obs/src/blackbox.rs", tmp).is_empty());
+        // In-place waiver.
+        let waived = "fn f() { std::env::var(\"X\"); } // xlint: allow(env-confinement)\n";
+        assert!(scan_source("crates/pastis/src/ckpt.rs", waived).is_empty());
     }
 }
