@@ -99,26 +99,17 @@ pub fn prefiltered_align_outcome(
     min_score: i32,
 ) -> PrefilterOutcome {
     obs::hist!("align.dp_cells", r.len() * c.len());
-    with_scratch(|s| prefiltered_align_outcome_with(r, c, params, min_score, s))
-}
-
-/// [`prefiltered_align_outcome`] with an explicit scratch arena.
-pub fn prefiltered_align_outcome_with(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    min_score: i32,
-    scratch: &mut AlignScratch,
-) -> PrefilterOutcome {
-    if bitpack_gate_with(r, c, params, min_score, scratch) == GateVerdict::Culled {
-        obs::counter!("prefilter.bitpack_culled", 1);
-        return PrefilterOutcome::CulledBitpack;
-    }
-    let (score, end) = striped_score_with(r, c, params, scratch);
-    if score < min_score {
-        obs::counter!("prefilter.striped_culled", 1);
-        return PrefilterOutcome::CulledScore;
-    }
-    obs::counter!("prefilter.passed", 1);
-    PrefilterOutcome::Passed(striped_traceback_with(r, c, params, score, end, scratch))
+    with_scratch(|scratch| {
+        if bitpack_gate_with(r, c, params, min_score, scratch) == GateVerdict::Culled {
+            obs::counter!("prefilter.bitpack_culled", 1);
+            return PrefilterOutcome::CulledBitpack;
+        }
+        let (score, end) = striped_score_with(r, c, params, scratch);
+        if score < min_score {
+            obs::counter!("prefilter.striped_culled", 1);
+            return PrefilterOutcome::CulledScore;
+        }
+        obs::counter!("prefilter.passed", 1);
+        PrefilterOutcome::Passed(striped_traceback_with(r, c, params, score, end, scratch))
+    })
 }

@@ -439,7 +439,7 @@ fn rank_doc(rank: usize, events: &[BbEvent], dropped: u64, reason: &str) -> Json
 /// Dump every registered ring unconditionally (prefer [`dump_once`] from
 /// abort paths). One `blackbox-rank{r}.json` per ring; a write failure
 /// skips that ring (the process is aborting — best effort).
-pub fn dump_all(reason: &str) -> Vec<PathBuf> {
+fn dump_all(reason: &str) -> Vec<PathBuf> {
     let rings: Vec<Shared> = REGISTRY.lock().unwrap().clone();
     // The directory was created at world launch ([`ensure_dump_dir`]);
     // creating it here, per dump call, raced when several ranks aborted

@@ -85,7 +85,7 @@ pub fn gini(xs: &[f64]) -> f64 {
 
 /// Sparse log₂ histogram of a sample: `(bucket, count)` pairs in bucket
 /// order, empty buckets omitted. Buckets follow [`Histogram::bucket_of`].
-pub fn log2_hist(xs: &[u64]) -> Vec<(usize, u64)> {
+fn log2_hist(xs: &[u64]) -> Vec<(usize, u64)> {
     let mut h = Histogram::default();
     for &x in xs {
         h.record(x);

@@ -4,7 +4,7 @@
 //! of any one overlap SpGEMM by splitting the target sequences into column
 //! batches. This module is the sizer: it estimates, per global column `j`
 //! of `B = A·Aᵀ`, how many multiply flops the column attracts — the flop
-//! count upper-bounds the partial triples the SUMMA stream materializes
+//! count upper-bounds the partial triples the SUMMA multiply materializes
 //! for that column — and greedily packs contiguous columns into batches
 //! whose estimated per-rank footprint stays under the caller's byte
 //! budget.
@@ -13,20 +13,18 @@
 //! identical full-length weight vector from three allgathers, so every
 //! rank computes the identical plan with no further agreement round.
 
-use std::collections::HashMap;
-
 use pcomm::Grid;
 use sparse::DistMat;
 
 /// Bytes charged per estimated multiply flop when sizing a batch.
 ///
 /// One flop can contribute a `(u32, u64, SeedPair)` stage triple (~40
-/// bytes payload) that transiently coexists with its pending-map entry
-/// (~40 bytes + B-tree overhead), and `Vec` growth doubling can briefly
-/// hold both the old and new triple buffers. 128 bytes/flop covers the
-/// sum with allocator slack; the release `ALLOC_TRACK=1` acceptance test
-/// (`ooc_budget.rs`) checks the measured peak stays under budgets sized
-/// with this constant.
+/// bytes payload) that transiently coexists with the local multiply's
+/// stage buffer and the fold's stable sort of the accumulated triples,
+/// and `Vec` growth doubling can briefly hold both the old and new triple
+/// buffers. 128 bytes/flop covers the sum with allocator slack; the
+/// release `ALLOC_TRACK=1` acceptance test (`ooc_budget.rs`) checks the
+/// measured peak stays under budgets sized with this constant.
 pub const OOC_BYTES_PER_FLOP: u64 = 128;
 
 /// A batched-run plan: contiguous global column ranges of `B`, ascending,
@@ -68,34 +66,32 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
     // 1. Global nonzero count of each Aᵀ row present in my row block: the
     //    ranks of my grid row hold the other column slices of the same
     //    rows, so an allgather along the row communicator completes the
-    //    counts. Hypersparse row space (24^k) → hashmap, exchanged as
-    //    sorted pairs.
-    let local_counts: Vec<(u32, u64)> = {
-        let mut m: HashMap<u32, u64> = HashMap::new();
-        for (r, _, _) in a_t.local().iter() {
-            *m.entry(r).or_insert(0) += 1;
+    //    counts. The row space is hypersparse (24^k), so counts travel as
+    //    sorted `(row, count)` runs.
+    let row_nnz = {
+        let local = row_runs(a_t.local().iter().map(|(r, _, _)| r).collect());
+        let mut parts = grid.row_comm().allgather(local);
+        if parts.len() == 1 {
+            parts.pop().expect("one part")
+        } else {
+            merge_runs(parts)
         }
-        let mut v: Vec<(u32, u64)> = m.into_iter().collect();
-        v.sort_unstable();
-        v
     };
-    let mut row_nnz: HashMap<u32, u64> = HashMap::new();
-    for (r, c) in grid
-        .row_comm()
-        .allgather(local_counts)
-        .into_iter()
-        .flatten()
-    {
-        *row_nnz.entry(r).or_insert(0) += c;
-    }
+    let count = |r: u32| {
+        let i = row_nnz
+            .binary_search_by_key(&r, |&(row, _)| row)
+            .expect("every local row has a global count");
+        row_nnz[i].1 as u64
+    };
     // 2. Per-column weights of my column block, then summed down my grid
     //    column (those ranks hold the other row slices of the same
     //    columns).
     let (c0, c1) = a_t.col_range();
     let mut w = vec![0u64; (c1 - c0) as usize];
     for (r, c, _) in a_t.local().iter() {
-        w[c as usize] += row_nnz[&r];
+        w[c as usize] += count(r);
     }
+    drop(row_nnz);
     let mut col_block = vec![0u64; w.len()];
     for part in grid.col_comm().allgather(w) {
         for (acc, x) in col_block.iter_mut().zip(part) {
@@ -110,6 +106,35 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
         .into_iter()
         .flatten()
         .collect()
+}
+
+/// Run-length encode row indices: sorted, distinct `(row, occurrences)`
+/// pairs, allocated at their exact length.
+fn row_runs(mut rows: Vec<u32>) -> Vec<(u32, u32)> {
+    rows.sort_unstable();
+    let mut runs = Vec::with_capacity(rows.chunk_by(|a, b| a == b).count());
+    runs.extend(rows.chunk_by(|a, b| a == b).map(|g| (g[0], g.len() as u32)));
+    runs
+}
+
+/// Merge the runs of a grid row's ranks into one sorted run list, summing
+/// the counts of a row several ranks hold. Each part is copied into a
+/// buffer of the exact total length and dropped, so the merge holds at
+/// most two copies of the runs.
+fn merge_runs(parts: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
+    let mut runs = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        runs.extend(part);
+    }
+    runs.sort_unstable_by_key(|&(r, _)| r);
+    runs.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    runs
 }
 
 /// Greedily pack columns into contiguous batches whose estimated per-rank
@@ -194,6 +219,14 @@ mod tests {
         let (ranges, est) = partition(&w, 1, u64::MAX);
         assert_eq!(ranges, vec![(0, 4)]);
         assert_eq!(est, vec![12 * OOC_BYTES_PER_FLOP]);
+    }
+
+    #[test]
+    fn row_runs_count_and_merge_sums() {
+        assert_eq!(row_runs(vec![5, 3, 5, 1, 5]), vec![(1, 1), (3, 1), (5, 3)]);
+        assert_eq!(row_runs(Vec::new()), Vec::new());
+        let merged = merge_runs(vec![vec![(1, 2), (4, 1)], vec![], vec![(1, 3), (2, 1)]]);
+        assert_eq!(merged, vec![(1, 5), (2, 1), (4, 1)]);
     }
 
     #[test]

@@ -208,8 +208,8 @@ fn parse_size(s: &str) -> Option<u64> {
 }
 
 /// Stage spans of the per-stage memory table, in pipeline order (the nine
-/// `stage()` wrappers of `run_pipeline`; the streamed shape folds alignment
-/// into `pastis.spgemm_b`, so its `pastis.align` row is empty).
+/// `stage()` wrappers of `run_pipeline`; exact seeding aligns each batch
+/// inside `pastis.spgemm_b`, so its `pastis.align` row is empty).
 const MEM_STAGE_ORDER: [&str; 9] = [
     "pastis.fasta",
     "pastis.form_a",

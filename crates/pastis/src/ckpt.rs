@@ -1,4 +1,4 @@
-//! Kill-safe checkpoint/resume for batched streaming runs (DESIGN.md §15).
+//! Kill-safe checkpoint/resume for batched runs (DESIGN.md §15).
 //!
 //! Directory layout:
 //!
@@ -33,7 +33,7 @@ use crate::params::PastisParams;
 /// Manifest schema version; bump on any layout change. A manifest with a
 /// different version is ignored (the run restarts from scratch) rather
 /// than misread.
-pub const CKPT_SCHEMA_VERSION: u64 = 1;
+pub const CKPT_SCHEMA_VERSION: u64 = 2;
 
 /// One rank's shard of one completed batch, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +139,36 @@ fn fingerprint(fasta_digest: u64, params_sig: &str, p: usize, ranges: &[(u64, u6
         s.push_str(&format!(":{a}-{b}"));
     }
     fnv1a(s.as_bytes())
+}
+
+/// The parameters that shape a run's output, in the form the fingerprint
+/// hashes. `threads` and `ckpt_dir` are left out, so a checkpoint
+/// directory resumes after being moved or copied, or with another thread
+/// count; the memory budget enters through the plan's column ranges.
+/// Destructured field by field, so a new parameter cannot be forgotten.
+fn params_signature(params: &PastisParams) -> String {
+    let PastisParams {
+        k,
+        substitutes,
+        mode,
+        common_kmer_threshold,
+        reduced_alphabet,
+        max_kmer_frequency,
+        measure,
+        min_ani,
+        min_coverage,
+        align,
+        spgemm,
+        min_score,
+        threads: _,
+        mem_budget_bytes: _,
+        ckpt_dir: _,
+    } = params;
+    format!(
+        "{k}:{substitutes}:{mode:?}:{common_kmer_threshold}:{reduced_alphabet}:\
+         {max_kmer_frequency:?}:{measure:?}:{min_ani:?}:{min_coverage:?}:{align:?}:\
+         {spgemm:?}:{min_score}"
+    )
 }
 
 /// Path of the manifest inside `dir`.
@@ -366,7 +396,7 @@ impl<'a> BatchLog<'a> {
             let _ = std::fs::create_dir_all(dir);
         }
         let p = world.size();
-        let fingerprint = fingerprint(fnv1a(fasta), &format!("{params:?}"), p, ranges);
+        let fingerprint = fingerprint(fnv1a(fasta), &params_signature(params), p, ranges);
         let completed = load_manifest(dir)
             .filter(|m| m.fingerprint == fingerprint && m.p == p && m.n_batches == ranges.len())
             .map(|m| m.completed.into_iter().map(|b| (b.index, b)).collect())
@@ -534,5 +564,34 @@ mod tests {
         assert_ne!(base, fingerprint(1, "sig", 9, &[(0, 10)]));
         assert_ne!(base, fingerprint(1, "sig", 4, &[(0, 5), (5, 10)]));
         assert_eq!(base, fingerprint(1, "sig", 4, &[(0, 10)]));
+    }
+
+    #[test]
+    fn signature_ignores_where_and_how_fast() {
+        let base = PastisParams::default();
+        let sig = params_signature(&base);
+        let moved = PastisParams {
+            threads: 7,
+            ckpt_dir: Some(PathBuf::from("/elsewhere")),
+            mem_budget_bytes: Some(1 << 20),
+            ..base.clone()
+        };
+        assert_eq!(sig, params_signature(&moved));
+        for changed in [
+            PastisParams {
+                k: 5,
+                ..base.clone()
+            },
+            PastisParams {
+                min_ani: 0.5,
+                ..base.clone()
+            },
+            PastisParams {
+                common_kmer_threshold: 1,
+                ..base.clone()
+            },
+        ] {
+            assert_ne!(sig, params_signature(&changed));
+        }
     }
 }

@@ -58,14 +58,6 @@ pub struct PastisParams {
     /// `0` = auto: divide the host's cores evenly among the ranks (the
     /// paper's one-process-per-node × t-threads layout), at least one.
     pub threads: usize,
-    /// Stream candidate pairs out of the overlap SpGEMM into alignment
-    /// while later SUMMA stages are still running (nonblocking panel
-    /// broadcasts + per-stage candidate extraction). `false` materialises
-    /// `B` first — the reference the equivalence suites check the stream
-    /// against, bit for bit. Only exact seeding streams: the substitute
-    /// path's symmetrization is a global barrier, so it always
-    /// materialises.
-    pub streaming: bool,
     /// Score-only prefilter of Smith–Waterman mode: pairs whose striped
     /// score is below this skip the traceback pass entirely (MMseqs2-style
     /// prefilter-then-align staging). The default of 1 is exact — a score
@@ -75,14 +67,14 @@ pub struct PastisParams {
     /// avoid.
     pub min_score: i32,
     /// Per-rank memory budget in bytes for the overlap product. When set,
-    /// the streaming pipeline partitions B's columns into batches sized so
-    /// the estimated per-rank footprint of any one batch stays under the
-    /// budget (out-of-core driver, DESIGN.md §15): the SUMMA stream runs
-    /// once per batch against a column-restricted `Aᵀ`, and the per-batch
-    /// edges concatenate into an edge set bit-identical to the monolithic
-    /// run. `None` = single pass. Only the streamed exact overlap can
-    /// batch: `run_pipeline` refuses a budget together with substitute
-    /// k-mers or `streaming: false`.
+    /// the pipeline partitions B's columns into batches sized so the
+    /// estimated per-rank footprint of any one batch stays under the
+    /// budget (out-of-core driver, DESIGN.md §15): each batch is
+    /// multiplied against a column-restricted `Aᵀ` and aligned before the
+    /// next is formed, and the per-batch edges concatenate into an edge
+    /// set bit-identical to the monolithic run. `None` = single pass. Only
+    /// the exact overlap can batch: `run_pipeline` refuses a budget
+    /// together with substitute k-mers.
     pub mem_budget_bytes: Option<u64>,
     /// Checkpoint directory (same restriction as the budget): each
     /// completed batch writes per-rank PSG shards plus a versioned manifest
@@ -108,7 +100,6 @@ impl Default for PastisParams {
             align: AlignParams::default(),
             spgemm: SpGemmStrategy::Hybrid,
             threads: 1,
-            streaming: true,
             min_score: 1,
             mem_budget_bytes: None,
             ckpt_dir: None,

@@ -14,7 +14,7 @@ use align::{
 };
 use pcomm::{Comm, CommStats, Grid};
 use seqstore::DistSeqStore;
-use sparse::{DistMat, Semiring};
+use sparse::DistMat;
 use subkmer::ExpenseTable;
 
 use crate::batch::{self, BatchPlan};
@@ -157,11 +157,11 @@ impl Timings {
     /// component order (the eight sparse components plus `align`). These
     /// are the names [`run_pipeline`] records and the rows the trace-driven
     /// dissection tables print. The alignment row is built from the
-    /// `align.overlap` chunk spans rather than the `pastis.align` wrapper:
-    /// in the streamed pipeline the chunks run *inside* `pastis.spgemm_b`,
-    /// and the trace reducers attribute nested stage spans exclusively, so
-    /// `(AS)AT` reports SUMMA-only time and `align` the alignment time in
-    /// both pipeline shapes.
+    /// `align.overlap` spans rather than the `pastis.align` wrapper: the
+    /// exact overlap aligns each column batch right after multiplying it,
+    /// *inside* `pastis.spgemm_b`, and the trace reducers attribute nested
+    /// stage spans exclusively, so `(AS)AT` reports SUMMA-only time and
+    /// `align` the alignment time for both sources of `B`.
     pub const STAGE_SPANS: [(&'static str, &'static str); 9] = [
         ("pastis.fasta", "fasta"),
         ("pastis.form_a", "form A"),
@@ -369,8 +369,8 @@ struct PipeCtx<'a> {
 ///
 /// On parameter combinations the pipeline cannot honour: `k` outside
 /// `1..=13`, reduced-alphabet seeding with substitute k-mers, and a memory
-/// budget or checkpoint directory with anything but the streamed exact
-/// overlap (substitute k-mers and `streaming: false` materialise `B`).
+/// budget or checkpoint directory with substitute k-mers (whose `B` is
+/// symmetrised whole, so it cannot be cut into column batches).
 pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisRun {
     assert!(
         (1..=13).contains(&params.k),
@@ -381,17 +381,12 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         !(params.reduced_alphabet && params.substitutes > 0),
         "reduced-alphabet seeding and substitute k-mers are mutually exclusive"
     );
-    // `B` either streams out of the exact overlap SpGEMM or materialises
-    // (substitute k-mers must symmetrize, a global barrier; `streaming:
-    // false` is the equivalence suites' reference). Only the stream can be
-    // cut into column batches and checkpointed.
-    let streamed = params.substitutes == 0 && params.streaming;
+    // Substitute k-mers must symmetrize `B`, a global barrier, so only the
+    // exact overlap can be cut into column batches and checkpointed.
     assert!(
-        streamed || (params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none()),
-        "mem_budget_bytes / ckpt_dir need the streamed exact overlap \
-         (substitutes = {}, streaming = {})",
-        params.substitutes,
-        params.streaming
+        params.substitutes == 0 || (params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none()),
+        "mem_budget_bytes / ckpt_dir need the exact overlap (substitutes = {})",
+        params.substitutes
     );
     // Record into the caller's recorder when one is installed (so a caller
     // can splice the pipeline into a larger trace, e.g. pipeline + MCL);
@@ -434,16 +429,17 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         let a_t = stage("pastis.tr_a", || a_mat.transpose());
         counters.nnz_a = a_mat.nnz();
 
-        // 5. The materialised source forms all of `B` before the exchange
-        //    fence; the streamed source needs the sequences first, so its
-        //    overlap SpGEMM runs after the fence (step 7).
-        let b_mat = (!streamed).then(|| materialize_b(&a_mat, &a_t, &store, params, &mut counters));
+        // 5. The substitute source forms all of `B` before the exchange
+        //    fence; the exact source multiplies one column batch at a time
+        //    and aligns it at once, so it needs the sequences first and
+        //    runs after the fence (step 7).
+        let b_mat = (params.substitutes > 0)
+            .then(|| substitute_b(&a_mat, &a_t, &store, params, &mut counters));
 
         // 6. Exchange fence.
         stage("pastis.wait", || store.finish_exchange(exchange));
 
-        // 7. One consumer for the finalised entries of `B`, whichever
-        //    source they come from. Edges are bit-identical either way.
+        // 7. One consumer for `B`, whichever source it comes from.
         let cx = PipeCtx {
             a_mat: &a_mat,
             a_t: &a_t,
@@ -453,21 +449,14 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
             row_range,
             col_range,
         };
-        let (edges, local) = match &b_mat {
-            Some(b) => stage("pastis.align", || {
-                let mut consumer = Consumer::new(&cx);
-                for (gi, gj, pair) in b.iter_local() {
-                    consumer.admit(gi, gj, pair);
-                }
-                consumer.align_chunk();
-                consumer.finish()
-            }),
+        let (edges, local) = match b_mat {
+            Some(b) => stage("pastis.align", || align_block(&cx, b)),
             None => {
                 let out = stage("pastis.spgemm_b", || run_batches(&cx, fasta));
                 // The alignment work ran inside `pastis.spgemm_b` (as
-                // `align.overlap` chunk spans, which the dissection
-                // attributes to the `align` row) — that is the point; the
-                // empty wrapper keeps the span set uniform across sources.
+                // `align.overlap` spans, which the dissection attributes to
+                // the `align` row); the empty wrapper keeps the span set
+                // uniform across sources.
                 stage("pastis.align", || ());
                 out
             }
@@ -512,20 +501,14 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
     }
 }
 
-/// The materialised source of `B`: `sym((AS)·Aᵀ)` under substitute k-mers,
-/// else the one-shot exact `A·Aᵀ` the streamed source is checked against.
-fn materialize_b(
+/// The substitute source of `B`: `sym((AS)·Aᵀ)`, formed whole.
+fn substitute_b(
     a_mat: &DistMat<u32>,
     a_t: &DistMat<u32>,
     store: &DistSeqStore,
     params: &PastisParams,
     counters: &mut Counters,
 ) -> DistMat<SeedPair> {
-    if params.substitutes == 0 {
-        return stage("pastis.spgemm_b", || {
-            a_mat.spgemm(a_t, &ExactSemiring, params.spgemm)
-        });
-    }
     let s_mat = stage("pastis.form_s", || {
         let table = ExpenseTable::new(params.align.matrix);
         let local_kmers = distinct_kmers(store.owned(), params.k);
@@ -645,123 +628,101 @@ fn align_pair(
     best.map(PrefilterOutcome::Passed)
 }
 
-/// The one consumer of `B`'s finalised entries: [`Consumer::admit`] filters
-/// an entry down to an alignment task this rank owns,
-/// [`Consumer::align_chunk`] aligns the tasks admitted so far and keeps the
-/// surviving edges. The materialised source admits all of `B` and aligns
-/// one chunk; the streamed source aligns a chunk per SUMMA stage.
-struct Consumer<'a> {
-    cx: &'a PipeCtx<'a>,
-    threads: usize,
-    tasks: Vec<Task>,
-    edges: Vec<Edge>,
-    /// This rank's statistics so far (`nnz_b` = entries admitted).
-    tally: ckpt::CounterDelta,
-}
-
-impl<'a> Consumer<'a> {
-    fn new(cx: &'a PipeCtx<'a>) -> Self {
-        Consumer {
-            cx,
-            threads: batch_threads(cx.params, cx.grid),
-            tasks: Vec::new(),
-            edges: Vec::new(),
-            tally: ckpt::CounterDelta::default(),
-        }
-    }
-
-    /// Take one final entry `(gi, gj)` of this rank's block of `B`.
-    fn admit(&mut self, gi: u64, gj: u64, pair: &SeedPair) {
-        let cx = self.cx;
-        self.tally.nnz_b += 1;
+/// The one consumer of `B`, whichever source formed it: admit every local
+/// entry this rank owns that clears the CK threshold as an alignment task,
+/// drop `b`, and align the tasks as one batch. Tasks run in `(row, col)`
+/// order, which groups them by query row and so maximizes the striped
+/// profile-cache hit rate. Returns the surviving edges plus this rank's
+/// statistics (`nnz_b` = entries admitted).
+fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterDelta) {
+    let (store, params) = (cx.store, cx.params);
+    let mut tally = ckpt::CounterDelta::default();
+    let mut tasks: Vec<Task> = Vec::new();
+    for (gi, gj, pair) in b.iter_local() {
+        tally.nnz_b += 1;
         if gi == gj {
-            return; // self-overlap
+            continue; // self-overlap
         }
         let (li, lj) = (gi - cx.row_range.0, gj - cx.col_range.0);
         if !owns_pair(li, lj, cx.grid.myrow(), cx.grid.mycol()) {
-            return;
+            continue;
         }
-        self.tally.candidates += 1;
-        if pair.count <= cx.params.common_kmer_threshold {
-            return; // CK threshold: too few shared k-mers to bother
+        tally.candidates += 1;
+        if pair.count <= params.common_kmer_threshold {
+            continue; // CK threshold: too few shared k-mers to bother
         }
-        self.tasks.push((gi, gj, *pair));
+        tasks.push((gi, gj, *pair));
     }
+    drop(b);
+    tasks.sort_unstable_by_key(|&(gi, gj, _)| (gi, gj));
 
-    /// Align the admitted tasks as one batch and fold the surviving edges.
-    fn align_chunk(&mut self) {
-        let tasks = std::mem::take(&mut self.tasks);
-        let (store, params) = (self.cx.store, self.cx.params);
-        // The chunk span is the dissection's alignment stage (see
-        // [`Timings::STAGE_SPANS`]): emitted here so both sources
-        // attribute alignment time the same way.
-        let _chunk = obs::span!("align.overlap", tasks = tasks.len());
-        let aligned = match params.mode {
-            AlignMode::None => 0,
-            _ => tasks.len() as u64,
-        };
-        self.tally.alignments += aligned;
-        // Live telemetry: announce the chunk's alignments before the batch
-        // runs so the monitor shows an in-flight progress bar, retire them
-        // after. Mirrors `alignments_local` exactly, so the final
-        // snapshot's per-rank `done` totals reconcile against the trace
-        // counters.
-        obs::blackbox::add_items(0, aligned);
-        let verdicts = align_batch(&tasks, self.threads, |&(gi, gj, ref pair)| {
-            align_pair(gi, gj, pair, store, params)
-        });
-        obs::blackbox::add_items(aligned, 0);
+    // The span is the dissection's alignment stage (see
+    // [`Timings::STAGE_SPANS`]).
+    let _span = obs::span!("align.overlap", tasks = tasks.len());
+    let aligned = match params.mode {
+        AlignMode::None => 0,
+        _ => tasks.len() as u64,
+    };
+    tally.alignments += aligned;
+    // Live telemetry: announce the block's alignments before the batch runs
+    // so the monitor shows an in-flight progress bar, retire them after.
+    // Mirrors `alignments_local` exactly, so the final snapshot's per-rank
+    // `done` totals reconcile against the trace counters.
+    obs::blackbox::add_items(0, aligned);
+    let threads = batch_threads(params, cx.grid);
+    let verdicts = align_batch(&tasks, threads, |&(gi, gj, ref pair)| {
+        align_pair(gi, gj, pair, store, params)
+    });
+    obs::blackbox::add_items(aligned, 0);
 
-        for ((gi, gj, pair), verdict) in tasks.into_iter().zip(verdicts) {
-            let weight = match verdict {
-                // Scaling runs: candidate pairs weighted by shared k-mers.
-                _ if params.mode == AlignMode::None => Some(pair.count as f64),
-                None => None,
-                Some(PrefilterOutcome::CulledBitpack) => {
-                    self.tally.bitpack_culled += 1;
-                    None
-                }
-                Some(PrefilterOutcome::CulledScore) => {
-                    self.tally.striped_culled += 1;
-                    None
-                }
-                Some(PrefilterOutcome::Passed(st)) => {
-                    self.tally.passed += 1;
-                    match params.measure {
-                        SimilarityMeasure::Ani => st
-                            .passes_filter(params.min_ani, params.min_coverage)
-                            .then(|| st.ani()),
-                        // The paper applies no cut-off under NS (§VI-B).
-                        SimilarityMeasure::NormalizedScore => {
-                            (st.score > 0).then(|| st.normalized_score())
-                        }
+    let mut edges = Vec::new();
+    for ((gi, gj, pair), verdict) in tasks.into_iter().zip(verdicts) {
+        let weight = match verdict {
+            // Scaling runs: candidate pairs weighted by shared k-mers.
+            _ if params.mode == AlignMode::None => Some(pair.count as f64),
+            None => None,
+            Some(PrefilterOutcome::CulledBitpack) => {
+                tally.bitpack_culled += 1;
+                None
+            }
+            Some(PrefilterOutcome::CulledScore) => {
+                tally.striped_culled += 1;
+                None
+            }
+            Some(PrefilterOutcome::Passed(st)) => {
+                tally.passed += 1;
+                match params.measure {
+                    SimilarityMeasure::Ani => st
+                        .passes_filter(params.min_ani, params.min_coverage)
+                        .then(|| st.ani()),
+                    // The paper applies no cut-off under NS (§VI-B).
+                    SimilarityMeasure::NormalizedScore => {
+                        (st.score > 0).then(|| st.normalized_score())
                     }
                 }
-            };
-            if let Some(w) = weight {
-                self.edges.push((gi.min(gj), gi.max(gj), w));
             }
+        };
+        if let Some(w) = weight {
+            edges.push((gi.min(gj), gi.max(gj), w));
         }
     }
-
-    fn finish(self) -> (Vec<Edge>, ckpt::CounterDelta) {
-        debug_assert!(self.tasks.is_empty(), "admitted tasks never aligned");
-        (self.edges, self.tally)
-    }
+    (edges, tally)
 }
 
-/// The streamed source's driver: monolithic when neither a memory budget
-/// nor a checkpoint directory is configured, otherwise the out-of-core
-/// batch loop of DESIGN.md §15 — size column batches against the budget,
-/// run the SUMMA stream once per batch on a column-restricted `Aᵀ`,
+/// The exact source's driver: multiply `A·Aᵀ` and align it in one pass
+/// when neither a memory budget nor a checkpoint directory is configured,
+/// otherwise the out-of-core batch loop of DESIGN.md §15 — size column
+/// batches against the budget, multiply each batch against a
+/// column-restricted `Aᵀ` and align it before the next one is formed,
 /// concatenate the per-batch edges (bit-identical to the monolithic set:
 /// batches tile `B`'s columns and per-entry fold order is unchanged), and
 /// checkpoint each completed batch so a killed run resumes instead of
 /// restarting.
 fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
     let params = cx.params;
+    let overlap = |a_t: &DistMat<u32>| cx.a_mat.spgemm(a_t, &ExactSemiring, params.spgemm);
     if params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none() {
-        return stream_overlap_align(cx, cx.a_t);
+        return align_block(cx, overlap(cx.a_t));
     }
     let plan = match params.mem_budget_bytes {
         Some(budget) => batch::plan(cx.grid, cx.a_t, budget),
@@ -795,7 +756,8 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
                 // nests inside the stage's window, which also sees
                 // `batch::plan` and everything between batches.
                 let out = windowed(&format!("mem.batch.{k}"), || {
-                    stream_overlap_align(cx, &cx.a_t.restrict_cols(range))
+                    let b = overlap(&cx.a_t.restrict_cols(range));
+                    align_block(cx, b)
                 });
                 if let Some(log) = &mut log {
                     log.commit(k, &out.0, &out.1);
@@ -807,93 +769,6 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
         total.add(&delta);
     }
     (edges, total)
-}
-
-/// Streamed overlap SpGEMM + per-stage alignment: `A·Aᵀ` runs as a
-/// [`sparse::SummaStream`] and candidate pairs are filtered and aligned as
-/// soon as their entry can no longer change, while the next stage's panel
-/// broadcasts are already in flight.
-///
-/// An entry `(i, j)` of my `B` block accumulates a contribution at stage
-/// `t` only when row `i` of `A(myrow, t)` and column `j` of `Aᵀ(t, mycol)`
-/// are both nonzero, so it is final once `t ≥ min(last_row[i],
-/// last_col[j])` where `last_*` records the last stage with matching
-/// occupancy. Per entry, contributions fold in stage order — the same
-/// order the materialised product's stable sort produces — so the
-/// extracted [`SeedPair`]s, and with them the edge set, are bit-identical
-/// to the materialised source.
-///
-/// `a_t` may be a column-restricted view ([`DistMat::restrict_cols`]): the
-/// finality bounds then derive from the restricted occupancy, and only the
-/// batch's columns ever enter the pending map. Returns the edges plus this
-/// rank's statistics for the pass.
-fn stream_overlap_align(cx: &PipeCtx, a_t: &DistMat<u32>) -> (Vec<Edge>, ckpt::CounterDelta) {
-    use std::collections::btree_map::Entry;
-    use std::collections::BTreeMap;
-
-    let (row_range, col_range) = (cx.row_range, cx.col_range);
-
-    // Stage-finality index (see doc above): each rank knows its own
-    // block's occupancy; an allgather along the grid row/column assembles
-    // the per-stage view (subcommunicator ranks are ordered by grid
-    // coordinate, so result index = stage).
-    let (last_row, last_col) = {
-        let _span = obs::span!("summa.finality");
-        let mut row_occ = vec![0u8; (row_range.1 - row_range.0) as usize];
-        for (r, _, _) in cx.a_mat.local().iter() {
-            row_occ[r as usize] = 1;
-        }
-        let mut col_occ = vec![0u8; (col_range.1 - col_range.0) as usize];
-        for (_, c, _) in a_t.local().iter() {
-            col_occ[c as usize] = 1;
-        }
-        let fold = |stages: Vec<Vec<u8>>| {
-            let mut last = vec![0usize; stages[0].len()];
-            for (t, occ) in stages.iter().enumerate() {
-                for (i, &o) in occ.iter().enumerate() {
-                    if o != 0 {
-                        last[i] = t;
-                    }
-                }
-            }
-            last
-        };
-        (
-            fold(cx.grid.row_comm().allgather(row_occ)),
-            fold(cx.grid.col_comm().allgather(col_occ)),
-        )
-    };
-
-    let sr = ExactSemiring;
-    let mut pending: BTreeMap<(u32, u64), SeedPair> = BTreeMap::new();
-    let mut consumer = Consumer::new(cx);
-    let stream = cx.a_mat.spgemm_stream(a_t, &sr, cx.params.spgemm);
-    stream.for_each_stage(|t, triples| {
-        for (r, c, v) in triples {
-            match pending.entry((r, c)) {
-                Entry::Occupied(mut e) => sr.add(e.get_mut(), v),
-                Entry::Vacant(e) => {
-                    e.insert(v);
-                }
-            }
-        }
-        // The pending map is fullest right after a stage's triples fold in,
-        // before finalized entries drain — probe it here.
-        obs::alloc::probe("mem.watermark.pastis.pending", &pending);
-        // Drain the entries that can no longer change. (row, col) order
-        // groups this chunk's tasks by query row, maximizing the striped
-        // profile-cache hit rate.
-        pending.retain(|&(r, c), pair| {
-            if t < last_row[r as usize].min(last_col[c as usize]) {
-                return true;
-            }
-            consumer.admit(row_range.0 + r as u64, col_range.0 + c, pair);
-            false
-        });
-        consumer.align_chunk();
-    });
-    debug_assert!(pending.is_empty(), "stage-finality left undrained entries");
-    consumer.finish()
 }
 
 #[cfg(test)]

@@ -142,17 +142,7 @@ fn run_pipeline_refuses_what_the_binary_rejects() {
         },
         PastisParams {
             substitutes: 5,
-            ckpt_dir: ckpt.clone(),
-            ..base.clone()
-        },
-        PastisParams {
-            streaming: false,
-            mem_budget_bytes: budget,
-            ..base.clone()
-        },
-        PastisParams {
-            streaming: false,
-            ckpt_dir: ckpt.clone(),
+            ckpt_dir: ckpt,
             ..base.clone()
         },
     ] {

@@ -4,9 +4,8 @@
 //! cargo test --release` — but self-arms tracking so a plain debug
 //! invocation still exercises it.
 //!
-//! Batching can only shrink the *reducible* structures (the pending
-//! seed-pair map, the SpGEMM triples and accumulator — the watermark
-//! probes measure each), while the resident floor (sequence store, the
+//! Batching can only shrink the *reducible* structures (the SpGEMM
+//! triples and accumulator — the watermark probes measure each), while the resident floor (sequence store, the
 //! A/Aᵀ/S matrices, retained edges) is live no matter how narrow the
 //! batch. The sizer is budgeted to halve the reducible footprint and the
 //! allocation ledger must then observe every batch window's peak at or
@@ -22,11 +21,7 @@ use pcomm::WorldBuilder;
 use seqstore::write_fasta;
 
 /// Watermarked structures whose footprint scales with the batch width.
-const REDUCIBLE: [&str; 3] = [
-    "mem.watermark.pastis.pending",
-    "mem.watermark.sparse.accum",
-    "mem.watermark.sparse.triples",
-];
+const REDUCIBLE: [&str; 2] = ["mem.watermark.sparse.accum", "mem.watermark.sparse.triples"];
 
 fn params(budget: Option<u64>) -> PastisParams {
     PastisParams {
@@ -62,12 +57,12 @@ fn batched_peaks_stay_under_projected_budget() {
             mutation_rate: 0.12,
         },
     ));
-    // Monolithic run: the streaming stage's allocator-window peak and the
+    // Monolithic run: the overlap stage's allocator-window peak and the
     // reducible structures' watermark probes.
     let mono = merged_gauges(&fasta, None);
     let mono_peak = *mono
         .get("mem.stage.pastis.spgemm_b")
-        .expect("monolithic run records the streaming stage window") as u64;
+        .expect("monolithic run records the overlap stage window") as u64;
     assert!(mono_peak > 0, "tracking must be armed");
     let reducible: u64 = REDUCIBLE
         .iter()
@@ -105,7 +100,7 @@ fn batched_peaks_stay_under_projected_budget() {
     // saw — and batching must actually have reduced the measured footprint.
     let batched_stage = *batched
         .get("mem.stage.pastis.spgemm_b")
-        .expect("batched run records the streaming stage window");
+        .expect("batched run records the overlap stage window");
     let max_batch = batch_peaks.iter().map(|&(_, peak)| peak).max().unwrap();
     assert!(
         batched_stage >= max_batch,

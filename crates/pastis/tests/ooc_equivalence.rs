@@ -1,6 +1,6 @@
 //! Batched ≡ monolithic bit-identity (DESIGN.md §15): the out-of-core
 //! driver tiles B's columns into budget-sized batches and runs the SUMMA
-//! stream once per batch against a column-restricted Aᵀ. Batches tile the
+//! multiply once per batch against a column-restricted Aᵀ. Batches tile the
 //! column space and per-entry fold order is unchanged, so the merged edge
 //! set must match the monolithic run bit for bit — at every batch shape
 //! (single-column, uneven, full-width), every grid size, and under
@@ -62,7 +62,7 @@ fn run_edges(builder: WorldBuilder, p: usize, budget: Option<u64>) -> EdgeSet {
     edges
 }
 
-/// Monolithic streaming reference at p = 1 under checked mode.
+/// Monolithic reference at p = 1 under checked mode.
 fn monolithic_reference() -> &'static EdgeSet {
     static B: OnceLock<EdgeSet> = OnceLock::new();
     B.get_or_init(|| run_edges(WorldBuilder::new().checked(true), 1, None))

@@ -14,7 +14,10 @@
 //! One real SIGKILL, delivered at whatever point the run has reached,
 //! checks the same end state. The corruption case flips one byte of a
 //! committed shard: the checksum must reject it and the resumed run must
-//! recompute that batch rather than trust the manifest.
+//! recompute that batch rather than trust the manifest. A completed
+//! directory copied elsewhere and resumed with another thread count must
+//! restore every batch: where a checkpoint lives and how many threads align
+//! do not shape the output, so they are not part of the run fingerprint.
 
 use std::collections::BTreeMap;
 use std::os::unix::fs::MetadataExt as _;
@@ -116,8 +119,7 @@ type Files = BTreeMap<String, Vec<u8>>;
 
 /// Run the checkpointed command to completion in `scratch()/name` and
 /// return that directory with its files: the source every post-kill state
-/// is cut from. The run fingerprint covers the parameters, checkpoint path
-/// included, so each state is rebuilt at this same path.
+/// is cut from.
 fn completed(name: &str) -> (PathBuf, Files) {
     let dir = scratch().join(name);
     let _ = std::fs::remove_dir_all(&dir);
@@ -317,4 +319,32 @@ fn corrupted_shard_is_rejected_and_recomputed() {
             }
         }
     }
+}
+
+#[test]
+fn copied_checkpoint_restores_every_batch_with_other_threads() {
+    let (_, files) = completed("original");
+    let copy = scratch().join("copy");
+    std::fs::create_dir_all(&copy).expect("create copy dir");
+    rebuild(&copy, &files);
+    let before = inodes(&copy);
+
+    let out = scratch().join("copy.tsv");
+    let st = ckpt_cmd(&copy, &out)
+        .args(["--threads", "2"])
+        .status()
+        .expect("run pastis on the copy");
+    assert!(st.success(), "run on the copied checkpoint failed: {st}");
+    assert_eq!(
+        std::fs::read(&out).expect("read output"),
+        *reference(),
+        "output from the copied checkpoint diverged from the monolithic reference"
+    );
+    // Restoring reads files and never writes them; a recomputed batch (or
+    // a rewritten manifest) would have been renamed into a new inode.
+    assert_eq!(
+        inodes(&copy),
+        before,
+        "the copied checkpoint was not restored in full"
+    );
 }

@@ -76,12 +76,11 @@ fn substitute_path_adds_its_stages_deterministically() {
 
 #[test]
 fn streamed_summa_posts_the_next_panels_before_computing() {
-    // The overlap the streamed SUMMA exists for: stage t+1's two panel
-    // broadcasts (A along the grid row, Aᵀ along the grid column) are
+    // The overlap the double-buffered SUMMA exists for: stage t+1's two
+    // panel broadcasts (A along the grid row, Aᵀ along the grid column) are
     // posted — their `summa.prefetch` span closed — before stage t's local
-    // multiply and its alignment chunk start. Siblings of one span on one
-    // thread, so entry order is close-before-open; the recorder's clock
-    // must agree.
+    // multiply starts. Siblings of one span on one thread, so entry order
+    // is close-before-open; the recorder's clock must agree.
     let fasta = dataset();
     let params = PastisParams {
         k: 4,
@@ -124,14 +123,12 @@ fn streamed_summa_posts_the_next_panels_before_computing() {
                 .count();
             assert_eq!(posts, 2, "rank {} stage {t}", r.trace.rank);
             let closed = prefetch.event.start_ns + prefetch.event.dur_ns;
-            for later in ["summa.local_mul", "align.overlap"] {
-                let e = &child(later).event;
-                assert!(
-                    prefetch.event.seq < e.seq && closed <= e.start_ns,
-                    "rank {} stage {t}: summa.prefetch still open when {later} began",
-                    r.trace.rank
-                );
-            }
+            let mul = &child("summa.local_mul").event;
+            assert!(
+                prefetch.event.seq < mul.seq && closed <= mul.start_ns,
+                "rank {} stage {t}: summa.prefetch still open when summa.local_mul began",
+                r.trace.rank
+            );
             checked += 1;
         }
     }
@@ -176,8 +173,8 @@ fn timings_match_trace_stage_sums() {
             rebuilt.spgemm_b.comm.bytes_sent
         );
         assert!((r.timings.total - rebuilt.total).abs() < 1e-12);
-        // Streaming runs alignment chunks inside the SUMMA stage, so the
-        // streamed default must report nonzero align time even though the
+        // The exact overlap aligns each batch inside `pastis.spgemm_b`, so
+        // the default must report nonzero align time even though the
         // `pastis.align` wrapper is empty.
         assert!(r.timings.align.work_ns > 0, "align attribution lost");
         // The stage spans cover the run: under exclusive attribution

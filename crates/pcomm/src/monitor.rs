@@ -78,7 +78,7 @@ pub fn latest_snapshot() -> Option<JsonValue> {
 /// Straggler dissection of one gather: `flags[i]` is set when rank `i`'s
 /// progress epoch lags the median of *active* ranks beyond `lag`.
 /// Finished ranks (inactive, stage idle) are never flagged.
-pub fn straggler_flags(samples: &[RankSample], lag: u64) -> Vec<bool> {
+fn straggler_flags(samples: &[RankSample], lag: u64) -> Vec<bool> {
     let mut epochs: Vec<u64> = samples
         .iter()
         .filter(|s| s.active)

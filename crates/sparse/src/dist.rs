@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use pcomm::{BcastHandle, Grid, Payload};
+use pcomm::{Grid, Payload};
 
 use crate::dcsc::Dcsc;
 use crate::local_spgemm::{local_spgemm, SpGemmStrategy};
@@ -231,7 +231,15 @@ impl<V: Payload + Clone> DistMat<V> {
     /// SUMMA schedule: at stage `t`, the owners of `A(·,t)` broadcast along
     /// grid rows and the owners of `B(t,·)` along grid columns; every rank
     /// multiplies the received pair locally and folds the partial triples.
-    /// Implemented as a fold of [`DistMat::spgemm_stream`]. Collective.
+    /// The broadcasts are double-buffered: stage `t+1`'s panels are posted
+    /// nonblocking before stage `t` multiplies, so they travel while it
+    /// computes. Collective.
+    ///
+    /// Trace shape: every stage emits the same span skeleton —
+    /// `summa.stage { summa.prefetch { pcomm.ibcast.post ×2 }, summa.bcast_a,
+    /// summa.bcast_b, summa.local_mul }` — on every rank, including the
+    /// final stage (whose prefetch posts nothing), so structure signatures
+    /// stay identical across ranks and grid sizes.
     pub fn spgemm<SR>(
         &self,
         b: &DistMat<SR::B>,
@@ -243,15 +251,56 @@ impl<V: Payload + Clone> DistMat<V> {
         SR::B: Payload + Clone,
         SR::C: Payload + Clone,
     {
-        let stream = self.spgemm_stream(b, sr, strategy);
+        assert!(
+            Rc::ptr_eq(&self.grid, &b.grid),
+            "operands must share a grid"
+        );
+        assert_eq!(self.ncols, b.nrows, "global dimension mismatch");
         let grid = &self.grid;
         let q = grid.q();
+        // Post stage `t`'s panel broadcasts nonblocking. Past the last
+        // stage this posts nothing but still emits the post-span skeleton.
+        let post = |t: usize| {
+            let _s = obs::span!("summa.prefetch", stage = t);
+            if t < q {
+                let ha = grid
+                    .row_comm()
+                    .ibcast(t, (grid.mycol() == t).then(|| self.local.clone()));
+                let hb = grid
+                    .col_comm()
+                    .ibcast(t, (grid.myrow() == t).then(|| b.local.clone()));
+                Some((ha, hb))
+            } else {
+                for _ in 0..2 {
+                    let _p = obs::span!("pcomm.ibcast.post");
+                }
+                None
+            }
+        };
+        let mut next = post(0);
         let mut acc: Vec<(u32, u64, SR::C)> = Vec::new();
-        stream.for_each_stage(|_t, triples| acc.extend(triples));
+        for t in 0..q {
+            let _stage = obs::span!("summa.stage", stage = t);
+            let (ha, hb) = next.take().expect("stage broadcast not posted");
+            next = post(t + 1);
+            let a_blk = {
+                let _s = obs::span!("summa.bcast_a");
+                ha.wait()
+            };
+            let b_blk = {
+                let _s = obs::span!("summa.bcast_b");
+                hb.wait()
+            };
+            let triples = {
+                let _s = obs::span!("summa.local_mul");
+                local_spgemm(&a_blk, &b_blk, sr, strategy)
+            };
+            acc.extend(triples);
+        }
         // Stable sort keeps stage order for duplicates, so the add fold is
         // in ascending global inner index — identical for every grid size.
-        // The fully accumulated partial-triple buffer is the PSG's
-        // peak-footprint moment on the staged path.
+        // The fully accumulated partial-triple buffer is the product's
+        // peak-footprint moment.
         obs::alloc::probe("mem.watermark.sparse.triples", &acc);
         let _fold = obs::span!("summa.fold", triples = acc.len());
         let local = Dcsc::from_triples(
@@ -266,41 +315,6 @@ impl<V: Payload + Clone> DistMat<V> {
             ncols: b.ncols,
             local,
         }
-    }
-
-    /// Start a streaming Sparse SUMMA multiply `self · b`: the returned
-    /// [`SummaStream`] double-buffers panel broadcasts (stage `t+1` is
-    /// posted nonblocking before stage `t` multiplies) and yields each
-    /// stage's partial triples to a consumer, so downstream work can begin
-    /// while later panels are still in flight. Collective; every rank of
-    /// the grid must drive the stream through all stages.
-    pub fn spgemm_stream<'a, SR>(
-        &'a self,
-        b: &'a DistMat<SR::B>,
-        sr: &'a SR,
-        strategy: SpGemmStrategy,
-    ) -> SummaStream<'a, SR>
-    where
-        SR: Semiring<A = V>,
-        SR::B: Payload + Clone,
-        SR::C: Payload + Clone,
-    {
-        assert!(
-            Rc::ptr_eq(&self.grid, &b.grid),
-            "operands must share a grid"
-        );
-        assert_eq!(self.ncols, b.nrows, "global dimension mismatch");
-        let mut stream = SummaStream {
-            a: self,
-            b,
-            sr,
-            strategy,
-            q: self.grid.q(),
-            next_a: None,
-            next_b: None,
-        };
-        stream.post(0);
-        stream
     }
 
     /// Distributed transpose: every rank swaps indices and trades its block
@@ -380,103 +394,6 @@ impl<V: Payload + Clone> DistMat<V> {
             .world()
             .gather(root, mine)
             .map(|parts| parts.into_iter().flatten().collect())
-    }
-}
-
-/// In-flight streaming Sparse SUMMA multiply (see
-/// [`DistMat::spgemm_stream`]).
-///
-/// Stage `t`'s A/B panel broadcasts are posted nonblocking one stage ahead:
-/// while stage `t` multiplies, stage `t+1`'s panels travel. Triples are
-/// yielded per stage in the exact order the monolithic [`DistMat::spgemm`]
-/// accumulates them, so a consumer that folds duplicates in arrival order
-/// reproduces its results bit for bit.
-///
-/// Trace shape: every stage emits the same span skeleton —
-/// `summa.stage { summa.prefetch { pcomm.ibcast.post ×2 }, summa.bcast_a,
-/// summa.bcast_b, summa.local_mul, <consumer> }` — on every rank, including
-/// the final stage (whose prefetch posts nothing), so structure signatures
-/// stay identical across ranks and grid sizes.
-pub struct SummaStream<'a, SR>
-where
-    SR: Semiring,
-    SR::A: Payload + Clone,
-    SR::B: Payload + Clone,
-    SR::C: Payload + Clone,
-{
-    a: &'a DistMat<SR::A>,
-    b: &'a DistMat<SR::B>,
-    sr: &'a SR,
-    strategy: SpGemmStrategy,
-    q: usize,
-    next_a: Option<BcastHandle<Dcsc<SR::A>>>,
-    next_b: Option<BcastHandle<Dcsc<SR::B>>>,
-}
-
-impl<'a, SR> SummaStream<'a, SR>
-where
-    SR: Semiring,
-    SR::A: Payload + Clone,
-    SR::B: Payload + Clone,
-    SR::C: Payload + Clone,
-{
-    /// Number of SUMMA stages (`q = √p`).
-    pub fn stages(&self) -> usize {
-        self.q
-    }
-
-    /// Post stage `t`'s panel broadcasts nonblocking. Past the last stage
-    /// this posts nothing but still emits the post-span skeleton, keeping
-    /// every stage's subtree shape identical for the cross-grid structure
-    /// signature.
-    fn post(&mut self, t: usize) {
-        let _s = obs::span!("summa.prefetch", stage = t);
-        if t < self.q {
-            let grid = &self.a.grid;
-            self.next_a = Some(
-                grid.row_comm()
-                    .ibcast(t, (grid.mycol() == t).then(|| self.a.local.clone())),
-            );
-            self.next_b = Some(
-                grid.col_comm()
-                    .ibcast(t, (grid.myrow() == t).then(|| self.b.local.clone())),
-            );
-        } else {
-            {
-                let _p = obs::span!("pcomm.ibcast.post");
-            }
-            {
-                let _p = obs::span!("pcomm.ibcast.post");
-            }
-        }
-    }
-
-    /// Drive every stage: wait for stage `t`'s panels (posted one stage
-    /// earlier), post stage `t+1`, multiply locally, and hand the stage's
-    /// partial triples (block-local indices, column-major, in-stage
-    /// duplicates pre-folded by the semiring) to `consume` — which runs
-    /// inside the stage span, so its spans and work ledger land in the
-    /// stage it overlaps with.
-    pub fn for_each_stage(mut self, mut consume: impl FnMut(usize, Vec<(u32, u64, SR::C)>)) {
-        for t in 0..self.q {
-            let _stage = obs::span!("summa.stage", stage = t);
-            let ha = self.next_a.take().expect("stage broadcast not posted");
-            let hb = self.next_b.take().expect("stage broadcast not posted");
-            self.post(t + 1);
-            let a_blk = {
-                let _s = obs::span!("summa.bcast_a");
-                ha.wait()
-            };
-            let b_blk = {
-                let _s = obs::span!("summa.bcast_b");
-                hb.wait()
-            };
-            let triples = {
-                let _s = obs::span!("summa.local_mul");
-                local_spgemm(&a_blk, &b_blk, self.sr, self.strategy)
-            };
-            consume(t, triples);
-        }
     }
 }
 

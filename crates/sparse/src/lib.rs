@@ -23,7 +23,7 @@ mod triple;
 
 pub use accum::HashAccumulator;
 pub use dcsc::Dcsc;
-pub use dist::{DistMat, SummaStream};
+pub use dist::DistMat;
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};
 pub use semiring::{ArithmeticSemiring, Semiring};
 pub use triple::Triple;

@@ -292,50 +292,3 @@ fn hypersparse_kmer_sized_columns() {
     assert!(got.0 == 50);
     assert!(got.1 >= 10, "diagonal must be present");
 }
-
-#[test]
-fn streamed_stages_fold_to_monolithic_spgemm() {
-    // The monolithic `spgemm` is a fold of `spgemm_stream`; this checks the
-    // stream contract from the consumer side: exactly q stages, yielded in
-    // order, whose triples fold (in arrival order) to the same local block
-    // the monolithic multiply produces.
-    let (m, k, n) = (17u64, 23u64, 13u64);
-    let a = random_triples(2, m, k, 80);
-    let b = random_triples(3, k, n, 70);
-    for p in [1usize, 4, 9, 16] {
-        World::run(p, |comm| {
-            let grid = Rc::new(Grid::new(&comm));
-            let q = grid.q();
-            let da = DistMat::from_triples(
-                Rc::clone(&grid),
-                m,
-                k,
-                my_share(&a, comm.rank(), p),
-                |x, y| *x += y,
-            );
-            let db = DistMat::from_triples(
-                Rc::clone(&grid),
-                k,
-                n,
-                my_share(&b, comm.rank(), p),
-                |x, y| *x += y,
-            );
-            let c = da.spgemm(&db, &ArithmeticSemiring, SpGemmStrategy::Hybrid);
-            let stream = da.spgemm_stream(&db, &ArithmeticSemiring, SpGemmStrategy::Hybrid);
-            assert_eq!(stream.stages(), q, "p={p}");
-            let mut stages_seen = Vec::new();
-            let mut folded: std::collections::BTreeMap<(u64, u32), f64> =
-                std::collections::BTreeMap::new();
-            stream.for_each_stage(|t, triples| {
-                stages_seen.push(t);
-                for (r, col, v) in triples {
-                    *folded.entry((col, r)).or_insert(0.0) += v;
-                }
-            });
-            assert_eq!(stages_seen, (0..q).collect::<Vec<_>>(), "p={p}");
-            let want: std::collections::BTreeMap<(u64, u32), f64> =
-                c.local().iter().map(|(r, col, &v)| ((col, r), v)).collect();
-            assert_eq!(folded, want, "p={p} rank={}", comm.rank());
-        });
-    }
-}

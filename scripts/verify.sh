@@ -15,11 +15,11 @@ cargo test -q --no-fail-fast
 # Trace-export schema gate: the Perfetto JSON must stay parseable and keep
 # its per-rank track structure.
 cargo test -q -p obs --test perfetto_schema
-# Streamed-pipeline determinism under checked mode: the overlap SpGEMM
-# path must stay bit-identical to the staged oracle with the conformance
-# ledger and finalize audit enforced (release builds default PCHECK off,
-# so force it on here).
-PCHECK=1 cargo test -q --release -p pastis --test stream_equivalence
+# Cross-p, perturbed-schedule determinism under checked mode: the PSG
+# must stay bit-identical across process counts and message schedules
+# with the conformance ledger and finalize audit enforced (release builds
+# default PCHECK off, so force it on here).
+PCHECK=1 cargo test -q --release -p pastis --test perturb_determinism
 # Memory-observatory lane: release builds default allocation tracking OFF,
 # so force it on and rerun the obs suite — the allocation ledger, the
 # nested peak windows, and the per-stage table must hold under the release
@@ -41,11 +41,12 @@ PASTIS_MONITOR_MS=20 cargo run --release -q -p pastis --bin pastis -- \
 test -s "$monitor_tmp/status.json" || { echo "verify: pastis --monitor left no status.json"; exit 1; }
 rm -rf "$monitor_tmp"
 # Out-of-core lane (DESIGN.md §15). In-process: the batched driver must be
-# bit-identical to the monolithic stream under the conformance checker, and
+# bit-identical to the monolithic run under the conformance checker, and
 # the allocator-measured per-batch peak must respect the budget bound with
 # tracking forced on in release. End-to-end: a tiny-budget checkpointed run
 # must match a single-shot run byte for byte, and so must the same command
-# rerun on its complete checkpoint directory, which restores every batch.
+# rerun on its complete checkpoint directory, which restores every batch,
+# and on a copy of that directory at another path.
 # (Post-kill states are built and resumed by `cargo test` in
 # crates/pastis/tests/ooc_resume.rs.)
 PCHECK=1 cargo test -q --release -p pastis --test ooc_equivalence
@@ -54,17 +55,21 @@ ooc_tmp="$(mktemp -d)"
 cargo run --release -q -p pastis-bench --bin mkfasta -- "$ooc_tmp/ooc.fasta" 0.05 9
 cargo run --release -q -p pastis --bin pastis -- \
     --input "$ooc_tmp/ooc.fasta" --output "$ooc_tmp/mono.tsv" --ranks 4 --k 5 --quiet
-ooc_run() {
+ooc_run() { # <checkpoint dir>
     cargo run --release -q -p pastis --bin pastis -- \
         --input "$ooc_tmp/ooc.fasta" --output "$ooc_tmp/ooc.tsv" --ranks 4 --k 5 --quiet \
-        --mem-budget 96k --ckpt-dir "$ooc_tmp/ckpt"
+        --mem-budget 96k --ckpt-dir "$1"
 }
-ooc_run
+ooc_run "$ooc_tmp/ckpt"
 test -s "$ooc_tmp/ckpt/manifest.json" || { echo "verify: checkpointed run left no manifest"; exit 1; }
 cmp "$ooc_tmp/mono.tsv" "$ooc_tmp/ooc.tsv" || { echo "verify: out-of-core output diverged"; exit 1; }
 rm "$ooc_tmp/ooc.tsv"
-ooc_run
+ooc_run "$ooc_tmp/ckpt"
 cmp "$ooc_tmp/mono.tsv" "$ooc_tmp/ooc.tsv" || { echo "verify: restored out-of-core output diverged"; exit 1; }
+rm "$ooc_tmp/ooc.tsv"
+cp -r "$ooc_tmp/ckpt" "$ooc_tmp/ckpt-copy"
+ooc_run "$ooc_tmp/ckpt-copy"
+cmp "$ooc_tmp/mono.tsv" "$ooc_tmp/ooc.tsv" || { echo "verify: copied-checkpoint output diverged"; exit 1; }
 rm -rf "$ooc_tmp"
 # Frozen-benchmark lane: `benchmark/` is a package of its own that the
 # workspace build never compiles, and it is what judges every PR. Build
