@@ -60,6 +60,32 @@ pub fn plan(grid: &Grid, a_t: &DistMat<u32>, budget_bytes: u64) -> BatchPlan {
     }
 }
 
+/// Global nonzero count of each `Aᵀ` row of my row block.
+enum RowNnz {
+    /// I am my grid row's only rank: my sorted rows are the counts — a
+    /// row's count is the length of its equal range.
+    Sorted(Vec<u32>),
+    /// Sorted `(row, count)` runs, merged across my grid row.
+    Runs(Vec<(u32, u32)>),
+}
+
+impl RowNnz {
+    fn count(&self, r: u32) -> u64 {
+        match self {
+            RowNnz::Sorted(rows) => {
+                let lo = rows.partition_point(|&x| x < r);
+                rows[lo..].partition_point(|&x| x == r) as u64
+            }
+            RowNnz::Runs(runs) => {
+                let i = runs
+                    .binary_search_by_key(&r, |&(row, _)| row)
+                    .expect("every local row has a global count");
+                runs[i].1 as u64
+            }
+        }
+    }
+}
+
 /// Full-length flop-weight vector for `B`'s columns (see [`plan`]).
 /// Collective; identical on every rank.
 fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
@@ -67,21 +93,16 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
     //    ranks of my grid row hold the other column slices of the same
     //    rows, so an allgather along the row communicator completes the
     //    counts. The row space is hypersparse (24^k), so counts travel as
-    //    sorted `(row, count)` runs.
+    //    sorted `(row, count)` runs; a rank alone in its grid row keeps
+    //    its sorted rows and builds no runs.
     let row_nnz = {
-        let local = row_runs(a_t.local().iter().map(|(r, _, _)| r).collect());
-        let mut parts = grid.row_comm().allgather(local);
-        if parts.len() == 1 {
-            parts.pop().expect("one part")
+        let mut rows: Vec<u32> = a_t.local().iter().map(|(r, _, _)| r).collect();
+        if grid.row_comm().size() == 1 {
+            rows.sort_unstable();
+            RowNnz::Sorted(rows)
         } else {
-            merge_runs(parts)
+            RowNnz::Runs(merge_runs(grid.row_comm().allgather(row_runs(rows))))
         }
-    };
-    let count = |r: u32| {
-        let i = row_nnz
-            .binary_search_by_key(&r, |&(row, _)| row)
-            .expect("every local row has a global count");
-        row_nnz[i].1 as u64
     };
     // 2. Per-column weights of my column block, then summed down my grid
     //    column (those ranks hold the other row slices of the same
@@ -89,7 +110,7 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
     let (c0, c1) = a_t.col_range();
     let mut w = vec![0u64; (c1 - c0) as usize];
     for (r, c, _) in a_t.local().iter() {
-        w[c as usize] += count(r);
+        w[c as usize] += row_nnz.count(r);
     }
     drop(row_nnz);
     let mut col_block = vec![0u64; w.len()];

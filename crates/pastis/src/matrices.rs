@@ -21,7 +21,12 @@ pub fn kmer_space(k: usize) -> u64 {
 /// 24-letter base space, so ids and dimensions are unchanged — the space is
 /// simply occupied more densely per k-mer).
 pub fn build_a_triples(owned: &[SeqRecord], k: usize, reduced: bool) -> Vec<(u64, u64, u32)> {
-    let mut out = Vec::new();
+    // Exactly `L − k + 1` k-mers per sequence (reduction keeps lengths).
+    let len = owned
+        .iter()
+        .map(|s| (s.data.len() + 1).saturating_sub(k))
+        .sum();
+    let mut out = Vec::with_capacity(len);
     for s in owned {
         if reduced {
             let red = seqstore::reduce_murphy10(&s.data);

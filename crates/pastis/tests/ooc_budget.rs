@@ -110,4 +110,14 @@ fn batched_peaks_stay_under_projected_budget() {
         (batched_stage as u64) < mono_peak,
         "batching did not reduce the measured peak ({batched_stage} vs {mono_peak})"
     );
+    // The SUMMA triple buffer is what the budget halves, so its watermark
+    // must halve too — which it can only do if no other buffer (A's
+    // construction input, say) reports under the same name.
+    let triples = |g: &std::collections::BTreeMap<String, i64>| g["mem.watermark.sparse.triples"];
+    assert!(
+        triples(&batched) <= triples(&mono) / 2,
+        "batched SpGEMM triples {} not ≤ half the monolithic {}",
+        triples(&batched),
+        triples(&mono)
+    );
 }

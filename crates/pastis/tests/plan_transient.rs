@@ -1,6 +1,7 @@
 //! Batch-planner transient ratchet (DESIGN.md §15): the bytes
 //! `batch::plan` allocates on top of what is already live, per nonzero of
-//! the `Aᵀ` it sizes from, must stay under [`BOUND`] at p = 1 and p = 4.
+//! the `Aᵀ` it sizes from, must stay under [`P1_BOUND`] at p = 1 and
+//! [`BOUND`] at p = 4.
 //! The planner runs before the first batch inside the out-of-core stage's
 //! memory window, which the budget does not govern, so a planner that
 //! hashes every row of the 24^k k-mer space can cost more than the batches
@@ -23,6 +24,10 @@ use sparse::DistMat;
 /// about 14 at p = 1 and 14–24 at p = 4, where the reading depends on how
 /// far the four ranks' peaks coincide.
 const BOUND: f64 = 40.0;
+
+/// The p = 1 bound: a rank alone in its grid row counts rows by equal
+/// range in its sorted `u32` rows and builds no runs, which reads about 4.
+const P1_BOUND: f64 = 8.0;
 
 const K: usize = 6;
 
@@ -64,12 +69,12 @@ fn planner_transient_per_nonzero_stays_under_bound() {
             mutation_rate: 0.12,
         },
     ));
-    for p in [1, 4] {
+    for (p, bound) in [(1, P1_BOUND), (4, BOUND)] {
         let ratio = plan_bytes_per_nnz(&fasta, p);
         eprintln!("p={p}: batch::plan transient {ratio:.1} B per nnz(Aᵀ)");
         assert!(
-            ratio <= BOUND,
-            "p={p}: batch::plan held {ratio:.1} B per nnz(Aᵀ) > {BOUND}"
+            ratio <= bound,
+            "p={p}: batch::plan held {ratio:.1} B per nnz(Aᵀ) > {bound}"
         );
     }
 }

@@ -1,5 +1,7 @@
 //! Message payloads and their accounted wire size.
 
+use std::sync::Arc;
+
 /// A value that can be sent between ranks.
 ///
 /// `payload_bytes` is the number of bytes the value would occupy on the wire;
@@ -63,6 +65,14 @@ impl<T: Payload> Payload for Box<T> {
     }
 }
 
+/// A shared value is accounted at the bytes it points to: sending an `Arc`
+/// models shipping the value, while ranks (threads of one process) share it.
+impl<T: Payload + Sync> Payload for Arc<T> {
+    fn payload_bytes(&self) -> usize {
+        self.as_ref().payload_bytes()
+    }
+}
+
 macro_rules! impl_payload_tuple {
     ($($name:ident),+) => {
         impl<$($name: Payload),+> Payload for ($($name,)+) {
@@ -108,6 +118,13 @@ mod tests {
     fn tuples_sum_components() {
         assert_eq!((1u8, 2u64).payload_bytes(), 9);
         assert_eq!((1u8, 2u64, 4u32).payload_bytes(), 13);
+    }
+
+    #[test]
+    fn arc_accounts_the_shared_value() {
+        let v = Arc::new(vec![1u32, 2, 3]);
+        assert_eq!(v.payload_bytes(), v.as_ref().payload_bytes());
+        assert_eq!(Arc::clone(&v).payload_bytes(), 3 * 4 + 8);
     }
 
     #[test]

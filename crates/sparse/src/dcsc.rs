@@ -7,7 +7,11 @@
 //! when the column space is the 24^k k-mer space distributed over a process
 //! grid, where almost every column is empty.
 
+use std::ops::Range;
+
 use pcomm::Payload;
+
+use crate::radix::RadixPlan;
 
 /// A DCSC-format sparse matrix block with local indices.
 ///
@@ -49,32 +53,55 @@ impl<V> Dcsc<V> {
         triples: Vec<(u32, u64, V)>,
         add: impl Fn(&mut V, V),
     ) -> Self {
-        assert!(
-            nrows < u32::MAX as usize + 1,
-            "row space too large for u32 local indices"
-        );
+        let plan = RadixPlan::new(nrows, ncols, || triples.iter().map(|&(r, c, _)| (r, c)));
+        Self::from_plan(nrows, ncols, plan, triples.into_iter(), add)
+    }
+
+    /// Build from `items`, whose keys `plan` has counted in the same order:
+    /// radix-sort them into `(col, row)` order, then fold duplicates with
+    /// `add` in input order. Every array is allocated at its exact length.
+    pub(crate) fn from_plan(
+        nrows: usize,
+        ncols: u64,
+        plan: RadixPlan,
+        items: impl Iterator<Item = (u32, u64, V)>,
+        add: impl Fn(&mut V, V),
+    ) -> Self {
         // Work accounting: sort + scan per triple.
-        pcomm::work::record_class(triples.len() as u64, pcomm::work::CostClass::TripleSort);
-        let mut triples = triples;
-        triples.sort_by_key(|&(r, c, _)| (c, r));
-        let mut jc = Vec::new();
-        let mut cp = vec![0usize];
-        let mut ir: Vec<u32> = Vec::with_capacity(triples.len());
-        let mut num: Vec<V> = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
-            debug_assert!((r as usize) < nrows, "row {r} out of bounds {nrows}");
-            debug_assert!(c < ncols, "col {c} out of bounds {ncols}");
-            if jc.last() == Some(&c) && ir.last() == Some(&r) {
-                add(num.last_mut().unwrap(), v);
-                continue;
+        pcomm::work::record_class(plan.len() as u64, pcomm::work::CostClass::TripleSort);
+        let (mut ir, jc, mut cp, mut num) = plan.apply(items);
+        // Rows ascend within a column, so a duplicate repeats the row
+        // before it.
+        let dups: usize = (0..jc.len())
+            .map(|k| {
+                ir[cp[k]..cp[k + 1]]
+                    .windows(2)
+                    .filter(|w| w[0] == w[1])
+                    .count()
+            })
+            .sum();
+        if dups > 0 {
+            let mut vals = num.into_iter();
+            num = Vec::with_capacity(ir.len() - dups);
+            let mut w = 0;
+            for k in 0..jc.len() {
+                let (s, e) = (cp[k], cp[k + 1]);
+                cp[k] = w;
+                for i in s..e {
+                    let v = vals.next().expect("one value per row index");
+                    // `ir[w - 1]` is the column's last kept row.
+                    if i > s && ir[i] == ir[w - 1] {
+                        add(num.last_mut().expect("a duplicate follows its first"), v);
+                    } else {
+                        ir[w] = ir[i];
+                        num.push(v);
+                        w += 1;
+                    }
+                }
             }
-            if jc.last() != Some(&c) {
-                jc.push(c);
-                cp.push(ir.len());
-            }
-            ir.push(r);
-            num.push(v);
-            *cp.last_mut().unwrap() = ir.len();
+            cp[jc.len()] = w;
+            ir.truncate(w);
+            ir.shrink_to_fit();
         }
         Dcsc {
             nrows,
@@ -83,6 +110,44 @@ impl<V> Dcsc<V> {
             cp,
             ir,
             num,
+        }
+    }
+
+    /// The transposed block (`ncols × nrows`). Read in column order, the
+    /// new rows already ascend, so the radix sort buckets by the old rows
+    /// alone, and allocates nothing proportional to a block dimension.
+    pub fn transpose(&self) -> Dcsc<V>
+    where
+        V: Clone,
+    {
+        assert!(
+            self.ncols <= u32::MAX as u64 + 1,
+            "column space too large to become u32 row indices"
+        );
+        let nrows = self.ncols as usize;
+        let plan = RadixPlan::by_cols(self.nrows as u64, self.ir.iter().map(|&r| r as u64));
+        let items = self.iter().map(|(r, c, v)| (c as u32, r as u64, v.clone()));
+        Dcsc::from_plan(nrows, self.nrows as u64, plan, items, |_, _| {
+            unreachable!("a transpose has no duplicate coordinates")
+        })
+    }
+
+    /// The columns `cols` (local ids) of this block, same dimensions, every
+    /// other column dropped: one contiguous slice of each array.
+    pub fn restrict_cols(&self, cols: Range<u64>) -> Dcsc<V>
+    where
+        V: Clone,
+    {
+        let a = self.jc.partition_point(|&c| c < cols.start);
+        let b = a + self.jc[a..].partition_point(|&c| c < cols.end);
+        let (s, e) = (self.cp[a], self.cp[b]);
+        Dcsc {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            jc: self.jc[a..b].to_vec(),
+            cp: self.cp[a..=b].iter().map(|&k| k - s).collect(),
+            ir: self.ir[s..e].to_vec(),
+            num: self.num[s..e].to_vec(),
         }
     }
 
@@ -129,11 +194,12 @@ impl<V> Dcsc<V> {
     }
 
     /// Iterate `(row, col, &value)` over all nonzeros in column-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &V)> + '_ {
-        self.jc.iter().enumerate().flat_map(move |(i, &c)| {
-            let (rows, vals) = self.col_by_index(i);
-            rows.iter().zip(vals.iter()).map(move |(&r, v)| (r, c, v))
-        })
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, u64, &V)> + '_ {
+        Iter {
+            m: self,
+            col: 0,
+            k: 0,
+        }
     }
 
     /// Keep only entries where `keep(row, col, &value)` is true.
@@ -170,28 +236,63 @@ impl<V> Dcsc<V> {
 
     /// Map values (and keep structure).
     pub fn map<W>(self, f: impl Fn(u32, u64, V) -> W) -> Dcsc<W> {
-        let mut rows_cols = Vec::with_capacity(self.ir.len());
-        for (i, &c) in self.jc.iter().enumerate() {
-            for k in self.cp[i]..self.cp[i + 1] {
-                rows_cols.push((self.ir[k], c));
+        let Dcsc {
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
+            num,
+        } = self;
+        let mut vals = num.into_iter();
+        let mut num = Vec::with_capacity(ir.len());
+        for (i, &c) in jc.iter().enumerate() {
+            for &r in &ir[cp[i]..cp[i + 1]] {
+                num.push(f(r, c, vals.next().expect("one value per row index")));
             }
         }
-        let num = self
-            .num
-            .into_iter()
-            .zip(rows_cols.iter())
-            .map(|(v, &(r, c))| f(r, c, v))
-            .collect();
         Dcsc {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            jc: self.jc,
-            cp: self.cp,
-            ir: self.ir,
+            nrows,
+            ncols,
+            jc,
+            cp,
+            ir,
             num,
         }
     }
 }
+
+/// Column-major iterator over a block's nonzeros ([`Dcsc::iter`]).
+struct Iter<'a, V> {
+    m: &'a Dcsc<V>,
+    /// Index into `jc` of the column holding entry `k`.
+    col: usize,
+    k: usize,
+}
+
+impl<'a, V> Iterator for Iter<'a, V> {
+    type Item = (u32, u64, &'a V);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        let k = self.k;
+        if k == self.m.ir.len() {
+            return None;
+        }
+        while self.m.cp[self.col + 1] <= k {
+            self.col += 1;
+        }
+        self.k = k + 1;
+        Some((self.m.ir[k], self.m.jc[self.col], &self.m.num[k]))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.m.ir.len() - self.k;
+        (left, Some(left))
+    }
+}
+
+impl<V> ExactSizeIterator for Iter<'_, V> {}
 
 impl<V: Payload + Clone> Payload for Dcsc<V> {
     fn payload_bytes(&self) -> usize {

@@ -7,11 +7,13 @@
 //! marked *collective* must be called by every rank of the grid.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use pcomm::{Grid, Payload};
 
 use crate::dcsc::Dcsc;
 use crate::local_spgemm::{local_spgemm, SpGemmStrategy};
+use crate::radix::RadixPlan;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
 
@@ -27,7 +29,14 @@ pub(crate) fn block_range(n: u64, q: usize, i: usize) -> (u64, u64) {
 #[inline]
 pub(crate) fn block_owner(n: u64, q: usize, g: u64) -> usize {
     debug_assert!(g < n);
-    let mut i = ((g as u128 * q as u128 / n as u128) as usize).min(q - 1);
+    if q == 1 {
+        return 0;
+    }
+    let guess = match g.checked_mul(q as u64) {
+        Some(gq) => gq / n,
+        None => (g as u128 * q as u128 / n as u128) as u64,
+    };
+    let mut i = (guess as usize).min(q - 1);
     while g < block_range(n, q, i).0 {
         i -= 1;
     }
@@ -38,17 +47,28 @@ pub(crate) fn block_owner(n: u64, q: usize, g: u64) -> usize {
 }
 
 /// A sparse matrix distributed over a 2D process grid.
+///
+/// The local block sits behind an [`Arc`] so SUMMA can broadcast it as a
+/// shared pointer: the panel owner keeps no private copy and the ranks of
+/// a grid row or column read one block. Only `retain` and `map` need the
+/// block to themselves, and they are called on matrices nobody shares.
 pub struct DistMat<V> {
     grid: Rc<Grid>,
     nrows: u64,
     ncols: u64,
-    local: Dcsc<V>,
+    local: Arc<Dcsc<V>>,
 }
 
-impl<V: Payload + Clone> DistMat<V> {
+impl<V: Payload + Clone + Sync> DistMat<V> {
     /// Build from globally-indexed triples scattered arbitrarily over ranks.
     /// Collective: triples are shuffled to their owner blocks (`alltoallv`),
-    /// duplicates combined with `add`.
+    /// duplicates combined with `add` in input order (received parts in
+    /// source-rank order).
+    ///
+    /// Each buffer is freed as soon as the next exists: the input once the
+    /// per-owner parts are filled (a rank whose triples all have one owner
+    /// sends the input itself), each received part once the radix sort's
+    /// first pass has consumed it.
     pub fn from_triples(
         grid: Rc<Grid>,
         nrows: u64,
@@ -61,30 +81,49 @@ impl<V: Payload + Clone> DistMat<V> {
         let p = q * q;
         // Work accounting: owner computation + bucketing per triple.
         pcomm::work::record_class(triples.len() as u64, pcomm::work::CostClass::TripleShuffle);
-        let mut parts: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-        for (r, c, v) in triples {
+        let owner =
+            |r: u64, c: u64| grid.rank_of(block_owner(nrows, q, r), block_owner(ncols, q, c));
+        let mut counts = vec![0usize; p];
+        for &(r, c, _) in &triples {
             assert!(
                 r < nrows && c < ncols,
                 "triple ({r},{c}) outside {nrows}×{ncols}"
             );
-            let owner = grid.rank_of(block_owner(nrows, q, r), block_owner(ncols, q, c));
-            parts[owner].push((r, c, v));
+            counts[owner(r, c)] += 1;
+        }
+        let mut parts: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
+        match counts.iter().position(|&k| k == triples.len()) {
+            Some(only) => parts[only] = triples,
+            None => {
+                for (part, &k) in parts.iter_mut().zip(&counts) {
+                    part.reserve_exact(k);
+                }
+                for (r, c, v) in triples {
+                    parts[owner(r, c)].push((r, c, v));
+                }
+            }
         }
         let received = grid.world().alltoallv(parts);
+        let heap: usize = received.iter().map(obs::alloc::HeapSize::heap_bytes).sum();
+        obs::alloc::watermark("mem.watermark.sparse.build", heap as u64);
         let (r0, _r1) = block_range(nrows, q, grid.myrow());
         let (c0, _c1) = block_range(ncols, q, grid.mycol());
-        let local_triples: Vec<(u32, u64, V)> = received
-            .into_iter()
-            .flatten()
-            .map(|(r, c, v)| ((r - r0) as u32, c - c0, v))
-            .collect();
-        obs::alloc::probe("mem.watermark.sparse.triples", &local_triples);
-        let local = Dcsc::from_triples(
+        let (nrows_l, ncols_l) = (
             Self::local_rows(nrows, q, grid.myrow()),
             Self::local_cols(ncols, q, grid.mycol()),
-            local_triples,
-            add,
         );
+        let keys = || {
+            received
+                .iter()
+                .flatten()
+                .map(|&(r, c, _)| ((r - r0) as u32, c - c0))
+        };
+        let plan = RadixPlan::new(nrows_l, ncols_l, keys);
+        let items = received
+            .into_iter()
+            .flatten()
+            .map(|(r, c, v)| ((r - r0) as u32, c - c0, v));
+        let local = Arc::new(Dcsc::from_plan(nrows_l, ncols_l, plan, items, add));
         DistMat {
             grid,
             nrows,
@@ -106,10 +145,10 @@ impl<V: Payload + Clone> DistMat<V> {
     /// An empty distributed matrix. Collective only in the trivial sense
     /// (no communication).
     pub fn empty(grid: Rc<Grid>, nrows: u64, ncols: u64) -> Self {
-        let local = Dcsc::empty(
+        let local = Arc::new(Dcsc::empty(
             Self::local_rows(nrows, grid.q(), grid.myrow()),
             Self::local_cols(ncols, grid.q(), grid.mycol()),
-        );
+        ));
         DistMat {
             grid,
             nrows,
@@ -176,23 +215,25 @@ impl<V: Payload + Clone> DistMat<V> {
             .map(move |(r, c, v)| (r0 + r as u64, c0 + c, v))
     }
 
-    /// Keep entries where `keep(global_row, global_col, &v)`. Local.
+    /// Keep entries where `keep(global_row, global_col, &v)`. Local; copies
+    /// the block only if a SUMMA panel still shares it.
     pub fn retain(&mut self, keep: impl Fn(u64, u64, &V) -> bool) {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
-        self.local.retain(|r, c, v| keep(r0 + r as u64, c0 + c, v));
+        Arc::make_mut(&mut self.local).retain(|r, c, v| keep(r0 + r as u64, c0 + c, v));
     }
 
-    /// Map values, keeping structure. Local.
-    pub fn map<W: Payload + Clone>(self, f: impl Fn(u64, u64, V) -> W) -> DistMat<W> {
+    /// Map values, keeping structure. Local; copies the block only if a
+    /// SUMMA panel still shares it.
+    pub fn map<W: Payload + Clone + Sync>(self, f: impl Fn(u64, u64, V) -> W) -> DistMat<W> {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
-        let local = self.local.map(|r, c, v| f(r0 + r as u64, c0 + c, v));
+        let local = Arc::unwrap_or_clone(self.local).map(|r, c, v| f(r0 + r as u64, c0 + c, v));
         DistMat {
             grid: self.grid,
             nrows: self.nrows,
             ncols: self.ncols,
-            local,
+            local: Arc::new(local),
         }
     }
 
@@ -204,26 +245,18 @@ impl<V: Payload + Clone> DistMat<V> {
     /// because the block boundaries are unchanged, every surviving entry
     /// reaches the same SUMMA stage, in the same fold order, as in the
     /// unrestricted product — which is what makes batched edge sets
-    /// bit-identical to monolithic ones.
+    /// bit-identical to monolithic ones. The surviving columns are one
+    /// contiguous slice of the block.
     pub fn restrict_cols(&self, range: (u64, u64)) -> DistMat<V> {
         let (c0, _) = self.col_range();
-        let triples: Vec<(u32, u64, V)> = self
+        let local = self
             .local
-            .iter()
-            .filter(|&(_, c, _)| {
-                let g = c0 + c;
-                g >= range.0 && g < range.1
-            })
-            .map(|(r, c, v)| (r, c, v.clone()))
-            .collect();
-        let local = Dcsc::from_triples(self.local.nrows(), self.local.ncols(), triples, |_, _| {
-            unreachable!("restriction cannot create duplicates")
-        });
+            .restrict_cols(range.0.saturating_sub(c0)..range.1.saturating_sub(c0));
         DistMat {
             grid: Rc::clone(&self.grid),
             nrows: self.nrows,
             ncols: self.ncols,
-            local,
+            local: Arc::new(local),
         }
     }
 
@@ -233,7 +266,8 @@ impl<V: Payload + Clone> DistMat<V> {
     /// multiplies the received pair locally and folds the partial triples.
     /// The broadcasts are double-buffered: stage `t+1`'s panels are posted
     /// nonblocking before stage `t` multiplies, so they travel while it
-    /// computes. Collective.
+    /// computes. A panel travels as an `Arc` of the owner's block, accounted
+    /// at the block's bytes: nobody copies it, at any grid size. Collective.
     ///
     /// Trace shape: every stage emits the same span skeleton —
     /// `summa.stage { summa.prefetch { pcomm.ibcast.post ×2 }, summa.bcast_a,
@@ -248,8 +282,8 @@ impl<V: Payload + Clone> DistMat<V> {
     ) -> DistMat<SR::C>
     where
         SR: Semiring<A = V>,
-        SR::B: Payload + Clone,
-        SR::C: Payload + Clone,
+        SR::B: Payload + Clone + Sync,
+        SR::C: Payload + Clone + Sync,
     {
         assert!(
             Rc::ptr_eq(&self.grid, &b.grid),
@@ -265,10 +299,10 @@ impl<V: Payload + Clone> DistMat<V> {
             if t < q {
                 let ha = grid
                     .row_comm()
-                    .ibcast(t, (grid.mycol() == t).then(|| self.local.clone()));
+                    .ibcast(t, (grid.mycol() == t).then(|| Arc::clone(&self.local)));
                 let hb = grid
                     .col_comm()
-                    .ibcast(t, (grid.myrow() == t).then(|| b.local.clone()));
+                    .ibcast(t, (grid.myrow() == t).then(|| Arc::clone(&b.local)));
                 Some((ha, hb))
             } else {
                 for _ in 0..2 {
@@ -313,46 +347,31 @@ impl<V: Payload + Clone> DistMat<V> {
             grid: Rc::clone(grid),
             nrows: self.nrows,
             ncols: b.ncols,
-            local,
+            local: Arc::new(local),
         }
     }
 
-    /// Distributed transpose: every rank swaps indices and trades its block
-    /// with its transpose partner. Collective.
+    /// Distributed transpose: every rank transposes its block locally
+    /// ([`Dcsc::transpose`]) and trades it, as DCSC, with its transpose
+    /// partner — block `(r, c)` of `Aᵀ` is block `(c, r)` of `A`
+    /// transposed, in the same local indices. Collective.
     pub fn transpose(&self) -> DistMat<V> {
         let _span = obs::span!("sparse.transpose");
         let grid = &self.grid;
         let partner = grid.transpose_partner();
-        let me = grid.world().rank();
-        let mine: Vec<Triple<V>> = self
-            .iter_local()
-            .map(|(r, c, v)| (c, r, v.clone()))
-            .collect();
-        let swapped: Vec<Triple<V>> = if partner == me {
+        let mine = self.local.transpose();
+        let local = if partner == grid.world().rank() {
             mine
         } else {
             const TRANSPOSE_TAG: u64 = 0x7A;
             grid.world().isend(partner, TRANSPOSE_TAG, mine);
-            grid.world().recv::<Vec<Triple<V>>>(partner, TRANSPOSE_TAG)
+            grid.world().recv::<Dcsc<V>>(partner, TRANSPOSE_TAG)
         };
-        let q = grid.q();
-        let (r0, _) = block_range(self.ncols, q, grid.myrow());
-        let (c0, _) = block_range(self.nrows, q, grid.mycol());
-        let local_triples: Vec<(u32, u64, V)> = swapped
-            .into_iter()
-            .map(|(r, c, v)| ((r - r0) as u32, c - c0, v))
-            .collect();
-        let local = Dcsc::from_triples(
-            Self::local_rows(self.ncols, q, grid.myrow()),
-            Self::local_cols(self.nrows, q, grid.mycol()),
-            local_triples,
-            |_, _| unreachable!("transpose cannot create duplicates"),
-        );
         DistMat {
             grid: Rc::clone(grid),
             nrows: self.ncols,
             ncols: self.nrows,
-            local,
+            local: Arc::new(local),
         }
     }
 
@@ -380,7 +399,7 @@ impl<V: Payload + Clone> DistMat<V> {
             grid: Rc::clone(&self.grid),
             nrows: self.nrows,
             ncols: self.ncols,
-            local,
+            local: Arc::new(local),
         }
     }
 

@@ -18,6 +18,7 @@ mod accum;
 mod dcsc;
 mod dist;
 mod local_spgemm;
+mod radix;
 mod semiring;
 mod triple;
 

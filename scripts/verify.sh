@@ -48,9 +48,12 @@ rm -rf "$monitor_tmp"
 # rerun on its complete checkpoint directory, which restores every batch,
 # and on a copy of that directory at another path.
 # (Post-kill states are built and resumed by `cargo test` in
-# crates/pastis/tests/ooc_resume.rs.)
+# crates/pastis/tests/ooc_resume.rs.) The memory ratchets run in release
+# too: the build-and-multiply peak per nnz(A) and the planner transient
+# per nnz(Aᵀ).
 PCHECK=1 cargo test -q --release -p pastis --test ooc_equivalence
 ALLOC_TRACK=1 cargo test -q --release -p pastis --test ooc_budget
+ALLOC_TRACK=1 cargo test -q --release -p pastis --test build_peak --test plan_transient
 ooc_tmp="$(mktemp -d)"
 cargo run --release -q -p pastis-bench --bin mkfasta -- "$ooc_tmp/ooc.fasta" 0.05 9
 cargo run --release -q -p pastis --bin pastis -- \
