@@ -9,14 +9,14 @@
 //! ([`AlignScratch`]) and a work-stealing multi-threaded batch driver
 //! ([`align_batch`]).
 //!
-//! Smith–Waterman has one engine: [`prefiltered_align_outcome`] runs the
-//! bitpacked gate, then the lane-parallel striped score pass, then the
-//! striped traceback ([`striped_align`] is the last two without the gate).
+//! Smith–Waterman has one engine: the lane-parallel striped score pass,
+//! then the striped traceback ([`striped_align`];
+//! [`prefiltered_align_outcome`] stops after the score pass when the score
+//! misses a threshold).
 //! [`smith_waterman`] is the scalar full-matrix DP every striped result is
 //! tested against, bit for bit.
 
 mod batch;
-mod bitpack;
 mod dispatch;
 mod matrix;
 mod scratch;
@@ -27,9 +27,6 @@ mod ungapped;
 mod xdrop;
 
 pub use batch::align_batch;
-pub use bitpack::{
-    bitpack_bound, bitpack_bound_with, bitpack_gate, bitpack_gate_with, GateVerdict,
-};
 pub use dispatch::{level as simd_level, SimdLevel};
 pub use matrix::{ScoringMatrix, BLOSUM62};
 pub use scratch::{with_scratch, AlignScratch};
@@ -66,15 +63,15 @@ impl Default for AlignParams {
     }
 }
 
-/// Which tier of the prefilter cascade decided a pair's fate. The cascade
-/// is sound at every tier: a culled pair's exact score is provably below
-/// `min_score`, so the verdicts (and the surviving stats) are bit-identical
-/// to running the exact engine on every pair — the tiers only change how
-/// fast a "no" is reached.
+/// Whether a pair reached `min_score`, and its stats if it did. A culled
+/// pair's exact score is below `min_score`, so the verdicts (and the
+/// surviving stats) are bit-identical to running [`smith_waterman`] on
+/// every pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PrefilterOutcome {
-    /// The bitpacked gate's score upper bound already misses `min_score`;
-    /// no exact DP ran at all.
+    /// Never returned. Kept because the frozen benchmark harness matches
+    /// on it (DESIGN.md §16); it named a gate tier that Smith–Waterman no
+    /// longer has.
     CulledBitpack,
     /// The striped score-only pass came in below `min_score`.
     CulledScore,
@@ -85,13 +82,10 @@ pub enum PrefilterOutcome {
 
 /// Score-gated local alignment: run the traceback only when the optimal
 /// score reaches `min_score` (the MMseqs2-style prefilter-then-align
-/// staging), reporting *which* cascade tier decided the pair (the pipeline
-/// surfaces these as the `prefilter.*` counter family). Culls cascade
-/// through two tiers: the Myers-bitpacked gate ([`bitpack_gate`]) rejects
-/// pairs whose score *upper bound* provably misses `min_score` without
-/// running any exact DP, and survivors fall through to the O(m)-memory
-/// striped score pass. Only pairs that reach `min_score` pay for the
-/// traceback, and their stats are bit-identical to [`smith_waterman`].
+/// staging). The O(m)-memory striped score pass decides; only pairs that
+/// reach `min_score` pay for the traceback, and their stats are
+/// bit-identical to [`smith_waterman`]. The pipeline surfaces the two
+/// outcomes as the `prefilter.*` counter family.
 pub fn prefiltered_align_outcome(
     r: &[u8],
     c: &[u8],
@@ -100,10 +94,6 @@ pub fn prefiltered_align_outcome(
 ) -> PrefilterOutcome {
     obs::hist!("align.dp_cells", r.len() * c.len());
     with_scratch(|scratch| {
-        if bitpack_gate_with(r, c, params, min_score, scratch) == GateVerdict::Culled {
-            obs::counter!("prefilter.bitpack_culled", 1);
-            return PrefilterOutcome::CulledBitpack;
-        }
         let (score, end) = striped_score_with(r, c, params, scratch);
         if score < min_score {
             obs::counter!("prefilter.striped_culled", 1);

@@ -12,8 +12,6 @@
 
 use std::cell::RefCell;
 
-use crate::bitpack::{BitpackScratch, MatrixBound};
-use crate::matrix::ScoringMatrix;
 use crate::striped::{L16, L16W, L32, L32W};
 
 /// Buffers for one in-flight banded x-drop extension.
@@ -74,11 +72,6 @@ pub struct AlignScratch {
     // AVX2 wide lanes.
     pub(crate) avx16: StripedBufs<i16, L16W>,
     pub(crate) avx32: StripedBufs<i32, L32W>,
-    /// Bitpacked prefilter gate state (match vectors + DP words).
-    pub(crate) bp: BitpackScratch,
-    /// Cached scoring-matrix decomposition backing the gate bound, keyed
-    /// by matrix address ('static matrices, so addresses are stable).
-    pub(crate) mb_cache: Option<(usize, MatrixBound)>,
     // X-drop extension state.
     pub(crate) xd: XdropScratch,
     /// Reversed prefixes for the leftward x-drop extension and the striped
@@ -105,7 +98,6 @@ impl obs::HeapSize for AlignScratch {
     fn heap_bytes(&self) -> usize {
         let i32s = |v: &Vec<i32>| v.capacity() * 4;
         let xd = &self.xd;
-        let bp = &self.bp;
         i32s(&self.h_prev)
             + i32s(&self.h_curr)
             + i32s(&self.f_row)
@@ -121,9 +113,6 @@ impl obs::HeapSize for AlignScratch {
             + i32s(&xd.spare_f)
             + xd.dir_flat.capacity()
             + xd.dir_rows.capacity() * std::mem::size_of::<(usize, usize, usize)>()
-            + bp.key.as_ref().map_or(0, |(k, _)| k.capacity())
-            + (bp.m_rel.capacity() + bp.m_id.capacity() + bp.v_rel.capacity() + bp.v_id.capacity())
-                * 8
             + self.rev_a.capacity()
             + self.rev_b.capacity()
     }
@@ -132,16 +121,6 @@ impl obs::HeapSize for AlignScratch {
 impl AlignScratch {
     pub fn new() -> Self {
         AlignScratch::default()
-    }
-
-    /// The gate's decomposition of `matrix` (see [`MatrixBound`]), computed
-    /// on first use and cached by matrix address.
-    pub(crate) fn matrix_bound(&mut self, matrix: &'static ScoringMatrix) -> &MatrixBound {
-        let addr = matrix as *const ScoringMatrix as usize;
-        if !matches!(&self.mb_cache, Some((a, _)) if *a == addr) {
-            self.mb_cache = Some((addr, MatrixBound::new(matrix)));
-        }
-        &self.mb_cache.as_ref().unwrap().1
     }
 }
 

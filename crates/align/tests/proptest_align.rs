@@ -1,11 +1,12 @@
 //! Property-based tests of the alignment kernels: score bounds, symmetry,
 //! statistics consistency, the SW ≥ XD dominance relation,
-//! striped-engine ↔ scalar-engine bit-identity, and prefilter-cascade
-//! soundness (a culled pair is provably below the threshold).
+//! striped-engine ↔ scalar-engine bit-identity, and the score prefilter's
+//! two-outcome contract (culled iff the exact score is below the
+//! threshold).
 
 use align::{
-    bitpack_bound, prefiltered_align_outcome, smith_waterman, striped_align, striped_score,
-    ungapped_xdrop, xdrop_align, AlignParams, PrefilterOutcome,
+    prefiltered_align_outcome, smith_waterman, striped_align, striped_score, ungapped_xdrop,
+    xdrop_align, AlignParams, PrefilterOutcome,
 };
 use proptest::prelude::*;
 
@@ -131,28 +132,13 @@ proptest! {
     }
 
     #[test]
-    fn bitpack_bound_dominates_exact_score(
-        a in proptest::collection::vec(0u8..24, 0..150),
-        b in proptest::collection::vec(0u8..24, 0..150),
-        open in 0i32..14,
-        ext in 0i32..4,
-    ) {
-        // The gate's upper bound must dominate the exact score under any
-        // non-negative gap costs (it ignores gaps entirely).
-        let p = AlignParams { gap_open: open, gap_extend: ext, ..Default::default() };
-        let exact = smith_waterman(&a, &b, &p).score;
-        let bound = bitpack_bound(&a, &b, &p);
-        prop_assert!(bound >= exact, "bound {} < exact {}", bound, exact);
-    }
-
-    #[test]
     fn cascade_cull_is_sound(
         a in proptest::collection::vec(0u8..24, 0..120),
         b in proptest::collection::vec(0u8..24, 0..120),
         min_score in 1i32..900,
     ) {
-        // Whatever tier culls a pair, the exact score must really miss the
-        // threshold; whatever passes must match the exact stats.
+        // Two outcomes only: `CulledScore` iff the exact score misses the
+        // threshold, otherwise `Passed` with the exact stats.
         let p = AlignParams::default();
         let full = smith_waterman(&a, &b, &p);
         match prefiltered_align_outcome(&a, &b, &p, min_score) {
@@ -160,10 +146,11 @@ proptest! {
                 prop_assert!(full.score >= min_score);
                 prop_assert_eq!(st, full);
             }
-            PrefilterOutcome::CulledBitpack | PrefilterOutcome::CulledScore => {
+            PrefilterOutcome::CulledScore => {
                 prop_assert!(full.score < min_score,
                     "culled pair scores {} >= {}", full.score, min_score);
             }
+            PrefilterOutcome::CulledBitpack => prop_assert!(false, "CulledBitpack is never returned"),
         }
     }
 
@@ -181,9 +168,9 @@ proptest! {
     }
 }
 
-/// Cascade soundness across 16 fixed seeds: every culled pair's exact
-/// scalar score really misses the threshold, and every passing pair's
-/// stats are bit-identical to the scalar engine's.
+/// The two-outcome contract across 16 fixed seeds: a pair is
+/// `CulledScore` iff its exact scalar score misses the threshold, and
+/// every passing pair's stats are bit-identical to the scalar engine's.
 #[test]
 fn cascade_sound_across_16_seeds() {
     use rand::prelude::*;
@@ -202,20 +189,23 @@ fn cascade_sound_across_16_seeds() {
                     assert!(full.score >= min_score, "seed {seed}");
                     assert_eq!(st, full, "seed {seed}");
                 }
-                _ => assert!(
+                PrefilterOutcome::CulledScore => assert!(
                     full.score < min_score,
                     "seed {seed}: culled pair scores {} >= {min_score}",
                     full.score
                 ),
+                PrefilterOutcome::CulledBitpack => {
+                    panic!("seed {seed}: CulledBitpack is never returned")
+                }
             }
         }
     }
 }
 
 /// i16-saturation edge cases: max-length all-identical-residue pairs push
-/// the exact score (and the gate's partial bounds) far past `i16::MAX`,
-/// forcing the striped engine's i32 fallback while the gate must still
-/// neither wrongly cull nor wrongly pass around the exact boundary.
+/// the exact score far past `i16::MAX`, forcing the striped engine's i32
+/// fallback, which must still neither wrongly cull nor wrongly pass
+/// around the exact boundary.
 #[test]
 fn cascade_sound_under_i16_saturation() {
     let p = AlignParams::default();
@@ -229,13 +219,11 @@ fn cascade_sound_under_i16_saturation() {
         }
         other => panic!("saturating self-pair wrongly culled: {other:?}"),
     }
-    // Just past the bound: must cull (bound = (t_max + d_extra)·len).
-    let bound = bitpack_bound(&trp, &trp, &p);
-    assert!(bound >= exact);
-    assert!(matches!(
-        prefiltered_align_outcome(&trp, &trp, &p, bound + 1),
-        PrefilterOutcome::CulledBitpack
-    ));
+    // One past the exact score: must cull.
+    assert_eq!(
+        prefiltered_align_outcome(&trp, &trp, &p, exact + 1),
+        PrefilterOutcome::CulledScore
+    );
     // Identical long mixed-residue pair (max-length case): passes at its
     // exact score, stats bit-identical to scalar.
     let mixed: Vec<u8> = (0..6000).map(|i| (i % 20) as u8).collect();

@@ -15,12 +15,9 @@
 //!   `xdrop_vs_scalar` divides that by the scalar engine's cells/s on the
 //!   same pairs: what one banded cell costs relative to one full-DP cell.
 //!
-//! A `cascade` section measures the prefilter-cascade tiers on workloads
-//! built to exercise them:
+//! A `cascade` section measures the Smith–Waterman engine's passes on
+//! workloads built to exercise them:
 //!
-//! - `bitpack_gate`: effective cull throughput (DP cells *avoided* per
-//!   second) of the Myers-bitpacked gate on short unrelated pairs at a
-//!   threshold every pair's upper bound provably misses
 //! - `striped_avx2`: the striped score pass pinned to the AVX2 lanes vs
 //!   pinned to the SLP lanes (only meaningful where AVX2 is detected)
 //! - `traceback_span`: full traceback on long pairs sharing only a short
@@ -37,8 +34,8 @@ use obs::{JsonValue, Stopwatch};
 use std::fmt::Write as _;
 
 use align::{
-    bitpack_bound, bitpack_gate, simd_level, smith_waterman, striped_align, striped_score,
-    striped_score_at_level, xdrop_align, AlignParams, GateVerdict, SimdLevel,
+    simd_level, smith_waterman, striped_align, striped_score, striped_score_at_level, xdrop_align,
+    AlignParams, SimdLevel,
 };
 use datagen::random_protein;
 use rand::prelude::*;
@@ -144,11 +141,6 @@ const CHECKS: &[(&[&str], Kind)] = &[
     (
         &["cascade", "traceback_span", "cells_per_sec"],
         Kind::Ratio(0.20),
-    ),
-    // Bitpacked cull throughput against the striped score pass: 4–5×.
-    (
-        &["cascade", "bitpack_gate", "vs_striped_score"],
-        Kind::Floor(2.5),
     ),
     // X-drop per computed cell against scalar SW per full-DP cell: two
     // scalar kernels, so host-independent. 0.4 before the three-phase
@@ -356,54 +348,9 @@ fn main() {
         xdrop / scalar
     );
 
-    // ---- prefilter cascade tiers ----
+    // ---- cascade: the engine's passes ----
     let n = |base: usize| ((base as f64 * scale).round() as usize).max(2);
     let mut rng = StdRng::seed_from_u64(4040);
-
-    // bitpack_gate: unrelated pairs at a threshold just above the loosest
-    // pair's upper bound, so the gate culls every pair the expensive way
-    // (the O(min(m,n)) length pre-bound must NOT fire — assert it can't —
-    // leaving the bit-parallel block loop to do the culling).
-    let gate_pairs: Vec<_> = (0..n(80)).map(|_| pair(&mut rng, 300, 1.0)).collect();
-    let max_bound = gate_pairs
-        .iter()
-        .map(|(a, b)| bitpack_bound(a, b, &p))
-        .max()
-        .expect("non-empty family");
-    let gate_min_score = max_bound + 1;
-    let len_bound = 11 * 300; // (t_max + d_extra) · min(m, n) for BLOSUM62
-    assert!(
-        gate_min_score < len_bound,
-        "gate threshold {gate_min_score} would trip the length pre-bound {len_bound}"
-    );
-    let gate_cells: u64 = gate_pairs
-        .iter()
-        .map(|(a, b)| (a.len() * b.len()) as u64)
-        .sum();
-    for (a, b) in &gate_pairs {
-        assert!(
-            matches!(bitpack_gate(a, b, &p, gate_min_score), GateVerdict::Culled),
-            "gate must cull every pair of this family"
-        );
-    }
-    let t_gate = time_best(reps, || {
-        gate_pairs
-            .iter()
-            .filter(|(a, b)| matches!(bitpack_gate(a, b, &p, gate_min_score), GateVerdict::Culled))
-            .count()
-    });
-    let t_gate_score = time_best(reps, || {
-        gate_pairs
-            .iter()
-            .map(|(a, b)| striped_score(a, b, &p).0 as i64)
-            .sum::<i64>()
-    });
-    let gate_cups = gate_cells as f64 / t_gate;
-    let gate_vs_score = t_gate_score / t_gate;
-    println!(
-        "\nbitpack_gate: {} culled pairs, {gate_cups:.3e} cells/s avoided ({gate_vs_score:.2}x striped_score)",
-        gate_pairs.len()
-    );
 
     // striped_avx2: the score pass pinned to each lane width. The ratio is
     // only emitted where AVX2 is actually detected (on other hosts both
@@ -513,11 +460,7 @@ fn main() {
         score / scalar,
         xdrop / scalar
     );
-    let _ = writeln!(
-        json,
-        "  \"cascade\": {{\n    \"bitpack_gate\": {{\"pairs\": {}, \"cells\": {gate_cells}, \"min_score\": {gate_min_score}, \"cells_per_sec\": {gate_cups:.1}, \"vs_striped_score\": {gate_vs_score:.3}}},",
-        gate_pairs.len()
-    );
+    json.push_str("  \"cascade\": {\n");
     let vs_slp = if avx2_detected {
         format!(", \"vs_slp\": {:.3}", avx2_cups / slp_cups)
     } else {
@@ -576,8 +519,7 @@ mod tests {
         let vs_slp = vs_slp.map_or(String::new(), |v| format!(",\"vs_slp\":{v}"));
         JsonValue::parse(&format!(
             "{{\"aggregate\":{{\"scalar\":{scalar},\"striped\":{},\"striped_score\":{},\
-             \"xdrop_vs_scalar\":0.8}},\"cascade\":{{\"bitpack_gate\":{{\"vs_striped_score\":4.5}},\
-             \"striped_avx2\":{{\"slp\":1{vs_slp}}},\"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
+             \"xdrop_vs_scalar\":0.8}},\"cascade\":{{\"striped_avx2\":{{\"slp\":1{vs_slp}}},\"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
             scalar * 4.0,
             scalar * 5.0,
             scalar * 6.0

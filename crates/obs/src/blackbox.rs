@@ -6,10 +6,12 @@
 //! tens of nanoseconds per event; there is no off switch, so every
 //! benchmark number includes it). When a run
 //! aborts — deadlock watchdog, rank panic, finalize leak audit — the
-//! runtime calls [`dump_once`] and every registered ring is written to
-//! `blackbox-rank{r}.json`: the last N events, the allocation ledger's
+//! runtime calls [`dump_once`] with its world's rings and each is written
+//! to `blackbox-rank{r}.json`: the last N events, the allocation ledger's
 //! process-wide live and peak bytes, and the rank's last completed
-//! pipeline stage.
+//! pipeline stage. Rings of other worlds in the same process (a sibling
+//! test's, say) are not dumped: they would overwrite the aborting world's
+//! files of the same rank.
 //! "Rank 3 hung" becomes a readable straggler/progress report.
 //!
 //! The same ring is the live monitor's view of its rank: beside the
@@ -19,9 +21,9 @@
 //! [`RankRing`] handle samples them from another thread ([`RankSample`]).
 //!
 //! Rings are installed per thread ([`RankRing::install`], RAII like the
-//! span recorder) and double-registered in a process-global registry so a
-//! *different* thread — the one that detected the abort — can dump all of
-//! them. Recording locks only the thread's own ring; the lock is
+//! span recorder) and double-registered in a process-global registry
+//! ([`installed`]) so a process-level panic hook can dump every ring
+//! there is. Recording locks only the thread's own ring; the lock is
 //! uncontended except during a dump or a monitor sample.
 
 use std::cell::RefCell;
@@ -191,7 +193,7 @@ impl Ring {
 
 type Shared = Arc<Mutex<Ring>>;
 
-/// All live rings, readable by whichever thread detects an abort.
+/// All installed rings, for [`installed`].
 static REGISTRY: Mutex<Vec<Shared>> = Mutex::new(Vec::new());
 
 thread_local! {
@@ -256,13 +258,8 @@ pub struct BlackboxGuard {
     ring: Shared,
 }
 
-/// Install a fresh flight-recorder ring for `rank` on this thread with
-/// [`DEFAULT_RING_CAPACITY`].
-pub fn install(rank: usize) -> BlackboxGuard {
-    RankRing::new(rank).install()
-}
-
-/// [`install`] with an explicit ring capacity.
+/// Install a fresh flight-recorder ring for `rank` on this thread,
+/// retaining `cap` events.
 pub fn install_with_capacity(rank: usize, cap: usize) -> BlackboxGuard {
     RankRing::with_capacity(rank, cap).install()
 }
@@ -366,15 +363,27 @@ pub fn reset_dump_once() {
     DUMPED.store(false, Relaxed);
 }
 
-/// Dump every registered ring, once per process: the first abort path to
-/// get here wins and later calls are no-ops (secondary panics cascade
-/// behind a primary abort; one postmortem is the readable one). Returns
-/// the paths written, empty when already dumped or nothing is installed.
-pub fn dump_once(reason: &str) -> Vec<PathBuf> {
+/// Every ring currently installed on any thread of the process — what a
+/// process-level panic hook dumps, where no world's rings are at hand.
+pub fn installed() -> Vec<RankRing> {
+    REGISTRY
+        .lock()
+        .unwrap()
+        .iter()
+        .cloned()
+        .map(RankRing)
+        .collect()
+}
+
+/// Dump `rings`, once per process: the first abort path to get here wins
+/// and later calls are no-ops (secondary panics cascade behind a primary
+/// abort; one postmortem is the readable one). Returns the paths written,
+/// empty when already dumped or `rings` is empty.
+pub fn dump_once(rings: &[RankRing], reason: &str) -> Vec<PathBuf> {
     if DUMPED.swap(true, Relaxed) {
         return Vec::new();
     }
-    dump_all(reason)
+    dump_all(rings, reason)
 }
 
 /// The rank's most recently completed pipeline stage, read from the ring:
@@ -436,17 +445,16 @@ fn rank_doc(rank: usize, events: &[BbEvent], dropped: u64, reason: &str) -> Json
     ])
 }
 
-/// Dump every registered ring unconditionally (prefer [`dump_once`] from
-/// abort paths). One `blackbox-rank{r}.json` per ring; a write failure
-/// skips that ring (the process is aborting — best effort).
-fn dump_all(reason: &str) -> Vec<PathBuf> {
-    let rings: Vec<Shared> = REGISTRY.lock().unwrap().clone();
+/// Dump `rings` unconditionally (prefer [`dump_once`] from abort paths).
+/// One `blackbox-rank{r}.json` per ring; a write failure skips that ring
+/// (the process is aborting — best effort).
+fn dump_all(rings: &[RankRing], reason: &str) -> Vec<PathBuf> {
     // The directory was created at world launch ([`ensure_dump_dir`]);
     // creating it here, per dump call, raced when several ranks aborted
     // at once.
     let dir = dump_dir();
     let mut written = Vec::new();
-    for ring in rings {
+    for RankRing(ring) in rings {
         let (rank, events, dropped) = {
             let r = ring.lock().unwrap();
             (r.rank, r.snapshot(), r.dropped)
@@ -503,7 +511,7 @@ mod tests {
 
     #[test]
     fn stacked_rings_innermost_wins() {
-        let outer = install(0);
+        let outer = RankRing::new(0).install();
         let inner = install_with_capacity(0, 8);
         record(BbKind::Mark, "inner_only", 0, 0);
         let got = inner.finish();
@@ -571,7 +579,7 @@ mod tests {
 
     #[test]
     fn last_stage_skips_run_root_and_opens() {
-        let g = install(3);
+        let g = RankRing::new(3).install();
         record(BbKind::SpanOpen, "pastis.run", 0, 0);
         record(BbKind::SpanOpen, "pastis.fasta", 1, 0);
         record(BbKind::SpanClose, "pastis.fasta", 1, 0);
@@ -612,16 +620,16 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bbtest-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         set_dump_dir(&dir);
-        let g = install(5);
+        let ring = RankRing::new(5);
+        let g = ring.install();
         record(BbKind::SpanOpen, "pastis.run", 0, 0);
         record(BbKind::SpanOpen, "pastis.fasta", 1, 0);
         record(BbKind::SpanClose, "pastis.fasta", 1, 0);
-        let paths = dump_all("test abort");
+        let paths = dump_all(&[ring], "test abort");
         drop(g);
-        let mine = paths
-            .iter()
-            .find(|p| p.ends_with("blackbox-rank5.json"))
-            .expect("rank 5 dump written");
+        assert_eq!(paths.len(), 1, "only the given ring is dumped");
+        let mine = &paths[0];
+        assert!(mine.ends_with("blackbox-rank5.json"));
         let text = std::fs::read_to_string(mine).unwrap();
         let doc = JsonValue::parse(&text).expect("dump parses");
         assert_eq!(doc.get("schema").and_then(|v| v.as_str()), Some("blackbox"));

@@ -14,8 +14,9 @@
 //! into a matched kind span would count that traffic twice (once as
 //! `allreduce`, once as `bcast`).
 //!
-//! Stages may overlap: the streamed pipeline runs its alignment chunks
-//! *inside* the SUMMA stage span. Attribution is therefore **exclusive**
+//! Stages may overlap: on the exact path the batch loop aligns each
+//! column batch (an `align.overlap` span) *inside* the `pastis.spgemm_b`
+//! stage span. Attribution is therefore **exclusive**
 //! — when one stage span nests inside another, its duration, work, and
 //! counters are subtracted from the enclosing stage and counted only for
 //! the inner one, so the dissection still sums to the run total.

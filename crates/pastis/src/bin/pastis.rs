@@ -298,7 +298,7 @@ fn main() {
     // panics on the main thread, before or after the world runs.
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        obs::blackbox::dump_once(&format!("panic: {info}"));
+        obs::blackbox::dump_once(&obs::blackbox::installed(), &format!("panic: {info}"));
         default_hook(info);
     }));
     let fasta = match std::fs::read(&cli.input) {
@@ -414,24 +414,17 @@ fn main() {
         if !metric_rows.is_empty() {
             eprintln!("{}", obs::imbalance::render_metric_skew(&metric_rows));
         }
-        // Prefilter cascade tier outcomes, merged across ranks: how many
-        // pairs each tier absorbed (the bitpacked gate is ~20× cheaper per
-        // cell than the striped score pass, so its cull share is the win).
+        // Prefilter outcomes, merged across ranks: how many pairs the
+        // striped score pass culled and how many went on to the traceback.
         let metrics = obs::MetricsSnapshot::merged(
             &traces.iter().map(|t| t.metrics.clone()).collect::<Vec<_>>(),
         );
         let tier = |k: &str| metrics.counters.get(k).copied().unwrap_or(0);
-        let (bp, sc, ok) = (
-            tier("prefilter.bitpack_culled"),
-            tier("prefilter.striped_culled"),
-            tier("prefilter.passed"),
-        );
-        if bp + sc + ok > 0 {
-            let total = (bp + sc + ok) as f64;
+        let (sc, ok) = (tier("prefilter.striped_culled"), tier("prefilter.passed"));
+        if sc + ok > 0 {
+            let total = (sc + ok) as f64;
             eprintln!(
-                "pastis: prefilter cascade: {bp} bitpack-culled ({:.1}%), \
-                 {sc} score-culled ({:.1}%), {ok} passed ({:.1}%)",
-                100.0 * bp as f64 / total,
+                "pastis: prefilter: {sc} score-culled ({:.1}%), {ok} passed ({:.1}%)",
                 100.0 * sc as f64 / total,
                 100.0 * ok as f64 / total,
             );

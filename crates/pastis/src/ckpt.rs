@@ -33,7 +33,7 @@ use crate::params::PastisParams;
 /// Manifest schema version; bump on any layout change. A manifest with a
 /// different version is ignored (the run restarts from scratch) rather
 /// than misread.
-pub const CKPT_SCHEMA_VERSION: u64 = 2;
+pub const CKPT_SCHEMA_VERSION: u64 = 3;
 
 /// One rank's shard of one completed batch, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,11 +87,9 @@ pub struct CounterDelta {
     pub candidates: u64,
     /// Alignments this rank ran in the batch.
     pub alignments: u64,
-    /// Bitpacked-gate culls in the batch.
-    pub bitpack_culled: u64,
-    /// Exact-score-tier culls in the batch.
+    /// Score-pass culls in the batch.
     pub striped_culled: u64,
-    /// Pairs that survived the prefilter cascade in the batch.
+    /// Pairs that reached `min_score` in the batch.
     pub passed: u64,
     /// Nonzeros of `B` this rank drained in the batch.
     pub nnz_b: u64,
@@ -102,7 +100,6 @@ impl CounterDelta {
     pub(crate) fn add(&mut self, d: &CounterDelta) {
         self.candidates += d.candidates;
         self.alignments += d.alignments;
-        self.bitpack_culled += d.bitpack_culled;
         self.striped_culled += d.striped_culled;
         self.passed += d.passed;
         self.nnz_b += d.nnz_b;
@@ -205,8 +202,8 @@ fn write_shard(
     let d = delta;
     let _ = writeln!(
         text,
-        "#counters cand={} aln={} bp={} sc={} passed={} nnzb={}",
-        d.candidates, d.alignments, d.bitpack_culled, d.striped_culled, d.passed, d.nnz_b
+        "#counters cand={} aln={} sc={} passed={} nnzb={}",
+        d.candidates, d.alignments, d.striped_culled, d.passed, d.nnz_b
     );
     for &(lo, hi, w) in edges {
         let _ = writeln!(text, "{lo}\t{hi}\t{:016x}", w.to_bits());
@@ -278,7 +275,6 @@ fn parse_counters(line: &str) -> Option<CounterDelta> {
     Some(CounterDelta {
         candidates: *vals.get("cand")?,
         alignments: *vals.get("aln")?,
-        bitpack_culled: *vals.get("bp")?,
         striped_culled: *vals.get("sc")?,
         passed: *vals.get("passed")?,
         nnz_b: *vals.get("nnzb")?,
@@ -479,7 +475,6 @@ mod tests {
         let delta = CounterDelta {
             candidates: 5,
             alignments: 3,
-            bitpack_culled: 1,
             striped_culled: 1,
             passed: 1,
             nnz_b: 12,

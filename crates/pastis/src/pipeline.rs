@@ -283,17 +283,13 @@ pub struct Counters {
     pub candidates_local: u64,
     /// Alignments this rank performed (after the CK threshold).
     pub alignments_local: u64,
-    /// Pairs the bitpacked gate tier culled on this rank — the score
-    /// *upper bound* already missed `min_score`, so no exact DP ran
-    /// (Smith–Waterman mode only; x-drop has no prefilter).
-    pub prefilter_bitpack_culled_local: u64,
-    /// Pairs the striped score-only pass culled on this rank after the
-    /// gate passed them.
+    /// Pairs the striped score-only pass culled on this rank: the score
+    /// missed `min_score` (Smith–Waterman mode only; x-drop has no
+    /// prefilter).
     pub prefilter_striped_culled_local: u64,
-    /// Pairs that survived the whole prefilter cascade on this rank.
+    /// Pairs that reached `min_score` on this rank.
     pub prefilter_passed_local: u64,
-    /// Cascade tier totals across ranks.
-    pub prefilter_bitpack_culled_global: u64,
+    /// Prefilter totals across ranks.
     pub prefilter_striped_culled_global: u64,
     pub prefilter_passed_global: u64,
     /// Total alignments across ranks.
@@ -464,14 +460,12 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
 
         counters.candidates_local = local.candidates;
         counters.alignments_local = local.alignments;
-        counters.prefilter_bitpack_culled_local = local.bitpack_culled;
         counters.prefilter_striped_culled_local = local.striped_culled;
         counters.prefilter_passed_local = local.passed;
         let sums = comm.allreduce(
             vec![
                 local.nnz_b,
                 local.alignments,
-                local.bitpack_culled,
                 local.striped_culled,
                 local.passed,
                 edges.len() as u64,
@@ -480,10 +474,9 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         );
         counters.nnz_b = sums[0];
         counters.alignments_global = sums[1];
-        counters.prefilter_bitpack_culled_global = sums[2];
-        counters.prefilter_striped_culled_global = sums[3];
-        counters.prefilter_passed_global = sums[4];
-        counters.edges_global = sums[5];
+        counters.prefilter_striped_culled_global = sums[2];
+        counters.prefilter_passed_global = sums[3];
+        counters.edges_global = sums[4];
         obs::gauge!("pastis.nnz_b", counters.nnz_b);
         (edges, counters)
     };
@@ -598,6 +591,12 @@ fn align_pair(
     let r = &store.row_seq(gi).expect("row sequence prefetched").data;
     let c = &store.col_seq(gj).expect("col sequence prefetched").data;
     if params.mode == AlignMode::SmithWaterman {
+        // Operands in global-id order, so the stats are a function of the
+        // pair and not of which block owns it: the traceback's tie-breaks
+        // are not symmetric, and a below-diagonal block holds its pairs
+        // as `gi > gj` (DESIGN.md §7). At p = 1 every owned pair has
+        // `gi < gj`, so this is the identity there.
+        let (r, c) = if gi < gj { (r, c) } else { (c, r) };
         return Some(prefiltered_align_outcome(r, c, ap, params.min_score));
     }
     // X-drop: extend from each stored seed, keeping the best score (paper
@@ -681,14 +680,6 @@ fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterD
             // Scaling runs: candidate pairs weighted by shared k-mers.
             _ if params.mode == AlignMode::None => Some(pair.count as f64),
             None => None,
-            Some(PrefilterOutcome::CulledBitpack) => {
-                tally.bitpack_culled += 1;
-                None
-            }
-            Some(PrefilterOutcome::CulledScore) => {
-                tally.striped_culled += 1;
-                None
-            }
             Some(PrefilterOutcome::Passed(st)) => {
                 tally.passed += 1;
                 match params.measure {
@@ -700,6 +691,11 @@ fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterD
                         (st.score > 0).then(|| st.normalized_score())
                     }
                 }
+            }
+            // `CulledScore` (`CulledBitpack` is never returned).
+            Some(_) => {
+                tally.striped_culled += 1;
+                None
             }
         };
         if let Some(w) = weight {

@@ -9,6 +9,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use obs::blackbox::RankRing;
 use pcheck::{CheckShared, CollKind, CollRecord, Perturb, WaitInfo};
 
 /// Token returned by [`RankCheck::enter`]; hand it back to
@@ -22,6 +23,8 @@ pub(crate) struct CollEntry {
 /// Per-rank checker state. Created only when the world runs in checked mode.
 pub(crate) struct RankCheck {
     pub(crate) shared: Arc<CheckShared>,
+    /// The world's flight-recorder rings, dumped on abort.
+    pub(crate) rings: Arc<[RankRing]>,
     rank: usize,
     /// Collective nesting depth: barrier is built from reduce + bcast, so
     /// only depth-0 entries are recorded in the conformance ledger.
@@ -39,9 +42,15 @@ pub(crate) struct RankCheck {
 }
 
 impl RankCheck {
-    pub(crate) fn new(shared: Arc<CheckShared>, rank: usize, perturb_seed: Option<u64>) -> Self {
+    pub(crate) fn new(
+        shared: Arc<CheckShared>,
+        rings: Arc<[RankRing]>,
+        rank: usize,
+        perturb_seed: Option<u64>,
+    ) -> Self {
         RankCheck {
             shared,
+            rings,
             rank,
             depth: Cell::new(0),
             cur_op: Cell::new(None),
@@ -82,7 +91,7 @@ impl RankCheck {
     /// here, so this is where the flight-recorder rings are dumped.
     pub(crate) fn abort(&self, report: String) -> ! {
         let msg = self.shared.abort_with(report);
-        crate::dump_blackbox(&msg);
+        crate::dump_blackbox(&self.rings, &msg);
         panic!("{msg}");
     }
 

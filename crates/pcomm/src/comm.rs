@@ -98,7 +98,7 @@ impl RankCtx {
         loop {
             if let Some(v) = check.shared.try_verdict() {
                 if let Err(msg) = v {
-                    crate::dump_blackbox(&msg);
+                    crate::dump_blackbox(&check.rings, &msg);
                     panic!("{msg}");
                 }
                 return;

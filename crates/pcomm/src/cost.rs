@@ -525,8 +525,8 @@ mod tests {
         );
         // The committed profile parses and re-serializes to its own
         // document: same keys, every number the same f64. (Compared as
-        // parsed JSON, not bytes: the file spells `bitpack_cell` as `0.2`,
-        // which the writer prints as `2.00000000000000011e-1`.)
+        // parsed JSON, not bytes: a hand-edited constant such as `0.2`
+        // is printed by the writer as `2.00000000000000011e-1`.)
         let path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../machine_profile.json");
         let committed = std::fs::read_to_string(&path).unwrap();

@@ -50,13 +50,13 @@ pub use world::{World, WorldBuilder};
 /// for collectives.
 pub const MAX_USER_TAG: u64 = 1 << 30;
 
-/// Dump every rank's flight-recorder ring (first abort path wins; see
+/// Dump the world's flight-recorder rings (first abort path wins; see
 /// [`obs::blackbox::dump_once`]) and tell the user where the postmortems
 /// landed. Called from every abort path of the runtime: the deadlock
 /// watchdog, conformance violations, rank panics, and the finalize leak
 /// audit.
-pub(crate) fn dump_blackbox(reason: &str) {
-    let paths = obs::blackbox::dump_once(reason);
+pub(crate) fn dump_blackbox(rings: &[obs::blackbox::RankRing], reason: &str) {
+    let paths = obs::blackbox::dump_once(rings, reason);
     if !paths.is_empty() {
         eprintln!("pcomm: black-box flight-recorder dumps written:");
         for p in &paths {

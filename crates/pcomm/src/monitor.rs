@@ -234,10 +234,11 @@ impl MonitorStop {
 }
 
 /// Spawn the heartbeat thread into the world's thread scope; it samples
-/// `rings`, one per rank of that world.
+/// `rings`, one per rank of that world, and records into the last one,
+/// its own.
 pub(crate) fn spawn_monitor<'scope, 'env>(
     scope: &'scope thread::Scope<'scope, 'env>,
-    rings: Vec<RankRing>,
+    rings: Arc<[RankRing]>,
     cfg: MonitorConfig,
 ) -> MonitorStop {
     let stop = Arc::new(AtomicBool::new(false));
@@ -253,10 +254,13 @@ pub(crate) fn spawn_monitor<'scope, 'env>(
 }
 
 fn monitor_loop(rings: &[RankRing], cfg: MonitorConfig, stop: Arc<AtomicBool>) {
+    // The monitor gets its own flight-recorder ring (past the rank ids)
+    // so postmortems show the gather cadence too.
+    let (own, rings) = rings
+        .split_last()
+        .expect("the world made the monitor a ring");
     let p = rings.len();
-    // The monitor gets its own flight-recorder ring (registered past the
-    // rank ids) so postmortems show the gather cadence too.
-    let _bb = obs::blackbox::install(p);
+    let _bb = own.install();
     let clock = obs::Stopwatch::start();
     let mut snapshots: Vec<JsonValue> = Vec::new();
     let mut dropped = 0u64;

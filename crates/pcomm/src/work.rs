@@ -38,9 +38,6 @@ pub enum CostClass {
     SwCell,
     /// One cell of the lane-parallel (striped) Smith–Waterman score pass.
     SwStripedCell,
-    /// One cell of the Myers-bitpacked prefilter gate (1 bit of DP state,
-    /// 64 cells per word).
-    BitpackCell,
     /// One live cell of the banded x-drop extension (extra bookkeeping
     /// over plain SW).
     XdropCell,
@@ -72,10 +69,9 @@ pub enum CostClass {
 
 /// Every cost class, in declaration order (the order of the override
 /// table and of machine-profile listings).
-pub const COST_CLASSES: [CostClass; 16] = [
+pub const COST_CLASSES: [CostClass; 15] = [
     CostClass::SwCell,
     CostClass::SwStripedCell,
-    CostClass::BitpackCell,
     CostClass::XdropCell,
     CostClass::UngappedStep,
     CostClass::SpgemmFlop,
@@ -103,7 +99,6 @@ impl CostClass {
         match self {
             CostClass::SwCell => "sw_cell",
             CostClass::SwStripedCell => "sw_striped_cell",
-            CostClass::BitpackCell => "bitpack_cell",
             CostClass::XdropCell => "xdrop_cell",
             CostClass::UngappedStep => "ungapped_step",
             CostClass::SpgemmFlop => "spgemm_flop",
@@ -131,9 +126,6 @@ impl CostClass {
         match self {
             CostClass::SwCell => 2_000,
             CostClass::SwStripedCell => 1_000,
-            // ~12 word ops per 64 cells: well under a nanosecond per
-            // 64-cell word, 0.2 ns/cell is the conservative default.
-            CostClass::BitpackCell => 200,
             CostClass::XdropCell => 3_000,
             CostClass::UngappedStep => 2_000,
             CostClass::SpgemmFlop => 6_000,

@@ -137,11 +137,14 @@ impl WorldBuilder {
         // panic/abort handlers where a per-rank `create_dir_all` race can
         // lose a dump to a sibling's concurrent mkdir failure.
         obs::blackbox::ensure_dump_dir();
-        // Flight recorder: one bounded event ring per rank, for the
-        // postmortem dumps written on abort (deadlock, panic, leak audit)
-        // and for this world's monitor. Created here so the monitor
-        // samples exactly these ranks, also after they finish.
-        let rings: Vec<RankRing> = (0..p).map(RankRing::new).collect();
+        // Flight recorder: one bounded event ring per rank — plus one for
+        // the monitor thread when armed, past the rank ids — for this
+        // world's postmortem dumps written on abort (deadlock, panic, leak
+        // audit) and for its monitor. Created here so the monitor samples
+        // exactly these ranks, also after they finish, and an abort dumps
+        // no other world's rings.
+        let n_rings = p + usize::from(self.monitor.is_some());
+        let rings: Arc<[RankRing]> = (0..n_rings).map(RankRing::new).collect();
 
         std::thread::scope(|scope| {
             // Heartbeat channel: when armed, one monitor thread samples the
@@ -151,10 +154,11 @@ impl WorldBuilder {
             let monitor = self
                 .monitor
                 .clone()
-                .map(|cfg| crate::monitor::spawn_monitor(scope, rings.clone(), cfg));
+                .map(|cfg| crate::monitor::spawn_monitor(scope, Arc::clone(&rings), cfg));
             let mut handles = Vec::with_capacity(p);
-            for ((rank, rx), ring) in receivers.into_iter().enumerate().zip(&rings) {
+            for ((rank, rx), ring) in receivers.into_iter().enumerate().zip(rings.iter()) {
                 let shared = Arc::clone(&shared);
+                let rings = Arc::clone(&rings);
                 let check_shared = check_shared.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("rank-{rank}"))
@@ -164,9 +168,9 @@ impl WorldBuilder {
                         // RAII-dropped with the thread, which marks the
                         // ring inactive for the monitor's final snapshot.
                         let _blackbox = ring.install();
-                        let check = check_shared
-                            .as_ref()
-                            .map(|cs| RankCheck::new(Arc::clone(cs), rank, perturb));
+                        let check = check_shared.as_ref().map(|cs| {
+                            RankCheck::new(Arc::clone(cs), Arc::clone(&rings), rank, perturb)
+                        });
                         let ctx = Rc::new(RankCtx::new(shared, rank, rx, check));
                         let comm = Comm::world(Rc::clone(&ctx), p);
                         match check_shared {
@@ -187,7 +191,10 @@ impl WorldBuilder {
                                         // panicking rank went through
                                         // RankCheck::abort); this catches
                                         // plain user panics.
-                                        crate::dump_blackbox(&format!("rank {rank} panicked"));
+                                        crate::dump_blackbox(
+                                            &rings,
+                                            &format!("rank {rank} panicked"),
+                                        );
                                         std::panic::resume_unwind(e);
                                     }
                                 }

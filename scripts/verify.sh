@@ -87,27 +87,31 @@ cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --seed 7 --seconds 1
 # Cross-p lane: "connections found in the PSG are oblivious to the number
 # of processes" (paper §V) on the benchmark's 3.5k input and flags, at the
-# reference seed and at two seeds where the x-drop kernel's operand order
-# used to leak the grid into an edge weight (DESIGN.md §7) — seeds 7 and 11
-# never showed it. One rank, a 2x2 grid, and the grid out of core must
-# write the same bytes.
+# reference seed and at two seeds where operand order used to leak the grid
+# into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
+# x-drop mode one rank, a 2x2 grid, and the grid out of core must write the
+# same bytes; in Smith–Waterman mode one rank and a 2x2 grid.
 xp_tmp="$(mktemp -d)"
-xp_psg() { # <out.tsv> <--ranks value and any further flags>
-    local out="$1"
-    shift
+xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
+    local out="$1" mode="$2"
+    shift 2
     cargo run --release -q -p pastis --bin pastis -- \
         --input "$xp_tmp/in.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 0 \
-        --mode xd --ck 0 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
+        --mode "$mode" --ck 0 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
 }
 for seed in 7 26 1400845388; do
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
-    xp_psg "$xp_tmp/p1.tsv" 1
+    xp_psg "$xp_tmp/p1.tsv" xd 1
     for cfg in "4" "4 --mem-budget 16m"; do
         # shellcheck disable=SC2086  # $cfg is a flag list
-        xp_psg "$xp_tmp/px.tsv" $cfg
+        xp_psg "$xp_tmp/px.tsv" xd $cfg
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: PSG at --ranks $cfg differs from --ranks 1"; exit 1; }
     done
+    xp_psg "$xp_tmp/p1.tsv" sw 1
+    xp_psg "$xp_tmp/px.tsv" sw 4
+    cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
+        || { echo "verify: seed $seed: --mode sw PSG at --ranks 4 differs from --ranks 1"; exit 1; }
 done
 rm -rf "$xp_tmp"
 cargo clippy --all-targets -- -D warnings

@@ -68,13 +68,47 @@ TIKTGQSWIQNGYLSMKRWKINFLKKESHIKDDRVRGQDEWLYGATVEEAIKSLPQWWLGQKWLRLRLIGREWLQKFTIR
 PNLTFEYRMVAATHLLLDDRFRFNST
 ";
 
+/// Four records of `metaclust_like(3500, seed 26)` as the benchmark
+/// generates it (`mc10`, `mc330`, `mc1884`, `mc20`). On a 2x2 grid block
+/// (1,0) owns the middle pair and holds it as `(mc1884, mc330)`; the
+/// Smith–Waterman traceback breaks ties by operand order, so until the
+/// pipeline passed its operands in global-id order the edge weighed
+/// 0.5067 at p=1 and 0.5263 at p=4.
+const SW_OPERAND_ORDER_FASTA: &[u8] = b">mc10
+SAALLANFQDHILAIDNLDSSPLMSLSTVWDYDLGKGAVSIDQTVKITPVDFDVFSMDPFCIDWAIPKDLTGNMQLLLMQ
+GGRKDAESSDWERTALKGSKDDNCECLLGQDGNTVTAPLQLKNGQFVDEMVLKIEAYLSLLTLISYQTDPNYCAEIARSF
+AEHTGAGTGLGQTYDLTHLVNDDGLLYIEDNEQPRIAEDSNEGSACALYQTPDRLGQPTAVPRGWGQSDEGEGSALSTCL
+TAEEPFDIRVGRKVRFCWLRGK
+>mc330
+QSGDSDHWRQTMVVSFDVWPSSRQEPEISDYAVQALDENKMTNFRCDLWQHCGPCRNEPAHNERFTKSEHCGAYGAALLS
+TKINREKGAKKMGEVRNYSNNLVCTKEHPFSEVWVSKFRSNKGLYMIHKPNKAKLFGTTLYQFLFALK
+>mc1884
+QSGDPDHPRQKVVVSFDVWPPGEQFPEISSYAVQAYDENPNTNSDNDLTQRPHVEAHESAHNERYRKSELCNAQGGVRAW
+RLLSRKNNMIAKKMGSPQNYENSVTAWKPHGFSQKVVSLFESNKGLDLVRKTTKAKIVNRVLAQVFFAYK
+>mc20
+FIKHALIVFTNLMKKAWSEAVRGQVDSFRASPPGVNELVPADSFAKVCQGIRLEAHYDKGQIIKESTLYLAIDRFKKDVY
+LGDVVKAAAETISYSVYILLLADANPCPLEYHPELNDGLNLDVDCLVSKRKANI
+";
+
 #[test]
 fn edges_independent_of_operand_order() {
-    // The benchmark's settings: k = 6, x-drop, ANI >= 0.3, coverage >= 0.7.
-    let params = PastisParams::default();
-    let reference = collect_edges(OPERAND_ORDER_FASTA, 1, &params);
-    assert_eq!(reference.len(), 1, "the homologous pair is the one edge");
-    assert_eq!(collect_edges(OPERAND_ORDER_FASTA, 4, &params), reference);
+    // The benchmark's settings: k = 6, ANI >= 0.3, coverage >= 0.7.
+    for (fasta, mode) in [
+        (OPERAND_ORDER_FASTA, AlignMode::XDrop),
+        (SW_OPERAND_ORDER_FASTA, AlignMode::SmithWaterman),
+    ] {
+        let params = PastisParams {
+            mode,
+            ..Default::default()
+        };
+        let reference = collect_edges(fasta, 1, &params);
+        assert_eq!(
+            reference.len(),
+            1,
+            "{mode:?}: the homologous pair is the one edge"
+        );
+        assert_eq!(collect_edges(fasta, 4, &params), reference, "{mode:?}");
+    }
 }
 
 #[test]
