@@ -30,10 +30,12 @@ use pcomm::Comm;
 
 use crate::params::PastisParams;
 
-/// Manifest schema version; bump on any layout change. A manifest with a
+/// Manifest schema version; bump on any layout change, or when a recorded
+/// field changes meaning (version 4: a shard's `nnzb=` counts only the
+/// owned off-diagonal entries the masked product forms). A manifest with a
 /// different version is ignored (the run restarts from scratch) rather
 /// than misread.
-pub const CKPT_SCHEMA_VERSION: u64 = 3;
+pub const CKPT_SCHEMA_VERSION: u64 = 4;
 
 /// One rank's shard of one completed batch, as recorded in the manifest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -52,7 +52,11 @@ pub struct PastisParams {
     pub min_coverage: f64,
     /// Kernel parameters (matrix, gaps, x-drop).
     pub align: AlignParams,
-    /// Local SpGEMM accumulation strategy.
+    /// Local SpGEMM accumulation strategy of the unmasked products: `A·S`
+    /// and `(AS)·Aᵀ` on the substitute path. The exact overlap
+    /// `B = A·Aᵀ` does not read it: [`crate::ExactSemiring`] declares an
+    /// output mask, and a masked product is always an outer product over
+    /// the shared k-mers.
     pub spgemm: SpGemmStrategy,
     /// OS threads per rank for the alignment batch (OpenMP stand-in).
     /// `0` = auto: divide the host's cores evenly among the ranks (the

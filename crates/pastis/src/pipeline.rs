@@ -14,7 +14,7 @@ use align::{
 };
 use pcomm::{Comm, CommStats, Grid};
 use seqstore::DistSeqStore;
-use sparse::DistMat;
+use sparse::{DistMat, Semiring};
 use subkmer::ExpenseTable;
 
 use crate::batch::{self, BatchPlan};
@@ -277,7 +277,9 @@ pub struct Counters {
     pub nnz_a: u64,
     /// Nonzeros of `S` (0 without substitutes).
     pub nnz_s: u64,
-    /// Nonzeros of `B` (global, both triangles).
+    /// Nonzeros of `B` (global): the owned off-diagonal entries the
+    /// masked exact product forms, or every entry of the symmetrised
+    /// substitute product.
     pub nnz_b: u64,
     /// Candidate pairs owned by this rank (upper-triangle ownership rule).
     pub candidates_local: u64,
@@ -446,7 +448,7 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
             col_range,
         };
         let (edges, local) = match b_mat {
-            Some(b) => stage("pastis.align", || align_block(&cx, b)),
+            Some(b) => stage("pastis.align", || align_owned(&cx, b)),
             None => {
                 let out = stage("pastis.spgemm_b", || run_batches(&cx, fasta));
                 // The alignment work ran inside `pastis.spgemm_b` (as
@@ -529,6 +531,20 @@ fn substitute_b(
         let swapped = b0.transpose().map(|_, _, v| v.swapped());
         b0.elementwise_add(&swapped, |acc, v| acc.merge_symmetric(v))
     })
+}
+
+/// Align the symmetrised substitute `B`, which its unmasked multiply
+/// formed whole: keep the pairs the exact product's mask would have kept
+/// ([`ExactSemiring`]'s), then hand them to [`align_block`]. `nnz_b` still
+/// counts every entry of `B`.
+fn align_owned(cx: &PipeCtx, mut b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterDelta) {
+    let nnz_b = b.nnz_local() as u64;
+    let mask = ExactSemiring::MASK.expect("the exact product is masked");
+    let (myrow, mycol) = (cx.grid.myrow(), cx.grid.mycol());
+    b.retain(|gi, gj, _| mask.keeps(gi - cx.row_range.0, gj - cx.col_range.0, myrow, mycol));
+    let (edges, mut tally) = align_block(cx, b);
+    tally.nnz_b = nnz_b;
+    (edges, tally)
 }
 
 /// Drop columns of `A` (k-mers) whose global occurrence count exceeds
@@ -628,24 +644,29 @@ fn align_pair(
 }
 
 /// The one consumer of `B`, whichever source formed it: admit every local
-/// entry this rank owns that clears the CK threshold as an alignment task,
-/// drop `b`, and align the tasks as one batch. Tasks run in `(row, col)`
-/// order, which groups them by query row and so maximizes the striped
-/// profile-cache hit rate. Returns the surviving edges plus this rank's
-/// statistics (`nnz_b` = entries admitted).
+/// entry — each a pair this rank owns, self-overlaps excluded, which the
+/// masked multiply (or [`align_owned`]) already ensured — that clears the
+/// CK threshold as an alignment task, drop `b`, and align the tasks as one
+/// batch. Tasks run in `(row, col)` order, which groups them by query row
+/// and so maximizes the striped profile-cache hit rate. Returns the
+/// surviving edges plus this rank's statistics (`nnz_b` = entries
+/// admitted = candidates).
 fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterDelta) {
     let (store, params) = (cx.store, cx.params);
     let mut tally = ckpt::CounterDelta::default();
     let mut tasks: Vec<Task> = Vec::new();
     for (gi, gj, pair) in b.iter_local() {
         tally.nnz_b += 1;
-        if gi == gj {
-            continue; // self-overlap
-        }
-        let (li, lj) = (gi - cx.row_range.0, gj - cx.col_range.0);
-        if !owns_pair(li, lj, cx.grid.myrow(), cx.grid.mycol()) {
-            continue;
-        }
+        debug_assert!(gi != gj, "self-overlap ({gi},{gj}) reached the consumer");
+        debug_assert!(
+            owns_pair(
+                gi - cx.row_range.0,
+                gj - cx.col_range.0,
+                cx.grid.myrow(),
+                cx.grid.mycol()
+            ),
+            "pair ({gi},{gj}) is not this rank's"
+        );
         tally.candidates += 1;
         if pair.count <= params.common_kmer_threshold {
             continue; // CK threshold: too few shared k-mers to bother
@@ -800,6 +821,21 @@ mod tests {
                     // of the two entries may be owned.
                     let (o, o_t) = (owners(i, j), owners(j, i));
                     assert_eq!(o + o_t, 1, "pair ({i},{j}) q={q}: {o}+{o_t}");
+                }
+            }
+            // The exact product's output mask keeps exactly the owned
+            // off-diagonal entries, on every block.
+            let mask = ExactSemiring::MASK.expect("the exact product is masked");
+            for (r, &(r0, r1)) in ranges.iter().enumerate() {
+                for (c, &(c0, c1)) in ranges.iter().enumerate() {
+                    for (i, j) in (r0..r1).flat_map(|i| (c0..c1).map(move |j| (i, j))) {
+                        let (li, lj) = (i - r0, j - c0);
+                        assert_eq!(
+                            mask.keeps(li, lj, r, c),
+                            owns_pair(li, lj, r, c) && i != j,
+                            "entry ({i},{j}) of block ({r},{c}), q={q}"
+                        );
+                    }
                 }
             }
         }

@@ -1,12 +1,15 @@
 //! The custom semirings PASTIS plugs into SpGEMM (paper Fig. 4, §IV-C).
 
-use sparse::Semiring;
+use sparse::{OutputMask, Semiring};
 
 use crate::seedpair::{SeedPair, SubPos};
 
 /// Semiring for exact k-mer matching, `B = A·Aᵀ` (paper Fig. 4): multiply
 /// pairs the k-mer's positions on the two sequences; add collects up to two
-/// seeds and counts the shared k-mers.
+/// seeds and counts the shared k-mers. `B` is symmetric and each rank
+/// aligns only the pairs it owns (paper §V-D), so the product declares that
+/// ownership, self-overlaps excluded, as its output mask: it forms each
+/// off-diagonal pair once, on its owner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExactSemiring;
 
@@ -14,6 +17,8 @@ impl Semiring for ExactSemiring {
     type A = u32; // position of k-mer in the row sequence
     type B = u32; // position of k-mer in the column sequence (via Aᵀ)
     type C = SeedPair;
+
+    const MASK: Option<OutputMask> = Some(OutputMask::OwnedOffDiagonal);
 
     #[inline]
     fn multiply(&self, a: &u32, b: &u32) -> Option<SeedPair> {

@@ -45,6 +45,10 @@ pub enum CostClass {
     UngappedStep,
     /// One multiply-add of the local SpGEMM.
     SpgemmFlop,
+    /// One column id walked by a masked outer product's merge-join of
+    /// `A`'s column ids with `B`'s row ids (one charge covers both of its
+    /// passes).
+    SpgemmJoin,
     /// One triple through the sort-based DCSC build.
     TripleSort,
     /// One triple through the owner-computes redistribution shuffle.
@@ -69,12 +73,13 @@ pub enum CostClass {
 
 /// Every cost class, in declaration order (the order of the override
 /// table and of machine-profile listings).
-pub const COST_CLASSES: [CostClass; 15] = [
+pub const COST_CLASSES: [CostClass; 16] = [
     CostClass::SwCell,
     CostClass::SwStripedCell,
     CostClass::XdropCell,
     CostClass::UngappedStep,
     CostClass::SpgemmFlop,
+    CostClass::SpgemmJoin,
     CostClass::TripleSort,
     CostClass::TripleShuffle,
     CostClass::FastaByte,
@@ -102,6 +107,7 @@ impl CostClass {
             CostClass::XdropCell => "xdrop_cell",
             CostClass::UngappedStep => "ungapped_step",
             CostClass::SpgemmFlop => "spgemm_flop",
+            CostClass::SpgemmJoin => "spgemm_join",
             CostClass::TripleSort => "triple_sort",
             CostClass::TripleShuffle => "triple_shuffle",
             CostClass::FastaByte => "fasta_byte",
@@ -129,6 +135,7 @@ impl CostClass {
             CostClass::XdropCell => 3_000,
             CostClass::UngappedStep => 2_000,
             CostClass::SpgemmFlop => 6_000,
+            CostClass::SpgemmJoin => 2_000,
             CostClass::TripleSort => 25_000,
             CostClass::TripleShuffle => 8_000,
             CostClass::FastaByte => 1_000,

@@ -6,13 +6,14 @@
 //! hypersparse-friendly as [`Dcsc`] with block-local indices. All methods
 //! marked *collective* must be called by every rank of the grid.
 
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use pcomm::{Grid, Payload};
 
 use crate::dcsc::Dcsc;
-use crate::local_spgemm::{local_spgemm, SpGemmStrategy};
+use crate::local_spgemm::{local_spgemm, masked_outer_spgemm, SpGemmStrategy};
 use crate::radix::RadixPlan;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
@@ -52,11 +53,29 @@ pub(crate) fn block_owner(n: u64, q: usize, g: u64) -> usize {
 /// shared pointer: the panel owner keeps no private copy and the ranks of
 /// a grid row or column read one block. Only `retain` and `map` need the
 /// block to themselves, and they are called on matrices nobody shares.
+///
+/// A matrix made by [`transpose`](Self::transpose) also holds its block
+/// *by rows*: the untransposed block it was made from, which is the
+/// transpose partner's block of the original (at p = 1, the original's
+/// own). A masked product reads its right operand in that form. It costs
+/// no memory while the original lives, and the original must then not be
+/// changed: after `a.transpose()`, neither `retain` nor `map` may be called
+/// on `a`, or `Arc::make_mut` silently turns the shared block into a copy.
 pub struct DistMat<V> {
     grid: Rc<Grid>,
     nrows: u64,
     ncols: u64,
     local: Arc<Dcsc<V>>,
+    by_rows: Option<RowForm<V>>,
+}
+
+/// A block held by rows: the DCSC of its transpose, of which only the rows
+/// `cols` (the block's local column ids) belong to the matrix — a
+/// column-restricted matrix shares its parent's row form.
+#[derive(Clone)]
+struct RowForm<V> {
+    block: Arc<Dcsc<V>>,
+    cols: Range<u64>,
 }
 
 impl<V: Payload + Clone + Sync> DistMat<V> {
@@ -129,6 +148,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             nrows,
             ncols,
             local,
+            by_rows: None,
         }
     }
 
@@ -154,6 +174,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             nrows,
             ncols,
             local,
+            by_rows: None,
         }
     }
 
@@ -216,15 +237,18 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     }
 
     /// Keep entries where `keep(global_row, global_col, &v)`. Local; copies
-    /// the block only if a SUMMA panel still shares it.
+    /// the block only if something still shares it (a SUMMA panel, or the
+    /// row form of a transpose), and drops this matrix's own row form.
     pub fn retain(&mut self, keep: impl Fn(u64, u64, &V) -> bool) {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
+        self.by_rows = None;
         Arc::make_mut(&mut self.local).retain(|r, c, v| keep(r0 + r as u64, c0 + c, v));
     }
 
-    /// Map values, keeping structure. Local; copies the block only if a
-    /// SUMMA panel still shares it.
+    /// Map values, keeping structure. Local; copies the block only if
+    /// something still shares it (see [`retain`](Self::retain)). The result
+    /// has no row form.
     pub fn map<W: Payload + Clone + Sync>(self, f: impl Fn(u64, u64, V) -> W) -> DistMat<W> {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
@@ -234,6 +258,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             nrows: self.nrows,
             ncols: self.ncols,
             local: Arc::new(local),
+            by_rows: None,
         }
     }
 
@@ -246,18 +271,35 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     /// reaches the same SUMMA stage, in the same fold order, as in the
     /// unrestricted product — which is what makes batched edge sets
     /// bit-identical to monolithic ones. The surviving columns are one
-    /// contiguous slice of the block.
+    /// contiguous slice of the block; a row form is shared, not copied,
+    /// with its column window narrowed to `range`.
     pub fn restrict_cols(&self, range: (u64, u64)) -> DistMat<V> {
         let (c0, _) = self.col_range();
-        let local = self
-            .local
-            .restrict_cols(range.0.saturating_sub(c0)..range.1.saturating_sub(c0));
+        let cols = range.0.saturating_sub(c0)..range.1.saturating_sub(c0);
+        let local = self.local.restrict_cols(cols.clone());
+        let by_rows = self.by_rows.as_ref().map(|r| {
+            let start = cols.start.clamp(r.cols.start, r.cols.end);
+            RowForm {
+                block: Arc::clone(&r.block),
+                cols: start..cols.end.clamp(start, r.cols.end),
+            }
+        });
         DistMat {
             grid: Rc::clone(&self.grid),
             nrows: self.nrows,
             ncols: self.ncols,
             local: Arc::new(local),
+            by_rows,
         }
+    }
+
+    /// My block by rows: the row form a transpose keeps, or else my block
+    /// transposed here, once.
+    fn row_form(&self) -> RowForm<V> {
+        self.by_rows.clone().unwrap_or_else(|| RowForm {
+            block: Arc::new(self.local.transpose()),
+            cols: 0..self.local.ncols(),
+        })
     }
 
     /// Distributed SpGEMM `C = self · b` over `sr`, using the 2D Sparse
@@ -268,6 +310,13 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     /// nonblocking before stage `t` multiplies, so they travel while it
     /// computes. A panel travels as an `Arc` of the owner's block, accounted
     /// at the block's bytes: nobody copies it, at any grid size. Collective.
+    ///
+    /// A semiring that declares an [`OutputMask`](crate::OutputMask) takes
+    /// the masked path: the `B` panel travels by rows (`b`'s row form, or
+    /// its owner's block transposed once before the first stage), and each
+    /// stage is a masked outer product over the shared inner indices,
+    /// which never forms an entry the mask drops. `strategy` is read only
+    /// by unmasked products.
     ///
     /// Trace shape: every stage emits the same span skeleton —
     /// `summa.stage { summa.prefetch { pcomm.ibcast.post ×2 }, summa.bcast_a,
@@ -292,6 +341,15 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         assert_eq!(self.ncols, b.nrows, "global dimension mismatch");
         let grid = &self.grid;
         let q = grid.q();
+        let (myrow, mycol) = (grid.myrow(), grid.mycol());
+        // The `B` panel I broadcast, and the columns of it that take part.
+        let (b_panel, b_cols) = match SR::MASK {
+            Some(_) => {
+                let rows = b.row_form();
+                (rows.block, rows.cols)
+            }
+            None => (Arc::clone(&b.local), 0..b.local.ncols()),
+        };
         // Post stage `t`'s panel broadcasts nonblocking. Past the last
         // stage this posts nothing but still emits the post-span skeleton.
         let post = |t: usize| {
@@ -299,10 +357,10 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             if t < q {
                 let ha = grid
                     .row_comm()
-                    .ibcast(t, (grid.mycol() == t).then(|| Arc::clone(&self.local)));
+                    .ibcast(t, (mycol == t).then(|| Arc::clone(&self.local)));
                 let hb = grid
                     .col_comm()
-                    .ibcast(t, (grid.myrow() == t).then(|| Arc::clone(&b.local)));
+                    .ibcast(t, (myrow == t).then(|| Arc::clone(&b_panel)));
                 Some((ha, hb))
             } else {
                 for _ in 0..2 {
@@ -327,7 +385,16 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             };
             let triples = {
                 let _s = obs::span!("summa.local_mul");
-                local_spgemm(&a_blk, &b_blk, sr, strategy)
+                match SR::MASK {
+                    Some(mask) => masked_outer_spgemm(
+                        &a_blk,
+                        &b_blk,
+                        b_cols.clone(),
+                        |lj| mask.row_end(lj, myrow, mycol),
+                        sr,
+                    ),
+                    None => local_spgemm(&a_blk, &b_blk, sr, strategy),
+                }
             };
             acc.extend(triples);
         }
@@ -338,8 +405,8 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         obs::alloc::probe("mem.watermark.sparse.triples", &acc);
         let _fold = obs::span!("summa.fold", triples = acc.len());
         let local = Dcsc::from_triples(
-            Self::local_rows(self.nrows, q, grid.myrow()),
-            Self::local_cols(b.ncols, q, grid.mycol()),
+            Self::local_rows(self.nrows, q, myrow),
+            Self::local_cols(b.ncols, q, mycol),
             acc,
             |a, v| sr.add(a, v),
         );
@@ -348,30 +415,38 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             nrows: self.nrows,
             ncols: b.ncols,
             local: Arc::new(local),
+            by_rows: None,
         }
     }
 
-    /// Distributed transpose: every rank transposes its block locally
-    /// ([`Dcsc::transpose`]) and trades it, as DCSC, with its transpose
-    /// partner — block `(r, c)` of `Aᵀ` is block `(c, r)` of `A`
-    /// transposed, in the same local indices. Collective.
+    /// Distributed transpose: every rank sends its block, as an `Arc`, to
+    /// its transpose partner and transposes the block it receives — block
+    /// `(r, c)` of `Aᵀ` is block `(c, r)` of `A` transposed, in the same
+    /// local indices ([`Dcsc::transpose`]). The received block is kept as
+    /// the result's row form (see [`DistMat`]). Collective.
     pub fn transpose(&self) -> DistMat<V> {
         let _span = obs::span!("sparse.transpose");
         let grid = &self.grid;
         let partner = grid.transpose_partner();
-        let mine = self.local.transpose();
-        let local = if partner == grid.world().rank() {
-            mine
+        let theirs = if partner == grid.world().rank() {
+            Arc::clone(&self.local)
         } else {
             const TRANSPOSE_TAG: u64 = 0x7A;
-            grid.world().isend(partner, TRANSPOSE_TAG, mine);
-            grid.world().recv::<Dcsc<V>>(partner, TRANSPOSE_TAG)
+            grid.world()
+                .isend(partner, TRANSPOSE_TAG, Arc::clone(&self.local));
+            grid.world().recv::<Arc<Dcsc<V>>>(partner, TRANSPOSE_TAG)
         };
+        let local = theirs.transpose();
+        let cols = 0..local.ncols();
         DistMat {
             grid: Rc::clone(grid),
             nrows: self.ncols,
             ncols: self.nrows,
             local: Arc::new(local),
+            by_rows: Some(RowForm {
+                block: theirs,
+                cols,
+            }),
         }
     }
 
@@ -400,6 +475,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             nrows: self.nrows,
             ncols: self.ncols,
             local: Arc::new(local),
+            by_rows: None,
         }
     }
 

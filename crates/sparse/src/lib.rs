@@ -10,7 +10,9 @@
 //! - [`Semiring`]: user-defined add/multiply pairs; PASTIS overloads these
 //!   to carry seed positions through `A·Aᵀ` and `(A·S)·Aᵀ` (paper Fig. 4).
 //! - Local SpGEMM with hash-based, heap-based and hybrid accumulation — the
-//!   strategy mix CombBLAS uses for its local multiplies.
+//!   strategy mix CombBLAS uses for its local multiplies — and, for a
+//!   semiring that declares an [`OutputMask`], a masked outer product over
+//!   the shared inner indices only.
 //! - [`DistMat`]: 2D block-distributed matrices over a [`pcomm::Grid`] with
 //!   Sparse-SUMMA SpGEMM, distributed transpose and symmetrization.
 
@@ -26,5 +28,5 @@ pub use accum::HashAccumulator;
 pub use dcsc::Dcsc;
 pub use dist::DistMat;
 pub use local_spgemm::{local_spgemm, SpGemmStrategy};
-pub use semiring::{ArithmeticSemiring, Semiring};
+pub use semiring::{ArithmeticSemiring, OutputMask, Semiring};
 pub use triple::Triple;

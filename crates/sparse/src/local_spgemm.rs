@@ -4,9 +4,14 @@
 //! multiplies — hash-based scatter/gather and heap-based k-way merging — and
 //! a per-column hybrid that picks between them by estimated column work
 //! (Nagasaka et al. 2019, cited as the local SpGEMM of the paper §II-A).
+//! A semiring that declares an output mask takes a third kernel instead,
+//! [`masked_outer_spgemm`]: an outer product over the inner indices both
+//! operands hold (Buluç & Gilbert 2008's HyperSparseGEMM), restricted to
+//! the kept entries.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use crate::accum::HashAccumulator;
 use crate::dcsc::Dcsc;
@@ -96,6 +101,159 @@ pub fn local_spgemm<SR: Semiring>(
     // accumulator high-water mark.
     obs::alloc::probe("mem.watermark.sparse.accum", &hash_acc);
     out
+}
+
+/// The masked product `C = A·B` as an outer product over shared inner
+/// indices. `b_rows` is `B` by rows — the DCSC of `Bᵀ`, whose columns are
+/// `B`'s rows (the inner index) and whose rows are `B`'s columns — and
+/// only `B`'s columns `b_cols` take part. Output column `j` keeps the rows
+/// `i < row_end(j)`; `row_end` must not decrease as `j` grows.
+///
+/// The ids of `a`'s columns and `b_rows`' columns are merge-joined, so no
+/// inner index that only one operand holds is ever looked up, and no
+/// dropped entry is ever formed. Two passes: count the kept contributions
+/// of each output column, then scatter them, in ascending inner index,
+/// into exact-size column slots. Each column is then sorted stably by row
+/// and folded with `sr.add`, so every entry folds in ascending inner index
+/// as in [`local_spgemm`], and the output has its layout: column-major
+/// sorted triples with local indices.
+pub(crate) fn masked_outer_spgemm<SR: Semiring>(
+    a: &Dcsc<SR::A>,
+    b_rows: &Dcsc<SR::B>,
+    b_cols: Range<u64>,
+    row_end: impl Fn(u64) -> u64,
+    sr: &SR,
+) -> Vec<(u32, u64, SR::C)> {
+    assert_eq!(a.ncols(), b_rows.ncols(), "inner dimension mismatch");
+    let width = b_cols.end.saturating_sub(b_cols.start) as usize;
+    // Pass 1: kept contributions per output column.
+    let mut starts = vec![0usize; width + 1];
+    for_each_kept(a, b_rows, &b_cols, &row_end, |arows, _, j, _| {
+        starts[(j - b_cols.start) as usize + 1] += arows.len();
+    });
+    for c in 1..=width {
+        starts[c] += starts[c - 1];
+    }
+    let total = starts[width];
+    // Work accounting: the merge-join walks both id lists, and each flop
+    // is one semiring multiply-accumulate.
+    pcomm::work::record_class(
+        (a.nzc() + b_rows.nzc()) as u64,
+        pcomm::work::CostClass::SpgemmJoin,
+    );
+    pcomm::work::record_class(total as u64, pcomm::work::CostClass::SpgemmFlop);
+
+    // Pass 2: scatter `(i, A(i,t)·B(t,j))` into column `j`'s slots.
+    let mut slots: Vec<(u32, SR::C)> = Vec::with_capacity(total);
+    let spare = &mut slots.spare_capacity_mut()[..total];
+    let mut next = starts[..width].to_vec();
+    for_each_kept(a, b_rows, &b_cols, &row_end, |arows, avals, j, bv| {
+        let at = &mut next[(j - b_cols.start) as usize];
+        for (slot, (&i, av)) in spare[*at..].iter_mut().zip(arows.iter().zip(avals)) {
+            let c = sr
+                .multiply(av, bv)
+                .expect("a masked semiring keeps every pair");
+            slot.write((i, c));
+        }
+        *at += arows.len();
+    });
+    // Each column must have ended exactly where the next one starts: then
+    // its slots were written once each, and none overflowed into the next.
+    assert!(
+        next[..] == starts[1..],
+        "masked product counted and scattered different pairs"
+    );
+    // SAFETY: the assertion above held, so every slot of `0..total` (within
+    // capacity) was written exactly once above.
+    unsafe { slots.set_len(total) };
+    obs::alloc::probe("mem.watermark.sparse.accum", &slots);
+
+    // Fold each column: equal rows are adjacent after the stable sort, in
+    // ascending inner index.
+    let mut out: Vec<(u32, u64, SR::C)> = Vec::new();
+    for w in starts.windows(2).filter(|w| w[1] - w[0] > 1) {
+        slots[w[0]..w[1]].sort_by_key(|&(i, _)| i);
+    }
+    let mut vals = slots.into_iter();
+    for (c, w) in starts.windows(2).enumerate() {
+        let n = w[1] - w[0];
+        if n == 0 {
+            continue;
+        }
+        obs::hist!("spgemm.col_flops", n);
+        let j = b_cols.start + c as u64;
+        let mut current: Option<(u32, SR::C)> = None;
+        for (i, v) in vals.by_ref().take(n) {
+            match &mut current {
+                Some((r, acc)) if *r == i => sr.add(acc, v),
+                _ => {
+                    if let Some((r, acc)) = current.replace((i, v)) {
+                        out.push((r, j, acc));
+                    }
+                }
+            }
+        }
+        if let Some((r, acc)) = current {
+            out.push((r, j, acc));
+        }
+    }
+    out
+}
+
+/// Walk the kept contributions of a masked product (see
+/// [`masked_outer_spgemm`]) in ascending inner index: for every inner
+/// index `t` both operands hold and every `B(t, j)` with `j` in `b_cols`,
+/// call `visit` with the rows of `A(·, t)` below `row_end(j)`, their
+/// values, `j` and `B(t, j)`, unless there are no such rows.
+fn for_each_kept<A, B>(
+    a: &Dcsc<A>,
+    b_rows: &Dcsc<B>,
+    b_cols: &Range<u64>,
+    row_end: impl Fn(u64) -> u64,
+    mut visit: impl FnMut(&[u32], &[A], u64, &B),
+) {
+    let (acols, bcols) = (a.cols(), b_rows.cols());
+    let whole = b_cols.start == 0 && b_cols.end >= b_rows.nrows() as u64;
+    let (mut ia, mut ib) = (0, 0);
+    while ia < acols.len() && ib < bcols.len() {
+        match acols[ia].cmp(&bcols[ib]) {
+            Ordering::Less => ia += 1,
+            Ordering::Greater => ib += 1,
+            Ordering::Equal => {
+                let (arows, avals) = a.col_by_index(ia);
+                let (brows, bvals) = b_rows.col_by_index(ib);
+                ia += 1;
+                ib += 1;
+                // One A row and one B entry on or below the diagonal keep
+                // nothing — on a diagonal block, that is every k-mer only
+                // one sequence holds, the bulk of a k-mer matrix.
+                if let ([i], [j]) = (arows, brows) {
+                    if u64::from(*i) >= row_end(u64::from(*j)) {
+                        continue;
+                    }
+                }
+                let (s, e) = if whole {
+                    (0, brows.len())
+                } else {
+                    let s = brows.partition_point(|&j| u64::from(j) < b_cols.start);
+                    (
+                        s,
+                        s + brows[s..].partition_point(|&j| u64::from(j) < b_cols.end),
+                    )
+                };
+                // The kept rows are a prefix of the ascending A column that
+                // only grows with `j`.
+                let mut kept = 0;
+                for (&j, bv) in brows[s..e].iter().zip(&bvals[s..e]) {
+                    let end = row_end(u64::from(j));
+                    kept += arows[kept..].partition_point(|&i| u64::from(i) < end);
+                    if kept > 0 {
+                        visit(&arows[..kept], &avals[..kept], u64::from(j), bv);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Bucket index over a DCSC block's sorted non-empty column ids — the AUX
@@ -390,6 +548,59 @@ mod tests {
             let flops = rec.finish().metrics.hists["spgemm.col_flops"].sum;
             assert_eq!(got, want, "strategy {s:?}");
             assert_eq!(flops, want_flops, "strategy {s:?}");
+        }
+    }
+
+    #[test]
+    fn masked_outer_equals_filtered_product() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(2303);
+        for trial in 0..30 {
+            let (m, k, n) = (
+                rng.random_range(1..25usize),
+                rng.random_range(1..5000u64),
+                rng.random_range(1..25usize),
+            );
+            let mut entries = |rows: usize| -> Vec<(u32, u64, f64)> {
+                (0..rng.random_range(0..3 * rows))
+                    .map(|_| {
+                        let r = rng.random_range(0..rows) as u32;
+                        // Few shared inner indices, many held once.
+                        let t = rng.random_range(0..k.min(40)) * (k / 40).max(1);
+                        (r, t, rng.random_range(1..5) as f64)
+                    })
+                    .collect()
+            };
+            let a = dcsc(m, k, entries(m));
+            let b_rows = dcsc(n, k, entries(n));
+            let shift = rng.random_range(0..2u64);
+            let window = rng.random_range(0..=n as u64)..rng.random_range(0..=n as u64 + 2);
+            let row_end = |j: u64| j + shift;
+            let mut want = local_spgemm(
+                &a,
+                &b_rows.transpose(),
+                &ArithmeticSemiring,
+                SpGemmStrategy::Hash,
+            );
+            want.retain(|&(i, j, _)| window.contains(&j) && u64::from(i) < row_end(j));
+            // One flop per kept (A entry, B entry) pair of a shared index.
+            let want_flops: u64 = b_rows
+                .iter()
+                .filter(|&(j, _, _)| window.contains(&u64::from(j)))
+                .filter_map(|(j, t, _)| a.col(t).map(|(rows, _)| (j, rows)))
+                .map(|(j, rows)| {
+                    rows.iter()
+                        .filter(|&&i| u64::from(i) < row_end(u64::from(j)))
+                        .count() as u64
+                })
+                .sum();
+            let rec = obs::Recorder::install(0);
+            let got =
+                masked_outer_spgemm(&a, &b_rows, window.clone(), row_end, &ArithmeticSemiring);
+            let hists = rec.finish().metrics.hists;
+            let flops = hists.get("spgemm.col_flops").map_or(0, |h| h.sum);
+            assert_eq!(got, want, "trial {trial}");
+            assert_eq!(flops, want_flops, "trial {trial}");
         }
     }
 

@@ -89,8 +89,10 @@ bash benchmark/run.sh --seed 7 --seconds 1
 # of processes" (paper §V) on the benchmark's 3.5k input and flags, at the
 # reference seed and at two seeds where operand order used to leak the grid
 # into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
-# x-drop mode one rank, a 2x2 grid, and the grid out of core must write the
-# same bytes; in Smith–Waterman mode one rank and a 2x2 grid.
+# x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and the
+# overlap mask's tie on the local diagonal of off-diagonal blocks), and the
+# 2x2 grid out of core must write the same bytes; in Smith–Waterman mode
+# one rank and a 2x2 grid.
 xp_tmp="$(mktemp -d)"
 xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     local out="$1" mode="$2"
@@ -102,7 +104,7 @@ xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
 for seed in 7 26 1400845388; do
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
     xp_psg "$xp_tmp/p1.tsv" xd 1
-    for cfg in "4" "4 --mem-budget 16m"; do
+    for cfg in "4" "9" "4 --mem-budget 16m"; do
         # shellcheck disable=SC2086  # $cfg is a flag list
         xp_psg "$xp_tmp/px.tsv" xd $cfg
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
