@@ -1,13 +1,15 @@
-//! Runtime SIMD dispatch for the striped kernels.
+//! Runtime SIMD dispatch for the striped kernels and the x-drop open
+//! interior.
 //!
-//! The striped engine carries two lane configurations of the same kernel:
-//! AVX2-width lanes (`[i16; 16]` / `[i32; 8]`, compiled with
-//! `target_feature(avx2)`) and the portable SLP lanes (`[i16; 8]` /
-//! `[i32; 4]`, plain autovectorized code — the fallback). Both produce
-//! bit-identical results (the DP values and the argmax scan are
-//! lane-layout independent); they differ only in throughput, so the choice
-//! is made once per process here, by feature detection alone. Tests reach
-//! the lane the host would not pick through `striped_pass_at`.
+//! Each lane kernel carries two lane configurations: AVX2-width lanes
+//! (the striped engine's `[i16; 16]` / `[i32; 8]`, the x-drop interior's
+//! eight i32, compiled with `target_feature(avx2)`) and the portable SLP
+//! lanes (`[i16; 8]` / `[i32; 4]`, plain autovectorized code — the
+//! fallback; the x-drop interior's four i32 are SSE2 on x86-64). Both produce bit-identical results (the DP values and the
+//! argmax scan are lane-layout independent); they differ only in
+//! throughput, so the choice is made once per process here, by feature
+//! detection alone. Tests reach the lane the host would not pick through
+//! `striped_pass_at` and `xdrop::lanes::kernel`.
 //!
 //! This module is the only place in the workspace allowed to call
 //! `is_x86_feature_detected!` (enforced by xlint): detection scattered
@@ -15,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-/// Which kernel instantiation the striped engine runs.
+/// Which kernel instantiation the lane kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimdLevel {
     /// SLP-autovectorized 128-bit lanes (the portable fallback).
@@ -34,7 +36,7 @@ pub(crate) fn avx2_available() -> bool {
     false
 }
 
-/// The SIMD level every striped kernel call in this process uses, decided
+/// The SIMD level every lane-kernel call in this process uses, decided
 /// once by feature detection.
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();

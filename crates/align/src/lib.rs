@@ -14,7 +14,9 @@
 //! [`prefiltered_align_outcome`] stops after the score pass when the score
 //! misses a threshold).
 //! [`smith_waterman`] is the scalar full-matrix DP every striped result is
-//! tested against, bit for bit.
+//! tested against, bit for bit. [`xdrop_align`] computes the open interior
+//! of each extension row in the same dispatched lanes ([`simd_level`]),
+//! bit for bit equal to its scalar rows.
 
 mod batch;
 mod dispatch;
@@ -39,6 +41,11 @@ pub use xdrop::{xdrop_align, xdrop_align_with};
 
 /// Alignment parameters shared by all kernels. Defaults follow the paper's
 /// evaluation: BLOSUM62, gap opening 11, gap extension 1, x-drop 49 (§VI).
+///
+/// [`xdrop_align`] requires `gap_open ≥ 0`, `gap_extend ≥ 0` and
+/// `gap_open + gap_extend ≤ 2^28`, and panics otherwise: its vector lanes
+/// equal the scalar recurrence only for non-negative gap costs that stay
+/// far from `i32` overflow.
 #[derive(Debug, Clone, Copy)]
 pub struct AlignParams {
     /// Cost charged when a gap is opened (first gap column costs

@@ -7,11 +7,18 @@
 //! cells outside are abandoned, which is what makes XD substantially
 //! cheaper than full Smith–Waterman on unrelated pairs.
 
+mod lanes;
+
+use crate::dispatch;
 use crate::scratch::{with_scratch, AlignScratch, XdropScratch};
 use crate::stats::AlignStats;
 use crate::AlignParams;
 
 const NEG_INF: i32 = i32::MIN / 4;
+
+/// Largest `gap_open + gap_extend` the extension accepts: far enough from
+/// `i32` overflow that no lane or scalar step saturates.
+const MAX_GAP_COST: i32 = 1 << 28;
 
 // Traceback byte layout (per live cell).
 const H_SRC_MASK: u8 = 0b11; // 0 origin/dead, 1 diag, 2 E, 3 F
@@ -166,14 +173,29 @@ impl Front {
 /// 2. *open interior* — columns `lo + 1 .. prev_hi`, where the cell above
 ///    and the diagonal both lie inside the previous window, so no bounds
 ///    are tested and the row cannot end; a dead cell is stored as
-///    `h = f = NEG_INF`, direction 0, while E keeps running through it;
+///    `h = f = NEG_INF`, direction 0, while E keeps running through it.
+///    This is where the cells are, and it runs in lanes ([`lanes`]):
+///    between two rises of `best` the floor is constant, so each such
+///    segment is computed a chunk of columns at a time;
 /// 3. *tail* — from column `prev_hi` on only E (and once, the diagonal)
 ///    feeds a cell; here alone a dead cell whose E is also below the
 ///    floor ends the row. The ending cell is counted but not stored.
 ///
-/// Liveness follows `best` within the row, so cells are computed strictly
-/// left to right.
+/// Liveness follows `best` within the row: a cell that raises `best`
+/// raises the floor for every cell right of it.
 fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch) -> Extension {
+    extend_gapped_at(lanes::kernel(dispatch::level()), a, b, params, xd)
+}
+
+/// [`extend_gapped`] with the open interior's lanes pinned to `interior`.
+/// The differential test runs every kernel the host has.
+fn extend_gapped_at(
+    interior: lanes::Kernel,
+    a: &[u8],
+    b: &[u8],
+    params: &AlignParams,
+    xd: &mut XdropScratch,
+) -> Extension {
     let gap = Gap {
         open: params.gap_open + params.gap_extend,
         ext: params.gap_extend,
@@ -265,27 +287,22 @@ fn extend_gapped(a: &[u8], b: &[u8], params: &AlignParams, xd: &mut XdropScratch
         front.saw_live(first.h, (i, lo));
         let (mut h_left, mut e) = (first.h, first.e);
 
-        // Phase 2: open interior, columns lo + 1 .. phi, over equal-length
-        // slices of the previous row.
+        // Phase 2: open interior, columns lo + 1 .. phi, in lanes over
+        // equal-length slices of the previous row.
         if lo + 1 < phi {
             let w = phi - (lo + 1);
-            let (up_h, up_f) = (&ph[lo + 1 - plo..][..w], &pf[lo + 1 - plo..][..w]);
-            let (dg, bs) = (&ph[lo - plo..][..w], &b[lo..][..w]);
-            let (out_h, out_f) = (&mut ch[lo + 1..][..w], &mut cf[lo + 1..][..w]);
-            let out_d = &mut dirs[1..][..w];
-            for k in 0..w {
-                let diag = diag_from(dg[k], scores[bs[k] as usize]);
-                let c = cell(gap, (h_left, e), (up_h[k], up_f[k]), diag);
-                e = c.e;
-                let live = front.is_live(c.h);
-                h_left = if live { c.h } else { NEG_INF };
-                out_h[k] = h_left;
-                out_f[k] = if live { c.f } else { NEG_INF };
-                out_d[k] = if live { c.dir } else { 0 };
-                if live {
-                    front.saw_live(c.h, (i, lo + 1 + k));
-                }
-            }
+            let row = lanes::Interior {
+                i,
+                col0: lo + 1,
+                above_h: &ph[lo - plo..][..=w],
+                above_f: &pf[lo + 1 - plo..][..w],
+                b: &b[lo..][..w],
+                scores,
+                out_h: &mut ch[lo + 1..][..w],
+                out_f: &mut cf[lo + 1..][..w],
+                out_d: &mut dirs[1..][..w],
+            };
+            (h_left, e) = interior(gap, &mut front, row, (h_left, e));
             cells += w as u64;
         }
 
@@ -435,6 +452,12 @@ pub fn xdrop_align_with(
         r_pos + k <= r.len() && c_pos + k <= c.len(),
         "seed outside sequence"
     );
+    // The interior lanes are exact only under this (see `lanes`).
+    assert!(
+        (0..=MAX_GAP_COST).contains(&params.gap_open)
+            && (0..=MAX_GAP_COST - params.gap_open).contains(&params.gap_extend),
+        "x-drop needs gap_open, gap_extend >= 0 and gap_open + gap_extend <= 2^28"
+    );
     // Seed score: the anchor k-mers may differ under substitute k-mer
     // matching, so score the actual residues pairwise.
     let mut seed_score = 0i32;
@@ -474,6 +497,7 @@ pub fn xdrop_align_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::SimdLevel;
     use crate::sw::smith_waterman;
     use seqstore::encode_seq;
 
@@ -783,17 +807,57 @@ mod tests {
         (out, pcomm::work::counter_milli_ns() - before)
     }
 
+    /// `f`'s result and the lane paths it ran on this thread.
+    fn with_paths<R>(f: impl FnOnce() -> R) -> (R, lanes::Paths) {
+        lanes::PATHS.with(|p| p.take());
+        let out = f();
+        (out, lanes::PATHS.with(|p| p.take()))
+    }
+
     #[test]
     fn three_phase_kernel_equals_reference() {
         use pcomm::work::CostClass;
         use rand::prelude::*;
+        // Every kernel the host can run: each SIMD level (so the SLP lanes
+        // are tested on AVX2 hosts too) and the plain-Rust lanes.
+        let mut kernels = vec![
+            ("Slp", lanes::kernel(SimdLevel::Slp)),
+            ("portable", lanes::PORTABLE),
+        ];
+        if dispatch::avx2_available() {
+            kernels.push(("Avx2", lanes::kernel(SimdLevel::Avx2)));
+        }
         let mut rng = StdRng::seed_from_u64(0x7d70);
         // One arena per kernel for the whole run: the rewrite never clears
         // its row buffers, so stale contents from earlier shapes must not
         // leak into later extensions.
-        let (mut xd_new, mut xd_ref) = (XdropScratch::default(), XdropScratch::default());
+        let mut xd_ref = XdropScratch::default();
+        let mut xd_lanes: Vec<XdropScratch> = kernels.iter().map(|_| Default::default()).collect();
+        let mut paths = vec![lanes::Paths::default(); kernels.len()];
         let mut extensions = 0usize;
         let mut opened_past_prev_hi = 0usize;
+        let mut check = |a: &[u8], b: &[u8], p: &AlignParams, ctx: &dyn Fn() -> String| {
+            let (want, want_work) = charged(|| extend_gapped_ref(a, b, p, &mut xd_ref));
+            assert_eq!(want_work % CostClass::XdropCell.milli_ns(), 0);
+            for ((&(lv, kernel), xd), seen) in kernels.iter().zip(&mut xd_lanes).zip(&mut paths) {
+                let ((got, got_work), ran) =
+                    with_paths(|| charged(|| extend_gapped_at(kernel, a, b, p, xd)));
+                assert_eq!(got, want, "{lv} {}", ctx());
+                // cells + n + 1 operations of one class each side.
+                assert_eq!(got_work, want_work, "computed cells, {lv} {}", ctx());
+                assert_eq!(xd.dir_rows, xd_ref.dir_rows, "{lv} {}", ctx());
+                assert_eq!(xd.dir_flat, xd_ref.dir_flat, "{lv} {}", ctx());
+                seen.multi_chunk += ran.multi_chunk;
+                seen.partial += ran.partial;
+                seen.restarts += ran.restarts;
+            }
+            extensions += 1;
+            opened_past_prev_hi += xd_ref
+                .dir_rows
+                .windows(2)
+                .filter(|w| w[1].0 == w[0].0 + w[0].2)
+                .count();
+        };
         for xdrop in [0, 1, 5, 12, 20, 49, 100] {
             for (gap_open, gap_extend) in [(11, 1), (2, 2), (0, 1)] {
                 let p = AlignParams {
@@ -820,29 +884,66 @@ mod tests {
                         2 => mutate(&mut rng, &a, sigma, 0.10),
                         _ => a.clone(),
                     };
-                    let (got, got_work) = charged(|| extend_gapped(&a, &b, &p, &mut xd_new));
-                    let (want, want_work) = charged(|| extend_gapped_ref(&a, &b, &p, &mut xd_ref));
-                    let ctx =
-                        || format!("xdrop {xdrop} gaps ({gap_open},{gap_extend}) case {case}");
-                    assert_eq!(got, want, "{}", ctx());
-                    // cells + n + 1 operations of one class each side.
-                    assert_eq!(got_work, want_work, "computed cells, {}", ctx());
-                    assert_eq!(want_work % CostClass::XdropCell.milli_ns(), 0);
-                    assert_eq!(xd_new.dir_rows, xd_ref.dir_rows, "{}", ctx());
-                    assert_eq!(xd_new.dir_flat, xd_ref.dir_flat, "{}", ctx());
-                    extensions += 1;
-                    opened_past_prev_hi += xd_ref
-                        .dir_rows
-                        .windows(2)
-                        .filter(|w| w[1].0 == w[0].0 + w[0].2)
-                        .count();
+                    check(&a, &b, &p, &|| {
+                        format!("xdrop {xdrop} gaps ({gap_open},{gap_extend}) case {case}")
+                    });
                 }
+                // Long windows: ~400-residue homologs with indels under a
+                // wide x-drop give rows of many chunks, partial chunks and
+                // rises mid-row.
+                if xdrop == 100 {
+                    for case in 0..12 {
+                        let len = rng.random_range(380..420);
+                        let a: Vec<u8> = (0..len).map(|_| rng.random_range(0..24u8)).collect();
+                        let b = mutate(&mut rng, &a, 24, [0.02, 0.05, 0.08][case % 3]);
+                        check(&a, &b, &p, &|| {
+                            format!("long homolog, gaps ({gap_open},{gap_extend}) case {case}")
+                        });
+                    }
+                }
+            }
+        }
+        // Large gap costs under an x-drop wide enough to keep gapped cells
+        // live: lane values far from zero, where plain i32 arithmetic must
+        // still equal the scalar `saturating_sub`.
+        for (gap_open, gap_extend) in [(0, 1 << 24), (1 << 27, 1 << 20)] {
+            let p = AlignParams {
+                gap_open,
+                gap_extend,
+                xdrop: MAX_GAP_COST,
+                ..AlignParams::default()
+            };
+            for case in 0..40 {
+                let len = rng.random_range(2..90);
+                let a: Vec<u8> = (0..len).map(|_| rng.random_range(0..24u8)).collect();
+                let b = mutate(&mut rng, &a, 24, 0.05);
+                check(&a, &b, &p, &|| {
+                    format!("large gaps ({gap_open},{gap_extend}) case {case}")
+                });
             }
         }
         assert!(extensions >= 20_000);
         // The rarest path — a window that opens exactly at the previous
-        // row's end — must have been exercised.
+        // row's end — must have been exercised, and so must every lane
+        // path at every level.
         assert!(opened_past_prev_hi > 0);
+        for ((lv, _), seen) in kernels.iter().zip(&paths) {
+            assert!(
+                seen.multi_chunk > 0 && seen.partial > 0 && seen.restarts > 0,
+                "{lv} {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gap_open, gap_extend >= 0")]
+    fn negative_gap_cost_is_refused() {
+        let s = encode_seq(b"MKVLAWHERTY");
+        let p = AlignParams {
+            gap_open: -1,
+            ..params()
+        };
+        xdrop_align(&s, &s, 2, 2, 3, &p);
     }
 
     #[test]

@@ -142,10 +142,13 @@ const CHECKS: &[(&[&str], Kind)] = &[
         &["cascade", "traceback_span", "cells_per_sec"],
         Kind::Ratio(0.20),
     ),
-    // X-drop per computed cell against scalar SW per full-DP cell: two
-    // scalar kernels, so host-independent. 0.4 before the three-phase
-    // kernel (DESIGN.md §7), 0.75–0.85 after.
-    (&["aggregate", "xdrop_vs_scalar"], Kind::Floor(0.55)),
+    // X-drop per computed cell against scalar SW per full-DP cell. The
+    // x-drop open interior runs in the dispatched SIMD lanes and the SW
+    // reference is scalar, so the ratio depends on the host's lane width:
+    // 0.4 before the three-phase kernel (DESIGN.md §7), 0.75–0.85 with it,
+    // 1.4–1.8 with AVX2 interior lanes. The floor assumes AVX2: the SSE2
+    // lanes read 0.97–1.16.
+    (&["aggregate", "xdrop_vs_scalar"], Kind::Floor(1.2)),
     // AVX2 lanes against SLP lanes: 1.4–1.6×.
     (&["cascade", "striped_avx2", "vs_slp"], Kind::Floor(1.25)),
 ];
@@ -519,7 +522,7 @@ mod tests {
         let vs_slp = vs_slp.map_or(String::new(), |v| format!(",\"vs_slp\":{v}"));
         JsonValue::parse(&format!(
             "{{\"aggregate\":{{\"scalar\":{scalar},\"striped\":{},\"striped_score\":{},\
-             \"xdrop_vs_scalar\":0.8}},\"cascade\":{{\"striped_avx2\":{{\"slp\":1{vs_slp}}},\"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
+             \"xdrop_vs_scalar\":1.8}},\"cascade\":{{\"striped_avx2\":{{\"slp\":1{vs_slp}}},\"traceback_span\":{{\"cells_per_sec\":{}}}}}}}",
             scalar * 4.0,
             scalar * 5.0,
             scalar * 6.0
