@@ -9,9 +9,10 @@
 //! whose estimated per-rank footprint stays under the caller's byte
 //! budget.
 //!
-//! The estimate is collective and deterministic: every rank derives the
-//! identical full-length weight vector from three allgathers, so every
-//! rank computes the identical plan with no further agreement round.
+//! The estimate reads the k-mer counts the frequency pre-filter reads, and
+//! is collective and deterministic: every rank derives the identical
+//! full-length weight vector from three allgathers, so every rank computes
+//! the identical plan with no further agreement round.
 
 use pcomm::Grid;
 use sparse::DistMat;
@@ -46,9 +47,9 @@ pub struct BatchPlan {
 ///
 /// Column `j` of `B` accumulates one flop per (k-mer `k` in sequence `j`,
 /// occurrence of `k` anywhere), i.e. `w[j] = Σ_{k: Aᵀ(k,j)≠0}
-/// nnz(Aᵀ(k,·))`. The three allgathers assemble: global per-row counts of
-/// `Aᵀ` within each grid row, then per-column weights summed down each
-/// grid column, then the full-length weight vector along the grid row.
+/// nnz(Aᵀ(k,·))`: each k-mer's global count along the grid row, added to
+/// every sequence of its column in `Aᵀ`'s row form, then summed down the
+/// grid column and concatenated along the grid row.
 pub fn plan(grid: &Grid, a_t: &DistMat<u32>, budget_bytes: u64) -> BatchPlan {
     let _span = obs::span!("pastis.batch_plan");
     let weights = column_weights(grid, a_t);
@@ -60,59 +61,23 @@ pub fn plan(grid: &Grid, a_t: &DistMat<u32>, budget_bytes: u64) -> BatchPlan {
     }
 }
 
-/// Global nonzero count of each `Aᵀ` row of my row block.
-enum RowNnz {
-    /// I am my grid row's only rank: my sorted rows are the counts — a
-    /// row's count is the length of its equal range.
-    Sorted(Vec<u32>),
-    /// Sorted `(row, count)` runs, merged across my grid row.
-    Runs(Vec<(u32, u32)>),
-}
-
-impl RowNnz {
-    fn count(&self, r: u32) -> u64 {
-        match self {
-            RowNnz::Sorted(rows) => {
-                let lo = rows.partition_point(|&x| x < r);
-                rows[lo..].partition_point(|&x| x == r) as u64
-            }
-            RowNnz::Runs(runs) => {
-                let i = runs
-                    .binary_search_by_key(&r, |&(row, _)| row)
-                    .expect("every local row has a global count");
-                runs[i].1 as u64
-            }
-        }
-    }
-}
-
 /// Full-length flop-weight vector for `B`'s columns (see [`plan`]).
 /// Collective; identical on every rank.
 fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
-    // 1. Global nonzero count of each Aᵀ row present in my row block: the
-    //    ranks of my grid row hold the other column slices of the same
-    //    rows, so an allgather along the row communicator completes the
-    //    counts. The row space is hypersparse (24^k), so counts travel as
-    //    sorted `(row, count)` runs; a rank alone in its grid row keeps
-    //    its sorted rows and builds no runs.
-    let row_nnz = {
-        let mut rows: Vec<u32> = a_t.local().iter().map(|(r, _, _)| r).collect();
-        if grid.row_comm().size() == 1 {
-            rows.sort_unstable();
-            RowNnz::Sorted(rows)
-        } else {
-            RowNnz::Runs(merge_runs(grid.row_comm().allgather(row_runs(rows))))
+    // 1. My block of `Aᵀ` by rows: its columns are the k-mers of my row
+    //    block, its rows my local sequence columns. The ranks of my grid
+    //    row hold the other sequence slices of the same k-mers.
+    let (by_kmer, seqs) = a_t.by_rows();
+    debug_assert_eq!(seqs, 0..by_kmer.nrows() as u64, "plan sizes a whole Aᵀ");
+    let counts = crate::matrices::kmer_counts(grid.row_comm(), &by_kmer);
+    let mut w = vec![0u64; by_kmer.nrows()];
+    for (i, n) in counts.into_iter().enumerate() {
+        for &s in by_kmer.col_by_index(i).0 {
+            w[s as usize] += n as u64;
         }
-    };
-    // 2. Per-column weights of my column block, then summed down my grid
-    //    column (those ranks hold the other row slices of the same
-    //    columns).
-    let (c0, c1) = a_t.col_range();
-    let mut w = vec![0u64; (c1 - c0) as usize];
-    for (r, c, _) in a_t.local().iter() {
-        w[c as usize] += row_nnz.count(r);
     }
-    drop(row_nnz);
+    // 2. Sum down my grid column (those ranks hold the other k-mer slices
+    //    of the same sequence columns).
     let mut col_block = vec![0u64; w.len()];
     for part in grid.col_comm().allgather(w) {
         for (acc, x) in col_block.iter_mut().zip(part) {
@@ -129,35 +94,6 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
         .collect()
 }
 
-/// Run-length encode row indices: sorted, distinct `(row, occurrences)`
-/// pairs, allocated at their exact length.
-fn row_runs(mut rows: Vec<u32>) -> Vec<(u32, u32)> {
-    rows.sort_unstable();
-    let mut runs = Vec::with_capacity(rows.chunk_by(|a, b| a == b).count());
-    runs.extend(rows.chunk_by(|a, b| a == b).map(|g| (g[0], g.len() as u32)));
-    runs
-}
-
-/// Merge the runs of a grid row's ranks into one sorted run list, summing
-/// the counts of a row several ranks hold. Each part is copied into a
-/// buffer of the exact total length and dropped, so the merge holds at
-/// most two copies of the runs.
-fn merge_runs(parts: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
-    let mut runs = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        runs.extend(part);
-    }
-    runs.sort_unstable_by_key(|&(r, _)| r);
-    runs.dedup_by(|next, kept| {
-        let same = next.0 == kept.0;
-        if same {
-            kept.1 += next.1;
-        }
-        same
-    });
-    runs
-}
-
 /// Greedily pack columns into contiguous batches whose estimated per-rank
 /// bytes stay under `budget_bytes`, with a floor of one column per batch.
 /// Returns `(ranges, est_bytes)`.
@@ -166,7 +102,7 @@ fn merge_runs(parts: Vec<Vec<(u32, u32)>>) -> Vec<(u32, u32)> {
 /// a single grid-column block, so a narrow batch concentrates its triples
 /// on the `q` ranks of one grid column — `Σw·bytes/q` is the worst-case
 /// per-rank footprint, not the mean `Σw·bytes/p`.
-pub fn partition(weights: &[u64], q: usize, budget_bytes: u64) -> (Vec<(u64, u64)>, Vec<u64>) {
+fn partition(weights: &[u64], q: usize, budget_bytes: u64) -> (Vec<(u64, u64)>, Vec<u64>) {
     if weights.is_empty() {
         return (vec![(0, 0)], vec![0]);
     }
@@ -240,14 +176,6 @@ mod tests {
         let (ranges, est) = partition(&w, 1, u64::MAX);
         assert_eq!(ranges, vec![(0, 4)]);
         assert_eq!(est, vec![12 * OOC_BYTES_PER_FLOP]);
-    }
-
-    #[test]
-    fn row_runs_count_and_merge_sums() {
-        assert_eq!(row_runs(vec![5, 3, 5, 1, 5]), vec![(1, 1), (3, 1), (5, 3)]);
-        assert_eq!(row_runs(Vec::new()), Vec::new());
-        let merged = merge_runs(vec![vec![(1, 2), (4, 1)], vec![], vec![(1, 3), (2, 1)]]);
-        assert_eq!(merged, vec![(1, 5), (2, 1), (4, 1)]);
     }
 
     #[test]

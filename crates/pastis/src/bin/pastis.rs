@@ -39,7 +39,7 @@ use std::process::exit;
 use std::rc::Rc;
 
 use align::SimilarityMeasure;
-use pastis::{run_pipeline, AlignMode, PastisParams, Timings};
+use pastis::{kmer_fits_grid, run_pipeline, AlignMode, PastisParams, Timings};
 use pcomm::{Grid, WorldBuilder};
 
 struct Cli {
@@ -135,8 +135,11 @@ fn parse_cli() -> Cli {
         eprintln!("--ranks must be a positive perfect square (got {ranks})");
         exit(2);
     }
-    if !(1..=13).contains(&params.k) {
-        eprintln!("--k must be in 1..=13 (got {})", params.k);
+    if !kmer_fits_grid(params.k, q) {
+        eprintln!(
+            "--k {} does not fit --ranks {ranks}: --k must be in 1..=13 and a k-mer block of ⌈24^k / {q}⌉ ids must fit 2^32",
+            params.k
+        );
         exit(2);
     }
     // Thresholds no edge can clear would exit 0 with an empty PSG.

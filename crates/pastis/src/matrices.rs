@@ -3,14 +3,50 @@
 
 use std::rc::Rc;
 
-use pcomm::Grid;
+use pcomm::{Comm, Grid};
 use seqstore::{kmers_of, SeqRecord, SIGMA};
-use sparse::DistMat;
+use sparse::{Dcsc, DistMat};
 use subkmer::{build_s_triples, ExpenseTable};
 
 /// Size of the k-mer id space, `24^k`.
 pub fn kmer_space(k: usize) -> u64 {
     (SIGMA as u64).pow(k as u32)
+}
+
+/// Whether `k` is a usable k-mer length on a `q × q` grid: `24^k` must fit
+/// `u64` (`k ≤ 13`), and every k-mer block, at most `⌈24^k / q⌉` ids wide,
+/// must fit `u32` local ids, because the transpose turns k-mer columns into
+/// `u32` rows and [`kmer_counts`] ships them as `u32`.
+pub fn kmer_fits_grid(k: usize, q: usize) -> bool {
+    (1..=13).contains(&k) && kmer_space(k).div_ceil(q as u64) <= 1 << 32
+}
+
+/// Global occurrence count of each k-mer column of `by_kmer` (a block of
+/// `A`), in `by_kmer.cols()` order: its DCSC column lengths, summed over
+/// `comm`, the ranks holding the other sequence blocks of the same k-mers.
+/// Each rank ships its ascending `(local id, length)` pairs and
+/// merge-joins every part against its own columns. Collective.
+pub(crate) fn kmer_counts(comm: &Comm, by_kmer: &Dcsc<u32>) -> Vec<u32> {
+    let lens = (0..by_kmer.nzc()).map(|i| by_kmer.col_by_index(i).0.len() as u32);
+    if comm.size() == 1 {
+        return lens.collect();
+    }
+    let cols = by_kmer.cols();
+    // Local ids fit `u32` by `kmer_fits_grid`.
+    let mine: Vec<(u32, u32)> = cols.iter().map(|&c| c as u32).zip(lens).collect();
+    let mut counts = vec![0u32; cols.len()];
+    for part in comm.allgather(mine) {
+        let mut i = 0;
+        for (id, n) in part {
+            while cols.get(i).is_some_and(|&c| c < id as u64) {
+                i += 1;
+            }
+            if cols.get(i) == Some(&(id as u64)) {
+                counts[i] += n;
+            }
+        }
+    }
+    counts
 }
 
 /// Triples `(sequence gid, k-mer id, starting position)` for a rank's owned
@@ -75,6 +111,7 @@ pub fn build_s_dist(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcomm::World;
     use seqstore::{encode_seq, kmer_id};
 
     fn rec(gid: u64, s: &[u8]) -> SeqRecord {
@@ -89,6 +126,45 @@ mod tests {
     fn kmer_space_sizes() {
         assert_eq!(kmer_space(1), 24);
         assert_eq!(kmer_space(6), 191_102_976);
+    }
+
+    #[test]
+    fn kmer_fits_grid_bounds() {
+        // ⌈24^7 / 2^32⌉ = 2 and ⌈24^8 / 2^32⌉ = 26.
+        assert!(kmer_fits_grid(6, 1) && !kmer_fits_grid(7, 1) && kmer_fits_grid(7, 2));
+        assert!(!kmer_fits_grid(8, 25) && kmer_fits_grid(8, 26));
+        assert!(!kmer_fits_grid(0, 1) && !kmer_fits_grid(14, usize::MAX));
+    }
+
+    /// Rank `r`'s block (4 sequences × 12 k-mers): k-mer `r` on 1 sequence,
+    /// `r + 1` on 3 and 11 on `r + 1`, so k-mer 0 is rank 0's alone and 11
+    /// on every rank; rank `empty` holds nothing.
+    fn counts_block(r: usize, empty: Option<usize>) -> Vec<(u32, u64, u32)> {
+        if empty == Some(r) {
+            return Vec::new();
+        }
+        [(r, 1), (r + 1, 3), (11, r as u32 + 1)]
+            .into_iter()
+            .flat_map(|(c, n)| (0..n).map(move |s| (s, c as u64, s)))
+            .collect()
+    }
+
+    #[test]
+    fn kmer_counts_sum_column_lengths_over_the_comm() {
+        for q in 1..=3 {
+            for empty in [None, Some(q - 1)] {
+                World::run(q, |comm| {
+                    let mut brute = [0u32; 12];
+                    for (_, c, _) in (0..q).flat_map(|r| counts_block(r, empty)) {
+                        brute[c as usize] += 1;
+                    }
+                    let mine = counts_block(comm.rank(), empty);
+                    let block = Dcsc::from_triples(4, 12, mine, |_, _| unreachable!());
+                    let want: Vec<u32> = block.cols().iter().map(|&c| brute[c as usize]).collect();
+                    assert_eq!(kmer_counts(&comm, &block), want, "q={q} empty={empty:?}");
+                });
+            }
+        }
     }
 
     #[test]

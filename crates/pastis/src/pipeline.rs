@@ -19,7 +19,7 @@ use subkmer::ExpenseTable;
 
 use crate::batch::{self, BatchPlan};
 use crate::ckpt;
-use crate::matrices::{build_a_triples, build_s_dist, distinct_kmers, kmer_space};
+use crate::matrices::{self, build_a_triples, build_s_dist, distinct_kmers, kmer_space};
 use crate::params::{AlignMode, PastisParams};
 use crate::seedpair::SeedPair;
 use crate::semirings::{AsSemiring, ExactSemiring, SubSemiring};
@@ -365,16 +365,12 @@ struct PipeCtx<'a> {
 ///
 /// # Panics
 ///
-/// On parameter combinations the pipeline cannot honour: `k` outside
-/// `1..=13`, reduced-alphabet seeding with substitute k-mers, and a memory
-/// budget or checkpoint directory with substitute k-mers (whose `B` is
-/// symmetrised whole, so it cannot be cut into column batches).
+/// On parameter combinations the pipeline cannot honour: a `k` that does
+/// not fit the grid ([`crate::kmer_fits_grid`]), reduced-alphabet seeding
+/// with substitute k-mers, and a memory budget or checkpoint directory with
+/// substitute k-mers (whose `B` is symmetrised whole, so it cannot be cut
+/// into column batches).
 pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisRun {
-    assert!(
-        (1..=13).contains(&params.k),
-        "k must be in 1..=13 (got {})",
-        params.k
-    );
     assert!(
         !(params.reduced_alphabet && params.substitutes > 0),
         "reduced-alphabet seeding and substitute k-mers are mutually exclusive"
@@ -393,6 +389,12 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
     let (edges, counters) = {
         let _root = obs::span!("pastis.run");
         let grid = Rc::new(Grid::new(comm));
+        assert!(
+            matrices::kmer_fits_grid(params.k, grid.q()),
+            "k must be in 1..=13 and fit the grid, ⌈24^k / q⌉ ≤ 2^32 (k = {}, q = {})",
+            params.k,
+            grid.q()
+        );
         let q = grid.q() as u64;
         let mut counters = Counters::default();
 
@@ -548,26 +550,14 @@ fn align_owned(cx: &PipeCtx, mut b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::Coun
 }
 
 /// Drop columns of `A` (k-mers) whose global occurrence count exceeds
-/// `limit`. A k-mer column is spread over the ranks of one grid column, so
-/// global counts are assembled with an allgather along the column
-/// subcommunicator. Collective.
+/// `limit`. A k-mer column is spread over the ranks of one grid column,
+/// down which [`matrices::kmer_counts`] sums its lengths. Collective.
 fn prune_frequent_kmers(grid: &Grid, a: &mut DistMat<u32>, limit: u32) {
-    use std::collections::HashMap;
-    let local: Vec<(u64, u32)> = {
-        let mut counts: HashMap<u64, u32> = HashMap::new();
-        for (_, c, _) in a.iter_local() {
-            *counts.entry(c).or_insert(0) += 1;
-        }
-        let mut v: Vec<(u64, u32)> = counts.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
-    let all = grid.col_comm().allgather(local);
-    let mut global: HashMap<u64, u32> = HashMap::new();
-    for (c, n) in all.into_iter().flatten() {
-        *global.entry(c).or_insert(0) += n;
-    }
-    a.retain(|_, c, _| global.get(&c).copied().unwrap_or(0) <= limit);
+    let counts = matrices::kmer_counts(grid.col_comm(), a.local());
+    let cols = a.local().cols().iter().zip(counts);
+    let frequent: Vec<u64> = cols.filter(|&(_, n)| n > limit).map(|(&c, _)| c).collect();
+    let (c0, _) = a.col_range();
+    a.retain(|_, c, _| frequent.binary_search(&(c - c0)).is_err());
 }
 
 /// Alignment task ownership for a local block entry.

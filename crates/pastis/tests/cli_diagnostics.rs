@@ -49,6 +49,9 @@ fn bad_parameters_are_usage_errors() {
     std::fs::write(&fasta, ">a\nMKVLAAGIVGLLLAQ\n>b\nMKVLAAGIVGLLKAQ\n").unwrap();
     expect_rejection(&fasta, &["--k", "14"], 2, "--k");
     expect_rejection(&fasta, &["--k", "0"], 2, "--k");
+    // A k-mer block wider than 2^32 ids cannot become `u32` rows.
+    expect_rejection(&fasta, &["--k", "7", "--ranks", "1"], 2, "--k");
+    expect_rejection(&fasta, &["--k", "8", "--ranks", "4"], 2, "--k");
     expect_rejection(&fasta, &["--ranks", "0"], 2, "--ranks");
     expect_rejection(&fasta, &["--reduced", "--subs", "5"], 2, "--reduced");
     // Filter thresholds that no edge can clear: refused, not an empty PSG.
@@ -149,6 +152,8 @@ fn run_pipeline_refuses_what_the_binary_rejects() {
         let msg = refusal(params);
         assert!(msg.contains("mem_budget_bytes / ckpt_dir"), "{msg}");
     }
-    let msg = refusal(PastisParams { k: 14, ..base });
-    assert!(msg.contains("k must be in 1..=13"), "{msg}");
+    for k in [14, 7] {
+        let msg = refusal(PastisParams { k, ..base.clone() });
+        assert!(msg.contains("k must be in 1..=13"), "{msg}");
+    }
 }

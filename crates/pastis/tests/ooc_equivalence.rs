@@ -4,15 +4,19 @@
 //! column space and per-entry fold order is unchanged, so the merged edge
 //! set must match the monolithic run bit for bit — at every batch shape
 //! (single-column, uneven, full-width), every grid size, and under
-//! adversarial schedule perturbation.
+//! adversarial schedule perturbation. The sizer's per-column weights are
+//! checked against flops counted straight from the FASTA.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::OnceLock;
 
 use datagen::{metaclust_like, MetaclustConfig};
-use pastis::{run_pipeline, PastisParams};
-use pcomm::WorldBuilder;
+use pastis::{batch, build_a_triples, run_pipeline, PastisParams};
+use pcomm::{Grid, World, WorldBuilder};
 use proptest::prelude::*;
-use seqstore::write_fasta;
+use seqstore::{encode_seq, kmers_of, parse_fasta, write_fasta, DistSeqStore, SIGMA};
+use sparse::DistMat;
 
 const PS: [usize; 3] = [1, 4, 16];
 
@@ -105,6 +109,59 @@ fn counters_survive_batching() {
     assert_eq!(c0.alignments_global, c1.alignments_global);
     assert_eq!(c0.edges_global, c1.edges_global);
     assert_eq!(c0.prefilter_passed_global, c1.prefilter_passed_global);
+}
+
+/// Column `j` of `B = A·Aᵀ` costs one flop per k-mer of sequence `j` and
+/// sequence holding it. At budget 0 every column is its own batch, and for
+/// `q ∈ {1, 2}`, which divide [`batch::OOC_BYTES_PER_FLOP`], each batch's
+/// estimate is exactly `flops · 128 / q`.
+#[test]
+fn planner_weights_are_the_brute_force_flops() {
+    let k = params(None).k;
+    let kmers: Vec<BTreeSet<u64>> = parse_fasta(dataset())
+        .iter()
+        .map(|r| {
+            kmers_of(&encode_seq(&r.residues), k)
+                .map(|(id, _)| id)
+                .collect()
+        })
+        .collect();
+    let mut holders: BTreeMap<u64, u64> = BTreeMap::new();
+    for id in kmers.iter().flatten() {
+        *holders.entry(*id).or_insert(0) += 1;
+    }
+    let flops: Vec<u64> = kmers
+        .iter()
+        .map(|s| s.iter().map(|id| holders[id]).sum())
+        .collect();
+    for (p, q) in [(1, 1), (4, 2)] {
+        let plans = World::run(p, |comm| {
+            let grid = Rc::new(Grid::new(&comm));
+            let store = DistSeqStore::from_fasta(&comm, dataset());
+            let triples = build_a_triples(store.owned(), k, false);
+            let space = (SIGMA as u64).pow(k as u32);
+            let a = DistMat::from_triples(Rc::clone(&grid), store.len(), space, triples, |a, b| {
+                *a = (*a).min(b)
+            });
+            batch::plan(&grid, &a.transpose(), 0)
+        });
+        let plan = &plans[0];
+        assert!(
+            plans.iter().all(|other| other == plan),
+            "p={p}: ranks disagree"
+        );
+        assert_eq!(
+            plan.ranges.len(),
+            flops.len(),
+            "p={p}: one column per batch"
+        );
+        let got: Vec<u64> = plan
+            .est_bytes
+            .iter()
+            .map(|&e| e * q / batch::OOC_BYTES_PER_FLOP)
+            .collect();
+        assert_eq!(got, flops, "p={p}");
+    }
 }
 
 proptest! {

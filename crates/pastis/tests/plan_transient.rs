@@ -20,13 +20,16 @@ use seqstore::{write_fasta, DistSeqStore, SIGMA};
 use sparse::DistMat;
 
 /// Bytes per nonzero of `Aᵀ` the planner may hold transiently. Per-row
-/// counts kept in hash maps read about 50 at either p; sorted row runs read
-/// about 14 at p = 1 and 14–24 at p = 4, where the reading depends on how
-/// far the four ranks' peaks coincide.
+/// counts kept in hash maps read about 50 at either p, and sorted row runs
+/// 14–24 at p = 4. The planner reads `Aᵀ`'s row form and ships one
+/// `(u32, u32)` pair per k-mer column along the grid row, which reads
+/// 14–18 at p = 4; the reading depends on how far the four ranks' peaks
+/// coincide.
 const BOUND: f64 = 40.0;
 
-/// The p = 1 bound: a rank alone in its grid row counts rows by equal
-/// range in its sorted `u32` rows and builds no runs, which reads about 4.
+/// The p = 1 bound: a rank alone in its grid row reads its column lengths
+/// and ships nothing, which reads about 3.5 (a count per k-mer and a
+/// weight per sequence).
 const P1_BOUND: f64 = 8.0;
 
 const K: usize = 6;

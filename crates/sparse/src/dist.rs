@@ -72,7 +72,6 @@ pub struct DistMat<V> {
 /// A block held by rows: the DCSC of its transpose, of which only the rows
 /// `cols` (the block's local column ids) belong to the matrix — a
 /// column-restricted matrix shares its parent's row form.
-#[derive(Clone)]
 struct RowForm<V> {
     block: Arc<Dcsc<V>>,
     cols: Range<u64>,
@@ -293,13 +292,15 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         }
     }
 
-    /// My block by rows: the row form a transpose keeps, or else my block
-    /// transposed here, once.
-    fn row_form(&self) -> RowForm<V> {
-        self.by_rows.clone().unwrap_or_else(|| RowForm {
-            block: Arc::new(self.local.transpose()),
-            cols: 0..self.local.ncols(),
-        })
+    /// My block by rows: the DCSC of its transpose, and the rows of it (my
+    /// block's local column ids) that belong to this matrix. That is the
+    /// row form a transpose keeps, shared (see [`DistMat`]), or else my
+    /// block transposed here, once.
+    pub fn by_rows(&self) -> (Arc<Dcsc<V>>, Range<u64>) {
+        match &self.by_rows {
+            Some(r) => (Arc::clone(&r.block), r.cols.clone()),
+            None => (Arc::new(self.local.transpose()), 0..self.local.ncols()),
+        }
     }
 
     /// Distributed SpGEMM `C = self · b` over `sr`, using the 2D Sparse
@@ -344,10 +345,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         let (myrow, mycol) = (grid.myrow(), grid.mycol());
         // The `B` panel I broadcast, and the columns of it that take part.
         let (b_panel, b_cols) = match SR::MASK {
-            Some(_) => {
-                let rows = b.row_form();
-                (rows.block, rows.cols)
-            }
+            Some(_) => b.by_rows(),
             None => (Arc::clone(&b.local), 0..b.local.ncols()),
         };
         // Post stage `t`'s panel broadcasts nonblocking. Past the last

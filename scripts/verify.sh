@@ -101,7 +101,8 @@ done
 # into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
 # x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and the
 # overlap mask's tie on the local diagonal of off-diagonal blocks), and the
-# 2x2 grid out of core must write the same bytes; in Smith–Waterman mode
+# 2x2 grid out of core must write the same bytes, and so must one rank and
+# both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
 # one rank and a 2x2 grid.
 xp_tmp="$(mktemp -d)"
 xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
@@ -119,6 +120,17 @@ for seed in 7 26 1400845388; do
         xp_psg "$xp_tmp/px.tsv" xd $cfg
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: PSG at --ranks $cfg differs from --ranks 1"; exit 1; }
+    done
+    # The k-mer frequency pre-filter: it must prune (a different edge count
+    # from the unpruned PSG above, so the lane cannot pass vacuously) and
+    # write the same bytes on every grid.
+    xp_psg "$xp_tmp/f1.tsv" xd 1 --max-kmer-freq 4
+    [[ "$(wc -l <"$xp_tmp/f1.tsv")" != "$(wc -l <"$xp_tmp/p1.tsv")" ]] \
+        || { echo "verify: seed $seed: --max-kmer-freq 4 pruned no edge"; exit 1; }
+    for ranks in 4 9; do
+        xp_psg "$xp_tmp/px.tsv" xd "$ranks" --max-kmer-freq 4
+        cmp "$xp_tmp/f1.tsv" "$xp_tmp/px.tsv" \
+            || { echo "verify: seed $seed: --max-kmer-freq 4 PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
     done
     xp_psg "$xp_tmp/p1.tsv" sw 1
     xp_psg "$xp_tmp/px.tsv" sw 4

@@ -410,18 +410,57 @@ fn kmer_frequency_filter_drops_repeat_driven_pairs() {
     }
 }
 
+/// The `AlignMode::None` PSG of the k-mer frequency pre-filter, computed
+/// straight from the FASTA: pair `(i, j)` weighs the number of k-mers both
+/// hold that at most `limit` sequences hold, and is an edge when that
+/// number clears the CK threshold `ck`.
+fn brute_force_pruned_edges(fasta: &[u8], k: usize, limit: u32, ck: u32) -> Vec<(u64, u64, f64)> {
+    use std::collections::{BTreeMap, BTreeSet};
+    let kmers: Vec<BTreeSet<u64>> = seqstore::parse_fasta(fasta)
+        .iter()
+        .map(|r| {
+            let seq = seqstore::encode_seq(&r.residues);
+            seqstore::kmers_of(&seq, k).map(|(id, _)| id).collect()
+        })
+        .collect();
+    let mut holders: BTreeMap<u64, u32> = BTreeMap::new();
+    for id in kmers.iter().flatten() {
+        *holders.entry(*id).or_insert(0) += 1;
+    }
+    let mut edges = Vec::new();
+    for (i, a) in kmers.iter().enumerate() {
+        for (j, b) in kmers.iter().enumerate().skip(i + 1) {
+            let shared = a.intersection(b).filter(|id| holders[*id] <= limit).count() as u32;
+            if shared > ck {
+                edges.push((i as u64, j as u64, shared as f64));
+            }
+        }
+    }
+    edges
+}
+
 #[test]
 fn kmer_frequency_filter_is_grid_oblivious() {
     let fasta = small_dataset(25, 13);
-    let params = PastisParams {
-        k: 4,
-        max_kmer_frequency: Some(5),
-        mode: AlignMode::None,
-        ..Default::default()
-    };
-    let reference = collect_edges(&fasta, 1, &params);
-    for p in [4usize, 9] {
-        assert_eq!(collect_edges(&fasta, p, &params), reference, "p={p}");
+    let (k, limit) = (4, 5);
+    // Without the filter the reference differs, so the filter has work.
+    assert_ne!(
+        brute_force_pruned_edges(&fasta, k, limit, 0),
+        brute_force_pruned_edges(&fasta, k, u32::MAX, 0)
+    );
+    for ck in [0, 2] {
+        let params = PastisParams {
+            k,
+            max_kmer_frequency: Some(limit),
+            common_kmer_threshold: ck,
+            mode: AlignMode::None,
+            ..Default::default()
+        };
+        let brute = brute_force_pruned_edges(&fasta, k, limit, ck);
+        assert!(!brute.is_empty(), "ck={ck}: no edges to compare");
+        for p in [1usize, 4, 9] {
+            assert_eq!(collect_edges(&fasta, p, &params), brute, "ck={ck} p={p}");
+        }
     }
 }
 
