@@ -55,15 +55,14 @@ pub(crate) struct StripedBufs<T, const L: usize> {
 /// [`with_scratch`].
 #[derive(Default)]
 pub struct AlignScratch {
-    // Scalar Smith–Waterman rows (shared with the striped engine's
-    // traceback pass).
+    // Scalar Smith–Waterman rows, for the full matrix or, in the striped
+    // engine's traceback, for the start→end rectangle.
     pub(crate) h_prev: Vec<i32>,
     pub(crate) h_curr: Vec<i32>,
     pub(crate) f_row: Vec<i32>,
-    /// Full-matrix direction bytes (scalar engine only).
+    /// Direction bytes, one per cell of the matrix or rectangle the
+    /// scalar DP ran on.
     pub(crate) dirs: Vec<u8>,
-    /// Banded direction bytes (striped engine's traceback pass).
-    pub(crate) band_dirs: Vec<u8>,
     // Striped kernel state per SIMD dispatch level (see
     // `dispatch::SimdLevel`): portable SLP lanes, i16 with i32
     // overflow-fallback.
@@ -102,7 +101,6 @@ impl obs::HeapSize for AlignScratch {
             + i32s(&self.h_curr)
             + i32s(&self.f_row)
             + self.dirs.capacity()
-            + self.band_dirs.capacity()
             + self.slp16.heap_bytes()
             + self.slp32.heap_bytes()
             + self.avx16.heap_bytes()

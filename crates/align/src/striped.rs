@@ -20,15 +20,15 @@
 //! saturation is detected by headroom check, falling back to an i32-lane
 //! pass.
 //!
-//! Tracebacks use two score-only striped passes plus a scalar rerun: the
-//! forward pass finds the best end cell; a reverse pass over the reversed
-//! prefixes locates the alignment *start* cell (the farthest-from-the-end
-//! cell attaining the best score, so the rectangle covers every optimal
-//! path); the scalar pass then reruns the DP only on the start→end
-//! rectangle, keeping direction bytes inside a diagonal band that doubles
-//! until the optimal path fits. Both the end cell and every direction byte
-//! reproduce the scalar engine's choices, so the resulting [`AlignStats`]
-//! is bit-identical to [`crate::smith_waterman`] while traceback memory
+//! Tracebacks use two score-only striped passes plus one scalar rerun:
+//! the forward pass finds the best end cell; a reverse pass over the
+//! reversed prefixes locates the alignment *start* cell (the
+//! farthest-from-the-end cell attaining the best score, so the rectangle
+//! covers every optimal path); then [`crate::smith_waterman`]'s own DP and
+//! traceback walk run on the start→end rectangle. The rectangle holds
+//! every optimal path and its last cell is its row-major-first maximum, so
+//! the resulting [`AlignStats`] is bit-identical to the full-matrix scalar
+//! engine, while traceback memory (one direction byte per rectangle cell)
 //! and rerun work drop from the `best_i × best_j` prefix to the alignment
 //! span.
 
@@ -37,7 +37,7 @@ use seqstore::SIGMA;
 use crate::dispatch::{self, SimdLevel};
 use crate::scratch::{with_scratch, AlignScratch, StripedBufs};
 use crate::stats::AlignStats;
-use crate::sw::{E_EXTEND, F_EXTEND, H_DIAG, H_FROM_E, H_SRC_MASK, H_STOP, NEG_INF};
+use crate::sw::smith_waterman_with;
 use crate::AlignParams;
 
 /// Portable lane counts: 16 bytes of state per vector, mirroring one SSE
@@ -57,9 +57,6 @@ const NEG32: i32 = i32::MIN / 4;
 /// headroom below saturation, so any pass that could have clipped is redone
 /// in i32 lanes.
 const I16_SAFE: i32 = i16::MAX as i32 - 12;
-
-/// Initial traceback band half-width; doubled until the optimal path fits.
-const BAND_START: usize = 64;
 
 /// Smallest end-cell rectangle (in DP cells) for which the traceback runs
 /// the reverse start-cell pass. Below this the pass's own striped rerun
@@ -593,6 +590,13 @@ fn span_start_with(
 /// the full [`AlignStats`] without repeating the score pass. This is the
 /// second half of [`striped_align_with`], split out so the prefilter
 /// cascade runs it only for pairs whose score clears the threshold.
+///
+/// The traceback itself is [`crate::smith_waterman`]'s scalar DP, run on the
+/// start→end rectangle only. Every cell before `end` in row-major order
+/// scores below `score` in the full matrix, and no local alignment inside
+/// the rectangle outscores its full-matrix counterpart, so `end` is also
+/// the rectangle's row-major-first maximum: the rerun ends where the full
+/// engine does and walks the same path back.
 pub(crate) fn striped_traceback_with(
     r: &[u8],
     c: &[u8],
@@ -601,231 +605,32 @@ pub(crate) fn striped_traceback_with(
     end: (u32, u32),
     scratch: &mut AlignScratch,
 ) -> AlignStats {
-    let mut stats = AlignStats {
-        r_len: r.len() as u32,
-        c_len: c.len() as u32,
-        ..Default::default()
-    };
-    if score == 0 {
-        return stats;
-    }
-    stats.score = score;
+    // A zero score comes with end `(0, 0)`: the rerun runs on empty
+    // slices and returns the zero alignment.
     let (bi, bj) = (end.0 as usize, end.1 as usize);
-    // Third pass: scalar DP over the start→end rectangle (the recurrence
-    // never looks outside it), keeping direction bytes only inside a
-    // diagonal band. Growing the band until the path fits makes the
-    // traceback identical to the full-matrix one.
-    let (mut i_lo, mut j_lo) = span_start_with(r, c, params, score, bi, bj, scratch);
-    loop {
-        let (sub_r, sub_c) = (&r[i_lo - 1..bi], &c[j_lo - 1..bj]);
-        let (rbi, rbj) = (bi - i_lo + 1, bj - j_lo + 1);
-        let full = (rbi.max(rbj) - 1).max(1);
-        let mut w = BAND_START.min(full);
-        loop {
-            pcomm::work::record_class((rbi * rbj) as u64, pcomm::work::CostClass::SwCell);
-            if banded_traceback(sub_r, sub_c, params, rbi, rbj, w, scratch, &mut stats) {
-                let (di, dj) = ((i_lo - 1) as u32, (j_lo - 1) as u32);
-                stats.r_span.0 += di;
-                stats.r_span.1 += di;
-                stats.c_span.0 += dj;
-                stats.c_span.1 += dj;
-                return stats;
-            }
-            if w >= full {
-                // A full-width band cannot be escaped, so the start-cell
-                // rectangle itself must have been too small — impossible
-                // per the containment argument, but degrade to the
-                // unshrunk rectangle rather than loop.
-                debug_assert!(i_lo > 1 || j_lo > 1, "full-width band cannot be escaped");
-                if i_lo == 1 && j_lo == 1 {
-                    return stats;
-                }
-                (i_lo, j_lo) = (1, 1);
-                break;
-            }
-            w = (w * 2).min(full);
-        }
+    let (i_lo, j_lo) = span_start_with(r, c, params, score, bi, bj, scratch);
+    let mut stats = smith_waterman_with(&r[i_lo - 1..bi], &c[j_lo - 1..bj], params, scratch);
+    let (mut di, mut dj) = ((i_lo - 1) as u32, (j_lo - 1) as u32);
+    let rect_end = (end.0 - di, end.1 - dj);
+    // Disagreement is impossible by the argument above; release degrades
+    // to the full prefix rather than report a different alignment.
+    let agrees = stats.score == score && (stats.r_span.1, stats.c_span.1) == rect_end;
+    debug_assert!(agrees, "rectangle rerun disagrees with the score pass");
+    if !agrees {
+        stats = smith_waterman_with(&r[..bi], &c[..bj], params, scratch);
+        (di, dj) = (0, 0);
     }
-}
-
-/// Rerun the scalar recurrence over rows `1..=bi`, columns `1..=bj`,
-/// recording direction bytes only where `|(i − j) − (bi − bj)| ≤ w`, then
-/// trace back from `(bi, bj)` into `stats`. Returns `false` if the
-/// traceback left the band (caller retries with a wider one) or the rerun
-/// failed to reach `stats.score` (caller retries with a larger rectangle).
-#[allow(clippy::too_many_arguments)]
-fn banded_traceback(
-    r: &[u8],
-    c: &[u8],
-    params: &AlignParams,
-    bi: usize,
-    bj: usize,
-    w: usize,
-    scratch: &mut AlignScratch,
-    stats: &mut AlignStats,
-) -> bool {
-    let open = params.gap_open + params.gap_extend;
-    let ext = params.gap_extend;
-    let d0 = bi as isize - bj as isize;
-    let width = 2 * w + 1;
-
-    scratch.h_prev.clear();
-    scratch.h_prev.resize(bj + 1, 0);
-    scratch.h_curr.clear();
-    scratch.h_curr.resize(bj + 1, 0);
-    scratch.f_row.clear();
-    scratch.f_row.resize(bj + 1, NEG_INF);
-    scratch.band_dirs.clear();
-    scratch.band_dirs.resize(bi * width, 0);
-    let h_prev = &mut scratch.h_prev;
-    let h_curr = &mut scratch.h_curr;
-    let f_row = &mut scratch.f_row;
-    let band = &mut scratch.band_dirs;
-
-    for i in 1..=bi {
-        let mut e = NEG_INF;
-        h_curr[0] = 0;
-        let ri = r[i - 1];
-        let row_base = (i - 1) * width;
-        // In-band column window of this row: `[band_l, band_r)`. Cells
-        // outside it still run the full recurrence (exactness — E chains
-        // span whole rows) but skip direction recording, so the row loop
-        // stays branch-free per cell.
-        let jlo = i as isize - d0 - w as isize;
-        let band_l = jlo.clamp(1, bj as isize + 1) as usize;
-        let band_r = (jlo + width as isize).clamp(1, bj as isize + 1) as usize;
-        // Same recurrence and tie-break order as the scalar engine — the
-        // recorded direction bytes must be byte-identical.
-        macro_rules! dp_cell {
-            ($j:expr, $record:literal) => {{
-                let j = $j;
-                let mut dir = 0u8;
-                let e_open = h_curr[j - 1] - open;
-                let e_ext = e - ext;
-                e = if e_ext > e_open {
-                    dir |= E_EXTEND;
-                    e_ext
-                } else {
-                    e_open
-                };
-                let f_open = h_prev[j] - open;
-                let f_ext = f_row[j] - ext;
-                f_row[j] = if f_ext > f_open {
-                    dir |= F_EXTEND;
-                    f_ext
-                } else {
-                    f_open
-                };
-                let diag = h_prev[j - 1] + params.matrix.score(ri, c[j - 1]);
-                let mut h = 0i32;
-                let mut src = H_STOP;
-                if diag > h {
-                    h = diag;
-                    src = H_DIAG;
-                }
-                if e > h {
-                    h = e;
-                    src = H_FROM_E;
-                }
-                if f_row[j] > h {
-                    h = f_row[j];
-                    src = crate::sw::H_FROM_F;
-                }
-                h_curr[j] = h;
-                if $record {
-                    band[row_base + (j as isize - jlo) as usize] = dir | src;
-                }
-            }};
-        }
-        for j in 1..band_l {
-            dp_cell!(j, false);
-        }
-        for j in band_l..band_r {
-            dp_cell!(j, true);
-        }
-        for j in band_r..=bj {
-            dp_cell!(j, false);
-        }
-        std::mem::swap(h_prev, h_curr);
-    }
-    debug_assert_eq!(
-        h_prev[bj], stats.score,
-        "banded rerun disagrees with striped best"
-    );
-    if h_prev[bj] != stats.score {
-        return false; // rectangle too small — caller widens it
-    }
-
-    // Traceback, identical to the scalar engine's but over the band; any
-    // access outside it aborts the attempt.
-    stats.matches = 0;
-    stats.align_len = 0;
-    let (mut i, mut j) = (bi, bj);
-    stats.r_span.1 = i as u32;
-    stats.c_span.1 = j as u32;
-    #[derive(PartialEq)]
-    enum State {
-        H,
-        E,
-        F,
-    }
-    let mut state = State::H;
-    loop {
-        let off = j as isize - i as isize + d0 + w as isize;
-        if off < 0 || off >= width as isize {
-            return false; // escaped the band
-        }
-        let dir = band[(i - 1) * width + off as usize];
-        match state {
-            State::H => match dir & H_SRC_MASK {
-                H_STOP => break,
-                H_DIAG => {
-                    stats.align_len += 1;
-                    if r[i - 1] == c[j - 1] {
-                        stats.matches += 1;
-                    }
-                    i -= 1;
-                    j -= 1;
-                    if i == 0 || j == 0 {
-                        break;
-                    }
-                }
-                H_FROM_E => state = State::E,
-                _ => state = State::F,
-            },
-            State::E => {
-                stats.align_len += 1;
-                let extended = dir & E_EXTEND != 0;
-                j -= 1;
-                if !extended {
-                    state = State::H;
-                }
-                if j == 0 {
-                    break;
-                }
-            }
-            State::F => {
-                stats.align_len += 1;
-                let extended = dir & F_EXTEND != 0;
-                i -= 1;
-                if !extended {
-                    state = State::H;
-                }
-                if i == 0 {
-                    break;
-                }
-            }
-        }
-    }
-    stats.r_span.0 = i as u32;
-    stats.c_span.0 = j as u32;
-    true
+    stats.r_span = (stats.r_span.0 + di, stats.r_span.1 + di);
+    stats.c_span = (stats.c_span.0 + dj, stats.c_span.1 + dj);
+    stats.r_len = r.len() as u32;
+    stats.c_len = c.len() as u32;
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sw::smith_waterman;
+    use crate::sw::{smith_waterman, NEG_INF};
     use seqstore::encode_seq;
 
     #[test]
@@ -858,7 +663,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let mut p = AlignParams::default();
         for round in 0..60 {
-            // Vary gap costs to exercise tie-break and band behaviour.
+            // Vary gap costs to exercise tie-breaks and gap paths.
             p.gap_open = [11, 5, 0][round % 3];
             p.gap_extend = [1, 2, 1][round % 3];
             let m = rng.random_range(1..90);
@@ -1094,8 +899,9 @@ mod tests {
 
     #[test]
     fn long_gap_widens_band() {
-        // An alignment whose path wanders > BAND_START off the end-cell
-        // diagonal: identical flanks around a 200-residue insertion.
+        // An alignment whose path wanders 200 cells off the end-cell
+        // diagonal (identical flanks around a 200-residue insertion): the
+        // rectangle rerun must hold the whole detour.
         let flank_a = b"MKVLAWHERTYCDEFGHIKLMNPQRSTVWYAADDEEFFGGHH".repeat(4);
         let mut a = encode_seq(&flank_a);
         let mut b = a.clone();

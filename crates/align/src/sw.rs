@@ -5,15 +5,16 @@ use crate::scratch::{with_scratch, AlignScratch};
 use crate::stats::AlignStats;
 use crate::AlignParams;
 
-// Direction byte layout for traceback (shared with the striped engine's
-// banded traceback pass, which must produce identical bytes).
-pub(crate) const H_SRC_MASK: u8 = 0b11; // 0 stop, 1 diag, 2 E (gap in r), 3 F (gap in c)
-pub(crate) const H_STOP: u8 = 0;
-pub(crate) const H_DIAG: u8 = 1;
-pub(crate) const H_FROM_E: u8 = 2;
-pub(crate) const H_FROM_F: u8 = 3;
-pub(crate) const E_EXTEND: u8 = 1 << 2; // E came from E (else from H)
-pub(crate) const F_EXTEND: u8 = 1 << 3; // F came from F (else from H)
+// Direction byte layout for traceback. The striped engine's traceback
+// reruns `smith_waterman_with` on the alignment's rectangle, so this is
+// the only module that reads or writes these bytes.
+const H_SRC_MASK: u8 = 0b11; // 0 stop, 1 diag, 2 E (gap in r), 3 F (gap in c)
+const H_STOP: u8 = 0;
+const H_DIAG: u8 = 1;
+const H_FROM_E: u8 = 2;
+const H_FROM_F: u8 = 3;
+const E_EXTEND: u8 = 1 << 2; // E came from E (else from H)
+const F_EXTEND: u8 = 1 << 3; // F came from F (else from H)
 
 pub(crate) const NEG_INF: i32 = i32::MIN / 4;
 
@@ -28,7 +29,7 @@ pub fn smith_waterman(r: &[u8], c: &[u8], params: &AlignParams) -> AlignStats {
 
 /// [`smith_waterman`] on an explicit scratch arena (no per-call heap
 /// allocation once the arena is warm).
-fn smith_waterman_with(
+pub(crate) fn smith_waterman_with(
     r: &[u8],
     c: &[u8],
     params: &AlignParams,

@@ -14,6 +14,47 @@ fn seq_strategy(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..20, 0..max)
 }
 
+/// Pairs of 130–260 residues whose end rectangle is large enough
+/// (≥ 128², the striped traceback's reverse-pass threshold) for the
+/// start-cell pass and the rectangle rerun to run, drawn from three
+/// families: a random pair sharing a planted core, a homolog with
+/// substitutions and indels, and a pair over a 4-letter alphabet, where
+/// many paths tie for the best score.
+fn long_pair_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    use proptest::collection::vec;
+    let planted = (
+        vec(0u8..20, 30..70),
+        vec(0u8..20, 100..150),
+        vec(0u8..20, 0..40),
+        vec(0u8..20, 100..150),
+        vec(0u8..20, 0..40),
+    )
+        .prop_map(|(core, pa, sa, pb, sb)| {
+            ([pa, core.clone(), sa].concat(), [pb, core, sb].concat())
+        });
+    // Each edit substitutes one residue, inserts `res` or deletes as
+    // many residues as `res` holds (at most 8), so `b` stays in 130..260.
+    let homolog = (
+        vec(0u8..20, 170..220),
+        vec((0usize..1000, 0u8..3, vec(0u8..20, 1..9)), 0..6),
+    )
+        .prop_map(|(a, edits)| {
+            let mut b = a.clone();
+            for (at, kind, res) in edits {
+                let pos = at % b.len();
+                match kind {
+                    0 => b[pos] = res[0],
+                    1 => drop(b.splice(pos..pos, res)),
+                    _ => drop(b.drain(pos..(pos + res.len()).min(b.len()))),
+                }
+            }
+            (a, b)
+        });
+    let tie_rich = (vec(0u8..4, 130..260), vec(0u8..4, 130..260));
+    (0usize..3, planted, homolog, tie_rich)
+        .prop_map(|(kind, p, h, t)| [p, h, t].into_iter().nth(kind).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -110,7 +151,7 @@ proptest! {
         ext in 1i32..4,
     ) {
         // Full AlignStats equality (score, matches, align_len, spans) across
-        // varied gap penalties, which shift tie-breaks and band shapes.
+        // varied gap penalties, which shift tie-breaks and gap paths.
         let p = AlignParams { gap_open: open, gap_extend: ext, ..Default::default() };
         prop_assert_eq!(striped_align(&a, &b, &p), smith_waterman(&a, &b, &p));
     }
@@ -129,6 +170,26 @@ proptest! {
         }
         let p = AlignParams::default();
         prop_assert_eq!(striped_align(&a, &b, &p), smith_waterman(&a, &b, &p));
+    }
+
+    #[test]
+    fn striped_rectangle_rerun_matches_scalar(
+        (a, b) in long_pair_strategy(),
+        gaps in 0usize..3,
+    ) {
+        // Long pairs drive the reverse start-cell pass and the scalar rerun
+        // on the start→end rectangle, which the shorter strategies above
+        // never reach.
+        let (gap_open, gap_extend) = [(11, 1), (5, 2), (0, 1)][gaps];
+        let p = AlignParams { gap_open, gap_extend, ..Default::default() };
+        let full = smith_waterman(&a, &b, &p);
+        prop_assert_eq!(striped_align(&a, &b, &p), full, "a={:?} b={:?}", a, b);
+        let want = if full.score >= 1 {
+            PrefilterOutcome::Passed(full)
+        } else {
+            PrefilterOutcome::CulledScore
+        };
+        prop_assert_eq!(prefiltered_align_outcome(&a, &b, &p, 1), want);
     }
 
     #[test]

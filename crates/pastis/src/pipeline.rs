@@ -560,12 +560,6 @@ fn prune_frequent_kmers(grid: &Grid, a: &mut DistMat<u32>, limit: u32) {
     a.retain(|_, c, _| frequent.binary_search(&(c - c0)).is_err());
 }
 
-/// Alignment task ownership for a local block entry.
-#[inline]
-fn owns_pair(li: u64, lj: u64, myrow: usize, mycol: usize) -> bool {
-    li < lj || (li == lj && myrow <= mycol)
-}
-
 /// Per-rank OS-thread budget for alignment batches: 0 = auto, splitting
 /// the host's cores evenly among co-located ranks (the paper's
 /// one-process-per-node × t-threads layout).
@@ -645,17 +639,13 @@ fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterD
     let (store, params) = (cx.store, cx.params);
     let mut tally = ckpt::CounterDelta::default();
     let mut tasks: Vec<Task> = Vec::new();
+    let mask = ExactSemiring::MASK.expect("the exact product is masked");
+    let (myrow, mycol) = (cx.grid.myrow(), cx.grid.mycol());
     for (gi, gj, pair) in b.iter_local() {
         tally.nnz_b += 1;
-        debug_assert!(gi != gj, "self-overlap ({gi},{gj}) reached the consumer");
         debug_assert!(
-            owns_pair(
-                gi - cx.row_range.0,
-                gj - cx.col_range.0,
-                cx.grid.myrow(),
-                cx.grid.mycol()
-            ),
-            "pair ({gi},{gj}) is not this rank's"
+            mask.keeps(gi - cx.row_range.0, gj - cx.col_range.0, myrow, mycol),
+            "pair ({gi},{gj}) is not this rank's, or is a self-overlap"
         );
         tally.candidates += 1;
         if pair.count <= params.common_kmer_threshold {
@@ -784,48 +774,35 @@ mod tests {
 
     #[test]
     fn ownership_rule_is_a_partition() {
-        // For every grid size and pair (i, j), exactly one rank owns the
-        // pair — the §V-D claim.
+        // The exact product's output mask on every square grid: of the
+        // entries (i, j) and (j, i) of symmetric B, i ≠ j, exactly one is
+        // kept, by exactly one block — the §V-D claim — and no diagonal
+        // entry is kept.
         let n = 23u64;
+        let mask = ExactSemiring::MASK.expect("the exact product is masked");
         for q in [1usize, 2, 3, 4] {
             let ranges: Vec<(u64, u64)> = (0..q)
                 .map(|i| (i as u64 * n / q as u64, (i as u64 + 1) * n / q as u64))
                 .collect();
-            // Owners of entry (i, j) of symmetric B: it exists in block
-            // (r, c) iff i ∈ rows(r), j ∈ cols(c).
-            let owners = |i: u64, j: u64| {
-                let mut owners = 0;
+            // Blocks keeping entry (i, j): it exists in block (r, c) iff
+            // i ∈ rows(r), j ∈ cols(c).
+            let keepers = |i: u64, j: u64| {
+                let mut keepers = 0;
                 for (r, &(r0, r1)) in ranges.iter().enumerate() {
                     for (c, &(c0, c1)) in ranges.iter().enumerate() {
                         let inside = (r0..r1).contains(&i) && (c0..c1).contains(&j);
-                        if inside && owns_pair(i - r0, j - c0, r, c) {
-                            owners += 1;
+                        if inside && mask.keeps(i - r0, j - c0, r, c) {
+                            keepers += 1;
                         }
                     }
                 }
-                owners
+                keepers
             };
             for i in 0..n {
+                assert_eq!(keepers(i, i), 0, "diagonal entry ({i},{i}) kept, q={q}");
                 for j in (0..n).filter(|&j| j != i) {
-                    // B symmetric: (i,j) and (j,i) both exist; exactly one
-                    // of the two entries may be owned.
-                    let (o, o_t) = (owners(i, j), owners(j, i));
-                    assert_eq!(o + o_t, 1, "pair ({i},{j}) q={q}: {o}+{o_t}");
-                }
-            }
-            // The exact product's output mask keeps exactly the owned
-            // off-diagonal entries, on every block.
-            let mask = ExactSemiring::MASK.expect("the exact product is masked");
-            for (r, &(r0, r1)) in ranges.iter().enumerate() {
-                for (c, &(c0, c1)) in ranges.iter().enumerate() {
-                    for (i, j) in (r0..r1).flat_map(|i| (c0..c1).map(move |j| (i, j))) {
-                        let (li, lj) = (i - r0, j - c0);
-                        assert_eq!(
-                            mask.keeps(li, lj, r, c),
-                            owns_pair(li, lj, r, c) && i != j,
-                            "entry ({i},{j}) of block ({r},{c}), q={q}"
-                        );
-                    }
+                    let (k, k_t) = (keepers(i, j), keepers(j, i));
+                    assert_eq!(k + k_t, 1, "pair ({i},{j}) q={q}: {k}+{k_t}");
                 }
             }
         }

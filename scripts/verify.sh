@@ -85,15 +85,19 @@ rm -rf "$ooc_tmp"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --seed 7 --seconds 1
-# X-drop digest pins: the harness's PSG line at the cross-p lane's two
-# non-reference seeds must equal the digests recorded with the scalar open
-# interior. The cross-p lane below only compares the kernel with itself
-# there, so a lane bug in `align::xdrop` would pass it.
-for pin in "26 2645 0x0e819f1c197c51eb" "1400845388 2363 0x1d8460fec87205c0"; do
-    read -r seed edges fnv <<<"$pin"
-    out="$(bash benchmark/run.sh --workload xd_exact --seed "$seed" --seconds 1 --trace 0)"
-    grep -qF "xd_exact psg edges $edges fnv $fnv seed $seed" <<<"$out" \
-        || { echo "verify: seed $seed: x-drop PSG is not edges $edges fnv $fnv"; exit 1; }
+# Digest pins: the harness's PSG line at the cross-p lane's two
+# non-reference seeds must equal recorded digests. The cross-p lane below
+# only compares each mode with itself there, so a bug in either engine
+# would pass it. The digests were recorded by independent code: x-drop's
+# with the scalar open interior (against a lane bug in `align::xdrop`),
+# Smith–Waterman's with a diagonal-band traceback (against a traceback bug
+# in `align::striped`).
+for pin in "xd_exact 26 2645 0x0e819f1c197c51eb" "xd_exact 1400845388 2363 0x1d8460fec87205c0" \
+    "sw_exact 26 2645 0xd35f4f0a5a46a811" "sw_exact 1400845388 2363 0xb9fd55159fcac4af"; do
+    read -r workload seed edges fnv <<<"$pin"
+    out="$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0)"
+    grep -qF "$workload psg edges $edges fnv $fnv seed $seed" <<<"$out" \
+        || { echo "verify: seed $seed: $workload PSG is not edges $edges fnv $fnv"; exit 1; }
 done
 # Cross-p lane: "connections found in the PSG are oblivious to the number
 # of processes" (paper §V) on the benchmark's 3.5k input and flags, at the
