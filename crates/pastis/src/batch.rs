@@ -70,8 +70,13 @@ fn column_weights(grid: &Grid, a_t: &DistMat<u32>) -> Vec<u64> {
     let (by_kmer, seqs) = a_t.by_rows();
     debug_assert_eq!(seqs, 0..by_kmer.nrows() as u64, "plan sizes a whole Aᵀ");
     let counts = crate::matrices::kmer_counts(grid.row_comm(), &by_kmer);
+    let mut union = counts.iter();
     let mut w = vec![0u64; by_kmer.nrows()];
-    for (i, n) in counts.into_iter().enumerate() {
+    for (i, &c) in by_kmer.cols().iter().enumerate() {
+        // Both ascending, and the union holds each of my columns.
+        let (_, n) = union
+            .find(|&(id, _)| id as u64 == c)
+            .expect("my column is in the union");
         for &s in by_kmer.col_by_index(i).0 {
             w[s as usize] += n as u64;
         }

@@ -42,7 +42,9 @@ mod pipeline;
 mod seedpair;
 mod semirings;
 
-pub use matrices::{build_a_triples, build_s_dist, distinct_kmers, kmer_fits_grid};
+pub use matrices::{
+    build_a_triples, build_s_dist, distinct_kmers, held_kmers, kmer_fits_grid, prune_frequent_kmers,
+};
 pub use params::{AlignMode, PastisParams};
 pub use pipeline::{run_pipeline, Counters, PastisRun, StageMeasure, Timings};
 pub use seedpair::{SeedPair, SubPos};

@@ -3,10 +3,10 @@
 
 use std::rc::Rc;
 
-use pcomm::{Comm, Grid};
+use pcomm::Comm;
 use seqstore::{kmers_of, SeqRecord, SIGMA};
 use sparse::{Dcsc, DistMat};
-use subkmer::{build_s_triples, ExpenseTable};
+use subkmer::{build_s_rows, ExpenseTable};
 
 /// Size of the k-mer id space, `24^k`.
 pub fn kmer_space(k: usize) -> u64 {
@@ -21,32 +21,65 @@ pub fn kmer_fits_grid(k: usize, q: usize) -> bool {
     (1..=13).contains(&k) && kmer_space(k).div_ceil(q as u64) <= 1 << 32
 }
 
-/// Global occurrence count of each k-mer column of `by_kmer` (a block of
-/// `A`), in `by_kmer.cols()` order: its DCSC column lengths, summed over
-/// `comm`, the ranks holding the other sequence blocks of the same k-mers.
-/// Each rank ships its ascending `(local id, length)` pairs and
-/// merge-joins every part against its own columns. Collective.
-pub(crate) fn kmer_counts(comm: &Comm, by_kmer: &Dcsc<u32>) -> Vec<u32> {
-    let lens = (0..by_kmer.nzc()).map(|i| by_kmer.col_by_index(i).0.len() as u32);
-    if comm.size() == 1 {
-        return lens.collect();
-    }
-    let cols = by_kmer.cols();
+/// The k-mer columns of `by_kmer` (a block of `A`) or of any other rank
+/// of `comm`, which hold the other sequence blocks of the same k-mers,
+/// with each one's global occurrence count, the sum of the column's DCSC
+/// lengths. Each rank ships its ascending `(local id, length)` pairs; the
+/// union is merged from the parts as it is read. Collective.
+pub(crate) fn kmer_counts(comm: &Comm, by_kmer: &Dcsc<u32>) -> KmerUnion {
     // Local ids fit `u32` by `kmer_fits_grid`.
-    let mine: Vec<(u32, u32)> = cols.iter().map(|&c| c as u32).zip(lens).collect();
-    let mut counts = vec![0u32; cols.len()];
-    for part in comm.allgather(mine) {
-        let mut i = 0;
-        for (id, n) in part {
-            while cols.get(i).is_some_and(|&c| c < id as u64) {
-                i += 1;
-            }
-            if cols.get(i) == Some(&(id as u64)) {
-                counts[i] += n;
-            }
+    let mine: Vec<(u32, u32)> = (by_kmer.cols().iter().enumerate())
+        .map(|(i, &c)| (c as u32, by_kmer.col_by_index(i).0.len() as u32))
+        .collect();
+    // Gathered at p = 1 too, so the trace has one shape on every grid.
+    KmerUnion(comm.allgather(mine))
+}
+
+/// Every rank's ascending `(local id, length)` part, as [`kmer_counts`]
+/// gathered them.
+pub(crate) struct KmerUnion(Vec<Vec<(u32, u32)>>);
+
+impl KmerUnion {
+    /// The union, ascending `(local id, global count)`, the same on every
+    /// rank: merged as it is read, so no copy of it is ever held.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let mut heads: Vec<_> = self.0.iter().map(|p| p.iter().peekable()).collect();
+        std::iter::from_fn(move || {
+            let id = heads
+                .iter_mut()
+                .filter_map(|h| h.peek().map(|p| p.0))
+                .min()?;
+            let parts = heads.iter_mut().filter_map(|h| h.next_if(|p| p.0 == id));
+            Some((id, parts.map(|p| p.1).sum()))
+        })
+    }
+}
+
+/// The k-mer columns some block of `a`'s grid column holds: ascending ids
+/// local to `a.col_range()`, the same on every rank of the grid column.
+/// They are the columns of `S` that `(A·S)·Aᵀ` reads there (see
+/// [`build_s_dist`]). Collective over the grid column.
+pub fn held_kmers(a: &DistMat<u32>) -> Vec<u32> {
+    let counts = kmer_counts(a.grid().col_comm(), a.local());
+    counts.iter().map(|(id, _)| id).collect()
+}
+
+/// Drop the columns of `A` (k-mers) whose global occurrence count exceeds
+/// `limit`, and return the [`held_kmers`] left. A k-mer column is spread
+/// over the ranks of one grid column, down which [`kmer_counts`] sums its
+/// lengths, so the one exchange gives both. Collective.
+pub fn prune_frequent_kmers(a: &mut DistMat<u32>, limit: u32) -> Vec<u32> {
+    let (mut held, mut frequent) = (Vec::new(), Vec::new());
+    for (id, n) in kmer_counts(a.grid().col_comm(), a.local()).iter() {
+        if n <= limit {
+            held.push(id)
+        } else {
+            frequent.push(id)
         }
     }
-    counts
+    let (c0, _) = a.col_range();
+    a.retain(|_, c, _| frequent.binary_search(&((c - c0) as u32)).is_err());
+    held
 }
 
 /// Triples `(sequence gid, k-mer id, starting position)` for a rank's owned
@@ -90,22 +123,38 @@ pub fn distinct_kmers(owned: &[SeqRecord], k: usize) -> Vec<u64> {
 }
 
 /// Build the distributed substitution matrix `S` for the k-mers this rank
-/// contributes, with `m` substitutes (+identity) per row. Collective: the
-/// triples are shuffled into the 2D distribution. Different ranks may
-/// generate the same row (shared k-mers); duplicates collapse to one entry.
+/// contributes, with `m` substitutes (+identity) per row, over the columns
+/// `A` holds: `held` is [`held_kmers`] of `a` (or what
+/// [`prune_frequent_kmers`] returned), ids local to `a.col_range()`, which
+/// is `S`'s column range on this rank too. `A·S`'s column `t` meets only
+/// row `t` of `Aᵀ`, empty unless some sequence holds `t`, so
+/// `(A·S)·Aᵀ` is the same product as with the whole `S`.
+///
+/// A triple whose column lies in this rank's range is kept or dropped as
+/// it is generated; every other one is shipped and filtered by its owner
+/// on arrival. Collective: the triples are shuffled into the 2D
+/// distribution. Different ranks may generate the same row (shared
+/// k-mers); duplicates collapse to one entry.
 pub fn build_s_dist(
-    grid: Rc<Grid>,
+    a: &DistMat<u32>,
+    held: &[u32],
     local_kmers: &[u64],
     k: usize,
     table: &ExpenseTable,
     m: usize,
 ) -> DistMat<u32> {
-    let triples = build_s_triples(local_kmers, k, table, m);
+    let (c0, c1) = a.col_range();
+    let holds = |t: u64| held.binary_search(&((t - c0) as u32)).is_ok();
+    let keep = |t: u64| !(c0..c1).contains(&t) || holds(t);
+    let triples = build_s_rows(local_kmers, k, table, m, keep);
     let space = kmer_space(k);
-    let triples: Vec<(u64, u64, u32)> = triples.into_iter().collect();
     // Duplicate (K, Ks) rows generated by different ranks carry identical
     // distances; keep the min for robustness.
-    DistMat::from_triples(grid, space, space, triples, |a, b| *a = (*a).min(b))
+    let mut s = DistMat::from_triples(Rc::clone(a.grid()), space, space, triples, |a, b| {
+        *a = (*a).min(b)
+    });
+    s.retain(|_, t, _| holds(t));
+    s
 }
 
 #[cfg(test)]
@@ -158,10 +207,17 @@ mod tests {
                     for (_, c, _) in (0..q).flat_map(|r| counts_block(r, empty)) {
                         brute[c as usize] += 1;
                     }
+                    // Every rank, the empty one included, gets the whole
+                    // union: each held column once, ascending, with its
+                    // global count.
+                    let want: Vec<(u32, u32)> = (0..12u32)
+                        .filter(|&c| brute[c as usize] > 0)
+                        .map(|c| (c, brute[c as usize]))
+                        .collect();
                     let mine = counts_block(comm.rank(), empty);
                     let block = Dcsc::from_triples(4, 12, mine, |_, _| unreachable!());
-                    let want: Vec<u32> = block.cols().iter().map(|&c| brute[c as usize]).collect();
-                    assert_eq!(kmer_counts(&comm, &block), want, "q={q} empty={empty:?}");
+                    let got: Vec<_> = kmer_counts(&comm, &block).iter().collect();
+                    assert_eq!(got, want, "q={q} empty={empty:?}");
                 });
             }
         }

@@ -19,7 +19,10 @@ use subkmer::ExpenseTable;
 
 use crate::batch::{self, BatchPlan};
 use crate::ckpt;
-use crate::matrices::{self, build_a_triples, build_s_dist, distinct_kmers, kmer_space};
+use crate::matrices::{
+    self, build_a_triples, build_s_dist, distinct_kmers, held_kmers, kmer_space,
+    prune_frequent_kmers,
+};
 use crate::params::{AlignMode, PastisParams};
 use crate::seedpair::SeedPair;
 use crate::semirings::{AsSemiring, ExactSemiring, SubSemiring};
@@ -275,7 +278,9 @@ pub struct Counters {
     pub n_seqs: u64,
     /// Nonzeros of `A`.
     pub nnz_a: u64,
-    /// Nonzeros of `S` (0 without substitutes).
+    /// Nonzeros of `S` (0 without substitutes): only its columns some
+    /// sequence holds (see [`crate::build_s_dist`]), so fewer than the
+    /// whole `S` that `build_s_triples` + `DistMat::from_triples` form.
     pub nnz_s: u64,
     /// Nonzeros of `B` (global): the owned off-diagonal entries the
     /// masked exact product forms, or every entry of the symmetrised
@@ -415,14 +420,14 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         //    work: k-mer pre-analysis; repeats otherwise inflate B
         //    quadratically).
         let space = kmer_space(params.k);
-        let a_mat = stage("pastis.form_a", || {
+        let (a_mat, held) = stage("pastis.form_a", || {
             let triples = build_a_triples(store.owned(), params.k, params.reduced_alphabet);
             let mut a =
                 DistMat::from_triples(Rc::clone(&grid), n, space, triples, |a, b| *a = (*a).min(b));
-            if let Some(limit) = params.max_kmer_frequency {
-                prune_frequent_kmers(&grid, &mut a, limit);
-            }
-            a
+            let held = params
+                .max_kmer_frequency
+                .map(|limit| prune_frequent_kmers(&mut a, limit));
+            (a, held)
         });
 
         // 4. Aᵀ.
@@ -434,7 +439,7 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         //    and aligns it at once, so it needs the sequences first and
         //    runs after the fence (step 7).
         let b_mat = (params.substitutes > 0)
-            .then(|| substitute_b(&a_mat, &a_t, &store, params, &mut counters));
+            .then(|| substitute_b(&a_mat, &a_t, held, &store, params, &mut counters));
 
         // 6. Exchange fence.
         stage("pastis.wait", || store.finish_exchange(exchange));
@@ -498,19 +503,24 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
     }
 }
 
-/// The substitute source of `B`: `sym((AS)·Aᵀ)`, formed whole.
+/// The substitute source of `B`: `sym((AS)·Aᵀ)`, formed whole, with `S`
+/// over the k-mer columns `A` holds (`held`, when the pre-filter already
+/// exchanged them).
 fn substitute_b(
     a_mat: &DistMat<u32>,
     a_t: &DistMat<u32>,
+    held: Option<Vec<u32>>,
     store: &DistSeqStore,
     params: &PastisParams,
     counters: &mut Counters,
 ) -> DistMat<SeedPair> {
     let s_mat = stage("pastis.form_s", || {
+        let held = held.unwrap_or_else(|| held_kmers(a_mat));
         let table = ExpenseTable::new(params.align.matrix);
         let local_kmers = distinct_kmers(store.owned(), params.k);
         build_s_dist(
-            Rc::clone(a_mat.grid()),
+            a_mat,
+            &held,
             &local_kmers,
             params.k,
             &table,
@@ -547,17 +557,6 @@ fn align_owned(cx: &PipeCtx, mut b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::Coun
     let (edges, mut tally) = align_block(cx, b);
     tally.nnz_b = nnz_b;
     (edges, tally)
-}
-
-/// Drop columns of `A` (k-mers) whose global occurrence count exceeds
-/// `limit`. A k-mer column is spread over the ranks of one grid column,
-/// down which [`matrices::kmer_counts`] sums its lengths. Collective.
-fn prune_frequent_kmers(grid: &Grid, a: &mut DistMat<u32>, limit: u32) {
-    let counts = matrices::kmer_counts(grid.col_comm(), a.local());
-    let cols = a.local().cols().iter().zip(counts);
-    let frequent: Vec<u64> = cols.filter(|&(_, n)| n > limit).map(|(&c, _)| c).collect();
-    let (c0, _) = a.col_range();
-    a.retain(|_, c, _| frequent.binary_search(&(c - c0)).is_err());
 }
 
 /// Per-rank OS-thread budget for alignment batches: 0 = auto, splitting

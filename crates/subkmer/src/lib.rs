@@ -19,4 +19,4 @@ mod smatrix;
 
 pub use expense::ExpenseTable;
 pub use find::{find_sub_kmers, kmer_distance, SubKmer};
-pub use smatrix::{build_s_triples, SubEntry};
+pub use smatrix::{build_s_rows, build_s_triples, SubEntry};

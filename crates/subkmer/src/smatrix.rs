@@ -23,13 +23,30 @@ pub fn build_s_triples(
     table: &ExpenseTable,
     m: usize,
 ) -> Vec<(u64, u64, SubEntry)> {
-    let mut out = Vec::with_capacity(kmers.len() * (m + 1));
+    build_s_rows(kmers, k, table, m, |_| true)
+}
+
+/// [`build_s_triples`] keeping only the triples whose column (substitute
+/// id, the identity's included) passes `keep`, dropped as they are
+/// generated, in the same order.
+pub fn build_s_rows(
+    kmers: &[u64],
+    k: usize,
+    table: &ExpenseTable,
+    m: usize,
+    keep: impl Fn(u64) -> bool,
+) -> Vec<(u64, u64, SubEntry)> {
+    let mut out = Vec::with_capacity(kmers.len());
     for &id in kmers {
-        out.push((id, id, 0));
+        if keep(id) {
+            out.push((id, id, 0));
+        }
         if m > 0 {
             let bases = kmer_unpack(id, k);
             for sub in find_sub_kmers(&bases, table, m) {
-                out.push((id, sub.id, sub.dist));
+                if keep(sub.id) {
+                    out.push((id, sub.id, sub.dist));
+                }
             }
         }
     }
@@ -78,5 +95,22 @@ mod tests {
         cols.sort_unstable();
         cols.dedup();
         assert_eq!(cols.len(), n);
+    }
+
+    #[test]
+    fn build_s_rows_filters_build_s_triples_in_order() {
+        let t = ExpenseTable::new(&BLOSUM62);
+        let kmers: Vec<u64> = [b"AAC", b"WWW", b"MKV", b"GGH"]
+            .iter()
+            .map(|s| kmer_id(&encode_seq(*s)))
+            .collect();
+        for m in [0, 1, 25] {
+            let all = build_s_triples(&kmers, 3, &t, m);
+            let keeps: [fn(u64) -> bool; 3] = [|c| c % 3 != 0, |c| c % 2 == 0, |_| false];
+            for keep in keeps {
+                let want: Vec<_> = all.iter().copied().filter(|&(_, c, _)| keep(c)).collect();
+                assert_eq!(build_s_rows(&kmers, 3, &t, m, keep), want, "m={m}");
+            }
+        }
     }
 }

@@ -91,9 +91,11 @@ bash benchmark/run.sh --seed 7 --seconds 1
 # would pass it. The digests were recorded by independent code: x-drop's
 # with the scalar open interior (against a lane bug in `align::xdrop`),
 # Smith–Waterman's with a diagonal-band traceback (against a traceback bug
-# in `align::striped`).
+# in `align::striped`), the substitute path's with the whole `S` (against
+# a bug in the held-column filter of `pastis::build_s_dist`).
 for pin in "xd_exact 26 2645 0x0e819f1c197c51eb" "xd_exact 1400845388 2363 0x1d8460fec87205c0" \
-    "sw_exact 26 2645 0xd35f4f0a5a46a811" "sw_exact 1400845388 2363 0xb9fd55159fcac4af"; do
+    "sw_exact 26 2645 0xd35f4f0a5a46a811" "sw_exact 1400845388 2363 0xb9fd55159fcac4af" \
+    "subs_ck 26 296 0x26f9f07c3a7d311e" "subs_ck 1400845388 267 0xf20053ab854e0c41"; do
     read -r workload seed edges fnv <<<"$pin"
     out="$(bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 1 --trace 0)"
     grep -qF "$workload psg edges $edges fnv $fnv seed $seed" <<<"$out" \
@@ -107,7 +109,11 @@ done
 # overlap mask's tie on the local diagonal of off-diagonal blocks), and the
 # 2x2 grid out of core must write the same bytes, and so must one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
-# one rank and a 2x2 grid.
+# one rank and a 2x2 grid. The substitute path (`--subs 25 --ck 3`, the
+# `subs_ck` flags, on a 400-sequence input) builds `S` over the k-mers `A`
+# holds, and only a grid runs the filter on arrival as well as at the
+# source (DESIGN.md §4): one rank and both grids must write the same
+# bytes, and so must one rank and a 2x2 grid with the pre-filter.
 xp_tmp="$(mktemp -d)"
 xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     local out="$1" mode="$2"
@@ -115,6 +121,13 @@ xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     cargo run --release -q -p pastis --bin pastis -- \
         --input "$xp_tmp/in.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 0 \
         --mode "$mode" --ck 0 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
+}
+subs_psg() { # <out.tsv> <--ranks value and any further flags>
+    local out="$1"
+    shift
+    cargo run --release -q -p pastis --bin pastis -- \
+        --input "$xp_tmp/subs.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 25 \
+        --mode xd --ck 3 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
 }
 for seed in 7 26 1400845388; do
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
@@ -140,6 +153,19 @@ for seed in 7 26 1400845388; do
     xp_psg "$xp_tmp/px.tsv" sw 4
     cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
         || { echo "verify: seed $seed: --mode sw PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/subs.fasta" 0.4 "$seed"
+    subs_psg "$xp_tmp/s1.tsv" 1
+    for ranks in 4 9; do
+        subs_psg "$xp_tmp/sx.tsv" "$ranks"
+        cmp "$xp_tmp/s1.tsv" "$xp_tmp/sx.tsv" \
+            || { echo "verify: seed $seed: --subs PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
+    done
+    subs_psg "$xp_tmp/sf1.tsv" 1 --max-kmer-freq 4
+    [[ "$(wc -l <"$xp_tmp/sf1.tsv")" != "$(wc -l <"$xp_tmp/s1.tsv")" ]] \
+        || { echo "verify: seed $seed: --subs with --max-kmer-freq 4 pruned no edge"; exit 1; }
+    subs_psg "$xp_tmp/sx.tsv" 4 --max-kmer-freq 4
+    cmp "$xp_tmp/sf1.tsv" "$xp_tmp/sx.tsv" \
+        || { echo "verify: seed $seed: --subs --max-kmer-freq 4 PSG at --ranks 4 differs from --ranks 1"; exit 1; }
 done
 rm -rf "$xp_tmp"
 cargo clippy --all-targets -- -D warnings
