@@ -1,15 +1,17 @@
-//! Runtime SIMD dispatch for the striped kernels and the x-drop open
-//! interior.
+//! Runtime SIMD dispatch for the striped kernels, the Smith–Waterman
+//! traceback fill and the x-drop open interior.
 //!
 //! Each lane kernel carries two lane configurations: AVX2-width lanes
-//! (the striped engine's `[i16; 16]` / `[i32; 8]`, the x-drop interior's
-//! eight i32, compiled with `target_feature(avx2)`) and the portable SLP
-//! lanes (`[i16; 8]` / `[i32; 4]`, plain autovectorized code — the
-//! fallback; the x-drop interior's four i32 are SSE2 on x86-64). Both produce bit-identical results (the DP values and the
-//! argmax scan are lane-layout independent); they differ only in
-//! throughput, so the choice is made once per process here, by feature
-//! detection alone. Tests reach the lane the host would not pick through
-//! `striped_pass_at` and `xdrop::lanes::kernel`.
+//! (the striped engine's `[i16; 16]` / `[i32; 8]`, the traceback fill's
+//! and the x-drop interior's eight i32, compiled with
+//! `target_feature(avx2)`) and the portable SLP lanes (`[i16; 8]` /
+//! `[i32; 4]`, plain autovectorized code — the fallback; the two i32
+//! kernels' four lanes are SSE2 on x86-64). Both produce bit-identical
+//! results (the DP values and the argmax scan are lane-layout
+//! independent); they differ only in throughput, so the choice is made
+//! once per process here, by feature detection alone. Tests reach the lane
+//! the host would not pick through `striped_pass_at`, `sw::fill_kernel`
+//! and `xdrop::lanes::kernel`.
 //!
 //! This module is the only place in the workspace allowed to call
 //! `is_x86_feature_detected!` (enforced by xlint): detection scattered

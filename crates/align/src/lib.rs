@@ -10,16 +10,18 @@
 //! ([`align_batch`]).
 //!
 //! Smith–Waterman has one engine: the lane-parallel striped score pass,
-//! then the striped traceback ([`striped_align`];
-//! [`prefiltered_align_outcome`] stops after the score pass when the score
-//! misses a threshold).
+//! then the striped traceback, which fills the direction bytes in i32
+//! lanes ([`striped_align`]; [`prefiltered_align_outcome`] stops after the
+//! score pass when the score misses a threshold, and [`striped_score`] and
+//! [`striped_traceback`] let a caller decide between the two passes).
 //! [`smith_waterman`] is the scalar full-matrix DP every striped result is
 //! tested against, bit for bit. [`xdrop_align`] computes the open interior
-//! of each extension row in the same dispatched lanes ([`simd_level`]),
-//! bit for bit equal to its scalar rows.
+//! of each extension row in the same dispatched i32 lanes
+//! ([`simd_level`]), bit for bit equal to its scalar rows.
 
 mod batch;
 mod dispatch;
+mod lanes;
 mod matrix;
 mod scratch;
 mod stats;
@@ -33,7 +35,7 @@ pub use dispatch::{level as simd_level, SimdLevel};
 pub use matrix::{ScoringMatrix, BLOSUM62};
 pub use scratch::{with_scratch, AlignScratch};
 pub use stats::{AlignStats, SimilarityMeasure};
-pub use striped::{striped_align, striped_score, striped_score_at_level};
+pub use striped::{striped_align, striped_score, striped_score_at_level, striped_traceback};
 use striped::{striped_score_with, striped_traceback_with};
 pub use sw::smith_waterman;
 pub use ungapped::ungapped_xdrop;
@@ -42,10 +44,13 @@ pub use xdrop::{xdrop_align, xdrop_align_with};
 /// Alignment parameters shared by all kernels. Defaults follow the paper's
 /// evaluation: BLOSUM62, gap opening 11, gap extension 1, x-drop 49 (§VI).
 ///
-/// [`xdrop_align`] requires `gap_open ≥ 0`, `gap_extend ≥ 0` and
-/// `gap_open + gap_extend ≤ 2^28`, and panics otherwise: its vector lanes
-/// equal the scalar recurrence only for non-negative gap costs that stay
-/// far from `i32` overflow.
+/// The lane engines — [`xdrop_align`] and every striped entry point
+/// ([`striped_score`], [`striped_align`], [`striped_traceback`],
+/// [`prefiltered_align_outcome`]) — require `gap_open ≥ 0`,
+/// `gap_extend ≥ 0` and `gap_open + gap_extend ≤ 2^28`, and panic
+/// otherwise: their lanes equal the scalar recurrence only for
+/// non-negative gap costs that stay far from `i32` overflow.
+/// [`smith_waterman`] takes any gap costs.
 #[derive(Debug, Clone, Copy)]
 pub struct AlignParams {
     /// Cost charged when a gap is opened (first gap column costs

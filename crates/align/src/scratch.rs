@@ -55,13 +55,13 @@ pub(crate) struct StripedBufs<T, const L: usize> {
 /// [`with_scratch`].
 #[derive(Default)]
 pub struct AlignScratch {
-    // Scalar Smith–Waterman rows, for the full matrix or, in the striped
-    // engine's traceback, for the start→end rectangle.
+    // Smith–Waterman rows: the scalar reference's over the full matrix,
+    // the striped traceback's lane fill over the start→end rectangle.
     pub(crate) h_prev: Vec<i32>,
     pub(crate) h_curr: Vec<i32>,
     pub(crate) f_row: Vec<i32>,
-    /// Direction bytes, one per cell of the matrix or rectangle the
-    /// scalar DP ran on.
+    /// Direction bytes, one per cell of the matrix or rectangle either
+    /// fill ran on.
     pub(crate) dirs: Vec<u8>,
     // Striped kernel state per SIMD dispatch level (see
     // `dispatch::SimdLevel`): portable SLP lanes, i16 with i32

@@ -20,24 +20,24 @@
 //! saturation is detected by headroom check, falling back to an i32-lane
 //! pass.
 //!
-//! Tracebacks use two score-only striped passes plus one scalar rerun:
-//! the forward pass finds the best end cell; a reverse pass over the
+//! Tracebacks use the forward score pass's end cell, an optional reverse
+//! pass, and one rerun of the DP in i32 lanes: the reverse pass over the
 //! reversed prefixes locates the alignment *start* cell (the
 //! farthest-from-the-end cell attaining the best score, so the rectangle
-//! covers every optimal path); then [`crate::smith_waterman`]'s own DP and
-//! traceback walk run on the start→end rectangle. The rectangle holds
-//! every optimal path and its last cell is its row-major-first maximum, so
-//! the resulting [`AlignStats`] is bit-identical to the full-matrix scalar
-//! engine, while traceback memory (one direction byte per rectangle cell)
-//! and rerun work drop from the `best_i × best_j` prefix to the alignment
-//! span.
+//! covers every optimal path) when the end cell's whole prefix would hold
+//! many direction bytes; then [`crate::smith_waterman`]'s direction bytes
+//! are filled in lanes on the start→end rectangle and its own walk runs
+//! back from the end cell. The rectangle holds every optimal path and its
+//! last cell is its row-major-first maximum, so the resulting
+//! [`AlignStats`] is bit-identical to the full-matrix scalar engine.
 
 use seqstore::SIGMA;
 
 use crate::dispatch::{self, SimdLevel};
+use crate::lanes::Gap;
 use crate::scratch::{with_scratch, AlignScratch, StripedBufs};
 use crate::stats::AlignStats;
-use crate::sw::smith_waterman_with;
+use crate::sw::{self, smith_waterman_with};
 use crate::AlignParams;
 
 /// Portable lane counts: 16 bytes of state per vector, mirroring one SSE
@@ -58,10 +58,12 @@ const NEG32: i32 = i32::MIN / 4;
 /// in i32 lanes.
 const I16_SAFE: i32 = i16::MAX as i32 - 12;
 
-/// Smallest end-cell rectangle (in DP cells) for which the traceback runs
-/// the reverse start-cell pass. Below this the pass's own striped rerun
-/// costs more than the scalar cells it could save.
-const SPAN_PASS_MIN: usize = 16_384;
+/// Smallest end-cell prefix (in DP cells) for which the traceback runs the
+/// reverse start-cell pass. The pass is a second striped score pass over
+/// the prefix, and the lane rerun it would shorten costs about as much per
+/// cell, so it pays for memory only: below this, the prefix's direction
+/// bytes (one per cell, 1 MiB here) are simply filled.
+const SPAN_PASS_MIN: usize = 1 << 20;
 
 /// Move each lane's value to the next lane, filling lane 0 with `fill` —
 /// the striped layout's "previous query row" permutation.
@@ -449,6 +451,9 @@ fn striped_pass_at(
     scratch: &mut AlignScratch,
     reverse: bool,
 ) -> (i32, usize, usize) {
+    // Refused before any lane runs: the lanes' Farrar loop and the
+    // traceback's E scan both assume non-negative gap costs.
+    Gap::of(params);
     let (m, n) = (r.len(), c.len());
     if m == 0 || n == 0 {
         return (0, 0, 0);
@@ -550,8 +555,8 @@ pub(crate) fn striped_align_with(
 /// *largest* cell attaining the best. The rectangle it spans therefore
 /// contains every optimal path — in particular the one the scalar engine
 /// traces — which is what makes the shrunk rerun bit-identical. Returns
-/// `(1, 1)` (no shrink) when the rectangle is too small to pay for the
-/// pass or when the reverse score fails its sanity check.
+/// `(1, 1)` (no shrink) when the prefix is below [`SPAN_PASS_MIN`] or when
+/// the reverse score fails its sanity check.
 fn span_start_with(
     r: &[u8],
     c: &[u8],
@@ -585,18 +590,35 @@ fn span_start_with(
     }
 }
 
-/// Traceback pass alone: given the `(score, end)` that
-/// [`striped_score_with`] reported for the same `(r, c, params)`, produce
-/// the full [`AlignStats`] without repeating the score pass. This is the
-/// second half of [`striped_align_with`], split out so the prefilter
-/// cascade runs it only for pairs whose score clears the threshold.
+/// Traceback pass alone: given the `(score, end)` that [`striped_score`]
+/// reported for the same `(r, c, params)`, produce the full
+/// [`AlignStats`], bit-identical to [`crate::smith_waterman`], without
+/// repeating the score pass. Callers that can rule a pair out from its
+/// score and end cell alone run the score pass, decide, and call this only
+/// for the pairs that remain.
 ///
-/// The traceback itself is [`crate::smith_waterman`]'s scalar DP, run on the
-/// start→end rectangle only. Every cell before `end` in row-major order
-/// scores below `score` in the full matrix, and no local alignment inside
-/// the rectangle outscores its full-matrix counterpart, so `end` is also
-/// the rectangle's row-major-first maximum: the rerun ends where the full
-/// engine does and walks the same path back.
+/// # Panics
+///
+/// On a negative gap cost or `gap_open + gap_extend > 2^28` (see
+/// [`AlignParams`]).
+pub fn striped_traceback(
+    r: &[u8],
+    c: &[u8],
+    params: &AlignParams,
+    score: i32,
+    end: (u32, u32),
+) -> AlignStats {
+    with_scratch(|s| striped_traceback_with(r, c, params, score, end, s))
+}
+
+/// [`striped_traceback`] with an explicit scratch arena: the optional
+/// reverse start-cell pass, then the direction bytes of the start→end
+/// rectangle filled in lanes and [`crate::smith_waterman`]'s walk back
+/// from its last cell. Every cell before `end` in row-major order scores
+/// below `score` in the full matrix, and no local alignment inside the
+/// rectangle outscores its full-matrix counterpart, so `end` is also the
+/// rectangle's row-major-first maximum: the walk starts where the full
+/// engine's does and follows the same path back.
 pub(crate) fn striped_traceback_with(
     r: &[u8],
     c: &[u8],
@@ -605,21 +627,26 @@ pub(crate) fn striped_traceback_with(
     end: (u32, u32),
     scratch: &mut AlignScratch,
 ) -> AlignStats {
-    // A zero score comes with end `(0, 0)`: the rerun runs on empty
-    // slices and returns the zero alignment.
+    // A zero score comes with end `(0, 0)`: the rectangle is empty and the
+    // walk returns the zero alignment.
     let (bi, bj) = (end.0 as usize, end.1 as usize);
     let (i_lo, j_lo) = span_start_with(r, c, params, score, bi, bj, scratch);
-    let mut stats = smith_waterman_with(&r[i_lo - 1..bi], &c[j_lo - 1..bj], params, scratch);
-    let (mut di, mut dj) = ((i_lo - 1) as u32, (j_lo - 1) as u32);
-    let rect_end = (end.0 - di, end.1 - dj);
-    // Disagreement is impossible by the argument above; release degrades
-    // to the full prefix rather than report a different alignment.
-    let agrees = stats.score == score && (stats.r_span.1, stats.c_span.1) == rect_end;
-    debug_assert!(agrees, "rectangle rerun disagrees with the score pass");
-    if !agrees {
-        stats = smith_waterman_with(&r[..bi], &c[..bj], params, scratch);
-        (di, dj) = (0, 0);
-    }
+    let rect = sw::traceback_in_lanes(&r[i_lo - 1..bi], &c[j_lo - 1..bj], params, score, scratch);
+    // A rectangle whose last cell does not score `score` is impossible by
+    // the argument above; release degrades to the scalar reference on the
+    // full prefix rather than report a different alignment.
+    debug_assert!(
+        rect.is_some(),
+        "rectangle's end cell disagrees with the score pass"
+    );
+    let (mut stats, di, dj) = match rect {
+        Some(st) => (st, (i_lo - 1) as u32, (j_lo - 1) as u32),
+        None => (
+            smith_waterman_with(&r[..bi], &c[..bj], params, scratch),
+            0,
+            0,
+        ),
+    };
     stats.r_span = (stats.r_span.0 + di, stats.r_span.1 + di);
     stats.c_span = (stats.c_span.0 + dj, stats.c_span.1 + dj);
     stats.r_len = r.len() as u32;
@@ -630,7 +657,8 @@ pub(crate) fn striped_traceback_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sw::{smith_waterman, NEG_INF};
+    use crate::lanes::NEG_INF;
+    use crate::sw::smith_waterman;
     use seqstore::encode_seq;
 
     #[test]
@@ -832,21 +860,40 @@ mod tests {
 
     #[test]
     fn span_pass_keeps_traceback_identical() {
-        // Big enough to trigger the reverse start-cell pass (> 128×128
-        // end rectangle), with the alignment confined to a small shared
-        // core so the rectangle actually shrinks.
+        // Big enough to trigger the reverse start-cell pass (an end-cell
+        // prefix of at least `SPAN_PASS_MIN` cells), with the alignment
+        // confined to a small shared core so the rectangle actually
+        // shrinks; at three gap settings, over 20 and 4 letters.
         use rand::prelude::*;
         let mut rng = StdRng::seed_from_u64(53);
-        let p = AlignParams::default();
-        let core: Vec<u8> = (0..60).map(|_| rng.random_range(0..20u8)).collect();
-        for _ in 0..8 {
-            let mut a: Vec<u8> = (0..200).map(|_| rng.random_range(0..20u8)).collect();
-            let mut b: Vec<u8> = (0..200).map(|_| rng.random_range(0..20u8)).collect();
-            let (ia, ib) = (rng.random_range(100..180), rng.random_range(100..180));
-            a.splice(ia..ia, core.iter().copied());
-            b.splice(ib..ib, core.iter().copied());
-            assert_eq!(striped_align(&a, &b, &p), smith_waterman(&a, &b, &p));
+        let rec = obs::Recorder::install(0);
+        let mut cases = 0;
+        for (gap_open, gap_extend) in [(11, 1), (2, 2), (0, 1)] {
+            let p = AlignParams {
+                gap_open,
+                gap_extend,
+                ..AlignParams::default()
+            };
+            for sigma in [20u8, 4] {
+                let core: Vec<u8> = (0..60).map(|_| rng.random_range(0..sigma)).collect();
+                let mut seq = |len: usize| -> Vec<u8> {
+                    (0..len).map(|_| rng.random_range(0..sigma)).collect()
+                };
+                let (mut a, mut b) = (seq(1100), seq(1100));
+                a.splice(1040..1040, core.iter().copied());
+                b.splice(1020..1020, core.iter().copied());
+                let st = smith_waterman(&a, &b, &p);
+                assert!(st.r_span.1 as usize * st.c_span.1 as usize >= SPAN_PASS_MIN);
+                assert_eq!(
+                    striped_align(&a, &b, &p),
+                    st,
+                    "gaps ({gap_open},{gap_extend})"
+                );
+                cases += 1;
+            }
         }
+        let trace = rec.finish();
+        assert_eq!(trace.metrics.counters.get("align.span_pass"), Some(&cases));
     }
 
     #[test]

@@ -1,22 +1,44 @@
 //! Affine-gap Smith–Waterman local alignment with full traceback
 //! (Smith & Waterman 1981; the SW mode of PASTIS, paper §IV-E).
+//!
+//! One matrix of direction bytes, two ways to fill it, one walk back over
+//! it. [`smith_waterman`] is the scalar reference: it fills row by row and
+//! keeps the row-major-first maximum as the end cell. The striped engine's
+//! traceback ([`traceback_in_lanes`]) already knows the end cell and its
+//! score from the score pass, so it fills the same bytes in i32 lanes
+//! ([`fill_kernel`]), with no maximum to track, and walks from the
+//! rectangle's last cell.
+//!
+//! The lane fill is the x-drop interior's E scan (`xdrop::lanes`) without a
+//! floor: every cell is live and H is clamped at 0.
+//! 1. *Everything but E is vertical.* diag, F and `H0 = max(diag, F, 0)`
+//!    read only the row above.
+//! 2. *E needs only `H0`.* Opening a gap from an E-derived H costs
+//!    `open ≥ ext`, so it never beats extending that E, and
+//!    `E[l] = max(c, X[l]) − l·ext`: `c` is the E of the chunk's first
+//!    cell and `X` the exclusive prefix max of `H0[t] − open + (t+1)·ext`.
+//!    The carry into the next chunk is `max(c, X_all) − L·ext`.
+//! 3. *Plain i32 arithmetic is exact* under the gap precondition
+//!    [`Gap::of`] asserts.
+//!
+//! Ties resolve diag > E > F > stop, each later source winning strictly;
+//! the `E_EXTEND` bit compares E with the left neighbour's true H, shifted
+//! in across lanes.
 
+use seqstore::SIGMA;
+
+use crate::dispatch::{self, SimdLevel};
+#[cfg(any(test, not(target_arch = "x86_64")))]
+use crate::lanes::portable;
+use crate::lanes::{
+    arr, arr_mut, Gap, E_EXTEND, F_EXTEND, H_DIAG, H_FROM_E, H_FROM_F, H_SRC_MASK, H_STOP, NEG_INF,
+};
+#[cfg(target_arch = "x86_64")]
+use crate::lanes::{avx2, sse2};
+use crate::matrix::ScoringMatrix;
 use crate::scratch::{with_scratch, AlignScratch};
 use crate::stats::AlignStats;
 use crate::AlignParams;
-
-// Direction byte layout for traceback. The striped engine's traceback
-// reruns `smith_waterman_with` on the alignment's rectangle, so this is
-// the only module that reads or writes these bytes.
-const H_SRC_MASK: u8 = 0b11; // 0 stop, 1 diag, 2 E (gap in r), 3 F (gap in c)
-const H_STOP: u8 = 0;
-const H_DIAG: u8 = 1;
-const H_FROM_E: u8 = 2;
-const H_FROM_F: u8 = 3;
-const E_EXTEND: u8 = 1 << 2; // E came from E (else from H)
-const F_EXTEND: u8 = 1 << 3; // F came from F (else from H)
-
-pub(crate) const NEG_INF: i32 = i32::MIN / 4;
 
 /// Local alignment of `r` against `c` (base-index sequences).
 ///
@@ -36,13 +58,8 @@ pub(crate) fn smith_waterman_with(
     scratch: &mut AlignScratch,
 ) -> AlignStats {
     let (m, n) = (r.len(), c.len());
-    let mut stats = AlignStats {
-        r_len: m as u32,
-        c_len: n as u32,
-        ..Default::default()
-    };
     if m == 0 || n == 0 {
-        return stats;
+        return zero_alignment(r, c);
     }
     // Work accounting: full m×n DP.
     pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwCell);
@@ -117,12 +134,28 @@ pub(crate) fn smith_waterman_with(
     }
 
     if best == 0 {
-        return stats;
+        return zero_alignment(r, c);
     }
-    stats.score = best;
+    walk(r, c, dirs, best, best_cell)
+}
 
-    // Traceback from the best cell.
-    let (mut i, mut j) = best_cell;
+/// The empty alignment of `r` and `c`: score 0, empty spans.
+fn zero_alignment(r: &[u8], c: &[u8]) -> AlignStats {
+    AlignStats {
+        r_len: r.len() as u32,
+        c_len: c.len() as u32,
+        ..Default::default()
+    }
+}
+
+/// The traceback walk: follow the direction bytes of the `r.len() ×
+/// c.len()` matrix `dirs` (row-major) back from `end` (1-based), an
+/// alignment of `score`, to its start.
+fn walk(r: &[u8], c: &[u8], dirs: &[u8], score: i32, end: (usize, usize)) -> AlignStats {
+    let n = c.len();
+    let mut stats = zero_alignment(r, c);
+    stats.score = score;
+    let (mut i, mut j) = end;
     stats.r_span.1 = i as u32;
     stats.c_span.1 = j as u32;
     #[derive(PartialEq)]
@@ -179,6 +212,218 @@ pub(crate) fn smith_waterman_with(
     stats.c_span.0 = j as u32;
     stats
 }
+
+/// The traceback of an alignment whose end cell is the last cell of
+/// `r × c`, scoring `score`: fill the direction bytes in the dispatched
+/// lanes, then walk back from `(r.len(), c.len())`. The striped engine calls it on the
+/// start→end rectangle, whose last cell is its row-major-first maximum, so
+/// the walk is [`smith_waterman`]'s. `None` when that cell does not score
+/// `score`, which a correct end cell rules out.
+///
+/// # Panics
+///
+/// On gap costs [`Gap::of`] refuses.
+pub(crate) fn traceback_in_lanes(
+    r: &[u8],
+    c: &[u8],
+    params: &AlignParams,
+    score: i32,
+    scratch: &mut AlignScratch,
+) -> Option<AlignStats> {
+    if r.is_empty() || c.is_empty() {
+        return (score == 0).then(|| zero_alignment(r, c));
+    }
+    let last = fill_in_lanes(fill_kernel(dispatch::level()), r, c, params, scratch);
+    (score > 0 && last == score).then(|| walk(r, c, &scratch.dirs, score, (r.len(), c.len())))
+}
+
+/// Fill `scratch.dirs` for non-empty `r × c` with `fill` and return H of
+/// the last cell.
+fn fill_in_lanes(
+    fill: Fill,
+    r: &[u8],
+    c: &[u8],
+    params: &AlignParams,
+    scratch: &mut AlignScratch,
+) -> i32 {
+    let gap = Gap::of(params);
+    let (m, n) = (r.len(), c.len());
+    pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwCell);
+    scratch.h_prev.clear();
+    scratch.h_prev.resize(n + 1, 0);
+    scratch.h_curr.clear();
+    scratch.h_curr.resize(n + 1, 0);
+    scratch.f_row.clear();
+    scratch.f_row.resize(n, NEG_INF);
+    scratch.dirs.clear();
+    scratch.dirs.resize(m * n, 0);
+    fill(gap, r, c, params.matrix, scratch)
+}
+
+/// A lane fill of a whole `r × c` matrix: the direction bytes into
+/// `scratch.dirs`, H of the last cell returned. `scratch.h_prev` and
+/// `h_curr` hold `c.len() + 1` zeros, `f_row` `c.len()` times `NEG_INF`,
+/// `dirs` `r.len() · c.len()` bytes.
+pub(crate) type Fill = fn(Gap, &[u8], &[u8], &ScoringMatrix, &mut AlignScratch) -> i32;
+
+/// The fill of level `lv`, which must be available on this host.
+pub(crate) fn fill_kernel(lv: SimdLevel) -> Fill {
+    match lv {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => fill_avx2_detected,
+        _ => fill_slp,
+    }
+}
+
+/// [`fill_sse2`] behind a safe signature.
+#[cfg(target_arch = "x86_64")]
+fn fill_slp(gap: Gap, r: &[u8], c: &[u8], matrix: &ScoringMatrix, s: &mut AlignScratch) -> i32 {
+    // SAFETY: SSE2 is part of the x86-64 baseline, so every x86-64 host
+    // has it.
+    unsafe { fill_sse2(gap, r, c, matrix, s) }
+}
+
+/// [`fill_avx2`] behind a safe signature.
+#[cfg(target_arch = "x86_64")]
+fn fill_avx2_detected(
+    gap: Gap,
+    r: &[u8],
+    c: &[u8],
+    matrix: &ScoringMatrix,
+    s: &mut AlignScratch,
+) -> i32 {
+    // SAFETY: `fill_kernel` hands this function out only for
+    // `SimdLevel::Avx2`, which callers pass only after runtime detection.
+    unsafe { fill_avx2(gap, r, c, matrix, s) }
+}
+
+/// The fill over the lane operations of module `$lanes`.
+macro_rules! sw_fill {
+    ($(#[$attr:meta])* $name:ident, $lanes:ident) => {
+        $(#[$attr])*
+        fn $name(
+            gap: Gap,
+            r: &[u8],
+            c: &[u8],
+            matrix: &ScoringMatrix,
+            s: &mut AlignScratch,
+        ) -> i32 {
+            use $lanes::*;
+            let n = c.len();
+            let AlignScratch {
+                h_prev,
+                h_curr,
+                f_row,
+                dirs,
+                ..
+            } = s;
+            let (zero, open, ext) = (splat(0), splat(gap.open), splat(gap.ext));
+            let scan_fill = splat(i32::MIN);
+            // Lane l adds (l + 1)·ext − open before the E scan and
+            // subtracts l·ext after it.
+            let z_off = from_array(std::array::from_fn(|l| l as i32 * gap.ext + (gap.ext - gap.open)));
+            let e_off = from_array(std::array::from_fn(|l| l as i32 * gap.ext));
+            let (src_d, src_e, src_f) = (
+                splat(H_DIAG as i32),
+                splat(H_FROM_E as i32),
+                splat(H_FROM_F as i32),
+            );
+            let (bit_e, bit_f) = (splat(E_EXTEND as i32), splat(F_EXTEND as i32));
+            for (&ri, row_d) in r.iter().zip(dirs.chunks_exact_mut(n)) {
+                let scores: &[i8; SIGMA] = &matrix.scores[ri as usize];
+                let tbl = table(scores);
+                // Column 0 holds H = 0 and no E, so column 1's E opens
+                // from it.
+                let mut c_e = -gap.open;
+                let mut h_left = zero;
+                let mut k = 0;
+                while k < n {
+                    let w = (n - k).min(L);
+                    let full = w == L;
+                    // A partial last chunk reads and writes only its `w`
+                    // lanes.
+                    let (dg, up_h, up_f, score) = if full {
+                        (
+                            load(arr(&h_prev[k..])),
+                            load(arr(&h_prev[k + 1..])),
+                            load(arr(&f_row[k..])),
+                            scores_of(&tbl, arr(&c[k..])),
+                        )
+                    } else {
+                        (
+                            load_part(&h_prev[k..k + w]),
+                            load_part(&h_prev[k + 1..=k + w]),
+                            load_part(&f_row[k..k + w]),
+                            scores_part(&tbl, &c[k..k + w]),
+                        )
+                    };
+                    let diag = add(dg, score);
+                    let f_open = sub(up_h, open);
+                    let f_ext = sub(up_f, ext);
+                    let f = max(f_open, f_ext);
+                    let h1 = max(diag, zero);
+                    let h0 = max(h1, f);
+                    let scan = prefix_max(add(h0, z_off));
+                    let e = sub(max(splat(c_e), shift_in(scan_fill, scan)), e_off);
+                    let h = max(h0, e);
+                    let src = max(
+                        max(and(gt(diag, zero), src_d), and(gt(e, h1), src_e)),
+                        and(gt(f, max(h1, e)), src_f),
+                    );
+                    let e_extends = gt(e, sub(shift_in(h_left, h), open));
+                    let bits = or(and(e_extends, bit_e), and(gt(f_ext, f_open), bit_f));
+                    let dir = or(src, bits);
+                    if full {
+                        store(h, arr_mut(&mut h_curr[k + 1..]));
+                        store(f, arr_mut(&mut f_row[k..]));
+                        store_dirs(dir, arr_mut(&mut row_d[k..]));
+                    } else {
+                        store_part(h, &mut h_curr[k + 1..=k + w]);
+                        store_part(f, &mut f_row[k..k + w]);
+                        store_dirs_part(dir, &mut row_d[k..k + w]);
+                    }
+                    c_e = c_e.max(last(scan)) - L as i32 * gap.ext;
+                    h_left = h;
+                    k += w;
+                }
+                std::mem::swap(h_prev, h_curr);
+            }
+            h_prev[n]
+        }
+    };
+}
+
+// The SLP level: SSE2 (the x86-64 baseline) where it exists, plain Rust
+// elsewhere; the plain-Rust lanes are also built for the tests.
+#[cfg(target_arch = "x86_64")]
+sw_fill!(
+    #[target_feature(enable = "sse2")]
+    fill_sse2,
+    sse2
+);
+#[cfg(not(target_arch = "x86_64"))]
+sw_fill!(fill_slp, portable);
+#[cfg(all(test, target_arch = "x86_64"))]
+sw_fill!(fill_portable, portable);
+#[cfg(target_arch = "x86_64")]
+sw_fill!(
+    #[target_feature(enable = "avx2")]
+    fill_avx2,
+    avx2
+);
+
+/// The plain-Rust lanes, for the differential test.
+#[cfg(test)]
+const FILL_PORTABLE: Fill = {
+    #[cfg(target_arch = "x86_64")]
+    {
+        fill_portable
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        fill_slp
+    }
+};
 
 #[cfg(test)]
 mod tests {
@@ -308,6 +553,98 @@ mod tests {
             }
         }
         best
+    }
+
+    /// A copy of `a` with `edits` random substitutions, insertions and
+    /// deletions of up to 8 residues over `sigma` letters.
+    fn edited(rng: &mut rand::rngs::StdRng, a: &[u8], sigma: u8, edits: usize) -> Vec<u8> {
+        use rand::prelude::*;
+        let mut b = a.to_vec();
+        for _ in 0..edits {
+            let pos = rng.random_range(0..b.len().max(1));
+            let len = rng.random_range(1..9);
+            match rng.random_range(0..3) {
+                0 if !b.is_empty() => b[pos] = rng.random_range(0..sigma),
+                1 => drop(b.splice(pos..pos, (0..len).map(|_| rng.random_range(0..sigma)))),
+                _ => drop(b.drain(pos.min(b.len())..(pos + len).min(b.len()))),
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn lane_fill_equals_scalar_fill() {
+        // Every fill the host can run — each SIMD level, so the SLP lanes
+        // are tested on AVX2 hosts too, and the plain-Rust lanes — against
+        // the scalar reference's direction bytes, its last cell's H, and
+        // its stats walked back from the reference's end cell.
+        use crate::dispatch::{avx2_available, SimdLevel};
+        use rand::prelude::*;
+        let mut fills = vec![
+            ("Slp", fill_kernel(SimdLevel::Slp)),
+            ("portable", FILL_PORTABLE),
+        ];
+        if avx2_available() {
+            fills.push(("Avx2", fill_kernel(SimdLevel::Avx2)));
+        }
+        let mut rng = StdRng::seed_from_u64(0x5e1f);
+        let mut seq = |sigma: u8, lo: usize, hi: usize| -> Vec<u8> {
+            let len = rng.random_range(lo..hi);
+            (0..len).map(|_| rng.random_range(0..sigma)).collect()
+        };
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for case in 0..16 {
+            // Proptest's long families: a random pair sharing a planted
+            // core, a homolog with substitutions and indels, and a pair
+            // over a 4-letter alphabet, where many paths tie.
+            let core = seq(20, 30, 70);
+            pairs.push((
+                [seq(20, 100, 150), core.clone(), seq(20, 0, 40)].concat(),
+                [seq(20, 100, 150), core, seq(20, 0, 40)].concat(),
+            ));
+            let a = seq(20, 170, 220);
+            let mut erng = StdRng::seed_from_u64(case);
+            pairs.push((a.clone(), edited(&mut erng, &a, 20, case as usize % 7)));
+            pairs.push((seq(4, 130, 260), seq(4, 130, 260)));
+            let a = seq(4, 60, 120);
+            pairs.push((a.clone(), edited(&mut erng, &a, 4, 3)));
+            // Rows of every width around one and two chunks, empty ones
+            // included.
+            let (m, n) = (case as usize % 17, (case as usize * 7) % 19);
+            pairs.push((seq(24, m, m + 1), seq(24, n, n + 1)));
+        }
+        let mut want = AlignScratch::new();
+        let mut got = AlignScratch::new();
+        for (gap_open, gap_extend) in [(11, 1), (2, 2), (0, 1)] {
+            let p = AlignParams {
+                gap_open,
+                gap_extend,
+                ..AlignParams::default()
+            };
+            for (a, b) in &pairs {
+                let st = smith_waterman_with(a, b, &p, &mut want);
+                for &(lv, fill) in &fills {
+                    let ctx = || format!("{lv} gaps ({gap_open},{gap_extend}) a={a:?} b={b:?}");
+                    if a.is_empty() || b.is_empty() {
+                        let empty = traceback_in_lanes(a, b, &p, 0, &mut got);
+                        assert_eq!(empty, Some(st), "{}", ctx());
+                        continue;
+                    }
+                    let last = fill_in_lanes(fill, a, b, &p, &mut got);
+                    assert_eq!(got.dirs, want.dirs, "{}", ctx());
+                    assert_eq!(last, want.h_prev[b.len()], "{}", ctx());
+                    if st.score > 0 {
+                        let end = (st.r_span.1 as usize, st.c_span.1 as usize);
+                        assert_eq!(walk(a, b, &got.dirs, st.score, end), st, "{}", ctx());
+                    }
+                }
+            }
+        }
+        // Multi-chunk rows with a partial last chunk, and multi-chunk rows
+        // of whole chunks only, at both lane widths (4 and 8).
+        let widths: Vec<usize> = pairs.iter().map(|(_, b)| b.len()).collect();
+        assert!(widths.iter().any(|&n| n > 8 && n % 4 != 0));
+        assert!(widths.iter().any(|&n| n > 8 && n % 8 == 0));
     }
 
     #[test]

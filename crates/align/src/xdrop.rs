@@ -10,23 +10,10 @@
 mod lanes;
 
 use crate::dispatch;
+use crate::lanes::{Gap, E_EXTEND, F_EXTEND, H_DIAG, H_FROM_E, H_FROM_F, H_SRC_MASK, NEG_INF};
 use crate::scratch::{with_scratch, AlignScratch, XdropScratch};
 use crate::stats::AlignStats;
 use crate::AlignParams;
-
-const NEG_INF: i32 = i32::MIN / 4;
-
-/// Largest `gap_open + gap_extend` the extension accepts: far enough from
-/// `i32` overflow that no lane or scalar step saturates.
-const MAX_GAP_COST: i32 = 1 << 28;
-
-// Traceback byte layout (per live cell).
-const H_SRC_MASK: u8 = 0b11; // 0 origin/dead, 1 diag, 2 E, 3 F
-const H_DIAG: u8 = 1;
-const H_FROM_E: u8 = 2;
-const H_FROM_F: u8 = 3;
-const E_EXTEND: u8 = 1 << 2;
-const F_EXTEND: u8 = 1 << 3;
 
 /// Result of a one-directional gapped extension from the origin.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -37,14 +24,6 @@ struct Extension {
     b_end: usize,
     matches: u32,
     align_len: u32,
-}
-
-/// Affine gap costs carried as one value: `open` is the full price of a
-/// gap's first column (`gap_open + gap_extend`), `ext` of each further one.
-#[derive(Clone, Copy)]
-struct Gap {
-    open: i32,
-    ext: i32,
 }
 
 impl Gap {
@@ -196,10 +175,7 @@ fn extend_gapped_at(
     params: &AlignParams,
     xd: &mut XdropScratch,
 ) -> Extension {
-    let gap = Gap {
-        open: params.gap_open + params.gap_extend,
-        ext: params.gap_extend,
-    };
+    let gap = Gap::of(params);
     let (m, n) = (a.len(), b.len());
     let mut front = Front::new(params.xdrop);
     let mut cells: u64 = 0; // work accounting: DP cells actually computed
@@ -451,12 +427,6 @@ pub fn xdrop_align_with(
     assert!(
         r_pos + k <= r.len() && c_pos + k <= c.len(),
         "seed outside sequence"
-    );
-    // The interior lanes are exact only under this (see `lanes`).
-    assert!(
-        (0..=MAX_GAP_COST).contains(&params.gap_open)
-            && (0..=MAX_GAP_COST - params.gap_open).contains(&params.gap_extend),
-        "x-drop needs gap_open, gap_extend >= 0 and gap_open + gap_extend <= 2^28"
     );
     // Seed score: the anchor k-mers may differ under substitute k-mer
     // matching, so score the actual residues pairwise.
@@ -910,7 +880,7 @@ mod tests {
             let p = AlignParams {
                 gap_open,
                 gap_extend,
-                xdrop: MAX_GAP_COST,
+                xdrop: crate::lanes::MAX_GAP_COST,
                 ..AlignParams::default()
             };
             for case in 0..40 {

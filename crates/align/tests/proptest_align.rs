@@ -14,10 +14,11 @@ fn seq_strategy(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..20, 0..max)
 }
 
-/// Pairs of 130–260 residues whose end rectangle is large enough
-/// (≥ 128², the striped traceback's reverse-pass threshold) for the
-/// start-cell pass and the rectangle rerun to run, drawn from three
-/// families: a random pair sharing a planted core, a homolog with
+/// Pairs of 130–260 residues, the benchmark's lengths, for the striped
+/// traceback's lane fill and walk (their end-cell prefixes stay below the
+/// reverse start-cell pass's 2^20 cells, which
+/// `striped::tests::span_pass_keeps_traceback_identical` drives), drawn
+/// from three families: a random pair sharing a planted core, a homolog with
 /// substitutions and indels, and a pair over a 4-letter alphabet, where
 /// many paths tie for the best score.
 fn long_pair_strategy() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
@@ -177,9 +178,9 @@ proptest! {
         (a, b) in long_pair_strategy(),
         gaps in 0usize..3,
     ) {
-        // Long pairs drive the reverse start-cell pass and the scalar rerun
-        // on the start→end rectangle, which the shorter strategies above
-        // never reach.
+        // Long pairs drive the lane fill over many chunks per row and the
+        // walk over long paths, which the shorter strategies above reach
+        // less often.
         let (gap_open, gap_extend) = [(11, 1), (5, 2), (0, 1)][gaps];
         let p = AlignParams { gap_open, gap_extend, ..Default::default() };
         let full = smith_waterman(&a, &b, &p);

@@ -418,18 +418,22 @@ fn main() {
             eprintln!("{}", obs::imbalance::render_metric_skew(&metric_rows));
         }
         // Prefilter outcomes, merged across ranks: how many pairs the
-        // striped score pass culled and how many went on to the traceback.
+        // striped score pass culled, how many reached `min_score`, and how
+        // many of those the coverage gate kept from the traceback.
         let metrics = obs::MetricsSnapshot::merged(
             &traces.iter().map(|t| t.metrics.clone()).collect::<Vec<_>>(),
         );
         let tier = |k: &str| metrics.counters.get(k).copied().unwrap_or(0);
         let (sc, ok) = (tier("prefilter.striped_culled"), tier("prefilter.passed"));
+        let cc = tier("prefilter.coverage_culled");
         if sc + ok > 0 {
             let total = (sc + ok) as f64;
             eprintln!(
-                "pastis: prefilter: {sc} score-culled ({:.1}%), {ok} passed ({:.1}%)",
+                "pastis: prefilter: {sc} score-culled ({:.1}%), {ok} passed ({:.1}%), \
+                 {cc} of them coverage-culled ({:.1}%)",
                 100.0 * sc as f64 / total,
                 100.0 * ok as f64 / total,
+                100.0 * cc as f64 / total,
             );
         }
         // Memory observatory: the peak of the process-wide live bytes

@@ -9,8 +9,7 @@
 use std::rc::Rc;
 
 use align::{
-    align_batch, prefiltered_align_outcome, xdrop_align, AlignStats, PrefilterOutcome,
-    SimilarityMeasure,
+    align_batch, striped_score, striped_traceback, xdrop_align, AlignStats, SimilarityMeasure,
 };
 use pcomm::{Comm, CommStats, Grid};
 use seqstore::DistSeqStore;
@@ -571,20 +570,47 @@ fn batch_threads(params: &PastisParams, grid: &Grid) -> usize {
     }
 }
 
-/// Align one candidate pair under the configured mode. `None` means no
-/// alignment was attempted (mode `None`) or the pair had no usable seed —
-/// distinct from the culled outcomes, because a culled pair may still have
-/// a positive score: statistics must not conflate "prefilter said no" with
-/// "nothing aligned".
+/// What aligning one candidate pair decided.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    /// No alignment was attempted (mode `None`) or the pair had no usable
+    /// seed.
+    NotAligned,
+    /// The striped score pass came in below `min_score`.
+    ScoreCulled,
+    /// The pair reached `min_score`, but its end cell alone rules out
+    /// `min_coverage`, so it was never traced.
+    CoverageCulled,
+    /// The pair reached `min_score` (x-drop: aligned from a seed); the
+    /// edge weight if it is an edge.
+    Passed(Option<f64>),
+}
+
+/// The edge weight of an aligned pair under the configured measure, or
+/// `None` when it is not an edge.
+fn edge_weight(st: &AlignStats, params: &PastisParams) -> Option<f64> {
+    match params.measure {
+        SimilarityMeasure::Ani => st
+            .passes_filter(params.min_ani, params.min_coverage)
+            .then(|| st.ani()),
+        // The paper applies no cut-off under NS (§VI-B).
+        SimilarityMeasure::NormalizedScore => (st.score > 0).then(|| st.normalized_score()),
+    }
+}
+
+/// Align one candidate pair under the configured mode. A culled pair may
+/// still have a positive score, so culls are kept apart from
+/// [`Verdict::NotAligned`]: statistics must not conflate "prefilter said
+/// no" with "nothing aligned".
 fn align_pair(
     gi: u64,
     gj: u64,
     pair: &SeedPair,
     store: &DistSeqStore,
     params: &PastisParams,
-) -> Option<PrefilterOutcome> {
+) -> Verdict {
     if params.mode == AlignMode::None {
-        return None;
+        return Verdict::NotAligned;
     }
     let ap = &params.align;
     let r = &store.row_seq(gi).expect("row sequence prefetched").data;
@@ -596,7 +622,7 @@ fn align_pair(
         // as `gi > gj` (DESIGN.md §7). At p = 1 every owned pair has
         // `gi < gj`, so this is the identity there.
         let (r, c) = if gi < gj { (r, c) } else { (c, r) };
-        return Some(prefiltered_align_outcome(r, c, ap, params.min_score));
+        return smith_waterman_verdict(r, c, params);
     }
     // X-drop: extend from each stored seed, keeping the best score (paper
     // §IV-E). Seeds on the same diagonal extend through the same band to
@@ -623,7 +649,56 @@ fn align_pair(
         }
     }
     obs::hist!("align.seeds_extended", ndiags);
-    best.map(PrefilterOutcome::Passed)
+    best.map_or(Verdict::NotAligned, |st| {
+        Verdict::Passed(edge_weight(&st, params))
+    })
+}
+
+/// Smith–Waterman on one pair (DESIGN.md §12): the striped score pass,
+/// then a traceback only when the pair can still become an edge. The
+/// edges and weights equal [`align::smith_waterman`] followed by
+/// [`edge_weight`] on every pair that reaches `min_score`.
+///
+/// The score pass yields the exact score and end cell. Under NS that is
+/// the whole weight, so nothing is traced. Under ANI the traced span ends
+/// at the end cell, so its coverage of the shorter sequence is at most the
+/// end cell's reach into it, computed as [`AlignStats::coverage_short`]
+/// computes coverage (same sequence, `r` on ties, same `f64` division); a
+/// reach below `min_coverage` cannot become an edge and is not traced.
+fn smith_waterman_verdict(r: &[u8], c: &[u8], params: &PastisParams) -> Verdict {
+    let ap = &params.align;
+    obs::hist!("align.dp_cells", r.len() * c.len());
+    let (score, end) = striped_score(r, c, ap);
+    if score < params.min_score {
+        obs::counter!("prefilter.striped_culled", 1);
+        return Verdict::ScoreCulled;
+    }
+    obs::counter!("prefilter.passed", 1);
+    let reach = score_pass_stats(r, c, score, end);
+    if params.measure == SimilarityMeasure::NormalizedScore {
+        return Verdict::Passed(edge_weight(&reach, params));
+    }
+    if reach.coverage_short() < params.min_coverage {
+        obs::counter!("prefilter.coverage_culled", 1);
+        return Verdict::CoverageCulled;
+    }
+    let st = striped_traceback(r, c, ap, score, end);
+    Verdict::Passed(edge_weight(&st, params))
+}
+
+/// What the score pass alone knows of a pair's alignment: its exact score
+/// and lengths, and spans from the sequence starts to the end cell. Those
+/// spans contain the traced ones, so its coverage bounds the alignment's
+/// from above; its normalized score is the alignment's.
+fn score_pass_stats(r: &[u8], c: &[u8], score: i32, end: (u32, u32)) -> AlignStats {
+    AlignStats {
+        score,
+        r_span: (0, end.0),
+        c_span: (0, end.1),
+        r_len: r.len() as u32,
+        c_len: c.len() as u32,
+        ..AlignStats::default()
+    }
 }
 
 /// The one consumer of `B`, whichever source formed it: admit every local
@@ -679,23 +754,20 @@ fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterD
         let weight = match verdict {
             // Scaling runs: candidate pairs weighted by shared k-mers.
             _ if params.mode == AlignMode::None => Some(pair.count as f64),
-            None => None,
-            Some(PrefilterOutcome::Passed(st)) => {
-                tally.passed += 1;
-                match params.measure {
-                    SimilarityMeasure::Ani => st
-                        .passes_filter(params.min_ani, params.min_coverage)
-                        .then(|| st.ani()),
-                    // The paper applies no cut-off under NS (§VI-B).
-                    SimilarityMeasure::NormalizedScore => {
-                        (st.score > 0).then(|| st.normalized_score())
-                    }
-                }
-            }
-            // `CulledScore` (`CulledBitpack` is never returned).
-            Some(_) => {
+            Verdict::NotAligned => None,
+            Verdict::ScoreCulled => {
                 tally.striped_culled += 1;
                 None
+            }
+            // A coverage-culled pair reached `min_score`: it counts as
+            // passed, as it did when every such pair was traced.
+            Verdict::CoverageCulled => {
+                tally.passed += 1;
+                None
+            }
+            Verdict::Passed(weight) => {
+                tally.passed += 1;
+                weight
             }
         };
         if let Some(w) = weight {
@@ -770,6 +842,70 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seqstore::encode_seq;
+
+    fn sw_params(min_coverage: f64) -> PastisParams {
+        PastisParams {
+            mode: AlignMode::SmithWaterman,
+            min_coverage,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn coverage_gate_keeps_an_end_cell_at_exactly_the_threshold() {
+        // Seven tryptophans then residues that score badly against the
+        // rest of `c`: the alignment is r[0..7] = c[0..7], so it covers
+        // 7 of the shorter sequence's 10 residues, exactly 0.7.
+        let r = encode_seq(b"WWWWWWWPPP");
+        let c = encode_seq(b"WWWWWWWGGGGGGGGGGGGG");
+        let st = align::smith_waterman(&r, &c, &sw_params(0.7).align);
+        assert_eq!((st.r_span, st.c_span), ((0, 7), (0, 7)));
+        assert_eq!(st.coverage_short(), 0.7);
+        assert_eq!(
+            smith_waterman_verdict(&r, &c, &sw_params(0.7)),
+            Verdict::Passed(Some(1.0))
+        );
+        // Just above it the end cell alone rules the pair out.
+        assert_eq!(
+            smith_waterman_verdict(&r, &c, &sw_params(0.71)),
+            Verdict::CoverageCulled
+        );
+    }
+
+    #[test]
+    fn coverage_gate_reads_r_when_lengths_tie() {
+        // Equal lengths: coverage is measured on `r`, and so is the end
+        // cell's reach. The alignment is r[0..6] = c[3..9].
+        let (head, tail) = (encode_seq(b"WWWWWWPPPP"), encode_seq(b"AAAWWWWWWA"));
+        let st = align::smith_waterman(&head, &tail, &sw_params(0.7).align);
+        assert_eq!((st.r_span, st.c_span), ((0, 6), (3, 9)));
+        // Reach 6/10 on `r`: culled, though `c` is reached to 9/10.
+        assert_eq!(
+            smith_waterman_verdict(&head, &tail, &sw_params(0.7)),
+            Verdict::CoverageCulled
+        );
+        // Swapped, `r` is reached to 9/10 and the pair is traced; its
+        // span on `r` is 6 of 10, so it is no edge.
+        assert_eq!(
+            smith_waterman_verdict(&tail, &head, &sw_params(0.7)),
+            Verdict::Passed(None)
+        );
+    }
+
+    #[test]
+    fn normalized_score_weight_comes_from_the_score_pass() {
+        let params = PastisParams {
+            measure: SimilarityMeasure::NormalizedScore,
+            ..sw_params(0.7)
+        };
+        let (r, c) = (encode_seq(b"WWWWWWPPPP"), encode_seq(b"AAAWWWWWWA"));
+        let st = align::smith_waterman(&r, &c, &params.align);
+        assert_eq!(
+            smith_waterman_verdict(&r, &c, &params),
+            Verdict::Passed(Some(st.normalized_score()))
+        );
+    }
 
     #[test]
     fn ownership_rule_is_a_partition() {

@@ -109,7 +109,8 @@ done
 # overlap mask's tie on the local diagonal of off-diagonal blocks), and the
 # 2x2 grid out of core must write the same bytes, and so must one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
-# one rank and a 2x2 grid. The substitute path (`--subs 25 --ck 3`, the
+# one rank and a 2x2 grid, under ANI and under NS (whose PSG at seeds 7
+# and 26 is also pinned by `cksum`). The substitute path (`--subs 25 --ck 3`, the
 # `subs_ck` flags, on a 400-sequence input) builds `S` over the k-mers `A`
 # holds, and only a grid runs the filter on arrival as well as at the
 # source (DESIGN.md §4): one rank and both grids must write the same
@@ -121,6 +122,11 @@ xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     cargo run --release -q -p pastis --bin pastis -- \
         --input "$xp_tmp/in.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 0 \
         --mode "$mode" --ck 0 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
+}
+ns_psg() { # <out.tsv> <--ranks value>
+    cargo run --release -q -p pastis --bin pastis -- \
+        --input "$xp_tmp/in.fasta" --output "$1" --quiet --threads 1 --k 6 --subs 0 \
+        --mode sw --ck 0 --measure ns --ranks "$2"
 }
 subs_psg() { # <out.tsv> <--ranks value and any further flags>
     local out="$1"
@@ -153,6 +159,22 @@ for seed in 7 26 1400845388; do
     xp_psg "$xp_tmp/px.tsv" sw 4
     cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
         || { echo "verify: seed $seed: --mode sw PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    # Smith–Waterman under NS weighs edges from the score pass alone, with
+    # no traceback: the same bytes on both grids, and at seeds 7 and 26 the
+    # bytes every pair's traceback used to give (`cksum` of the PSG).
+    ns_psg "$xp_tmp/n1.tsv" 1
+    ns_psg "$xp_tmp/nx.tsv" 4
+    cmp "$xp_tmp/n1.tsv" "$xp_tmp/nx.tsv" \
+        || { echo "verify: seed $seed: --measure ns PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    case "$seed" in
+        7) ns_pin="1956222210 233338" ;;
+        26) ns_pin="3440527576 239674" ;;
+        *) ns_pin="" ;;
+    esac
+    if [[ -n "$ns_pin" && "$(cksum <"$xp_tmp/n1.tsv")" != "$ns_pin" ]]; then
+        echo "verify: seed $seed: --measure ns PSG cksum is not $ns_pin"
+        exit 1
+    fi
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/subs.fasta" 0.4 "$seed"
     subs_psg "$xp_tmp/s1.tsv" 1
     for ranks in 4 9; do
