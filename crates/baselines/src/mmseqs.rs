@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use align::{smith_waterman, ungapped_xdrop, AlignParams, SimilarityMeasure};
 use pcomm::Comm;
 use seqstore::{kmers_of, FastaRecord};
-use subkmer::{find_sub_kmers, ExpenseTable};
+use subkmer::{ExpenseTable, SubKmerSearcher};
 
 /// MMseqs2-like configuration.
 #[derive(Debug, Clone)]
@@ -153,14 +153,14 @@ fn search_one(
     // (target, diagonal) → (hit count, first seed qpos/tpos).
     let mut diag_hits: HashMap<(u32, i64), (u32, u32, u32)> = HashMap::new();
     let mut kmer_buf: Vec<(u64, u32)> = Vec::new();
+    let mut searcher = SubKmerSearcher::new();
     for (kid, qpos) in kmers_of(query, params.k) {
         kmer_buf.clear();
         kmer_buf.push((kid, qpos));
         if m > 0 {
-            let bases = seqstore::kmer_unpack(kid, params.k);
-            for sub in find_sub_kmers(&bases, table, m) {
-                kmer_buf.push((sub.id, qpos));
-            }
+            // The query window spells `kid`'s bases.
+            let seed = &query[qpos as usize..][..params.k];
+            kmer_buf.extend(searcher.search(seed, table, m).map(|sub| (sub.id, qpos)));
         }
         for &(lookup, qp) in kmer_buf.iter() {
             pcomm::work::record_class(1, pcomm::work::CostClass::KmerIndexProbe);

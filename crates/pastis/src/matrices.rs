@@ -144,7 +144,8 @@ pub fn build_s_dist(
     m: usize,
 ) -> DistMat<u32> {
     let (c0, c1) = a.col_range();
-    let holds = |t: u64| held.binary_search(&((t - c0) as u32)).is_ok();
+    let held = HeldSet::new(held);
+    let holds = |t: u64| held.contains((t - c0) as u32);
     let keep = |t: u64| !(c0..c1).contains(&t) || holds(t);
     let triples = build_s_rows(local_kmers, k, table, m, keep);
     let space = kmer_space(k);
@@ -155,6 +156,45 @@ pub fn build_s_dist(
     });
     s.retain(|_, t, _| holds(t));
     s
+}
+
+/// Exact membership in an ascending id list behind a bitmap pre-test.
+/// Each id sets one bit, picked by a multiplicative hash, of a
+/// power-of-two array of about 16 bits per id. A clear bit rejects an id
+/// at once, which is the common answer for `S`'s generated columns; a set
+/// bit falls through to the binary search.
+struct HeldSet<'a> {
+    ids: &'a [u32],
+    bits: Vec<u64>,
+    /// `64 − log2(bit count)`: the hash's top bits index the array.
+    shift: u32,
+}
+
+impl<'a> HeldSet<'a> {
+    fn new(ids: &'a [u32]) -> Self {
+        let nbits = (16 * ids.len()).next_power_of_two().max(64);
+        let mut set = HeldSet {
+            ids,
+            bits: vec![0; nbits / 64],
+            shift: 64 - nbits.trailing_zeros(),
+        };
+        for &id in ids {
+            let b = set.bit(id);
+            set.bits[b / 64] |= 1 << (b % 64);
+        }
+        set
+    }
+
+    #[inline]
+    fn bit(&self, id: u32) -> usize {
+        ((id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    #[inline]
+    fn contains(&self, id: u32) -> bool {
+        let b = self.bit(id);
+        (self.bits[b / 64] >> (b % 64)) & 1 == 1 && self.ids.binary_search(&id).is_ok()
+    }
 }
 
 #[cfg(test)]
@@ -219,6 +259,35 @@ mod tests {
                     let got: Vec<_> = kmer_counts(&comm, &block).iter().collect();
                     assert_eq!(got, want, "q={q} empty={empty:?}");
                 });
+            }
+        }
+    }
+
+    #[test]
+    fn held_set_is_the_binary_search() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [0usize, 1, 3, 4, 5, 1000] {
+            let mut ids: Vec<u32> = (0..n).map(|_| (next() % 50_000) as u32).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            let set = HeldSet::new(&ids);
+            assert!(set.bits.len().is_power_of_two() && set.bits.len() * 64 >= 16 * ids.len());
+            let probes = ids
+                .iter()
+                .copied()
+                .chain((0..20_000).map(|_| (next() % 60_000) as u32));
+            for id in probes.chain([0, u32::MAX]) {
+                assert_eq!(
+                    set.contains(id),
+                    ids.binary_search(&id).is_ok(),
+                    "n={n} id={id}"
+                );
             }
         }
     }

@@ -21,13 +21,19 @@ pub fn kmer_id(bases: &[u8]) -> u64 {
 /// Inverse of [`kmer_id`]: unpack an id into `k` base indices.
 pub fn kmer_unpack(id: u64, k: usize) -> Vec<u8> {
     let mut out = vec![0u8; k];
+    kmer_unpack_into(id, &mut out);
+    out
+}
+
+/// [`kmer_unpack`] into a caller's buffer: `out.len()` is `k`.
+#[inline]
+pub fn kmer_unpack_into(id: u64, out: &mut [u8]) {
     let mut rest = id;
-    for i in (0..k).rev() {
-        out[i] = (rest % SIGMA as u64) as u8;
+    for b in out.iter_mut().rev() {
+        *b = (rest % SIGMA as u64) as u8;
         rest /= SIGMA as u64;
     }
-    debug_assert_eq!(rest, 0, "id {id} does not fit in a {k}-mer");
-    out
+    debug_assert_eq!(rest, 0, "id {id} does not fit in a {}-mer", out.len());
 }
 
 /// ASCII rendering of a k-mer id (for debugging and reports).

@@ -5,12 +5,18 @@
 //! substituted position, which makes every multi-substitution k-mer
 //! reachable by exactly one path (the tree property the paper relies on)
 //! while leaving distances — which are order-independent sums — unchanged.
-
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+//!
+//! The frontier — the paper's min-max heap — is one sorted `Vec` that a
+//! [`SubKmerSearcher`] keeps across searches. Its prefix up to a head
+//! index holds the confirmed substitutes in the order they were confirmed;
+//! the rest holds at most `m` candidates ascending by `(dist, id)`. The
+//! nearest is confirmed by advancing the head, the farthest evicted from
+//! the tail, and a child is inserted at its `partition_point`. `explore`
+//! keeps one cursor per free position on the stack in place of a heap, so
+//! a warm searcher makes no heap allocation.
 
 use align::ScoringMatrix;
-use seqstore::kmer_id;
+use seqstore::{kmer_id, SIGMA};
 
 use crate::expense::ExpenseTable;
 
@@ -36,6 +42,18 @@ struct Cand {
     next_pos: u8,
 }
 
+/// `PLACE[i]` = `24^i`, the weight of the base `i` places from the right
+/// of a k-mer id.
+const PLACE: [u64; 13] = {
+    let mut p = [1u64; 13];
+    let mut i = 1;
+    while i < 13 {
+        p[i] = p[i - 1] * SIGMA as u64;
+        i += 1;
+    }
+    p
+};
+
 /// Distance between two equal-length k-mers: the summed (clamped)
 /// substitution expense of turning `from` into `to`.
 pub fn kmer_distance(from: &[u8], to: &[u8], matrix: &ScoringMatrix) -> u32 {
@@ -52,93 +70,137 @@ pub fn kmer_distance(from: &[u8], to: &[u8], matrix: &ScoringMatrix) -> u32 {
         .sum()
 }
 
-/// Find the `m` nearest substitute k-mers of `seed` (base indices), sorted
-/// by ascending `(dist, id)`. The seed itself is not included. Fewer than
-/// `m` are returned only when the whole substitution space is smaller.
-///
-/// The frontier — the paper's min-max heap — is an ordered set of at most
-/// `m` candidates: the nearest is confirmed from its low end, the farthest
-/// evicted from its high end when a closer child arrives.
+/// Find the `m` nearest substitute k-mers of `seed` (base indices). The
+/// seed itself is not included. Fewer than `m` are returned only when the
+/// whole substitution space is smaller. One-shot form of
+/// [`SubKmerSearcher::search`], whose order it returns.
 pub fn find_sub_kmers(seed: &[u8], table: &ExpenseTable, m: usize) -> Vec<SubKmer> {
-    let k = seed.len();
-    assert!((1..=13).contains(&k));
-    if m == 0 {
-        return Vec::new();
-    }
-    let mut nbrs: Vec<SubKmer> = Vec::with_capacity(m);
-    let mut frontier: BTreeSet<Cand> = BTreeSet::new();
-    let mut bases = [0u8; 13];
-    bases[..k].copy_from_slice(seed);
-    let root = Cand {
-        dist: 0,
-        id: kmer_id(seed),
-        bases,
-        next_pos: 0,
-    };
-    explore(&root, k, &mut frontier, table, m);
-    while nbrs.len() < m {
-        let Some(confirmed) = frontier.pop_first() else {
-            break; // substitution space exhausted
-        };
-        nbrs.push(SubKmer {
-            id: confirmed.id,
-            dist: confirmed.dist,
-        });
-        explore(&confirmed, k, &mut frontier, table, m);
-    }
-    nbrs
+    SubKmerSearcher::new().search(seed, table, m).collect()
 }
 
-/// Paper Algorithm 2 (+3 inlined): insert the nearest unseen children of
-/// `p` into the frontier. A local min-heap iterates `p`'s possible single
-/// substitutions in increasing total distance; insertion stops once the
-/// cheapest remaining child cannot beat the frontier's maximum (with the
-/// frontier full), because no later child can either.
-fn explore(p: &Cand, k: usize, frontier: &mut BTreeSet<Cand>, table: &ExpenseTable, m: usize) {
-    // (total distance, position, substitution index) per free position.
-    let mut mh: BinaryHeap<Reverse<(u32, u8, u8)>> = BinaryHeap::new();
-    for pos in p.next_pos as usize..k {
-        let b = p.bases[pos];
-        mh.push(Reverse((p.dist + table.row(b)[0].0 as u32, pos as u8, 0)));
+/// Search state that lives across searches: the frontier's buffer, so a
+/// searcher that has seen the largest search allocates nothing more.
+#[derive(Debug, Default)]
+pub struct SubKmerSearcher {
+    /// `cands[..head]` confirmed, in confirmation order; `cands[head..]`
+    /// the frontier, ascending by `(dist, id)`, at most `m` long.
+    cands: Vec<Cand>,
+    head: usize,
+}
+
+impl SubKmerSearcher {
+    /// An empty searcher; its buffer grows over the first searches.
+    pub fn new() -> Self {
+        Self::default()
     }
-    loop {
-        let Some(&Reverse((msb, pos, sid))) = mh.peek() else {
-            return;
-        };
-        if frontier.len() >= m {
-            let max = frontier.last().expect("frontier non-empty");
-            if msb >= max.dist {
-                return; // no remaining child can improve the m-nearest set
+
+    /// The `m` nearest substitute k-mers of `seed` (base indices) in the
+    /// order they are confirmed: ascending distance, equal distances by id
+    /// as the frontier held them. The seed itself is not included. Fewer
+    /// than `m` are returned only when the whole substitution space is
+    /// smaller.
+    pub fn search(
+        &mut self,
+        seed: &[u8],
+        table: &ExpenseTable,
+        m: usize,
+    ) -> impl ExactSizeIterator<Item = SubKmer> + '_ {
+        let k = seed.len();
+        assert!((1..=13).contains(&k));
+        self.cands.clear();
+        self.head = 0;
+        if m > 0 {
+            let mut bases = [0u8; 13];
+            bases[..k].copy_from_slice(seed);
+            let root = Cand {
+                dist: 0,
+                id: kmer_id(seed),
+                bases,
+                next_pos: 0,
+            };
+            let mut children = self.explore(&root, k, table, m);
+            // An empty frontier before `m` confirmations means the
+            // substitution space is exhausted.
+            while self.head < m.min(self.cands.len()) {
+                let confirmed = self.cands[self.head];
+                self.head += 1;
+                children += self.explore(&confirmed, k, table, m);
             }
+            // Work accounting: copy + frontier insert per materialized child.
+            pcomm::work::record_class(children, pcomm::work::CostClass::SubkmerChild);
         }
-        mh.pop();
-        // MAKENEWSUBK: materialize the child, evicting the current worst
-        // candidate when the frontier is at capacity.
-        let b = p.bases[pos as usize];
-        let (exp, newbase) = table.row(b)[sid as usize];
-        debug_assert_eq!(p.dist + exp as u32, msb);
-        let mut bases = p.bases;
-        bases[pos as usize] = newbase;
-        let child = Cand {
-            dist: msb,
-            id: kmer_id(&bases[..k]),
-            bases,
-            next_pos: pos + 1,
-        };
-        if frontier.len() >= m {
-            frontier.pop_last();
+        self.cands[..self.head].iter().map(|c| SubKmer {
+            id: c.id,
+            dist: c.dist,
+        })
+    }
+
+    /// Paper Algorithm 2 (+3 inlined): insert the nearest unseen children
+    /// of `p` into the frontier and return how many. Each free position's
+    /// cursor walks its sorted substitutions; the cheapest cursor, lowest
+    /// position on ties, goes next. Insertion stops once it cannot beat the
+    /// frontier's maximum (with the frontier full), because no later child
+    /// can either.
+    fn explore(&mut self, p: &Cand, k: usize, table: &ExpenseTable, m: usize) -> u64 {
+        // (total distance, substitution index) per free position;
+        // `u32::MAX` once the position's substitutions are spent.
+        let free = p.next_pos as usize..k;
+        let mut cursor = [(u32::MAX, 0u8); 13];
+        for pos in free.clone() {
+            cursor[pos] = (p.dist + table.cheapest(p.bases[pos]) as u32, 0);
         }
-        let fresh = frontier.insert(child);
-        debug_assert!(fresh, "the tree property reaches each k-mer once");
-        // Work accounting: copy + set ops per materialized child.
-        pcomm::work::record_class(1, pcomm::work::CostClass::SubkmerChild);
-        // Queue the next-cheapest substitution at this position.
-        if (sid as usize + 1) < table.row(b).len() {
-            mh.push(Reverse((
-                p.dist + table.row(b)[sid as usize + 1].0 as u32,
-                pos,
-                sid + 1,
-            )));
+        let mut children = 0;
+        loop {
+            let mut pos = k;
+            let mut msb = u32::MAX;
+            for i in free.clone() {
+                if cursor[i].0 < msb {
+                    (pos, msb) = (i, cursor[i].0);
+                }
+            }
+            if pos == k {
+                return children;
+            }
+            // MAKENEWSUBK: materialize the child, evicting the current
+            // worst candidate when the frontier is at capacity.
+            if self.cands.len() - self.head >= m {
+                let max = self.cands.last().expect("frontier non-empty");
+                if msb >= max.dist {
+                    return children; // no remaining child can improve the m-nearest set
+                }
+                self.cands.pop();
+            }
+            let sid = cursor[pos].1 as usize;
+            let old = p.bases[pos];
+            let row = table.row(old);
+            let (exp, new) = row[sid];
+            debug_assert_eq!(p.dist + exp as u32, msb);
+            let mut bases = p.bases;
+            bases[pos] = new;
+            let place = PLACE[k - 1 - pos];
+            let id = p.id - old as u64 * place + new as u64 * place;
+            debug_assert_eq!(id, kmer_id(&bases[..k]));
+            let at =
+                self.head + self.cands[self.head..].partition_point(|c| (c.dist, c.id) < (msb, id));
+            debug_assert!(
+                self.cands.get(at).is_none_or(|c| c.id != id),
+                "the tree property reaches each k-mer once"
+            );
+            self.cands.insert(
+                at,
+                Cand {
+                    dist: msb,
+                    id,
+                    bases,
+                    next_pos: pos as u8 + 1,
+                },
+            );
+            children += 1;
+            // Queue the next-cheapest substitution at this position.
+            cursor[pos] = match row.get(sid + 1) {
+                Some(&(exp, _)) => (p.dist + exp as u32, sid as u8 + 1),
+                None => (u32::MAX, 0),
+            };
         }
     }
 }
@@ -151,6 +213,114 @@ mod tests {
 
     fn table() -> ExpenseTable {
         ExpenseTable::new(&BLOSUM62)
+    }
+
+    /// The search as it was before [`SubKmerSearcher`]: a `BTreeSet`
+    /// frontier per search, a `BinaryHeap` per `explore`, one ledger charge
+    /// per child. The oracle of `searcher_equals_reference`.
+    fn find_sub_kmers_ref(seed: &[u8], table: &ExpenseTable, m: usize) -> Vec<SubKmer> {
+        use std::cmp::Reverse;
+        use std::collections::{BTreeSet, BinaryHeap};
+
+        fn explore(
+            p: &Cand,
+            k: usize,
+            frontier: &mut BTreeSet<Cand>,
+            table: &ExpenseTable,
+            m: usize,
+        ) {
+            let mut mh: BinaryHeap<Reverse<(u32, u8, u8)>> = BinaryHeap::new();
+            for pos in p.next_pos as usize..k {
+                let b = p.bases[pos];
+                mh.push(Reverse((p.dist + table.row(b)[0].0 as u32, pos as u8, 0)));
+            }
+            while let Some(&Reverse((msb, pos, sid))) = mh.peek() {
+                if frontier.len() >= m && msb >= frontier.last().unwrap().dist {
+                    return;
+                }
+                mh.pop();
+                let b = p.bases[pos as usize];
+                let mut bases = p.bases;
+                bases[pos as usize] = table.row(b)[sid as usize].1;
+                let child = Cand {
+                    dist: msb,
+                    id: kmer_id(&bases[..k]),
+                    bases,
+                    next_pos: pos + 1,
+                };
+                if frontier.len() >= m {
+                    frontier.pop_last();
+                }
+                assert!(frontier.insert(child));
+                pcomm::work::record_class(1, pcomm::work::CostClass::SubkmerChild);
+                if (sid as usize + 1) < table.row(b).len() {
+                    let exp = table.row(b)[sid as usize + 1].0 as u32;
+                    mh.push(Reverse((p.dist + exp, pos, sid + 1)));
+                }
+            }
+        }
+
+        let k = seed.len();
+        if m == 0 {
+            return Vec::new();
+        }
+        let mut nbrs = Vec::new();
+        let mut frontier = BTreeSet::new();
+        let mut bases = [0u8; 13];
+        bases[..k].copy_from_slice(seed);
+        let root = Cand {
+            dist: 0,
+            id: kmer_id(seed),
+            bases,
+            next_pos: 0,
+        };
+        explore(&root, k, &mut frontier, table, m);
+        while nbrs.len() < m {
+            let Some(confirmed) = frontier.pop_first() else {
+                break;
+            };
+            nbrs.push(SubKmer {
+                id: confirmed.id,
+                dist: confirmed.dist,
+            });
+            explore(&confirmed, k, &mut frontier, table, m);
+        }
+        nbrs
+    }
+
+    /// One searcher, reused across every call, returns the reference's
+    /// substitutes in the reference's order and charges the same work, on
+    /// seeded k-mers (ambiguity codes included, whose zero-expense
+    /// substitutions make distance ties) over k ∈ {1, 2, 3, 6, 13} and m
+    /// up to past the whole 1-mer (23) and 2-mer (575) spaces.
+    #[test]
+    fn searcher_equals_reference() {
+        use pcomm::work::counter_milli_ns;
+        let t = table();
+        let mut searcher = SubKmerSearcher::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut base = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % SIGMA as u64) as u8
+        };
+        for k in [1usize, 2, 3, 6, 13] {
+            for m in [0usize, 1, 5, 25, 60, 600] {
+                for _ in 0..12 {
+                    let seed: Vec<u8> = (0..k).map(|_| base()).collect();
+                    let w0 = counter_milli_ns();
+                    let want = find_sub_kmers_ref(&seed, &t, m);
+                    let w1 = counter_milli_ns();
+                    let got: Vec<SubKmer> = searcher.search(&seed, &t, m).collect();
+                    let w2 = counter_milli_ns();
+                    assert_eq!(got, want, "k={k} m={m} seed={seed:?}");
+                    assert_eq!(w2 - w1, w1 - w0, "work charged, k={k} m={m}");
+                    let space = (SIGMA as u64).pow(k as u32) - 1;
+                    assert_eq!(got.len() as u64, space.min(m as u64));
+                }
+            }
+        }
     }
 
     /// Brute force: distances of ALL k-mers to the seed, m smallest.

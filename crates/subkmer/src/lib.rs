@@ -5,9 +5,11 @@
 //! *expense* (score lost versus an exact match). The m nearest are found
 //! with a best-first exploration in the spirit of Dijkstra's algorithm over
 //! the implicit substitution tree: a sorted per-base expense table provides
-//! children in increasing cost, and an ordered set (`std`'s `BTreeSet`) of
-//! at most `m` candidates stands in for the paper's min-max heap as the
-//! frontier, confirming from its low end and evicting from its high end.
+//! children in increasing cost, and a sorted bounded `Vec` of at most `m`
+//! candidates stands in for the paper's min-max heap as the frontier,
+//! confirming from its head and evicting from its tail. A
+//! [`SubKmerSearcher`] keeps that buffer across searches, so a warm one
+//! searches without allocating; [`find_sub_kmers`] is its one-shot form.
 //!
 //! The crate also builds the sparse substitution matrix `S` (k-mer →
 //! substitute k-mer, at most `m`+1 nonzeros per row including the identity)
@@ -18,5 +20,5 @@ mod find;
 mod smatrix;
 
 pub use expense::ExpenseTable;
-pub use find::{find_sub_kmers, kmer_distance, SubKmer};
+pub use find::{find_sub_kmers, kmer_distance, SubKmer, SubKmerSearcher};
 pub use smatrix::{build_s_rows, build_s_triples, SubEntry};

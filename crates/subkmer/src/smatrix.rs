@@ -4,8 +4,8 @@
 //! expands each sequence's k-mer set without inflating `A` itself.
 
 use crate::expense::ExpenseTable;
-use crate::find::find_sub_kmers;
-use seqstore::kmer_unpack;
+use crate::find::SubKmerSearcher;
+use seqstore::kmer_unpack_into;
 
 /// A nonzero of `S`: distance of the substitute to its source k-mer.
 pub type SubEntry = u32;
@@ -37,13 +37,15 @@ pub fn build_s_rows(
     keep: impl Fn(u64) -> bool,
 ) -> Vec<(u64, u64, SubEntry)> {
     let mut out = Vec::with_capacity(kmers.len());
+    let mut searcher = SubKmerSearcher::new();
+    let mut bases = [0u8; 13];
     for &id in kmers {
         if keep(id) {
             out.push((id, id, 0));
         }
         if m > 0 {
-            let bases = kmer_unpack(id, k);
-            for sub in find_sub_kmers(&bases, table, m) {
+            kmer_unpack_into(id, &mut bases[..k]);
+            for sub in searcher.search(&bases[..k], table, m) {
                 if keep(sub.id) {
                     out.push((id, sub.id, sub.dist));
                 }

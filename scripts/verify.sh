@@ -12,6 +12,10 @@ cargo fmt --check
 cargo build --release
 # --no-fail-fast: one failing crate must not mask the crates after it.
 cargo test -q --no-fail-fast
+# The substitute search in release: its differential test against the
+# old ordered-set search, the warm-searcher zero-allocation count and the
+# exact-output pin, under the optimiser the pipeline runs with.
+cargo test -q --release -p subkmer
 # Trace-export schema gate: the Perfetto JSON must stay parseable and keep
 # its per-rank track structure.
 cargo test -q -p obs --test perfetto_schema
