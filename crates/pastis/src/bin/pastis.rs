@@ -31,8 +31,8 @@
 //! driver: B's columns are computed in budget-sized batches (DESIGN.md
 //! §15) with a bit-identical edge set. `--ckpt-dir DIR` checkpoints each
 //! completed batch there; rerunning the same command resumes after the
-//! last complete batch. Both need exact seeding and are rejected together
-//! with `--subs N > 0` (the substitute path materialises all of B).
+//! last complete batch. Both work with either seeding: under `--subs N`
+//! each batch forms its columns of the symmetrised B as two masked halves.
 
 use std::io::Write as _;
 use std::process::exit;
@@ -166,12 +166,6 @@ fn parse_cli() -> Cli {
         eprintln!("--reduced and --subs N > 0 are mutually exclusive seeding modes");
         exit(2);
     }
-    if params.substitutes > 0 && (params.mem_budget_bytes.is_some() || params.ckpt_dir.is_some()) {
-        eprintln!(
-            "--mem-budget/--ckpt-dir need exact seeding; they cannot be combined with --subs"
-        );
-        exit(2);
-    }
     let monitor_ms = monitor.then(|| match std::env::var("PASTIS_MONITOR_MS") {
         Err(std::env::VarError::NotPresent) => 200,
         Ok(v) => match v.parse() {
@@ -210,19 +204,18 @@ fn parse_size(s: &str) -> Option<u64> {
     num.parse::<u64>().ok().map(|n| n.saturating_mul(mult))
 }
 
-/// Stage spans of the per-stage memory table, in pipeline order (the nine
-/// `stage()` wrappers of `run_pipeline`; exact seeding aligns each batch
-/// inside `pastis.spgemm_b`, so its `pastis.align` row is empty).
-const MEM_STAGE_ORDER: [&str; 9] = [
+/// Stage spans of the per-stage memory table, in pipeline order (the
+/// `stage()` wrappers of `run_pipeline`; each column batch is symmetrised
+/// and aligned inside `pastis.spgemm_b`).
+const MEM_STAGE_ORDER: [&str; 8] = [
     "pastis.fasta",
     "pastis.form_a",
     "pastis.tr_a",
     "pastis.form_s",
     "pastis.a_s",
+    "pastis.wait",
     "pastis.spgemm_b",
     "pastis.symmetricize",
-    "pastis.wait",
-    "pastis.align",
 ];
 
 /// Monitor self-check: parse and schema-validate `status.json`, then

@@ -52,11 +52,10 @@ pub struct PastisParams {
     pub min_coverage: f64,
     /// Kernel parameters (matrix, gaps, x-drop).
     pub align: AlignParams,
-    /// Local SpGEMM accumulation strategy of the unmasked products: `A·S`
-    /// and `(AS)·Aᵀ` on the substitute path. The exact overlap
-    /// `B = A·Aᵀ` does not read it: [`crate::ExactSemiring`] declares an
-    /// output mask, and a masked product is always an outer product over
-    /// the shared k-mers.
+    /// Local SpGEMM accumulation strategy of the unmasked product `A·S` on
+    /// the substitute path. The overlap products do not read it:
+    /// [`crate::ExactSemiring`] declares an output mask, and a masked
+    /// product is always an outer product over the shared k-mers.
     pub spgemm: SpGemmStrategy,
     /// OS threads per rank for the alignment batch (OpenMP stand-in).
     /// `0` = auto: divide the host's cores evenly among the ranks (the
@@ -74,18 +73,16 @@ pub struct PastisParams {
     /// the pipeline partitions B's columns into batches sized so the
     /// estimated per-rank footprint of any one batch stays under the
     /// budget (out-of-core driver, DESIGN.md §15): each batch is
-    /// multiplied against a column-restricted `Aᵀ` and aligned before the
-    /// next is formed, and the per-batch edges concatenate into an edge
-    /// set bit-identical to the monolithic run. `None` = single pass. Only
-    /// the exact overlap can batch: `run_pipeline` refuses a budget
-    /// together with substitute k-mers.
+    /// multiplied against column-restricted right operands and aligned
+    /// before the next is formed, and the per-batch edges concatenate into
+    /// an edge set bit-identical to the monolithic run. `None` = single pass.
+    /// The estimate counts `A·Aᵀ`'s flops, under substitute k-mers too.
     pub mem_budget_bytes: Option<u64>,
-    /// Checkpoint directory (same restriction as the budget): each
-    /// completed batch writes per-rank PSG shards plus a versioned manifest
-    /// here (checksummed, committed tmp-then-rename — see `pastis::ckpt`),
-    /// and a rerun pointed at the same directory resumes after the last
-    /// complete batch instead of restarting. `None` disables
-    /// checkpointing.
+    /// Checkpoint directory: each completed batch writes per-rank PSG
+    /// shards plus a versioned manifest here (checksummed, committed
+    /// tmp-then-rename — see `pastis::ckpt`), and a rerun pointed at the
+    /// same directory resumes after the last complete batch instead of
+    /// restarting. `None` disables checkpointing.
     pub ckpt_dir: Option<std::path::PathBuf>,
 }
 

@@ -24,7 +24,7 @@ use crate::matrices::{
 };
 use crate::params::{AlignMode, PastisParams};
 use crate::seedpair::SeedPair;
-use crate::semirings::{AsSemiring, ExactSemiring, SubSemiring};
+use crate::semirings::{AsSemiring, ExactSemiring};
 
 /// Wall-clock seconds and communication delta of one pipeline stage on this
 /// rank. Feed the per-rank maxima into [`pcomm::CostModel`] to model large
@@ -92,7 +92,7 @@ pub struct Timings {
     pub a_s: StageMeasure,
     /// The overlap SpGEMM `A·Aᵀ` or `(AS)·Aᵀ`.
     pub spgemm_b: StageMeasure,
-    /// Symmetrizing `B` (substitute path only).
+    /// Symmetrizing `B` (substitute path only): merging its two masked halves.
     pub symmetricize: StageMeasure,
     /// Waiting on the background sequence exchange (§V-C).
     pub wait: StageMeasure,
@@ -159,11 +159,11 @@ impl Timings {
     /// component order (the eight sparse components plus `align`). These
     /// are the names [`run_pipeline`] records and the rows the trace-driven
     /// dissection tables print. The alignment row is built from the
-    /// `align.overlap` spans rather than the `pastis.align` wrapper: the
-    /// exact overlap aligns each column batch right after multiplying it,
+    /// `align.overlap` spans: each column batch of `B` is symmetrised (on
+    /// the substitute path) and aligned right after it is multiplied,
     /// *inside* `pastis.spgemm_b`, and the trace reducers attribute nested
-    /// stage spans exclusively, so `(AS)AT` reports SUMMA-only time and
-    /// `align` the alignment time for both sources of `B`.
+    /// stage spans exclusively, so `(AS)AT` reports SUMMA-only time, `sym.`
+    /// the merge and `align` the alignment time for both sources of `B`.
     pub const STAGE_SPANS: [(&'static str, &'static str); 9] = [
         ("pastis.fasta", "fasta"),
         ("pastis.form_a", "form A"),
@@ -283,7 +283,8 @@ pub struct Counters {
     pub nnz_s: u64,
     /// Nonzeros of `B` (global): the owned off-diagonal entries the
     /// masked exact product forms, or every entry of the symmetrised
-    /// substitute product.
+    /// substitute product: twice its owned entries, plus one diagonal entry
+    /// per sequence whose row of `A` holds a k-mer.
     pub nnz_b: u64,
     /// Candidate pairs owned by this rank (upper-triangle ownership rule).
     pub candidates_local: u64,
@@ -349,11 +350,12 @@ type Edge = (u64, u64, f64);
 /// A candidate pair awaiting alignment: global row, global column, seeds.
 type Task = (u64, u64, SeedPair);
 
-/// What everything downstream of the choice of `B`'s source shares, built
-/// once per run.
+/// What the batch loop reads, built once per run.
 struct PipeCtx<'a> {
     a_mat: &'a DistMat<u32>,
     a_t: &'a DistMat<u32>,
+    /// `A·S` and its transpose under substitute k-mers (see [`overlap`]).
+    subs: Option<&'a (DistMat<u32>, DistMat<u32>)>,
     store: &'a DistSeqStore,
     params: &'a PastisParams,
     grid: &'a Grid,
@@ -370,21 +372,12 @@ struct PipeCtx<'a> {
 /// # Panics
 ///
 /// On parameter combinations the pipeline cannot honour: a `k` that does
-/// not fit the grid ([`crate::kmer_fits_grid`]), reduced-alphabet seeding
-/// with substitute k-mers, and a memory budget or checkpoint directory with
-/// substitute k-mers (whose `B` is symmetrised whole, so it cannot be cut
-/// into column batches).
+/// not fit the grid ([`crate::kmer_fits_grid`]), and reduced-alphabet
+/// seeding with substitute k-mers.
 pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisRun {
     assert!(
         !(params.reduced_alphabet && params.substitutes > 0),
         "reduced-alphabet seeding and substitute k-mers are mutually exclusive"
-    );
-    // Substitute k-mers must symmetrize `B`, a global barrier, so only the
-    // exact overlap can be cut into column batches and checkpointed.
-    assert!(
-        params.substitutes == 0 || (params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none()),
-        "mem_budget_bytes / ckpt_dir need the exact overlap (substitutes = {})",
-        params.substitutes
     );
     // Record into the caller's recorder when one is installed (so a caller
     // can splice the pipeline into a larger trace, e.g. pipeline + MCL);
@@ -433,12 +426,10 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         let a_t = stage("pastis.tr_a", || a_mat.transpose());
         counters.nnz_a = a_mat.nnz();
 
-        // 5. The substitute source forms all of `B` before the exchange
-        //    fence; the exact source multiplies one column batch at a time
-        //    and aligns it at once, so it needs the sequences first and
-        //    runs after the fence (step 7).
-        let b_mat = (params.substitutes > 0)
-            .then(|| substitute_b(&a_mat, &a_t, held, &store, params, &mut counters));
+        // 5. The substitute source's `S` and `AS`, which need no
+        //    sequences, go before the exchange fence.
+        let subs = (params.substitutes > 0)
+            .then(|| substitutes(&a_mat, held, &store, params, &mut counters));
 
         // 6. Exchange fence.
         stage("pastis.wait", || store.finish_exchange(exchange));
@@ -447,24 +438,18 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         let cx = PipeCtx {
             a_mat: &a_mat,
             a_t: &a_t,
+            subs: subs.as_ref(),
             store: &store,
             params,
             grid: &grid,
             row_range,
             col_range,
         };
-        let (edges, local) = match b_mat {
-            Some(b) => stage("pastis.align", || align_owned(&cx, b)),
-            None => {
-                let out = stage("pastis.spgemm_b", || run_batches(&cx, fasta));
-                // The alignment work ran inside `pastis.spgemm_b` (as
-                // `align.overlap` spans, which the dissection attributes to
-                // the `align` row); the empty wrapper keeps the span set
-                // uniform across sources.
-                stage("pastis.align", || ());
-                out
-            }
-        };
+        let (edges, mut local) = stage("pastis.spgemm_b", || run_batches(&cx, fasta));
+        if subs.is_some() {
+            // The symmetrised `B` also holds each pair's mirror and a diagonal.
+            local.nnz_b = 2 * local.nnz_b + seeded_rows(&a_mat);
+        }
 
         counters.candidates_local = local.candidates;
         counters.alignments_local = local.alignments;
@@ -502,17 +487,17 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
     }
 }
 
-/// The substitute source of `B`: `sym((AS)·Aᵀ)`, formed whole, with `S`
+/// The substitute source's operands: `A·S` and its transpose, with `S`
 /// over the k-mer columns `A` holds (`held`, when the pre-filter already
-/// exchanged them).
-fn substitute_b(
+/// exchanged them). `S` is dropped before the transpose, so the heap peak
+/// stays in `pastis.a_s`.
+fn substitutes(
     a_mat: &DistMat<u32>,
-    a_t: &DistMat<u32>,
     held: Option<Vec<u32>>,
     store: &DistSeqStore,
     params: &PastisParams,
     counters: &mut Counters,
-) -> DistMat<SeedPair> {
+) -> (DistMat<u32>, DistMat<u32>) {
     let s_mat = stage("pastis.form_s", || {
         let held = held.unwrap_or_else(|| held_kmers(a_mat));
         let table = ExpenseTable::new(params.align.matrix);
@@ -528,34 +513,29 @@ fn substitute_b(
     });
     counters.nnz_s = s_mat.nnz();
 
-    let as_mat = stage("pastis.a_s", || {
-        a_mat.spgemm(&s_mat, &AsSemiring, params.spgemm)
-    });
-
-    let b0 = stage("pastis.spgemm_b", || {
-        as_mat.spgemm(a_t, &SubSemiring, params.spgemm)
-    });
-
-    // Substitute matching is directional (row side substituted, column
-    // side exact), so B must be symmetrized (paper Fig. 15 "sym.").
-    stage("pastis.symmetricize", || {
-        let swapped = b0.transpose().map(|_, _, v| v.swapped());
-        b0.elementwise_add(&swapped, |acc, v| acc.merge_symmetric(v))
+    stage("pastis.a_s", || {
+        // Past `A·S` only the positions are read: `(AS)·Aᵀ` multiplies as
+        // `SubSemiring` does, `SeedPair::single(pos, A(j, t))`.
+        let a_s = a_mat.spgemm(&s_mat, &AsSemiring, params.spgemm);
+        let a_s = a_s.map(|_, _, v| v.pos);
+        drop(s_mat);
+        let a_s_t = a_s.transpose();
+        (a_s, a_s_t)
     })
 }
 
-/// Align the symmetrised substitute `B`, which its unmasked multiply
-/// formed whole: keep the pairs the exact product's mask would have kept
-/// ([`ExactSemiring`]'s), then hand them to [`align_block`]. `nnz_b` still
-/// counts every entry of `B`.
-fn align_owned(cx: &PipeCtx, mut b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterDelta) {
-    let nnz_b = b.nnz_local() as u64;
-    let mask = ExactSemiring::MASK.expect("the exact product is masked");
-    let (myrow, mycol) = (cx.grid.myrow(), cx.grid.mycol());
-    b.retain(|gi, gj, _| mask.keeps(gi - cx.row_range.0, gj - cx.col_range.0, myrow, mycol));
-    let (edges, mut tally) = align_block(cx, b);
-    tally.nnz_b = nnz_b;
-    (edges, tally)
+/// This rank's share of the sequences whose row of `A` holds a k-mer,
+/// each on the symmetrised `B`'s diagonal by `S`'s identity: the grid row
+/// unites its blocks' rows, and its first column counts them. Collective.
+fn seeded_rows(a: &DistMat<u32>) -> u64 {
+    let mut rows = vec![false; a.local().nrows()];
+    for (r, _, _) in a.local().iter() {
+        rows[r as usize] = true;
+    }
+    let or = |x: Vec<bool>, y: Vec<bool>| x.iter().zip(y).map(|(x, y)| *x || y).collect();
+    let rows = a.grid().row_comm().allreduce(rows, or);
+    let first_col = a.grid().mycol() == 0;
+    rows.into_iter().filter(|&r| r && first_col).count() as u64
 }
 
 /// Per-rank OS-thread budget for alignment batches: 0 = auto, splitting
@@ -703,7 +683,7 @@ fn score_pass_stats(r: &[u8], c: &[u8], score: i32, end: (u32, u32)) -> AlignSta
 
 /// The one consumer of `B`, whichever source formed it: admit every local
 /// entry — each a pair this rank owns, self-overlaps excluded, which the
-/// masked multiply (or [`align_owned`]) already ensured — that clears the
+/// masked multiplies already ensured — that clears the
 /// CK threshold as an alignment task, drop `b`, and align the tasks as one
 /// batch. Tasks run in `(row, col)` order, which groups them by query row
 /// and so maximizes the striped profile-cache hit rate. Returns the
@@ -777,20 +757,19 @@ fn align_block(cx: &PipeCtx, b: DistMat<SeedPair>) -> (Vec<Edge>, ckpt::CounterD
     (edges, tally)
 }
 
-/// The exact source's driver: multiply `A·Aᵀ` and align it in one pass
-/// when neither a memory budget nor a checkpoint directory is configured,
+/// The driver of both sources: multiply `B` and align it in one pass when
+/// neither a memory budget nor a checkpoint directory is configured,
 /// otherwise the out-of-core batch loop of DESIGN.md §15 — size column
-/// batches against the budget, multiply each batch against a
-/// column-restricted `Aᵀ` and align it before the next one is formed,
-/// concatenate the per-batch edges (bit-identical to the monolithic set:
-/// batches tile `B`'s columns and per-entry fold order is unchanged), and
-/// checkpoint each completed batch so a killed run resumes instead of
-/// restarting.
+/// batches against the budget, multiply each batch against
+/// column-restricted right operands and align it before the next one is
+/// formed, concatenate the per-batch edges (bit-identical to the
+/// monolithic set: batches tile `B`'s columns and per-entry fold order is
+/// unchanged), and checkpoint each completed batch so a killed run resumes
+/// instead of restarting.
 fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
     let params = cx.params;
-    let overlap = |a_t: &DistMat<u32>| cx.a_mat.spgemm(a_t, &ExactSemiring, params.spgemm);
     if params.mem_budget_bytes.is_none() && params.ckpt_dir.is_none() {
-        return align_block(cx, overlap(cx.a_t));
+        return align_block(cx, overlap(cx, None));
     }
     let plan = match params.mem_budget_bytes {
         Some(budget) => batch::plan(cx.grid, cx.a_t, budget),
@@ -824,8 +803,7 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
                 // nests inside the stage's window, which also sees
                 // `batch::plan` and everything between batches.
                 let out = windowed(&format!("mem.batch.{k}"), || {
-                    let b = overlap(&cx.a_t.restrict_cols(range));
-                    align_block(cx, b)
+                    align_block(cx, overlap(cx, Some(range)))
                 });
                 if let Some(log) = &mut log {
                     log.commit(k, &out.0, &out.1);
@@ -837,6 +815,34 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
         total.add(&delta);
     }
     (edges, total)
+}
+
+/// The owned off-diagonal entries of `B` in the global columns `range`
+/// (all of them for `None`), each product masked by [`ExactSemiring`]:
+/// `A·Aᵀ`, or the symmetrised `(AS)·Aᵀ` as its two halves, `B0 = (AS)·Aᵀ`
+/// and `A·(AS)ᵀ`, whose entry `(i, j)` is `B0(j, i).swapped()` (DESIGN.md
+/// §4). A batch restricts the right operands' columns only, so each entry
+/// folds as in the whole product.
+fn overlap(cx: &PipeCtx, range: Option<(u64, u64)>) -> DistMat<SeedPair> {
+    let spgemm = cx.params.spgemm;
+    let product = |left: &DistMat<u32>, right: &DistMat<u32>| match range {
+        Some(range) => left.spgemm(&right.restrict_cols(range), &ExactSemiring, spgemm),
+        None => left.spgemm(right, &ExactSemiring, spgemm),
+    };
+    let Some((a_s, a_s_t)) = cx.subs else {
+        return product(cx.a_mat, cx.a_t);
+    };
+    // Substitute matching is directional, so B must be symmetrized (paper
+    // Fig. 15 "sym."). The merge keeps its first operand's seeds, so a block
+    // below the grid diagonal takes the mirror first: each pair keeps the
+    // seeds of its `gi < gj` entry.
+    let (mut first, mut then) = (product(a_s, cx.a_t), product(cx.a_mat, a_s_t));
+    if cx.grid.myrow() > cx.grid.mycol() {
+        std::mem::swap(&mut first, &mut then);
+    }
+    stage("pastis.symmetricize", || {
+        first.elementwise_add(&then, |acc, v| acc.merge_symmetric(v))
+    })
 }
 
 #[cfg(test)]

@@ -83,26 +83,6 @@ fn bad_parameters_are_usage_errors() {
             "PASTIS_MONITOR_MS",
         );
     }
-    // Out-of-core flags need exact seeding: rejected with --subs, never
-    // silently ignored.
-    expect_rejection(
-        &fasta,
-        &["--subs", "25", "--mem-budget", "16m"],
-        2,
-        "--subs",
-    );
-    let ckpt = dir.join("ckpt");
-    let ckpt_arg = ckpt.to_str().unwrap();
-    expect_rejection(
-        &fasta,
-        &["--subs", "25", "--ckpt-dir", ckpt_arg],
-        2,
-        "--subs",
-    );
-    assert!(
-        !ckpt.exists(),
-        "a rejected run must not create its ckpt dir"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -118,8 +98,41 @@ fn fasta_without_records_is_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The library refuses the same combinations by name instead of ignoring
-/// the out-of-core parameters.
+/// The out-of-core flags work under substitute k-mers: a batched,
+/// checkpointed `--subs` run writes the monolithic run's PSG.
+#[test]
+fn substitute_kmers_run_out_of_core() {
+    let dir = scratch("subs");
+    let fasta = dir.join("in.fasta");
+    std::fs::write(
+        &fasta,
+        ">a\nMKVLAAGIVGLLLAQWERTY\n>b\nMKVLAAGIVGLLKAQWERTY\n>c\nMKVLSAGIVGLLKAQWERTA\n",
+    )
+    .unwrap();
+    let run = |out: &Path, args: &[&str]| {
+        let st = Command::new(env!("CARGO_BIN_EXE_pastis"))
+            .arg("--input")
+            .arg(&fasta)
+            .arg("--output")
+            .arg(out)
+            .args(["--k", "4", "--subs", "5", "--quiet"])
+            .args(args)
+            .status()
+            .expect("spawn pastis");
+        assert!(st.success(), "{args:?}: {st}");
+        std::fs::read(out).expect("read PSG")
+    };
+    let mono = run(&dir.join("mono.tsv"), &[]);
+    assert!(!mono.is_empty(), "the monolithic run wrote no edge");
+    let ckpt = dir.join("ckpt");
+    let ckpt_arg = ckpt.to_str().unwrap();
+    let args = ["--mem-budget", "1", "--ckpt-dir", ckpt_arg];
+    assert_eq!(run(&dir.join("ooc.tsv"), &args), mono);
+    assert!(ckpt.join("manifest.json").exists(), "no checkpoint written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The library refuses the same combinations by name.
 #[test]
 fn run_pipeline_refuses_what_the_binary_rejects() {
     use pastis::{run_pipeline, PastisParams};
@@ -135,23 +148,6 @@ fn run_pipeline_refuses_what_the_binary_rejects() {
         k: 4,
         ..Default::default()
     };
-    let budget = Some(1 << 20);
-    let ckpt = Some(std::env::temp_dir().join("pastis-cli-never-created"));
-    for params in [
-        PastisParams {
-            substitutes: 5,
-            mem_budget_bytes: budget,
-            ..base.clone()
-        },
-        PastisParams {
-            substitutes: 5,
-            ckpt_dir: ckpt,
-            ..base.clone()
-        },
-    ] {
-        let msg = refusal(params);
-        assert!(msg.contains("mem_budget_bytes / ckpt_dir"), "{msg}");
-    }
     for k in [14, 7] {
         let msg = refusal(PastisParams { k, ..base.clone() });
         assert!(msg.contains("k must be in 1..=13"), "{msg}");

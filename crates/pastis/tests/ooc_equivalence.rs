@@ -4,8 +4,10 @@
 //! column space and per-entry fold order is unchanged, so the merged edge
 //! set must match the monolithic run bit for bit — at every batch shape
 //! (single-column, uneven, full-width), every grid size, and under
-//! adversarial schedule perturbation. The sizer's per-column weights are
-//! checked against flops counted straight from the FASTA.
+//! adversarial schedule perturbation. The substitute path's `B`, whose
+//! batches are two masked halves merged, must match its own monolithic run
+//! the same way. The sizer's per-column weights are checked against flops
+//! counted straight from the FASTA.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -41,6 +43,19 @@ fn dataset() -> &'static [u8] {
     })
 }
 
+/// Substitute k-mers per k-mer of the substitute-path runs.
+const SUBS: usize = 5;
+
+/// The substitute path: with no coverage cut, the pairs only substitutes
+/// find become edges, weighed by an x-drop from their seeds.
+fn subs_params(budget: Option<u64>) -> PastisParams {
+    PastisParams {
+        substitutes: SUBS,
+        min_coverage: 0.0,
+        ..params(budget)
+    }
+}
+
 fn params(budget: Option<u64>) -> PastisParams {
     PastisParams {
         k: 4,
@@ -54,10 +69,13 @@ fn params(budget: Option<u64>) -> PastisParams {
 type EdgeSet = Vec<(u64, u64, u64)>;
 
 fn run_edges(builder: WorldBuilder, p: usize, budget: Option<u64>) -> EdgeSet {
-    let params = params(budget);
+    run_params(builder, p, &params(budget))
+}
+
+fn run_params(builder: WorldBuilder, p: usize, params: &PastisParams) -> EdgeSet {
     let runs = builder
         .watchdog_ms(5000)
-        .run(p, |comm| run_pipeline(&comm, dataset(), &params));
+        .run(p, |comm| run_pipeline(&comm, dataset(), params));
     let mut edges: EdgeSet = runs
         .iter()
         .flat_map(|r| r.edges.iter().map(|&(a, b, w)| (a, b, w.to_bits())))
@@ -74,18 +92,40 @@ fn monolithic_reference() -> &'static EdgeSet {
 
 #[test]
 fn batched_edges_match_monolithic_at_every_p_and_batch_shape() {
-    let reference = monolithic_reference();
-    assert!(!reference.is_empty(), "monolithic run produced no edges");
-    // Budget 0: the sizer floors at one column per batch. A huge budget:
-    // the plan is a single full-width batch (the driver engages but must
-    // match the fast path exactly).
-    for &budget in &[0, UNEVEN_BUDGET, u64::MAX] {
-        for &p in &PS {
-            let batched = run_edges(WorldBuilder::new().checked(true), p, Some(budget));
-            assert_eq!(
-                &batched, reference,
-                "p={p} budget={budget}: batched edge set diverged from monolithic"
-            );
+    let subs_reference = run_params(WorldBuilder::new().checked(true), 1, &subs_params(None));
+    let exact = PastisParams {
+        substitutes: 0,
+        ..subs_params(None)
+    };
+    assert_ne!(
+        subs_reference,
+        run_params(WorldBuilder::new(), 1, &exact),
+        "substitute k-mers changed no edge"
+    );
+    for (of_budget, reference) in [
+        (
+            params as fn(Option<u64>) -> PastisParams,
+            monolithic_reference(),
+        ),
+        (subs_params, &subs_reference),
+    ] {
+        let subs = of_budget(None).substitutes;
+        assert!(
+            !reference.is_empty(),
+            "subs={subs}: monolithic run produced no edges"
+        );
+        // Budget 0: the sizer floors at one column per batch. A huge budget:
+        // the plan is a single full-width batch (the driver engages but must
+        // match the fast path exactly). No budget: the fast path on a grid.
+        for budget in [Some(0), Some(UNEVEN_BUDGET), Some(u64::MAX), None] {
+            for &p in &PS {
+                let params = of_budget(budget);
+                let batched = run_params(WorldBuilder::new().checked(true), p, &params);
+                assert_eq!(
+                    &batched, reference,
+                    "subs={subs} p={p} budget={budget:?}: batched edge set diverged from monolithic"
+                );
+            }
         }
     }
 }
@@ -93,22 +133,25 @@ fn batched_edges_match_monolithic_at_every_p_and_batch_shape() {
 #[test]
 fn counters_survive_batching() {
     let p = 4;
-    let mono = WorldBuilder::new()
-        .checked(true)
-        .watchdog_ms(5000)
-        .run(p, |comm| run_pipeline(&comm, dataset(), &params(None)));
-    let batched = WorldBuilder::new()
-        .checked(true)
-        .watchdog_ms(5000)
-        .run(p, |comm| {
-            run_pipeline(&comm, dataset(), &params(Some(UNEVEN_BUDGET)))
-        });
-    let c0 = mono[0].counters;
-    let c1 = batched[0].counters;
-    assert_eq!(c0.nnz_b, c1.nnz_b, "drained B nonzeros must agree");
-    assert_eq!(c0.alignments_global, c1.alignments_global);
-    assert_eq!(c0.edges_global, c1.edges_global);
-    assert_eq!(c0.prefilter_passed_global, c1.prefilter_passed_global);
+    for of_budget in [params, subs_params] {
+        let run = |budget| {
+            let params = of_budget(budget);
+            let runs = WorldBuilder::new()
+                .checked(true)
+                .watchdog_ms(5000)
+                .run(p, |comm| run_pipeline(&comm, dataset(), &params));
+            runs[0].counters
+        };
+        let (c0, c1) = (run(None), run(Some(UNEVEN_BUDGET)));
+        let ctx = format!("substitutes={}", of_budget(None).substitutes);
+        assert_eq!(c0.nnz_b, c1.nnz_b, "{ctx}: drained B nonzeros must agree");
+        assert_eq!(c0.alignments_global, c1.alignments_global, "{ctx}");
+        assert_eq!(c0.edges_global, c1.edges_global, "{ctx}");
+        assert_eq!(
+            c0.prefilter_passed_global, c1.prefilter_passed_global,
+            "{ctx}"
+        );
+    }
 }
 
 /// Column `j` of `B = A·Aᵀ` costs one flop per k-mer of sequence `j` and

@@ -18,6 +18,8 @@
 //! directory copied elsewhere and resumed with another thread count must
 //! restore every batch: where a checkpoint lives and how many threads align
 //! do not shape the output, so they are not part of the run fingerprint.
+//! Under substitute k-mers a resumed and a restored run write their own
+//! monolithic bytes too.
 
 use std::collections::BTreeMap;
 use std::os::unix::fs::MetadataExt as _;
@@ -347,4 +349,68 @@ fn copied_checkpoint_restores_every_batch_with_other_threads() {
         before,
         "the copied checkpoint was not restored in full"
     );
+}
+
+/// `--subs`: a run cut back to its first batch resumes, and a complete
+/// checkpoint restores every batch, each writing the monolithic `--subs`
+/// run's bytes.
+#[test]
+fn substitute_checkpoint_resumes_and_restores_bit_identically() {
+    let subs = ["--subs", "10"];
+    let mono = scratch().join("subs-mono.tsv");
+    let st = cmd(&mono)
+        .args(subs)
+        .status()
+        .expect("run monolithic pastis");
+    assert!(st.success(), "monolithic --subs run failed: {st}");
+    let reference = std::fs::read(&mono).expect("read monolithic output");
+    assert!(
+        !reference.is_empty(),
+        "monolithic --subs run produced no edges"
+    );
+
+    let dir = scratch().join("subs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = scratch().join("subs.tsv");
+    let run = || {
+        let st = ckpt_cmd(&dir, &out)
+            .args(subs)
+            .status()
+            .expect("run pastis");
+        assert!(st.success(), "checkpointed --subs run failed: {st}");
+        assert_eq!(
+            std::fs::read(&out).expect("read output"),
+            reference,
+            "checkpointed --subs output diverged from the monolithic run"
+        );
+    };
+    run();
+    let n = ckpt::load_manifest(&dir)
+        .expect("complete run left a manifest")
+        .n_batches;
+    assert!(n >= 2, "recipe must cut at least 2 batches (plan has {n})");
+
+    let complete = inodes(&dir);
+    run();
+    assert_eq!(
+        inodes(&dir),
+        complete,
+        "the checkpoint was not restored in full"
+    );
+
+    let manifest = std::fs::read(dir.join("manifest.json")).expect("read manifest");
+    std::fs::write(dir.join("manifest.json"), manifest_cut(&manifest, 1)).unwrap();
+    for b in 1..n {
+        for r in 0..RANKS {
+            std::fs::remove_file(ckpt::shard_path(&dir, b, r)).unwrap();
+        }
+    }
+    run();
+    let after = inodes(&dir);
+    for r in 0..RANKS {
+        let name = shard_name(0, r);
+        assert_eq!(after[&name], complete[&name], "{name} was rewritten");
+    }
+    let m = ckpt::load_manifest(&dir).expect("resumed run left a manifest");
+    assert_eq!(m.completed.len(), n, "manifest misses batches");
 }

@@ -118,7 +118,11 @@ done
 # `subs_ck` flags, on a 400-sequence input) builds `S` over the k-mers `A`
 # holds, and only a grid runs the filter on arrival as well as at the
 # source (DESIGN.md §4): one rank and both grids must write the same
-# bytes, and so must one rank and a 2x2 grid with the pre-filter.
+# bytes, and so must one rank and a 2x2 grid with the pre-filter. Its
+# batch loop (the symmetrised B as two masked halves per column batch)
+# must write them too: one rank and a 2x2 grid under a budget of many
+# batches, and a checkpointed run and its rerun, which restores every
+# batch.
 xp_tmp="$(mktemp -d)"
 xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     local out="$1" mode="$2"
@@ -192,6 +196,21 @@ for seed in 7 26 1400845388; do
     subs_psg "$xp_tmp/sx.tsv" 4 --max-kmer-freq 4
     cmp "$xp_tmp/sf1.tsv" "$xp_tmp/sx.tsv" \
         || { echo "verify: seed $seed: --subs --max-kmer-freq 4 PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    for ranks in 1 4; do
+        subs_psg "$xp_tmp/sx.tsv" "$ranks" --mem-budget 96k
+        cmp "$xp_tmp/s1.tsv" "$xp_tmp/sx.tsv" \
+            || { echo "verify: seed $seed: batched --subs PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
+    done
+    for run in first rerun; do
+        subs_psg "$xp_tmp/sx.tsv" 4 --mem-budget 96k --ckpt-dir "$xp_tmp/subs-ckpt"
+        cmp "$xp_tmp/s1.tsv" "$xp_tmp/sx.tsv" \
+            || { echo "verify: seed $seed: checkpointed --subs PSG ($run run) differs from --ranks 1"; exit 1; }
+        rm "$xp_tmp/sx.tsv"
+    done
+    batches="$(grep -o '"n_batches":[0-9]*' "$xp_tmp/subs-ckpt/manifest.json" | cut -d: -f2)"
+    [[ "${batches:-0}" -ge 2 ]] \
+        || { echo "verify: seed $seed: the checkpointed --subs run cut ${batches:-no} batches"; exit 1; }
+    rm -rf "$xp_tmp/subs-ckpt"
 done
 rm -rf "$xp_tmp"
 cargo clippy --all-targets -- -D warnings
