@@ -3,8 +3,8 @@
 
 use std::rc::Rc;
 
-use pcomm::Comm;
-use seqstore::{kmers_of, SeqRecord, SIGMA};
+use pcomm::{Comm, Grid};
+use seqstore::{kmers_of, kmers_of_reduced, SeqRecord, SIGMA};
 use sparse::{Dcsc, DistMat};
 use subkmer::{build_s_rows, ExpenseTable};
 
@@ -82,13 +82,51 @@ pub fn prune_frequent_kmers(a: &mut DistMat<u32>, limit: u32) -> Vec<u32> {
     held
 }
 
-/// Triples `(sequence gid, k-mer id, starting position)` for a rank's owned
-/// sequences. When a k-mer occurs several times in one sequence the
-/// earliest position is kept (deterministic; the matrix stores *a* starting
-/// position per paper Fig. 2). With `reduced`, k-mers are drawn from the
-/// Murphy-10 reduction of the sequence (group indexes live inside the
-/// 24-letter base space, so ids and dimensions are unchanged — the space is
-/// simply occupied more densely per k-mer).
+/// The distributed `A` (|sequences| × `24^k`, paper Fig. 2) of the `n`
+/// sequences: the owned sequences' [`a_entries`] streamed into the
+/// shuffle and radix sort, never collected ([`DistMat::from_source`]).
+/// Where a k-mer occurs several times in one sequence the earliest
+/// position is kept. Equal, block for block, to `DistMat::from_triples`
+/// of [`build_a_triples`] under the same fold. Collective.
+pub fn form_a(
+    grid: &Rc<Grid>,
+    owned: &[SeqRecord],
+    n: u64,
+    k: usize,
+    reduced: bool,
+) -> DistMat<u32> {
+    let source = || a_entries(owned, k, reduced);
+    DistMat::from_source(Rc::clone(grid), n, kmer_space(k), source, |a, b| {
+        *a = (*a).min(b)
+    })
+}
+
+/// The entries `(sequence gid, k-mer id, starting position)` of a rank's
+/// owned sequences, sequence by sequence, k-mers in position order. With
+/// `reduced`, k-mers are drawn from the Murphy-10 reduction of the
+/// sequence (group indexes live inside the 24-letter base space, so ids
+/// and dimensions are unchanged — the space is simply occupied more
+/// densely per k-mer).
+fn a_entries(
+    owned: &[SeqRecord],
+    k: usize,
+    reduced: bool,
+) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+    owned.iter().flat_map(move |s| {
+        let kmers = if reduced {
+            kmers_of_reduced(&s.data, k)
+        } else {
+            kmers_of(&s.data, k)
+        };
+        kmers.map(move |(kid, pos)| (s.gid, kid, pos))
+    })
+}
+
+/// The owned sequences' [`a_entries`], collected: the triples whose
+/// `DistMat::from_triples` is [`form_a`]'s `A`. When a k-mer occurs
+/// several times in one sequence, each occurrence is a triple; the
+/// matrix keeps the earliest position (deterministic; it stores *a*
+/// starting position per paper Fig. 2).
 pub fn build_a_triples(owned: &[SeqRecord], k: usize, reduced: bool) -> Vec<(u64, u64, u32)> {
     // Exactly `L − k + 1` k-mers per sequence (reduction keeps lengths).
     let len = owned
@@ -96,18 +134,7 @@ pub fn build_a_triples(owned: &[SeqRecord], k: usize, reduced: bool) -> Vec<(u64
         .map(|s| (s.data.len() + 1).saturating_sub(k))
         .sum();
     let mut out = Vec::with_capacity(len);
-    for s in owned {
-        if reduced {
-            let red = seqstore::reduce_murphy10(&s.data);
-            for (kid, pos) in kmers_of(&red, k) {
-                out.push((s.gid, kid, pos));
-            }
-        } else {
-            for (kid, pos) in kmers_of(&s.data, k) {
-                out.push((s.gid, kid, pos));
-            }
-        }
-    }
+    a_entries(owned, k, reduced).for_each(|t| out.push(t));
     out
 }
 

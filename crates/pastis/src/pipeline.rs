@@ -19,8 +19,7 @@ use subkmer::ExpenseTable;
 use crate::batch::{self, BatchPlan};
 use crate::ckpt;
 use crate::matrices::{
-    self, build_a_triples, build_s_dist, distinct_kmers, held_kmers, kmer_space,
-    prune_frequent_kmers,
+    self, build_s_dist, distinct_kmers, form_a, held_kmers, prune_frequent_kmers,
 };
 use crate::params::{AlignMode, PastisParams};
 use crate::seedpair::SeedPair;
@@ -411,11 +410,8 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         //    dropping k-mers that occur in too many sequences (§VII future
         //    work: k-mer pre-analysis; repeats otherwise inflate B
         //    quadratically).
-        let space = kmer_space(params.k);
         let (a_mat, held) = stage("pastis.form_a", || {
-            let triples = build_a_triples(store.owned(), params.k, params.reduced_alphabet);
-            let mut a =
-                DistMat::from_triples(Rc::clone(&grid), n, space, triples, |a, b| *a = (*a).min(b));
+            let mut a = form_a(&grid, store.owned(), n, params.k, params.reduced_alphabet);
             let held = params
                 .max_kmer_frequency
                 .map(|limit| prune_frequent_kmers(&mut a, limit));

@@ -2,12 +2,15 @@
 //! that build and multiply the k-mer matrices — forming `A`, transposing
 //! it, forming `B` — per nonzero of `A`, at p = 1.
 //!
-//! At rest `A` and `Aᵀ` cost about 28 B per nonzero; the peak is set by
-//! the construction buffers on top of them (the 24-byte input triples and
-//! one 16-byte radix buffer while `A` is formed). Copies of the input, a
-//! comparison sort or per-stage panel clones each add a multiple of nnz(A)
-//! and break the bound; so does a buffer that grows faster than nnz(A),
-//! which the ratio between the two input sizes catches.
+//! `A` is streamed from the sequences into its radix sort, and `Aᵀ` is
+//! held by rows only, `A`'s own block at p = 1; so at rest the two cost
+//! `A`'s arrays alone, and the peak, about 38 B per nonzero, is set while
+//! `A` forms (one 16-byte radix buffer, then the block's arrays beside
+//! it, on top of the sequence store). Collected input triples (24 B per
+//! nonzero), a column form of `Aᵀ`, copies of the input, a comparison
+//! sort or per-stage panel clones each add a multiple of nnz(A) and break
+//! the bound; so does a buffer that grows faster than nnz(A), which the
+//! ratio between the two input sizes catches.
 //!
 //! The runs are alignment-free (`AlignMode::None`, the `sparse_only`
 //! protocol): the three peaks come from the matrices, and an x-drop run
@@ -21,7 +24,7 @@ use pcomm::WorldBuilder;
 use seqstore::write_fasta;
 
 /// Peak live bytes per nonzero of `A` any of the three stages may reach.
-const BOUND: f64 = 48.0;
+const BOUND: f64 = 40.0;
 
 /// How much the larger input's ratio may exceed the smaller one's.
 const GROWTH: f64 = 1.1;

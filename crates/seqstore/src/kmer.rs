@@ -41,11 +41,25 @@ pub fn kmer_string(id: u64, k: usize) -> String {
     String::from_utf8(crate::alphabet::decode_seq(&kmer_unpack(id, k))).unwrap()
 }
 
+/// A base map (see [`KmerIter`]) that keeps every base.
+static IDENTITY: [u8; 256] = {
+    let mut map = [0u8; 256];
+    let mut b = 0;
+    while b < 256 {
+        map[b] = b as u8;
+        b += 1;
+    }
+    map
+};
+
 /// Iterator over `(kmer_id, start_position)` of every k-mer of a sequence
-/// of base indices. A sequence of length `L` yields `L − k + 1` k-mers
-/// (none if `L < k`). The id is maintained with a rolling multiply-mod.
+/// of base indices, each base read through a map (the identity, or a
+/// reduced alphabet's grouping). A sequence of length `L` yields
+/// `L − k + 1` k-mers (none if `L < k`). The id is maintained with a
+/// rolling multiply-mod.
 pub struct KmerIter<'a> {
     seq: &'a [u8],
+    map: &'static [u8; 256],
     k: usize,
     pos: usize,
     id: u64,
@@ -53,14 +67,17 @@ pub struct KmerIter<'a> {
 }
 
 impl<'a> KmerIter<'a> {
-    fn new(seq: &'a [u8], k: usize) -> Self {
+    pub(crate) fn mapped(seq: &'a [u8], k: usize, map: &'static [u8; 256]) -> Self {
         assert!((1..=13).contains(&k), "k must be in 1..=13");
         let mut id = 0u64;
         if seq.len() >= k {
-            id = kmer_id(&seq[..k - 1]); // first window completed in next()
+            // The first window is completed in next().
+            id = (seq[..k - 1].iter())
+                .fold(0, |acc, &b| acc * SIGMA as u64 + map[b as usize] as u64);
         }
         KmerIter {
             seq,
+            map,
             k,
             pos: 0,
             id,
@@ -77,12 +94,12 @@ impl<'a> Iterator for KmerIter<'a> {
             return None;
         }
         // Complete the rolling window with the newly entering base.
-        let entering = self.seq[self.pos + self.k - 1] as u64;
+        let entering = self.map[self.seq[self.pos + self.k - 1] as usize] as u64;
         self.id = self.id * SIGMA as u64 + entering;
         let result = (self.id, self.pos as u32);
         // Retire the leaving base: what remains is the (k−1)-base prefix of
         // the next window, completed by the next call's entering base.
-        let leaving = self.seq[self.pos] as u64;
+        let leaving = self.map[self.seq[self.pos] as usize] as u64;
         self.id -= leaving * self.modulus;
         self.pos += 1;
         Some(result)
@@ -96,7 +113,7 @@ impl<'a> Iterator for KmerIter<'a> {
 
 /// All `(kmer_id, position)` pairs of `seq` (base indices) for k-mer size `k`.
 pub fn kmers_of(seq: &[u8], k: usize) -> KmerIter<'_> {
-    KmerIter::new(seq, k)
+    KmerIter::mapped(seq, k, &IDENTITY)
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! reuse the ordinary k-mer machinery (group indexes are a subset of the
 //! 24-letter base space, so ids stay well-formed, just sparser).
 
+use crate::kmer::KmerIter;
+
 /// Murphy et al. (2000) 10-group reduction:
 /// `{LVIM} {C} {A} {G} {ST} {P} {FYW} {EDNQ} {KR} {H}`.
 /// The ambiguity codes map with their groups (B, Z → the EDNQ group);
@@ -17,6 +19,17 @@ const MURPHY10: [u8; 24] = [
     // A  R  N  D  C  Q  E  G  H  I  L  K  M  F  P  S  T  W  Y  V  B  Z  X  *
        2, 8, 7, 7, 1, 7, 7, 3, 9, 0, 0, 8, 0, 6, 5, 4, 4, 6, 6, 0, 7, 7, 10, 11,
 ];
+
+/// [`MURPHY10`] as a [`KmerIter`] base map.
+static MURPHY10_MAP: [u8; 256] = {
+    let mut map = [0u8; 256];
+    let mut b = 0;
+    while b < MURPHY10.len() {
+        map[b] = MURPHY10[b];
+        b += 1;
+    }
+    map
+};
 
 /// Number of distinct groups (including the X and `*` singletons).
 pub const MURPHY10_GROUPS: usize = 12;
@@ -32,10 +45,17 @@ pub fn reduce_murphy10(seq: &[u8]) -> Vec<u8> {
     seq.iter().map(|&b| murphy10(b)).collect()
 }
 
+/// The k-mers of `seq` reduced to Murphy-10 groups: [`kmers_of`](crate::kmers_of) of
+/// [`reduce_murphy10`]`(seq)`, without the reduced copy.
+pub fn kmers_of_reduced(seq: &[u8], k: usize) -> KmerIter<'_> {
+    KmerIter::mapped(seq, k, &MURPHY10_MAP)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::alphabet::aa_index;
+    use crate::kmer::kmers_of;
 
     fn g(c: u8) -> u8 {
         murphy10(aa_index(c).unwrap())
@@ -82,6 +102,17 @@ mod tests {
         assert_eq!(g(b'Z'), g(b'E'));
         assert_ne!(g(b'X'), g(b'A'));
         assert_ne!(g(b'*'), g(b'X'));
+    }
+
+    #[test]
+    fn reduced_kmers_are_the_kmers_of_the_reduced_sequence() {
+        let seq = crate::alphabet::encode_seq(b"MKVLAWHERTYBZX*CGP");
+        let red = reduce_murphy10(&seq);
+        for k in 1..=6 {
+            let got: Vec<(u64, u32)> = kmers_of_reduced(&seq, k).collect();
+            assert_eq!(got, kmers_of(&red, k).collect::<Vec<_>>(), "k={k}");
+        }
+        assert_eq!(kmers_of_reduced(&seq[..2], 3).count(), 0);
     }
 
     #[test]

@@ -72,36 +72,10 @@ impl<V> Dcsc<V> {
         let (mut ir, jc, mut cp, mut num) = plan.apply(items);
         // Rows ascend within a column, so a duplicate repeats the row
         // before it.
-        let dups: usize = (0..jc.len())
-            .map(|k| {
-                ir[cp[k]..cp[k + 1]]
-                    .windows(2)
-                    .filter(|w| w[0] == w[1])
-                    .count()
-            })
-            .sum();
-        if dups > 0 {
-            let mut vals = num.into_iter();
-            num = Vec::with_capacity(ir.len() - dups);
-            let mut w = 0;
-            for k in 0..jc.len() {
-                let (s, e) = (cp[k], cp[k + 1]);
-                cp[k] = w;
-                for i in s..e {
-                    let v = vals.next().expect("one value per row index");
-                    // `ir[w - 1]` is the column's last kept row.
-                    if i > s && ir[i] == ir[w - 1] {
-                        add(num.last_mut().expect("a duplicate follows its first"), v);
-                    } else {
-                        ir[w] = ir[i];
-                        num.push(v);
-                        w += 1;
-                    }
-                }
-            }
-            cp[jc.len()] = w;
-            ir.truncate(w);
-            ir.shrink_to_fit();
+        let first_dup =
+            (0..jc.len()).find_map(|k| (cp[k] + 1..cp[k + 1]).find(|&i| ir[i] == ir[i - 1]));
+        if let Some(first) = first_dup {
+            fold_duplicates(&mut ir, &mut cp, &mut num, first, add);
         }
         Dcsc {
             nrows,
@@ -120,13 +94,29 @@ impl<V> Dcsc<V> {
     where
         V: Clone,
     {
+        self.transpose_rows(0..self.nrows as u64)
+    }
+
+    /// The rows `rows` of this block, transposed: [`transpose`](Self::transpose)
+    /// restricted to the columns `rows` (see [`restrict_cols`](Self::restrict_cols)),
+    /// without forming the other columns.
+    pub(crate) fn transpose_rows(&self, rows: Range<u64>) -> Dcsc<V>
+    where
+        V: Clone,
+    {
         assert!(
             self.ncols <= u32::MAX as u64 + 1,
             "column space too large to become u32 row indices"
         );
         let nrows = self.ncols as usize;
-        let plan = RadixPlan::by_cols(self.nrows as u64, self.ir.iter().map(|&r| r as u64));
-        let items = self.iter().map(|(r, c, v)| (c as u32, r as u64, v.clone()));
+        let kept = |r: u32| rows.contains(&(r as u64));
+        let plan = RadixPlan::by_cols(
+            self.nrows as u64,
+            self.ir.iter().filter(|&&r| kept(r)).map(|&r| r as u64),
+        );
+        let items = (self.iter())
+            .filter(|&(r, _, _)| kept(r))
+            .map(|(r, c, v)| (c as u32, r as u64, v.clone()));
         Dcsc::from_plan(nrows, self.nrows as u64, plan, items, |_, _| {
             unreachable!("a transpose has no duplicate coordinates")
         })
@@ -262,6 +252,58 @@ impl<V> Dcsc<V> {
     }
 }
 
+/// Fold each run of equal rows within a column of the sorted arrays into
+/// its first entry with `add`, in input order, moving the kept entries
+/// down in place; `first` is the first entry that repeats the row before
+/// it. `ir` and `num` end at the kept length, `cp` bounds the kept entries.
+fn fold_duplicates<V>(
+    ir: &mut Vec<u32>,
+    cp: &mut [usize],
+    num: &mut Vec<V>,
+    first: usize,
+    add: impl Fn(&mut V, V),
+) {
+    let ncols = cp.len() - 1;
+    let first_col = cp.partition_point(|&s| s <= first) - 1;
+    let vals = num.as_mut_ptr();
+    let n = num.len();
+    // SAFETY: the values are moved by hand below; with the length 0, a
+    // panic in `add` leaks them instead of dropping one twice.
+    unsafe { num.set_len(0) };
+    let mut w = first;
+    for k in first_col..ncols {
+        // `cp[k + 1]` still holds the column's old end: it is rewritten
+        // only on the next turn.
+        let (s, e) = (cp[k], cp[k + 1]);
+        if k > first_col {
+            cp[k] = w;
+        }
+        for i in first.max(s)..e {
+            debug_assert!(w <= i && i < n);
+            // SAFETY: `w ≤ i < n`. Slot `i` holds a value not yet moved,
+            // read here once; the slots below `w` hold the kept values, so
+            // slot `w - 1`, the column's last kept entry, is live.
+            unsafe {
+                let v = vals.add(i).read();
+                if i > s && ir[i] == ir[w - 1] {
+                    add(&mut *vals.add(w - 1), v);
+                } else {
+                    ir[w] = ir[i];
+                    vals.add(w).write(v);
+                    w += 1;
+                }
+            }
+        }
+    }
+    cp[ncols] = w;
+    ir.truncate(w);
+    ir.shrink_to_fit();
+    // SAFETY: slots `0..w` hold the kept values, each written once, and
+    // every other value was moved into `add`.
+    unsafe { num.set_len(w) };
+    num.shrink_to_fit();
+}
+
 /// Column-major iterator over a block's nonzeros ([`Dcsc::iter`]).
 struct Iter<'a, V> {
     m: &'a Dcsc<V>,
@@ -335,6 +377,37 @@ mod tests {
         let m = Dcsc::from_triples(2, 2, vec![(1, 1, 5.0), (1, 1, 7.0)], |a, b| *a += b);
         assert_eq!(m.nnz(), 1);
         assert_eq!(m.col(1).unwrap().1, &[12.0]);
+    }
+
+    #[test]
+    fn duplicates_fold_in_place_in_input_order() {
+        // Runs in two columns, the first after a kept entry of its column;
+        // the values own heap memory, so a value dropped twice or never
+        // moved would show.
+        let items = [
+            (0, 2),
+            (1, 0),
+            (1, 0),
+            (0, 0),
+            (1, 2),
+            (1, 2),
+            (1, 2),
+            (0, 2),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(r, c))| (r, c, vec![i]))
+        .collect();
+        let m = Dcsc::from_triples(2, 3, items, |a, b| a.extend(b));
+        let got: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
+        let want = vec![
+            (0, 0, vec![3]),
+            (1, 0, vec![1, 2]),
+            (0, 2, vec![0, 7]),
+            (1, 2, vec![4, 5, 6]),
+        ];
+        assert_eq!(got, want);
+        assert_eq!((m.cols(), m.nnz()), (&[0, 2][..], 4));
     }
 
     #[test]

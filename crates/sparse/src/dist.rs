@@ -6,6 +6,7 @@
 //! hypersparse-friendly as [`Dcsc`] with block-local indices. All methods
 //! marked *collective* must be called by every rank of the grid.
 
+use std::cell::OnceCell;
 use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -54,18 +55,24 @@ pub(crate) fn block_owner(n: u64, q: usize, g: u64) -> usize {
 /// a grid row or column read one block. Only `retain` and `map` need the
 /// block to themselves, and they are called on matrices nobody shares.
 ///
-/// A matrix made by [`transpose`](Self::transpose) also holds its block
-/// *by rows*: the untransposed block it was made from, which is the
+/// A matrix made by [`transpose`](Self::transpose) holds its block *by
+/// rows* only: the untransposed block it was made from, which is the
 /// transpose partner's block of the original (at p = 1, the original's
-/// own). A masked product reads its right operand in that form. It costs
-/// no memory while the original lives, and the original must then not be
-/// changed: after `a.transpose()`, neither `retain` nor `map` may be called
-/// on `a`, or `Arc::make_mut` silently turns the shared block into a copy.
+/// own). A masked product reads its right operand in that form, and so
+/// does [`restrict_cols`](Self::restrict_cols), which narrows it. The block
+/// by columns is formed from it on first read — [`local`](Self::local),
+/// [`iter_local`](Self::iter_local), an unmasked
+/// [`spgemm`](Self::spgemm), `retain`, `map`, `elementwise_add` — and kept.
+/// The row form costs no memory while the original lives, and the
+/// original must then not be changed: after `a.transpose()`, neither
+/// `retain` nor `map` may be called on `a`, or `Arc::make_mut` silently
+/// turns the shared block into a copy.
 pub struct DistMat<V> {
     grid: Rc<Grid>,
     nrows: u64,
     ncols: u64,
-    local: Arc<Dcsc<V>>,
+    /// My block by columns; unset until first read when `by_rows` is set.
+    local: OnceCell<Arc<Dcsc<V>>>,
     by_rows: Option<RowForm<V>>,
 }
 
@@ -75,6 +82,95 @@ pub struct DistMat<V> {
 struct RowForm<V> {
     block: Arc<Dcsc<V>>,
     cols: Range<u64>,
+}
+
+/// Where the triples of a `nrows × ncols` matrix go on `grid`: each to the
+/// rank owning its block. Shared by both constructors.
+struct Shuffle<'g> {
+    grid: &'g Grid,
+    nrows: u64,
+    ncols: u64,
+}
+
+impl Shuffle<'_> {
+    #[inline]
+    fn check(&self, r: u64, c: u64) {
+        assert!(
+            r < self.nrows && c < self.ncols,
+            "triple ({r},{c}) outside {}×{}",
+            self.nrows,
+            self.ncols
+        );
+    }
+
+    #[inline]
+    fn owner(&self, r: u64, c: u64) -> usize {
+        self.check(r, c);
+        let q = self.grid.q();
+        self.grid
+            .rank_of(block_owner(self.nrows, q, r), block_owner(self.ncols, q, c))
+    }
+
+    /// How many of `keys` each rank owns.
+    fn counts(&self, keys: impl Iterator<Item = (u64, u64)>) -> Vec<usize> {
+        let mut counts = vec![0usize; self.grid.world().size()];
+        keys.for_each(|(r, c)| counts[self.owner(r, c)] += 1);
+        counts
+    }
+
+    /// `triples` bucketed into exact-size parts, one per owner, in input
+    /// order; `counts` are their [`counts`](Self::counts).
+    fn fill<V>(
+        &self,
+        counts: &[usize],
+        triples: impl Iterator<Item = Triple<V>>,
+    ) -> Vec<Vec<Triple<V>>> {
+        let mut parts: Vec<Vec<Triple<V>>> =
+            counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+        triples.for_each(|(r, c, v)| parts[self.owner(r, c)].push((r, c, v)));
+        parts
+    }
+}
+
+/// My block's place in a `nrows × ncols` matrix: its first global row and
+/// column, and its local dimensions.
+struct Frame {
+    r0: u64,
+    c0: u64,
+    rows: usize,
+    cols: u64,
+}
+
+impl Frame {
+    fn of(grid: &Grid, nrows: u64, ncols: u64) -> Self {
+        let (r0, r1) = block_range(nrows, grid.q(), grid.myrow());
+        let (c0, c1) = block_range(ncols, grid.q(), grid.mycol());
+        Frame {
+            r0,
+            c0,
+            rows: (r1 - r0) as usize,
+            cols: c1 - c0,
+        }
+    }
+
+    /// The radix plan of my block's triples, whose global `(row, col)`
+    /// `keys()` yields.
+    fn plan<K: Iterator<Item = (u64, u64)>>(&self, keys: impl Fn() -> K) -> RadixPlan {
+        RadixPlan::new(self.rows, self.cols, || {
+            keys().map(|(r, c)| ((r - self.r0) as u32, c - self.c0))
+        })
+    }
+
+    /// My block of `triples`, which `plan` counted in the same order.
+    fn block<V>(
+        &self,
+        plan: RadixPlan,
+        triples: impl Iterator<Item = Triple<V>>,
+        add: impl Fn(&mut V, V),
+    ) -> Dcsc<V> {
+        let items = triples.map(|(r, c, v)| ((r - self.r0) as u32, c - self.c0, v));
+        Dcsc::from_plan(self.rows, self.cols, plan, items, add)
+    }
 }
 
 impl<V: Payload + Clone + Sync> DistMat<V> {
@@ -95,86 +191,114 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         add: impl Fn(&mut V, V),
     ) -> Self {
         let _span = obs::span!("sparse.from_triples", triples = triples.len());
-        let q = grid.q();
-        let p = q * q;
         // Work accounting: owner computation + bucketing per triple.
         pcomm::work::record_class(triples.len() as u64, pcomm::work::CostClass::TripleShuffle);
-        let owner =
-            |r: u64, c: u64| grid.rank_of(block_owner(nrows, q, r), block_owner(ncols, q, c));
-        let mut counts = vec![0usize; p];
-        for &(r, c, _) in &triples {
-            assert!(
-                r < nrows && c < ncols,
-                "triple ({r},{c}) outside {nrows}×{ncols}"
-            );
-            counts[owner(r, c)] += 1;
-        }
-        let mut parts: Vec<Vec<Triple<V>>> = (0..p).map(|_| Vec::new()).collect();
-        match counts.iter().position(|&k| k == triples.len()) {
-            Some(only) => parts[only] = triples,
-            None => {
-                for (part, &k) in parts.iter_mut().zip(&counts) {
-                    part.reserve_exact(k);
-                }
-                for (r, c, v) in triples {
-                    parts[owner(r, c)].push((r, c, v));
-                }
+        let shuffle = Shuffle {
+            grid: &grid,
+            nrows,
+            ncols,
+        };
+        let counts = shuffle.counts(triples.iter().map(|&(r, c, _)| (r, c)));
+        let parts = match counts.iter().position(|&k| k == triples.len()) {
+            Some(only) => {
+                let mut parts: Vec<_> = counts.iter().map(|_| Vec::new()).collect();
+                parts[only] = triples;
+                parts
             }
+            None => shuffle.fill(&counts, triples.into_iter()),
+        };
+        Self::from_parts(grid, nrows, ncols, parts, add)
+    }
+
+    /// Build from the globally-indexed triples `source()` yields on each
+    /// rank, as [`from_triples`](Self::from_triples) of them collected, in
+    /// the same order: the same block, duplicates folded in the same order.
+    /// Collective. The source is read twice and never collected: on a
+    /// grid of one rank, the only owner, its keys are counted for the
+    /// radix sort and its items then sorted straight into the block (the
+    /// `alltoallv` still runs, on an empty part); on a larger grid, its
+    /// owners are counted and exact-size per-owner parts filled from it.
+    pub fn from_source<I>(
+        grid: Rc<Grid>,
+        nrows: u64,
+        ncols: u64,
+        source: impl Fn() -> I,
+        add: impl Fn(&mut V, V),
+    ) -> Self
+    where
+        I: Iterator<Item = Triple<V>>,
+    {
+        let _span = obs::span!("sparse.from_source");
+        let shuffle = Shuffle {
+            grid: &grid,
+            nrows,
+            ncols,
+        };
+        if grid.world().size() > 1 {
+            let counts = shuffle.counts(source().map(|(r, c, _)| (r, c)));
+            // Work accounting: owner computation + bucketing per triple.
+            let n = counts.iter().sum::<usize>() as u64;
+            pcomm::work::record_class(n, pcomm::work::CostClass::TripleShuffle);
+            let parts = shuffle.fill(&counts, source());
+            return Self::from_parts(grid, nrows, ncols, parts, add);
         }
+        let received = grid.world().alltoallv(vec![Vec::<Triple<V>>::new()]);
+        debug_assert!(received.iter().all(Vec::is_empty));
+        let frame = Frame::of(&grid, nrows, ncols);
+        let plan = frame.plan(|| {
+            source().map(|(r, c, _)| {
+                shuffle.check(r, c);
+                (r, c)
+            })
+        });
+        // Work accounting: the counting pass stands in for the bucketing.
+        pcomm::work::record_class(plan.len() as u64, pcomm::work::CostClass::TripleShuffle);
+        let block = frame.block(plan, source(), add);
+        Self::filled(grid, nrows, ncols, block)
+    }
+
+    /// The block of the triples the `alltoallv` of `parts` hands this rank.
+    fn from_parts(
+        grid: Rc<Grid>,
+        nrows: u64,
+        ncols: u64,
+        parts: Vec<Vec<Triple<V>>>,
+        add: impl Fn(&mut V, V),
+    ) -> Self {
         let received = grid.world().alltoallv(parts);
         let heap: usize = received.iter().map(obs::alloc::HeapSize::heap_bytes).sum();
         obs::alloc::watermark("mem.watermark.sparse.build", heap as u64);
-        let (r0, _r1) = block_range(nrows, q, grid.myrow());
-        let (c0, _c1) = block_range(ncols, q, grid.mycol());
-        let (nrows_l, ncols_l) = (
-            Self::local_rows(nrows, q, grid.myrow()),
-            Self::local_cols(ncols, q, grid.mycol()),
-        );
-        let keys = || {
-            received
-                .iter()
-                .flatten()
-                .map(|&(r, c, _)| ((r - r0) as u32, c - c0))
-        };
-        let plan = RadixPlan::new(nrows_l, ncols_l, keys);
-        let items = received
-            .into_iter()
-            .flatten()
-            .map(|(r, c, v)| ((r - r0) as u32, c - c0, v));
-        let local = Arc::new(Dcsc::from_plan(nrows_l, ncols_l, plan, items, add));
+        let frame = Frame::of(&grid, nrows, ncols);
+        let plan = frame.plan(|| received.iter().flatten().map(|&(r, c, _)| (r, c)));
+        let block = frame.block(plan, received.into_iter().flatten(), add);
+        Self::filled(grid, nrows, ncols, block)
+    }
+
+    /// The matrix whose block by columns is `block`.
+    fn filled(grid: Rc<Grid>, nrows: u64, ncols: u64, block: Dcsc<V>) -> Self {
         DistMat {
             grid,
             nrows,
             ncols,
-            local,
+            local: OnceCell::from(Arc::new(block)),
             by_rows: None,
         }
     }
 
-    fn local_rows(nrows: u64, q: usize, r: usize) -> usize {
-        let (a, b) = block_range(nrows, q, r);
-        (b - a) as usize
-    }
-
-    fn local_cols(ncols: u64, q: usize, c: usize) -> u64 {
-        let (a, b) = block_range(ncols, q, c);
-        b - a
+    /// My block by columns, formed from the row form on first read.
+    fn block(&self) -> &Arc<Dcsc<V>> {
+        self.local.get_or_init(|| {
+            let r =
+                (self.by_rows.as_ref()).expect("a matrix holds its block by columns or by rows");
+            Arc::new(r.block.transpose_rows(r.cols.clone()))
+        })
     }
 
     /// An empty distributed matrix. Collective only in the trivial sense
     /// (no communication).
     pub fn empty(grid: Rc<Grid>, nrows: u64, ncols: u64) -> Self {
-        let local = Arc::new(Dcsc::empty(
-            Self::local_rows(nrows, grid.q(), grid.myrow()),
-            Self::local_cols(ncols, grid.q(), grid.mycol()),
-        ));
-        DistMat {
-            grid,
-            nrows,
-            ncols,
-            local,
-            by_rows: None,
-        }
+        let frame = Frame::of(&grid, nrows, ncols);
+        Self::filled(grid, nrows, ncols, Dcsc::empty(frame.rows, frame.cols))
     }
 
     /// Global row count.
@@ -207,30 +331,36 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         block_range(self.ncols, self.grid.q(), self.grid.mycol())
     }
 
-    /// My local block.
+    /// My local block, by columns (formed on first read, see [`DistMat`]).
     #[inline]
     pub fn local(&self) -> &Dcsc<V> {
-        &self.local
+        self.block()
     }
 
-    /// Nonzeros stored on this rank.
-    #[inline]
+    /// Nonzeros stored on this rank. Forms no block by columns.
     pub fn nnz_local(&self) -> usize {
-        self.local.nnz()
+        match (self.local.get(), &self.by_rows) {
+            (Some(block), _) => block.nnz(),
+            (None, Some(r)) if r.cols == (0..r.block.nrows() as u64) => r.block.nnz(),
+            (None, Some(r)) => (r.block.iter())
+                .filter(|&(c, _, _)| r.cols.contains(&(c as u64)))
+                .count(),
+            (None, None) => unreachable!("a matrix holds its block by columns or by rows"),
+        }
     }
 
     /// Total nonzeros. Collective.
     pub fn nnz(&self) -> u64 {
         self.grid
             .world()
-            .allreduce(self.local.nnz() as u64, |a, b| a + b)
+            .allreduce(self.nnz_local() as u64, |a, b| a + b)
     }
 
     /// Iterate my block's nonzeros with *global* indices.
     pub fn iter_local(&self) -> impl Iterator<Item = (u64, u64, &V)> + '_ {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
-        self.local
+        self.block()
             .iter()
             .map(move |(r, c, v)| (r0 + r as u64, c0 + c, v))
     }
@@ -241,8 +371,10 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     pub fn retain(&mut self, keep: impl Fn(u64, u64, &V) -> bool) {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
+        self.block();
         self.by_rows = None;
-        Arc::make_mut(&mut self.local).retain(|r, c, v| keep(r0 + r as u64, c0 + c, v));
+        let block = self.local.get_mut().expect("formed above");
+        Arc::make_mut(block).retain(|r, c, v| keep(r0 + r as u64, c0 + c, v));
     }
 
     /// Map values, keeping structure. Local; copies the block only if
@@ -251,14 +383,18 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     pub fn map<W: Payload + Clone + Sync>(self, f: impl Fn(u64, u64, V) -> W) -> DistMat<W> {
         let (r0, _) = self.row_range();
         let (c0, _) = self.col_range();
-        let local = Arc::unwrap_or_clone(self.local).map(|r, c, v| f(r0 + r as u64, c0 + c, v));
-        DistMat {
-            grid: self.grid,
-            nrows: self.nrows,
-            ncols: self.ncols,
-            local: Arc::new(local),
-            by_rows: None,
-        }
+        self.block();
+        let DistMat {
+            grid,
+            nrows,
+            ncols,
+            local,
+            by_rows,
+        } = self;
+        drop(by_rows);
+        let block = Arc::unwrap_or_clone(local.into_inner().expect("formed above"));
+        let block = block.map(|r, c, v| f(r0 + r as u64, c0 + c, v));
+        DistMat::filled(grid, nrows, ncols, block)
     }
 
     /// Column-restricted view for the out-of-core batch driver: same
@@ -269,13 +405,17 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     /// because the block boundaries are unchanged, every surviving entry
     /// reaches the same SUMMA stage, in the same fold order, as in the
     /// unrestricted product — which is what makes batched edge sets
-    /// bit-identical to monolithic ones. The surviving columns are one
-    /// contiguous slice of the block; a row form is shared, not copied,
-    /// with its column window narrowed to `range`.
+    /// bit-identical to monolithic ones. A row form is shared, not copied,
+    /// with its column window narrowed to `range`; a block by columns, if
+    /// formed, is copied as one contiguous slice, and otherwise stays
+    /// unformed.
     pub fn restrict_cols(&self, range: (u64, u64)) -> DistMat<V> {
         let (c0, _) = self.col_range();
         let cols = range.0.saturating_sub(c0)..range.1.saturating_sub(c0);
-        let local = self.local.restrict_cols(cols.clone());
+        let local = match self.local.get() {
+            Some(block) => OnceCell::from(Arc::new(block.restrict_cols(cols.clone()))),
+            None => OnceCell::new(),
+        };
         let by_rows = self.by_rows.as_ref().map(|r| {
             let start = cols.start.clamp(r.cols.start, r.cols.end);
             RowForm {
@@ -287,7 +427,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             grid: Rc::clone(&self.grid),
             nrows: self.nrows,
             ncols: self.ncols,
-            local: Arc::new(local),
+            local,
             by_rows,
         }
     }
@@ -299,7 +439,10 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     pub fn by_rows(&self) -> (Arc<Dcsc<V>>, Range<u64>) {
         match &self.by_rows {
             Some(r) => (Arc::clone(&r.block), r.cols.clone()),
-            None => (Arc::new(self.local.transpose()), 0..self.local.ncols()),
+            None => {
+                let block = self.block();
+                (Arc::new(block.transpose()), 0..block.ncols())
+            }
         }
     }
 
@@ -346,7 +489,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         // The `B` panel I broadcast, and the columns of it that take part.
         let (b_panel, b_cols) = match SR::MASK {
             Some(_) => b.by_rows(),
-            None => (Arc::clone(&b.local), 0..b.local.ncols()),
+            None => (Arc::clone(b.block()), 0..b.local().ncols()),
         };
         // Post stage `t`'s panel broadcasts nonblocking. Past the last
         // stage this posts nothing but still emits the post-span skeleton.
@@ -355,7 +498,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             if t < q {
                 let ha = grid
                     .row_comm()
-                    .ibcast(t, (mycol == t).then(|| Arc::clone(&self.local)));
+                    .ibcast(t, (mycol == t).then(|| Arc::clone(self.block())));
                 let hb = grid
                     .col_comm()
                     .ibcast(t, (myrow == t).then(|| Arc::clone(&b_panel)));
@@ -402,45 +545,35 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         // peak-footprint moment.
         obs::alloc::probe("mem.watermark.sparse.triples", &acc);
         let _fold = obs::span!("summa.fold", triples = acc.len());
-        let local = Dcsc::from_triples(
-            Self::local_rows(self.nrows, q, myrow),
-            Self::local_cols(b.ncols, q, mycol),
-            acc,
-            |a, v| sr.add(a, v),
-        );
-        DistMat {
-            grid: Rc::clone(grid),
-            nrows: self.nrows,
-            ncols: b.ncols,
-            local: Arc::new(local),
-            by_rows: None,
-        }
+        let frame = Frame::of(grid, self.nrows, b.ncols);
+        let local = Dcsc::from_triples(frame.rows, frame.cols, acc, |a, v| sr.add(a, v));
+        DistMat::filled(Rc::clone(grid), self.nrows, b.ncols, local)
     }
 
     /// Distributed transpose: every rank sends its block, as an `Arc`, to
-    /// its transpose partner and transposes the block it receives — block
-    /// `(r, c)` of `Aᵀ` is block `(c, r)` of `A` transposed, in the same
-    /// local indices ([`Dcsc::transpose`]). The received block is kept as
-    /// the result's row form (see [`DistMat`]). Collective.
+    /// its transpose partner, which keeps it as the result's row form —
+    /// block `(r, c)` of `Aᵀ` is block `(c, r)` of `A` transposed, in the
+    /// same local indices. Nothing is transposed here: the block by columns
+    /// ([`Dcsc::transpose`] of the row form) is formed on first read (see
+    /// [`DistMat`]). Collective.
     pub fn transpose(&self) -> DistMat<V> {
         let _span = obs::span!("sparse.transpose");
         let grid = &self.grid;
         let partner = grid.transpose_partner();
         let theirs = if partner == grid.world().rank() {
-            Arc::clone(&self.local)
+            Arc::clone(self.block())
         } else {
             const TRANSPOSE_TAG: u64 = 0x7A;
             grid.world()
-                .isend(partner, TRANSPOSE_TAG, Arc::clone(&self.local));
+                .isend(partner, TRANSPOSE_TAG, Arc::clone(self.block()));
             grid.world().recv::<Arc<Dcsc<V>>>(partner, TRANSPOSE_TAG)
         };
-        let local = theirs.transpose();
-        let cols = 0..local.ncols();
+        let cols = 0..theirs.nrows() as u64;
         DistMat {
             grid: Rc::clone(grid),
             nrows: self.ncols,
             ncols: self.nrows,
-            local: Arc::new(local),
+            local: OnceCell::new(),
             by_rows: Some(RowForm {
                 block: theirs,
                 cols,
@@ -461,20 +594,12 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             (other.nrows, other.ncols),
             "dimension mismatch"
         );
-        let mut triples: Vec<(u32, u64, V)> = self
-            .local
-            .iter()
-            .map(|(r, c, v)| (r, c, v.clone()))
-            .collect();
-        triples.extend(other.local.iter().map(|(r, c, v)| (r, c, v.clone())));
-        let local = Dcsc::from_triples(self.local.nrows(), self.local.ncols(), triples, combine);
-        DistMat {
-            grid: Rc::clone(&self.grid),
-            nrows: self.nrows,
-            ncols: self.ncols,
-            local: Arc::new(local),
-            by_rows: None,
-        }
+        let (mine, theirs) = (self.local(), other.local());
+        let mut triples: Vec<(u32, u64, V)> =
+            mine.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
+        triples.extend(theirs.iter().map(|(r, c, v)| (r, c, v.clone())));
+        let local = Dcsc::from_triples(mine.nrows(), mine.ncols(), triples, combine);
+        DistMat::filled(Rc::clone(&self.grid), self.nrows, self.ncols, local)
     }
 
     /// Gather all triples (global indices) to `root`. Collective.

@@ -106,12 +106,12 @@ fn histograms(
 ) -> (usize, Vec<Vec<usize>>) {
     let mut hist: Vec<Vec<usize>> = digits.iter().map(|d| vec![0; 1 << d.width]).collect();
     let mut n = 0;
-    for (r, c) in keys {
+    keys.for_each(|(r, c)| {
         for (h, &d) in hist.iter_mut().zip(digits) {
             h[d.of(r, c)] += 1;
         }
         n += 1;
-    }
+    });
     (n, hist)
 }
 
@@ -273,7 +273,9 @@ impl RadixPlan {
 /// free one of its bucket under `pass`, or its input position without a
 /// pass. Returns only if every slot of `0..n` was handed out exactly once
 /// (it panics otherwise), which is what lets the callers treat `0..n` as
-/// initialised.
+/// initialised. `src` is driven by `for_each`, not `next`, so a nested
+/// source (a `flat_map` over sequences) runs as one loop per inner
+/// iterator.
 fn scatter<V>(
     src: impl Iterator<Item = (u32, u64, V)>,
     n: usize,
@@ -283,20 +285,20 @@ fn scatter<V>(
     match pass {
         None => {
             let mut k = 0;
-            for item in src {
+            src.for_each(|item| {
                 put(k, item);
                 k += 1;
-            }
+            });
             assert_eq!(k, n, "radix plan counted {n} items, got {k}");
         }
         Some(pass) => {
             let mut next = pass.start.clone();
-            for item in src {
+            src.for_each(|item| {
                 let b = pass.digit.of(item.0, item.1);
                 let at = next[b];
                 next[b] = at + 1;
                 put(at, item);
-            }
+            });
             // Each bucket must have ended exactly where the next one starts:
             // then its slots were handed out once each, and none overflowed.
             assert!(

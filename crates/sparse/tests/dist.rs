@@ -292,3 +292,74 @@ fn hypersparse_kmer_sized_columns() {
     assert!(got.0 == 50);
     assert!(got.1 >= 10, "diagonal must be present");
 }
+
+#[test]
+fn lazy_transpose_equals_the_eager_one() {
+    // `transpose` keeps the row form it receives and forms the block by
+    // columns on first read. Checked against `Aᵀ` formed from its own
+    // triples, and the row form against the partner block's eager
+    // `Dcsc::transpose`, after each operation that reads the block.
+    let (m, n) = (14u64, 11u64);
+    let a = random_triples(11, m, n, 60);
+    let swapped: Vec<_> = a.iter().map(|&(r, c, v)| (c, r, v)).collect();
+    let windows = [(0, m), (3, 9), (5, 5), (0, 1), (10, m), (12, 30)];
+    for p in [1usize, 4, 9] {
+        World::run(p, |comm| {
+            let grid = Rc::new(Grid::new(&comm));
+            let share = |t: &[(u64, u64, f64)]| my_share(t, comm.rank(), p);
+            let da = DistMat::from_triples(Rc::clone(&grid), m, n, share(&a), |x, y| *x += y);
+            let eager =
+                || DistMat::from_triples(Rc::clone(&grid), n, m, share(&swapped), |x, y| *x += y);
+            let lazy = || da.transpose();
+            let ctx = format!("p={p} rank={}", comm.rank());
+
+            let (rows, cols) = lazy().by_rows();
+            assert_eq!(cols, 0..rows.nrows() as u64, "{ctx}");
+            assert_eq!(&rows.transpose(), eager().local(), "{ctx}: row form");
+            assert_eq!(lazy().nnz_local(), eager().nnz_local(), "{ctx}");
+            assert_eq!(lazy().local(), eager().local(), "{ctx}: as formed");
+            for w in windows {
+                let (l, e) = (lazy().restrict_cols(w), eager().restrict_cols(w));
+                assert_eq!(l.nnz_local(), e.nnz_local(), "{ctx} window {w:?}: nnz");
+                assert_eq!(l.local(), e.local(), "{ctx} window {w:?}");
+                // A restriction of a formed block, and one of a restriction.
+                let formed = lazy();
+                formed.local();
+                assert_eq!(
+                    formed.restrict_cols(w).local(),
+                    e.local(),
+                    "{ctx} window {w:?}"
+                );
+                let inner = lazy().restrict_cols((2, 12)).restrict_cols(w);
+                let want = eager().restrict_cols((2, 12)).restrict_cols(w);
+                assert_eq!(inner.local(), want.local(), "{ctx} window (2, 12) ∩ {w:?}");
+            }
+            let f = |r: u64, c: u64, v: f64| v * 100.0 + (r * 16 + c) as f64;
+            assert_eq!(lazy().map(f).local(), eager().map(f).local(), "{ctx}: map");
+            let keep = |r: u64, c: u64, _: &f64| !(r + c).is_multiple_of(3);
+            let (mut l, mut e) = (lazy(), eager());
+            l.retain(keep);
+            e.retain(keep);
+            assert_eq!(l.local(), e.local(), "{ctx}: retain");
+            for strat in [SpGemmStrategy::Hash, SpGemmStrategy::Hybrid] {
+                let sr = &ArithmeticSemiring;
+                let right = (
+                    da.spgemm(&lazy(), sr, strat),
+                    da.spgemm(&eager(), sr, strat),
+                );
+                assert_eq!(right.0.local(), right.1.local(), "{ctx}: A·Aᵀ {strat:?}");
+                let left = (
+                    lazy().spgemm(&da, sr, strat),
+                    eager().spgemm(&da, sr, strat),
+                );
+                assert_eq!(left.0.local(), left.1.local(), "{ctx}: Aᵀ·A {strat:?}");
+                let w = (2, 9);
+                let narrow = (
+                    da.spgemm(&lazy().restrict_cols(w), sr, strat),
+                    da.spgemm(&eager().restrict_cols(w), sr, strat),
+                );
+                assert_eq!(narrow.0.local(), narrow.1.local(), "{ctx}: A·Aᵀ[{w:?}]");
+            }
+        });
+    }
+}
