@@ -51,8 +51,32 @@ pub struct BatchPlan {
 /// every sequence of its column in `Aᵀ`'s row form, then summed down the
 /// grid column and concatenated along the grid row.
 pub fn plan(grid: &Grid, a_t: &DistMat<u32>, budget_bytes: u64) -> BatchPlan {
+    plan_dropped(grid, a_t, &[], budget_bytes)
+}
+
+/// [`plan`] for the `Aᵀ` of [`crate::form_shared_a`]'s `A`, sized as for
+/// [`crate::form_a`]'s: `dropped` holds, per sequence, the nonzeros that
+/// `A` lost (or nothing, for none). Each is a k-mer its sequence alone
+/// holds, one flop of that sequence's column, so `w[j] += dropped[j]`.
+pub(crate) fn plan_dropped(
+    grid: &Grid,
+    a_t: &DistMat<u32>,
+    dropped: &[u32],
+    budget_bytes: u64,
+) -> BatchPlan {
     let _span = obs::span!("pastis.batch_plan");
-    let weights = column_weights(grid, a_t);
+    let mut weights = column_weights(grid, a_t);
+    if !dropped.is_empty() {
+        assert_eq!(
+            dropped.len(),
+            weights.len(),
+            "one dropped count per sequence"
+        );
+        weights
+            .iter_mut()
+            .zip(dropped)
+            .for_each(|(w, &d)| *w += d as u64);
+    }
     let (ranges, est_bytes) = partition(&weights, grid.q(), budget_bytes);
     BatchPlan {
         budget_bytes,

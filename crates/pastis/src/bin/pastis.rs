@@ -27,6 +27,11 @@
 //! against the run totals on exit (watch it live from another terminal
 //! with `pastis-top`).
 //!
+//! `--max-kmer-freq L` keeps only the k-mers that at most `L` sequences
+//! hold. The exact path (`--subs 0`) never keeps a k-mer of one sequence,
+//! so there the band kept is `[2, L]`, and `L = 1` finds no pair; under
+//! `--subs N` it is `[1, L]`.
+//!
 //! `--mem-budget SIZE` (bytes, `k`/`m`/`g` suffixes) arms the out-of-core
 //! driver: B's columns are computed in budget-sized batches (DESIGN.md
 //! §15) with a bit-identical edge set. `--ckpt-dir DIR` checkpoints each

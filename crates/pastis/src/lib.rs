@@ -43,8 +43,8 @@ mod seedpair;
 mod semirings;
 
 pub use matrices::{
-    build_a_triples, build_s_dist, distinct_kmers, form_a, held_kmers, kmer_fits_grid,
-    prune_frequent_kmers,
+    build_a_triples, build_s_dist, distinct_kmers, form_a, form_shared_a, held_kmers,
+    kmer_fits_grid, prune_frequent_kmers,
 };
 pub use params::{AlignMode, PastisParams};
 pub use pipeline::{run_pipeline, Counters, PastisRun, StageMeasure, Timings};

@@ -101,6 +101,45 @@ pub fn form_a(
     })
 }
 
+/// [`form_a`] less the k-mer columns that hold one sequence: the exact
+/// path's `A` (DESIGN.md §4). Such a column meets only its own row in
+/// `A·Aᵀ`, on the diagonal that [`crate::ExactSemiring`]'s mask drops,
+/// and [`DistMat::from_source_shared`] drops it before `A`'s arrays are
+/// allocated (now and then a hash collision keeps one, which the mask
+/// drops all the same). Returns `A` and, per sequence (global id, the same
+/// on every rank), how many of its nonzeros were dropped: `form_a`'s
+/// nonzeros are `A`'s plus those. Collective.
+pub fn form_shared_a(
+    grid: &Rc<Grid>,
+    owned: &[SeqRecord],
+    n: u64,
+    k: usize,
+    reduced: bool,
+) -> (DistMat<u32>, Vec<u32>) {
+    let source = || a_entries(owned, k, reduced);
+    let (a, dropped) = DistMat::from_source_shared(
+        Rc::clone(grid),
+        n,
+        kmer_space(k),
+        entry_count(owned, k),
+        source,
+        |a, b| *a = (*a).min(b),
+    );
+    // My grid row's sequences, summed over their k-mer blocks; then the
+    // grid rows' sequence blocks, which ascend with the row.
+    let sum = |x: Vec<u32>, y: Vec<u32>| x.iter().zip(y).map(|(x, y)| x + y).collect();
+    let mine = grid.row_comm().allreduce(dropped, sum);
+    (a, grid.col_comm().allgather(mine).concat())
+}
+
+/// How many entries [`a_entries`] yields: exactly `L − k + 1` k-mers per
+/// sequence (reduction keeps lengths).
+fn entry_count(owned: &[SeqRecord], k: usize) -> usize {
+    (owned.iter())
+        .map(|s| (s.data.len() + 1).saturating_sub(k))
+        .sum()
+}
+
 /// The entries `(sequence gid, k-mer id, starting position)` of a rank's
 /// owned sequences, sequence by sequence, k-mers in position order. With
 /// `reduced`, k-mers are drawn from the Murphy-10 reduction of the
@@ -128,12 +167,7 @@ fn a_entries(
 /// matrix keeps the earliest position (deterministic; it stores *a*
 /// starting position per paper Fig. 2).
 pub fn build_a_triples(owned: &[SeqRecord], k: usize, reduced: bool) -> Vec<(u64, u64, u32)> {
-    // Exactly `L − k + 1` k-mers per sequence (reduction keeps lengths).
-    let len = owned
-        .iter()
-        .map(|s| (s.data.len() + 1).saturating_sub(k))
-        .sum();
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(entry_count(owned, k));
     a_entries(owned, k, reduced).for_each(|t| out.push(t));
     out
 }

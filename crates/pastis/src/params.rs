@@ -42,7 +42,9 @@ pub struct PastisParams {
     /// Drop k-mers occurring in more than this many sequences before the
     /// overlap products (the pre-processing k-mer elimination the paper
     /// lists as future work in §VII; real-world repeats and low-complexity
-    /// regions otherwise inflate `B` quadratically). `None` keeps all.
+    /// regions otherwise inflate `B` quadratically). `None` keeps all. The
+    /// exact path keeps no k-mer of one sequence either, so its band is
+    /// `[2, limit]`.
     pub max_kmer_frequency: Option<u32>,
     /// Similarity measure used as edge weight (ANI or NS, §VI-B).
     pub measure: SimilarityMeasure,

@@ -19,7 +19,7 @@ use subkmer::ExpenseTable;
 use crate::batch::{self, BatchPlan};
 use crate::ckpt;
 use crate::matrices::{
-    self, build_s_dist, distinct_kmers, form_a, held_kmers, prune_frequent_kmers,
+    self, build_s_dist, distinct_kmers, form_a, form_shared_a, held_kmers, prune_frequent_kmers,
 };
 use crate::params::{AlignMode, PastisParams};
 use crate::seedpair::SeedPair;
@@ -353,6 +353,9 @@ type Task = (u64, u64, SeedPair);
 struct PipeCtx<'a> {
     a_mat: &'a DistMat<u32>,
     a_t: &'a DistMat<u32>,
+    /// Per sequence, the nonzeros [`form_shared_a`] dropped from `A`
+    /// (empty when `A` keeps them all), which the batch plan still weighs.
+    dropped: &'a [u32],
     /// `A·S` and its transpose under substitute k-mers (see [`overlap`]).
     subs: Option<&'a (DistMat<u32>, DistMat<u32>)>,
     store: &'a DistSeqStore,
@@ -409,18 +412,25 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         // 3. Form A (|seqs| × 24^k, positions as values), optionally
         //    dropping k-mers that occur in too many sequences (§VII future
         //    work: k-mer pre-analysis; repeats otherwise inflate B
-        //    quadratically).
-        let (a_mat, held) = stage("pastis.form_a", || {
-            let mut a = form_a(&grid, store.owned(), n, params.k, params.reduced_alphabet);
+        //    quadratically). The exact path also drops those of one
+        //    sequence, which `A·Aᵀ` puts only on the masked diagonal; the
+        //    substitute path keeps them, as `(AS)·Aᵀ` pairs them with
+        //    other sequences' substitutes.
+        let (a_mat, dropped, held) = stage("pastis.form_a", || {
+            let (owned, k, reduced) = (store.owned(), params.k, params.reduced_alphabet);
+            let (mut a, dropped) = match params.substitutes {
+                0 => form_shared_a(&grid, owned, n, k, reduced),
+                _ => (form_a(&grid, owned, n, k, reduced), Vec::new()),
+            };
             let held = params
                 .max_kmer_frequency
                 .map(|limit| prune_frequent_kmers(&mut a, limit));
-            (a, held)
+            (a, dropped, held)
         });
 
         // 4. Aᵀ.
         let a_t = stage("pastis.tr_a", || a_mat.transpose());
-        counters.nnz_a = a_mat.nnz();
+        counters.nnz_a = a_mat.nnz() + dropped.iter().map(|&d| d as u64).sum::<u64>();
 
         // 5. The substitute source's `S` and `AS`, which need no
         //    sequences, go before the exchange fence.
@@ -434,6 +444,7 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         let cx = PipeCtx {
             a_mat: &a_mat,
             a_t: &a_t,
+            dropped: &dropped,
             subs: subs.as_ref(),
             store: &store,
             params,
@@ -768,7 +779,7 @@ fn run_batches(cx: &PipeCtx, fasta: &[u8]) -> (Vec<Edge>, ckpt::CounterDelta) {
         return align_block(cx, overlap(cx, None));
     }
     let plan = match params.mem_budget_bytes {
-        Some(budget) => batch::plan(cx.grid, cx.a_t, budget),
+        Some(budget) => batch::plan_dropped(cx.grid, cx.a_t, cx.dropped, budget),
         // Checkpointing without a budget: a single full-width batch still
         // gets a durable shard + manifest.
         None => BatchPlan {

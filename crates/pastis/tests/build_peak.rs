@@ -1,16 +1,21 @@
 //! Build-peak ratchet (DESIGN.md §13): the live-heap peak of the stages
 //! that build and multiply the k-mer matrices — forming `A`, transposing
-//! it, forming `B` — per nonzero of `A`, at p = 1.
+//! it, forming `B` — per nonzero of the whole `A` (`Counters::nnz_a`,
+//! which counts the k-mer columns of one sequence the exact path drops),
+//! at p = 1.
 //!
-//! `A` is streamed from the sequences into its radix sort, and `Aᵀ` is
-//! held by rows only, `A`'s own block at p = 1; so at rest the two cost
-//! `A`'s arrays alone, and the peak, about 38 B per nonzero, is set while
-//! `A` forms (one 16-byte radix buffer, then the block's arrays beside
-//! it, on top of the sequence store). Collected input triples (24 B per
-//! nonzero), a column form of `Aᵀ`, copies of the input, a comparison
-//! sort or per-stage panel clones each add a multiple of nnz(A) and break
-//! the bound; so does a buffer that grows faster than nnz(A), which the
-//! ratio between the two input sizes catches.
+//! `A` is streamed from the sequences into its radix sort, less the
+//! columns of one sequence, which a hashed two-bit table (1 B per nonzero
+//! per bitmap) finds in a read before the sort; and `Aᵀ` is held by rows
+//! only, `A`'s own block at p = 1. So the kept quarter of `A` costs its
+//! radix buffers (32 B per kept nonzero at the peak of the sort), and the
+//! peak, about 20 B per nonzero, is set while `B` forms: the kept `A`,
+//! the masked product's contribution slots and the sequence store. Keeping
+//! the one-sequence columns, collected input triples (24 B per nonzero), a
+//! column form of `Aᵀ`, copies of the input, a comparison sort or
+//! per-stage panel clones each add a multiple of nnz(A) and break the
+//! bound; so does a buffer that grows faster than nnz(A), which the ratio
+//! between the two input sizes catches.
 //!
 //! The runs are alignment-free (`AlignMode::None`, the `sparse_only`
 //! protocol): the three peaks come from the matrices, and an x-drop run
@@ -24,7 +29,7 @@ use pcomm::WorldBuilder;
 use seqstore::write_fasta;
 
 /// Peak live bytes per nonzero of `A` any of the three stages may reach.
-const BOUND: f64 = 40.0;
+const BOUND: f64 = 23.0;
 
 /// How much the larger input's ratio may exceed the smaller one's.
 const GROWTH: f64 = 1.1;

@@ -223,3 +223,39 @@ proptest! {
         }
     }
 }
+
+/// The exact path forms `A` without its one-sequence k-mer columns, yet
+/// plans its batches on the whole `A`'s weights, as the replay's
+/// `batch::plan` of `from_triples(build_a_triples(..))` does: the same
+/// number of batches at p ∈ {1, 4}, on budgets that cut many.
+#[test]
+fn exact_pipeline_plans_on_the_whole_a() {
+    let k = params(None).k;
+    for p in [1, 4] {
+        for budget in [UNEVEN_BUDGET, UNEVEN_BUDGET / 4] {
+            let counts = World::run(p, |comm| {
+                let run = run_pipeline(&comm, dataset(), &params(Some(budget)));
+                let ran = (run.trace.events.iter())
+                    .filter(|e| e.name == "pastis.batch")
+                    .count();
+                let grid = Rc::new(Grid::new(&comm));
+                let store = DistSeqStore::from_fasta(&comm, dataset());
+                let triples = build_a_triples(store.owned(), k, false);
+                let space = (SIGMA as u64).pow(k as u32);
+                let a =
+                    DistMat::from_triples(Rc::clone(&grid), store.len(), space, triples, |a, b| {
+                        *a = (*a).min(b)
+                    });
+                (ran, batch::plan(&grid, &a.transpose(), budget).ranges.len())
+            });
+            for (rank, &(ran, planned)) in counts.iter().enumerate() {
+                assert_eq!(ran, planned, "p={p} budget={budget} rank {rank}");
+            }
+            assert!(
+                counts[0].1 > 4,
+                "p={p} budget={budget}: {} batches",
+                counts[0].1
+            );
+        }
+    }
+}

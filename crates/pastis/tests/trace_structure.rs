@@ -173,9 +173,10 @@ fn timings_match_trace_stage_sums() {
             rebuilt.spgemm_b.comm.bytes_sent
         );
         assert!((r.timings.total - rebuilt.total).abs() < 1e-12);
-        // The exact overlap aligns each batch inside `pastis.spgemm_b`, so
-        // the default must report nonzero align time even though the
-        // `pastis.align` wrapper is empty.
+        // The exact overlap aligns each batch inside `pastis.spgemm_b`,
+        // under `align.overlap` spans that the align stage reads (nested
+        // stage spans count once), so the default must report nonzero
+        // align time.
         assert!(r.timings.align.work_ns > 0, "align attribution lost");
         // The stage spans cover the run: under exclusive attribution
         // (nested stage spans counted once) their wall-clock sum cannot

@@ -15,6 +15,7 @@ use pcomm::{Grid, Payload};
 
 use crate::dcsc::Dcsc;
 use crate::local_spgemm::{local_spgemm, masked_outer_spgemm, SpGemmStrategy};
+use crate::once::OnceTable;
 use crate::radix::RadixPlan;
 use crate::semiring::Semiring;
 use crate::triple::Triple;
@@ -161,15 +162,44 @@ impl Frame {
         })
     }
 
-    /// My block of `triples`, which `plan` counted in the same order.
+    /// My block of those `triples` whose column `kept` keeps, which `plan`
+    /// counted in the same order, and how many it dropped per local row
+    /// (empty when `kept` keeps every column). `kept` goes with the items,
+    /// so its table is freed once the radix sort's first pass has read
+    /// them, before the block's arrays are allocated.
     fn block<V>(
         &self,
         plan: RadixPlan,
         triples: impl Iterator<Item = Triple<V>>,
+        kept: Kept,
         add: impl Fn(&mut V, V),
-    ) -> Dcsc<V> {
-        let items = triples.map(|(r, c, v)| ((r - self.r0) as u32, c - self.c0, v));
-        Dcsc::from_plan(self.rows, self.cols, plan, items, add)
+    ) -> (Dcsc<V>, Vec<u32>) {
+        let mut dropped = match kept.0 {
+            Some(_) => vec![0u32; self.rows],
+            None => Vec::new(),
+        };
+        let count = &mut dropped;
+        let items = triples
+            .filter(move |&(r, c, _)| {
+                kept.col(c) || {
+                    count[(r - self.r0) as usize] += 1;
+                    false
+                }
+            })
+            .map(|(r, c, v)| ((r - self.r0) as u32, c - self.c0, v));
+        let block = Dcsc::from_plan(self.rows, self.cols, plan, items, add);
+        (block, dropped)
+    }
+}
+
+/// The columns a constructor keeps: every one, or only those a
+/// [`OnceTable`] marked with every entry of the column's grid column keeps.
+struct Kept(Option<OnceTable>);
+
+impl Kept {
+    #[inline]
+    fn col(&self, c: u64) -> bool {
+        self.0.as_ref().is_none_or(|t| t.keeps(c))
     }
 }
 
@@ -207,7 +237,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             }
             None => shuffle.fill(&counts, triples.into_iter()),
         };
-        Self::from_parts(grid, nrows, ncols, parts, add)
+        Self::from_parts(grid, nrows, ncols, parts, false, add).0
     }
 
     /// Build from the globally-indexed triples `source()` yields on each
@@ -228,6 +258,54 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     where
         I: Iterator<Item = Triple<V>>,
     {
+        Self::from_source_in(grid, nrows, ncols, None, source, add).0
+    }
+
+    /// [`from_source`](Self::from_source) less the columns that hold one
+    /// triple of the whole matrix, dropped before any of the block's
+    /// arrays is allocated, and per local row of my block the number of
+    /// triples dropped. Each dropped triple is one nonzero, alone in its
+    /// column, so the nonzeros here plus those dropped are `from_source`'s.
+    /// Every column kept is `from_source`'s column whole: all those of two
+    /// triples or more, and a one-triple column whose hashed cell in the
+    /// "seen once / seen twice" table another column's triple shares.
+    /// Collective.
+    ///
+    /// On a grid of one rank the table is marked in a read of the source
+    /// before the two of `from_source`; `entries`, how many triples
+    /// `source()` yields, sizes it (a wrong value costs only more kept
+    /// columns). On a larger grid each rank marks the parts it receives,
+    /// in a table sized on its grid column's received triples, and the
+    /// tables are merged down the grid column, whose blocks hold the other
+    /// rows of the same columns.
+    pub fn from_source_shared<I>(
+        grid: Rc<Grid>,
+        nrows: u64,
+        ncols: u64,
+        entries: usize,
+        source: impl Fn() -> I,
+        add: impl Fn(&mut V, V),
+    ) -> (Self, Vec<u32>)
+    where
+        I: Iterator<Item = Triple<V>>,
+    {
+        Self::from_source_in(grid, nrows, ncols, Some(entries), source, add)
+    }
+
+    /// [`from_source`](Self::from_source) with `shared` `None`, otherwise
+    /// [`from_source_shared`](Self::from_source_shared) of `shared`
+    /// entries.
+    fn from_source_in<I>(
+        grid: Rc<Grid>,
+        nrows: u64,
+        ncols: u64,
+        shared: Option<usize>,
+        source: impl Fn() -> I,
+        add: impl Fn(&mut V, V),
+    ) -> (Self, Vec<u32>)
+    where
+        I: Iterator<Item = Triple<V>>,
+    {
         let _span = obs::span!("sparse.from_source");
         let shuffle = Shuffle {
             grid: &grid,
@@ -240,38 +318,58 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             let n = counts.iter().sum::<usize>() as u64;
             pcomm::work::record_class(n, pcomm::work::CostClass::TripleShuffle);
             let parts = shuffle.fill(&counts, source());
-            return Self::from_parts(grid, nrows, ncols, parts, add);
+            return Self::from_parts(grid, nrows, ncols, parts, shared.is_some(), add);
         }
         let received = grid.world().alltoallv(vec![Vec::<Triple<V>>::new()]);
         debug_assert!(received.iter().all(Vec::is_empty));
+        let kept = Kept(shared.map(|entries| {
+            let cols = source().map(|(r, c, _)| {
+                shuffle.check(r, c);
+                c
+            });
+            OnceTable::of_grid_col(&grid, entries, cols)
+        }));
         let frame = Frame::of(&grid, nrows, ncols);
         let plan = frame.plan(|| {
-            source().map(|(r, c, _)| {
+            source().filter(|t| kept.col(t.1)).map(|(r, c, _)| {
                 shuffle.check(r, c);
                 (r, c)
             })
         });
+        let counted = plan.len() as u64;
+        let (block, dropped) = frame.block(plan, source(), kept, add);
         // Work accounting: the counting pass stands in for the bucketing.
-        pcomm::work::record_class(plan.len() as u64, pcomm::work::CostClass::TripleShuffle);
-        let block = frame.block(plan, source(), add);
-        Self::filled(grid, nrows, ncols, block)
+        let n = counted + dropped.iter().map(|&d| d as u64).sum::<u64>();
+        pcomm::work::record_class(n, pcomm::work::CostClass::TripleShuffle);
+        (Self::filled(grid, nrows, ncols, block), dropped)
     }
 
-    /// The block of the triples the `alltoallv` of `parts` hands this rank.
+    /// The block of the triples the `alltoallv` of `parts` hands this
+    /// rank, less its one-triple columns when `shared` (see
+    /// [`from_source_shared`](Self::from_source_shared)).
     fn from_parts(
         grid: Rc<Grid>,
         nrows: u64,
         ncols: u64,
         parts: Vec<Vec<Triple<V>>>,
+        shared: bool,
         add: impl Fn(&mut V, V),
-    ) -> Self {
+    ) -> (Self, Vec<u32>) {
         let received = grid.world().alltoallv(parts);
         let heap: usize = received.iter().map(obs::alloc::HeapSize::heap_bytes).sum();
         obs::alloc::watermark("mem.watermark.sparse.build", heap as u64);
+        let kept = Kept(shared.then(|| {
+            let len = received.iter().map(Vec::len).sum();
+            OnceTable::of_grid_col(&grid, len, received.iter().flatten().map(|t| t.1))
+        }));
         let frame = Frame::of(&grid, nrows, ncols);
-        let plan = frame.plan(|| received.iter().flatten().map(|&(r, c, _)| (r, c)));
-        let block = frame.block(plan, received.into_iter().flatten(), add);
-        Self::filled(grid, nrows, ncols, block)
+        let plan = frame.plan(|| {
+            (received.iter().flatten())
+                .filter(|t| kept.col(t.1))
+                .map(|&(r, c, _)| (r, c))
+        });
+        let (block, dropped) = frame.block(plan, received.into_iter().flatten(), kept, add);
+        (Self::filled(grid, nrows, ncols, block), dropped)
     }
 
     /// The matrix whose block by columns is `block`.

@@ -20,6 +20,7 @@ mod accum;
 mod dcsc;
 mod dist;
 mod local_spgemm;
+mod once;
 mod radix;
 mod semiring;
 mod triple;

@@ -363,3 +363,68 @@ fn lazy_transpose_equals_the_eager_one() {
         });
     }
 }
+
+/// `from_source_shared` is `from_source` less one-triple columns: every
+/// column of two triples or more is kept whole, every dropped triple is
+/// counted on its row, and a table far too small (one word for 400
+/// triples, at p = 1) only keeps more one-triple columns.
+#[test]
+fn from_source_shared_drops_only_one_triple_columns() {
+    // Many one-triple columns, some columns shared by rows, and some
+    // (row, col) pairs repeated, which fold into one nonzero but are two
+    // triples.
+    let all: Vec<(u64, u64, f64)> = random_triples(8, 20, 600, 400)
+        .into_iter()
+        .chain(random_triples(9, 20, 40, 60))
+        .collect();
+    let mut per_col = std::collections::BTreeMap::new();
+    all.iter()
+        .for_each(|t| *per_col.entry(t.1).or_insert(0) += 1);
+    for (p, entries) in [(1usize, 1usize), (1, 400), (4, 1), (9, 1)] {
+        let runs = World::run(p, |comm| {
+            let grid = Rc::new(Grid::new(&comm));
+            let mine = my_share(&all, comm.rank(), p);
+            let whole =
+                DistMat::from_triples(Rc::clone(&grid), 20, 600, mine.clone(), |a, b| *a += b);
+            let source = || mine.iter().copied();
+            let (shared, dropped) =
+                DistMat::from_source_shared(Rc::clone(&grid), 20, 600, entries, source, |a, b| {
+                    *a += b
+                });
+            let r0 = shared.row_range().0;
+            let dropped: Vec<(u64, u32)> = (dropped.iter().enumerate())
+                .map(|(r, &d)| (r0 + r as u64, d))
+                .collect();
+            (whole.gather_triples(0), shared.gather_triples(0), dropped)
+        });
+        let ctx = format!("p={p}, entries={entries}");
+        let (whole, shared) = (runs[0].0.clone().unwrap(), runs[0].1.clone().unwrap());
+        let kept: std::collections::BTreeSet<u64> = shared.iter().map(|t| t.1).collect();
+        let mut lost = vec![0u32; 20];
+        for t in &whole {
+            match kept.contains(&t.1) {
+                true => assert!(shared.contains(t), "{ctx}: {t:?} missing"),
+                false => {
+                    assert_eq!(per_col[&t.1], 1, "{ctx}: column {} dropped", t.1);
+                    lost[t.0 as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(
+            shared.len() + lost.iter().sum::<u32>() as usize,
+            whole.len(),
+            "{ctx}"
+        );
+        let mut counted = vec![0u32; 20];
+        for &(r, d) in runs.iter().flat_map(|run| &run.2) {
+            counted[r as usize] += d;
+        }
+        assert_eq!(counted, lost, "{ctx}: dropped per row");
+        let once = per_col.values().filter(|&&n| n == 1).count();
+        let kept_once = kept.iter().filter(|c| per_col[c] == 1).count();
+        match (p, entries) {
+            (1, 1) => assert!(kept_once > once / 2, "{ctx}: kept {kept_once} of {once}"),
+            _ => assert!(kept_once < once / 4, "{ctx}: kept {kept_once} of {once}"),
+        }
+    }
+}

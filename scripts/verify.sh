@@ -110,8 +110,10 @@ done
 # reference seed and at two seeds where operand order used to leak the grid
 # into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
 # x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and the
-# overlap mask's tie on the local diagonal of off-diagonal blocks), and the
-# 2x2 grid out of core must write the same bytes, and so must one rank and
+# overlap mask's tie on the local diagonal of off-diagonal blocks), the
+# 2x2 grid out of core and, at seed 7, a 4x4 grid (four blocks down a grid
+# column merge their tables of one-sequence k-mer columns, DESIGN.md §11)
+# must write the same bytes, and so must one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
 # one rank and a 2x2 grid, under ANI and under NS (whose PSG at seeds 7
 # and 26 is also pinned by `cksum`); in x-drop mode with the reduced
@@ -154,6 +156,11 @@ for seed in 7 26 1400845388; do
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: PSG at --ranks $cfg differs from --ranks 1"; exit 1; }
     done
+    if [[ "$seed" == 7 ]]; then
+        xp_psg "$xp_tmp/px.tsv" xd 16
+        cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
+            || { echo "verify: seed $seed: PSG at --ranks 16 differs from --ranks 1"; exit 1; }
+    fi
     # The k-mer frequency pre-filter: it must prune (a different edge count
     # from the unpruned PSG above, so the lane cannot pass vacuously) and
     # write the same bytes on every grid.
