@@ -191,11 +191,11 @@ pub fn distinct_kmers(owned: &[SeqRecord], k: usize) -> Vec<u64> {
 /// row `t` of `Aᵀ`, empty unless some sequence holds `t`, so
 /// `(A·S)·Aᵀ` is the same product as with the whole `S`.
 ///
-/// A triple whose column lies in this rank's range is kept or dropped as
-/// it is generated; every other one is shipped and filtered by its owner
-/// on arrival. Collective: the triples are shuffled into the 2D
-/// distribution. Different ranks may generate the same row (shared
-/// k-mers); duplicates collapse to one entry.
+/// The grid row gathers its columns' held lists, so every rank knows the
+/// held columns of the whole k-mer space and generates only the triples
+/// some owner keeps ([`build_s_rows`]). Collective: the triples are
+/// shuffled into the 2D distribution. Different ranks may generate the
+/// same row (shared k-mers); duplicates collapse to one entry.
 pub fn build_s_dist(
     a: &DistMat<u32>,
     held: &[u32],
@@ -204,19 +204,59 @@ pub fn build_s_dist(
     table: &ExpenseTable,
     m: usize,
 ) -> DistMat<u32> {
-    let (c0, c1) = a.col_range();
-    let held = HeldSet::new(held);
-    let holds = |t: u64| held.contains((t - c0) as u32);
-    let keep = |t: u64| !(c0..c1).contains(&t) || holds(t);
-    let triples = build_s_rows(local_kmers, k, table, m, keep);
+    let triples = {
+        // Grid column c's held ids made global; the columns ascend with c.
+        // Gathered at p = 1 too, so the trace has one shape on every grid.
+        let parts = (a.grid().row_comm()).allgather((a.col_range().0, encode_gaps(held)));
+        let mut ids = Vec::new();
+        for (c0, gaps) in parts {
+            ids.extend(decode_gaps(&gaps).map(|t| c0 + t as u64));
+        }
+        let held = HeldSet::new(&ids);
+        build_s_rows(local_kmers, k, table, m, |t| held.contains(t))
+    };
     let space = kmer_space(k);
     // Duplicate (K, Ks) rows generated by different ranks carry identical
     // distances; keep the min for robustness.
-    let mut s = DistMat::from_triples(Rc::clone(a.grid()), space, space, triples, |a, b| {
+    DistMat::from_triples(Rc::clone(a.grid()), space, space, triples, |a, b| {
         *a = (*a).min(b)
-    });
-    s.retain(|_, t, _| holds(t));
-    s
+    })
+}
+
+/// Ascending `ids` as the LEB128 varints of their gaps (the first id's
+/// from 0): about 2 bytes an id where held ids lie thousands apart,
+/// against a `u32`'s 4.
+fn encode_gaps(ids: &[u32]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * ids.len());
+    let mut last = 0;
+    for &id in ids {
+        let mut gap = id - last;
+        last = id;
+        while gap >= 0x80 {
+            out.push(gap as u8 | 0x80);
+            gap >>= 7;
+        }
+        out.push(gap as u8);
+    }
+    out
+}
+
+/// The ids [`encode_gaps`] encoded, ascending.
+fn decode_gaps(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    let (mut at, mut last) = (0, 0u32);
+    std::iter::from_fn(move || {
+        let mut gap = 0u32;
+        for shift in (0..).step_by(7) {
+            let byte = *bytes.get(at)?;
+            at += 1;
+            gap |= ((byte & 0x7f) as u32) << shift;
+            if byte < 0x80 {
+                break;
+            }
+        }
+        last += gap;
+        Some(last)
+    })
 }
 
 /// Exact membership in an ascending id list behind a bitmap pre-test.
@@ -225,14 +265,14 @@ pub fn build_s_dist(
 /// at once, which is the common answer for `S`'s generated columns; a set
 /// bit falls through to the binary search.
 struct HeldSet<'a> {
-    ids: &'a [u32],
+    ids: &'a [u64],
     bits: Vec<u64>,
     /// `64 − log2(bit count)`: the hash's top bits index the array.
     shift: u32,
 }
 
 impl<'a> HeldSet<'a> {
-    fn new(ids: &'a [u32]) -> Self {
+    fn new(ids: &'a [u64]) -> Self {
         let nbits = (16 * ids.len()).next_power_of_two().max(64);
         let mut set = HeldSet {
             ids,
@@ -247,12 +287,12 @@ impl<'a> HeldSet<'a> {
     }
 
     #[inline]
-    fn bit(&self, id: u32) -> usize {
-        ((id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    fn bit(&self, id: u64) -> usize {
+        (id.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
     }
 
     #[inline]
-    fn contains(&self, id: u32) -> bool {
+    fn contains(&self, id: u64) -> bool {
         let b = self.bit(id);
         (self.bits[b / 64] >> (b % 64)) & 1 == 1 && self.ids.binary_search(&id).is_ok()
     }
@@ -325,6 +365,23 @@ mod tests {
     }
 
     #[test]
+    fn gaps_round_trip() {
+        let cases: [&[u32]; 5] = [
+            &[],
+            &[0],
+            &[0, 1, 127, 128, 16_511],
+            &[5, 300, 70_000],
+            &[u32::MAX],
+        ];
+        for ids in cases {
+            let bytes = encode_gaps(ids);
+            assert_eq!(decode_gaps(&bytes).collect::<Vec<_>>(), ids);
+        }
+        let spread: Vec<u32> = (0..1000).map(|i| i * 3000).collect();
+        assert!(encode_gaps(&spread).len() <= 2 * spread.len());
+    }
+
+    #[test]
     fn held_set_is_the_binary_search() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
@@ -334,7 +391,7 @@ mod tests {
             state
         };
         for n in [0usize, 1, 3, 4, 5, 1000] {
-            let mut ids: Vec<u32> = (0..n).map(|_| (next() % 50_000) as u32).collect();
+            let mut ids: Vec<u64> = (0..n).map(|_| next() % 50_000).collect();
             ids.sort_unstable();
             ids.dedup();
             let set = HeldSet::new(&ids);
@@ -342,8 +399,8 @@ mod tests {
             let probes = ids
                 .iter()
                 .copied()
-                .chain((0..20_000).map(|_| (next() % 60_000) as u32));
-            for id in probes.chain([0, u32::MAX]) {
+                .chain((0..20_000).map(|_| next() % 60_000));
+            for id in probes.chain([0, u64::MAX]) {
                 assert_eq!(
                     set.contains(id),
                     ids.binary_search(&id).is_ok(),

@@ -14,6 +14,9 @@ use seqstore::SIGMA;
 #[derive(Debug, Clone)]
 pub struct ExpenseTable {
     rows: Vec<Vec<(u16, u8)>>,
+    /// Per base, its row's distinct expenses ascending, each with how
+    /// many substitutions cost it.
+    hists: Vec<Vec<(u16, u8)>>,
 }
 
 impl ExpenseTable {
@@ -31,14 +34,33 @@ impl ExpenseTable {
                 row.sort_unstable();
                 row
             })
+            .collect::<Vec<_>>();
+        let hists = (rows.iter())
+            .map(|row| {
+                let mut hist: Vec<(u16, u8)> = Vec::new();
+                for &(e, _) in row {
+                    match hist.last_mut() {
+                        Some((last, n)) if *last == e => *n += 1,
+                        _ => hist.push((e, 1)),
+                    }
+                }
+                hist
+            })
             .collect();
-        ExpenseTable { rows }
+        ExpenseTable { rows, hists }
     }
 
     /// Sorted substitutions of base `b` (23 entries).
     #[inline]
     pub fn row(&self, b: u8) -> &[(u16, u8)] {
         &self.rows[b as usize]
+    }
+
+    /// [`row`](Self::row)`(b)`'s expenses as a histogram: ascending
+    /// distinct `(expense, how many substitutions cost it)`.
+    #[inline]
+    pub(crate) fn hist(&self, b: u8) -> &[(u16, u8)] {
+        &self.hists[b as usize]
     }
 
     /// The cheapest substitution expense of base `b`.
@@ -65,6 +87,23 @@ mod tests {
                 !row.iter().any(|&(_, t)| t == b),
                 "self-substitution in row {b}"
             );
+        }
+    }
+
+    #[test]
+    fn hists_count_the_rows() {
+        let e = ExpenseTable::new(&BLOSUM62);
+        for b in 0..24u8 {
+            let hist = e.hist(b);
+            assert!(
+                hist.windows(2).all(|w| w[0].0 < w[1].0),
+                "hist {b} unsorted"
+            );
+            let spelled: Vec<u16> = (hist.iter())
+                .flat_map(|&(x, n)| std::iter::repeat_n(x, n as usize))
+                .collect();
+            let row: Vec<u16> = e.row(b).iter().map(|&(x, _)| x).collect();
+            assert_eq!(spelled, row, "hist {b}");
         }
     }
 

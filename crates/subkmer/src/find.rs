@@ -44,7 +44,7 @@ struct Cand {
 
 /// `PLACE[i]` = `24^i`, the weight of the base `i` places from the right
 /// of a k-mer id.
-const PLACE: [u64; 13] = {
+pub(crate) const PLACE: [u64; 13] = {
     let mut p = [1u64; 13];
     let mut i = 1;
     while i < 13 {
@@ -99,6 +99,13 @@ impl SubKmerSearcher {
     /// as the frontier held them. The seed itself is not included. Fewer
     /// than `m` are returned only when the whole substitution space is
     /// smaller.
+    ///
+    /// Where more than `m` substitutes lie within the m-th distance, the
+    /// ties returned at that distance are the frontier's, not the
+    /// `(dist, id)`-least: a full frontier stops taking children that
+    /// cannot beat its maximum, so ties are kept in exploration order.
+    /// Seed AAA at `m = 5` returns CAA and GAA at distance 4, where the
+    /// least ids at 4 are AAC and AAG.
     pub fn search(
         &mut self,
         seed: &[u8],

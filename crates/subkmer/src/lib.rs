@@ -13,12 +13,19 @@
 //!
 //! The crate also builds the sparse substitution matrix `S` (k-mer →
 //! substitute k-mer, at most `m`+1 nonzeros per row including the identity)
-//! that PASTIS multiplies into `(A·S)·Aᵀ` (paper §IV-C).
+//! that PASTIS multiplies into `(A·S)·Aᵀ` (paper §IV-C): whole with the
+//! frontier search ([`build_s_triples`]), or only over the columns a
+//! `keep` predicate passes with a [`HeldSearcher`] ([`build_s_rows`]),
+//! which counts the distances up to the m-th, walks the substitution tree
+//! under that bound and defers to the frontier search only where the
+//! frontier's choice among ties decides a kept entry.
 
 mod expense;
 mod find;
+mod held;
 mod smatrix;
 
 pub use expense::ExpenseTable;
 pub use find::{find_sub_kmers, kmer_distance, SubKmer, SubKmerSearcher};
+pub use held::HeldSearcher;
 pub use smatrix::{build_s_rows, build_s_triples, SubEntry};

@@ -5,6 +5,7 @@
 
 use crate::expense::ExpenseTable;
 use crate::find::SubKmerSearcher;
+use crate::held::HeldSearcher;
 use seqstore::kmer_unpack_into;
 
 /// A nonzero of `S`: distance of the substitute to its source k-mer.
@@ -13,7 +14,8 @@ pub type SubEntry = u32;
 /// Triples `(kmer_id, substitute_kmer_id, distance)` for the distinct
 /// k-mers in `kmers`. Each row gets its `m` nearest substitutes plus the
 /// identity entry `(K, K, 0)` — exact sharing must keep matching under
-/// `(A·S)·Aᵀ`.
+/// `(A·S)·Aᵀ` — the identity first, then the substitutes in the order
+/// [`SubKmerSearcher::search`] confirms them.
 ///
 /// With `m == 0` only identity entries are produced, which makes
 /// `(A·S)·Aᵀ` coincide with `A·Aᵀ` (the paper's `s0` configuration).
@@ -23,12 +25,25 @@ pub fn build_s_triples(
     table: &ExpenseTable,
     m: usize,
 ) -> Vec<(u64, u64, SubEntry)> {
-    build_s_rows(kmers, k, table, m, |_| true)
+    let mut out = Vec::with_capacity(kmers.len());
+    let mut searcher = SubKmerSearcher::new();
+    let mut bases = [0u8; 13];
+    for &id in kmers {
+        out.push((id, id, 0));
+        if m > 0 {
+            kmer_unpack_into(id, &mut bases[..k]);
+            for sub in searcher.search(&bases[..k], table, m) {
+                out.push((id, sub.id, sub.dist));
+            }
+        }
+    }
+    out
 }
 
-/// [`build_s_triples`] keeping only the triples whose column (substitute
-/// id, the identity's included) passes `keep`, dropped as they are
-/// generated, in the same order.
+/// The triples of [`build_s_triples`] whose column (substitute id, the
+/// identity's included) passes `keep`, found by the [`HeldSearcher`]
+/// without generating the others. Row by row the same set; within a row
+/// the identity comes first and the substitutes follow in walk order.
 pub fn build_s_rows(
     kmers: &[u64],
     k: usize,
@@ -37,7 +52,7 @@ pub fn build_s_rows(
     keep: impl Fn(u64) -> bool,
 ) -> Vec<(u64, u64, SubEntry)> {
     let mut out = Vec::with_capacity(kmers.len());
-    let mut searcher = SubKmerSearcher::new();
+    let mut searcher = HeldSearcher::new();
     let mut bases = [0u8; 13];
     for &id in kmers {
         if keep(id) {
@@ -45,11 +60,8 @@ pub fn build_s_rows(
         }
         if m > 0 {
             kmer_unpack_into(id, &mut bases[..k]);
-            for sub in searcher.search(&bases[..k], table, m) {
-                if keep(sub.id) {
-                    out.push((id, sub.id, sub.dist));
-                }
-            }
+            let subs = searcher.search(&bases[..k], table, m, &keep);
+            out.extend(subs.iter().map(|sub| (id, sub.id, sub.dist)));
         }
     }
     out
@@ -99,6 +111,8 @@ mod tests {
         assert_eq!(cols.len(), n);
     }
 
+    /// Rows come in `kmers`' order; within a row the walk's order is not
+    /// the frontier's, so each row is compared as a sorted set.
     #[test]
     fn build_s_rows_filters_build_s_triples_in_order() {
         let t = ExpenseTable::new(&BLOSUM62);
@@ -106,12 +120,24 @@ mod tests {
             .iter()
             .map(|s| kmer_id(&encode_seq(*s)))
             .collect();
+        let rows = |triples: Vec<(u64, u64, u32)>| {
+            let mut rows: Vec<Vec<(u64, u64, u32)>> = Vec::new();
+            for x in triples {
+                match rows.last_mut() {
+                    Some(row) if row[0].0 == x.0 => row.push(x),
+                    _ => rows.push(vec![x]),
+                }
+            }
+            rows.iter_mut().for_each(|row| row.sort_unstable());
+            rows
+        };
         for m in [0, 1, 25] {
             let all = build_s_triples(&kmers, 3, &t, m);
             let keeps: [fn(u64) -> bool; 3] = [|c| c % 3 != 0, |c| c % 2 == 0, |_| false];
             for keep in keeps {
                 let want: Vec<_> = all.iter().copied().filter(|&(_, c, _)| keep(c)).collect();
-                assert_eq!(build_s_rows(&kmers, 3, &t, m, keep), want, "m={m}");
+                let got = build_s_rows(&kmers, 3, &t, m, keep);
+                assert_eq!(rows(got), rows(want), "m={m}");
             }
         }
     }

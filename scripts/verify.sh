@@ -13,9 +13,12 @@ cargo build --release
 # --no-fail-fast: one failing crate must not mask the crates after it.
 cargo test -q --no-fail-fast
 # The substitute search in release: its differential test against the
-# old ordered-set search, the warm-searcher zero-allocation count and the
-# exact-output pin, under the optimiser the pipeline runs with.
+# old ordered-set search, the held-only search against the frontier's
+# rows filtered, the warm-searcher zero-allocation count and the
+# exact-output pin, under the optimiser the pipeline runs with; and the
+# held `S` against the whole `S` at p ∈ {1, 4, 9}.
 cargo test -q --release -p subkmer
+cargo test -q --release -p pastis --test held_s
 # Trace-export schema gate: the Perfetto JSON must stay parseable and keep
 # its per-rank track structure.
 cargo test -q -p obs --test perfetto_schema
