@@ -58,10 +58,15 @@ impl KmerUnion {
 /// The k-mer columns some block of `a`'s grid column holds: ascending ids
 /// local to `a.col_range()`, the same on every rank of the grid column.
 /// They are the columns of `S` that `(A·S)·Aᵀ` reads there (see
-/// [`build_s_dist`]). Collective over the grid column.
+/// [`build_s_dist`]). Each rank ships its ascending ids alone, without the
+/// lengths [`kmer_counts`] sums. Collective over the grid column.
 pub fn held_kmers(a: &DistMat<u32>) -> Vec<u32> {
-    let counts = kmer_counts(a.grid().col_comm(), a.local());
-    counts.iter().map(|(id, _)| id).collect()
+    // Local ids fit `u32` by `kmer_fits_grid`.
+    let mine: Vec<u32> = a.local().cols().iter().map(|&c| c as u32).collect();
+    let mut held: Vec<u32> = a.grid().col_comm().allgather(mine).concat();
+    held.sort_unstable();
+    held.dedup();
+    held
 }
 
 /// Drop the columns of `A` (k-mers) whose global occurrence count exceeds
@@ -105,10 +110,12 @@ pub fn form_a(
 /// path's `A` (DESIGN.md §4). Such a column meets only its own row in
 /// `A·Aᵀ`, on the diagonal that [`crate::ExactSemiring`]'s mask drops,
 /// and [`DistMat::from_source_shared`] drops it before `A`'s arrays are
-/// allocated (now and then a hash collision keeps one, which the mask
+/// allocated and, on a grid, before its triple is shipped: only its k-mer
+/// id travels (now and then a hash collision keeps one, which the mask
 /// drops all the same). Returns `A` and, per sequence (global id, the same
-/// on every rank), how many of its nonzeros were dropped: `form_a`'s
-/// nonzeros are `A`'s plus those. Collective.
+/// on every rank), how many of its nonzeros were dropped, counted by the
+/// sequence's owner and summed in one allreduce: `form_a`'s nonzeros are
+/// `A`'s plus those. Collective.
 pub fn form_shared_a(
     grid: &Rc<Grid>,
     owned: &[SeqRecord],
@@ -125,11 +132,9 @@ pub fn form_shared_a(
         source,
         |a, b| *a = (*a).min(b),
     );
-    // My grid row's sequences, summed over their k-mer blocks; then the
-    // grid rows' sequence blocks, which ascend with the row.
+    // Each rank counted the drops of its own sequences' entries.
     let sum = |x: Vec<u32>, y: Vec<u32>| x.iter().zip(y).map(|(x, y)| x + y).collect();
-    let mine = grid.row_comm().allreduce(dropped, sum);
-    (a, grid.col_comm().allgather(mine).concat())
+    (a, grid.world().allreduce(dropped, sum))
 }
 
 /// How many entries [`a_entries`] yields: exactly `L − k + 1` k-mers per

@@ -131,6 +131,59 @@ impl Shuffle<'_> {
         triples.for_each(|(r, c, v)| parts[self.owner(r, c)].push((r, c, v)));
         parts
     }
+
+    /// Per owner, one bit per key of `keys` it owns, in input order: set
+    /// when the owner keeps the key's column, which it decides from the
+    /// column ids alone. Each owner is sent the column ids of its keys
+    /// (`counts` are their [`counts`](Self::counts)), marks them in a
+    /// [`OnceTable`] merged down its grid column, whose blocks hold the
+    /// other rows of the same columns, and sends back a bit per id.
+    /// Collective.
+    fn kept_bits(&self, counts: &[usize], keys: impl Iterator<Item = (u64, u64)>) -> Vec<Vec<u64>> {
+        let mut ids: Vec<Vec<u64>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+        keys.for_each(|(r, c)| ids[self.owner(r, c)].push(c));
+        let world = self.grid.world();
+        let received = world.alltoallv(ids);
+        let len = received.iter().map(Vec::len).sum();
+        let table = OnceTable::of_grid_col(self.grid, len, received.iter().flatten().copied());
+        let bits = (received.into_iter())
+            .map(|part| {
+                let mut words = vec![0u64; part.len().div_ceil(64)];
+                for (i, _) in part.iter().enumerate().filter(|&(_, &c)| table.keeps(c)) {
+                    words[i / 64] |= 1 << (i % 64);
+                }
+                words
+            })
+            .collect();
+        drop(table);
+        world.alltoallv(bits)
+    }
+
+    /// The `triples` whose bit in `kept` ([`kept_bits`](Self::kept_bits)
+    /// of the same keys in the same order) is set, bucketed into
+    /// exact-size parts as by [`fill`](Self::fill), and per global row the
+    /// number of the others.
+    fn fill_kept<V>(
+        &self,
+        kept: &[Vec<u64>],
+        triples: impl Iterator<Item = Triple<V>>,
+    ) -> (Vec<Vec<Triple<V>>>, Vec<u32>) {
+        let mut parts: Vec<Vec<Triple<V>>> = (kept.iter())
+            .map(|bits| Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum()))
+            .collect();
+        let mut next = vec![0usize; kept.len()];
+        let mut dropped = vec![0u32; self.nrows as usize];
+        triples.for_each(|(r, c, v)| {
+            let owner = self.owner(r, c);
+            let i = next[owner];
+            next[owner] += 1;
+            match kept[owner][i / 64] >> (i % 64) & 1 {
+                1 => parts[owner].push((r, c, v)),
+                _ => dropped[r as usize] += 1,
+            }
+        });
+        (parts, dropped)
+    }
 }
 
 /// My block's place in a `nrows × ncols` matrix: its first global row and
@@ -192,8 +245,8 @@ impl Frame {
     }
 }
 
-/// The columns a constructor keeps: every one, or only those a
-/// [`OnceTable`] marked with every entry of the column's grid column keeps.
+/// The columns a block keeps: every one, or on a grid of one rank only
+/// those a [`OnceTable`] marked with every entry keeps.
 struct Kept(Option<OnceTable>);
 
 impl Kept {
@@ -237,7 +290,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             }
             None => shuffle.fill(&counts, triples.into_iter()),
         };
-        Self::from_parts(grid, nrows, ncols, parts, false, add).0
+        Self::from_parts(grid, nrows, ncols, parts, add)
     }
 
     /// Build from the globally-indexed triples `source()` yields on each
@@ -263,21 +316,24 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
 
     /// [`from_source`](Self::from_source) less the columns that hold one
     /// triple of the whole matrix, dropped before any of the block's
-    /// arrays is allocated, and per local row of my block the number of
-    /// triples dropped. Each dropped triple is one nonzero, alone in its
-    /// column, so the nonzeros here plus those dropped are `from_source`'s.
-    /// Every column kept is `from_source`'s column whole: all those of two
-    /// triples or more, and a one-triple column whose hashed cell in the
-    /// "seen once / seen twice" table another column's triple shares.
-    /// Collective.
+    /// arrays is allocated, and per global row the number of `source()`'s
+    /// triples dropped on this rank (`nrows` counts; summed over the ranks
+    /// they are the matrix's). Each dropped triple is one nonzero, alone in
+    /// its column, so the nonzeros here plus those dropped are
+    /// `from_source`'s. Every column kept is `from_source`'s column whole:
+    /// all those of two triples or more, and a one-triple column whose
+    /// hashed cell in the "seen once / seen twice" table another column's
+    /// triple shares. Collective.
     ///
     /// On a grid of one rank the table is marked in a read of the source
     /// before the two of `from_source`; `entries`, how many triples
     /// `source()` yields, sizes it (a wrong value costs only more kept
-    /// columns). On a larger grid each rank marks the parts it receives,
-    /// in a table sized on its grid column's received triples, and the
-    /// tables are merged down the grid column, whose blocks hold the other
-    /// rows of the same columns.
+    /// columns). On a larger grid no triple moves before its column is
+    /// judged: a second read of the source sends each owner the column ids
+    /// of its triples (8 B each), the owner marks them in a table sized on
+    /// its grid column's ids, merged down the grid column, whose blocks
+    /// hold the other rows of the same columns, and answers one bit per
+    /// id; a third read then ships only the kept triples.
     pub fn from_source_shared<I>(
         grid: Rc<Grid>,
         nrows: u64,
@@ -317,18 +373,30 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             // Work accounting: owner computation + bucketing per triple.
             let n = counts.iter().sum::<usize>() as u64;
             pcomm::work::record_class(n, pcomm::work::CostClass::TripleShuffle);
-            let parts = shuffle.fill(&counts, source());
-            return Self::from_parts(grid, nrows, ncols, parts, shared.is_some(), add);
+            let (parts, dropped) = match shared {
+                None => (shuffle.fill(&counts, source()), Vec::new()),
+                Some(_) => {
+                    let kept = shuffle.kept_bits(&counts, source().map(|(r, c, _)| (r, c)));
+                    shuffle.fill_kept(&kept, source())
+                }
+            };
+            return (Self::from_parts(grid, nrows, ncols, parts, add), dropped);
         }
-        let received = grid.world().alltoallv(vec![Vec::<Triple<V>>::new()]);
-        debug_assert!(received.iter().all(Vec::is_empty));
+        // Empty parts where a grid ships column ids, keep bits and
+        // triples, so the trace has one shape on every grid.
+        let world = grid.world();
         let kept = Kept(shared.map(|entries| {
+            world.alltoallv(vec![Vec::<u64>::new()]);
             let cols = source().map(|(r, c, _)| {
                 shuffle.check(r, c);
                 c
             });
-            OnceTable::of_grid_col(&grid, entries, cols)
+            let table = OnceTable::of_grid_col(&grid, entries, cols);
+            world.alltoallv(vec![Vec::<u64>::new()]);
+            table
         }));
+        let received = world.alltoallv(vec![Vec::<Triple<V>>::new()]);
+        debug_assert!(received.iter().all(Vec::is_empty));
         let frame = Frame::of(&grid, nrows, ncols);
         let plan = frame.plan(|| {
             source().filter(|t| kept.col(t.1)).map(|(r, c, _)| {
@@ -337,6 +405,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
             })
         });
         let counted = plan.len() as u64;
+        // My block's rows are all the rows: its drops are per global row.
         let (block, dropped) = frame.block(plan, source(), kept, add);
         // Work accounting: the counting pass stands in for the bucketing.
         let n = counted + dropped.iter().map(|&d| d as u64).sum::<u64>();
@@ -345,31 +414,21 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     }
 
     /// The block of the triples the `alltoallv` of `parts` hands this
-    /// rank, less its one-triple columns when `shared` (see
-    /// [`from_source_shared`](Self::from_source_shared)).
+    /// rank.
     fn from_parts(
         grid: Rc<Grid>,
         nrows: u64,
         ncols: u64,
         parts: Vec<Vec<Triple<V>>>,
-        shared: bool,
         add: impl Fn(&mut V, V),
-    ) -> (Self, Vec<u32>) {
+    ) -> Self {
         let received = grid.world().alltoallv(parts);
         let heap: usize = received.iter().map(obs::alloc::HeapSize::heap_bytes).sum();
         obs::alloc::watermark("mem.watermark.sparse.build", heap as u64);
-        let kept = Kept(shared.then(|| {
-            let len = received.iter().map(Vec::len).sum();
-            OnceTable::of_grid_col(&grid, len, received.iter().flatten().map(|t| t.1))
-        }));
         let frame = Frame::of(&grid, nrows, ncols);
-        let plan = frame.plan(|| {
-            (received.iter().flatten())
-                .filter(|t| kept.col(t.1))
-                .map(|&(r, c, _)| (r, c))
-        });
-        let (block, dropped) = frame.block(plan, received.into_iter().flatten(), kept, add);
-        (Self::filled(grid, nrows, ncols, block), dropped)
+        let plan = frame.plan(|| received.iter().flatten().map(|&(r, c, _)| (r, c)));
+        let (block, _) = frame.block(plan, received.into_iter().flatten(), Kept(None), add);
+        Self::filled(grid, nrows, ncols, block)
     }
 
     /// The matrix whose block by columns is `block`.

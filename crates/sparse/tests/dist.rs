@@ -366,8 +366,9 @@ fn lazy_transpose_equals_the_eager_one() {
 
 /// `from_source_shared` is `from_source` less one-triple columns: every
 /// column of two triples or more is kept whole, every dropped triple is
-/// counted on its row, and a table far too small (one word for 400
-/// triples, at p = 1) only keeps more one-triple columns.
+/// counted on its global row by the rank whose source yielded it, and a
+/// table far too small (one word for 400 triples, at p = 1) only keeps
+/// more one-triple columns.
 #[test]
 fn from_source_shared_drops_only_one_triple_columns() {
     // Many one-triple columns, some columns shared by rows, and some
@@ -391,10 +392,7 @@ fn from_source_shared_drops_only_one_triple_columns() {
                 DistMat::from_source_shared(Rc::clone(&grid), 20, 600, entries, source, |a, b| {
                     *a += b
                 });
-            let r0 = shared.row_range().0;
-            let dropped: Vec<(u64, u32)> = (dropped.iter().enumerate())
-                .map(|(r, &d)| (r0 + r as u64, d))
-                .collect();
+            assert_eq!(dropped.len(), 20, "one count per global row");
             (whole.gather_triples(0), shared.gather_triples(0), dropped)
         });
         let ctx = format!("p={p}, entries={entries}");
@@ -416,8 +414,8 @@ fn from_source_shared_drops_only_one_triple_columns() {
             "{ctx}"
         );
         let mut counted = vec![0u32; 20];
-        for &(r, d) in runs.iter().flat_map(|run| &run.2) {
-            counted[r as usize] += d;
+        for run in &runs {
+            counted.iter_mut().zip(&run.2).for_each(|(n, d)| *n += d);
         }
         assert_eq!(counted, lost, "{ctx}: dropped per row");
         let once = per_col.values().filter(|&&n| n == 1).count();
@@ -426,5 +424,50 @@ fn from_source_shared_drops_only_one_triple_columns() {
             (1, 1) => assert!(kept_once > once / 2, "{ctx}: kept {kept_once} of {once}"),
             _ => assert!(kept_once < once / 4, "{ctx}: kept {kept_once} of {once}"),
         }
+    }
+}
+
+/// On a grid `from_source_shared` ships no triple before its column is
+/// judged: a column id (8 B) per triple to its owner, a keep bit back, then
+/// the kept triples (24 B each). The one-sequence table merged down each
+/// grid column costs 2 B per id, sent `2(q − 1)` times by the allreduce of
+/// its `q` ranks. On mostly one-triple columns the total stays far below
+/// the 24 B per triple of shipping every triple.
+#[test]
+fn from_source_shared_ships_only_the_kept_triples() {
+    let (m, n) = (30u64, 1_000_000u64);
+    let all: Vec<(u64, u64, f64)> = random_triples(21, m, n, 6_000)
+        .into_iter()
+        .chain(random_triples(22, m, 300, 600))
+        .collect();
+    let total = all.len() as u64;
+    for p in [4usize, 9] {
+        let q = (p as f64).sqrt() as u64;
+        let runs = World::run(p, |comm| {
+            let grid = Rc::new(Grid::new(&comm));
+            let mine = my_share(&all, comm.rank(), p);
+            let before = comm.stats();
+            let source = || mine.iter().copied();
+            let (_, dropped) =
+                DistMat::from_source_shared(grid, m, n, mine.len(), source, |a, b| *a += b);
+            let sent = comm.stats() - before;
+            let dropped: u64 = dropped.iter().map(|&d| d as u64).sum();
+            (sent.bytes_sent, sent.msgs_sent, dropped)
+        });
+        let bytes: u64 = runs.iter().map(|r| r.0).sum();
+        let msgs: u64 = runs.iter().map(|r| r.1).sum();
+        let kept = total - runs.iter().map(|r| r.2).sum::<u64>();
+        assert!(kept < total / 4, "p={p}: {kept} of {total} triples kept");
+        let bound = 8 * total + total / 8 + 24 * kept + 4 * (q - 1) * total + 64 * msgs;
+        eprintln!(
+            "p={p}: {bytes} B sent for {total} triples ({kept} kept), bound {bound}, \
+             {:.1} B per triple",
+            bytes as f64 / total as f64
+        );
+        assert!(bytes <= bound, "p={p}: {bytes} B sent > {bound}");
+        assert!(
+            bound < 24 * total,
+            "p={p}: the bound {bound} admits shipping every triple"
+        );
     }
 }

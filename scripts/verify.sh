@@ -114,9 +114,11 @@ done
 # into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
 # x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and the
 # overlap mask's tie on the local diagonal of off-diagonal blocks), the
-# 2x2 grid out of core and, at seed 7, a 4x4 grid (four blocks down a grid
-# column merge their tables of one-sequence k-mer columns, DESIGN.md §11)
-# must write the same bytes, and so must one rank and
+# 2x2, 3x3 and 4x4 grids out of core (the batch planner adds back the
+# one-sequence k-mers each rank counted at its source, DESIGN.md §11)
+# and, at seed 7, a 4x4 grid (four blocks down a grid column merge their
+# tables of one-sequence k-mer columns) must write the same bytes, and so
+# must one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
 # one rank and a 2x2 grid, under ANI and under NS (whose PSG at seeds 7
 # and 26 is also pinned by `cksum`); in x-drop mode with the reduced
@@ -153,7 +155,7 @@ subs_psg() { # <out.tsv> <--ranks value and any further flags>
 for seed in 7 26 1400845388; do
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
     xp_psg "$xp_tmp/p1.tsv" xd 1
-    for cfg in "4" "9" "4 --mem-budget 16m"; do
+    for cfg in "4" "9" "4 --mem-budget 16m" "9 --mem-budget 16m" "16 --mem-budget 16m"; do
         # shellcheck disable=SC2086  # $cfg is a flag list
         xp_psg "$xp_tmp/px.tsv" xd $cfg
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
