@@ -36,7 +36,7 @@ use crate::json::JsonValue;
 
 /// Default ring capacity (events retained per rank). Sized to hold the
 /// tail of a pipeline run — a few stages of spans plus their messages —
-/// while keeping a ring under 200 KiB.
+/// in a ring of 224 KiB (56 B per event).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// What a ring event records.
@@ -116,8 +116,10 @@ struct Ring {
     epoch: Instant,
     cap: usize,
     next_seq: u64,
-    /// Ring storage; once `events.len() == cap`, `head` is the index of
-    /// the oldest event and new events overwrite from there.
+    /// Ring storage, allocated whole when the ring is made, so its bytes
+    /// stay the same all run and no regrowth copies it inside a memory
+    /// window; once `events.len() == cap`, `head` is the index of the
+    /// oldest event and new events overwrite from there.
     events: Vec<BbEvent>,
     head: usize,
     /// Events overwritten by the wrap — lost to the postmortem. Reported
@@ -222,7 +224,7 @@ impl RankRing {
             epoch: Instant::now(),
             cap,
             next_seq: 0,
-            events: Vec::with_capacity(cap.min(1024)),
+            events: Vec::with_capacity(cap),
             head: 0,
             dropped: 0,
             stages: Vec::new(),

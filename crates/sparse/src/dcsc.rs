@@ -178,6 +178,19 @@ impl<V> Dcsc<V> {
         (&self.ir[s..e], &self.num[s..e])
     }
 
+    /// Position of the i-th non-empty column's first entry in
+    /// [`values`](Self::values).
+    #[inline]
+    pub(crate) fn col_start(&self, i: usize) -> usize {
+        self.cp[i]
+    }
+
+    /// Every stored value, in column-major order.
+    #[inline]
+    pub(crate) fn values(&self) -> &[V] {
+        &self.num
+    }
+
     /// Look up a column by id (binary search over `jc`).
     pub fn col(&self, c: u64) -> Option<(&[u32], &[V])> {
         self.jc.binary_search(&c).ok().map(|i| self.col_by_index(i))

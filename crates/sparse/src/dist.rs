@@ -135,21 +135,31 @@ impl Shuffle<'_> {
     /// Per owner, one bit per key of `keys` it owns, in input order: set
     /// when the owner keeps the key's column, which it decides from the
     /// column ids alone. Each owner is sent the column ids of its keys
-    /// (`counts` are their [`counts`](Self::counts)), marks them in a
-    /// [`OnceTable`] merged down its grid column, whose blocks hold the
-    /// other rows of the same columns, and sends back a bit per id.
-    /// Collective.
+    /// (`counts` are their [`counts`](Self::counts)) local to its block,
+    /// as `u32`, marks them — global again — in a [`OnceTable`] merged
+    /// down its grid column, whose blocks hold the other rows of the same
+    /// columns, and sends back a bit per id. Collective.
     fn kept_bits(&self, counts: &[usize], keys: impl Iterator<Item = (u64, u64)>) -> Vec<Vec<u64>> {
-        let mut ids: Vec<Vec<u64>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
-        keys.for_each(|(r, c)| ids[self.owner(r, c)].push(c));
+        let q = self.grid.q();
+        assert!(
+            self.ncols.div_ceil(q as u64) <= 1 << 32,
+            "a block's column ids must fit u32"
+        );
+        let mut ids: Vec<Vec<u32>> = counts.iter().map(|&k| Vec::with_capacity(k)).collect();
+        keys.for_each(|(r, c)| {
+            let c0 = block_range(self.ncols, q, block_owner(self.ncols, q, c)).0;
+            ids[self.owner(r, c)].push((c - c0) as u32);
+        });
         let world = self.grid.world();
         let received = world.alltoallv(ids);
         let len = received.iter().map(Vec::len).sum();
-        let table = OnceTable::of_grid_col(self.grid, len, received.iter().flatten().copied());
+        let c0 = block_range(self.ncols, q, self.grid.mycol()).0;
+        let global = |id: &u32| c0 + u64::from(*id);
+        let table = OnceTable::of_grid_col(self.grid, len, received.iter().flatten().map(global));
         let bits = (received.into_iter())
             .map(|part| {
                 let mut words = vec![0u64; part.len().div_ceil(64)];
-                for (i, _) in part.iter().enumerate().filter(|&(_, &c)| table.keeps(c)) {
+                for (i, _) in (part.iter().enumerate()).filter(|&(_, id)| table.keeps(global(id))) {
                     words[i / 64] |= 1 << (i % 64);
                 }
                 words
@@ -330,10 +340,11 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     /// `source()` yields, sizes it (a wrong value costs only more kept
     /// columns). On a larger grid no triple moves before its column is
     /// judged: a second read of the source sends each owner the column ids
-    /// of its triples (8 B each), the owner marks them in a table sized on
-    /// its grid column's ids, merged down the grid column, whose blocks
-    /// hold the other rows of the same columns, and answers one bit per
-    /// id; a third read then ships only the kept triples.
+    /// of its triples (4 B each, local to the owner's block), the owner
+    /// marks them in a table sized on its grid column's ids, merged down
+    /// the grid column, whose blocks hold the other rows of the same
+    /// columns, and answers one bit per id; a third read then ships only
+    /// the kept triples.
     pub fn from_source_shared<I>(
         grid: Rc<Grid>,
         nrows: u64,
@@ -386,7 +397,7 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         // triples, so the trace has one shape on every grid.
         let world = grid.world();
         let kept = Kept(shared.map(|entries| {
-            world.alltoallv(vec![Vec::<u64>::new()]);
+            world.alltoallv(vec![Vec::<u32>::new()]);
             let cols = source().map(|(r, c, _)| {
                 shuffle.check(r, c);
                 c
@@ -694,7 +705,12 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
                     None => local_spgemm(&a_blk, &b_blk, sr, strategy),
                 }
             };
-            acc.extend(triples);
+            // The first stage's output is the buffer itself, not a copy.
+            if acc.is_empty() {
+                acc = triples;
+            } else {
+                acc.extend(triples);
+            }
         }
         // Stable sort keeps stage order for duplicates, so the add fold is
         // in ascending global inner index — identical for every grid size.

@@ -113,10 +113,14 @@ pub fn local_spgemm<SR: Semiring>(
 /// inner index that only one operand holds is ever looked up, and no
 /// dropped entry is ever formed. Two passes: count the kept contributions
 /// of each output column, then scatter them, in ascending inner index,
-/// into exact-size column slots. Each column is then sorted stably by row
-/// and folded with `sr.add`, so every entry folds in ascending inner index
-/// as in [`local_spgemm`], and the output has its layout: column-major
-/// sorted triples with local indices.
+/// into exact-size column slots. A slot is 12 bytes, `(i, k, l)`: the row
+/// and the positions of `A(i,t)` and `B(t,j)` in their operands' value
+/// arrays, so no product is formed before the fold. Each column is then
+/// sorted stably by row, its distinct rows counted to size the output
+/// exactly, and folded: `sr.multiply` of a slot's two values, then
+/// `sr.add` into its row's entry. Every entry folds in ascending inner
+/// index as in [`local_spgemm`], and the output has its layout:
+/// column-major sorted triples with local indices.
 pub(crate) fn masked_outer_spgemm<SR: Semiring>(
     a: &Dcsc<SR::A>,
     b_rows: &Dcsc<SR::B>,
@@ -125,6 +129,10 @@ pub(crate) fn masked_outer_spgemm<SR: Semiring>(
     sr: &SR,
 ) -> Vec<(u32, u64, SR::C)> {
     assert_eq!(a.ncols(), b_rows.ncols(), "inner dimension mismatch");
+    assert!(
+        u32::try_from(a.nnz()).is_ok() && u32::try_from(b_rows.nnz()).is_ok(),
+        "a masked product indexes each operand's entries by u32"
+    );
     let width = b_cols.end.saturating_sub(b_cols.start) as usize;
     // Pass 1: kept contributions per output column.
     let mut starts = vec![0usize; width + 1];
@@ -143,17 +151,15 @@ pub(crate) fn masked_outer_spgemm<SR: Semiring>(
     );
     pcomm::work::record_class(total as u64, pcomm::work::CostClass::SpgemmFlop);
 
-    // Pass 2: scatter `(i, A(i,t)·B(t,j))` into column `j`'s slots.
-    let mut slots: Vec<(u32, SR::C)> = Vec::with_capacity(total);
+    // Pass 2: scatter `(i, k, l)`, with `A(i,t)` the k-th value of `a` and
+    // `B(t,j)` the l-th of `b_rows`, into column `j`'s slots.
+    let mut slots: Vec<(u32, u32, u32)> = Vec::with_capacity(total);
     let spare = &mut slots.spare_capacity_mut()[..total];
     let mut next = starts[..width].to_vec();
-    for_each_kept(a, b_rows, &b_cols, &row_end, |arows, avals, j, bv| {
+    for_each_kept(a, b_rows, &b_cols, &row_end, |arows, a_at, j, l| {
         let at = &mut next[(j - b_cols.start) as usize];
-        for (slot, (&i, av)) in spare[*at..].iter_mut().zip(arows.iter().zip(avals)) {
-            let c = sr
-                .multiply(av, bv)
-                .expect("a masked semiring keeps every pair");
-            slot.write((i, c));
+        for (slot, (&i, k)) in spare[*at..].iter_mut().zip(arows.iter().zip(a_at..)) {
+            slot.write((i, k, l));
         }
         *at += arows.len();
     });
@@ -168,49 +174,51 @@ pub(crate) fn masked_outer_spgemm<SR: Semiring>(
     unsafe { slots.set_len(total) };
     obs::alloc::probe("mem.watermark.sparse.accum", &slots);
 
-    // Fold each column: equal rows are adjacent after the stable sort, in
-    // ascending inner index.
-    let mut out: Vec<(u32, u64, SR::C)> = Vec::new();
-    for w in starts.windows(2).filter(|w| w[1] - w[0] > 1) {
-        slots[w[0]..w[1]].sort_by_key(|&(i, _)| i);
+    // Sort each column: equal rows are adjacent after the stable sort, in
+    // ascending inner index. Each run of equal rows is one output entry.
+    let mut entries = 0;
+    for w in starts.windows(2) {
+        let col = &mut slots[w[0]..w[1]];
+        col.sort_by_key(|&(i, _, _)| i);
+        entries += col.chunk_by(|x, y| x.0 == y.0).count();
     }
-    let mut vals = slots.into_iter();
+    let (avals, bvals) = (a.values(), b_rows.values());
+    let product = |&(_, k, l): &(u32, u32, u32)| {
+        sr.multiply(&avals[k as usize], &bvals[l as usize])
+            .expect("a masked semiring keeps every pair")
+    };
+    let mut out: Vec<(u32, u64, SR::C)> = Vec::with_capacity(entries);
     for (c, w) in starts.windows(2).enumerate() {
-        let n = w[1] - w[0];
-        if n == 0 {
+        let col = &slots[w[0]..w[1]];
+        if col.is_empty() {
             continue;
         }
-        obs::hist!("spgemm.col_flops", n);
+        obs::hist!("spgemm.col_flops", col.len());
         let j = b_cols.start + c as u64;
-        let mut current: Option<(u32, SR::C)> = None;
-        for (i, v) in vals.by_ref().take(n) {
-            match &mut current {
-                Some((r, acc)) if *r == i => sr.add(acc, v),
-                _ => {
-                    if let Some((r, acc)) = current.replace((i, v)) {
-                        out.push((r, j, acc));
-                    }
-                }
+        for run in col.chunk_by(|x, y| x.0 == y.0) {
+            let mut acc = product(&run[0]);
+            for slot in &run[1..] {
+                sr.add(&mut acc, product(slot));
             }
-        }
-        if let Some((r, acc)) = current {
-            out.push((r, j, acc));
+            out.push((run[0].0, j, acc));
         }
     }
+    debug_assert_eq!(out.len(), entries);
     out
 }
 
 /// Walk the kept contributions of a masked product (see
 /// [`masked_outer_spgemm`]) in ascending inner index: for every inner
 /// index `t` both operands hold and every `B(t, j)` with `j` in `b_cols`,
-/// call `visit` with the rows of `A(·, t)` below `row_end(j)`, their
-/// values, `j` and `B(t, j)`, unless there are no such rows.
+/// call `visit` with the rows of `A(·, t)` below `row_end(j)`, the
+/// position of the first of them in `a`'s values, `j` and the position of
+/// `B(t, j)` in `b_rows`' values, unless there are no such rows.
 fn for_each_kept<A, B>(
     a: &Dcsc<A>,
     b_rows: &Dcsc<B>,
     b_cols: &Range<u64>,
     row_end: impl Fn(u64) -> u64,
-    mut visit: impl FnMut(&[u32], &[A], u64, &B),
+    mut visit: impl FnMut(&[u32], u32, u64, u32),
 ) {
     let (acols, bcols) = (a.cols(), b_rows.cols());
     let whole = b_cols.start == 0 && b_cols.end >= b_rows.nrows() as u64;
@@ -220,8 +228,9 @@ fn for_each_kept<A, B>(
             Ordering::Less => ia += 1,
             Ordering::Greater => ib += 1,
             Ordering::Equal => {
-                let (arows, avals) = a.col_by_index(ia);
-                let (brows, bvals) = b_rows.col_by_index(ib);
+                let arows = a.col_by_index(ia).0;
+                let brows = b_rows.col_by_index(ib).0;
+                let (a_at, b_at) = (a.col_start(ia), b_rows.col_start(ib));
                 ia += 1;
                 ib += 1;
                 // One A row and one B entry on or below the diagonal keep
@@ -242,13 +251,14 @@ fn for_each_kept<A, B>(
                     )
                 };
                 // The kept rows are a prefix of the ascending A column that
-                // only grows with `j`.
+                // only grows with `j`. Both operands' nnz fit `u32`, so do
+                // their positions.
                 let mut kept = 0;
-                for (&j, bv) in brows[s..e].iter().zip(&bvals[s..e]) {
+                for (l, &j) in (b_at + s..).zip(&brows[s..e]) {
                     let end = row_end(u64::from(j));
                     kept += arows[kept..].partition_point(|&i| u64::from(i) < end);
                     if kept > 0 {
-                        visit(&arows[..kept], &avals[..kept], u64::from(j), bv);
+                        visit(&arows[..kept], a_at as u32, u64::from(j), l as u32);
                     }
                 }
             }

@@ -428,10 +428,10 @@ fn from_source_shared_drops_only_one_triple_columns() {
 }
 
 /// On a grid `from_source_shared` ships no triple before its column is
-/// judged: a column id (8 B) per triple to its owner, a keep bit back, then
-/// the kept triples (24 B each). The one-sequence table merged down each
-/// grid column costs 2 B per id, sent `2(q − 1)` times by the allreduce of
-/// its `q` ranks. On mostly one-triple columns the total stays far below
+/// judged: a column id local to the owner's block (4 B) per triple to its
+/// owner, a keep bit back, then the kept triples (24 B each). The
+/// one-sequence table merged down each grid column costs 2 B per id, sent
+/// `2(q − 1)` times by the allreduce of its `q` ranks. On mostly one-triple columns the total stays far below
 /// the 24 B per triple of shipping every triple.
 #[test]
 fn from_source_shared_ships_only_the_kept_triples() {
@@ -458,7 +458,7 @@ fn from_source_shared_ships_only_the_kept_triples() {
         let msgs: u64 = runs.iter().map(|r| r.1).sum();
         let kept = total - runs.iter().map(|r| r.2).sum::<u64>();
         assert!(kept < total / 4, "p={p}: {kept} of {total} triples kept");
-        let bound = 8 * total + total / 8 + 24 * kept + 4 * (q - 1) * total + 64 * msgs;
+        let bound = 4 * total + total / 8 + 24 * kept + 4 * (q - 1) * total + 64 * msgs;
         eprintln!(
             "p={p}: {bytes} B sent for {total} triples ({kept} kept), bound {bound}, \
              {:.1} B per triple",

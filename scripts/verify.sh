@@ -110,28 +110,28 @@ for pin in "xd_exact 26 2645 0x0e819f1c197c51eb" "xd_exact 1400845388 2363 0x1d8
 done
 # Cross-p lane: "connections found in the PSG are oblivious to the number
 # of processes" (paper §V) on the benchmark's 3.5k input and flags, at the
-# reference seed and at two seeds where operand order used to leak the grid
-# into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed it. In
-# x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and the
-# overlap mask's tie on the local diagonal of off-diagonal blocks), the
-# 2x2, 3x3 and 4x4 grids out of core (the batch planner adds back the
-# one-sequence k-mers each rank counted at its source, DESIGN.md §11)
-# and, at seed 7, a 4x4 grid (four blocks down a grid column merge their
-# tables of one-sequence k-mer columns) must write the same bytes, and so
-# must one rank and
+# reference seed and at two seeds where operand order used to leak the
+# grid into an edge weight (DESIGN.md §7) — seeds 7 and 11 never showed
+# it. In x-drop mode one rank, a 2x2 grid, a 3x3 grid (uneven blocks, and
+# the overlap mask's tie on the local diagonal of off-diagonal blocks),
+# the 2x2, 3x3 and 4x4 grids out of core (the batch planner adds back the
+# one-sequence k-mers each rank counted at its source, DESIGN.md §11) and,
+# at seed 7, a 4x4 grid (four blocks down a grid column merge their tables
+# of one-sequence k-mer columns) must write the same bytes, and so must
+# one rank, both grids and the 2x2 grid out of core without alignment
+# (every candidate pair of the masked overlap product), and one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
 # one rank and a 2x2 grid, under ANI and under NS (whose PSG at seeds 7
 # and 26 is also pinned by `cksum`); in x-drop mode with the reduced
-# alphabet, one rank and both grids (pinned by `cksum` at seeds 7 and
-# 26 too). The substitute path (`--subs 25 --ck 3`, the
-# `subs_ck` flags, on a 400-sequence input) builds `S` over the k-mers `A`
-# holds, and only a grid runs the filter on arrival as well as at the
-# source (DESIGN.md §4): one rank and both grids must write the same
-# bytes, and so must one rank and a 2x2 grid with the pre-filter. Its
-# batch loop (the symmetrised B as two masked halves per column batch)
-# must write them too: one rank and a 2x2 grid under a budget of many
-# batches, and a checkpointed run and its rerun, which restores every
-# batch.
+# alphabet, one rank and both grids (pinned by `cksum` at seeds 7 and 26
+# too). The substitute path (`--subs 25 --ck 3`, the `subs_ck` flags, on a
+# 400-sequence input) builds `S` over the k-mers `A` holds, and only a
+# grid runs the filter on arrival as well as at the source (DESIGN.md §4):
+# one rank and both grids must write the same bytes, and so must one rank
+# and a 2x2 grid with the pre-filter. Its batch loop (the symmetrised B as
+# two masked halves per column batch) must write them too: one rank and a
+# 2x2 grid under a budget of many batches, and a checkpointed run and its
+# rerun, which restores every batch.
 xp_tmp="$(mktemp -d)"
 xp_psg() { # <out.tsv> <mode> <--ranks value and any further flags>
     local out="$1" mode="$2"
@@ -166,6 +166,19 @@ for seed in 7 26 1400845388; do
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: PSG at --ranks 16 differs from --ranks 1"; exit 1; }
     fi
+    # Alignment-free (`--mode none`, the `sparse_only` protocol): the PSG
+    # is every candidate pair, so the masked local products are compared
+    # whole, not only the pairs x-drop keeps. It must hold more pairs than
+    # the x-drop PSG and write the same bytes on every grid and batching.
+    xp_psg "$xp_tmp/c1.tsv" none 1
+    [[ "$(wc -l <"$xp_tmp/c1.tsv")" -gt "$(wc -l <"$xp_tmp/p1.tsv")" ]] \
+        || { echo "verify: seed $seed: --mode none wrote no more pairs than x-drop kept"; exit 1; }
+    for cfg in "4" "9" "4 --mem-budget 16m"; do
+        # shellcheck disable=SC2086  # $cfg is a flag list
+        xp_psg "$xp_tmp/cx.tsv" none $cfg
+        cmp "$xp_tmp/c1.tsv" "$xp_tmp/cx.tsv" \
+            || { echo "verify: seed $seed: --mode none PSG at --ranks $cfg differs from --ranks 1"; exit 1; }
+    done
     # The k-mer frequency pre-filter: it must prune (a different edge count
     # from the unpruned PSG above, so the lane cannot pass vacuously) and
     # write the same bytes on every grid.
