@@ -309,13 +309,7 @@ fn main() {
             exit(1);
         }
     };
-    // Names for the report (records are numbered in file order, matching
-    // the pipeline's global ids).
-    let names: Vec<String> = seqstore::parse_fasta(&fasta)
-        .into_iter()
-        .map(|r| r.name)
-        .collect();
-    if names.is_empty() {
+    if seqstore::fasta_names(&fasta).next().is_none() {
         eprintln!("pastis: no sequences in {}", cli.input);
         exit(1);
     }
@@ -479,6 +473,9 @@ fn main() {
         },
         None => Box::new(std::io::BufWriter::new(std::io::stdout())),
     };
+    // Names for the report (records are numbered in file order, matching
+    // the pipeline's global ids), read once the ranks are done.
+    let names: Vec<String> = seqstore::fasta_names(&fasta).collect();
     for (i, j, w) in edges {
         writeln!(out, "{}\t{}\t{w:.4}", names[i as usize], names[j as usize])
             .expect("write failed");

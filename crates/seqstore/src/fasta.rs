@@ -21,6 +21,26 @@ pub fn parse_fasta(bytes: &[u8]) -> Vec<FastaRecord> {
     parse_from(bytes, first_header(bytes, 0), bytes.len())
 }
 
+/// The names of a whole FASTA buffer's records, in file order, read from
+/// the header lines alone: no residue is parsed or copied.
+pub fn fasta_names(bytes: &[u8]) -> impl Iterator<Item = String> + '_ {
+    // A `>` only opens a record at the start of a line.
+    bytes
+        .split(|&b| b == b'\n')
+        .filter_map(|line| line.strip_prefix(b">"))
+        .map(header_name)
+}
+
+/// A record's name: its header text (after the `>`) up to the first
+/// whitespace.
+fn header_name(header: &[u8]) -> String {
+    let end = header
+        .iter()
+        .position(|b| b.is_ascii_whitespace())
+        .unwrap_or(header.len());
+    String::from_utf8_lossy(&header[..end]).into_owned()
+}
+
 /// Serialize records to FASTA with 80-column wrapping.
 pub fn write_fasta(records: &[FastaRecord]) -> Vec<u8> {
     let mut out = Vec::new();
@@ -65,12 +85,7 @@ fn parse_from(bytes: &[u8], start: usize, limit: usize) -> Vec<FastaRecord> {
             .iter()
             .position(|&b| b == b'\n')
             .map_or(bytes.len(), |o| i + o);
-        let header = &bytes[i + 1..line_end];
-        let name_end = header
-            .iter()
-            .position(|b| b.is_ascii_whitespace())
-            .unwrap_or(header.len());
-        let name = String::from_utf8_lossy(&header[..name_end]).into_owned();
+        let name = header_name(&bytes[i + 1..line_end]);
         let mut residues = Vec::new();
         let mut j = (line_end + 1).min(bytes.len());
         let body_end = first_header(bytes, j);

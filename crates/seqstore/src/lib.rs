@@ -11,7 +11,7 @@ mod reduced;
 mod store;
 
 pub use alphabet::{aa_index, aa_letter, decode_seq, encode_seq, ALPHABET, SIGMA};
-pub use fasta::{parse_fasta, partition_fasta, write_fasta, FastaRecord};
+pub use fasta::{fasta_names, parse_fasta, partition_fasta, write_fasta, FastaRecord};
 pub use kmer::{kmer_id, kmer_string, kmer_unpack, kmer_unpack_into, kmers_of, KmerIter};
 pub use reduced::{kmers_of_reduced, murphy10, reduce_murphy10, MURPHY10_GROUPS};
 pub use store::{DistSeqStore, SeqExchange, SeqRecord};

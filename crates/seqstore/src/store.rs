@@ -6,11 +6,13 @@
 //! rank `(r, c)` to align pairs whose row sequence lies in row block `r` and
 //! whose column sequence lies in column block `c` — sequences it generally
 //! does not own. Rather than waiting for `B` to know exactly which are
-//! needed, PASTIS requests the *full ranges* up front (at most `2n/√p`
-//! sequences per rank) and overlaps the transfers with seed discovery and
-//! SpGEMM; a `waitall` after `B` is computed fences the exchange.
-
-use std::collections::BTreeMap;
+//! needed, PASTIS requests the *full ranges* up front and overlaps the
+//! transfers with seed discovery and SpGEMM; a `waitall` after `B` is
+//! computed fences the exchange.
+//!
+//! A rank receives its row block ∪ column block less what it owns, one copy
+//! of each sequence: at most `2n/√p` sequences, `n/√p` on a diagonal rank
+//! (whose two blocks are one range), and none at p = 1.
 
 use obs::HeapSize;
 use pcomm::{Comm, Grid, Payload, RecvFuture};
@@ -44,8 +46,8 @@ impl HeapSize for SeqRecord {
 const SEQ_XCHG_TAG: u64 = (1 << 29) + 11;
 
 /// The distributed dictionary: locally parsed sequences plus, after the
-/// exchange completes, the row-block and column-block sequence ranges this
-/// rank needs for alignment.
+/// exchange completes, the sequences of this rank's row and column blocks
+/// that it does not own, each held once.
 pub struct DistSeqStore {
     /// Total sequence count across all ranks.
     n_global: u64,
@@ -55,10 +57,9 @@ pub struct DistSeqStore {
     owned: Vec<SeqRecord>,
     /// Per-rank owned intervals `[start, end)`, indexed by world rank.
     intervals: Vec<(u64, u64)>,
-    /// Sequences covering my row block (filled by the exchange).
-    row_seqs: BTreeMap<u64, SeqRecord>,
-    /// Sequences covering my column block (filled by the exchange).
-    col_seqs: BTreeMap<u64, SeqRecord>,
+    /// Received runs of contiguous gids, disjoint from each other and from
+    /// `owned`, sorted by first gid (filled by the exchange).
+    fetched: Vec<Vec<SeqRecord>>,
 }
 
 /// In-flight sequence exchange; resolve with [`DistSeqStore::finish_exchange`].
@@ -102,8 +103,7 @@ impl DistSeqStore {
             owned_start,
             owned,
             intervals,
-            row_seqs: BTreeMap::new(),
-            col_seqs: BTreeMap::new(),
+            fetched: Vec::new(),
         };
         obs::alloc::probe("mem.watermark.seqstore.store", &store);
         store
@@ -141,17 +141,12 @@ impl DistSeqStore {
         self.intervals.partition_point(|&(s, _)| s <= gid) - 1
     }
 
-    /// Split the gid range `[lo, hi)` by owning rank.
-    fn owners_of_range(&self, lo: u64, hi: u64) -> Vec<(usize, u64, u64)> {
-        let mut out = Vec::new();
-        for (rank, &(s, e)) in self.intervals.iter().enumerate() {
-            let a = s.max(lo);
-            let b = e.min(hi);
-            if a < b {
-                out.push((rank, a, b));
-            }
-        }
-        out
+    /// The ranks other than `me` that own part of the gid range `[lo, hi)`.
+    fn other_owners_of(&self, me: usize, lo: u64, hi: u64) -> impl Iterator<Item = usize> + '_ {
+        let intervals = self.intervals.iter().enumerate();
+        intervals
+            .filter(move |&(r, &(s, e))| r != me && s.max(lo) < e.min(hi))
+            .map(|(r, _)| r)
     }
 
     /// Collective: start the background exchange that delivers the sequences
@@ -161,6 +156,9 @@ impl DistSeqStore {
     /// computed to reproduce the paper's communication/computation overlap.
     ///
     /// `row_range`/`col_range` are the global id ranges of my block of `B`.
+    /// No rank sends to itself, and a rank whose row block is its column
+    /// block gets that range once; sender and receiver derive both rules
+    /// alike, so no handshake is needed.
     pub fn start_exchange(
         &self,
         grid: &Grid,
@@ -168,100 +166,82 @@ impl DistSeqStore {
         col_range: (u64, u64),
     ) -> SeqExchange {
         let comm = grid.world();
-        let q = grid.q();
-        // Who needs my sequences? Every rank whose row or column range
-        // overlaps my owned interval. Compute destinations by symmetry: rank
-        // (r, c) needs rows of block r and cols of block c over n.
+        let (me, q) = (comm.rank(), grid.q());
+        // Rank (r, c) needs the rows of block r and the columns of block c;
+        // send it my part of each, skipping empty overlaps (the receiver
+        // skips them too).
         let (my_lo, my_hi) = self.owned_range();
-        for dst in 0..comm.size() {
-            let (dr, dc) = (dst / q, dst % q);
-            let need_rows = block_range(self.n_global, q, dr);
-            let need_cols = block_range(self.n_global, q, dc);
-            for (which, (lo, hi)) in [(0u64, need_rows), (1u64, need_cols)] {
-                let a = lo.max(my_lo);
-                let b = hi.min(my_hi);
-                // Send even when empty so the receiver can post matching
-                // receives without a handshake... empty overlaps are skipped
-                // on both sides instead (both sides derive them identically).
+        for dst in (0..comm.size()).filter(|&d| d != me) {
+            let need_rows = block_range(self.n_global, q, dst / q);
+            let need_cols = block_range(self.n_global, q, dst % q);
+            for (which, (lo, hi)) in needs(need_rows, need_cols) {
+                let (a, b) = (lo.max(my_lo), hi.min(my_hi));
                 if a < b {
-                    let batch: Vec<SeqRecord> =
-                        self.owned[(a - my_lo) as usize..(b - my_lo) as usize].to_vec();
+                    let batch = self.owned[(a - my_lo) as usize..(b - my_lo) as usize].to_vec();
                     comm.isend(dst, SEQ_XCHG_TAG + which, batch);
                 }
             }
         }
         // Post receives for my own needs.
         let mut pending = Vec::new();
-        for (which, (lo, hi)) in [(0u64, row_range), (1u64, col_range)] {
-            for (src, a, b) in self.owners_of_range(lo, hi) {
-                debug_assert!(a < b);
-                let fut = comm.irecv::<Vec<SeqRecord>>(src, SEQ_XCHG_TAG + which);
-                pending.push(fut);
+        for (which, (lo, hi)) in needs(row_range, col_range) {
+            for src in self.other_owners_of(me, lo, hi) {
+                pending.push(comm.irecv::<Vec<SeqRecord>>(src, SEQ_XCHG_TAG + which));
             }
         }
         SeqExchange { pending }
     }
 
-    /// Resolve the exchange (the `MPI_Waitall` fence) and install the
-    /// received row/column sequences. Returns the number received.
+    /// Resolve the exchange (the `MPI_Waitall` fence) and keep the received
+    /// runs. Returns the number of sequences received.
     pub fn finish_exchange(&mut self, ex: SeqExchange) -> usize {
-        let mut n = 0;
-        for fut in ex.pending {
-            let batch = fut.wait();
-            n += batch.len();
-            for s in batch {
-                // Row and column requests may overlap (diagonal blocks);
-                // keep both maps complete.
-                self.insert_fetched(s);
-            }
-        }
+        self.fetched = ex.pending.into_iter().map(|fut| fut.wait()).collect();
+        self.fetched.sort_unstable_by_key(|run| run[0].gid);
         obs::alloc::probe("mem.watermark.seqstore.store", self);
-        n
+        self.fetched.iter().map(Vec::len).sum()
     }
 
-    fn insert_fetched(&mut self, s: SeqRecord) {
-        // A record can serve both roles; store by gid in both maps lazily:
-        // the maps are views, membership is decided at lookup time, so just
-        // keep one copy in each map when in range of the respective block.
-        self.row_seqs.insert(s.gid, s.clone());
-        self.col_seqs.insert(s.gid, s);
-    }
-
-    /// A sequence fetched for my row block (or owned locally).
+    /// A sequence of my row block (fetched or owned).
     pub fn row_seq(&self, gid: u64) -> Option<&SeqRecord> {
-        self.row_seqs.get(&gid).or_else(|| self.owned_lookup(gid))
+        self.lookup(gid)
     }
 
-    /// A sequence fetched for my column block (or owned locally).
+    /// A sequence of my column block (fetched or owned).
     pub fn col_seq(&self, gid: u64) -> Option<&SeqRecord> {
-        self.col_seqs.get(&gid).or_else(|| self.owned_lookup(gid))
+        self.lookup(gid)
     }
 
-    fn owned_lookup(&self, gid: u64) -> Option<&SeqRecord> {
-        let (lo, hi) = self.owned_range();
-        (gid >= lo && gid < hi).then(|| &self.owned[(gid - lo) as usize])
+    fn lookup(&self, gid: u64) -> Option<&SeqRecord> {
+        let i = self.fetched.partition_point(|run| run[0].gid <= gid);
+        let fetched = i.checked_sub(1).and_then(|i| in_run(&self.fetched[i], gid));
+        fetched.or_else(|| in_run(&self.owned, gid))
     }
+}
+
+/// Sequence `gid` of `run`, a run of contiguous gids.
+fn in_run(run: &[SeqRecord], gid: u64) -> Option<&SeqRecord> {
+    run.get(gid.checked_sub(run.first()?.gid)? as usize)
+}
+
+/// The tagged ranges a rank with these row and column blocks receives: a
+/// range shared by both roles (a diagonal block) is received once.
+fn needs(rows: (u64, u64), cols: (u64, u64)) -> impl Iterator<Item = (u64, (u64, u64))> {
+    [(0, rows), (1, cols)]
+        .into_iter()
+        .take(if rows == cols { 1 } else { 2 })
 }
 
 impl HeapSize for DistSeqStore {
     fn heap_bytes(&self) -> usize {
         // The store is the watermarked structure `seqstore.store`: owned
-        // sequences (~n/p of the input) plus the fetched row/column block
-        // views (~2n/√p), which dominate at scale.
-        let fetched = |m: &BTreeMap<u64, SeqRecord>| {
-            m.values()
-                .map(|s| {
-                    8 + std::mem::size_of::<SeqRecord>()
-                        + obs::alloc::BTREE_ENTRY_OVERHEAD
-                        + s.heap_bytes()
-                })
-                .sum::<usize>()
-        };
-        self.owned.capacity() * std::mem::size_of::<SeqRecord>()
-            + self.owned.iter().map(HeapSize::heap_bytes).sum::<usize>()
+        // sequences (~n/p of the input) plus the fetched runs (at most
+        // ~2n/√p), which dominate at scale.
+        let records =
+            |v: &Vec<SeqRecord>| v.heap_bytes() + v.iter().map(HeapSize::heap_bytes).sum::<usize>();
+        records(&self.owned)
             + self.intervals.heap_bytes()
-            + fetched(&self.row_seqs)
-            + fetched(&self.col_seqs)
+            + self.fetched.heap_bytes()
+            + self.fetched.iter().map(records).sum::<usize>()
     }
 }
 

@@ -1,6 +1,7 @@
 //! Distributed sequence dictionary tests: global numbering, ownership, and
 //! the background row/column exchange across grid sizes.
 
+use obs::HeapSize;
 use pcomm::{Grid, World};
 use seqstore::{decode_seq, parse_fasta, write_fasta, DistSeqStore, FastaRecord};
 
@@ -149,6 +150,41 @@ fn per_rank_fetch_bounded_by_two_n_over_q() {
                 "rank {} received {received} > {bound}",
                 comm.rank()
             );
+        });
+    }
+}
+
+#[test]
+fn exchange_receives_each_missing_sequence_once() {
+    // A rank receives (row block ∪ column block) \ owned, one copy each:
+    // nothing at p = 1, a diagonal rank's one range once, and nothing it
+    // already owns. At p = 1 the exchange leaves the store as it was.
+    let bytes = make_fasta(64);
+    for p in [1usize, 4, 9, 16] {
+        World::run(p, |comm| {
+            let grid = Grid::new(&comm);
+            let mut store = DistSeqStore::from_fasta(&comm, &bytes);
+            let (n, q) = (store.len(), grid.q() as u64);
+            let block = |i: usize| i as u64 * n / q..(i as u64 + 1) * n / q;
+            let (rows, cols) = (block(grid.myrow()), block(grid.mycol()));
+            let (lo, hi) = store.owned_range();
+            let needed = |g: &u64| rows.contains(g) || cols.contains(g);
+            let want = (0..n)
+                .filter(|g| needed(g) && !(lo..hi).contains(g))
+                .count();
+            let before = store.heap_bytes();
+            let ex = store.start_exchange(&grid, (rows.start, rows.end), (cols.start, cols.end));
+            let received = store.finish_exchange(ex);
+            assert_eq!(received, want, "p={p} rank {}", comm.rank());
+            for g in 0..n {
+                let held = needed(&g) || (lo..hi).contains(&g);
+                assert_eq!(store.row_seq(g).is_some(), held, "p={p} gid {g}");
+                assert_eq!(store.col_seq(g).is_some(), held, "p={p} gid {g}");
+            }
+            if p == 1 {
+                assert_eq!(received, 0);
+                assert_eq!(store.heap_bytes(), before);
+            }
         });
     }
 }

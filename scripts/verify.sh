@@ -121,8 +121,9 @@ done
 # one rank, both grids and the 2x2 grid out of core without alignment
 # (every candidate pair of the masked overlap product), and one rank and
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
-# one rank and a 2x2 grid, under ANI and under NS (whose PSG at seeds 7
-# and 26 is also pinned by `cksum`); in x-drop mode with the reduced
+# one rank and both grids, under ANI and under NS (whose PSG at seeds 7
+# and 26 is also pinned by `cksum`), the 3x3 grid's diagonal ranks
+# receiving their one block once; in x-drop mode with the reduced
 # alphabet, one rank and both grids (pinned by `cksum` at seeds 7 and 26
 # too). The substitute path (`--subs 25 --ck 3`, the `subs_ck` flags, on a
 # 400-sequence input) builds `S` over the k-mers `A` holds, and only a
@@ -211,16 +212,20 @@ for seed in 7 26 1400845388; do
         exit 1
     fi
     xp_psg "$xp_tmp/p1.tsv" sw 1
-    xp_psg "$xp_tmp/px.tsv" sw 4
-    cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
-        || { echo "verify: seed $seed: --mode sw PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    for ranks in 4 9; do
+        xp_psg "$xp_tmp/px.tsv" sw "$ranks"
+        cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
+            || { echo "verify: seed $seed: --mode sw PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
+    done
     # Smith–Waterman under NS weighs edges from the score pass alone, with
-    # no traceback: the same bytes on both grids, and at seeds 7 and 26 the
+    # no traceback: the same bytes on every grid, and at seeds 7 and 26 the
     # bytes every pair's traceback used to give (`cksum` of the PSG).
     ns_psg "$xp_tmp/n1.tsv" 1
-    ns_psg "$xp_tmp/nx.tsv" 4
-    cmp "$xp_tmp/n1.tsv" "$xp_tmp/nx.tsv" \
-        || { echo "verify: seed $seed: --measure ns PSG at --ranks 4 differs from --ranks 1"; exit 1; }
+    for ranks in 4 9; do
+        ns_psg "$xp_tmp/nx.tsv" "$ranks"
+        cmp "$xp_tmp/n1.tsv" "$xp_tmp/nx.tsv" \
+            || { echo "verify: seed $seed: --measure ns PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
+    done
     case "$seed" in
         7) ns_pin="1956222210 233338" ;;
         26) ns_pin="3440527576 239674" ;;
