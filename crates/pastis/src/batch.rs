@@ -19,13 +19,16 @@ use sparse::DistMat;
 
 /// Bytes charged per estimated multiply flop when sizing a batch.
 ///
-/// One flop can contribute a `(u32, u64, SeedPair)` stage triple (~40
-/// bytes payload) that transiently coexists with the local multiply's
-/// stage buffer and the fold's stable sort of the accumulated triples,
-/// and `Vec` growth doubling can briefly hold both the old and new triple
-/// buffers. 128 bytes/flop covers the sum with allocator slack; the
-/// release `ALLOC_TRACK=1` acceptance test (`ooc_budget.rs`) checks the
-/// measured peak stays under budgets sized with this constant.
+/// A weight counts the flops of `A·Aᵀ`'s column before the mask. The
+/// masked local multiply holds one 12-byte slot per flop it keeps (the
+/// row and the positions of the two operand values), sized exactly per
+/// column, and folds each column's slots into one `(u32, u64, SeedPair)`
+/// triple per distinct row; SUMMA's fold then stably sorts the triples
+/// its stages accumulate. The constant dates from when every flop held a
+/// ~40-byte stage triple, so it over-charges today's slots; it is kept
+/// because changing it moves every plan's batch count. The release
+/// `ALLOC_TRACK=1` acceptance test (`ooc_budget.rs`) checks the measured
+/// peak stays under budgets sized with this constant.
 pub const OOC_BYTES_PER_FLOP: u64 = 128;
 
 /// A batched-run plan: contiguous global column ranges of `B`, ascending,

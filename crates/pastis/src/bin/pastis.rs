@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! pastis --input proteins.fasta [--output psg.tsv] [--ranks 4] [--k 6]
-//!        [--subs 25] [--mode xd|sw] [--ck N] [--measure ani|ns]
-//!        [--min-ani 0.3] [--min-cov 0.7] [--max-kmer-freq N] [--threads N] [--reduced]
+//!        [--subs 25] [--mode xd|sw|none] [--ck N] [--measure ani|ns]
+//!        [--min-ani 0.3] [--min-cov 0.7] [--max-kmer-freq N] [--threads N]
 //!        [--trace trace.json] [--cluster] [--monitor]
 //!        [--mem-budget SIZE] [--ckpt-dir DIR]
 //! ```
@@ -62,8 +62,8 @@ struct Cli {
 fn usage() -> ! {
     eprintln!(
         "usage: pastis --input <fasta> [--output <tsv>] [--ranks N] [--k N] \
-         [--subs N] [--mode xd|sw] [--ck N] [--measure ani|ns] [--min-ani F] \
-         [--min-cov F] [--max-kmer-freq N] [--threads N] [--reduced] [--quiet] \
+         [--subs N] [--mode xd|sw|none] [--ck N] [--measure ani|ns] [--min-ani F] \
+         [--min-cov F] [--max-kmer-freq N] [--threads N] [--quiet] \
          [--trace <json>] [--cluster] [--monitor] [--mem-budget SIZE[k|m|g]] \
          [--ckpt-dir <dir>]"
     );
@@ -83,44 +83,45 @@ fn parse_cli() -> Cli {
     let mut cutoff = None;
     let mut params = PastisParams::default();
     while let Some(flag) = args.next() {
-        let mut val = || args.next().unwrap_or_else(|| usage());
+        let mut val = || (args.next()).unwrap_or_else(|| reject(format!("{flag} needs a value")));
         match flag.as_str() {
             "--input" => input = Some(val()),
             "--output" => output = Some(val()),
-            "--ranks" => ranks = val().parse().unwrap_or_else(|_| usage()),
-            "--k" => params.k = val().parse().unwrap_or_else(|_| usage()),
-            "--subs" => params.substitutes = val().parse().unwrap_or_else(|_| usage()),
+            "--ranks" => ranks = parse(&flag, val()),
+            "--k" => params.k = parse(&flag, val()),
+            "--subs" => params.substitutes = parse(&flag, val()),
             "--mode" => {
-                params.mode = match val().as_str() {
+                let v = val();
+                params.mode = match v.as_str() {
                     "xd" => AlignMode::XDrop,
                     "sw" => AlignMode::SmithWaterman,
                     "none" => AlignMode::None,
-                    _ => usage(),
+                    _ => bad_value(&flag, &v),
                 }
             }
-            "--ck" => params.common_kmer_threshold = val().parse().unwrap_or_else(|_| usage()),
+            "--ck" => params.common_kmer_threshold = parse(&flag, val()),
             "--measure" => {
-                params.measure = match val().as_str() {
+                let v = val();
+                params.measure = match v.as_str() {
                     "ani" => SimilarityMeasure::Ani,
                     "ns" => SimilarityMeasure::NormalizedScore,
-                    _ => usage(),
+                    _ => bad_value(&flag, &v),
                 }
             }
             "--min-ani" => {
-                params.min_ani = val().parse().unwrap_or_else(|_| usage());
+                params.min_ani = parse(&flag, val());
                 cutoff = Some("--min-ani");
             }
             "--min-cov" => {
-                params.min_coverage = val().parse().unwrap_or_else(|_| usage());
+                params.min_coverage = parse(&flag, val());
                 cutoff = Some("--min-cov");
             }
-            "--max-kmer-freq" => {
-                params.max_kmer_frequency = Some(val().parse().unwrap_or_else(|_| usage()))
-            }
-            "--threads" => params.threads = val().parse().unwrap_or_else(|_| usage()),
-            "--reduced" => params.reduced_alphabet = true,
+            "--max-kmer-freq" => params.max_kmer_frequency = Some(parse(&flag, val())),
+            "--threads" => params.threads = parse(&flag, val()),
             "--mem-budget" => {
-                params.mem_budget_bytes = Some(parse_size(&val()).unwrap_or_else(|| usage()))
+                let v = val();
+                params.mem_budget_bytes =
+                    Some(parse_size(&v).unwrap_or_else(|| bad_value(&flag, &v)))
             }
             "--ckpt-dir" => params.ckpt_dir = Some(std::path::PathBuf::from(val())),
             "--quiet" => quiet = true,
@@ -128,10 +129,7 @@ fn parse_cli() -> Cli {
             "--cluster" => cluster = true,
             "--monitor" => monitor = true,
             "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag: {other}");
-                usage();
-            }
+            other => reject(format!("unknown flag: {other}")),
         }
     }
     let input = input.unwrap_or_else(|| usage());
@@ -167,10 +165,6 @@ fn parse_cli() -> Cli {
         eprintln!("--max-kmer-freq must be positive (0 would drop every k-mer)");
         exit(2);
     }
-    if params.reduced_alphabet && params.substitutes > 0 {
-        eprintln!("--reduced and --subs N > 0 are mutually exclusive seeding modes");
-        exit(2);
-    }
     let monitor_ms = monitor.then(|| match std::env::var("PASTIS_MONITOR_MS") {
         Err(std::env::VarError::NotPresent) => 200,
         Ok(v) => match v.parse() {
@@ -195,6 +189,22 @@ fn parse_cli() -> Cli {
         cluster,
         monitor_ms,
     }
+}
+
+/// Exit 2 with `msg` as the one line on stderr.
+fn reject(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    exit(2);
+}
+
+/// Exit 2 naming `flag` and the `value` it cannot take.
+fn bad_value(flag: &str, value: &str) -> ! {
+    reject(format!("{flag}: invalid value {value:?}"))
+}
+
+/// `value` parsed as `flag`'s value, or exit 2 naming both.
+fn parse<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value.parse().unwrap_or_else(|_| bad_value(flag, &value))
 }
 
 /// Parse a byte size with optional `k`/`m`/`g` (binary) suffix.

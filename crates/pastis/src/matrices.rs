@@ -4,9 +4,11 @@
 use std::rc::Rc;
 
 use pcomm::{Comm, Grid};
-use seqstore::{kmers_of, kmers_of_reduced, SeqRecord, SIGMA};
+use seqstore::{kmers_of, SeqRecord, SIGMA};
 use sparse::{Dcsc, DistMat};
 use subkmer::{build_s_rows, ExpenseTable};
+
+use crate::params::REDUCED_ALPHABET_REFUSAL;
 
 /// Size of the k-mer id space, `24^k`.
 pub fn kmer_space(k: usize) -> u64 {
@@ -93,14 +95,8 @@ pub fn prune_frequent_kmers(a: &mut DistMat<u32>, limit: u32) -> Vec<u32> {
 /// Where a k-mer occurs several times in one sequence the earliest
 /// position is kept. Equal, block for block, to `DistMat::from_triples`
 /// of [`build_a_triples`] under the same fold. Collective.
-pub fn form_a(
-    grid: &Rc<Grid>,
-    owned: &[SeqRecord],
-    n: u64,
-    k: usize,
-    reduced: bool,
-) -> DistMat<u32> {
-    let source = || a_entries(owned, k, reduced);
+pub fn form_a(grid: &Rc<Grid>, owned: &[SeqRecord], n: u64, k: usize) -> DistMat<u32> {
+    let source = || a_entries(owned, k);
     DistMat::from_source(Rc::clone(grid), n, kmer_space(k), source, |a, b| {
         *a = (*a).min(b)
     })
@@ -121,9 +117,8 @@ pub fn form_shared_a(
     owned: &[SeqRecord],
     n: u64,
     k: usize,
-    reduced: bool,
 ) -> (DistMat<u32>, Vec<u32>) {
-    let source = || a_entries(owned, k, reduced);
+    let source = || a_entries(owned, k);
     let (a, dropped) = DistMat::from_source_shared(
         Rc::clone(grid),
         n,
@@ -138,7 +133,7 @@ pub fn form_shared_a(
 }
 
 /// How many entries [`a_entries`] yields: exactly `L − k + 1` k-mers per
-/// sequence (reduction keeps lengths).
+/// sequence.
 fn entry_count(owned: &[SeqRecord], k: usize) -> usize {
     (owned.iter())
         .map(|s| (s.data.len() + 1).saturating_sub(k))
@@ -146,24 +141,9 @@ fn entry_count(owned: &[SeqRecord], k: usize) -> usize {
 }
 
 /// The entries `(sequence gid, k-mer id, starting position)` of a rank's
-/// owned sequences, sequence by sequence, k-mers in position order. With
-/// `reduced`, k-mers are drawn from the Murphy-10 reduction of the
-/// sequence (group indexes live inside the 24-letter base space, so ids
-/// and dimensions are unchanged — the space is simply occupied more
-/// densely per k-mer).
-fn a_entries(
-    owned: &[SeqRecord],
-    k: usize,
-    reduced: bool,
-) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
-    owned.iter().flat_map(move |s| {
-        let kmers = if reduced {
-            kmers_of_reduced(&s.data, k)
-        } else {
-            kmers_of(&s.data, k)
-        };
-        kmers.map(move |(kid, pos)| (s.gid, kid, pos))
-    })
+/// owned sequences, sequence by sequence, k-mers in position order.
+fn a_entries(owned: &[SeqRecord], k: usize) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+    (owned.iter()).flat_map(move |s| kmers_of(&s.data, k).map(move |(kid, pos)| (s.gid, kid, pos)))
 }
 
 /// The owned sequences' [`a_entries`], collected: the triples whose
@@ -171,9 +151,15 @@ fn a_entries(
 /// several times in one sequence, each occurrence is a triple; the
 /// matrix keeps the earliest position (deterministic; it stores *a*
 /// starting position per paper Fig. 2).
+///
+/// # Panics
+///
+/// On `reduced`: reduced-alphabet seeding is retired, and the argument
+/// stays only because the frozen benchmark harness passes it.
 pub fn build_a_triples(owned: &[SeqRecord], k: usize, reduced: bool) -> Vec<(u64, u64, u32)> {
+    assert!(!reduced, "{REDUCED_ALPHABET_REFUSAL}");
     let mut out = Vec::with_capacity(entry_count(owned, k));
-    a_entries(owned, k, reduced).for_each(|t| out.push(t));
+    a_entries(owned, k).for_each(|t| out.push(t));
     out
 }
 

@@ -3,6 +3,12 @@
 use align::{AlignParams, SimilarityMeasure};
 use sparse::SpGemmStrategy;
 
+/// Why [`PastisParams::reduced_alphabet`] and `build_a_triples`'s
+/// `reduced` are refused.
+pub(crate) const REDUCED_ALPHABET_REFUSAL: &str =
+    "reduced-alphabet seeding is retired: exact seeding at a smaller k finds \
+     more family edges at every candidate count (EXPERIMENTS.md)";
+
 /// Alignment mode for candidate pairs (paper §IV-E).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignMode {
@@ -33,11 +39,11 @@ pub struct PastisParams {
     /// k-mers before alignment (`CK` variants; paper uses 1 for exact and
     /// 3 for substitute k-mers).
     pub common_kmer_threshold: u32,
-    /// Seed in the Murphy-10 reduced amino acid alphabet instead of the
-    /// full 24-letter one (DIAMOND's sensitivity trick, paper §III):
-    /// diverged homologs share more seeds at the cost of more candidates.
-    /// Alignment always runs in the full alphabet. Incompatible with
-    /// substitute k-mers (the expense table is 24-letter).
+    /// Retired: `true` is refused. Reduced-alphabet (Murphy-10) seeding
+    /// found fewer same-family edges than exact seeding at a smaller `k`
+    /// at every candidate count (EXPERIMENTS.md). The field stays, always
+    /// `false`, because the frozen benchmark harness reads it (DESIGN.md
+    /// §16).
     pub reduced_alphabet: bool,
     /// Drop k-mers occurring in more than this many sequences before the
     /// overlap products (the pre-processing k-mer elimination the paper

@@ -21,7 +21,7 @@ use crate::ckpt;
 use crate::matrices::{
     self, build_s_dist, distinct_kmers, form_a, form_shared_a, held_kmers, prune_frequent_kmers,
 };
-use crate::params::{AlignMode, PastisParams};
+use crate::params::{AlignMode, PastisParams, REDUCED_ALPHABET_REFUSAL};
 use crate::seedpair::SeedPair;
 use crate::semirings::{AsSemiring, ExactSemiring};
 
@@ -374,13 +374,10 @@ struct PipeCtx<'a> {
 /// # Panics
 ///
 /// On parameter combinations the pipeline cannot honour: a `k` that does
-/// not fit the grid ([`crate::kmer_fits_grid`]), and reduced-alphabet
-/// seeding with substitute k-mers.
+/// not fit the grid ([`crate::kmer_fits_grid`]), and
+/// [`PastisParams::reduced_alphabet`], which is retired.
 pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisRun {
-    assert!(
-        !(params.reduced_alphabet && params.substitutes > 0),
-        "reduced-alphabet seeding and substitute k-mers are mutually exclusive"
-    );
+    assert!(!params.reduced_alphabet, "{REDUCED_ALPHABET_REFUSAL}");
     // Record into the caller's recorder when one is installed (so a caller
     // can splice the pipeline into a larger trace, e.g. pipeline + MCL);
     // otherwise install our own for the duration of the run.
@@ -417,10 +414,10 @@ pub fn run_pipeline(comm: &Comm, fasta: &[u8], params: &PastisParams) -> PastisR
         //    substitute path keeps them, as `(AS)·Aᵀ` pairs them with
         //    other sequences' substitutes.
         let (a_mat, dropped, held) = stage("pastis.form_a", || {
-            let (owned, k, reduced) = (store.owned(), params.k, params.reduced_alphabet);
+            let (owned, k) = (store.owned(), params.k);
             let (mut a, dropped) = match params.substitutes {
-                0 => form_shared_a(&grid, owned, n, k, reduced),
-                _ => (form_a(&grid, owned, n, k, reduced), Vec::new()),
+                0 => form_shared_a(&grid, owned, n, k),
+                _ => (form_a(&grid, owned, n, k), Vec::new()),
             };
             let held = params
                 .max_kmer_frequency

@@ -53,7 +53,19 @@ fn bad_parameters_are_usage_errors() {
     expect_rejection(&fasta, &["--k", "7", "--ranks", "1"], 2, "--k");
     expect_rejection(&fasta, &["--k", "8", "--ranks", "4"], 2, "--k");
     expect_rejection(&fasta, &["--ranks", "0"], 2, "--ranks");
-    expect_rejection(&fasta, &["--reduced", "--subs", "5"], 2, "--reduced");
+    // Flags it does not know and values it cannot parse, each named in
+    // one line: `--reduced` is retired (EXPERIMENTS.md).
+    expect_rejection(&fasta, &["--reduced"], 2, "--reduced");
+    expect_rejection(&fasta, &["--bogus"], 2, "--bogus");
+    expect_rejection(&fasta, &["--k", "six"], 2, "--k: invalid value \"six\"");
+    expect_rejection(&fasta, &["--k"], 2, "--k");
+    expect_rejection(&fasta, &["--mode", "zz"], 2, "--mode: invalid value \"zz\"");
+    expect_rejection(
+        &fasta,
+        &["--mem-budget", "12q"],
+        2,
+        "--mem-budget: invalid value \"12q\"",
+    );
     // Filter thresholds that no edge can clear: refused, not an empty PSG.
     expect_rejection(&fasta, &["--min-ani", "nan"], 2, "--min-ani");
     expect_rejection(&fasta, &["--min-ani", "1.5"], 2, "--min-ani");
@@ -132,17 +144,23 @@ fn substitute_kmers_run_out_of_core() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The library refuses the same combinations by name.
+/// The library refuses the same combinations by name, and the frozen
+/// `build_a_triples(.., reduced)` refuses `true` as `run_pipeline` refuses
+/// `reduced_alphabet`.
 #[test]
 fn run_pipeline_refuses_what_the_binary_rejects() {
-    use pastis::{run_pipeline, PastisParams};
+    use pastis::{build_a_triples, run_pipeline, PastisParams};
     let fasta = b">a\nMKVLAAGIVGLLLAQ\n>b\nMKVLAAGIVGLLKAQ\n";
-    let refusal = |params: PastisParams| {
-        let err = std::panic::catch_unwind(|| {
-            pcomm::World::run(1, |comm| run_pipeline(&comm, fasta, &params));
-        })
-        .expect_err("run_pipeline must refuse");
+    let message = |err: Box<dyn std::any::Any + Send>| {
         err.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    let refusal = |params: PastisParams| {
+        message(
+            std::panic::catch_unwind(|| {
+                pcomm::World::run(1, |comm| run_pipeline(&comm, fasta, &params));
+            })
+            .expect_err("run_pipeline must refuse"),
+        )
     };
     let base = PastisParams {
         k: 4,
@@ -152,4 +170,22 @@ fn run_pipeline_refuses_what_the_binary_rejects() {
         let msg = refusal(PastisParams { k, ..base.clone() });
         assert!(msg.contains("k must be in 1..=13"), "{msg}");
     }
+    let retired = "reduced-alphabet seeding is retired: exact seeding at a smaller k \
+                   finds more family edges at every candidate count (EXPERIMENTS.md)";
+    let msg = refusal(PastisParams {
+        reduced_alphabet: true,
+        ..base
+    });
+    assert!(msg.contains(retired), "{msg}");
+    let owned = [seqstore::SeqRecord {
+        gid: 0,
+        name: "a".into(),
+        data: seqstore::encode_seq(b"MKVLAAGIVGLLLAQ"),
+    }];
+    assert_eq!(build_a_triples(&owned, 4, false).len(), 12);
+    let err = std::panic::catch_unwind(|| build_a_triples(&owned, 4, true));
+    assert_eq!(
+        message(err.expect_err("build_a_triples must refuse")),
+        retired
+    );
 }

@@ -407,122 +407,128 @@ fn scratch_dir(case: &Case) -> PathBuf {
     dir
 }
 
+/// The benchmark's reference seed, and three seeds at which operand order
+/// once leaked the grid into an edge weight (DESIGN.md §7).
+const SEEDS: [u64; 4] = [7, 26, 1400845388, 548563997];
+
 #[test]
 fn replay_through_the_public_api_agrees_with_run_pipeline() {
-    let fasta = fasta(7);
-    assert_eq!(seqstore::parse_fasta(&fasta).len(), N_SEQS);
-    for case in &CASES {
-        let dir = scratch_dir(case);
-        obs::blackbox::set_dump_dir(&dir);
-        let params = case.params(&dir.join("ckpt_replay"));
-        let per_rank = World::run(case.ranks, |comm| replay_rank(&comm, &fasta, &params));
-        let (rank_spans, rank_edges): (Vec<_>, Vec<_>) = per_rank.into_iter().unzip();
-        let spans: Vec<SpanRec> = rank_spans.into_iter().flatten().collect();
-        let replay_psg = format_psg(rank_edges.into_iter().flatten().collect());
-        let sum = |span: &str, key: &str| -> u64 {
-            spans
-                .iter()
-                .filter(|s| s.name == span)
-                .flat_map(|s| &s.counts)
-                .filter(|(k, _)| k == key)
-                .map(|&(_, v)| v)
-                .sum()
-        };
-        let has = |span: &str, key: &str| {
-            spans
-                .iter()
-                .any(|s| s.name == span && s.counts.iter().any(|(k, _)| k == key))
-        };
+    for seed in SEEDS {
+        let fasta = fasta(seed);
+        assert_eq!(seqstore::parse_fasta(&fasta).len(), N_SEQS);
+        for case in &CASES {
+            let dir = scratch_dir(case);
+            obs::blackbox::set_dump_dir(&dir);
+            let params = case.params(&dir.join("ckpt_replay"));
+            let per_rank = World::run(case.ranks, |comm| replay_rank(&comm, &fasta, &params));
+            let (rank_spans, rank_edges): (Vec<_>, Vec<_>) = per_rank.into_iter().unzip();
+            let spans: Vec<SpanRec> = rank_spans.into_iter().flatten().collect();
+            let replay_psg = format_psg(rank_edges.into_iter().flatten().collect());
+            let sum = |span: &str, key: &str| -> u64 {
+                spans
+                    .iter()
+                    .filter(|s| s.name == span)
+                    .flat_map(|s| &s.counts)
+                    .filter(|(k, _)| k == key)
+                    .map(|&(_, v)| v)
+                    .sum()
+            };
+            let has = |span: &str, key: &str| {
+                spans
+                    .iter()
+                    .any(|s| s.name == span && s.counts.iter().any(|(k, _)| k == key))
+            };
 
-        let pipe = run_in_process(case, &fasta, &dir.join("ckpt_inproc"));
+            let pipe = run_in_process(case, &fasta, &dir.join("ckpt_inproc"));
 
-        // The run-failing equalities of `benchmark/src/main.rs`.
-        let ctx = case.name;
-        assert_eq!(
-            pipe.counters.nnz_a,
-            sum("sparse.from_triples", "nnz"),
-            "{ctx}: nnz_a"
-        );
-        assert_eq!(
-            pipe.counters.nnz_b,
-            sum("replay.rank", "b_nnz"),
-            "{ctx}: nnz_b"
-        );
-        assert_eq!(
-            pipe.candidates,
-            sum("replay.rank", "candidates"),
-            "{ctx}: candidates"
-        );
-        assert_eq!(
-            pipe.counters.alignments_global,
-            sum("align.batch", "pairs"),
-            "{ctx}: alignments"
-        );
-        assert_eq!(
-            pastis::ckpt::fnv1a(&replay_psg),
-            pastis::ckpt::fnv1a(&pipe.psg),
-            "{ctx}: PSG checksum"
-        );
-        assert_eq!(
-            replay_psg, pipe.psg,
-            "{ctx}: replay PSG == run_pipeline PSG"
-        );
-        assert_eq!(
-            pipe.counters.edges_global,
-            replay_psg.iter().filter(|&&b| b == b'\n').count() as u64,
-            "{ctx}: edges"
-        );
-        assert!(pipe.candidates > 0, "{ctx}: the dataset yields candidates");
-
-        // Metric names the per-layer table is read from.
-        assert!(
-            sum("sparse.spgemm_b", "spgemm.col_flops.sum") > 0,
-            "{ctx}: flops"
-        );
-        match case.mode {
-            AlignMode::XDrop => {
-                assert!(
-                    sum("align.batch", "align.xdrop_cells.sum") > 0,
-                    "{ctx}: x-drop cells"
-                );
-            }
-            AlignMode::SmithWaterman => {
-                assert!(
-                    sum("align.batch", "align.dp_cells.sum") > 0,
-                    "{ctx}: DP cells"
-                );
-                assert!(has("align.batch", "align.batch.steals"), "{ctx}: steals");
-            }
-            AlignMode::None => assert!(!has("align.batch", "pairs")),
-        }
-        if case.budget.is_some() {
-            let batches = spans
-                .iter()
-                .filter(|s| s.name == "pastis.plan")
-                .map(|s| s.counts.iter().find(|(k, _)| k == "batches").unwrap().1)
-                .collect::<Vec<_>>();
-            assert_eq!(batches.len(), case.ranks);
-            assert!(
-                batches[0] >= 2 && batches.iter().all(|&b| b == batches[0]),
-                "{ctx}: {batches:?}"
+            // The run-failing equalities of `benchmark/src/main.rs`.
+            let ctx = format!("{} at seed {seed}", case.name);
+            assert_eq!(
+                pipe.counters.nnz_a,
+                sum("sparse.from_triples", "nnz"),
+                "{ctx}: nnz_a"
             );
-        }
-        if case.ranks > 1 {
-            let rank_span = spans.iter().find(|s| s.name == "replay.rank").unwrap();
-            assert!(rank_span.comm.bytes_sent > 0 && rank_span.comm.msgs_sent > 0);
-            let _ = rank_span.comm.wait_nanos;
-        }
+            assert_eq!(
+                pipe.counters.nnz_b,
+                sum("replay.rank", "b_nnz"),
+                "{ctx}: nnz_b"
+            );
+            assert_eq!(
+                pipe.candidates,
+                sum("replay.rank", "candidates"),
+                "{ctx}: candidates"
+            );
+            assert_eq!(
+                pipe.counters.alignments_global,
+                sum("align.batch", "pairs"),
+                "{ctx}: alignments"
+            );
+            assert_eq!(
+                pastis::ckpt::fnv1a(&replay_psg),
+                pastis::ckpt::fnv1a(&pipe.psg),
+                "{ctx}: PSG checksum"
+            );
+            assert_eq!(
+                replay_psg, pipe.psg,
+                "{ctx}: replay PSG == run_pipeline PSG"
+            );
+            assert_eq!(
+                pipe.counters.edges_global,
+                replay_psg.iter().filter(|&&b| b == b'\n').count() as u64,
+                "{ctx}: edges"
+            );
+            assert!(pipe.candidates > 0, "{ctx}: the dataset yields candidates");
 
-        // The cost-model columns.
-        let model = CostModel::default();
-        let t = &pipe.timings;
-        assert!(t.total > 0.0 && t.sparse_secs() >= 0.0);
-        assert!(t.total_modeled_secs(&model) > 0.0);
-        assert!(t.spgemm_b.secs > 0.0 && t.spgemm_b.modeled_secs(&model) > 0.0);
-        if case.subs > 0 {
-            assert!(t.form_s.secs > 0.0 && t.a_s.secs > 0.0 && t.symmetricize.secs > 0.0);
+            // Metric names the per-layer table is read from.
+            assert!(
+                sum("sparse.spgemm_b", "spgemm.col_flops.sum") > 0,
+                "{ctx}: flops"
+            );
+            match case.mode {
+                AlignMode::XDrop => {
+                    assert!(
+                        sum("align.batch", "align.xdrop_cells.sum") > 0,
+                        "{ctx}: x-drop cells"
+                    );
+                }
+                AlignMode::SmithWaterman => {
+                    assert!(
+                        sum("align.batch", "align.dp_cells.sum") > 0,
+                        "{ctx}: DP cells"
+                    );
+                    assert!(has("align.batch", "align.batch.steals"), "{ctx}: steals");
+                }
+                AlignMode::None => assert!(!has("align.batch", "pairs")),
+            }
+            if case.budget.is_some() {
+                let batches = spans
+                    .iter()
+                    .filter(|s| s.name == "pastis.plan")
+                    .map(|s| s.counts.iter().find(|(k, _)| k == "batches").unwrap().1)
+                    .collect::<Vec<_>>();
+                assert_eq!(batches.len(), case.ranks);
+                assert!(
+                    batches[0] >= 2 && batches.iter().all(|&b| b == batches[0]),
+                    "{ctx}: {batches:?}"
+                );
+            }
+            if case.ranks > 1 {
+                let rank_span = spans.iter().find(|s| s.name == "replay.rank").unwrap();
+                assert!(rank_span.comm.bytes_sent > 0 && rank_span.comm.msgs_sent > 0);
+                let _ = rank_span.comm.wait_nanos;
+            }
+
+            // The cost-model columns.
+            let model = CostModel::default();
+            let t = &pipe.timings;
+            assert!(t.total > 0.0 && t.sparse_secs() >= 0.0);
+            assert!(t.total_modeled_secs(&model) > 0.0);
+            assert!(t.spgemm_b.secs > 0.0 && t.spgemm_b.modeled_secs(&model) > 0.0);
+            if case.subs > 0 {
+                assert!(t.form_s.secs > 0.0 && t.a_s.secs > 0.0 && t.symmetricize.secs > 0.0);
+            }
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -123,11 +123,10 @@ done
 # both grids with the k-mer frequency pre-filter; in Smith–Waterman mode
 # one rank and both grids, under ANI and under NS (whose PSG at seeds 7
 # and 26 is also pinned by `cksum`), the 3x3 grid's diagonal ranks
-# receiving their one block once; in x-drop mode with the reduced
-# alphabet, one rank and both grids (pinned by `cksum` at seeds 7 and 26
-# too). The substitute path (`--subs 25 --ck 3`, the `subs_ck` flags, on a
-# 400-sequence input) builds `S` over the k-mers `A` holds, and only a
-# grid runs the filter on arrival as well as at the source (DESIGN.md §4):
+# receiving their one block once. The substitute path (`--subs 25
+# --ck 3`, the `subs_ck` flags, on a 400-sequence input) builds `S` over
+# the k-mers `A` holds, and only a grid runs the filter on arrival as
+# well as at the source (DESIGN.md §4):
 # one rank and both grids must write the same bytes, and so must one rank
 # and a 2x2 grid with the pre-filter. Its batch loop (the symmetrised B as
 # two masked halves per column batch) must write them too: one rank and a
@@ -191,26 +190,6 @@ for seed in 7 26 1400845388; do
         cmp "$xp_tmp/f1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: --max-kmer-freq 4 PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
     done
-    # The reduced alphabet (`--reduced`): its k-mers stream into `A`
-    # through the Murphy-10 map, with no reduced copy (DESIGN.md §11). One
-    # rank and both grids must write the same bytes, and at seeds 7 and 26
-    # the bytes recorded when `A` was still built from collected triples of
-    # reduced sequence copies (`cksum` of the PSG).
-    xp_psg "$xp_tmp/r1.tsv" xd 1 --reduced
-    for ranks in 4 9; do
-        xp_psg "$xp_tmp/rx.tsv" xd "$ranks" --reduced
-        cmp "$xp_tmp/r1.tsv" "$xp_tmp/rx.tsv" \
-            || { echo "verify: seed $seed: --reduced PSG at --ranks $ranks differs from --ranks 1"; exit 1; }
-    done
-    case "$seed" in
-        7) reduced_pin="2868918579 47472" ;;
-        26) reduced_pin="2295150018 52893" ;;
-        *) reduced_pin="" ;;
-    esac
-    if [[ -n "$reduced_pin" && "$(cksum <"$xp_tmp/r1.tsv")" != "$reduced_pin" ]]; then
-        echo "verify: seed $seed: --reduced PSG cksum is not $reduced_pin"
-        exit 1
-    fi
     xp_psg "$xp_tmp/p1.tsv" sw 1
     for ranks in 4 9; do
         xp_psg "$xp_tmp/px.tsv" sw "$ranks"

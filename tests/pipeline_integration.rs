@@ -465,40 +465,6 @@ fn kmer_frequency_filter_is_grid_oblivious() {
 }
 
 #[test]
-fn reduced_alphabet_seeding_is_more_sensitive() {
-    // Diverged families: Murphy-10 seeding must surface at least as many
-    // candidate pairs as exact 24-letter seeding (DIAMOND's trick, §III).
-    let data = scope_like(&ScopeConfig {
-        seed: 21,
-        families: 5,
-        members_range: (3, 4),
-        len_range: (70, 120),
-        divergence: (0.15, 0.40),
-        ..Default::default()
-    });
-    let fasta = write_fasta(&data.records);
-    let exact = PastisParams {
-        k: 5,
-        mode: AlignMode::None,
-        ..Default::default()
-    };
-    let reduced = PastisParams {
-        reduced_alphabet: true,
-        ..exact.clone()
-    };
-    let e_exact = collect_edges(&fasta, 1, &exact);
-    let e_reduced = collect_edges(&fasta, 1, &reduced);
-    assert!(
-        e_reduced.len() > e_exact.len(),
-        "reduced {} <= exact {}",
-        e_reduced.len(),
-        e_exact.len()
-    );
-    // And it stays grid-oblivious.
-    assert_eq!(collect_edges(&fasta, 4, &reduced), e_reduced);
-}
-
-#[test]
 fn identical_duplicate_sequences_pair_perfectly() {
     let rec = seqstore::FastaRecord {
         name: "dup".into(),
