@@ -39,7 +39,7 @@ pub use striped::{striped_align, striped_score, striped_score_at_level, striped_
 use striped::{striped_score_with, striped_traceback_with};
 pub use sw::smith_waterman;
 pub use ungapped::ungapped_xdrop;
-pub use xdrop::{xdrop_align, xdrop_align_with};
+pub use xdrop::{xdrop_align, xdrop_align_with, HalfExtended};
 
 /// Alignment parameters shared by all kernels. Defaults follow the paper's
 /// evaluation: BLOSUM62, gap opening 11, gap extension 1, x-drop 49 (§VI).

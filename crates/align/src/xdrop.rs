@@ -409,58 +409,169 @@ pub fn xdrop_align_with(
     params: &AlignParams,
     scratch: &mut AlignScratch,
 ) -> AlignStats {
-    // The extension prunes row by row, so it is not its own transpose.
-    // Which rank sees a pair as (r, c) depends on the grid; putting the
-    // operands in one canonical order — shorter first, ties by residues —
-    // makes the result a function of the unordered pair.
-    if (r.len(), r) > (c.len(), c) {
-        let st = xdrop_align_with(c, r, c_pos, r_pos, k, params, scratch);
-        return AlignStats {
-            r_span: st.c_span,
-            c_span: st.r_span,
-            r_len: st.c_len,
-            c_len: st.r_len,
-            ..st
-        };
+    HalfExtended::new_with(r, c, r_pos, c_pos, k, params, scratch).finish_with(params, scratch)
+}
+
+/// One seed of [`xdrop_align`] part way: the seed scored and extended on
+/// the side with more room. [`coverage_bound`](Self::coverage_bound)
+/// bounds the coverage the finished alignment can reach, so a caller
+/// with a coverage cut can leave the other side unextended;
+/// [`finish`](Self::finish) extends it and returns what `xdrop_align`
+/// returns.
+pub struct HalfExtended<'s> {
+    /// The operands in canonical order: `a` shorter, ties by residues.
+    a: &'s [u8],
+    b: &'s [u8],
+    a_pos: usize,
+    b_pos: usize,
+    k: usize,
+    /// Whether `a` is the caller's `c`.
+    swapped: bool,
+    seed_score: i32,
+    seed_matches: u32,
+    /// The extension run, and whether it is the right one.
+    first: Extension,
+    first_right: bool,
+}
+
+impl<'s> HalfExtended<'s> {
+    /// Score the seed and extend the side with more room (see the type).
+    pub fn new(
+        r: &'s [u8],
+        c: &'s [u8],
+        r_pos: u32,
+        c_pos: u32,
+        k: usize,
+        params: &AlignParams,
+    ) -> Self {
+        with_scratch(|s| Self::new_with(r, c, r_pos, c_pos, k, params, s))
     }
-    let (r_pos, c_pos) = (r_pos as usize, c_pos as usize);
-    assert!(
-        r_pos + k <= r.len() && c_pos + k <= c.len(),
-        "seed outside sequence"
-    );
-    // Seed score: the anchor k-mers may differ under substitute k-mer
-    // matching, so score the actual residues pairwise.
-    let mut seed_score = 0i32;
-    let mut seed_matches = 0u32;
-    for t in 0..k {
-        seed_score += params.matrix.score(r[r_pos + t], c[c_pos + t]);
-        if r[r_pos + t] == c[c_pos + t] {
-            seed_matches += 1;
+
+    fn new_with(
+        r: &'s [u8],
+        c: &'s [u8],
+        r_pos: u32,
+        c_pos: u32,
+        k: usize,
+        params: &AlignParams,
+        scratch: &mut AlignScratch,
+    ) -> Self {
+        // The extension prunes row by row, so it is not its own transpose.
+        // Which rank sees a pair as (r, c) depends on the grid; putting the
+        // operands in one canonical order — shorter first, ties by residues —
+        // makes the result a function of the unordered pair.
+        let swapped = (r.len(), r) > (c.len(), c);
+        let (a, b, a_pos, b_pos) = match swapped {
+            false => (r, c, r_pos as usize, c_pos as usize),
+            true => (c, r, c_pos as usize, r_pos as usize),
+        };
+        assert!(
+            a_pos + k <= a.len() && b_pos + k <= b.len(),
+            "seed outside sequence"
+        );
+        // Seed score: the anchor k-mers may differ under substitute k-mer
+        // matching, so score the actual residues pairwise.
+        let mut seed_score = 0i32;
+        let mut seed_matches = 0u32;
+        for t in 0..k {
+            seed_score += params.matrix.score(a[a_pos + t], b[b_pos + t]);
+            if a[a_pos + t] == b[b_pos + t] {
+                seed_matches += 1;
+            }
+        }
+        // The two sides are independent; room is counted on the shorter
+        // sequence, whose coverage the bound is mostly about.
+        let first_right = a.len() - a_pos - k >= a_pos;
+        let mut half = HalfExtended {
+            a,
+            b,
+            a_pos,
+            b_pos,
+            k,
+            swapped,
+            seed_score,
+            seed_matches,
+            first: Extension::default(),
+            first_right,
+        };
+        half.first = half.extend(first_right, params, scratch);
+        half
+    }
+
+    /// The right extension over the suffixes past the seed, or the left
+    /// one over the reversed prefixes before it.
+    fn extend(&self, right: bool, params: &AlignParams, scratch: &mut AlignScratch) -> Extension {
+        let (a, b) = (self.a, self.b);
+        if right {
+            let (a_at, b_at) = (self.a_pos + self.k, self.b_pos + self.k);
+            return extend_gapped(&a[a_at..], &b[b_at..], params, &mut scratch.xd);
+        }
+        scratch.rev_a.clear();
+        scratch.rev_a.extend(a[..self.a_pos].iter().rev());
+        scratch.rev_b.clear();
+        scratch.rev_b.extend(b[..self.b_pos].iter().rev());
+        extend_gapped(&scratch.rev_a, &scratch.rev_b, params, &mut scratch.xd)
+    }
+
+    /// At least the [`coverage_short`](AlignStats::coverage_short) of the
+    /// finished alignment: each span is at most the first side's end, the
+    /// seed, and all the room on the other side. Of sequences of equal
+    /// length the larger bound is taken, whichever `coverage_short` reads.
+    pub fn coverage_bound(&self) -> f64 {
+        let (k, (a, b)) = (self.k, (self.a.len(), self.b.len()));
+        let (a_room, b_room) = match self.first_right {
+            true => (self.a_pos, self.b_pos),
+            false => (a - self.a_pos - k, b - self.b_pos - k),
+        };
+        let a_span = self.first.a_end + k + a_room;
+        let span = match a == b {
+            true => a_span.max(self.first.b_end + k + b_room),
+            false => a_span,
+        };
+        if a == 0 {
+            0.0
+        } else {
+            span as f64 / a as f64
         }
     }
-    // Right extension over the suffixes past the seed.
-    let right = extend_gapped(&r[r_pos + k..], &c[c_pos + k..], params, &mut scratch.xd);
-    // Left extension over the reversed prefixes before the seed.
-    scratch.rev_a.clear();
-    scratch.rev_a.extend(r[..r_pos].iter().rev());
-    scratch.rev_b.clear();
-    scratch.rev_b.extend(c[..c_pos].iter().rev());
-    let left = extend_gapped(&scratch.rev_a, &scratch.rev_b, params, &mut scratch.xd);
 
-    AlignStats {
-        score: seed_score + left.score + right.score,
-        matches: seed_matches + left.matches + right.matches,
-        align_len: k as u32 + left.align_len + right.align_len,
-        r_span: (
-            (r_pos - left.a_end) as u32,
-            (r_pos + k + right.a_end) as u32,
-        ),
-        c_span: (
-            (c_pos - left.b_end) as u32,
-            (c_pos + k + right.b_end) as u32,
-        ),
-        r_len: r.len() as u32,
-        c_len: c.len() as u32,
+    /// Extend the other side: the stats [`xdrop_align`] returns.
+    pub fn finish(&self, params: &AlignParams) -> AlignStats {
+        with_scratch(|s| self.finish_with(params, s))
+    }
+
+    fn finish_with(&self, params: &AlignParams, scratch: &mut AlignScratch) -> AlignStats {
+        let second = self.extend(!self.first_right, params, scratch);
+        let (left, right) = match self.first_right {
+            true => (second, self.first),
+            false => (self.first, second),
+        };
+        let (a_pos, b_pos, k) = (self.a_pos, self.b_pos, self.k);
+        let st = AlignStats {
+            score: self.seed_score + left.score + right.score,
+            matches: self.seed_matches + left.matches + right.matches,
+            align_len: k as u32 + left.align_len + right.align_len,
+            r_span: (
+                (a_pos - left.a_end) as u32,
+                (a_pos + k + right.a_end) as u32,
+            ),
+            c_span: (
+                (b_pos - left.b_end) as u32,
+                (b_pos + k + right.b_end) as u32,
+            ),
+            r_len: self.a.len() as u32,
+            c_len: self.b.len() as u32,
+        };
+        match self.swapped {
+            false => st,
+            true => AlignStats {
+                r_span: st.c_span,
+                c_span: st.r_span,
+                r_len: st.c_len,
+                c_len: st.r_len,
+                ..st
+            },
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use align::{
-    align_batch, striped_score, striped_traceback, xdrop_align, AlignStats, SimilarityMeasure,
+    align_batch, striped_score, striped_traceback, AlignStats, HalfExtended, SimilarityMeasure,
 };
 use pcomm::{Comm, CommStats, Grid};
 use seqstore::DistSeqStore;
@@ -596,7 +596,6 @@ fn align_pair(
     if params.mode == AlignMode::None {
         return Verdict::NotAligned;
     }
-    let ap = &params.align;
     let r = &store.row_seq(gi).expect("row sequence prefetched").data;
     let c = &store.col_seq(gj).expect("col sequence prefetched").data;
     if params.mode == AlignMode::SmithWaterman {
@@ -608,12 +607,21 @@ fn align_pair(
         let (r, c) = if gi < gj { (r, c) } else { (c, r) };
         return smith_waterman_verdict(r, c, params);
     }
-    // X-drop: extend from each stored seed, keeping the best score (paper
-    // §IV-E). Seeds on the same diagonal extend through the same band to
-    // the same optimum, so only the first seed per diagonal is extended.
-    let k = params.k;
-    let mut best: Option<AlignStats> = None;
+    xdrop_verdict(r, c, pair, params)
+}
+
+/// X-drop on one pair: extend from each stored seed, keeping the best
+/// score (paper §IV-E). Seeds on the same diagonal extend through the
+/// same band to the same optimum, so only the first seed per diagonal is
+/// extended. Each seed is extended on one side first ([`HalfExtended`]);
+/// under ANI, when no seed can still reach `min_coverage`, the pair is no
+/// edge and the other sides are left unextended (DESIGN.md §7). The
+/// verdict equals [`align::xdrop_align`] on every seed followed by
+/// [`edge_weight`] on the best.
+fn xdrop_verdict(r: &[u8], c: &[u8], pair: &SeedPair, params: &PastisParams) -> Verdict {
+    let (ap, k) = (&params.align, params.k);
     let mut done_diags = [i64::MAX; 2];
+    let mut halves: [Option<HalfExtended>; 2] = [None, None];
     let mut ndiags = 0;
     for &(rp, cp) in pair.seeds() {
         if rp as usize + k > r.len() || cp as usize + k > c.len() {
@@ -624,15 +632,30 @@ fn align_pair(
             continue;
         }
         done_diags[ndiags] = diag;
+        halves[ndiags] = Some(HalfExtended::new(r, c, rp, cp, k, ap));
         ndiags += 1;
-        let st = xdrop_align(r, c, rp, cp, k, ap);
+    }
+    obs::hist!("align.seeds_extended", ndiags);
+    let halves = halves.iter().flatten();
+    // Whichever seed scores best, its coverage is below the cut when
+    // every seed's bound is: the pair is no edge, and no seed needs its
+    // other side.
+    if params.measure == SimilarityMeasure::Ani
+        && ndiags > 0
+        && halves
+            .clone()
+            .all(|h| h.coverage_bound() < params.min_coverage)
+    {
+        return Verdict::Passed(None);
+    }
+    let mut best: Option<AlignStats> = None;
+    for st in halves.map(|h| h.finish(ap)) {
         // `>=` keeps the last maximum on ties, matching the former
         // max_by_key semantics.
         if best.as_ref().is_none_or(|b| st.score >= b.score) {
             best = Some(st);
         }
     }
-    obs::hist!("align.seeds_extended", ndiags);
     best.map_or(Verdict::NotAligned, |st| {
         Verdict::Passed(edge_weight(&st, params))
     })
@@ -914,6 +937,116 @@ mod tests {
         assert_eq!(
             smith_waterman_verdict(&r, &c, &params),
             Verdict::Passed(Some(st.normalized_score()))
+        );
+    }
+
+    /// `xdrop_verdict` before seeds were extended one side first: every
+    /// seed extended whole by `xdrop_align`.
+    fn xdrop_reference(r: &[u8], c: &[u8], pair: &SeedPair, params: &PastisParams) -> Verdict {
+        let k = params.k;
+        let (mut best, mut diags): (Option<AlignStats>, Vec<i64>) = (None, Vec::new());
+        for &(rp, cp) in pair.seeds() {
+            let diag = rp as i64 - cp as i64;
+            if rp as usize + k > r.len() || cp as usize + k > c.len() || diags.contains(&diag) {
+                continue;
+            }
+            diags.push(diag);
+            let st = align::xdrop_align(r, c, rp, cp, k, &params.align);
+            if best.as_ref().is_none_or(|b| st.score >= b.score) {
+                best = Some(st);
+            }
+        }
+        best.map_or(Verdict::NotAligned, |st| {
+            Verdict::Passed(edge_weight(&st, params))
+        })
+    }
+
+    /// Over random pairs — homologs with substitutions and indels, some
+    /// sharing only a window of one another, and unrelated pairs — and
+    /// random seeds on and off their diagonal: a half-extended seed's
+    /// bound is at least its whole alignment's coverage, so a skipped
+    /// seed's is below the cut, finishing it gives `xdrop_align`'s
+    /// stats, and the verdict is the one of extending every seed whole,
+    /// at coverage cuts 0, 0.7 and 0.9 and under NS.
+    #[test]
+    fn xdrop_skips_only_pairs_no_seed_can_make_an_edge() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let (mut skipped, mut edges, mut not_edges) = (0, 0, 0);
+        for _ in 0..400 {
+            let a: Vec<u8> = (0..40 + next(260)).map(|_| next(20) as u8).collect();
+            let mut b = match next(3) {
+                0 => (0..40 + next(260)).map(|_| next(20) as u8).collect(),
+                1 => a[next(a.len() / 2)..].to_vec(),
+                _ => a.clone(),
+            };
+            for _ in 0..next(b.len() / 4) {
+                let at = next(b.len());
+                match next(6) {
+                    0 => b.insert(at, next(20) as u8),
+                    1 if b.len() > 20 => {
+                        b.remove(at);
+                    }
+                    _ => b[at] = next(20) as u8,
+                }
+            }
+            let (r, c) = if next(2) == 0 { (&a, &b) } else { (&b, &a) };
+            let k = 3 + next(4);
+            let seed = |next: &mut dyn FnMut(usize) -> usize| {
+                let rp = next(r.len() - k + 1);
+                let cp = match next(2) {
+                    0 => rp.min(c.len() - k),
+                    _ => next(c.len() - k + 1),
+                };
+                (rp as u32, cp as u32)
+            };
+            let mut pair = SeedPair::single(seed(&mut next).0, seed(&mut next).1);
+            pair.merge(SeedPair::single(seed(&mut next).0, seed(&mut next).1));
+            let ap = align::AlignParams::default();
+            let mut bounds = Vec::new();
+            for &(rp, cp) in pair.seeds() {
+                let half = HalfExtended::new(r, c, rp, cp, k, &ap);
+                let whole = align::xdrop_align(r, c, rp, cp, k, &ap);
+                assert_eq!(half.finish(&ap), whole);
+                let bound = half.coverage_bound();
+                assert!(whole.coverage_short() <= bound, "{whole:?} above {bound}");
+                bounds.push(bound);
+            }
+            for (measure, min_coverage) in [
+                (SimilarityMeasure::Ani, 0.0),
+                (SimilarityMeasure::Ani, 0.7),
+                (SimilarityMeasure::Ani, 0.9),
+                (SimilarityMeasure::NormalizedScore, 0.0),
+            ] {
+                let params = PastisParams {
+                    k,
+                    measure,
+                    min_coverage,
+                    align: ap,
+                    ..Default::default()
+                };
+                let verdict = xdrop_verdict(r, c, &pair, &params);
+                assert_eq!(verdict, xdrop_reference(r, c, &pair, &params));
+                let all_below = bounds.iter().all(|&bound| bound < min_coverage);
+                skipped += usize::from(all_below && measure == SimilarityMeasure::Ani);
+                match verdict {
+                    Verdict::Passed(Some(_)) => edges += 1,
+                    _ => not_edges += 1,
+                }
+            }
+        }
+        assert!(
+            skipped > 100 && edges > 100,
+            "{skipped} skipped, {edges} edges"
+        );
+        assert!(
+            not_edges > skipped,
+            "{not_edges} no edge, {skipped} skipped"
         );
     }
 

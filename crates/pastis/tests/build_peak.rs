@@ -6,26 +6,33 @@
 //!
 //! `A` is streamed from the sequences into its radix sort, less the
 //! columns of one sequence, which a hashed two-bit table (1 B per nonzero
-//! per bitmap) finds in a read before the sort; and `Aᵀ` is held by rows
-//! only, `A`'s own block at p = 1. So the kept quarter of `A` costs its
-//! radix buffers (32 B per kept nonzero at the peak of the sort), and that
-//! sets the peak, about 15 B per nonzero, just above forming `B`: the
-//! kept `A`, the masked product's contribution slots (12 B per kept flop,
-//! checked on their own) and the sequence store, which at p = 1 holds
-//! each sequence once. Keeping the one-sequence columns, collected input
-//! triples (24 B per nonzero), a column form of `Aᵀ`, copies of the input,
-//! a comparison sort or per-stage panel clones each add a multiple of
-//! nnz(A) and break the bound; so does a buffer that grows faster than
-//! nnz(A), which the ratio between the two input sizes catches. A store
-//! that also kept the exchange's row and column copies of every sequence
-//! read 18.1 / 17.4 B per nonzero; slots holding the products (28 B per
-//! flop) read 19.7 / 21.5 on top of those copies, a growth of 1.09.
+//! per bitmap) finds in a read before the sort; the few the table keeps
+//! by collision are dropped in place after it, so `A` at p = 1 is
+//! exactly the shared k-mers. The sort's items are 12 B (`u32` row, `u32`
+//! column, `u32` value) and its last pass writes `u32` column ids, and
+//! each column's bound in `cp` is 4 B; `Aᵀ` is held by rows only, `A`'s
+//! own block at p = 1. So the kept quarter of `A` costs its radix buffers
+//! at the peak of the sort, and forming `B` holds the kept `A`, the
+//! masked product's contribution slots (12 B per kept flop, checked on
+//! their own) and the sequence store, which at p = 1 holds each sequence
+//! once; the two peaks sit level, about 12 B per nonzero. Keeping the
+//! one-sequence columns, collected input triples (24 B per nonzero), a
+//! column form of `Aᵀ`, copies of the input, a comparison sort or
+//! per-stage panel clones each add a multiple of nnz(A) and break the
+//! bound; so does a buffer that grows faster than nnz(A), which the
+//! ratio between the two input sizes catches. 16-byte sort items with
+//! `u64` ids, 8-byte `cp` and the collision-kept columns read 15.4 /
+//! 14.7 B per nonzero; a store that also kept the exchange's row and
+//! column copies of every sequence read 18.1 / 17.4; slots holding the
+//! products (28 B per flop) read 19.7 / 21.5 on top of those copies, a
+//! growth of 1.09.
 //!
 //! At p = 4 the one-sequence columns are judged before any triple is
 //! shipped: a block-local column id (4 B) per k-mer travels to its owner
 //! and a keep bit comes back, so only the kept quarter of `A` travels as
 //! 24 B triples. Shipping every triple and dropping it on arrival reads
-//! about 41 B per nonzero there, against about 21.
+//! about 41 B per nonzero there, against about 20 (about 21.5 with 16-byte
+//! sort items).
 //!
 //! The runs are alignment-free (`AlignMode::None`, the `sparse_only`
 //! protocol): the three peaks come from the matrices, and an x-drop run
@@ -39,13 +46,15 @@ use pcomm::WorldBuilder;
 use seqstore::write_fasta;
 
 /// Peak live bytes per nonzero of `A` any of the three stages may reach
-/// (reads 15.4 / 14.7).
-const BOUND: f64 = 16.5;
+/// (reads 12.7 / 11.8; 15.4 / 14.7 with 16-byte sort items, 8-byte `cp`
+/// and the collision-kept columns).
+const BOUND: f64 = 13.5;
 
 /// Peak live bytes per nonzero of `A` forming `A` may reach at p = 4. The
 /// four ranks are threads of one process, so the peak moves with their
-/// interleaving (20.4–22.7 over twelve runs); shipping every triple reads 41.
-const FORM_A_BOUND_P4: f64 = 24.0;
+/// interleaving (19.6–20.9 over nine runs, 20.4–22.7 with 16-byte sort
+/// items); shipping every triple reads 41.
+const FORM_A_BOUND_P4: f64 = 22.0;
 
 /// Bytes per kept flop the masked product's contribution slots may hold:
 /// a slot is 12 B (a row and two value positions, all `u32`), with 0.5 B

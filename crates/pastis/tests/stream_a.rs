@@ -3,8 +3,9 @@
 //! `DistMat::from_triples`, as the frozen replay builds it — block for
 //! block on every rank, at every grid size, with and without the k-mer
 //! frequency pre-filter, which must then keep the same columns. The exact path's `A`
-//! (`pastis::form_shared_a`) is that `A` less one-sequence k-mer columns,
-//! with the same masked overlap `A·Aᵀ`; and a `--max-kmer-freq 1` run,
+//! (`pastis::form_shared_a`) is that `A` less one-sequence k-mer columns
+//! (at p = 1 every one of them), with the same masked overlap `A·Aᵀ`; and
+//! a `--max-kmer-freq 1` run,
 //! whose band `[2, 1]` is empty, finds no pair.
 
 use std::rc::Rc;
@@ -186,6 +187,13 @@ fn shared_a_drops_only_one_sequence_columns() {
             assert_eq!(kept + dropped as usize, whole, "{ctx}: nnz(A) reported");
             assert_eq!(rows_lost, views[0].dropped, "{ctx}: dropped per sequence");
             assert!(dropped > 0, "{ctx}: nothing dropped");
+            if p == 1 {
+                // One block holds every row: no one-sequence column is left.
+                let v = &views[0];
+                let single = (0..v.shared.nzc()).find(|&i| v.shared.col_by_index(i).0.len() == 1);
+                assert_eq!(single, None, "{ctx}: a one-entry column kept");
+                assert_eq!(dropped as usize, v.whole.nnz() - v.shared.nnz(), "{ctx}");
+            }
             eprintln!("{ctx}: kept {kept} of {whole} nonzeros, {extra} in one-sequence columns");
         }
     }

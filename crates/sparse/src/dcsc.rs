@@ -16,8 +16,9 @@ use crate::radix::RadixPlan;
 /// A DCSC-format sparse matrix block with local indices.
 ///
 /// Row indices are `u32` (a block never holds ≥ 2³² rows in this pipeline —
-/// asserted during construction); column ids are `u64` because the k-mer
-/// column space can be enormous even per block.
+/// asserted during construction), and so are the column bounds (a block
+/// holds fewer than 2³² nonzeros, asserted likewise); column ids are `u64`
+/// because the k-mer column space can be enormous even per block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dcsc<V> {
     nrows: usize,
@@ -25,7 +26,7 @@ pub struct Dcsc<V> {
     /// Sorted ids of non-empty columns.
     jc: Vec<u64>,
     /// `cp[i]..cp[i+1]` bounds column `jc[i]`'s entries; `len == jc.len()+1`.
-    cp: Vec<usize>,
+    cp: Vec<u32>,
     /// Row index of each nonzero, sorted within each column.
     ir: Vec<u32>,
     /// Value of each nonzero.
@@ -72,8 +73,8 @@ impl<V> Dcsc<V> {
         let (mut ir, jc, mut cp, mut num) = plan.apply(items);
         // Rows ascend within a column, so a duplicate repeats the row
         // before it.
-        let first_dup =
-            (0..jc.len()).find_map(|k| (cp[k] + 1..cp[k + 1]).find(|&i| ir[i] == ir[i - 1]));
+        let first_dup = (0..jc.len())
+            .find_map(|k| (cp[k] as usize + 1..cp[k + 1] as usize).find(|&i| ir[i] == ir[i - 1]));
         if let Some(first) = first_dup {
             fold_duplicates(&mut ir, &mut cp, &mut num, first, add);
         }
@@ -131,13 +132,14 @@ impl<V> Dcsc<V> {
         let a = self.jc.partition_point(|&c| c < cols.start);
         let b = a + self.jc[a..].partition_point(|&c| c < cols.end);
         let (s, e) = (self.cp[a], self.cp[b]);
+        let entries = s as usize..e as usize;
         Dcsc {
             nrows: self.nrows,
             ncols: self.ncols,
             jc: self.jc[a..b].to_vec(),
             cp: self.cp[a..=b].iter().map(|&k| k - s).collect(),
-            ir: self.ir[s..e].to_vec(),
-            num: self.num[s..e].to_vec(),
+            ir: self.ir[entries.clone()].to_vec(),
+            num: self.num[entries].to_vec(),
         }
     }
 
@@ -174,7 +176,7 @@ impl<V> Dcsc<V> {
     /// `(rows, values)` of the i-th non-empty column.
     #[inline]
     pub fn col_by_index(&self, i: usize) -> (&[u32], &[V]) {
-        let (s, e) = (self.cp[i], self.cp[i + 1]);
+        let (s, e) = (self.cp[i] as usize, self.cp[i + 1] as usize);
         (&self.ir[s..e], &self.num[s..e])
     }
 
@@ -182,7 +184,7 @@ impl<V> Dcsc<V> {
     /// [`values`](Self::values).
     #[inline]
     pub(crate) fn col_start(&self, i: usize) -> usize {
-        self.cp[i]
+        self.cp[i] as usize
     }
 
     /// Every stored value, in column-major order.
@@ -208,13 +210,13 @@ impl<V> Dcsc<V> {
     /// Keep only entries where `keep(row, col, &value)` is true.
     pub fn retain(&mut self, keep: impl Fn(u32, u64, &V) -> bool) {
         let mut jc = Vec::new();
-        let mut cp = vec![0usize];
+        let mut cp = vec![0u32];
         let mut ir = Vec::new();
         let mut num = Vec::new();
         let old_num = std::mem::take(&mut self.num);
         let mut vals = old_num.into_iter();
         for (i, &c) in self.jc.iter().enumerate() {
-            let (s, e) = (self.cp[i], self.cp[i + 1]);
+            let (s, e) = (self.cp[i] as usize, self.cp[i + 1] as usize);
             let mut any = false;
             for k in s..e {
                 let r = self.ir[k];
@@ -222,12 +224,12 @@ impl<V> Dcsc<V> {
                 if keep(r, c, &v) {
                     if !any {
                         jc.push(c);
-                        cp.push(ir.len());
+                        cp.push(ir.len() as u32);
                         any = true;
                     }
                     ir.push(r);
                     num.push(v);
-                    *cp.last_mut().unwrap() = ir.len();
+                    *cp.last_mut().unwrap() = ir.len() as u32;
                 }
             }
         }
@@ -235,6 +237,43 @@ impl<V> Dcsc<V> {
         self.cp = cp;
         self.ir = ir;
         self.num = num;
+    }
+
+    /// Drop every column that holds one entry, handing each dropped
+    /// entry's row to `dropped`. In place: the kept entries move down and
+    /// the arrays are shrunk to them, and no array is allocated.
+    pub(crate) fn drop_single_cols(&mut self, mut dropped: impl FnMut(u32)) {
+        // Values first, read against the old bounds.
+        let cp = &self.cp;
+        let (mut k, mut i) = (0, 0);
+        self.num.retain(|_| {
+            while cp[k + 1] as usize <= i {
+                k += 1;
+            }
+            i += 1;
+            cp[k + 1] - cp[k] != 1
+        });
+        let (mut kept_cols, mut w) = (0, 0);
+        for k in 0..self.jc.len() {
+            let (s, e) = (self.cp[k] as usize, self.cp[k + 1] as usize);
+            if e - s == 1 {
+                dropped(self.ir[s]);
+                continue;
+            }
+            self.jc[kept_cols] = self.jc[k];
+            self.cp[kept_cols] = w as u32;
+            self.ir.copy_within(s..e, w);
+            kept_cols += 1;
+            w += e - s;
+        }
+        self.cp[kept_cols] = w as u32;
+        self.jc.truncate(kept_cols);
+        self.cp.truncate(kept_cols + 1);
+        self.ir.truncate(w);
+        self.jc.shrink_to_fit();
+        self.cp.shrink_to_fit();
+        self.ir.shrink_to_fit();
+        self.num.shrink_to_fit();
     }
 
     /// Map values (and keep structure).
@@ -250,7 +289,7 @@ impl<V> Dcsc<V> {
         let mut vals = num.into_iter();
         let mut num = Vec::with_capacity(ir.len());
         for (i, &c) in jc.iter().enumerate() {
-            for &r in &ir[cp[i]..cp[i + 1]] {
+            for &r in &ir[cp[i] as usize..cp[i + 1] as usize] {
                 num.push(f(r, c, vals.next().expect("one value per row index")));
             }
         }
@@ -271,13 +310,13 @@ impl<V> Dcsc<V> {
 /// it. `ir` and `num` end at the kept length, `cp` bounds the kept entries.
 fn fold_duplicates<V>(
     ir: &mut Vec<u32>,
-    cp: &mut [usize],
+    cp: &mut [u32],
     num: &mut Vec<V>,
     first: usize,
     add: impl Fn(&mut V, V),
 ) {
     let ncols = cp.len() - 1;
-    let first_col = cp.partition_point(|&s| s <= first) - 1;
+    let first_col = cp.partition_point(|&s| s as usize <= first) - 1;
     let vals = num.as_mut_ptr();
     let n = num.len();
     // SAFETY: the values are moved by hand below; with the length 0, a
@@ -287,9 +326,9 @@ fn fold_duplicates<V>(
     for k in first_col..ncols {
         // `cp[k + 1]` still holds the column's old end: it is rewritten
         // only on the next turn.
-        let (s, e) = (cp[k], cp[k + 1]);
+        let (s, e) = (cp[k] as usize, cp[k + 1] as usize);
         if k > first_col {
-            cp[k] = w;
+            cp[k] = w as u32;
         }
         for i in first.max(s)..e {
             debug_assert!(w <= i && i < n);
@@ -308,7 +347,7 @@ fn fold_duplicates<V>(
             }
         }
     }
-    cp[ncols] = w;
+    cp[ncols] = w as u32;
     ir.truncate(w);
     ir.shrink_to_fit();
     // SAFETY: slots `0..w` hold the kept values, each written once, and
@@ -334,7 +373,7 @@ impl<'a, V> Iterator for Iter<'a, V> {
         if k == self.m.ir.len() {
             return None;
         }
-        while self.m.cp[self.col + 1] <= k {
+        while self.m.cp[self.col + 1] as usize <= k {
             self.col += 1;
         }
         self.k = k + 1;
@@ -351,9 +390,9 @@ impl<V> ExactSizeIterator for Iter<'_, V> {}
 
 impl<V: Payload + Clone> Payload for Dcsc<V> {
     fn payload_bytes(&self) -> usize {
-        // Arrays dominate: jc (8B), cp (8B), ir (4B) and the values.
+        // Arrays dominate: jc (8B), cp (4B), ir (4B) and the values.
         self.jc.len() * 8
-            + self.cp.len() * 8
+            + self.cp.len() * 4
             + self.ir.len() * 4
             + self.num.iter().map(Payload::payload_bytes).sum::<usize>()
             + 24 // dims + lengths header
@@ -452,6 +491,42 @@ mod tests {
     }
 
     #[test]
+    fn drop_single_cols_keeps_the_others_whole() {
+        // Columns of 1, 2, 1, 3 and 1 entries; values own heap memory, so
+        // a value dropped twice or never moved would show.
+        let items = [
+            (0, 0),
+            (1, 1),
+            (2, 1),
+            (3, 2),
+            (0, 4),
+            (2, 4),
+            (3, 4),
+            (1, 5),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(r, c))| (r, c, vec![i]))
+        .collect();
+        let mut m = Dcsc::from_triples(4, 6, items, |_, _| unreachable!());
+        let mut dropped = Vec::new();
+        m.drop_single_cols(|r| dropped.push(r));
+        assert_eq!(dropped, vec![0, 3, 1]);
+        let got: Vec<_> = m.iter().map(|(r, c, v)| (r, c, v.clone())).collect();
+        let want = vec![
+            (1, 1, vec![1]),
+            (2, 1, vec![2]),
+            (0, 4, vec![4]),
+            (2, 4, vec![5]),
+            (3, 4, vec![6]),
+        ];
+        assert_eq!(got, want);
+        assert_eq!((m.cols(), m.cp.as_slice()), (&[1, 4][..], &[0, 2, 5][..]));
+        m.drop_single_cols(|_| unreachable!("no column holds one entry"));
+        assert_eq!(m.nnz(), 5);
+    }
+
+    #[test]
     fn map_changes_values() {
         let m = sample().map(|r, c, v| (r as u64 + c) as f64 * v);
         let got: Vec<f64> = m.iter().map(|(_, _, &v)| v).collect();
@@ -469,7 +544,7 @@ mod tests {
     #[test]
     fn payload_bytes_counts_arrays() {
         let m = sample();
-        // jc: 2*8, cp: 3*8, ir: 3*4, num: 3*8, header 24
-        assert_eq!(m.payload_bytes(), 16 + 24 + 12 + 24 + 24);
+        // jc: 2*8, cp: 3*4, ir: 3*4, num: 3*8, header 24
+        assert_eq!(m.payload_bytes(), 16 + 12 + 12 + 24 + 24);
     }
 }

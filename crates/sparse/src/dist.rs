@@ -325,26 +325,28 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
     }
 
     /// [`from_source`](Self::from_source) less the columns that hold one
-    /// triple of the whole matrix, dropped before any of the block's
-    /// arrays is allocated, and per global row the number of `source()`'s
-    /// triples dropped on this rank (`nrows` counts; summed over the ranks
-    /// they are the matrix's). Each dropped triple is one nonzero, alone in
-    /// its column, so the nonzeros here plus those dropped are
-    /// `from_source`'s. Every column kept is `from_source`'s column whole:
-    /// all those of two triples or more, and a one-triple column whose
-    /// hashed cell in the "seen once / seen twice" table another column's
-    /// triple shares. Collective.
+    /// triple of the whole matrix, most of them dropped before any of the
+    /// block's arrays is allocated, and per global row the number of
+    /// nonzeros dropped on this rank (`nrows` counts; summed over the
+    /// ranks they are the matrix's). Each dropped nonzero is alone in its
+    /// column, so the nonzeros here plus those dropped are
+    /// `from_source`'s. Every column kept is `from_source`'s column whole.
+    /// On a grid of one rank they are exactly its columns of two nonzeros
+    /// or more. On a larger grid they are all those of two triples or
+    /// more, and a one-triple column whose hashed cell in the "seen once /
+    /// seen twice" table another column's triple shares. Collective.
     ///
     /// On a grid of one rank the table is marked in a read of the source
     /// before the two of `from_source`; `entries`, how many triples
-    /// `source()` yields, sizes it (a wrong value costs only more kept
-    /// columns). On a larger grid no triple moves before its column is
-    /// judged: a second read of the source sends each owner the column ids
-    /// of its triples (4 B each, local to the owner's block), the owner
-    /// marks them in a table sized on its grid column's ids, merged down
-    /// the grid column, whose blocks hold the other rows of the same
-    /// columns, and answers one bit per id; a third read then ships only
-    /// the kept triples.
+    /// `source()` yields, sizes it (a wrong value costs only more sorted
+    /// columns). The block holds every row, so after the sort each column
+    /// of one nonzero is dropped in place. On a larger grid no triple
+    /// moves before its column is judged: a second read of the source
+    /// sends each owner the column ids of its triples (4 B each, local to
+    /// the owner's block), the owner marks them in a table sized on its
+    /// grid column's ids, merged down the grid column, whose blocks hold
+    /// the other rows of the same columns, and answers one bit per id; a
+    /// third read then ships only the kept triples.
     pub fn from_source_shared<I>(
         grid: Rc<Grid>,
         nrows: u64,
@@ -417,10 +419,15 @@ impl<V: Payload + Clone + Sync> DistMat<V> {
         });
         let counted = plan.len() as u64;
         // My block's rows are all the rows: its drops are per global row.
-        let (block, dropped) = frame.block(plan, source(), kept, add);
+        let (mut block, mut dropped) = frame.block(plan, source(), kept, add);
         // Work accounting: the counting pass stands in for the bucketing.
         let n = counted + dropped.iter().map(|&d| d as u64).sum::<u64>();
         pcomm::work::record_class(n, pcomm::work::CostClass::TripleShuffle);
+        if shared.is_some() {
+            // My block holds every row of its columns, so a column of one
+            // entry here is one of the whole matrix that the table kept.
+            block.drop_single_cols(|r| dropped[r as usize] += 1);
+        }
         (Self::filled(grid, nrows, ncols, block), dropped)
     }
 

@@ -18,6 +18,10 @@
 //! values — instead of another item buffer. When at most one column
 //! digit varies, that digit's non-empty buckets are the columns;
 //! otherwise the sorted column ids are written too and compressed.
+//!
+//! Items carry their column in the narrowest word that holds the block's
+//! column space: `u32` up to `2^32` columns, so a `(row, col, u32)` item
+//! is 12 B and the written ids 4 B each, and `u64` beyond.
 
 /// Widest digit a pass buckets by: a row word of ≤ 65 536 sequences per
 /// block, the usual word a transpose sorts by, takes a single pass.
@@ -30,6 +34,11 @@ struct Digit {
     shift: u32,
     width: u32,
 }
+
+/// The column word a sort's items carry (see the module docs).
+trait ColWord: Copy + Default + PartialEq + Into<u64> {}
+
+impl<C: Copy + Default + PartialEq + Into<u64>> ColWord for C {}
 
 impl Digit {
     #[inline]
@@ -94,6 +103,8 @@ enum Cols {
 /// The passes that put a known sequence of keys into `(col, row)` order.
 pub(crate) struct RadixPlan {
     n: usize,
+    /// Whether the block's column ids fit a `u32` item word.
+    narrow: bool,
     /// Passes to run, least significant digit first.
     passes: Vec<Pass>,
     cols: Cols,
@@ -198,7 +209,12 @@ impl RadixPlan {
             },
             _ => Cols::Ids,
         };
-        RadixPlan { n, passes, cols }
+        RadixPlan {
+            n,
+            narrow: ncols <= 1 << 32,
+            passes,
+            cols,
+        }
     }
 
     /// Number of items the plan was counted over.
@@ -209,11 +225,29 @@ impl RadixPlan {
     /// Sort `items` — the items whose keys the plan counted, in the same
     /// order — stably into `(col, row)` order. Returns the rows, the
     /// distinct column ids `jc` with their bounds `cp` (DCSC layout), and
-    /// the values. Equal keys keep their input order.
+    /// the values. Equal keys keep their input order. Panics unless there
+    /// are fewer than `2^32` items, the most `u32` bounds can index.
     pub(crate) fn apply<V>(
         self,
         items: impl Iterator<Item = (u32, u64, V)>,
-    ) -> (Vec<u32>, Vec<u64>, Vec<usize>, Vec<V>) {
+    ) -> (Vec<u32>, Vec<u64>, Vec<u32>, Vec<V>) {
+        assert!(
+            self.n <= u32::MAX as usize,
+            "a block holds fewer than 2^32 nonzeros"
+        );
+        if self.narrow {
+            // Every column is below `ncols ≤ 2^32`.
+            self.apply_as(items.map(|(r, c, v)| (r, c as u32, v)))
+        } else {
+            self.apply_as(items)
+        }
+    }
+
+    /// [`apply`](Self::apply) with items carrying their column as `C`.
+    fn apply_as<C: ColWord, V>(
+        self,
+        items: impl Iterator<Item = (u32, C, V)>,
+    ) -> (Vec<u32>, Vec<u64>, Vec<u32>, Vec<V>) {
         let n = self.n;
         let ids = matches!(self.cols, Cols::Ids);
         let mut passes = self.passes;
@@ -234,7 +268,7 @@ impl RadixPlan {
             Cols::Buckets {
                 base,
                 varying: None,
-            } => (vec![base], vec![0, n]),
+            } => (vec![base], vec![0, n as u32]),
             Cols::Buckets {
                 base,
                 varying: Some((shift, start)),
@@ -245,10 +279,10 @@ impl RadixPlan {
                 for (b, w) in start.windows(2).enumerate() {
                     if w[0] < w[1] {
                         jc.push(base | (b as u64) << shift);
-                        cp.push(w[0]);
+                        cp.push(w[0] as u32);
                     }
                 }
-                cp.push(n);
+                cp.push(n as u32);
                 (jc, cp)
             }
             Cols::Ids => {
@@ -258,10 +292,10 @@ impl RadixPlan {
                 let mut jc = Vec::with_capacity(nzc);
                 let mut cp = Vec::with_capacity(nzc + 1);
                 for i in (0..n).filter(|&i| new_col(i)) {
-                    jc.push(ids[i]);
-                    cp.push(i);
+                    jc.push(ids[i].into());
+                    cp.push(i as u32);
                 }
-                cp.push(n);
+                cp.push(n as u32);
                 (jc, cp)
             }
         };
@@ -276,11 +310,11 @@ impl RadixPlan {
 /// initialised. `src` is driven by `for_each`, not `next`, so a nested
 /// source (a `flat_map` over sequences) runs as one loop per inner
 /// iterator.
-fn scatter<V>(
-    src: impl Iterator<Item = (u32, u64, V)>,
+fn scatter<C: ColWord, V>(
+    src: impl Iterator<Item = (u32, C, V)>,
     n: usize,
     pass: Option<&Pass>,
-    mut put: impl FnMut(usize, (u32, u64, V)),
+    mut put: impl FnMut(usize, (u32, C, V)),
 ) {
     match pass {
         None => {
@@ -294,7 +328,7 @@ fn scatter<V>(
         Some(pass) => {
             let mut next = pass.start.clone();
             src.for_each(|item| {
-                let b = pass.digit.of(item.0, item.1);
+                let b = pass.digit.of(item.0, item.1.into());
                 let at = next[b];
                 next[b] = at + 1;
                 put(at, item);
@@ -310,11 +344,11 @@ fn scatter<V>(
 }
 
 /// One pass that moves whole items into a new buffer.
-fn scatter_items<V>(
-    src: impl Iterator<Item = (u32, u64, V)>,
+fn scatter_items<C: ColWord, V>(
+    src: impl Iterator<Item = (u32, C, V)>,
     n: usize,
     pass: &Pass,
-) -> Vec<(u32, u64, V)> {
+) -> Vec<(u32, C, V)> {
     let mut out = Vec::with_capacity(n);
     let slots = &mut out.spare_capacity_mut()[..n];
     scatter(src, n, Some(pass), |at, item| {
@@ -328,14 +362,14 @@ fn scatter_items<V>(
 
 /// The last pass (or the identity, with no pass): items split into rows,
 /// values and, when `with_ids`, column ids.
-fn scatter_split<V>(
-    src: impl Iterator<Item = (u32, u64, V)>,
+fn scatter_split<C: ColWord, V>(
+    src: impl Iterator<Item = (u32, C, V)>,
     n: usize,
     pass: Option<&Pass>,
     with_ids: bool,
-) -> (Vec<u32>, Option<Vec<u64>>, Vec<V>) {
+) -> (Vec<u32>, Option<Vec<C>>, Vec<V>) {
     let mut rows = vec![0u32; n];
-    let mut ids = if with_ids { vec![0u64; n] } else { Vec::new() };
+    let mut ids = vec![C::default(); if with_ids { n } else { 0 }];
     let mut vals = Vec::with_capacity(n);
     let slots = &mut vals.spare_capacity_mut()[..n];
     scatter(src, n, pass, |at, (r, c, v)| {
@@ -361,7 +395,7 @@ mod tests {
         let (rows, jc, cp, vals) = plan.apply(items.into_iter());
         let mut out = Vec::new();
         for (k, &c) in jc.iter().enumerate() {
-            for i in cp[k]..cp[k + 1] {
+            for i in cp[k] as usize..cp[k + 1] as usize {
                 out.push((rows[i], c, vals[i]));
             }
         }
@@ -404,6 +438,36 @@ mod tests {
         let mut want = items;
         want.sort_by_key(|&(r, c, _)| (c, r));
         assert_eq!(got, want);
+    }
+
+    /// At `2^32` columns the items carry `u32` columns, one more and
+    /// `u64`; the two sort alike, through written ids (columns varying in
+    /// several digits), through one varying digit's buckets, and with
+    /// every key agreeing.
+    #[test]
+    fn narrow_items_sort_as_wide_ones() {
+        let top = u32::MAX as u64;
+        let spread = vec![
+            (5, top, 0),
+            (1, 0, 1),
+            (5, 1 << 31, 2),
+            (0, top, 3),
+            (5, 1 << 31, 4),
+            (2, 70_000, 5),
+            (1, 3, 6),
+        ];
+        let one_digit: Vec<_> = (0..6).map(|i| (6 - i, top - i as u64 % 3, i)).collect();
+        let agreeing = vec![(3, top, 0), (1, top, 1)];
+        for items in [spread, one_digit, agreeing] {
+            let keys: Vec<_> = items.iter().map(|&(r, c, _)| (r, c)).collect();
+            assert!(plan_of(8, 1 << 32, &keys).narrow);
+            assert!(!plan_of(8, (1 << 32) + 1, &keys).narrow);
+            let narrow = sorted(8, 1 << 32, items.clone());
+            assert_eq!(narrow, sorted(8, (1 << 32) + 1, items.clone()));
+            let mut want = items;
+            want.sort_by_key(|&(r, c, _)| (c, r));
+            assert_eq!(narrow, want);
+        }
     }
 
     #[test]

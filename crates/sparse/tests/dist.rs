@@ -365,10 +365,11 @@ fn lazy_transpose_equals_the_eager_one() {
 }
 
 /// `from_source_shared` is `from_source` less one-triple columns: every
-/// column of two triples or more is kept whole, every dropped triple is
-/// counted on its global row by the rank whose source yielded it, and a
-/// table far too small (one word for 400 triples, at p = 1) only keeps
-/// more one-triple columns.
+/// column of two triples or more is kept whole, and every dropped nonzero
+/// is counted on its global row by the rank whose source yielded it. At
+/// p = 1 the kept columns are exactly those of two nonzeros or more, even
+/// with a table far too small (one word for 400 triples); on a grid a
+/// collision in the table keeps a one-triple column now and then.
 #[test]
 fn from_source_shared_drops_only_one_triple_columns() {
     // Many one-triple columns, some columns shared by rows, and some
@@ -399,11 +400,16 @@ fn from_source_shared_drops_only_one_triple_columns() {
         let (whole, shared) = (runs[0].0.clone().unwrap(), runs[0].1.clone().unwrap());
         let kept: std::collections::BTreeSet<u64> = shared.iter().map(|t| t.1).collect();
         let mut lost = vec![0u32; 20];
+        let mut nonzeros = std::collections::BTreeMap::new();
+        whole
+            .iter()
+            .for_each(|t| *nonzeros.entry(t.1).or_insert(0) += 1);
         for t in &whole {
             match kept.contains(&t.1) {
                 true => assert!(shared.contains(t), "{ctx}: {t:?} missing"),
                 false => {
-                    assert_eq!(per_col[&t.1], 1, "{ctx}: column {} dropped", t.1);
+                    let single = per_col[&t.1] == 1 || p == 1 && nonzeros[&t.1] == 1;
+                    assert!(single, "{ctx}: column {} dropped", t.1);
                     lost[t.0 as usize] += 1;
                 }
             }
@@ -420,8 +426,11 @@ fn from_source_shared_drops_only_one_triple_columns() {
         assert_eq!(counted, lost, "{ctx}: dropped per row");
         let once = per_col.values().filter(|&&n| n == 1).count();
         let kept_once = kept.iter().filter(|c| per_col[c] == 1).count();
-        match (p, entries) {
-            (1, 1) => assert!(kept_once > once / 2, "{ctx}: kept {kept_once} of {once}"),
+        match p {
+            1 => assert!(
+                kept.iter().all(|c| nonzeros[c] > 1),
+                "{ctx}: a column of one nonzero kept"
+            ),
             _ => assert!(kept_once < once / 4, "{ctx}: kept {kept_once} of {once}"),
         }
     }

@@ -166,6 +166,25 @@ for seed in 7 26 1400845388; do
         cmp "$xp_tmp/p1.tsv" "$xp_tmp/px.tsv" \
             || { echo "verify: seed $seed: PSG at --ranks 16 differs from --ranks 1"; exit 1; }
     fi
+    # X-drop at coverage cuts 0 and 0.9: a seed's second side is skipped
+    # only when no seed of the pair can reach the cut (DESIGN.md §7), so
+    # both must write the same bytes on one rank and a 2x2 grid, and the
+    # bytes extending every seed whole wrote (`cksum` of the PSG).
+    for cov in 0 0.9; do
+        case "$seed $cov" in
+            "7 0") cov_pin="1028526138 224523" ;;
+            "7 0.9") cov_pin="3965977623 46971" ;;
+            "26 0") cov_pin="964795030 231441" ;;
+            "26 0.9") cov_pin="392988935 51969" ;;
+            "1400845388 0") cov_pin="2202963907 233087" ;;
+            *) cov_pin="3743037055 46643" ;;
+        esac
+        for ranks in 1 4; do
+            xp_psg "$xp_tmp/px.tsv" xd "$ranks" --min-cov "$cov"
+            [[ "$(cksum <"$xp_tmp/px.tsv")" == "$cov_pin" ]] \
+                || { echo "verify: seed $seed: --min-cov $cov PSG at --ranks $ranks: cksum is not $cov_pin"; exit 1; }
+        done
+    done
     # Alignment-free (`--mode none`, the `sparse_only` protocol): the PSG
     # is every candidate pair, so the masked local products are compared
     # whole, not only the pairs x-drop keeps. It must hold more pairs than
