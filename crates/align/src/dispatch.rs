@@ -1,17 +1,22 @@
 //! Runtime SIMD dispatch for the striped kernels, the Smith–Waterman
 //! traceback fill and the x-drop open interior.
 //!
-//! Each lane kernel carries two lane configurations: AVX2-width lanes
-//! (the striped engine's `[i16; 16]` / `[i32; 8]`, the traceback fill's
-//! and the x-drop interior's eight i32, compiled with
-//! `target_feature(avx2)`) and the portable SLP lanes (`[i16; 8]` /
-//! `[i32; 4]`, plain autovectorized code — the fallback; the two i32
-//! kernels' four lanes are SSE2 on x86-64). Both produce bit-identical
-//! results (the DP values and the argmax scan are lane-layout
-//! independent); they differ only in throughput, so the choice is made
-//! once per process here, by feature detection alone. Tests reach the lane
-//! the host would not pick through `striped_pass_at`, `sw::fill_kernel`
-//! and `xdrop::lanes::kernel`.
+//! Three levels, chosen once per process here, by feature detection
+//! alone:
+//!
+//! | level    | x-drop interior, traceback fill | striped score pass (i16 / i32) |
+//! |----------|---------------------------------|--------------------------------|
+//! | `Avx512` | sixteen i32 lanes (AVX-512)     | AVX2: `[i16; 16]` / `[i32; 8]` |
+//! | `Avx2`   | eight i32 lanes (AVX2)          | AVX2: `[i16; 16]` / `[i32; 8]` |
+//! | `Slp`    | four i32 lanes (SSE2 on x86-64) | SLP: `[i16; 8]` / `[i32; 4]`   |
+//!
+//! The striped pass keeps its AVX2 width at the AVX-512 level: a
+//! 32-lane autovectorised copy of it ran slower (the score pass 0.40 s →
+//! 0.45–0.55 s in a scratch measurement). Every level produces
+//! bit-identical results (the DP values and the argmax scan are
+//! lane-layout independent); they differ only in throughput. Tests reach
+//! the levels the host would not pick through `striped_pass_at`,
+//! `sw::fill_kernel` and `xdrop::lanes::kernel`.
 //!
 //! This module is the only place in the workspace allowed to call
 //! `is_x86_feature_detected!` (enforced by xlint): detection scattered
@@ -26,15 +31,47 @@ pub enum SimdLevel {
     Slp,
     /// AVX2 256-bit lanes.
     Avx2,
+    /// AVX-512 512-bit lanes for the i32 lane kernels; the striped score
+    /// pass runs its AVX2 lanes.
+    Avx512,
 }
 
+impl SimdLevel {
+    /// The level's name as diagnostics print it: `slp`, `avx2`, `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SimdLevel::Slp => "slp",
+            SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
+        }
+    }
+}
+
+/// Whether this host runs AVX2 instructions.
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-pub(crate) fn avx2_available() -> bool {
+pub fn avx2_available() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
 #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-pub(crate) fn avx2_available() -> bool {
+pub fn avx2_available() -> bool {
+    false
+}
+
+/// Whether this host runs the AVX-512 level: the lanes use `avx512f`,
+/// `avx512bw`, `avx512vl` and `avx512dq`, and the striped pass at that
+/// level uses AVX2.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn avx512_available() -> bool {
+    avx2_available()
+        && is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx512dq")
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn avx512_available() -> bool {
     false
 }
 
@@ -43,7 +80,9 @@ pub(crate) fn avx2_available() -> bool {
 pub fn level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
-        if avx2_available() {
+        if avx512_available() {
+            SimdLevel::Avx512
+        } else if avx2_available() {
             SimdLevel::Avx2
         } else {
             SimdLevel::Slp
@@ -59,6 +98,13 @@ mod tests {
     fn level_is_stable_and_matches_detection() {
         let lv = level();
         assert_eq!(lv, level(), "dispatch decision must be cached");
-        assert_eq!(lv == SimdLevel::Avx2, avx2_available());
+        let want = match (avx512_available(), avx2_available()) {
+            (true, _) => SimdLevel::Avx512,
+            (false, true) => SimdLevel::Avx2,
+            (false, false) => SimdLevel::Slp,
+        };
+        assert_eq!(lv, want);
+        // The AVX-512 level runs the striped pass's AVX2 lanes.
+        assert!(!avx512_available() || avx2_available());
     }
 }

@@ -4,12 +4,15 @@
 //! direction-byte layout, the dead-cell value and the gap costs.
 //!
 //! Each kernel is one macro body instantiated once per module of lane
-//! operations below: eight AVX2 lanes, and for the SLP level four SSE2
-//! lanes on x86-64 (whose baseline includes SSE2) or four plain-Rust lanes
-//! elsewhere. Every module exports the same names (`L`, `V`, `Table`,
-//! `splat`, `load`, `prefix_max`, …), so a kernel body reads the same at
-//! every level. A partial last chunk runs the same lane code on masked
-//! loads and stores; there is no scalar remainder loop.
+//! operations below: sixteen AVX-512 lanes, eight AVX2 lanes, and for the
+//! SLP level four SSE2 lanes on x86-64 (whose baseline includes SSE2) or
+//! four plain-Rust lanes elsewhere. Every module exports the same names
+//! (`L`, `V`, `M`, `Table`, `splat`, `load`, `prefix_max`, …), so a kernel
+//! body reads the same at every level. A compare yields an `M`: a vector of
+//! all-ones lanes up to AVX2, a native `__mmask16` at AVX-512, consumed only
+//! by `select`, `when`, `gt_where` and `mask_bits`. A partial last chunk
+//! runs the same lane code on masked loads and stores; there is no scalar
+//! remainder loop.
 
 use crate::AlignParams;
 
@@ -29,8 +32,10 @@ pub(crate) const F_EXTEND: u8 = 1 << 3; // F came from F (else from H)
 pub(crate) const NEG_INF: i32 = i32::MIN / 4;
 
 /// Largest `gap_open + gap_extend` the lane kernels accept: far enough
-/// from `i32` overflow that no lane or scalar step saturates.
-pub(crate) const MAX_GAP_COST: i32 = 1 << 28;
+/// from `i32` overflow that no lane or scalar step saturates. The E scan
+/// adds up to `(L − 1)·ext` to a lane value, and `15 · 2^27` plus any score
+/// or `NEG_INF` stays inside `i32` at sixteen lanes.
+pub(crate) const MAX_GAP_COST: i32 = 1 << 27;
 
 /// Affine gap costs carried as one value: `open` is the full price of a
 /// gap's first column (`gap_open + gap_extend`), `ext` of each further one.
@@ -46,7 +51,7 @@ impl Gap {
     ///
     /// # Panics
     ///
-    /// On a negative gap cost or `gap_open + gap_extend > 2^28`. The lane
+    /// On a negative gap cost or `gap_open + gap_extend > 2^27`. The lane
     /// E scan equals the scalar recurrence only when opening a gap costs at
     /// least extending one (`gap_open ≥ 0`) and no intermediate leaves
     /// `i32`.
@@ -54,7 +59,7 @@ impl Gap {
         assert!(
             (0..=MAX_GAP_COST).contains(&params.gap_open)
                 && (0..=MAX_GAP_COST - params.gap_open).contains(&params.gap_extend),
-            "lane kernels need gap_open, gap_extend >= 0 and gap_open + gap_extend <= 2^28"
+            "lane kernels need gap_open, gap_extend >= 0 and gap_open + gap_extend <= 2^27"
         );
         Gap {
             open: params.gap_open + params.gap_extend,
@@ -85,6 +90,8 @@ pub(crate) mod portable {
 
     pub(crate) const L: usize = 4;
     pub(crate) type V = [i32; L];
+    /// All ones in the lanes a compare holds.
+    pub(crate) type M = V;
     pub(crate) type Table = [i8; SIGMA];
 
     #[inline(always)]
@@ -169,13 +176,20 @@ pub(crate) mod portable {
 
     /// All ones where `a > b`.
     #[inline(always)]
-    pub(crate) fn gt(a: V, b: V) -> V {
+    pub(crate) fn gt(a: V, b: V) -> M {
         map2(a, b, |x, y| -((x > y) as i32))
     }
 
+    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline(always)]
-    pub(crate) fn and(a: V, b: V) -> V {
-        map2(a, b, |x, y| x & y)
+    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
+        when(m, gt(a, b))
+    }
+
+    /// `v` where the mask is set, else 0.
+    #[inline(always)]
+    pub(crate) fn when(m: M, v: V) -> V {
+        map2(m, v, |x, y| x & y)
     }
 
     #[inline(always)]
@@ -185,7 +199,7 @@ pub(crate) mod portable {
 
     /// `a` where the mask is set, else `b`.
     #[inline(always)]
-    pub(crate) fn select(m: V, a: V, b: V) -> V {
+    pub(crate) fn select(m: M, a: V, b: V) -> V {
         std::array::from_fn(|l| (m[l] & a[l]) | (!m[l] & b[l]))
     }
 
@@ -214,7 +228,7 @@ pub(crate) mod portable {
 
     /// One bit per lane, set where the mask is.
     #[inline(always)]
-    pub(crate) fn mask_bits(m: V) -> u32 {
+    pub(crate) fn mask_bits(m: M) -> u32 {
         (0..L).fold(0, |bits, l| bits | (((m[l] < 0) as u32) << l))
     }
 }
@@ -234,6 +248,8 @@ pub(crate) mod sse2 {
 
     pub(crate) const L: usize = 4;
     pub(crate) type V = __m128i;
+    /// All ones in the lanes a compare holds.
+    pub(crate) type M = V;
     pub(crate) type Table = [i8; SIGMA];
 
     #[inline]
@@ -347,14 +363,22 @@ pub(crate) mod sse2 {
     /// All ones where `a > b`.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn gt(a: V, b: V) -> V {
+    pub(crate) fn gt(a: V, b: V) -> M {
         _mm_cmpgt_epi32(a, b)
     }
 
+    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn and(a: V, b: V) -> V {
-        _mm_and_si128(a, b)
+    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
+        when(m, gt(a, b))
+    }
+
+    /// `v` where the mask is set, else 0.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    pub(crate) fn when(m: M, v: V) -> V {
+        _mm_and_si128(m, v)
     }
 
     #[inline]
@@ -366,7 +390,7 @@ pub(crate) mod sse2 {
     /// `a` where the mask is set, else `b`.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn select(m: V, a: V, b: V) -> V {
+    pub(crate) fn select(m: M, a: V, b: V) -> V {
         _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
     }
 
@@ -407,7 +431,7 @@ pub(crate) mod sse2 {
     /// One bit per lane, set where the mask is.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn mask_bits(m: V) -> u32 {
+    pub(crate) fn mask_bits(m: M) -> u32 {
         _mm_movemask_ps(_mm_castsi128_ps(m)) as u32
     }
 }
@@ -424,6 +448,8 @@ pub(crate) mod avx2 {
 
     pub(crate) const L: usize = 8;
     pub(crate) type V = __m256i;
+    /// All ones in the lanes a compare holds.
+    pub(crate) type M = V;
     /// Matrix-row entries `0..16` and `8..24`, each one `pshufb` table.
     pub(crate) type Table = (__m128i, __m128i);
 
@@ -575,14 +601,22 @@ pub(crate) mod avx2 {
     /// All ones where `a > b`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn gt(a: V, b: V) -> V {
+    pub(crate) fn gt(a: V, b: V) -> M {
         _mm256_cmpgt_epi32(a, b)
     }
 
+    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn and(a: V, b: V) -> V {
-        _mm256_and_si256(a, b)
+    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
+        when(m, gt(a, b))
+    }
+
+    /// `v` where the mask is set, else 0.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(crate) fn when(m: M, v: V) -> V {
+        _mm256_and_si256(m, v)
     }
 
     #[inline]
@@ -594,7 +628,7 @@ pub(crate) mod avx2 {
     /// `a` where the mask is set, else `b`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn select(m: V, a: V, b: V) -> V {
+    pub(crate) fn select(m: M, a: V, b: V) -> V {
         _mm256_blendv_epi8(b, a, m)
     }
 
@@ -637,8 +671,226 @@ pub(crate) mod avx2 {
     /// One bit per lane, set where the mask is.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn mask_bits(m: V) -> u32 {
+    pub(crate) fn mask_bits(m: M) -> u32 {
         _mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32
+    }
+}
+
+/// AVX-512 lanes: one `__m512i` of sixteen i32, compares into native
+/// `__mmask16` masks. Every function carries the level's four features
+/// (`avx512f`, `avx512bw`, `avx512vl`, `avx512dq`, detected together by
+/// `dispatch`), so each inlines into the kernel instantiated over it.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512 {
+    use std::arch::x86_64::*;
+
+    use seqstore::SIGMA;
+
+    use super::NEG_INF;
+
+    pub(crate) const L: usize = 16;
+    pub(crate) type V = __m512i;
+    /// One bit per lane.
+    pub(crate) type M = __mmask16;
+    /// Matrix-row entries `0..16` and `16..24`, widened to i32: the two
+    /// halves of one `vpermt2d` lookup.
+    pub(crate) type Table = (__m512i, __m512i);
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn table(row: &[i8; SIGMA]) -> Table {
+        // SAFETY: the 16-byte read at 0 and the 8-byte read at 16 lie
+        // inside the 24-byte row; neither load has an alignment
+        // requirement.
+        unsafe {
+            (
+                _mm512_cvtepi8_epi32(_mm_loadu_si128(row.as_ptr().cast())),
+                _mm512_cvtepi8_epi32(_mm_loadl_epi64(row[16..].as_ptr().cast())),
+            )
+        }
+    }
+
+    /// The lanes below `n`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    fn part_mask(n: usize) -> M {
+        ((1u32 << n) - 1) as M
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn scores_of(t: &Table, b: &[u8; L]) -> V {
+        // SAFETY: `b` is the 16 bytes `loadu` reads, at any alignment.
+        let idx = _mm512_cvtepu8_epi32(unsafe { _mm_loadu_si128(b.as_ptr().cast()) });
+        // Bit 4 of a code picks the second half, bits 0..4 the entry.
+        _mm512_permutex2var_epi32(t.0, idx, t.1)
+    }
+
+    /// [`scores_of`] for fewer than `L` residues; the other lanes score 0.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn scores_part(t: &Table, b: &[u8]) -> V {
+        let m = part_mask(b.len());
+        // SAFETY: the masked load reads only the bytes `m` selects, which
+        // lie inside `b`.
+        let idx = _mm512_cvtepu8_epi32(unsafe { _mm_maskz_loadu_epi8(m, b.as_ptr().cast()) });
+        _mm512_maskz_permutex2var_epi32(m, t.0, idx, t.1)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn splat(x: i32) -> V {
+        _mm512_set1_epi32(x)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn from_array(a: [i32; L]) -> V {
+        load(&a)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn load(s: &[i32; L]) -> V {
+        // SAFETY: `s` is the 64 bytes `loadu` reads, at any alignment.
+        unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn store(v: V, out: &mut [i32; L]) {
+        // SAFETY: `out` is the 64 bytes `storeu` writes, at any alignment.
+        unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) }
+    }
+
+    /// Lanes `< s.len()` from `s`, the rest `NEG_INF`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn load_part(s: &[i32]) -> V {
+        // SAFETY: the masked load reads only the lanes the mask selects,
+        // which lie inside `s`.
+        unsafe { _mm512_mask_loadu_epi32(splat(NEG_INF), part_mask(s.len()), s.as_ptr()) }
+    }
+
+    /// The first `out.len()` lanes of `v`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn store_part(v: V, out: &mut [i32]) {
+        // SAFETY: the masked store writes only the lanes the mask selects,
+        // which lie inside `out`.
+        unsafe { _mm512_mask_storeu_epi32(out.as_mut_ptr(), part_mask(out.len()), v) }
+    }
+
+    /// The low byte of every lane, in lane order (`vpmovdb`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn store_dirs(v: V, out: &mut [u8; L]) {
+        // SAFETY: `out` is the 16 bytes `storeu` writes, at any alignment.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), _mm512_cvtepi32_epi8(v)) }
+    }
+
+    /// The first `out.len()` lanes of [`store_dirs`].
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn store_dirs_part(v: V, out: &mut [u8]) {
+        // SAFETY: the masked store writes only the bytes the mask selects,
+        // which lie inside `out`.
+        unsafe {
+            _mm512_mask_cvtepi32_storeu_epi8(out.as_mut_ptr().cast(), part_mask(out.len()), v)
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn add(a: V, b: V) -> V {
+        _mm512_add_epi32(a, b)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn sub(a: V, b: V) -> V {
+        _mm512_sub_epi32(a, b)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn max(a: V, b: V) -> V {
+        _mm512_max_epi32(a, b)
+    }
+
+    /// Set where `a > b`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn gt(a: V, b: V) -> M {
+        _mm512_cmpgt_epi32_mask(a, b)
+    }
+
+    /// [`gt`] in the lanes `m` holds, clear elsewhere.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
+        _mm512_mask_cmpgt_epi32_mask(m, a, b)
+    }
+
+    /// `v` where the mask is set, else 0.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn when(m: M, v: V) -> V {
+        _mm512_maskz_mov_epi32(m, v)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn or(a: V, b: V) -> V {
+        _mm512_or_si512(a, b)
+    }
+
+    /// `a` where the mask is set, else `b`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn select(m: M, a: V, b: V) -> V {
+        _mm512_mask_blend_epi32(m, b, a)
+    }
+
+    /// `cur` moved up one lane, `prev`'s last lane entering at lane 0:
+    /// lanes 15..31 of `[prev | cur]` (`valignd`).
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn shift_in(prev: V, cur: V) -> V {
+        _mm512_alignr_epi32::<15>(cur, prev)
+    }
+
+    /// Inclusive prefix max: shifts by 1, 2, 4 and 8 lanes, `i32::MIN`
+    /// entering at lane 0.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn prefix_max(v: V) -> V {
+        let fill = splat(i32::MIN);
+        let v = max(v, _mm512_alignr_epi32::<15>(v, fill));
+        let v = max(v, _mm512_alignr_epi32::<14>(v, fill));
+        let v = max(v, _mm512_alignr_epi32::<12>(v, fill));
+        max(v, _mm512_alignr_epi32::<8>(v, fill))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn last(v: V) -> i32 {
+        _mm_extract_epi32::<3>(_mm512_extracti32x4_epi32::<3>(v))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn lane(v: V, l: usize) -> i32 {
+        let mut out = [0; L];
+        store(v, &mut out);
+        out[l]
+    }
+
+    /// One bit per lane, set where the mask is.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    pub(crate) fn mask_bits(m: M) -> u32 {
+        m as u32
     }
 }
 
@@ -682,6 +934,186 @@ mod tests {
                     msg.contains("gap_open, gap_extend >= 0"),
                     "({open},{ext}): {msg:?}"
                 );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_lanes_equal_portable() {
+        if !crate::dispatch::avx512_available() {
+            return;
+        }
+        // SAFETY: the AVX-512 level's features were detected above.
+        unsafe { avx512_equal_portable() }
+    }
+
+    /// Every `avx512` operation against `portable` run on the four
+    /// quarters of its sixteen lanes; the cross-lane ones (`shift_in`,
+    /// `prefix_max`) chain the quarters as the wider lanes must.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    fn avx512_equal_portable() {
+        use avx512 as w;
+        use portable as p;
+        use rand::prelude::*;
+        use seqstore::SIGMA;
+        type Q = [i32; 4];
+
+        // Closures inherit the function's target features.
+        let get = |v: w::V| -> [i32; 16] {
+            let mut out = [0; 16];
+            w::store(v, &mut out);
+            out
+        };
+        fn quarter(a: &[i32; 16], q: usize) -> Q {
+            *arr(&a[4 * q..])
+        }
+        /// Sixteen lanes from four portable results.
+        fn join(f: impl Fn(usize) -> Q) -> [i32; 16] {
+            let qs: [Q; 4] = std::array::from_fn(f);
+            std::array::from_fn(|l| qs[l / 4][l % 4])
+        }
+        /// A portable mask from the bits of lanes `4q .. 4q + 4`.
+        fn mask_of(bits: u32, q: usize) -> Q {
+            std::array::from_fn(|l| -((bits >> (4 * q + l) & 1) as i32))
+        }
+        fn bits_of(f: impl Fn(usize) -> Q) -> u32 {
+            (0..4).fold(0, |bits, q| bits | p::mask_bits(f(q)) << (4 * q))
+        }
+
+        let mut rng = StdRng::seed_from_u64(0xa512);
+        let pool = [
+            i32::MIN,
+            i32::MIN + 1,
+            NEG_INF,
+            NEG_INF / 2,
+            -1,
+            0,
+            1,
+            i32::MAX,
+        ];
+        let value = |rng: &mut StdRng| -> i32 {
+            match rng.random_range(0..4) {
+                0 => pool[rng.random_range(0..pool.len())],
+                1 => rng.random_range(-40..40),
+                _ => rng.random(),
+            }
+        };
+
+        // Scores: every code in every lane, codes ≥ 16 included, for every
+        // matrix row; partial loads score 0 past their end.
+        for row in &crate::BLOSUM62.scores {
+            let (tw, tp) = (w::table(row), p::table(row));
+            for start in 0..SIGMA {
+                let b: [u8; 16] = std::array::from_fn(|l| ((start + l) % SIGMA) as u8);
+                let want = join(|q| p::scores_of(&tp, arr(&b[4 * q..])));
+                assert_eq!(get(w::scores_of(&tw, &b)), want, "scores_of from {start}");
+                for n in 1..=16 {
+                    let want =
+                        join(|q| p::scores_part(&tp, &b[(4 * q).min(n)..(4 * q + 4).min(n)]));
+                    assert_eq!(get(w::scores_part(&tw, &b[..n])), want, "scores_part {n}");
+                }
+            }
+        }
+
+        for case in 0..2000 {
+            let a: [i32; 16] = std::array::from_fn(|_| value(&mut rng));
+            let b: [i32; 16] = std::array::from_fn(|_| value(&mut rng));
+            let bits: u16 = rng.random();
+            let (va, vb) = (w::load(&a), w::load(&b));
+            let m = w::gt(va, vb);
+            let ctx = || format!("case {case}: a={a:?} b={b:?} bits={bits:#x}");
+            let lanewise = |f: fn(Q, Q) -> Q| join(|q| f(quarter(&a, q), quarter(&b, q)));
+            assert_eq!(get(w::add(va, vb)), lanewise(p::add), "add {}", ctx());
+            assert_eq!(get(w::sub(va, vb)), lanewise(p::sub), "sub {}", ctx());
+            assert_eq!(get(w::max(va, vb)), lanewise(p::max), "max {}", ctx());
+            assert_eq!(get(w::or(va, vb)), lanewise(p::or), "or {}", ctx());
+            assert_eq!(
+                w::mask_bits(m),
+                bits_of(|q| p::gt(quarter(&a, q), quarter(&b, q))),
+                "gt {}",
+                ctx()
+            );
+            let bits = bits as u32;
+            assert_eq!(
+                w::mask_bits(w::gt_where(bits as w::M, va, vb)),
+                bits_of(|q| p::gt_where(mask_of(bits, q), quarter(&a, q), quarter(&b, q))),
+                "gt_where {}",
+                ctx()
+            );
+            assert_eq!(
+                get(w::when(bits as w::M, va)),
+                join(|q| p::when(mask_of(bits, q), quarter(&a, q))),
+                "when {}",
+                ctx()
+            );
+            assert_eq!(
+                get(w::select(bits as w::M, va, vb)),
+                join(|q| p::select(mask_of(bits, q), quarter(&a, q), quarter(&b, q))),
+                "select {}",
+                ctx()
+            );
+            // `b` is the previous chunk: its last quarter enters the first.
+            let want = join(|q| {
+                let prev = quarter(if q == 0 { &b } else { &a }, (q + 3) % 4);
+                p::shift_in(prev, quarter(&a, q))
+            });
+            assert_eq!(get(w::shift_in(vb, va)), want, "shift_in {}", ctx());
+            let mut carry = i32::MIN;
+            let want = join(|q| p::prefix_max(quarter(&a, q)));
+            let want: [i32; 16] = std::array::from_fn(|l| {
+                carry = carry.max(want[l]);
+                carry
+            });
+            assert_eq!(get(w::prefix_max(va)), want, "prefix_max {}", ctx());
+            assert_eq!(w::last(va), p::last(quarter(&a, 3)), "last {}", ctx());
+            for l in 0..16 {
+                assert_eq!(w::lane(va, l), p::lane(quarter(&a, l / 4), l % 4));
+            }
+            assert_eq!(get(w::splat(a[0])), join(|_| p::splat(a[0])));
+            assert_eq!(
+                get(w::from_array(a)),
+                join(|q| p::from_array(quarter(&a, q)))
+            );
+
+            // Partial loads and stores, and direction bytes, at every n;
+            // lanes past n are neither read nor written.
+            let dirs = |f: &dyn Fn(&mut [u8; 24])| {
+                let mut out = [0xa5; 24];
+                f(&mut out);
+                out
+            };
+            let want = dirs(&|out| {
+                for q in 0..4 {
+                    p::store_dirs(quarter(&a, q), arr_mut(&mut out[4 * q..]));
+                }
+            });
+            let got = dirs(&|out| w::store_dirs(va, arr_mut(out)));
+            assert_eq!(got, want, "store_dirs {}", ctx());
+            for n in 1..=16 {
+                let want = join(|q| p::load_part(&a[(4 * q).min(n)..(4 * q + 4).min(n)]));
+                assert_eq!(get(w::load_part(&a[..n])), want, "load_part {n} {}", ctx());
+                let stored = |f: &dyn Fn(&mut [i32; 24])| {
+                    let mut out = [0x5a5a; 24];
+                    f(&mut out);
+                    out
+                };
+                let want = stored(&|out| {
+                    for q in 0..4 {
+                        p::store_part(quarter(&a, q), &mut out[(4 * q).min(n)..(4 * q + 4).min(n)]);
+                    }
+                });
+                let got = stored(&|out| w::store_part(va, &mut out[..n]));
+                assert_eq!(got, want, "store_part {n} {}", ctx());
+                let want = dirs(&|out| {
+                    for q in 0..4 {
+                        let part = &mut out[(4 * q).min(n)..(4 * q + 4).min(n)];
+                        p::store_dirs_part(quarter(&a, q), part);
+                    }
+                });
+                let got = dirs(&|out| w::store_dirs_part(va, &mut out[..n]));
+                assert_eq!(got, want, "store_dirs_part {n} {}", ctx());
             }
         }
     }

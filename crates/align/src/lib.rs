@@ -31,7 +31,7 @@ mod ungapped;
 mod xdrop;
 
 pub use batch::align_batch;
-pub use dispatch::{level as simd_level, SimdLevel};
+pub use dispatch::{avx2_available, level as simd_level, SimdLevel};
 pub use matrix::{ScoringMatrix, BLOSUM62};
 pub use scratch::{with_scratch, AlignScratch};
 pub use stats::{AlignStats, SimilarityMeasure};
@@ -47,7 +47,7 @@ pub use xdrop::{xdrop_align, xdrop_align_with, HalfExtended};
 /// The lane engines — [`xdrop_align`] and every striped entry point
 /// ([`striped_score`], [`striped_align`], [`striped_traceback`],
 /// [`prefiltered_align_outcome`]) — require `gap_open ≥ 0`,
-/// `gap_extend ≥ 0` and `gap_open + gap_extend ≤ 2^28`, and panic
+/// `gap_extend ≥ 0` and `gap_open + gap_extend ≤ 2^27`, and panic
 /// otherwise: their lanes equal the scalar recurrence only for
 /// non-negative gap costs that stay far from `i32` overflow.
 /// [`smith_waterman`] takes any gap costs.

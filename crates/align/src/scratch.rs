@@ -68,7 +68,7 @@ pub struct AlignScratch {
     // overflow-fallback.
     pub(crate) slp16: StripedBufs<i16, L16>,
     pub(crate) slp32: StripedBufs<i32, L32>,
-    // AVX2 wide lanes.
+    // AVX2 wide lanes (the AVX2 and AVX-512 levels).
     pub(crate) avx16: StripedBufs<i16, L16W>,
     pub(crate) avx32: StripedBufs<i32, L32W>,
     // X-drop extension state.

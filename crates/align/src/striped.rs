@@ -7,13 +7,16 @@
 //! chosen once per process by [`crate::dispatch`]: AVX2 lanes
 //! (`[i16; 16]` / `[i32; 8]`, compiled under `target_feature(avx2)`) and
 //! portable SLP lanes (`[i16; 8]` / `[i32; 4]`, written so LLVM
-//! autovectorizes them on stable Rust — no intrinsics). DP values and the
-//! argmax scan are lane-layout independent, so both widths return
-//! bit-identical results. Vertical gaps that cross segment boundaries are
-//! repaired by Farrar's lazy-F loop, extended here with the E update that
-//! keeps the recurrence *exactly* the textbook affine-gap SW (the common
-//! SWPS3-style shortcut forbids insertion-after-deletion and would diverge
-//! from the scalar reference).
+//! autovectorizes them on stable Rust — no intrinsics). The AVX-512 level
+//! runs the AVX2 lanes here: a 32-lane autovectorised copy measured slower
+//! (the score pass 0.40 s → 0.45–0.55 s), while the traceback fill it
+//! feeds runs sixteen AVX-512 lanes. DP values and the argmax scan are
+//! lane-layout independent, so both widths return bit-identical results.
+//! Vertical gaps that cross segment boundaries are repaired by Farrar's
+//! lazy-F loop, extended here with the E update that keeps the recurrence
+//! *exactly* the textbook affine-gap SW (the common SWPS3-style shortcut
+//! forbids insertion-after-deletion and would diverge from the scalar
+//! reference).
 //!
 //! Scores run in saturating i16 lanes; negative saturation is harmless for
 //! local alignment (values below zero never decide a cell) and positive
@@ -398,10 +401,9 @@ macro_rules! run_config {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// SAFETY: `target_feature` makes this fn unsafe to call; the only callers
-// are the `SimdLevel::Avx2` dispatch arms, reached exclusively after
-// runtime AVX2 detection (`dispatch::level()`, or the explicit checks in
-// `striped_score_at_level` and the lane tests).
+// SAFETY: `target_feature` makes this fn unsafe to call; its only callers
+// are the `SimdLevel::Avx2` / `Avx512` arms (AVX-512 requires AVX2) and
+// the explicit AVX2 checks in `striped_score_at_level` and the lane tests.
 unsafe fn avx2_i16(
     r: &[u8],
     c: &[u8],
@@ -413,7 +415,7 @@ unsafe fn avx2_i16(
 }
 
 // SAFETY: same contract as `avx2_i16` — called only from the
-// `SimdLevel::Avx2` dispatch arms after runtime detection.
+// `SimdLevel::Avx2` / `Avx512` dispatch arms after runtime detection.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn avx2_i32(
@@ -461,8 +463,11 @@ fn striped_pass_at(
     pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwStripedCell);
     let (best, bi, bj) = match lv {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers pass Avx2 only after runtime detection.
-        SimdLevel::Avx2 => unsafe { avx2_i16(r, c, params, &mut scratch.avx16, reverse) },
+        // SAFETY: callers pass Avx2 and Avx512 only after runtime
+        // detection, and the AVX-512 level requires AVX2.
+        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+            avx2_i16(r, c, params, &mut scratch.avx16, reverse)
+        },
         _ => run_config!(
             kernel_i16,
             kernel_i16_rev,
@@ -480,8 +485,11 @@ fn striped_pass_at(
     pcomm::work::record_class((m * n) as u64, pcomm::work::CostClass::SwStripedCell);
     match lv {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers pass Avx2 only after runtime detection.
-        SimdLevel::Avx2 => unsafe { avx2_i32(r, c, params, &mut scratch.avx32, reverse) },
+        // SAFETY: callers pass Avx2 and Avx512 only after runtime
+        // detection, and the AVX-512 level requires AVX2.
+        SimdLevel::Avx2 | SimdLevel::Avx512 => unsafe {
+            avx2_i32(r, c, params, &mut scratch.avx32, reverse)
+        },
         _ => run_config!(
             kernel_i32,
             kernel_i32_rev,
@@ -513,9 +521,12 @@ pub(crate) fn striped_score_with(
 }
 
 /// [`striped_score`] pinned to an explicit SIMD level, ignoring the
-/// process-wide dispatch decision. Requesting [`SimdLevel::Avx2`] on a
-/// host without AVX2 silently runs the SLP lanes instead (same results —
-/// every lane width is bit-identical). Benchmark/test entry point.
+/// process-wide dispatch decision. [`SimdLevel::Avx512`] runs the AVX2
+/// lanes, as the dispatched AVX-512 level does: the striped pass has no
+/// wider instantiation, because a 32-lane autovectorised copy measured
+/// slower than the AVX2 one. Requesting either on a host without AVX2
+/// silently runs the SLP lanes instead (same results — every lane width
+/// is bit-identical). Benchmark/test entry point.
 pub fn striped_score_at_level(
     level: SimdLevel,
     r: &[u8],
@@ -523,8 +534,8 @@ pub fn striped_score_at_level(
     params: &AlignParams,
 ) -> (i32, (u32, u32)) {
     let lv = match level {
-        SimdLevel::Avx2 if !dispatch::avx2_available() => SimdLevel::Slp,
-        other => other,
+        SimdLevel::Avx2 | SimdLevel::Avx512 if dispatch::avx2_available() => SimdLevel::Avx2,
+        _ => SimdLevel::Slp,
     };
     with_scratch(|s| {
         let (best, bi, bj) = striped_pass_at(lv, r, c, params, s, false);
@@ -599,7 +610,7 @@ fn span_start_with(
 ///
 /// # Panics
 ///
-/// On a negative gap cost or `gap_open + gap_extend > 2^28` (see
+/// On a negative gap cost or `gap_open + gap_extend > 2^27` (see
 /// [`AlignParams`]).
 pub fn striped_traceback(
     r: &[u8],

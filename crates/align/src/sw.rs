@@ -34,7 +34,7 @@ use crate::lanes::{
     arr, arr_mut, Gap, E_EXTEND, F_EXTEND, H_DIAG, H_FROM_E, H_FROM_F, H_SRC_MASK, H_STOP, NEG_INF,
 };
 #[cfg(target_arch = "x86_64")]
-use crate::lanes::{avx2, sse2};
+use crate::lanes::{avx2, avx512, sse2};
 use crate::matrix::ScoringMatrix;
 use crate::scratch::{with_scratch, AlignScratch};
 use crate::stats::AlignStats;
@@ -270,6 +270,8 @@ pub(crate) type Fill = fn(Gap, &[u8], &[u8], &ScoringMatrix, &mut AlignScratch) 
 pub(crate) fn fill_kernel(lv: SimdLevel) -> Fill {
     match lv {
         #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => fill_avx512_detected,
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => fill_avx2_detected,
         _ => fill_slp,
     }
@@ -295,6 +297,20 @@ fn fill_avx2_detected(
     // SAFETY: `fill_kernel` hands this function out only for
     // `SimdLevel::Avx2`, which callers pass only after runtime detection.
     unsafe { fill_avx2(gap, r, c, matrix, s) }
+}
+
+/// [`fill_avx512`] behind a safe signature.
+#[cfg(target_arch = "x86_64")]
+fn fill_avx512_detected(
+    gap: Gap,
+    r: &[u8],
+    c: &[u8],
+    matrix: &ScoringMatrix,
+    s: &mut AlignScratch,
+) -> i32 {
+    // SAFETY: `fill_kernel` hands this function out only for
+    // `SimdLevel::Avx512`, which callers pass only after runtime detection.
+    unsafe { fill_avx512(gap, r, c, matrix, s) }
 }
 
 /// The fill over the lane operations of module `$lanes`.
@@ -367,11 +383,11 @@ macro_rules! sw_fill {
                     let e = sub(max(splat(c_e), shift_in(scan_fill, scan)), e_off);
                     let h = max(h0, e);
                     let src = max(
-                        max(and(gt(diag, zero), src_d), and(gt(e, h1), src_e)),
-                        and(gt(f, max(h1, e)), src_f),
+                        max(when(gt(diag, zero), src_d), when(gt(e, h1), src_e)),
+                        when(gt(f, max(h1, e)), src_f),
                     );
                     let e_extends = gt(e, sub(shift_in(h_left, h), open));
-                    let bits = or(and(e_extends, bit_e), and(gt(f_ext, f_open), bit_f));
+                    let bits = or(when(e_extends, bit_e), when(gt(f_ext, f_open), bit_f));
                     let dir = or(src, bits);
                     if full {
                         store(h, arr_mut(&mut h_curr[k + 1..]));
@@ -410,6 +426,12 @@ sw_fill!(
     #[target_feature(enable = "avx2")]
     fill_avx2,
     avx2
+);
+#[cfg(target_arch = "x86_64")]
+sw_fill!(
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    fill_avx512,
+    avx512
 );
 
 /// The plain-Rust lanes, for the differential test.
@@ -574,11 +596,11 @@ mod tests {
 
     #[test]
     fn lane_fill_equals_scalar_fill() {
-        // Every fill the host can run — each SIMD level, so the SLP lanes
-        // are tested on AVX2 hosts too, and the plain-Rust lanes — against
-        // the scalar reference's direction bytes, its last cell's H, and
-        // its stats walked back from the reference's end cell.
-        use crate::dispatch::{avx2_available, SimdLevel};
+        // Every fill the host can run — each SIMD level, so the narrower
+        // lanes are tested on wider hosts too, and the plain-Rust lanes —
+        // against the scalar reference's direction bytes, its last cell's
+        // H, and its stats walked back from the reference's end cell.
+        use crate::dispatch::{avx2_available, avx512_available, SimdLevel};
         use rand::prelude::*;
         let mut fills = vec![
             ("Slp", fill_kernel(SimdLevel::Slp)),
@@ -586,6 +608,9 @@ mod tests {
         ];
         if avx2_available() {
             fills.push(("Avx2", fill_kernel(SimdLevel::Avx2)));
+        }
+        if avx512_available() {
+            fills.push(("Avx512", fill_kernel(SimdLevel::Avx512)));
         }
         let mut rng = StdRng::seed_from_u64(0x5e1f);
         let mut seq = |sigma: u8, lo: usize, hi: usize| -> Vec<u8> {
@@ -609,8 +634,10 @@ mod tests {
             let a = seq(4, 60, 120);
             pairs.push((a.clone(), edited(&mut erng, &a, 4, 3)));
             // Rows of every width around one and two chunks, empty ones
-            // included.
+            // included, at four, eight and sixteen lanes.
             let (m, n) = (case as usize % 17, (case as usize * 7) % 19);
+            pairs.push((seq(24, m, m + 1), seq(24, n, n + 1)));
+            let n = 16 * (case as usize % 3 + 1) + case as usize % 5 - 2;
             pairs.push((seq(24, m, m + 1), seq(24, n, n + 1)));
         }
         let mut want = AlignScratch::new();
@@ -641,10 +668,12 @@ mod tests {
             }
         }
         // Multi-chunk rows with a partial last chunk, and multi-chunk rows
-        // of whole chunks only, at both lane widths (4 and 8).
+        // of whole chunks only, at every lane width (4, 8 and 16).
         let widths: Vec<usize> = pairs.iter().map(|(_, b)| b.len()).collect();
-        assert!(widths.iter().any(|&n| n > 8 && n % 4 != 0));
-        assert!(widths.iter().any(|&n| n > 8 && n % 8 == 0));
+        for l in [4, 8, 16] {
+            assert!(widths.iter().any(|&n| n > l && n % l != 0), "{l}");
+            assert!(widths.iter().any(|&n| n > l && n % l == 0), "{l}");
+        }
     }
 
     #[test]

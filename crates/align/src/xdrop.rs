@@ -899,14 +899,17 @@ mod tests {
     fn three_phase_kernel_equals_reference() {
         use pcomm::work::CostClass;
         use rand::prelude::*;
-        // Every kernel the host can run: each SIMD level (so the SLP lanes
-        // are tested on AVX2 hosts too) and the plain-Rust lanes.
+        // Every kernel the host can run: each SIMD level (so the narrower
+        // lanes are tested on wider hosts too) and the plain-Rust lanes.
         let mut kernels = vec![
             ("Slp", lanes::kernel(SimdLevel::Slp)),
             ("portable", lanes::PORTABLE),
         ];
         if dispatch::avx2_available() {
             kernels.push(("Avx2", lanes::kernel(SimdLevel::Avx2)));
+        }
+        if dispatch::avx512_available() {
+            kernels.push(("Avx512", lanes::kernel(SimdLevel::Avx512)));
         }
         let mut rng = StdRng::seed_from_u64(0x7d70);
         // One arena per kernel for the whole run: the rewrite never clears
@@ -986,8 +989,10 @@ mod tests {
         }
         // Large gap costs under an x-drop wide enough to keep gapped cells
         // live: lane values far from zero, where plain i32 arithmetic must
-        // still equal the scalar `saturating_sub`.
-        for (gap_open, gap_extend) in [(0, 1 << 24), (1 << 27, 1 << 20)] {
+        // still equal the scalar `saturating_sub`, up to the precondition's
+        // edge.
+        let max_gap = crate::lanes::MAX_GAP_COST;
+        for (gap_open, gap_extend) in [(0, 1 << 24), (max_gap - (1 << 20), 1 << 20), (0, max_gap)] {
             let p = AlignParams {
                 gap_open,
                 gap_extend,

@@ -26,7 +26,8 @@
 //! 3. *Plain i32 arithmetic equals the scalar `saturating_sub`.* Every E
 //!    is at least `NEG_INF − open`, and the precondition
 //!    [`crate::lanes::Gap::of`] asserts (`0 ≤ gap_open, gap_extend` and
-//!    `gap_open + gap_extend ≤ 2^28`) keeps every intermediate inside i32.
+//!    `gap_open + gap_extend ≤ 2^27`) keeps every intermediate inside
+//!    i32 at sixteen lanes too, where the scan adds up to `15·ext`.
 //!
 //! The direction byte's `E_EXTEND` bit reads the *true* stored H of the
 //! left neighbour, because with `gap_open = 0` an E-derived H ties with
@@ -35,7 +36,10 @@
 //!
 //! The kernel is written once (`interior_kernel!`) and instantiated per
 //! [`SimdLevel`] over the lane operations of [`crate::lanes`], which the
-//! Smith–Waterman traceback kernel shares.
+//! Smith–Waterman traceback kernel shares: sixteen AVX-512 lanes, eight
+//! AVX2 lanes, four SSE2 lanes for the SLP level. Compares yield the
+//! level's mask type `M` (a native `__mmask16` at AVX-512), read through
+//! `select`, `when`, `gt_where` and `mask_bits`.
 
 use seqstore::SIGMA;
 
@@ -45,7 +49,7 @@ use crate::dispatch::SimdLevel;
 use crate::lanes::portable;
 use crate::lanes::{arr, arr_mut, Gap, E_EXTEND, F_EXTEND, H_DIAG, H_FROM_E, H_FROM_F, NEG_INF};
 #[cfg(target_arch = "x86_64")]
-use crate::lanes::{avx2, sse2};
+use crate::lanes::{avx2, avx512, sse2};
 
 /// One row's open interior: cells `k = 0 .. w` at columns `col0 + k` of
 /// row `i`, each with its diagonal predecessor and the cell above inside
@@ -76,6 +80,8 @@ pub(super) type Kernel = fn(Gap, &mut Front, Interior<'_>, (i32, i32)) -> (i32, 
 pub(super) fn kernel(lv: SimdLevel) -> Kernel {
     match lv {
         #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx512 => interior_avx512_detected,
+        #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => interior_avx2_detected,
         _ => interior_slp,
     }
@@ -100,6 +106,19 @@ fn interior_avx2_detected(
     // SAFETY: `kernel` hands this function out only for `SimdLevel::Avx2`,
     // which callers pass only after runtime detection.
     unsafe { interior_avx2(gap, front, row, carry) }
+}
+
+/// [`interior_avx512`] behind a safe signature.
+#[cfg(target_arch = "x86_64")]
+fn interior_avx512_detected(
+    gap: Gap,
+    front: &mut Front,
+    row: Interior<'_>,
+    carry: (i32, i32),
+) -> (i32, i32) {
+    // SAFETY: `kernel` hands this function out only for
+    // `SimdLevel::Avx512`, which callers pass only after runtime detection.
+    unsafe { interior_avx512(gap, front, row, carry) }
 }
 
 /// How often each lane path ran on this thread, so the differential test
@@ -157,8 +176,8 @@ macro_rules! interior_kernel {
             let (neg, open, ext) = (splat(NEG_INF), splat(gap.open), splat(gap.ext));
             let (dead_below, scan_fill) = (splat(NEG_INF / 2), splat(i32::MIN));
             // Lane l adds (l + 1)·ext − open before the E scan and
-            // subtracts l·ext after it. No intermediate exceeds 7·ext, which
-            // the precondition keeps inside i32.
+            // subtracts l·ext after it. No offset exceeds (L − 1)·ext, which
+            // the precondition keeps inside i32 at sixteen lanes.
             let z_off = from_array(std::array::from_fn(|l| l as i32 * gap.ext + (gap.ext - gap.open)));
             let e_off = from_array(std::array::from_fn(|l| l as i32 * gap.ext));
             let (src_d, src_e, src_f) = (
@@ -212,12 +231,12 @@ macro_rules! interior_kernel {
                     // Ties resolve diag > E > F, each later source winning
                     // strictly.
                     let src = max(
-                        max(and(gt(diag, neg), src_d), and(gt(e, h1), src_e)),
-                        and(gt(f, max(h1, e)), src_f),
+                        max(when(gt(diag, neg), src_d), when(gt(e, h1), src_e)),
+                        when(gt(f, max(h1, e)), src_f),
                     );
                     let e_extends = gt(e, sub(shift_in(h_prev, h_out), open));
-                    let bits = or(and(e_extends, bit_e), and(gt(f_ext, f_open), bit_f));
-                    let dir = and(live, or(src, bits));
+                    let bits = or(when(e_extends, bit_e), when(gt(f_ext, f_open), bit_f));
+                    let dir = when(live, or(src, bits));
                     if full {
                         store(h_out, arr_mut(&mut out_h[k..]));
                         store(select(live, f, neg), arr_mut(&mut out_f[k..]));
@@ -227,7 +246,7 @@ macro_rules! interior_kernel {
                         store_part(select(live, f, neg), &mut out_f[k..k + n]);
                         store_dirs_part(dir, &mut out_d[k..k + n]);
                     }
-                    let rise = mask_bits(and(live, gt(h, best))) & ((1u32 << n) - 1);
+                    let rise = mask_bits(gt_where(live, h, best)) & ((1u32 << n) - 1);
                     if rise != 0 {
                         let r = rise.trailing_zeros() as usize;
                         (h_in, e_in) = (lane(h_out, r), lane(e, r));
@@ -271,6 +290,12 @@ interior_kernel!(
     #[target_feature(enable = "avx2")]
     interior_avx2,
     avx2
+);
+#[cfg(target_arch = "x86_64")]
+interior_kernel!(
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    interior_avx512,
+    avx512
 );
 
 /// The plain-Rust lanes, for the differential test.

@@ -370,14 +370,15 @@ fn main() {
     if !cli.quiet {
         let c = &runs[0].counters;
         eprintln!(
-            "pastis: {} ({} ranks): {} sequences, nnz(A)={}, nnz(B)={}, {} alignments, {} edges",
+            "pastis: {} ({} ranks): {} sequences, nnz(A)={}, nnz(B)={}, {} alignments, {} edges, {} lanes",
             cli.params.variant_name(),
             cli.ranks,
             c.n_seqs,
             c.nnz_a,
             c.nnz_b,
             c.alignments_global,
-            edges.len()
+            edges.len(),
+            align::simd_level().name()
         );
         if let Some(Some(l)) = labels.first() {
             let k = l.iter().collect::<std::collections::HashSet<_>>().len();

@@ -110,6 +110,39 @@ fn fasta_without_records_is_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The summary line of a run without `--quiet` names the SIMD level the
+/// alignment lanes ran at, the one `align` dispatches to on this host.
+#[test]
+fn summary_names_the_lane_level() {
+    let dir = scratch("summary");
+    let fasta = dir.join("in.fasta");
+    std::fs::write(
+        &fasta,
+        ">a\nMKVLAAGIVGLLLAQWERTY\n>b\nMKVLAAGIVGLLKAQWERTY\n",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pastis"))
+        .arg("--input")
+        .arg(&fasta)
+        .arg("--output")
+        .arg(dir.join("out.tsv"))
+        .args(["--k", "4"])
+        .output()
+        .expect("spawn pastis");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let summary = stderr
+        .lines()
+        .find(|l| l.starts_with("pastis: PASTIS-"))
+        .unwrap_or_else(|| panic!("no summary line: {stderr}"));
+    let level = align::simd_level().name();
+    assert!(
+        summary.ends_with(&format!(" edges, {level} lanes")),
+        "{summary}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The out-of-core flags work under substitute k-mers: a batched,
 /// checkpointed `--subs` run writes the monolithic run's PSG.
 #[test]

@@ -152,6 +152,15 @@ subs_psg() { # <out.tsv> <--ranks value and any further flags>
         --input "$xp_tmp/subs.fasta" --output "$out" --quiet --threads 1 --k 6 --subs 25 \
         --mode xd --ck 3 --measure ani --min-ani 0.3 --min-cov 0.7 --ranks "$@"
 }
+# The SIMD level every alignment lane below runs at (the host's, by
+# feature detection): the summary line of one run without `--quiet` names
+# it, so the log shows which lane kernel the `cmp`s exercised.
+cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/level.fasta" 0.06 7
+level="$(cargo run --release -q -p pastis --bin pastis -- \
+    --input "$xp_tmp/level.fasta" --output "$xp_tmp/level.tsv" --k 5 --ranks 1 2>&1 >/dev/null \
+    | sed -n 's/^pastis: PASTIS-.* edges, \([a-z0-9]*\) lanes$/\1/p')"
+[[ -n "$level" ]] || { echo "verify: the pastis summary line names no lane level"; exit 1; }
+echo "verify: alignment lanes run at SIMD level $level"
 for seed in 7 26 1400845388; do
     cargo run --release -q -p pastis-bench --bin mkfasta -- "$xp_tmp/in.fasta" 3.5 "$seed"
     xp_psg "$xp_tmp/p1.tsv" xd 1
