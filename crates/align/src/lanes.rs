@@ -7,12 +7,12 @@
 //! operations below: sixteen AVX-512 lanes, eight AVX2 lanes, and for the
 //! SLP level four SSE2 lanes on x86-64 (whose baseline includes SSE2) or
 //! four plain-Rust lanes elsewhere. Every module exports the same names
-//! (`L`, `V`, `M`, `Table`, `splat`, `load`, `prefix_max`, …), so a kernel
-//! body reads the same at every level. A compare yields an `M`: a vector of
-//! all-ones lanes up to AVX2, a native `__mmask16` at AVX-512, consumed only
-//! by `select`, `when`, `gt_where` and `mask_bits`. A partial last chunk
-//! runs the same lane code on masked loads and stores; there is no scalar
-//! remainder loop.
+//! (`L`, `V`, `Table`, `splat`, `load`, `prefix_max`, …), so a kernel body
+//! reads the same at every level. A compare yields a vector of all-ones
+//! lanes at every level; at AVX-512 LLVM keeps such masks in k-registers,
+//! so the kernels compile to native masked instructions without a mask
+//! type of their own. A partial last chunk runs the same lane code on
+//! masked loads and stores; there is no scalar remainder loop.
 
 use crate::AlignParams;
 
@@ -90,8 +90,6 @@ pub(crate) mod portable {
 
     pub(crate) const L: usize = 4;
     pub(crate) type V = [i32; L];
-    /// All ones in the lanes a compare holds.
-    pub(crate) type M = V;
     pub(crate) type Table = [i8; SIGMA];
 
     #[inline(always)]
@@ -176,20 +174,13 @@ pub(crate) mod portable {
 
     /// All ones where `a > b`.
     #[inline(always)]
-    pub(crate) fn gt(a: V, b: V) -> M {
+    pub(crate) fn gt(a: V, b: V) -> V {
         map2(a, b, |x, y| -((x > y) as i32))
     }
 
-    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline(always)]
-    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
-        when(m, gt(a, b))
-    }
-
-    /// `v` where the mask is set, else 0.
-    #[inline(always)]
-    pub(crate) fn when(m: M, v: V) -> V {
-        map2(m, v, |x, y| x & y)
+    pub(crate) fn and(a: V, b: V) -> V {
+        map2(a, b, |x, y| x & y)
     }
 
     #[inline(always)]
@@ -199,7 +190,7 @@ pub(crate) mod portable {
 
     /// `a` where the mask is set, else `b`.
     #[inline(always)]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
+    pub(crate) fn select(m: V, a: V, b: V) -> V {
         std::array::from_fn(|l| (m[l] & a[l]) | (!m[l] & b[l]))
     }
 
@@ -228,7 +219,7 @@ pub(crate) mod portable {
 
     /// One bit per lane, set where the mask is.
     #[inline(always)]
-    pub(crate) fn mask_bits(m: M) -> u32 {
+    pub(crate) fn mask_bits(m: V) -> u32 {
         (0..L).fold(0, |bits, l| bits | (((m[l] < 0) as u32) << l))
     }
 }
@@ -248,8 +239,6 @@ pub(crate) mod sse2 {
 
     pub(crate) const L: usize = 4;
     pub(crate) type V = __m128i;
-    /// All ones in the lanes a compare holds.
-    pub(crate) type M = V;
     pub(crate) type Table = [i8; SIGMA];
 
     #[inline]
@@ -363,22 +352,14 @@ pub(crate) mod sse2 {
     /// All ones where `a > b`.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn gt(a: V, b: V) -> M {
+    pub(crate) fn gt(a: V, b: V) -> V {
         _mm_cmpgt_epi32(a, b)
     }
 
-    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
-        when(m, gt(a, b))
-    }
-
-    /// `v` where the mask is set, else 0.
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(crate) fn when(m: M, v: V) -> V {
-        _mm_and_si128(m, v)
+    pub(crate) fn and(a: V, b: V) -> V {
+        _mm_and_si128(a, b)
     }
 
     #[inline]
@@ -390,7 +371,7 @@ pub(crate) mod sse2 {
     /// `a` where the mask is set, else `b`.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
+    pub(crate) fn select(m: V, a: V, b: V) -> V {
         _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b))
     }
 
@@ -431,7 +412,7 @@ pub(crate) mod sse2 {
     /// One bit per lane, set where the mask is.
     #[inline]
     #[target_feature(enable = "sse2")]
-    pub(crate) fn mask_bits(m: M) -> u32 {
+    pub(crate) fn mask_bits(m: V) -> u32 {
         _mm_movemask_ps(_mm_castsi128_ps(m)) as u32
     }
 }
@@ -448,8 +429,6 @@ pub(crate) mod avx2 {
 
     pub(crate) const L: usize = 8;
     pub(crate) type V = __m256i;
-    /// All ones in the lanes a compare holds.
-    pub(crate) type M = V;
     /// Matrix-row entries `0..16` and `8..24`, each one `pshufb` table.
     pub(crate) type Table = (__m128i, __m128i);
 
@@ -601,22 +580,14 @@ pub(crate) mod avx2 {
     /// All ones where `a > b`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn gt(a: V, b: V) -> M {
+    pub(crate) fn gt(a: V, b: V) -> V {
         _mm256_cmpgt_epi32(a, b)
     }
 
-    /// [`gt`] in the lanes `m` holds, clear elsewhere.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
-        when(m, gt(a, b))
-    }
-
-    /// `v` where the mask is set, else 0.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(crate) fn when(m: M, v: V) -> V {
-        _mm256_and_si256(m, v)
+    pub(crate) fn and(a: V, b: V) -> V {
+        _mm256_and_si256(a, b)
     }
 
     #[inline]
@@ -628,7 +599,7 @@ pub(crate) mod avx2 {
     /// `a` where the mask is set, else `b`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
+    pub(crate) fn select(m: V, a: V, b: V) -> V {
         _mm256_blendv_epi8(b, a, m)
     }
 
@@ -671,15 +642,15 @@ pub(crate) mod avx2 {
     /// One bit per lane, set where the mask is.
     #[inline]
     #[target_feature(enable = "avx2")]
-    pub(crate) fn mask_bits(m: M) -> u32 {
+    pub(crate) fn mask_bits(m: V) -> u32 {
         _mm256_movemask_ps(_mm256_castsi256_ps(m)) as u32
     }
 }
 
-/// AVX-512 lanes: one `__m512i` of sixteen i32, compares into native
-/// `__mmask16` masks. Every function carries the level's four features
-/// (`avx512f`, `avx512bw`, `avx512vl`, `avx512dq`, detected together by
-/// `dispatch`), so each inlines into the kernel instantiated over it.
+/// AVX-512 lanes: one `__m512i` of sixteen i32. Every function carries
+/// the level's three features (`avx512f`, `avx512bw`, `avx512vl`,
+/// detected together by `dispatch`), so each inlines into the kernel
+/// instantiated over it.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
     use std::arch::x86_64::*;
@@ -690,14 +661,12 @@ pub(crate) mod avx512 {
 
     pub(crate) const L: usize = 16;
     pub(crate) type V = __m512i;
-    /// One bit per lane.
-    pub(crate) type M = __mmask16;
     /// Matrix-row entries `0..16` and `16..24`, widened to i32: the two
     /// halves of one `vpermt2d` lookup.
     pub(crate) type Table = (__m512i, __m512i);
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn table(row: &[i8; SIGMA]) -> Table {
         // SAFETY: the 16-byte read at 0 and the 8-byte read at 16 lie
         // inside the 24-byte row; neither load has an alignment
@@ -712,13 +681,21 @@ pub(crate) mod avx512 {
 
     /// The lanes below `n`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    fn part_mask(n: usize) -> M {
-        ((1u32 << n) - 1) as M
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    fn part_mask(n: usize) -> __mmask16 {
+        ((1u32 << n) - 1) as __mmask16
+    }
+
+    /// The lanes a vector mask holds, as a k-mask: its sign bits, as
+    /// `mask_bits` at the narrower levels reads them.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    fn k_of(m: V) -> __mmask16 {
+        _mm512_cmplt_epi32_mask(m, _mm512_setzero_si512())
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn scores_of(t: &Table, b: &[u8; L]) -> V {
         // SAFETY: `b` is the 16 bytes `loadu` reads, at any alignment.
         let idx = _mm512_cvtepu8_epi32(unsafe { _mm_loadu_si128(b.as_ptr().cast()) });
@@ -728,7 +705,7 @@ pub(crate) mod avx512 {
 
     /// [`scores_of`] for fewer than `L` residues; the other lanes score 0.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn scores_part(t: &Table, b: &[u8]) -> V {
         let m = part_mask(b.len());
         // SAFETY: the masked load reads only the bytes `m` selects, which
@@ -738,26 +715,26 @@ pub(crate) mod avx512 {
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn splat(x: i32) -> V {
         _mm512_set1_epi32(x)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn from_array(a: [i32; L]) -> V {
         load(&a)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn load(s: &[i32; L]) -> V {
         // SAFETY: `s` is the 64 bytes `loadu` reads, at any alignment.
         unsafe { _mm512_loadu_si512(s.as_ptr().cast()) }
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn store(v: V, out: &mut [i32; L]) {
         // SAFETY: `out` is the 64 bytes `storeu` writes, at any alignment.
         unsafe { _mm512_storeu_si512(out.as_mut_ptr().cast(), v) }
@@ -765,7 +742,7 @@ pub(crate) mod avx512 {
 
     /// Lanes `< s.len()` from `s`, the rest `NEG_INF`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn load_part(s: &[i32]) -> V {
         // SAFETY: the masked load reads only the lanes the mask selects,
         // which lie inside `s`.
@@ -774,7 +751,7 @@ pub(crate) mod avx512 {
 
     /// The first `out.len()` lanes of `v`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn store_part(v: V, out: &mut [i32]) {
         // SAFETY: the masked store writes only the lanes the mask selects,
         // which lie inside `out`.
@@ -783,7 +760,7 @@ pub(crate) mod avx512 {
 
     /// The low byte of every lane, in lane order (`vpmovdb`).
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn store_dirs(v: V, out: &mut [u8; L]) {
         // SAFETY: `out` is the 16 bytes `storeu` writes, at any alignment.
         unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), _mm512_cvtepi32_epi8(v)) }
@@ -791,7 +768,7 @@ pub(crate) mod avx512 {
 
     /// The first `out.len()` lanes of [`store_dirs`].
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn store_dirs_part(v: V, out: &mut [u8]) {
         // SAFETY: the masked store writes only the bytes the mask selects,
         // which lie inside `out`.
@@ -801,61 +778,53 @@ pub(crate) mod avx512 {
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn add(a: V, b: V) -> V {
         _mm512_add_epi32(a, b)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn sub(a: V, b: V) -> V {
         _mm512_sub_epi32(a, b)
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn max(a: V, b: V) -> V {
         _mm512_max_epi32(a, b)
     }
 
-    /// Set where `a > b`.
+    /// All ones where `a > b`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    pub(crate) fn gt(a: V, b: V) -> M {
-        _mm512_cmpgt_epi32_mask(a, b)
-    }
-
-    /// [`gt`] in the lanes `m` holds, clear elsewhere.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    pub(crate) fn gt_where(m: M, a: V, b: V) -> M {
-        _mm512_mask_cmpgt_epi32_mask(m, a, b)
-    }
-
-    /// `v` where the mask is set, else 0.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    pub(crate) fn when(m: M, v: V) -> V {
-        _mm512_maskz_mov_epi32(m, v)
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(crate) fn gt(a: V, b: V) -> V {
+        _mm512_maskz_mov_epi32(_mm512_cmpgt_epi32_mask(a, b), splat(-1))
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(crate) fn and(a: V, b: V) -> V {
+        _mm512_and_si512(a, b)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn or(a: V, b: V) -> V {
         _mm512_or_si512(a, b)
     }
 
     /// `a` where the mask is set, else `b`.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    pub(crate) fn select(m: M, a: V, b: V) -> V {
-        _mm512_mask_blend_epi32(m, b, a)
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(crate) fn select(m: V, a: V, b: V) -> V {
+        _mm512_mask_blend_epi32(k_of(m), b, a)
     }
 
     /// `cur` moved up one lane, `prev`'s last lane entering at lane 0:
     /// lanes 15..31 of `[prev | cur]` (`valignd`).
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn shift_in(prev: V, cur: V) -> V {
         _mm512_alignr_epi32::<15>(cur, prev)
     }
@@ -863,7 +832,7 @@ pub(crate) mod avx512 {
     /// Inclusive prefix max: shifts by 1, 2, 4 and 8 lanes, `i32::MIN`
     /// entering at lane 0.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn prefix_max(v: V) -> V {
         let fill = splat(i32::MIN);
         let v = max(v, _mm512_alignr_epi32::<15>(v, fill));
@@ -873,13 +842,13 @@ pub(crate) mod avx512 {
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn last(v: V) -> i32 {
         _mm_extract_epi32::<3>(_mm512_extracti32x4_epi32::<3>(v))
     }
 
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     pub(crate) fn lane(v: V, l: usize) -> i32 {
         let mut out = [0; L];
         store(v, &mut out);
@@ -888,9 +857,9 @@ pub(crate) mod avx512 {
 
     /// One bit per lane, set where the mask is.
     #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
-    pub(crate) fn mask_bits(m: M) -> u32 {
-        m as u32
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+    pub(crate) fn mask_bits(m: V) -> u32 {
+        k_of(m) as u32
     }
 }
 
@@ -952,7 +921,7 @@ mod tests {
     /// quarters of its sixteen lanes; the cross-lane ones (`shift_in`,
     /// `prefix_max`) chain the quarters as the wider lanes must.
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     fn avx512_equal_portable() {
         use avx512 as w;
         use portable as p;
@@ -977,6 +946,10 @@ mod tests {
         /// A portable mask from the bits of lanes `4q .. 4q + 4`.
         fn mask_of(bits: u32, q: usize) -> Q {
             std::array::from_fn(|l| -((bits >> (4 * q + l) & 1) as i32))
+        }
+        /// All ones in the lanes whose bit is set.
+        fn mask16(bits: u32) -> [i32; 16] {
+            std::array::from_fn(|l| -((bits >> l & 1) as i32))
         }
         fn bits_of(f: impl Fn(usize) -> Q) -> u32 {
             (0..4).fold(0, |bits, q| bits | p::mask_bits(f(q)) << (4 * q))
@@ -1036,20 +1009,17 @@ mod tests {
                 ctx()
             );
             let bits = bits as u32;
+            let vm = w::load(&mask16(bits));
             assert_eq!(
-                w::mask_bits(w::gt_where(bits as w::M, va, vb)),
-                bits_of(|q| p::gt_where(mask_of(bits, q), quarter(&a, q), quarter(&b, q))),
-                "gt_where {}",
+                get(m),
+                join(|q| p::gt(quarter(&a, q), quarter(&b, q))),
+                "gt {}",
                 ctx()
             );
+            assert_eq!(get(w::and(va, vb)), lanewise(p::and), "and {}", ctx());
+            assert_eq!(w::mask_bits(vm), bits, "mask_bits {}", ctx());
             assert_eq!(
-                get(w::when(bits as w::M, va)),
-                join(|q| p::when(mask_of(bits, q), quarter(&a, q))),
-                "when {}",
-                ctx()
-            );
-            assert_eq!(
-                get(w::select(bits as w::M, va, vb)),
+                get(w::select(vm, va, vb)),
                 join(|q| p::select(mask_of(bits, q), quarter(&a, q), quarter(&b, q))),
                 "select {}",
                 ctx()

@@ -383,11 +383,11 @@ macro_rules! sw_fill {
                     let e = sub(max(splat(c_e), shift_in(scan_fill, scan)), e_off);
                     let h = max(h0, e);
                     let src = max(
-                        max(when(gt(diag, zero), src_d), when(gt(e, h1), src_e)),
-                        when(gt(f, max(h1, e)), src_f),
+                        max(and(gt(diag, zero), src_d), and(gt(e, h1), src_e)),
+                        and(gt(f, max(h1, e)), src_f),
                     );
                     let e_extends = gt(e, sub(shift_in(h_left, h), open));
-                    let bits = or(when(e_extends, bit_e), when(gt(f_ext, f_open), bit_f));
+                    let bits = or(and(e_extends, bit_e), and(gt(f_ext, f_open), bit_f));
                     let dir = or(src, bits);
                     if full {
                         store(h, arr_mut(&mut h_curr[k + 1..]));
@@ -429,7 +429,7 @@ sw_fill!(
 );
 #[cfg(target_arch = "x86_64")]
 sw_fill!(
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     fill_avx512,
     avx512
 );

@@ -990,13 +990,14 @@ mod tests {
         // Large gap costs under an x-drop wide enough to keep gapped cells
         // live: lane values far from zero, where plain i32 arithmetic must
         // still equal the scalar `saturating_sub`, up to the precondition's
-        // edge.
+        // edge. The x-drop is twice the largest gap cost, so a gap opened
+        // at that edge still has live extensions.
         let max_gap = crate::lanes::MAX_GAP_COST;
         for (gap_open, gap_extend) in [(0, 1 << 24), (max_gap - (1 << 20), 1 << 20), (0, max_gap)] {
             let p = AlignParams {
                 gap_open,
                 gap_extend,
-                xdrop: crate::lanes::MAX_GAP_COST,
+                xdrop: 2 * max_gap,
                 ..AlignParams::default()
             };
             for case in 0..40 {

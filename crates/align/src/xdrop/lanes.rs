@@ -37,9 +37,7 @@
 //! The kernel is written once (`interior_kernel!`) and instantiated per
 //! [`SimdLevel`] over the lane operations of [`crate::lanes`], which the
 //! Smith–Waterman traceback kernel shares: sixteen AVX-512 lanes, eight
-//! AVX2 lanes, four SSE2 lanes for the SLP level. Compares yield the
-//! level's mask type `M` (a native `__mmask16` at AVX-512), read through
-//! `select`, `when`, `gt_where` and `mask_bits`.
+//! AVX2 lanes, four SSE2 lanes for the SLP level.
 
 use seqstore::SIGMA;
 
@@ -231,12 +229,12 @@ macro_rules! interior_kernel {
                     // Ties resolve diag > E > F, each later source winning
                     // strictly.
                     let src = max(
-                        max(when(gt(diag, neg), src_d), when(gt(e, h1), src_e)),
-                        when(gt(f, max(h1, e)), src_f),
+                        max(and(gt(diag, neg), src_d), and(gt(e, h1), src_e)),
+                        and(gt(f, max(h1, e)), src_f),
                     );
                     let e_extends = gt(e, sub(shift_in(h_prev, h_out), open));
-                    let bits = or(when(e_extends, bit_e), when(gt(f_ext, f_open), bit_f));
-                    let dir = when(live, or(src, bits));
+                    let bits = or(and(e_extends, bit_e), and(gt(f_ext, f_open), bit_f));
+                    let dir = and(live, or(src, bits));
                     if full {
                         store(h_out, arr_mut(&mut out_h[k..]));
                         store(select(live, f, neg), arr_mut(&mut out_f[k..]));
@@ -246,7 +244,7 @@ macro_rules! interior_kernel {
                         store_part(select(live, f, neg), &mut out_f[k..k + n]);
                         store_dirs_part(dir, &mut out_d[k..k + n]);
                     }
-                    let rise = mask_bits(gt_where(live, h, best)) & ((1u32 << n) - 1);
+                    let rise = mask_bits(and(live, gt(h, best))) & ((1u32 << n) - 1);
                     if rise != 0 {
                         let r = rise.trailing_zeros() as usize;
                         (h_in, e_in) = (lane(h_out, r), lane(e, r));
@@ -293,7 +291,7 @@ interior_kernel!(
 );
 #[cfg(target_arch = "x86_64")]
 interior_kernel!(
-    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl")]
     interior_avx512,
     avx512
 );
